@@ -4,11 +4,12 @@ Exit codes: 0 success / all chains pass, 1 an inequality violation was
 found, 2 usage or parse error, 3 a mathematical precondition failed.
 
 Every output file embeds a run manifest (command line, input digests,
-seed, tolerances, tool version, timestamp).  Setting QFDIV_TIMESTAMP
-pins the manifest timestamp, so re-running the recorded command under
-the recorded timestamp reproduces the file byte for byte.  The fuzz
-summary printed to stdout carries no timestamp and is byte-identical
-across reruns and across --jobs settings by construction.
+seed, tolerances, tool and numpy versions, timestamp).  Setting
+QFDIV_TIMESTAMP pins the manifest timestamp, so re-running the recorded
+command under the recorded timestamp, with the same numpy/LAPACK build,
+reproduces the file byte for byte.  The fuzz summary printed to stdout
+carries no timestamp and is byte-identical across reruns; --jobs is
+accepted for compatibility and does not change it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .classical import (
@@ -80,6 +83,7 @@ def _manifest(argv, inputs: dict, seed, tolerances: dict) -> dict:
         "seed": seed,
         "tolerances": tolerances,
         "version": __version__,
+        "numpy": np.__version__,
         "timestamp": stamp,
     }
 
@@ -128,8 +132,26 @@ def _closed_form(qd, pd, f, eps):
     if f.name == "tsallis":
         return tsallis(qd, pd, f.params["q"], eps)
     if f.name == "hellinger":
-        return hellinger_sq(qd, pd)
+        return hellinger_sq(qd, pd, eps)
     return None
+
+
+def _value_row(qd, pd, js, f, eps) -> dict:
+    """S_f by the spectral sum, its closed form when one exists, and their gap."""
+    dv = s_f_from_spectrum(js, f)
+    closed = _closed_form(qd, pd, f, eps)
+    gap = None
+    if closed is not None and math.isfinite(dv.value) and math.isfinite(closed):
+        gap = abs(dv.value - closed)
+    return {
+        "generator": f.spec,
+        "value": dv.value,
+        "closed_form": closed,
+        "gap": gap,
+        "r": js.r,
+        "R": js.R,
+        "flags": list(dv.flags),
+    }
 
 
 def report_to_json(rep: BoundChainReport) -> dict:
@@ -171,6 +193,12 @@ def _csv_num(x):
     return repr(float(x))
 
 
+def _csv_row(row: dict) -> dict:
+    """The CSV cells of a row: strings as they are, numbers through _csv_num."""
+    return {k: v if isinstance(v, str) else _csv_num(v)
+            for k, v in row.items() if k in CSV_COLUMNS}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -183,22 +211,7 @@ def cmd_compute(args, argv) -> int:
     manifest = _manifest(argv, {"q": _sha256(args.q), "p": _sha256(args.p)},
                          None, {"eps_invert": eps})
 
-    results = []
-    for f in _generators(args):
-        dv = s_f_from_spectrum(js, f)
-        closed = _closed_form(qd, pd, f, eps)
-        gap = None
-        if closed is not None and math.isfinite(dv.value) and math.isfinite(closed):
-            gap = abs(dv.value - closed)
-        results.append({
-            "generator": f.spec,
-            "value": dv.value,
-            "closed_form": closed,
-            "gap": gap,
-            "r": js.r,
-            "R": js.R,
-            "flags": list(dv.flags),
-        })
+    results = [_value_row(qd, pd, js, f, eps) for f in _generators(args)]
 
     human = [f"{row['generator']}: value={row['value']!r}"
              + (f" closed_form={row['closed_form']!r} gap={row['gap']!r}"
@@ -207,15 +220,7 @@ def cmd_compute(args, argv) -> int:
     human.append(f"r={js.r!r} R={js.R!r}")
 
     if args.format == "csv":
-        rows = [{
-            "generator": row["generator"],
-            "value": _csv_num(row["value"]),
-            "closed_form": _csv_num(row["closed_form"]),
-            "gap": _csv_num(row["gap"]),
-            "r": _csv_num(row["r"]),
-            "R": _csv_num(row["R"]),
-        } for row in results]
-        _emit(_csv_text(rows, manifest), args.out, human)
+        _emit(_csv_text([_csv_row(row) for row in results], manifest), args.out, human)
     else:
         doc = {"manifest": manifest,
                "results": [{k: _num(v) if not isinstance(v, list) else v
@@ -255,25 +260,11 @@ def cmd_certify(args, argv) -> int:
                 for rep in reports
             )
         all_reports.extend(reports)
-        dv = s_f_from_spectrum(js, f)
-        closed = _closed_form(qd, pd, f, eps)
-        gap = None
-        if closed is not None and math.isfinite(dv.value) and math.isfinite(closed):
-            gap = abs(dv.value - closed)
-        bounds = _final_bounds(reports)
-        rows.append({
-            "generator": f.spec,
-            "value": _csv_num(dv.value),
-            "closed_form": _csv_num(closed),
-            "gap": _csv_num(gap),
-            "r": _csv_num(js.r),
-            "R": _csv_num(js.R),
-            "bound_thm2": _csv_num(bounds.get("bound_thm2")),
-            "bound_thm3": _csv_num(bounds.get("bound_thm3")),
-            "bound_thm4": _csv_num(bounds.get("bound_thm4")),
-            "bound_thm5": _csv_num(bounds.get("bound_thm5")),
+        rows.append(_csv_row({
+            **_value_row(qd, pd, js, f, eps),
+            **_final_bounds(reports),
             "verdicts": ";".join(f"{rep.check}={rep.status}" for rep in reports),
-        })
+        }))
 
     failed = [rep for rep in all_reports if _any_fail(rep)]
     status = "fail" if failed else "pass"
@@ -458,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="eigenvalue floor mixed into each sample (default 1e-6/dim)")
     sp.add_argument("--eps-invert", type=float, default=1e-12)
     sp.add_argument("--jobs", type=int, default=1,
-                    help="concurrent trial workers; output is identical for any value")
+                    help="accepted for compatibility (>= 1); trials always run serially")
     sp.add_argument("--allow-singular", action="store_true",
                     help="remove the sampling floor and keep only generators finite at 0")
     sp.set_defaults(func=cmd_fuzz)

@@ -664,7 +664,7 @@ def psi_sup(f: Generator, r: float, R: float) -> float:
     slope = (fR - fr) / (R - r)
     h = (R - r) * PSI_EDGE_FRACTION
     ts = np.linspace(r + h, R - h, PSI_GRID_POINTS)
-    if r + h < 1.0 < R - h:
+    if r < 1.0 < R:
         ts = np.append(ts, 1.0)
     fts = f(ts)
     gaps = (fR - fts) / (R - ts) - (fts - fr) / (ts - r)

@@ -8,17 +8,17 @@ is reported distinctly from a violated inequality.  Chains whose
 hypotheses exclude the pair entirely (degenerate ratio window) are
 reported as skipped.
 
-The fuzz driver samples random density pairs from seeded, counter-based
-streams: trial k always uses the stream keyed by (seed, k), so serial
-and concurrent runs produce identical reports and any violation can be
-replayed bit-for-bit from its (seed, trial) pair.
+The fuzz driver runs its trials serially, in index order, on random
+density pairs drawn from seeded, counter-based streams: trial k always
+uses the stream keyed by (seed, k), so a run's output is a function of
+its configuration and any violation can be replayed bit-for-bit from
+its (seed, trial) pair.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -176,10 +176,6 @@ def _prepare(q, p, f, js, eps, sf):
     return qd, pd, js, float(sf)
 
 
-def _variational(js: JointSpectrum) -> float:
-    return float(np.sum(js.w * np.abs(js.lam[:, np.newaxis] - js.mu[np.newaxis, :])))
-
-
 def _derivative_gap_coeff(f: Generator, js: JointSpectrum) -> float:
     """f'_-(R) - f'_+(r), or +inf when a one-sided derivative diverges."""
     d_left_R = f.deriv_left(js.R)
@@ -264,7 +260,7 @@ def check_thm2(q, p, f: Generator, js: JointSpectrum = None,
     qd, pd, js, sfv = _prepare(q, p, f, js, eps, sf)
     r, R = js.r, js.R
     big_d = _derivative_gap_coeff(f, js)
-    v = _variational(js)
+    v = js.variational()
     chi = math.sqrt(max(chi_square(qd, pd, eps), 0.0))
 
     if math.isinf(big_d):
@@ -725,19 +721,6 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_trial(config: FuzzConfig, trial: int):
-    rng = _trial_rng(config.seed, trial)
-    qd, pd = sample_pair(config.sampler, config.dim, config.floor, rng)
-    try:
-        js = joint_spectrum(qd, pd, config.eps)
-    except PreconditionError as exc:
-        return trial, None, str(exc)
-    reports = []
-    for f in config.generators:
-        reports.extend(run_all_checks(qd, pd, f, js=js, tol=config.tol, eps=config.eps))
-    return trial, (qd, pd, reports), ""
-
-
 def _walk(report: BoundChainReport):
     yield report
     for sub in report.subchains:
@@ -747,18 +730,11 @@ def _walk(report: BoundChainReport):
 def fuzz(config: FuzzConfig) -> FuzzResult:
     """Run every chain on `trials` sampled pairs; collect violations.
 
-    Deterministic: each trial draws from a stream keyed by (seed,
-    trial index) and results are merged in trial order, so the output
-    is identical for any jobs count.
+    Trials run one after another, in index order.  Each draws from a
+    stream keyed by (seed, trial index), so the output is deterministic
+    and any violation replays from its (seed, trial) pair.  config.jobs
+    is validated but does not change how the run executes.
     """
-    trials = range(int(config.trials))
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=int(config.jobs)) as pool:
-            results = list(pool.map(lambda t: _run_trial(config, t), trials))
-    else:
-        results = [_run_trial(config, t) for t in trials]
-    results.sort(key=lambda item: item[0])
-
     violations = []
     counts = {}
     hist = {}
@@ -767,11 +743,17 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
     min_slack = None
     skipped_trials = []
 
-    for trial, payload, err in results:
-        if payload is None:
-            skipped_trials.append({"trial": trial, "reason": err})
+    for trial in range(int(config.trials)):
+        qd, pd = sample_pair(config.sampler, config.dim, config.floor,
+                             _trial_rng(config.seed, trial))
+        try:
+            js = joint_spectrum(qd, pd, config.eps)
+        except PreconditionError as exc:
+            skipped_trials.append({"trial": trial, "reason": str(exc)})
             continue
-        qd, pd, reports = payload
+        reports = []
+        for f in config.generators:
+            reports.extend(run_all_checks(qd, pd, f, js=js, tol=config.tol, eps=config.eps))
         for top in reports:
             for rep in _walk(top):
                 counts.setdefault(rep.check, {"pass": 0, "vacuous-pass": 0, "fail": 0, "skipped": 0})

@@ -1,10 +1,12 @@
 """Dense complex Hermitian linear algebra on small matrices.
 
 Everything downstream (density matrices, joint spectra, divergence
-values) is built on the primitives here: a self-contained cyclic Jacobi
-eigensolver, matrix functions through the eigendecomposition, traces and
-the Schatten 1- and 2-norms, plus checkable forms of the classical trace
-inequalities (Gruss-type gap, variance bound, trace Hoelder).
+values) is built on the primitives here: the Hermitian eigendecomposition
+(LAPACK through numpy.linalg.eigh, with numerically-zero eigenvalues
+clamped to exactly 0), matrix functions through the eigendecomposition,
+traces and the Schatten 1- and 2-norms, plus checkable forms of the
+classical trace inequalities (Gruss-type gap, variance bound, trace
+Hoelder).
 
 Matrices are plain complex ndarrays.  The JSON exchange format is
 ``{"dim": d, "re": [[...]], "im": [[...]]}`` with "im" optional.
@@ -43,9 +45,6 @@ __all__ = [
     "save_matrix",
 ]
 
-# Off-diagonal mass threshold is relative to the input Frobenius norm.
-JACOBI_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 100
 # Eigenvalues at or below this (times ||A||_F) count as exactly zero.
 ZERO_EIGENVALUE_TOL = 1e-13
 HERMITICITY_TOL = 1e-12
@@ -85,61 +84,12 @@ class EigenDecomposition:
         return (u * self.eigenvalues) @ u.conj().T
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero out a[p, q] with a unitary plane rotation, in place.
+def eigh(a) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
-    The rotation is the real Jacobi angle applied after stripping the
-    phase of a[p, q]; v accumulates the product of rotations.
-    """
-    apq = a[p, q]
-    mod = abs(apq)
-    if mod == 0.0:
-        return
-    phase = apq / mod
-    # Real symmetric Jacobi angle for [[a_pp, |a_pq|], [|a_pq|, a_qq]].
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * mod)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-
-    sp = s * phase
-    spc = s * np.conj(phase)
-
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - sp * row_q
-    a[q, :] = spc * row_p + c * row_q
-
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - spc * col_q
-    a[:, q] = sp * col_p + c * col_q
-
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vcol_p = v[:, p].copy()
-    vcol_q = v[:, q].copy()
-    v[:, p] = c * vcol_p - spc * vcol_q
-    v[:, q] = sp * vcol_p + c * vcol_q
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def eigh(a, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi sweeps.
-
-    Row-cyclic complex rotations run until the off-diagonal Frobenius
-    mass drops below ``tol * ||A||_F`` or the sweep budget is exhausted.
-    Deterministic for identical input.
+    Eigenvalues within ``ZERO_EIGENVALUE_TOL * ||A||_F`` of zero are
+    clamped to exactly 0.  Deterministic for identical input within one
+    numpy/LAPACK build.
 
     Returns:
         EigenDecomposition with eigenvalues sorted ascending and the
@@ -147,39 +97,12 @@ def eigh(a, tol: float = JACOBI_TOL, max_sweeps: int = JACOBI_MAX_SWEEPS) -> Eig
 
     Raises:
         PreconditionError: input not Hermitian within tolerance.
-        ArithmeticError: no convergence within ``max_sweeps`` sweeps.
     """
-    work = hermitian_part(a).copy()
-    d = work.shape[0]
-    norm = float(np.linalg.norm(work))
-    if d == 1 or norm == 0.0:
-        vals = np.array([work[0, 0].real]) if d == 1 else np.zeros(d)
-        return EigenDecomposition(vals, np.eye(d, dtype=np.complex128))
-
-    threshold = tol * norm
-    # Rotations on entries below this cannot push the off-mass back over
-    # the threshold: d(d-1) entries of size threshold/(2d) have combined
-    # Frobenius mass < threshold.
-    skip = threshold / (2.0 * d)
-    v = np.eye(d, dtype=np.complex128)
-
-    converged = _offdiag_norm(work) <= threshold
-    for _ in range(max_sweeps):
-        if converged:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                if abs(work[p, q]) > skip:
-                    _jacobi_rotate(work, v, p, q)
-        converged = _offdiag_norm(work) <= threshold
-    if not converged:
-        raise ArithmeticError(f"Jacobi sweep budget exhausted ({max_sweeps} sweeps)")
-
-    vals = np.diag(work).real.copy()
+    work = hermitian_part(a)
+    vals, vecs = np.linalg.eigh(work)
     # Clamp numerically-zero eigenvalues so downstream zero dispatch is exact.
-    vals[np.abs(vals) <= ZERO_EIGENVALUE_TOL * norm] = 0.0
-    order = np.argsort(vals, kind="stable")
-    return EigenDecomposition(vals[order], np.ascontiguousarray(v[:, order]))
+    vals[np.abs(vals) <= ZERO_EIGENVALUE_TOL * np.linalg.norm(work)] = 0.0
+    return EigenDecomposition(vals, vecs)
 
 
 def matrix_function(a, g) -> np.ndarray:

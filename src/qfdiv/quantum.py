@@ -104,13 +104,22 @@ def as_density(x) -> DensityMatrix:
     return x if isinstance(x, DensityMatrix) else DensityMatrix(np.asarray(x))
 
 
-def _require_invertible(p: DensityMatrix, eps: float) -> None:
-    if eps <= 0.0:
-        raise InputFormatError(f"invertibility threshold must be positive, got {eps}")
-    if p.min_eigenvalue < eps:
-        raise PreconditionError(
-            f"reference state is singular at tolerance {eps:g}: min eigenvalue {p.min_eigenvalue:.3e}"
-        )
+def _density_pair(q, p, eps: float = None) -> tuple:
+    """Both states as DensityMatrix of one dimension; unless eps is None,
+    the reference state p must have smallest eigenvalue at least eps."""
+    qd = as_density(q)
+    pd = as_density(p)
+    if qd.dim != pd.dim:
+        raise PreconditionError(f"dimension mismatch: {qd.dim} vs {pd.dim}")
+    if eps is not None:
+        if eps <= 0.0:
+            raise InputFormatError(f"invertibility threshold must be positive, got {eps}")
+        if pd.min_eigenvalue < eps:
+            raise PreconditionError(
+                f"reference state is singular at tolerance {eps:g}: "
+                f"min eigenvalue {pd.min_eigenvalue:.3e}"
+            )
+    return qd, pd
 
 
 @dataclass(frozen=True)
@@ -143,6 +152,10 @@ class JointSpectrum:
     def ratios(self) -> np.ndarray:
         return self.lam[:, np.newaxis] / self.mu[np.newaxis, :]
 
+    def variational(self) -> float:
+        """sum_ij W_ij |lambda_i - mu_j|, the value of variational_q."""
+        return float(np.sum(self.w * np.abs(self.lam[:, np.newaxis] - self.mu[np.newaxis, :])))
+
 
 def joint_spectrum(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> JointSpectrum:
     """Diagonalize both states and assemble the joint spectral data.
@@ -150,11 +163,7 @@ def joint_spectrum(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> JointSpectru
     Requires the reference state p to be invertible: its smallest
     eigenvalue must be at least eps.
     """
-    qd = as_density(q)
-    pd = as_density(p)
-    if qd.dim != pd.dim:
-        raise PreconditionError(f"dimension mismatch: {qd.dim} vs {pd.dim}")
-    _require_invertible(pd, eps)
+    qd, pd = _density_pair(q, p, eps)
 
     lam = qd.dec.eigenvalues[::-1].copy()
     u = qd.dec.eigenvectors[:, ::-1]
@@ -227,11 +236,7 @@ def umegaki(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:
     of the overlap route: uses each state's own eigenbasis plus one
     matrix product.
     """
-    qd = as_density(q)
-    pd = as_density(p)
-    if qd.dim != pd.dim:
-        raise PreconditionError(f"dimension mismatch: {qd.dim} vs {pd.dim}")
-    _require_invertible(pd, eps)
+    qd, pd = _density_pair(q, p, eps)
     lam = qd.dec.eigenvalues
     pos = lam > 0.0
     q_ln_q = float(np.sum(lam[pos] * np.log(lam[pos])))
@@ -242,11 +247,7 @@ def umegaki(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:
 
 def chi_square(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:
     """tr(Q^2 P^(-1)) - 1, the chi-square distance."""
-    qd = as_density(q)
-    pd = as_density(p)
-    if qd.dim != pd.dim:
-        raise PreconditionError(f"dimension mismatch: {qd.dim} vs {pd.dim}")
-    _require_invertible(pd, eps)
+    qd, pd = _density_pair(q, p, eps)
     p_inv = matrix_function(pd.dec, lambda x: 1.0 / x)
     return float(np.trace(qd.matrix @ qd.matrix @ p_inv).real) - 1.0
 
@@ -256,11 +257,7 @@ def tsallis(q, p, qparam: float, eps: float = DEFAULT_INVERTIBILITY_EPS) -> floa
     qparam = float(qparam)
     if not 0.0 < qparam < 1.0:
         raise InputFormatError(f"tsallis parameter must lie in (0, 1), got {qparam}")
-    qd = as_density(q)
-    pd = as_density(p)
-    if qd.dim != pd.dim:
-        raise PreconditionError(f"dimension mismatch: {qd.dim} vs {pd.dim}")
-    _require_invertible(pd, eps)
+    qd, pd = _density_pair(q, p, eps)
     q_pow = matrix_function(qd.dec, lambda x: x**qparam)
     p_pow = matrix_function(pd.dec, lambda x: x ** (1.0 - qparam))
     return (1.0 - float(np.trace(q_pow @ p_pow).real)) / (1.0 - qparam)
@@ -268,11 +265,7 @@ def tsallis(q, p, qparam: float, eps: float = DEFAULT_INVERTIBILITY_EPS) -> floa
 
 def hellinger_sq(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:
     """1 - tr(Q^(1/2) P^(1/2)), the squared Hellinger discrimination."""
-    qd = as_density(q)
-    pd = as_density(p)
-    if qd.dim != pd.dim:
-        raise PreconditionError(f"dimension mismatch: {qd.dim} vs {pd.dim}")
-    _require_invertible(pd, eps)
+    qd, pd = _density_pair(q, p, eps)
     q_root = matrix_function(qd.dec, math.sqrt)
     p_root = matrix_function(pd.dec, math.sqrt)
     return 1.0 - float(np.trace(q_root @ p_root).real)
@@ -285,16 +278,12 @@ def variational_q(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:
     It coincides with tr|Q - P| when Q and P commute, and generally
     does not otherwise.
     """
-    js = joint_spectrum(q, p, eps)
-    return float(np.sum(js.w * np.abs(js.lam[:, np.newaxis] - js.mu[np.newaxis, :])))
+    return joint_spectrum(q, p, eps).variational()
 
 
 def trace_distance(q, p) -> float:
     """tr|Q - P|: the trace-norm distance (no invertibility needed)."""
-    qd = as_density(q)
-    pd = as_density(p)
-    if qd.dim != pd.dim:
-        raise PreconditionError(f"dimension mismatch: {qd.dim} vs {pd.dim}")
+    qd, pd = _density_pair(q, p)
     return trace_norm(qd.matrix - pd.matrix)
 
 
@@ -306,9 +295,9 @@ def sandwich_check(q, p, trials: int = 100, seed: int = 0,
     both ends are attained by the rank-one couplings of extremal
     eigenvectors: T = u_max v_min* hits R and T = u_min v_max* hits r.
     """
-    js = joint_spectrum(q, p, eps)
     qd = as_density(q)
     pd = as_density(p)
+    js = joint_spectrum(qd, pd, eps)
     d = js.dim
     q_half = matrix_function(qd.dec, math.sqrt)
     p_inv_half = matrix_function(pd.dec, lambda x: 1.0 / math.sqrt(x))

@@ -94,6 +94,16 @@ class TestCompute:
                       "--p", files["pa"])
         assert code == 2
 
+    def test_hellinger_closed_form_honours_eps_invert(self, files, capsys, tmp_path):
+        p_near = tmp_path / "p_near.json"
+        p_near.write_text(json.dumps(matrix_to_json(
+            np.diag([0.6, 0.4 - 5e-13, 5e-13]).astype(complex))))
+        code, out = run(capsys, "compute", "--q", files["q3"], "--p", str(p_near),
+                        "--eps-invert", "1e-15", "--generator", "hellinger")
+        assert code == 0
+        row = json.loads(out[out.index("{"):])["results"][0]
+        assert np.isfinite(row["closed_form"])
+
 
 class TestCertify:
     def test_all_chains_pass_on_commuting_pair(self, files, capsys):
@@ -222,6 +232,12 @@ class TestOutputFiles:
         # input digests are hex sha256 strings.
         assert all(len(h) == 64 for h in man["inputs"].values())
         assert man["version"]
+
+    def test_manifest_records_numpy_version(self, files, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        run(capsys, "compute", "--q", files["qa"], "--p", files["pa"],
+            "--generator", "chi2", "--out", str(out_path))
+        assert json.loads(out_path.read_text())["manifest"]["numpy"] == np.__version__
 
     def test_timestamp_override_gives_byte_identical_files(self, files, capsys,
                                                            tmp_path, monkeypatch):

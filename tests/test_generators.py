@@ -353,6 +353,11 @@ class TestPsi:
     def test_psi_sup_infinite_when_endpoint_blows_up(self):
         assert psi_sup(neg_log(), 0.0, 2.0) == INF
 
+    def test_psi_sup_keeps_t_one_on_wide_windows(self):
+        # R - r above about 1e6 pushes the grid's edge pull-in past 1; the
+        # kink of tv sits at t = 1 and must still be probed.
+        assert psi_sup(tv(), 0.01, 3e6) >= psi(tv(), 1.0, 0.01, 3e6)
+
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(DEFAULT_SPECS), st.floats(0.05, 0.95), st.floats(1.05, 20.0))
     def test_property_psi_sup_below_derivative_gap(self, spec, r, R):

@@ -401,6 +401,11 @@ class TestFuzz:
         for key in ("check", "link", "left", "right", "generator", "seed", "trial", "q", "p"):
             assert key in obj
 
+    def test_wide_window_tv_has_no_false_violations(self):
+        # Trial windows with R above 1e6, where sup Psi once missed t = 1.
+        res = fuzz(FuzzConfig(dim=16, trials=3, seed=3000031))
+        assert res.summary["violations"] == 0
+
     def test_unreachable_eps_skips_trials(self):
         res = fuzz(FuzzConfig(dim=3, trials=4, seed=0, eps=0.5))
         assert len(res.summary["skipped_trials"]) == 4
