@@ -1,7 +1,10 @@
 """Command-line front end: compute, certify, fuzz, spectrum, classical.
 
 Exit codes: 0 success / all chains pass, 1 an inequality violation was
-found, 2 usage or parse error, 3 a mathematical precondition failed.
+found, 2 usage or parse error, 3 a mathematical precondition failed,
+4 numerical failure (an ArithmeticError, such as an overlap matrix that
+lost double stochasticity).  fuzz records a trial that fails numerically
+as skipped, with the reason, and goes on.
 
 Every output file embeds a run manifest (command line, input digests,
 seed, tolerances, tool and numpy versions, timestamp).  Setting
@@ -484,3 +487,6 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 4

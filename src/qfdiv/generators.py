@@ -29,6 +29,7 @@ concurrent workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -60,15 +61,9 @@ __all__ = [
     "from_callable",
     "parse_generator_spec",
     "default_catalog",
-    "PROBE_GRID",
 ]
 
 INF = math.inf
-
-# Probe grid for convexity / derivative-monotonicity invariants.  The
-# exponent step divides 1 exactly, so t = 1 (where the kinks live) is a
-# grid point.
-PROBE_GRID = np.geomspace(1e-6, 1e3, 181)
 
 PSI_GRID_POINTS = 10001
 PSI_EDGE_FRACTION = 1e-6
@@ -112,7 +107,7 @@ class Generator:
     smooth: bool = True
     approx: bool = False
 
-    @property
+    @functools.cached_property
     def spec(self) -> str:
         if not self.params:
             return self.name
@@ -662,14 +657,29 @@ def psi_sup(f: Generator, r: float, R: float) -> float:
         return INF
 
     slope = (fR - fr) / (R - r)
+    ts, to_R, from_r = _psi_grid(r, R)
+    fts = np.asarray(f.fn(ts), dtype=np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gaps = (fR - fts) / to_R - (fts - fr) / from_r
+    best = float(gaps.max())
+    if not math.isfinite(best):  # below a width of ~1e-10 an endpoint lands on the grid: 0/0
+        best = float(np.max(gaps, where=np.isfinite(gaps), initial=-INF))
+    return max(best, slope - d_right_r, d_left_R - slope)
+
+
+@functools.lru_cache(maxsize=1)
+def _psi_grid(r: float, R: float) -> tuple:
+    """psi_sup's grid on (r, R) with R - t and t - r, shared by every generator."""
     h = (R - r) * PSI_EDGE_FRACTION
     ts = np.linspace(r + h, R - h, PSI_GRID_POINTS)
     if r < 1.0 < R:
         ts = np.append(ts, 1.0)
-    fts = f(ts)
-    gaps = (fR - fts) / (R - ts) - (fts - fr) / (ts - r)
-    best = float(np.max(gaps))
-    return max(best, slope - d_right_r, d_left_R - slope)
+    if float(ts.min()) <= 0.0:
+        raise PreconditionError("array evaluation requires strictly positive points")
+    grid = (ts, R - ts, ts - r)
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
 
 
 def jensen_gap_bound(f: Generator, r: float, R: float) -> float:

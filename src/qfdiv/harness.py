@@ -8,6 +8,13 @@ is reported distinctly from a violated inequality.  Chains whose
 hypotheses exclude the pair entirely (degenerate ratio window) are
 reported as skipped.
 
+certify (through run_all_checks and the check_* functions) and fuzz share
+one pipeline: a pair's invariants (joint spectrum, window, V, chi) are
+computed once, one producer per check emits its chains' terms as data,
+closed-form subchains come from a table keyed by (check, family), and all
+links are judged in one vectorized pass.  fuzz aggregates from those
+arrays and builds reports only for a trial with a failed link.
+
 The fuzz driver runs its trials serially, in index order, on random
 density pairs drawn from seeded, counter-based streams: trial k always
 uses the stream keyed by (seed, k), so a run's output is a function of
@@ -17,6 +24,10 @@ its (seed, trial) pair.
 
 from __future__ import annotations
 
+import collections
+import dataclasses
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -108,251 +119,172 @@ class BoundChainReport:
         return tuple(v for _, v in self.chain)
 
 
-def _link_eval(left: float, right: float, tol: float) -> tuple:
-    if math.isinf(right):
-        return "vacuous", INF
-    if math.isinf(left):
-        # A finite bound can never absorb an infinite value.
-        return "fail", -INF
-    slack = right - left
-    verdict = "pass" if left <= right + tol * max(1.0, abs(right)) else "fail"
-    return verdict, slack
+# Verdicts and statuses by code.  A chain's status is the worst verdict
+# among its links; a chain without links was skipped.
+_VERDICTS = ("pass", "vacuous", "fail")
+_STATUSES = ("pass", "vacuous-pass", "fail", "skipped")
+_SLACK_BUCKETS = ("negative", "<1e-9", "<1e-6", "<1e-3", "<1", ">=1", "vacuous")
+_BUCKET_EDGES = np.array([0.0, 1e-9, 1e-6, 1e-3, 1.0])
 
 
-def _report(check: str, terms, f: Generator, js: JointSpectrum, tol: float,
-            flags=(), subchains=(), note: str = "") -> BoundChainReport:
-    verdicts = []
-    slacks = []
-    eq_flags = []
-    for (ll, lv), (rl, rv) in zip(terms, terms[1:]):
-        verdict, slack = _link_eval(lv, rv, tol)
-        verdicts.append(verdict)
-        slacks.append(slack)
-        if verdict == "pass" and abs(slack) <= EQUALITY_TOL * max(1.0, abs(rv)):
-            eq_flags.append(f"equality:{ll}={rl}")
-    status = "fail" if "fail" in verdicts else ("vacuous-pass" if "vacuous" in verdicts else "pass")
-    return BoundChainReport(
-        check=check,
-        chain=tuple(terms),
-        slacks=tuple(slacks),
-        link_verdicts=tuple(verdicts),
-        status=status,
-        generator=f.spec,
-        dim=js.dim,
-        r=js.r,
-        R=js.R,
-        flags=tuple(flags) + tuple(eq_flags),
-        subchains=tuple(subchains),
-        note=note,
-    )
+def _link_eval(chains, tol: float) -> tuple:
+    """Judge every link of `chains` in one vectorized pass: each chain's
+    status code and link count, then each link's verdict code, slack,
+    slack bucket and equality flag.  An infinite right side makes a link
+    vacuous; an infinite left side under a finite one fails."""
+    sizes = np.fromiter((len(ch[3]) for ch in chains), np.intp, len(chains))
+    values = np.fromiter(itertools.chain.from_iterable(ch[3] for ch in chains), np.float64)
+    is_left = np.ones(values.size, dtype=bool)
+    is_left[np.cumsum(sizes) - 1] = False
+    at = np.flatnonzero(is_left)
+    left, right = values[at], values[at + 1]
+
+    vacuous = np.isinf(right)
+    endless = np.isinf(left) & ~vacuous
+    with np.errstate(invalid="ignore"):
+        slack = right - left
+        held = (left <= right + tol * np.maximum(1.0, np.abs(right))) & ~endless
+    slack[vacuous] = INF
+    slack[endless] = -INF
+    codes = np.where(vacuous, 1, np.where(held, 0, 2))
+    buckets = np.where(np.isinf(slack), 6, np.searchsorted(_BUCKET_EDGES, slack, side="right"))
+    equal = held & ~vacuous & (np.abs(slack) <= EQUALITY_TOL * np.maximum(1.0, np.abs(right)))
+
+    nlinks = sizes - 1
+    status = np.full(len(chains), 3)
+    linked = nlinks > 0
+    if codes.size:
+        status[linked] = np.maximum.reduceat(codes, (np.cumsum(nlinks) - nlinks)[linked])
+    return status, nlinks, codes, slack, buckets, equal
 
 
-def _skipped(check: str, f: Generator, js: JointSpectrum, note: str, sf: float) -> BoundChainReport:
-    return BoundChainReport(
-        check=check,
-        chain=(("value", sf),),
-        slacks=(),
-        link_verdicts=(),
-        status="skipped",
-        generator=f.spec,
-        dim=js.dim,
-        r=js.r,
-        R=js.R,
-        note=note,
-    )
-
-
-def _xlogx(t: float) -> float:
-    return 0.0 if t == 0.0 else t * math.log(t)
-
-
-def _prepare(q, p, f, js, eps, sf):
-    qd = as_density(q)
-    pd = as_density(p)
-    if js is None:
-        js = joint_spectrum(qd, pd, eps)
-    if sf is None:
-        sf = s_f_from_spectrum(js, f).value
-    return qd, pd, js, float(sf)
+def _reports(groups, js: JointSpectrum, tol: float) -> list:
+    """One report per group of chains: the first, with the rest as subchains."""
+    chains = [ch for g in groups for ch in g]
+    status, nlinks, codes, slack, _, equal = (a.tolist() for a in _link_eval(chains, tol))
+    built = []
+    for (check, spec, labels, values, flags, note), st, n, at in zip(
+            chains, status, nlinks, itertools.accumulate(nlinks, initial=0)):
+        equalities = [f"equality:{labels[i]}={labels[i + 1]}" for i in range(n) if equal[at + i]]
+        built.append(BoundChainReport(
+            check=check, chain=tuple(zip(labels, values)), slacks=tuple(slack[at:at + n]),
+            link_verdicts=tuple(_VERDICTS[v] for v in codes[at:at + n]), status=_STATUSES[st],
+            generator=spec, dim=js.dim, r=js.r, R=js.R, flags=(*flags, *equalities), note=note))
+    built = iter(built)
+    return [dataclasses.replace(next(built), subchains=tuple(itertools.islice(built, len(g) - 1)))
+            for g in groups]
 
 
 def _derivative_gap_coeff(f: Generator, js: JointSpectrum) -> float:
     """f'_-(R) - f'_+(r), or +inf when a one-sided derivative diverges."""
-    d_left_R = f.deriv_left(js.R)
-    d_right_r = f.deriv_right(js.r)
-    if not (math.isfinite(d_left_R) and math.isfinite(d_right_r)):
-        return INF
-    return d_left_R - d_right_r
+    d_left_R, d_right_r = f.deriv_left(js.R), f.deriv_right(js.r)
+    return d_left_R - d_right_r if math.isfinite(d_left_R) and math.isfinite(d_right_r) else INF
+
+
+class _Pair:
+    """Invariants of one (Q, P) pair, shared by every generator's chains."""
+
+    def __init__(self, q, p, js: JointSpectrum, eps: float):
+        self.qd, self.pd = as_density(q), as_density(p)
+        self.js = joint_spectrum(self.qd, self.pd, eps) if js is None else js
+        self.eps = eps
+        r, R = self.r, self.R = self.js.r, self.js.R
+        self.v = self.js.variational()
+        # thm4 and thm5 need the strict window R > 1 > r.
+        self.strict = R - 1.0 > DEGENERATE_WINDOW_TOL and 1.0 - r > DEGENERATE_WINDOW_TOL
+        self.k = (R - 1.0) * (1.0 - r) / (R - r) if self.strict else None
+        self.quarter = 0.25 * (R - r)
+        # thm3 is tight when every occupied ratio sits at an end of the window.
+        occupied = self.js.ratio[self.js.wt > WEIGHT_FLOOR]
+        at_ends = (np.abs(occupied - r) <= 1e-12 * max(1.0, r)) | (np.abs(occupied - R) <= 1e-12 * R)
+        self.tight = bool(occupied.size and at_ends.all())
+
+    @functools.cached_property
+    def chi(self) -> float:
+        return math.sqrt(max(chi_square(self.qd, self.pd, self.eps), 0.0))
+
+    @functools.cached_property
+    def chi_square_swapped(self) -> float:
+        return chi_square(self.pd, self.qd, self.eps)
 
 
 # ---------------------------------------------------------------------------
-# individual chains
+# chain terms
+#
+# A chain is a tuple (check, generator spec, labels, values, flags, note).
+# Each producer returns the chains of one check for one generator: the
+# check's own chain, then its subchains.  A skipped chain keeps only the
+# divergence value and says why in its note.
 
 
-def check_nonneg(q, p, f: Generator, js: JointSpectrum = None,
-                 tol: float = DEFAULT_TOL, eps: float = 1e-12, sf: float = None) -> BoundChainReport:
+def _with_closed_form(c: _Pair, f: Generator, spec: str, check: str, labels: tuple,
+                      values: tuple, flags=(), subs=()) -> list:
+    """The chain of `check`, its subchains `subs`, then its closed form for
+    f's family from _CLOSED_FORMS, if it has one."""
+    flags = list(flags)
+    name, sub_labels, terms = _CLOSED_FORMS.get((check, f.name), (None, None, None))
+    sub_values = terms(c, f, values, flags) if terms else None
+    closed = [] if sub_values is None else [(name, spec, sub_labels, sub_values, (), "")]
+    return [(check, spec, labels, values, flags, ""), *subs, *closed]
+
+
+def _nonneg(c: _Pair, f: Generator, spec: str, sf: float) -> list:
     """Chain [0, S_f]: the divergence of a normalized generator is nonnegative."""
-    _, _, js, sfv = _prepare(q, p, f, js, eps, sf)
-    return _report("nonneg", [("zero", 0.0), ("value", sfv)], f, js, tol)
+    return [("nonneg", spec, ("zero", "value"), (0.0, sf), (), "")]
 
 
-def check_derivative_gap(q, p, f: Generator, js: JointSpectrum = None,
-                         tol: float = DEFAULT_TOL, eps: float = 1e-12,
-                         sf: float = None) -> BoundChainReport:
+def _derivative_gap(c: _Pair, f: Generator, spec: str, sf: float) -> list:
     """Chain [S_f, sum of weights * (t - 1) f'(t)] for differentiable f.
 
     For f = -ln t the right side collapses to the chi-square distance
     with the states swapped; when Q is invertible that closed form is
     attached as an oracle subchain.
     """
-    qd, pd, js, sfv = _prepare(q, p, f, js, eps, sf)
     if not f.smooth:
-        return _skipped("derivative-gap", f, js,
-                        "generator has a derivative kink; chain needs a continuous derivative", sfv)
-
-    wt = js.weights()
-    ratios = js.ratios()
-    deriv = np.empty_like(ratios)
-    pos = ratios > 0.0
-    if np.any(pos):
+        return [("derivative-gap", spec, ("value",), (sf,), (),
+                 "generator has a derivative kink; chain needs a continuous derivative")]
+    wt, ratios, pos = c.js.wt, c.js.ratio, c.js.pos
+    deriv = np.full_like(ratios, f.deriv_at_zero)
+    if pos.any():
         deriv[pos] = np.asarray(f.deriv_right_fn(ratios[pos]), dtype=np.float64)
-    deriv[~pos] = f.deriv_at_zero
-
-    gaps = np.empty_like(ratios)
     finite = np.isfinite(deriv)
-    gaps[finite] = (ratios[finite] - 1.0) * deriv[finite]
-    gaps[~finite] = INF
-
-    if np.any(~finite & (wt > WEIGHT_FLOOR)):
+    if (~finite & (wt > WEIGHT_FLOOR)).any():
         rhs = INF
     else:
+        gaps = (ratios[finite] - 1.0) * deriv[finite]
         keep = np.isfinite(gaps)
-        rhs = float(np.sum(wt[keep] * gaps[keep]))
-
-    subchains = []
-    flags = []
-    if f.name == "neg-log":
-        if qd.min_eigenvalue >= eps:
-            swapped = chi_square(pd, qd, eps)
-            subchains.append(
-                _report("derivative-gap:swap",
-                        [("zero", 0.0), ("value", sfv), ("chi-square-swapped", swapped)],
-                        f, js, tol)
-            )
-            if math.isfinite(rhs) and abs(rhs - swapped) <= 1e-8 * max(1.0, abs(swapped)):
-                flags.append("oracle:slope-gap-equals-swapped-chi-square")
-        else:
-            flags.append("swap-oracle-unavailable:singular-q")
-
-    return _report("derivative-gap", [("value", sfv), ("slope-weighted-gap", rhs)],
-                   f, js, tol, flags=flags, subchains=subchains)
+        rhs = float((wt[finite][keep] * gaps[keep]).sum())
+    return _with_closed_form(c, f, spec, "derivative-gap", ("value", "slope-weighted-gap"), (sf, rhs))
 
 
-def check_thm2(q, p, f: Generator, js: JointSpectrum = None,
-               tol: float = DEFAULT_TOL, eps: float = 1e-12, sf: float = None) -> BoundChainReport:
+def _thm2(c: _Pair, f: Generator, spec: str, sf: float) -> list:
     """Four-term chain through the variational quantity and chi.
 
     [S_f, D/2 * V, D/2 * chi, (R-r)/4 * D] with D = f'_-(R) - f'_+(r),
     V the variational quantity, and chi = sqrt of the chi-square
     distance.  Closed-form specializations are attached for the chi2,
-    kl, neg-log, and tsallis generators.
+    kl, neg-log, and tsallis generators.  Skipped on a degenerate window
+    r = R, where every window term vanishes and only rounding is left.
     """
-    qd, pd, js, sfv = _prepare(q, p, f, js, eps, sf)
-    r, R = js.r, js.R
-    big_d = _derivative_gap_coeff(f, js)
-    v = js.variational()
-    chi = math.sqrt(max(chi_square(qd, pd, eps), 0.0))
-
-    if math.isinf(big_d):
-        half_v = half_chi = quarter = INF
-    else:
-        half_v = 0.5 * big_d * v
-        half_chi = 0.5 * big_d * chi
-        quarter = 0.25 * (R - r) * big_d
-
-    subchains = []
-    if f.name == "chi2":
-        co = 0.5 * (R - r)
-        subchains.append(_report(
-            "thm2:chi2",
-            [("value", sfv), ("half-window-variation", co * v),
-             ("half-window-chi", co * chi), ("quarter-window-sq", 0.25 * (R - r) ** 2)],
-            f, js, tol))
-    elif f.name == "kl-quantum":
-        co = 0.5 * math.log(R / r) if r > 0.0 else INF
-        final = 0.5 * (R - r) * co if math.isfinite(co) else INF
-        subchains.append(_report(
-            "thm2:kl-quantum",
-            [("value", sfv), ("half-log-variation", co * v if math.isfinite(co) else INF),
-             ("half-log-chi", co * chi if math.isfinite(co) else INF),
-             ("quarter-window-log", final)],
-            f, js, tol))
-    elif f.name == "neg-log":
-        co = (R - r) / (2.0 * r * R) if r > 0.0 else INF
-        final = (R - r) ** 2 / (4.0 * r * R) if r > 0.0 else INF
-        subchains.append(_report(
-            "thm2:neg-log",
-            [("value", sfv), ("half-ratio-variation", co * v if math.isfinite(co) else INF),
-             ("half-ratio-chi", co * chi if math.isfinite(co) else INF),
-             ("quarter-window-ratio", final)],
-            f, js, tol))
-    elif f.name == "tsallis":
-        qq = f.params["q"]
-        if r > 0.0:
-            co = qq * (R ** (1.0 - qq) - r ** (1.0 - qq)) / (2.0 * (1.0 - qq) * (R * r) ** (1.0 - qq))
-            final = 0.5 * (R - r) * co
-        else:
-            co = final = INF
-        subchains.append(_report(
-            "thm2:tsallis",
-            [("value", sfv), ("half-power-variation", co * v if math.isfinite(co) else INF),
-             ("half-power-chi", co * chi if math.isfinite(co) else INF),
-             ("quarter-window-power", final)],
-            f, js, tol))
-
-    return _report(
-        "thm2",
-        [("value", sfv), ("half-gap-variation", half_v),
-         ("half-gap-chi", half_chi), ("quarter-window-gap", quarter)],
-        f, js, tol, subchains=subchains)
+    if not c.r < c.R:
+        return [("thm2", spec, ("value",), (sf,), (), "degenerate window: r = R")]
+    big_d = _derivative_gap_coeff(f, c.js)
+    values = (sf, INF, INF, INF) if math.isinf(big_d) else (
+        sf, 0.5 * big_d * c.v, 0.5 * big_d * c.chi, c.quarter * big_d)
+    return _with_closed_form(c, f, spec, "thm2", (
+        "value", "half-gap-variation", "half-gap-chi", "quarter-window-gap"), values)
 
 
-def check_thm3(q, p, f: Generator, js: JointSpectrum = None,
-               tol: float = DEFAULT_TOL, eps: float = 1e-12, sf: float = None) -> BoundChainReport:
+def _thm3(c: _Pair, f: Generator, spec: str, sf: float) -> list:
     """Two-term chain [S_f, secant value at the window endpoints]."""
-    _, _, js, sfv = _prepare(q, p, f, js, eps, sf)
-    r, R = js.r, js.R
-    if not r < R:
-        return _skipped("thm3", f, js, "degenerate window: r = R", sfv)
-    bound = secant_bound(f, r, R)
-
-    flags = []
-    occupied = js.ratios()[js.weights() > WEIGHT_FLOOR]
-    at_ends = (np.abs(occupied - r) <= 1e-12 * max(1.0, r)) | (np.abs(occupied - R) <= 1e-12 * R)
-    if occupied.size and bool(np.all(at_ends)):
-        flags.append("tight:ratios-at-endpoints")
-
-    subchains = []
-    if f.name == "chi2":
-        subchains.append(_report(
-            "thm3:chi2",
-            [("value", sfv), ("window-polynomial", chi_square_secant_coeff(r, R))],
-            f, js, tol))
-    elif f.name == "kl-quantum":
-        bound_kl = ((R - 1.0) * _xlogx(r) + (1.0 - r) * R * math.log(R)) / (R - r)
-        subchains.append(_report(
-            "thm3:kl-quantum", [("value", sfv), ("window-log-mix", bound_kl)], f, js, tol))
-    elif f.name == "neg-log":
-        bound_nl = ((1.0 - R) * math.log(r) + (r - 1.0) * math.log(R)) / (R - r) if r > 0.0 else INF
-        subchains.append(_report(
-            "thm3:neg-log", [("value", sfv), ("window-log-mix", bound_nl)], f, js, tol))
-
-    return _report("thm3", [("value", sfv), ("secant", bound)], f, js, tol,
-                   flags=flags, subchains=subchains)
+    if not c.r < c.R:
+        return [("thm3", spec, ("value",), (sf,), (), "degenerate window: r = R")]
+    return _with_closed_form(c, f, spec, "thm3", ("value", "secant"),
+                             (sf, secant_bound(f, c.r, c.R)),
+                             flags=["tight:ratios-at-endpoints"] if c.tight else [])
 
 
-def check_thm4(q, p, f: Generator, js: JointSpectrum = None,
-               tol: float = DEFAULT_TOL, eps: float = 1e-12, sf: float = None) -> BoundChainReport:
+def _thm4(c: _Pair, f: Generator, spec: str, sf: float) -> list:
     """Five-term chain through the double-slope gap Psi.
 
     Main chain: [S_f, K Psi(1), K sup Psi, K D, (R-r)/4 * D] with
@@ -361,120 +293,178 @@ def check_thm4(q, p, f: Generator, js: JointSpectrum = None,
     the chi2 / inv / neg-log / kl closed forms.  Requires the strict
     window R > 1 > r.
     """
-    _, _, js, sfv = _prepare(q, p, f, js, eps, sf)
-    r, R = js.r, js.R
-    if R - 1.0 <= DEGENERATE_WINDOW_TOL or 1.0 - r <= DEGENERATE_WINDOW_TOL:
-        return _skipped("thm4", f, js, "window must satisfy R > 1 > r strictly", sfv)
-
-    k = (R - 1.0) * (1.0 - r) / (R - r)
-    quarter = 0.25 * (R - r)
-    fr = f(r)
-    psi1 = INF if math.isinf(fr) else psi(f, 1.0, r, R)
+    if not c.strict:
+        return [("thm4", spec, ("value",), (sf,), (), "window must satisfy R > 1 > r strictly")]
+    r, R, k, quarter = c.r, c.R, c.k, c.quarter
+    psi1 = INF if math.isinf(f(r)) else psi(f, 1.0, r, R)
     sup = psi_sup(f, r, R)
-    big_d = _derivative_gap_coeff(f, js)
-
-    main = [
-        ("value", sfv),
-        ("window-psi-at-one", k * psi1),
-        ("window-psi-sup", k * sup),
-        ("window-derivative-gap", k * big_d),
-        ("quarter-range-derivative-gap", quarter * big_d),
-    ]
-    alternate = _report(
-        "thm4:alternate",
-        [("value", sfv), ("window-psi-at-one", k * psi1),
-         ("quarter-range-psi-at-one", quarter * psi1),
-         ("quarter-range-psi-sup", quarter * sup),
-         ("quarter-range-derivative-gap", quarter * big_d)],
-        f, js, tol)
-
-    flags = []
+    big_d = _derivative_gap_coeff(f, c.js)
+    alternate = ("thm4:alternate", spec, (
+        "value", "window-psi-at-one", "quarter-range-psi-at-one", "quarter-range-psi-sup",
+        "quarter-range-derivative-gap"), (sf, k * psi1, quarter * psi1, quarter * sup, quarter * big_d),
+        (), "")
     sec = secant_bound(f, r, R)
-    if math.isfinite(sec) and math.isfinite(psi1) and abs(k * psi1 - sec) <= 1e-9 * max(1.0, abs(sec)):
-        flags.append("matches-secant")
-
-    subchains = [alternate]
-    if f.name == "chi2":
-        chord = chi_square_chord_coeff(r, R)
-        subchains.append(_report(
-            "thm4:chi2", [("value", sfv), ("window-product", chord)], f, js, tol))
-        if chord < chi_square_secant_coeff(r, R):
-            flags.append("sharper-than-secant-polynomial")
-    elif f.name == "inv-minus-one":
-        bound_inv = (R - 1.0) * (1.0 - r) / (R * r) if r > 0.0 else INF
-        subchains.append(_report(
-            "thm4:inv-minus-one", [("value", sfv), ("window-product-ratio", bound_inv)],
-            f, js, tol))
-    elif f.name == "neg-log":
-        if r > 0.0:
-            mid = ((1.0 - R) * math.log(r) + (r - 1.0) * math.log(R)) / (R - r)
-            kd = (R - 1.0) * (1.0 - r) / (r * R)
-        else:
-            mid = kd = INF
-        subchains.append(_report(
-            "thm4:neg-log",
-            [("value", sfv), ("window-log-mix", mid), ("window-product-ratio", kd)],
-            f, js, tol))
-    elif f.name == "kl-quantum":
-        mid = ((1.0 - r) * R * math.log(R) + (R - 1.0) * _xlogx(r)) / (R - r)
-        kd = (R - 1.0) * (1.0 - r) * math.log(R / r) / (R - r) if r > 0.0 else INF
-        subchains.append(_report(
-            "thm4:kl-quantum",
-            [("value", sfv), ("window-log-mix", mid), ("window-product-log", kd)],
-            f, js, tol))
-
-    return _report("thm4", main, f, js, tol, flags=flags, subchains=subchains)
+    matches = math.isfinite(sec) and math.isfinite(psi1) and abs(k * psi1 - sec) <= 1e-9 * max(1.0, abs(sec))
+    return _with_closed_form(c, f, spec, "thm4", (
+        "value", "window-psi-at-one", "window-psi-sup", "window-derivative-gap",
+        "quarter-range-derivative-gap"), (sf, k * psi1, k * sup, k * big_d, quarter * big_d),
+        flags=["matches-secant"] if matches else [], subs=[alternate])
 
 
-def check_thm5(q, p, f: Generator, js: JointSpectrum = None,
-               tol: float = DEFAULT_TOL, eps: float = 1e-12, sf: float = None) -> BoundChainReport:
+def _thm5(c: _Pair, f: Generator, spec: str, sf: float) -> list:
     """Two-term chain [S_f, midpoint Jensen gap bound] on a strict window."""
-    _, _, js, sfv = _prepare(q, p, f, js, eps, sf)
-    r, R = js.r, js.R
-    if R - 1.0 <= DEGENERATE_WINDOW_TOL or 1.0 - r <= DEGENERATE_WINDOW_TOL:
-        return _skipped("thm5", f, js, "window must satisfy R > 1 > r strictly", sfv)
+    if not c.strict:
+        return [("thm5", spec, ("value",), (sf,), (), "window must satisfy R > 1 > r strictly")]
+    return _with_closed_form(c, f, spec, "thm5", ("value", "midpoint-gap-bound"),
+                             (sf, jensen_gap_bound(f, c.r, c.R)))
 
-    bound = jensen_gap_bound(f, r, R)
-    subchains = []
-    if f.name == "chi2":
-        subchains.append(_report(
-            "thm5:chi2", [("value", sfv), ("half-range-sq", 0.5 * (R - r) ** 2)], f, js, tol))
-    elif f.name == "inv-minus-one":
-        bound_inv = (R - r) ** 2 / (r * R * (r + R)) if r > 0.0 else INF
-        subchains.append(_report(
-            "thm5:inv-minus-one", [("value", sfv), ("range-sq-ratio", bound_inv)], f, js, tol))
-    elif f.name == "neg-log":
-        if r > 0.0:
-            jn = neg_log_jensen_coeff(r, R)
-            cap = neg_log_range_coeff(r, R)
-        else:
-            jn = cap = INF
-        subchains.append(_report(
-            "thm5:neg-log",
-            [("value", sfv), ("log-midpoint-gap", jn), ("quarter-range-ratio", cap)],
-            f, js, tol))
 
-    return _report("thm5", [("value", sfv), ("midpoint-gap-bound", bound)],
-                   f, js, tol, subchains=subchains)
+_CHAINS = (_nonneg, _derivative_gap, _thm2, _thm3, _thm4, _thm5)
+
+
+def _groups(c: _Pair, f: Generator) -> list:
+    """The chains of all six checks for one generator, grouped by check."""
+    spec = f.spec
+    sf = float(s_f_from_spectrum(c.js, f).value)
+    return [chains(c, f, spec, sf) for chains in _CHAINS]
+
+
+# ---------------------------------------------------------------------------
+# closed-form specializations, keyed by (check, generator family)
+#
+# An entry names the subchain, labels its terms and computes them as
+# terms(pair, f, values of the check's own chain, flags of that chain).
+# terms may add to the flags, and returns None for no subchain.
+
+
+def _swap_oracle(c, f, main, flags):
+    # For f = -ln t the slope-weighted gap is the swapped chi-square distance.
+    if not c.qd.min_eigenvalue >= c.eps:
+        flags.append("swap-oracle-unavailable:singular-q")
+        return None
+    swapped = c.chi_square_swapped
+    if math.isfinite(main[1]) and abs(main[1] - swapped) <= 1e-8 * max(1.0, abs(swapped)):
+        flags.append("oracle:slope-gap-equals-swapped-chi-square")
+    return (0.0, main[0], swapped)
+
+
+def _thm2_form(coeff, final=None):
+    """thm2 with the family coefficient coeff(f, r, R) in place of D/2 and
+    last term final(r, R), by default (R - r)/2 times the coefficient."""
+
+    def terms(c, f, main, flags):
+        co = coeff(f, c.r, c.R)
+        last = final(c.r, c.R) if final else (0.5 * (c.R - c.r) * co if math.isfinite(co) else INF)
+        return (main[0], co * c.v, co * c.chi, last) if math.isfinite(co) else (main[0], INF, INF, last)
+
+    return terms
+
+
+def _tsallis_coeff(f, r, R):
+    qq = f.params["q"]
+    return qq * (R ** (1.0 - qq) - r ** (1.0 - qq)) / (2.0 * (1.0 - qq) * (R * r) ** (1.0 - qq))
+
+
+def _window(bounds):
+    """A closed form [S_f, *bounds(r, R)]."""
+    return lambda c, f, main, flags: (main[0], *bounds(c.r, c.R))
+
+
+def _kl_log_mix(r: float, R: float) -> float:
+    """The secant value of t ln t on [r, R]."""
+    return ((R - 1.0) * (r * math.log(r) if r > 0.0 else 0.0) + (1.0 - r) * R * math.log(R)) / (R - r)
+
+
+def _neg_log_log_mix(r: float, R: float) -> float:
+    """The secant value of -ln t on [r, R]."""
+    return ((1.0 - R) * math.log(r) + (r - 1.0) * math.log(R)) / (R - r) if r > 0.0 else INF
+
+
+def _chi2_thm4(c, f, main, flags):
+    chord = chi_square_chord_coeff(c.r, c.R)
+    if chord < chi_square_secant_coeff(c.r, c.R):
+        flags.append("sharper-than-secant-polynomial")
+    return (main[0], chord)
+
+
+_CLOSED_FORMS = {
+    ("derivative-gap", "neg-log"): (
+        "derivative-gap:swap", ("zero", "value", "chi-square-swapped"), _swap_oracle),
+    ("thm2", "chi2"): (
+        "thm2:chi2", ("value", "half-window-variation", "half-window-chi", "quarter-window-sq"),
+        _thm2_form(lambda f, r, R: 0.5 * (R - r), lambda r, R: 0.25 * (R - r) ** 2)),
+    ("thm2", "kl-quantum"): (
+        "thm2:kl-quantum", ("value", "half-log-variation", "half-log-chi", "quarter-window-log"),
+        _thm2_form(lambda f, r, R: 0.5 * math.log(R / r) if r > 0.0 else INF)),
+    ("thm2", "neg-log"): (
+        "thm2:neg-log", ("value", "half-ratio-variation", "half-ratio-chi", "quarter-window-ratio"),
+        _thm2_form(lambda f, r, R: (R - r) / (2.0 * r * R) if r > 0.0 else INF,
+                   lambda r, R: (R - r) ** 2 / (4.0 * r * R) if r > 0.0 else INF)),
+    ("thm2", "tsallis"): (
+        "thm2:tsallis", ("value", "half-power-variation", "half-power-chi", "quarter-window-power"),
+        _thm2_form(lambda f, r, R: _tsallis_coeff(f, r, R) if r > 0.0 else INF)),
+    ("thm3", "chi2"): (
+        "thm3:chi2", ("value", "window-polynomial"),
+        _window(lambda r, R: (chi_square_secant_coeff(r, R),))),
+    ("thm3", "kl-quantum"): (
+        "thm3:kl-quantum", ("value", "window-log-mix"), _window(lambda r, R: (_kl_log_mix(r, R),))),
+    ("thm3", "neg-log"): (
+        "thm3:neg-log", ("value", "window-log-mix"), _window(lambda r, R: (_neg_log_log_mix(r, R),))),
+    ("thm4", "chi2"): ("thm4:chi2", ("value", "window-product"), _chi2_thm4),
+    ("thm4", "inv-minus-one"): (
+        "thm4:inv-minus-one", ("value", "window-product-ratio"),
+        _window(lambda r, R: ((R - 1.0) * (1.0 - r) / (R * r) if r > 0.0 else INF,))),
+    ("thm4", "neg-log"): (
+        "thm4:neg-log", ("value", "window-log-mix", "window-product-ratio"),
+        _window(lambda r, R: (_neg_log_log_mix(r, R),
+                              (R - 1.0) * (1.0 - r) / (r * R) if r > 0.0 else INF))),
+    ("thm4", "kl-quantum"): (
+        "thm4:kl-quantum", ("value", "window-log-mix", "window-product-log"),
+        _window(lambda r, R: (_kl_log_mix(r, R),
+                              (R - 1.0) * (1.0 - r) * math.log(R / r) / (R - r) if r > 0.0 else INF))),
+    ("thm5", "chi2"): (
+        "thm5:chi2", ("value", "half-range-sq"), _window(lambda r, R: (0.5 * (R - r) ** 2,))),
+    ("thm5", "inv-minus-one"): (
+        "thm5:inv-minus-one", ("value", "range-sq-ratio"),
+        _window(lambda r, R: ((R - r) ** 2 / (r * R * (r + R)) if r > 0.0 else INF,))),
+    ("thm5", "neg-log"): (
+        "thm5:neg-log", ("value", "log-midpoint-gap", "quarter-range-ratio"),
+        _window(lambda r, R: (neg_log_jensen_coeff(r, R), neg_log_range_coeff(r, R)))),
+}
+
+
+# ---------------------------------------------------------------------------
+# individual chains
+
+
+def _public(chains, name: str):
+    """The public check function around the chain producer `chains`."""
+
+    def check(q, p, f: Generator, js: JointSpectrum = None, tol: float = DEFAULT_TOL,
+              eps: float = 1e-12, sf: float = None) -> BoundChainReport:
+        c = _Pair(q, p, js, eps)
+        if sf is None:
+            sf = s_f_from_spectrum(c.js, f).value
+        return _reports([chains(c, f, f.spec, float(sf))], c.js, tol)[0]
+
+    check.__name__ = check.__qualname__ = name
+    check.__doc__ = chains.__doc__
+    return check
+
+
+check_nonneg = _public(_nonneg, "check_nonneg")
+check_derivative_gap = _public(_derivative_gap, "check_derivative_gap")
+check_thm2 = _public(_thm2, "check_thm2")
+check_thm3 = _public(_thm3, "check_thm3")
+check_thm4 = _public(_thm4, "check_thm4")
+check_thm5 = _public(_thm5, "check_thm5")
 
 
 def run_all_checks(q, p, f: Generator, js: JointSpectrum = None,
                    tol: float = DEFAULT_TOL, eps: float = 1e-12) -> tuple:
     """All six chains for one generator, sharing one joint spectrum."""
-    qd = as_density(q)
-    pd = as_density(p)
-    if js is None:
-        js = joint_spectrum(qd, pd, eps)
-    sfv = s_f_from_spectrum(js, f).value
-    args = dict(js=js, tol=tol, eps=eps, sf=sfv)
-    return (
-        check_nonneg(qd, pd, f, **args),
-        check_derivative_gap(qd, pd, f, **args),
-        check_thm2(qd, pd, f, **args),
-        check_thm3(qd, pd, f, **args),
-        check_thm4(qd, pd, f, **args),
-        check_thm5(qd, pd, f, **args),
-    )
+    c = _Pair(q, p, js, eps)
+    return tuple(_reports(_groups(c, f), c.js, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -697,34 +687,9 @@ class FuzzResult:
     summary: dict
 
 
-_SLACK_BUCKETS = ("negative", "<1e-9", "<1e-6", "<1e-3", "<1", ">=1", "vacuous")
-
-
-def _slack_bucket(slack: float) -> str:
-    if math.isinf(slack):
-        return "vacuous"
-    if slack < 0.0:
-        return "negative"
-    if slack < 1e-9:
-        return "<1e-9"
-    if slack < 1e-6:
-        return "<1e-6"
-    if slack < 1e-3:
-        return "<1e-3"
-    if slack < 1.0:
-        return "<1"
-    return ">=1"
-
-
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     key = np.array([seed % (2**64), trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _walk(report: BoundChainReport):
-    yield report
-    for sub in report.subchains:
-        yield from _walk(sub)
 
 
 def fuzz(config: FuzzConfig) -> FuzzResult:
@@ -733,11 +698,13 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
     Trials run one after another, in index order.  Each draws from a
     stream keyed by (seed, trial index), so the output is deterministic
     and any violation replays from its (seed, trial) pair.  config.jobs
-    is validated but does not change how the run executes.
+    is validated but does not change how the run executes.  A pair that
+    joint_spectrum rejects (singular P, lost double stochasticity) is
+    recorded as a skipped trial with the reason.
     """
     violations = []
-    counts = {}
-    hist = {}
+    statuses = collections.Counter()  # (check, status code) -> chains
+    buckets = collections.Counter()  # (check, slack bucket) -> links
     near_tight = []
     near_tight_total = 0
     min_slack = None
@@ -748,34 +715,42 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
                              _trial_rng(config.seed, trial))
         try:
             js = joint_spectrum(qd, pd, config.eps)
-        except PreconditionError as exc:
+        except (PreconditionError, ArithmeticError) as exc:
             skipped_trials.append({"trial": trial, "reason": str(exc)})
             continue
-        reports = []
-        for f in config.generators:
-            reports.extend(run_all_checks(qd, pd, f, js=js, tol=config.tol, eps=config.eps))
-        for top in reports:
-            for rep in _walk(top):
-                counts.setdefault(rep.check, {"pass": 0, "vacuous-pass": 0, "fail": 0, "skipped": 0})
-                counts[rep.check][rep.status] += 1
-                bucket = hist.setdefault(rep.check, dict.fromkeys(_SLACK_BUCKETS, 0))
-                for (ll, _), (rl, rv), slack in zip(rep.chain, rep.chain[1:], rep.slacks):
-                    bucket[_slack_bucket(slack)] += 1
-                    if math.isfinite(slack):
-                        if min_slack is None or slack < min_slack["slack"]:
-                            min_slack = {"slack": slack, "check": rep.check,
-                                         "generator": rep.generator, "trial": trial,
-                                         "link": f"{ll}<={rl}"}
-                        if 0.0 <= slack < NEAR_TIGHT_SLACK:
-                            near_tight_total += 1
-                            if len(near_tight) < 100:
-                                near_tight.append({
-                                    "trial": trial, "check": rep.check,
-                                    "generator": rep.generator,
-                                    "link": f"{ll}<={rl}", "slack": slack,
-                                })
-            violations.extend(collect_violations(top, config.seed, trial, qd, pd))
+        pair = _Pair(qd, pd, js, config.eps)
+        groups = [g for f in config.generators for g in _groups(pair, f)]
+        chains = [ch for g in groups for ch in g]
+        status, nlinks, codes, slack, bucket, _ = _link_eval(chains, config.tol)
+        owner = np.repeat(np.arange(len(chains)), nlinks)
+        checks = [ch[0] for ch in chains]
+        statuses.update(zip(checks, status.tolist()))
+        buckets.update(zip([checks[j] for j in owner.tolist()], bucket.tolist()))
 
+        def where(i):
+            check, spec, labels = chains[owner[i]][:3]
+            at = i - int(np.searchsorted(owner, owner[i]))
+            return check, spec, f"{labels[at]}<={labels[at + 1]}"
+
+        finite = np.isfinite(slack)
+        if finite.any():
+            i = int(np.argmin(np.where(finite, slack, INF)))
+            if min_slack is None or slack[i] < min_slack["slack"]:
+                check, spec, link = where(i)
+                min_slack = {"slack": float(slack[i]), "check": check, "generator": spec,
+                             "trial": trial, "link": link}
+        tight = np.flatnonzero(finite & (slack >= 0.0) & (slack < NEAR_TIGHT_SLACK))
+        near_tight_total += tight.size
+        for i in tight[:max(0, 100 - len(near_tight))]:
+            check, spec, link = where(i)
+            near_tight.append({"trial": trial, "check": check, "generator": spec,
+                               "link": link, "slack": float(slack[i])})
+
+        if (codes == 2).any():
+            for top in _reports(groups, js, config.tol):
+                violations.extend(collect_violations(top, config.seed, trial, qd, pd))
+
+    checks = sorted({check for check, _ in statuses})
     summary = {
         "config": {
             "dim": int(config.dim),
@@ -787,8 +762,10 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
             "eps": float(config.eps),
             "generators": [g.spec for g in config.generators],
         },
-        "checks": {k: counts[k] for k in sorted(counts)},
-        "slack_histograms": {k: hist[k] for k in sorted(hist)},
+        "checks": {k: {name: statuses[k, code] for code, name in enumerate(_STATUSES)}
+                   for k in checks},
+        "slack_histograms": {k: {name: buckets[k, code] for code, name in enumerate(_SLACK_BUCKETS)}
+                             for k in checks},
         "violations": len(violations),
         "near_tight_total": near_tight_total,
         "near_tight": near_tight,

@@ -130,7 +130,8 @@ class JointSpectrum:
     w[i, j] = |<u_i, v_j>|^2 the eigenbasis overlaps, and [r, R] the
     ratio window min/max of lambda_i / mu_j, which always contains 1.
     q_vectors and p_vectors hold the eigenvector columns in the same
-    descending order.
+    descending order.  Weights, ratios and the positive-ratio mask are
+    computed once, on construction, and are read-only.
     """
 
     lam: np.ndarray
@@ -140,6 +141,16 @@ class JointSpectrum:
     R: float
     q_vectors: np.ndarray
     p_vectors: np.ndarray
+    wt: np.ndarray = field(init=False, repr=False, compare=False)
+    ratio: np.ndarray = field(init=False, repr=False, compare=False)
+    pos: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ratio = self.lam[:, np.newaxis] / self.mu[np.newaxis, :]
+        for name, arr in (("wt", self.w * self.mu[np.newaxis, :]),
+                          ("ratio", ratio), ("pos", ratio > 0.0)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -147,10 +158,10 @@ class JointSpectrum:
 
     def weights(self) -> np.ndarray:
         """The summation weights mu_j W_ij (rows follow lam, columns mu)."""
-        return self.w * self.mu[np.newaxis, :]
+        return self.wt
 
     def ratios(self) -> np.ndarray:
-        return self.lam[:, np.newaxis] / self.mu[np.newaxis, :]
+        return self.ratio
 
     def variational(self) -> float:
         """sum_ij W_ij |lambda_i - mu_j|, the value of variational_q."""
@@ -205,23 +216,19 @@ def s_f_from_spectrum(js: JointSpectrum, f: Generator) -> DivergenceValue:
     +inf only when its weight mu_j W_ij exceeds the weight floor; below
     it the term counts as zero mass.
     """
-    wt = js.weights()
-    ratios = js.ratios()
-    fvals = np.empty_like(ratios)
-    pos = ratios > 0.0
-    if np.any(pos):
-        fvals[pos] = f(ratios[pos])
-    fvals[~pos] = f.value_at_zero
+    wt = js.wt
+    fvals = np.full_like(js.ratio, f.value_at_zero)
+    if js.pos.any():
+        fvals[js.pos] = f.fn(js.ratio[js.pos])
 
     infinite = np.isinf(fvals)
-    flags = ()
-    if np.any(infinite & (wt > WEIGHT_FLOOR)):
+    if not infinite.any():
+        return DivergenceValue(value=float((wt * fvals).sum()), generator=f.spec)
+    if (infinite & (wt > WEIGHT_FLOOR)).any():
         return DivergenceValue(value=math.inf, generator=f.spec, flags=("infinite",))
-    if np.any(infinite):
-        flags = ("zero-mass-infinite-terms",)
     finite = ~infinite
     value = float(np.sum(wt[finite] * fvals[finite]))
-    return DivergenceValue(value=value, generator=f.spec, flags=flags)
+    return DivergenceValue(value=value, generator=f.spec, flags=("zero-mass-infinite-terms",))
 
 
 def s_f(q, p, f: Generator, eps: float = DEFAULT_INVERTIBILITY_EPS) -> DivergenceValue:

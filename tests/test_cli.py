@@ -143,6 +143,39 @@ class TestCertify:
         assert doc["status"] == "fail"
 
 
+    def test_maximally_mixed_pair_passes(self, tmp_path, capsys):
+        # Q = P = I/5 has r = R = 1.  thm2 once compared tv's D = -2 times a
+        # chi of about 1.5e-8, made from a 2e-16 residue, against -0.0.
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(matrix_to_json(np.eye(5, dtype=complex) / 5.0)))
+        code, out = run(capsys, "certify", "--q", str(path), "--p", str(path))
+        assert code == 0
+        doc = json.loads(out[out.index("{"):])
+        thm2 = [r for r in doc["reports"] if r["check"] == "thm2"]
+        assert len(thm2) == 12
+        assert all(r["status"] == "skipped" and "degenerate window" in r["note"] for r in thm2)
+
+
+def _lose_stochasticity(*args, **kwargs):
+    raise ArithmeticError("overlap matrix lost double stochasticity: row defect 1e-06")
+
+
+class TestNumericalFailure:
+    def test_certify_exits_4(self, files, capsys, monkeypatch):
+        monkeypatch.setattr("qfdiv.cli.joint_spectrum", _lose_stochasticity)
+        code = main(["certify", "--q", files["qa"], "--p", files["pa"]])
+        assert code == 4
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_fuzz_records_the_trial_as_skipped(self, files, capsys, monkeypatch):
+        monkeypatch.setattr("qfdiv.harness.joint_spectrum", _lose_stochasticity)
+        code, out = run(capsys, "fuzz", "--dim", "2", "--trials", "3", "--seed", "0")
+        assert code == 0
+        skipped = json.loads(out)["summary"]["skipped_trials"]
+        assert [s["trial"] for s in skipped] == [0, 1, 2]
+        assert "double stochasticity" in skipped[0]["reason"]
+
+
 class TestFuzzCommand:
     def test_small_run_passes(self, files, capsys):
         code, out = run(capsys, "fuzz", "--dim", "2", "--trials", "5", "--seed", "3")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from qfdiv.errors import InputFormatError, PreconditionError
 from qfdiv.generators import (
     DEFAULT_SPECS,
-    PROBE_GRID,
     arimoto,
     chi2,
     chi_alpha,
@@ -33,8 +32,14 @@ from qfdiv.generators import (
     tsallis,
     tv,
 )
+from qfdiv.harness import check_thm4
 
 INF = math.inf
+
+# Probe grid for convexity / derivative-monotonicity invariants.  The
+# exponent step divides 1 exactly, so t = 1 (where the kinks live) is a
+# grid point.
+PROBE_GRID = np.geomspace(1e-6, 1e3, 181)
 
 
 class TestCatalog:
@@ -357,6 +362,18 @@ class TestPsi:
         # R - r above about 1e6 pushes the grid's edge pull-in past 1; the
         # kink of tv sits at t = 1 and must still be probed.
         assert psi_sup(tv(), 0.01, 3e6) >= psi(tv(), 1.0, 0.01, 3e6)
+
+    def test_psi_sup_finite_on_narrow_windows(self):
+        # Below a width of about 1e-10 the edge pull-in rounds away, so r
+        # itself lands on the grid and its gap is 0/0.
+        for f in default_catalog():
+            assert math.isfinite(psi_sup(f, 1.0 - 2e-11, 1.0 + 2e-11)), f.spec
+
+    def test_thm4_passes_on_narrow_window(self):
+        q = np.diag([0.5 + 1e-11, 0.5 - 1e-11])
+        for f in default_catalog():
+            rep = check_thm4(q, np.eye(2) / 2.0, f)
+            assert rep.status == "pass", (f.spec, rep.chain)
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(DEFAULT_SPECS), st.floats(0.05, 0.95), st.floats(1.05, 20.0))

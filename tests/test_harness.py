@@ -28,6 +28,7 @@ from qfdiv.harness import (
     sample_density,
     sample_pair,
 )
+from qfdiv.generators import default_catalog
 from qfdiv.hermitian import matrix_from_json
 from qfdiv.quantum import as_density, chi_square, joint_spectrum
 
@@ -135,6 +136,15 @@ class TestThm2:
         # same derivative gap, so the printed coefficients match the generic chain.
         for (_, a), (_, b) in zip(rep.chain, sub.chain):
             assert a == pytest.approx(b, rel=1e-11, abs=1e-13)
+
+
+    def test_degenerate_window_skipped(self):
+        # r = R = 1: tv's derivative gap D = -2 would scale rounding residue
+        # in chi into a false violation.
+        rho = np.eye(5) / 5.0
+        rep = check_thm2(rho, rho, parse_generator_spec("tv"))
+        assert rep.status == "skipped"
+        assert "degenerate window" in rep.note
 
 
 class TestThm3:
@@ -423,3 +433,137 @@ class TestCollectViolations:
             found.extend(collect_violations(rep, seed=0, trial=0, qd=qd, pd=pd))
         assert found
         assert all(v.generator == "concave-probe" for v in found)
+
+
+def _slack_bucket(slack):
+    if math.isinf(slack):
+        return "vacuous"
+    for edge, name in ((0.0, "negative"), (1e-9, "<1e-9"), (1e-6, "<1e-6"),
+                       (1e-3, "<1e-3"), (1.0, "<1")):
+        if slack < edge:
+            return name
+    return ">=1"
+
+
+def _scalar_link(left, right, tol):
+    """The link rule one link at a time: (verdict, slack)."""
+    if math.isinf(right):
+        return "vacuous", INF
+    if math.isinf(left):
+        return "fail", -INF
+    return ("pass" if left <= right + tol * max(1.0, abs(right)) else "fail"), right - left
+
+
+def _same(a, b):
+    return repr(a) == repr(b)
+
+
+def _walk(report, tol):
+    """The report and its subchains, after checking each against _scalar_link."""
+    links = [_scalar_link(lv, rv, tol) for (_, lv), (_, rv) in zip(report.chain, report.chain[1:])]
+    assert report.link_verdicts == tuple(v for v, _ in links)
+    assert all(_same(a, s) for a, (_, s) in zip(report.slacks, links)), report
+    verdicts = set(report.link_verdicts)
+    expected = ("skipped" if not links else "fail" if "fail" in verdicts
+                else "vacuous-pass" if "vacuous" in verdicts else "pass")
+    assert report.status == expected
+    yield report
+    for sub in report.subchains:
+        yield from _walk(sub, tol)
+
+
+def reference_fuzz(config):
+    """fuzz's summary and violations, aggregated one report at a time."""
+    from qfdiv.harness import _trial_rng
+
+    statuses = ("pass", "vacuous-pass", "fail", "skipped")
+    buckets = ("negative", "<1e-9", "<1e-6", "<1e-3", "<1", ">=1", "vacuous")
+    violations, counts, hist, near_tight, skipped = [], {}, {}, [], []
+    near_tight_total = 0
+    min_slack = None
+    for trial in range(config.trials):
+        qd, pd = sample_pair(config.sampler, config.dim, config.floor,
+                             _trial_rng(config.seed, trial))
+        try:
+            js = joint_spectrum(qd, pd, config.eps)
+        except ValueError as exc:
+            skipped.append({"trial": trial, "reason": str(exc)})
+            continue
+        for f in config.generators:
+            for top in run_all_checks(qd, pd, f, js=js, tol=config.tol, eps=config.eps):
+                for rep in _walk(top, config.tol):
+                    counts.setdefault(rep.check, dict.fromkeys(statuses, 0))[rep.status] += 1
+                    bucket = hist.setdefault(rep.check, dict.fromkeys(buckets, 0))
+                    for (ll, _), (rl, _), slack in zip(rep.chain, rep.chain[1:], rep.slacks):
+                        bucket[_slack_bucket(slack)] += 1
+                        if not math.isfinite(slack):
+                            continue
+                        if min_slack is None or slack < min_slack["slack"]:
+                            min_slack = {"slack": slack, "check": rep.check,
+                                         "generator": rep.generator, "trial": trial,
+                                         "link": f"{ll}<={rl}"}
+                        if 0.0 <= slack < 1e-6:
+                            near_tight_total += 1
+                            if len(near_tight) < 100:
+                                near_tight.append({"trial": trial, "check": rep.check,
+                                                   "generator": rep.generator,
+                                                   "link": f"{ll}<={rl}", "slack": slack})
+                violations.extend(collect_violations(top, config.seed, trial, qd, pd))
+    return {
+        "checks": {k: counts[k] for k in sorted(counts)},
+        "slack_histograms": {k: hist[k] for k in sorted(hist)},
+        "violations": len(violations),
+        "near_tight_total": near_tight_total,
+        "near_tight": near_tight,
+        "min_slack": min_slack,
+        "skipped_trials": skipped,
+    }, [v.to_json() for v in violations]
+
+
+FINITE_AT_ZERO = tuple(f for f in default_catalog() if math.isfinite(f.value_at_zero))
+
+
+class TestFuzzMatchesReports:
+    """fuzz aggregates from arrays; the reports of run_all_checks must agree."""
+
+    @pytest.mark.parametrize("cfg", [
+        dict(dim=3, trials=12, seed=11, sampler="ginibre"),
+        dict(dim=4, trials=12, seed=11, sampler="commuting"),
+        dict(dim=3, trials=12, seed=11, sampler="mixture"),
+        dict(dim=3, trials=12, seed=5, floor=0.0, generators=FINITE_AT_ZERO),
+        dict(dim=2, trials=12, seed=3, sampler="commuting", floor=0.0,
+             generators=FINITE_AT_ZERO),
+        dict(dim=3, trials=10, seed=1, tol=1e-300),
+        dict(dim=2, trials=10, seed=3, sampler="commuting", floor=0.0,
+             generators=FINITE_AT_ZERO, tol=1e-300),
+        dict(dim=3, trials=4, seed=0, eps=0.5),
+    ], ids=["ginibre", "commuting", "mixture", "floor0", "floor0-commuting",
+            "tol-ginibre", "tol-commuting", "skipped"])
+    def test_summary_and_violations(self, cfg):
+        config = FuzzConfig(**cfg)
+        result = fuzz(config)
+        summary, violations = reference_fuzz(config)
+        assert json.dumps({k: result.summary[k] for k in summary}) == json.dumps(summary)
+        assert json.dumps([v.to_json() for v in result.violations]) == json.dumps(violations)
+
+    def test_link_rule_on_special_values(self):
+        from qfdiv.harness import _SLACK_BUCKETS, _STATUSES, _VERDICTS, _link_eval
+
+        special = (0.0, -0.0, 1.0, -2.5, 1e-9, 5e-7, 1e-300, 1e300, INF, -INF, math.nan)
+        pairs = [(a, b) for a in special for b in special]
+        chains = [("c", "g", ("a", "b"), pair, (), "") for pair in pairs]
+        status, nlinks, codes, slacks, buckets, equal = _link_eval(chains, 1e-9)
+        assert list(nlinks) == [1] * len(pairs)
+        for (left, right), st, code, slack, bucket, eq in zip(pairs, status, codes, slacks,
+                                                              buckets, equal):
+            verdict, expected = _scalar_link(left, right, 1e-9)
+            assert _VERDICTS[code] == verdict, (left, right)
+            assert _STATUSES[st] == {"vacuous": "vacuous-pass"}.get(verdict, verdict)
+            assert _same(float(slack), expected), (left, right)
+            assert _SLACK_BUCKETS[bucket] == _slack_bucket(expected), (left, right)
+            assert eq == (verdict == "pass" and abs(expected) <= 1e-12 * max(1.0, abs(right)))
+
+    def test_tiny_tolerance_forces_violations(self):
+        assert fuzz(FuzzConfig(dim=3, trials=10, seed=1, tol=1e-300)).violations
+        assert len(fuzz(FuzzConfig(dim=2, trials=10, seed=3, sampler="commuting", floor=0.0,
+                                   generators=FINITE_AT_ZERO, tol=1e-300)).violations) > 10
