@@ -40,7 +40,7 @@ from .classical import (
 )
 from .errors import InputFormatError, PreconditionError
 from .generators import parse_generator_spec
-from .harness import BoundChainReport, FuzzConfig, collect_violations, fuzz, run_all_checks
+from .harness import BoundChainReport, FuzzConfig, certify, collect_violations, fuzz
 from .hermitian import load_matrix
 from .quantum import (
     as_density,
@@ -87,7 +87,23 @@ def _manifest(argv, inputs: dict, seed, tolerances: dict) -> dict:
         "tolerances": tolerances,
         "version": __version__,
         "numpy": np.__version__,
+        **_numpy_build(),
         "timestamp": stamp,
+    }
+
+
+def _numpy_build() -> dict:
+    """The BLAS numpy links and the SIMD extensions it was built for and
+    found on this CPU: last-ulp results depend on both."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.25 can only print its configuration
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    simd = config.get("SIMD Extensions", {})
+    return {
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "simd": {"baseline": list(simd.get("baseline", [])), "found": list(simd.get("found", []))},
     }
 
 
@@ -139,9 +155,11 @@ def _closed_form(qd, pd, f, eps):
     return None
 
 
-def _value_row(qd, pd, js, f, eps) -> dict:
-    """S_f by the spectral sum, its closed form when one exists, and their gap."""
-    dv = s_f_from_spectrum(js, f)
+def _value_row(qd, pd, js, f, eps, dv=None) -> dict:
+    """S_f by the spectral sum (dv, when already computed), its closed form
+    when one exists, and their gap."""
+    if dv is None:
+        dv = s_f_from_spectrum(js, f)
     closed = _closed_form(qd, pd, f, eps)
     gap = None
     if closed is not None and math.isfinite(dv.value) and math.isfinite(closed):
@@ -252,8 +270,8 @@ def cmd_certify(args, argv) -> int:
 
     all_reports = []
     rows = []
-    for f in _generators(args):
-        reports = run_all_checks(qd, pd, f, js=js, tol=tol, eps=eps)
+    generators = _generators(args)
+    for f, (dv, reports) in zip(generators, certify(qd, pd, generators, js=js, tol=tol, eps=eps)):
         if os.environ.get("QFDIV_SELFTEST_CORRUPT"):
             reports = tuple(
                 dataclasses.replace(
@@ -264,7 +282,7 @@ def cmd_certify(args, argv) -> int:
             )
         all_reports.extend(reports)
         rows.append(_csv_row({
-            **_value_row(qd, pd, js, f, eps),
+            **_value_row(qd, pd, js, f, eps, dv),
             **_final_bounds(reports),
             "verdicts": ";".join(f"{rep.check}={rep.status}" for rep in reports),
         }))

@@ -66,7 +66,18 @@ __all__ = [
 INF = math.inf
 
 PSI_GRID_POINTS = 10001
+PSI_STEPS = PSI_GRID_POINTS - 1
 PSI_EDGE_FRACTION = 1e-6
+# psi_sup bounds its grid cell by cell; a cell spans this many grid steps.
+PSI_CELL = 100
+# Rounding pad of a cell bound, relative to the size of f on the window
+# (at least 1), about 4e6 ulps.  The catalog's formulas cancel inside
+# (dichotomy at alpha = 0.01 loses a factor ~100 to it), and the pad
+# still sits far below the spread of the cell bounds.
+PSI_PAD = 2.0**-30
+# A negative second difference -n of f in the edge cells means f-values err
+# by at least n/4; psi_sup pads for PSI_NOISE / 4 times that error.
+PSI_NOISE = 16.0
 
 # Finite-difference step for generators built from a bare callable.
 FD_STEP = 1e-7
@@ -613,8 +624,11 @@ def secant_bound(f: Generator, r: float, R: float) -> float:
     r, R = _check_window(r, R)
     if not (0.0 <= r <= 1.0 <= R):
         raise PreconditionError(f"need 0 <= r <= 1 <= R, got r={r}, R={R}")
-    fr = f(r)
-    fR = f(R)
+    return secant_value(r, R, f(r), f(R))
+
+
+def secant_value(r: float, R: float, fr: float, fR: float) -> float:
+    """secant_bound from the values fr = f(r) and fR = f(R)."""
     if math.isinf(fr) or math.isinf(fR):
         return INF
     return ((R - 1.0) * fr + (1.0 - r) * fR) / (R - r)
@@ -626,20 +640,22 @@ def psi(f: Generator, t: float, r: float, R: float) -> float:
     t = float(t)
     if not r < t < R:
         raise PreconditionError(f"need r < t < R, got t={t} outside ({r}, {R})")
-    fr = f(r)
-    fR = f(R)
-    ft = f(t)
+    return psi_value(t, r, R, f(t), f(r), f(R))
+
+
+def psi_value(t: float, r: float, R: float, ft: float, fr: float, fR: float) -> float:
+    """psi from the values ft = f(t), fr = f(r) and fR = f(R)."""
     if math.isinf(fr) or math.isinf(fR) or math.isinf(ft):
         raise PreconditionError("psi needs f finite at r, t, R")
     return (fR - ft) / (R - t) - (ft - fr) / (t - r)
 
 
-def psi_sup(f: Generator, r: float, R: float) -> float:
+def psi_sup(f: Generator, r, R, ends=None):
     """Supremum of the double-slope gap over t in (r, R).
 
-    Evaluated on a uniform grid pulled in from the endpoints by the
-    fraction 1e-6 of the width, together with t = 1 when interior and
-    the two endpoint limits
+    The value is the max of the gap over a uniform 10001-point grid,
+    pulled in from the endpoints by the fraction 1e-6 of the width,
+    together with t = 1 when interior and the two endpoint limits
 
         Psi(r+) = slope(r, R) - f'_+(r),
         Psi(R-) = f'_-(R) - slope(r, R).
@@ -647,39 +663,162 @@ def psi_sup(f: Generator, r: float, R: float) -> float:
     Returns +inf when f(r) is infinite or a one-sided derivative at an
     endpoint diverges.  Never exceeds f'_-(R) - f'_+(r) when that gap is
     finite.
+
+    r and R may also be equal-length arrays, a block of windows; the
+    result is then an array with one value per window.  ends, when
+    given, holds the scalar values f(r), f(R), f'_+(r) and f'_-(R), one
+    sequence each, so a caller that already has them need not evaluate
+    them again.
+
+    Most of the grid is never evaluated, and the value is still the
+    full grid's max bit for bit.  f is evaluated at every 100th grid
+    point, at t = 1, and on the grid's first and last 100-step cells,
+    where the edge pull-in makes rounding large.  For convex f, chord
+    slopes are nondecreasing in each endpoint (the three-chord lemma),
+    so on a cell [a, b] the gap is at most slope(b, R) - slope(r, a).
+    A cell whose bound, padded for rounding (from the size of f and
+    from the rounding noise the edge cells show), stays below the
+    largest value found so far cannot hold the max and is skipped; the
+    other cells are evaluated in full.  A window evaluates its whole grid
+    when most cells stay live (chi2, whose gap is constant), and always
+    for an approx generator, which need not be convex.
     """
-    r, R = _check_window(r, R)
-    fr = f(r)
-    fR = f(R)
-    d_right_r = f.deriv_right(r)
-    d_left_R = f.deriv_left(R)
-    if math.isinf(fr) or math.isinf(fR) or d_right_r == -INF or d_left_R == INF:
-        return INF
+    scalar = np.ndim(r) == 0 and np.ndim(R) == 0
+    r, R = np.broadcast_arrays(np.atleast_1d(np.asarray(r, dtype=np.float64)),
+                               np.atleast_1d(np.asarray(R, dtype=np.float64)))
+    bad = ~((r < R) & np.isfinite(r) & np.isfinite(R))
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_window(r[i], R[i])
+    if ends is None:
+        ends = ([f(x) for x in r], [f(x) for x in R],
+                [f.deriv_right(x) for x in r], [f.deriv_left(x) for x in R])
+    fr, fR, dr, dR = (np.asarray(e, dtype=np.float64).reshape(r.shape) for e in ends)
 
-    slope = (fR - fr) / (R - r)
-    ts, to_R, from_r = _psi_grid(r, R)
-    fts = np.asarray(f.fn(ts), dtype=np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        gaps = (fR - fts) / to_R - (fts - fr) / from_r
-    best = float(gaps.max())
-    if not math.isfinite(best):  # below a width of ~1e-10 an endpoint lands on the grid: 0/0
-        best = float(np.max(gaps, where=np.isfinite(gaps), initial=-INF))
-    return max(best, slope - d_right_r, d_left_R - slope)
+    out = np.full(r.shape, INF)
+    ok = ~(np.isinf(fr) | np.isinf(fR) | (dr == -INF) | (dR == INF))
+    if ok.any():
+        out[ok] = _PsiGrid(r[ok], R[ok], fr[ok], fR[ok], dr[ok], dR[ok]).sup(f)
+    return float(out[0]) if scalar else out
 
 
-@functools.lru_cache(maxsize=1)
-def _psi_grid(r: float, R: float) -> tuple:
-    """psi_sup's grid on (r, R) with R - t and t - r, shared by every generator."""
-    h = (R - r) * PSI_EDGE_FRACTION
-    ts = np.linspace(r + h, R - h, PSI_GRID_POINTS)
-    if r < 1.0 < R:
-        ts = np.append(ts, 1.0)
-    if float(ts.min()) <= 0.0:
-        raise PreconditionError("array evaluation requires strictly positive points")
-    grid = (ts, R - ts, ts - r)
-    for arr in grid:
-        arr.flags.writeable = False
-    return grid
+def _index(*parts) -> np.ndarray:
+    idx = np.concatenate(parts).astype(np.float64)
+    idx.flags.writeable = False
+    return idx
+
+
+# Grid indices psi_sup evaluates first, in grid order: the whole first
+# cell, the inner cell edges, the whole last cell.
+_PROBE_IDX = _index(np.arange(0, PSI_CELL + 1), np.arange(2 * PSI_CELL, PSI_STEPS - PSI_CELL, PSI_CELL),
+                    np.arange(PSI_STEPS - PSI_CELL, PSI_STEPS + 1))
+_FIRST_CELL = slice(0, PSI_CELL + 1)  # columns of _PROBE_IDX
+_LAST_CELL = slice(-PSI_CELL - 1, None)
+_INNER_EDGES = slice(PSI_CELL, PSI_CELL + PSI_STEPS // PSI_CELL - 1)
+_CELL_IDX = _index(np.arange(1, PSI_CELL))
+
+
+class _PsiGrid:
+    """psi_sup's grids for a block of windows, formed point by point.
+
+    Point i of a window is i * step + start and its last point is stop,
+    with (i / steps) * delta + start where the step is zero: exactly how
+    np.linspace(start, stop, PSI_GRID_POINTS) forms its points.  Window
+    data is indexed by w, an int or a column of window numbers, which
+    broadcasts against a row of grid indices.
+    """
+
+    def __init__(self, r, R, fr, fR, dr, dR):
+        slope = (fR - fr) / (R - r)
+        self.lim_r, self.lim_R = slope - dr, dR - slope
+        h = (R - r) * PSI_EDGE_FRACTION
+        start, stop = r + h, R - h
+        if (start <= 0.0).any():
+            raise PreconditionError("array evaluation requires strictly positive points")
+        delta = stop - start
+        self.step = delta / PSI_STEPS
+        self.interior = (r < 1.0) & (1.0 < R)
+        self.scale = np.maximum(np.maximum(np.abs(fr), np.abs(fR)), 1.0)
+        self.r, self.R, self.fr, self.fR = r, R, fr, fR
+        self.start, self.stop, self.delta = start, stop, delta
+
+    def points(self, w, idx):
+        """Grid points idx of windows w."""
+        step, start = self.step[w], self.start[w]
+        if np.all(step != 0.0):
+            t = idx * step
+            t += start
+        else:
+            t = np.where(step != 0.0, idx * step + start, idx / PSI_STEPS * self.delta[w] + start)
+        if idx.ndim == 1 and idx[-1] == PSI_STEPS:
+            t[..., -1:] = self.stop[w]
+        return t
+
+    def gaps(self, w, t, ft):
+        """The double-slope gap at points t of windows w, where f(t) = ft:
+        (f(R) - ft) / (R - t) - (ft - f(r)) / (t - r), with few temporaries."""
+        gaps = self.fR[w] - ft
+        gaps /= self.R[w] - t
+        left = ft - self.fr[w]
+        left /= t - self.r[w]
+        gaps -= left
+        return gaps
+
+    def full(self, f, w: int) -> float:
+        """Window w's value from its whole grid."""
+        ts = self.points(w, np.arange(PSI_GRID_POINTS, dtype=np.float64))
+        if self.interior[w]:
+            ts = np.append(ts, 1.0)
+        gaps = self.gaps(w, ts, np.asarray(f.fn(ts), dtype=np.float64))
+        best = float(gaps.max())
+        if not math.isfinite(best):  # below a width of ~1e-10 an endpoint lands on the grid: 0/0
+            best = float(np.max(gaps, where=np.isfinite(gaps), initial=-INF))
+        return max(best, float(self.lim_r[w]), float(self.lim_R[w]))
+
+    def sup(self, f) -> np.ndarray:
+        n = self.lim_r.size
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            if f.approx:
+                return np.array([self.full(f, w) for w in range(n)])
+            rows = np.arange(n)[:, np.newaxis]
+            # t = 1 first (masked out where it is not interior), then the probe.
+            t = np.concatenate([np.ones((n, 1)), self.points(rows, _PROBE_IDX)], axis=1)
+            ft = np.asarray(f.fn(t), dtype=np.float64)
+            gaps = self.gaps(rows, t, ft)
+            gaps[~self.interior, 0] = -INF
+            best = np.where(np.isfinite(gaps), gaps, -INF).max(axis=1)
+            found = np.fmax(np.fmax(best, self.lim_r), self.lim_R)[:, np.newaxis]
+
+            # Bound the cells between the first and the last.
+            t, ft = t[:, 1:], ft[:, 1:]
+            edge, fedge = t[:, _INNER_EDGES], ft[:, _INNER_EDGES]
+            a, b, fa, fb = edge[:, :-1], edge[:, 1:], fedge[:, :-1], fedge[:, 1:]
+            to_R, from_r = self.R[rows] - b, a - self.r[rows]
+            bound = (self.fR[rows] - fb) / to_R - (fa - self.fr[rows]) / from_r
+            # Pad for rounding: f-values of size `scale` err by about PSI_PAD
+            # times it, and each slope divides that by a distance to an end.
+            # A formula that cancels more shows it in the edge cells: f is
+            # convex, so a negative second difference there is rounding.
+            scale = np.maximum(np.abs(ft).max(axis=1), self.scale)
+            noise = -np.minimum(np.diff(ft[:, _FIRST_CELL], 2).min(axis=1),
+                                np.diff(ft[:, _LAST_CELL], 2).min(axis=1))
+            err = (PSI_PAD * scale + PSI_NOISE * np.maximum(noise, 0.0))[:, np.newaxis]
+            top = bound + err * (1.0 / to_R + 1.0 / from_r) + PSI_PAD * np.abs(bound)
+            live = ~(np.isfinite(top) & (top < found))
+            whole = live.sum(axis=1) > live.shape[1] // 2
+
+            w, j = np.nonzero(live & ~whole[:, np.newaxis])
+            if w.size:
+                w = w[:, np.newaxis]
+                pts = self.points(w, (PSI_CELL * (j + 1.0))[:, np.newaxis] + _CELL_IDX)
+                cell = self.gaps(w, pts, np.asarray(f.fn(pts), dtype=np.float64))
+                np.maximum.at(best, w[:, 0], np.where(np.isfinite(cell), cell, -INF).max(axis=1))
+
+            out = np.where(self.lim_r > best, self.lim_r, best)
+            out = np.where(self.lim_R > out, self.lim_R, out)
+            for i in np.flatnonzero(whole):
+                out[i] = self.full(f, i)
+        return out
 
 
 def jensen_gap_bound(f: Generator, r: float, R: float) -> float:
@@ -692,8 +831,14 @@ def jensen_gap_bound(f: Generator, r: float, R: float) -> float:
     fR = f(R)
     if math.isinf(fr) or math.isinf(fR):
         return INF
-    mid = f(0.5 * (r + R))
-    return 2.0 * (0.5 * (fr + fR) - mid)
+    return jensen_gap_value(fr, fR, f(0.5 * (r + R)))
+
+
+def jensen_gap_value(fr: float, fR: float, fmid: float) -> float:
+    """jensen_gap_bound from f(r), f(R) and f((r + R)/2)."""
+    if math.isinf(fr) or math.isinf(fR):
+        return INF
+    return 2.0 * (0.5 * (fr + fR) - fmid)
 
 
 def from_callable(name: str, fn, *, value_at_zero: float = None,

@@ -8,18 +8,23 @@ is reported distinctly from a violated inequality.  Chains whose
 hypotheses exclude the pair entirely (degenerate ratio window) are
 reported as skipped.
 
-certify (through run_all_checks and the check_* functions) and fuzz share
-one pipeline: a pair's invariants (joint spectrum, window, V, chi) are
-computed once, one producer per check emits its chains' terms as data,
-closed-form subchains come from a table keyed by (check, family), and all
-links are judged in one vectorized pass.  fuzz aggregates from those
-arrays and builds reports only for a trial with a failed link.
+certify (and run_all_checks and the check_* functions) and fuzz share
+one pipeline, run on a block of pairs: one pair for certify, up to
+FUZZ_BLOCK trials for fuzz.  A pair's invariants (joint spectrum,
+window, V, chi) are computed once.  Per generator, one pass over the
+block computes S_f, the derivative-gap sums and sup Psi, and one scalar
+call per endpoint quantity (f(r), f(R), f(1), f((r+R)/2), f'_+(r),
+f'_-(R)) serves every chain.  One producer per check emits its chains'
+terms as data, closed-form subchains come from a table keyed by (check,
+family), and all links of the block are judged in one vectorized pass.
+fuzz aggregates from those arrays, in trial order, and builds reports
+only for a trial with a failed link.
 
-The fuzz driver runs its trials serially, in index order, on random
-density pairs drawn from seeded, counter-based streams: trial k always
-uses the stream keyed by (seed, k), so a run's output is a function of
-its configuration and any violation can be replayed bit-for-bit from
-its (seed, trial) pair.
+fuzz draws its random density pairs from seeded,
+counter-based streams: trial k always uses the stream keyed by (seed,
+k), so a run's output is a function of its configuration (not of the
+block size) and any violation can be replayed bit-for-bit from its
+(seed, trial) pair.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,20 +43,22 @@ from .errors import InputFormatError, PreconditionError
 from .generators import (
     Generator,
     default_catalog,
-    jensen_gap_bound,
-    psi,
+    jensen_gap_value,
     psi_sup,
-    secant_bound,
+    psi_value,
+    secant_value,
 )
 from .hermitian import matrix_to_json
 from .quantum import (
     WEIGHT_FLOOR,
     DensityMatrix,
+    DivergenceValue,
     JointSpectrum,
     as_density,
     chi_square,
     joint_spectrum,
     s_f_from_spectrum,
+    weighted_sums,
 )
 
 __all__ = [
@@ -65,6 +73,7 @@ __all__ = [
     "check_thm4",
     "check_thm5",
     "run_all_checks",
+    "certify",
     "chi_square_secant_coeff",
     "chi_square_chord_coeff",
     "neg_log_jensen_coeff",
@@ -82,6 +91,9 @@ DEGENERATE_WINDOW_TOL = 1e-12
 EQUALITY_TOL = 1e-12
 NEAR_TIGHT_SLACK = 1e-6
 SAMPLER_KINDS = ("ginibre", "commuting", "mixture")
+# fuzz evaluates its trials in blocks of this many; the output does not
+# depend on it.
+FUZZ_BLOCK = 16
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +187,17 @@ def _reports(groups, js: JointSpectrum, tol: float) -> list:
             for g in groups]
 
 
-def _derivative_gap_coeff(f: Generator, js: JointSpectrum) -> float:
-    """f'_-(R) - f'_+(r), or +inf when a one-sided derivative diverges."""
-    d_left_R, d_right_r = f.deriv_left(js.R), f.deriv_right(js.r)
-    return d_left_R - d_right_r if math.isfinite(d_left_R) and math.isfinite(d_right_r) else INF
-
-
 class _Pair:
-    """Invariants of one (Q, P) pair, shared by every generator's chains."""
+    """Invariants of one (Q, P) pair, shared by every generator's chains.
+
+    A supplied joint spectrum brings its own invertibility threshold,
+    which then replaces eps.
+    """
 
     def __init__(self, q, p, js: JointSpectrum, eps: float):
         self.qd, self.pd = as_density(q), as_density(p)
         self.js = joint_spectrum(self.qd, self.pd, eps) if js is None else js
-        self.eps = eps
+        self.eps = self.js.eps
         r, R = self.r, self.R = self.js.r, self.js.R
         self.v = self.js.variational()
         # thm4 and thm5 need the strict window R > 1 > r.
@@ -208,6 +218,73 @@ class _Pair:
         return chi_square(self.pd, self.qd, self.eps)
 
 
+class _Terms(NamedTuple):
+    """One generator's quantities on one pair, from which its chains are made.
+
+    dv is S_f and sf its value; slope_gap is the derivative-gap right
+    side (None for a generator with a kink) and sup the supremum of Psi
+    (None off a strict window).  The rest are f(r), f(R), f(1),
+    f((r + R)/2), f'_+(r) and f'_-(R), each from one scalar call.
+    """
+
+    dv: DivergenceValue
+    sf: float
+    slope_gap: float
+    sup: float
+    fr: float
+    fR: float
+    f1: float
+    fmid: float
+    dr: float
+    dR: float
+
+    @property
+    def derivative_gap(self) -> float:
+        """f'_-(R) - f'_+(r), or +inf when a one-sided derivative diverges."""
+        return self.dR - self.dr if math.isfinite(self.dR) and math.isfinite(self.dr) else INF
+
+
+def _slope_gap(js: JointSpectrum, f: Generator) -> float:
+    """sum of weights * (t - 1) f'_+(t) over the joint spectrum, or +inf when
+    an infinite slope carries weight."""
+    wt, ratios, pos = js.wt, js.ratio, js.pos
+    deriv = np.full_like(ratios, f.deriv_at_zero)
+    if pos.any():
+        deriv[pos] = np.asarray(f.deriv_right_fn(ratios[pos]), dtype=np.float64)
+    finite = np.isfinite(deriv)
+    if (~finite & (wt > WEIGHT_FLOOR)).any():
+        return INF
+    gaps = (ratios[finite] - 1.0) * deriv[finite]
+    keep = np.isfinite(gaps)
+    return float((wt[finite][keep] * gaps[keep]).sum())
+
+
+def _terms(pairs: list, f: Generator) -> list:
+    """f's _Terms on each pair of a block.
+
+    S_f, the derivative-gap sums and sup Psi are each computed for the
+    whole block in one pass; a pair that the stacked sums leave out (a
+    zero ratio, an infinite value) is evaluated on its own.
+    """
+    ends = [(f(c.r), f(c.R), f(1.0), f(0.5 * (c.r + c.R)), f.deriv_right(c.r), f.deriv_left(c.R))
+            for c in pairs]
+    spectra = [c.js for c in pairs]
+    dvs = s_f_from_spectrum(spectra, f)
+    gaps = [None] * len(pairs)
+    if f.smooth:
+        sums = weighted_sums(spectra, lambda t: (t - 1.0) * f.deriv_right_fn(t))
+        gaps = [_slope_gap(js, f) if total is None else total for js, total in zip(spectra, sums)]
+    sups = [None] * len(pairs)
+    strict = [i for i, c in enumerate(pairs) if c.strict]
+    if strict:
+        values = psi_sup(f, [pairs[i].r for i in strict], [pairs[i].R for i in strict],
+                         ends=[[ends[i][k] for i in strict] for k in (0, 1, 4, 5)])
+        for i, value in zip(strict, values.tolist()):
+            sups[i] = value
+    return [_Terms(dv, float(dv.value), gap, sup, *end)
+            for dv, gap, sup, end in zip(dvs, gaps, sups, ends)]
+
+
 # ---------------------------------------------------------------------------
 # chain terms
 #
@@ -217,23 +294,23 @@ class _Pair:
 # divergence value and says why in its note.
 
 
-def _with_closed_form(c: _Pair, f: Generator, spec: str, check: str, labels: tuple,
+def _with_closed_form(c: _Pair, f: Generator, check: str, labels: tuple,
                       values: tuple, flags=(), subs=()) -> list:
     """The chain of `check`, its subchains `subs`, then its closed form for
     f's family from _CLOSED_FORMS, if it has one."""
     flags = list(flags)
     name, sub_labels, terms = _CLOSED_FORMS.get((check, f.name), (None, None, None))
     sub_values = terms(c, f, values, flags) if terms else None
-    closed = [] if sub_values is None else [(name, spec, sub_labels, sub_values, (), "")]
-    return [(check, spec, labels, values, flags, ""), *subs, *closed]
+    closed = [] if sub_values is None else [(name, f.spec, sub_labels, sub_values, (), "")]
+    return [(check, f.spec, labels, values, flags, ""), *subs, *closed]
 
 
-def _nonneg(c: _Pair, f: Generator, spec: str, sf: float) -> list:
+def _nonneg(c: _Pair, f: Generator, e: _Terms) -> list:
     """Chain [0, S_f]: the divergence of a normalized generator is nonnegative."""
-    return [("nonneg", spec, ("zero", "value"), (0.0, sf), (), "")]
+    return [("nonneg", f.spec, ("zero", "value"), (0.0, e.sf), (), "")]
 
 
-def _derivative_gap(c: _Pair, f: Generator, spec: str, sf: float) -> list:
+def _derivative_gap(c: _Pair, f: Generator, e: _Terms) -> list:
     """Chain [S_f, sum of weights * (t - 1) f'(t)] for differentiable f.
 
     For f = -ln t the right side collapses to the chi-square distance
@@ -241,23 +318,13 @@ def _derivative_gap(c: _Pair, f: Generator, spec: str, sf: float) -> list:
     attached as an oracle subchain.
     """
     if not f.smooth:
-        return [("derivative-gap", spec, ("value",), (sf,), (),
+        return [("derivative-gap", f.spec, ("value",), (e.sf,), (),
                  "generator has a derivative kink; chain needs a continuous derivative")]
-    wt, ratios, pos = c.js.wt, c.js.ratio, c.js.pos
-    deriv = np.full_like(ratios, f.deriv_at_zero)
-    if pos.any():
-        deriv[pos] = np.asarray(f.deriv_right_fn(ratios[pos]), dtype=np.float64)
-    finite = np.isfinite(deriv)
-    if (~finite & (wt > WEIGHT_FLOOR)).any():
-        rhs = INF
-    else:
-        gaps = (ratios[finite] - 1.0) * deriv[finite]
-        keep = np.isfinite(gaps)
-        rhs = float((wt[finite][keep] * gaps[keep]).sum())
-    return _with_closed_form(c, f, spec, "derivative-gap", ("value", "slope-weighted-gap"), (sf, rhs))
+    return _with_closed_form(c, f, "derivative-gap", ("value", "slope-weighted-gap"),
+                             (e.sf, e.slope_gap))
 
 
-def _thm2(c: _Pair, f: Generator, spec: str, sf: float) -> list:
+def _thm2(c: _Pair, f: Generator, e: _Terms) -> list:
     """Four-term chain through the variational quantity and chi.
 
     [S_f, D/2 * V, D/2 * chi, (R-r)/4 * D] with D = f'_-(R) - f'_+(r),
@@ -267,24 +334,24 @@ def _thm2(c: _Pair, f: Generator, spec: str, sf: float) -> list:
     r = R, where every window term vanishes and only rounding is left.
     """
     if not c.r < c.R:
-        return [("thm2", spec, ("value",), (sf,), (), "degenerate window: r = R")]
-    big_d = _derivative_gap_coeff(f, c.js)
-    values = (sf, INF, INF, INF) if math.isinf(big_d) else (
-        sf, 0.5 * big_d * c.v, 0.5 * big_d * c.chi, c.quarter * big_d)
-    return _with_closed_form(c, f, spec, "thm2", (
+        return [("thm2", f.spec, ("value",), (e.sf,), (), "degenerate window: r = R")]
+    big_d = e.derivative_gap
+    values = (e.sf, INF, INF, INF) if math.isinf(big_d) else (
+        e.sf, 0.5 * big_d * c.v, 0.5 * big_d * c.chi, c.quarter * big_d)
+    return _with_closed_form(c, f, "thm2", (
         "value", "half-gap-variation", "half-gap-chi", "quarter-window-gap"), values)
 
 
-def _thm3(c: _Pair, f: Generator, spec: str, sf: float) -> list:
+def _thm3(c: _Pair, f: Generator, e: _Terms) -> list:
     """Two-term chain [S_f, secant value at the window endpoints]."""
     if not c.r < c.R:
-        return [("thm3", spec, ("value",), (sf,), (), "degenerate window: r = R")]
-    return _with_closed_form(c, f, spec, "thm3", ("value", "secant"),
-                             (sf, secant_bound(f, c.r, c.R)),
+        return [("thm3", f.spec, ("value",), (e.sf,), (), "degenerate window: r = R")]
+    return _with_closed_form(c, f, "thm3", ("value", "secant"),
+                             (e.sf, secant_value(c.r, c.R, e.fr, e.fR)),
                              flags=["tight:ratios-at-endpoints"] if c.tight else [])
 
 
-def _thm4(c: _Pair, f: Generator, spec: str, sf: float) -> list:
+def _thm4(c: _Pair, f: Generator, e: _Terms) -> list:
     """Five-term chain through the double-slope gap Psi.
 
     Main chain: [S_f, K Psi(1), K sup Psi, K D, (R-r)/4 * D] with
@@ -294,39 +361,41 @@ def _thm4(c: _Pair, f: Generator, spec: str, sf: float) -> list:
     window R > 1 > r.
     """
     if not c.strict:
-        return [("thm4", spec, ("value",), (sf,), (), "window must satisfy R > 1 > r strictly")]
-    r, R, k, quarter = c.r, c.R, c.k, c.quarter
-    psi1 = INF if math.isinf(f(r)) else psi(f, 1.0, r, R)
-    sup = psi_sup(f, r, R)
-    big_d = _derivative_gap_coeff(f, c.js)
-    alternate = ("thm4:alternate", spec, (
+        return [("thm4", f.spec, ("value",), (e.sf,), (), "window must satisfy R > 1 > r strictly")]
+    r, R, k, quarter, sf, sup = c.r, c.R, c.k, c.quarter, e.sf, e.sup
+    psi1 = INF if math.isinf(e.fr) else psi_value(1.0, r, R, e.f1, e.fr, e.fR)
+    big_d = e.derivative_gap
+    alternate = ("thm4:alternate", f.spec, (
         "value", "window-psi-at-one", "quarter-range-psi-at-one", "quarter-range-psi-sup",
         "quarter-range-derivative-gap"), (sf, k * psi1, quarter * psi1, quarter * sup, quarter * big_d),
         (), "")
-    sec = secant_bound(f, r, R)
+    sec = secant_value(r, R, e.fr, e.fR)
     matches = math.isfinite(sec) and math.isfinite(psi1) and abs(k * psi1 - sec) <= 1e-9 * max(1.0, abs(sec))
-    return _with_closed_form(c, f, spec, "thm4", (
+    return _with_closed_form(c, f, "thm4", (
         "value", "window-psi-at-one", "window-psi-sup", "window-derivative-gap",
         "quarter-range-derivative-gap"), (sf, k * psi1, k * sup, k * big_d, quarter * big_d),
         flags=["matches-secant"] if matches else [], subs=[alternate])
 
 
-def _thm5(c: _Pair, f: Generator, spec: str, sf: float) -> list:
+def _thm5(c: _Pair, f: Generator, e: _Terms) -> list:
     """Two-term chain [S_f, midpoint Jensen gap bound] on a strict window."""
     if not c.strict:
-        return [("thm5", spec, ("value",), (sf,), (), "window must satisfy R > 1 > r strictly")]
-    return _with_closed_form(c, f, spec, "thm5", ("value", "midpoint-gap-bound"),
-                             (sf, jensen_gap_bound(f, c.r, c.R)))
+        return [("thm5", f.spec, ("value",), (e.sf,), (), "window must satisfy R > 1 > r strictly")]
+    return _with_closed_form(c, f, "thm5", ("value", "midpoint-gap-bound"),
+                             (e.sf, jensen_gap_value(e.fr, e.fR, e.fmid)))
 
 
 _CHAINS = (_nonneg, _derivative_gap, _thm2, _thm3, _thm4, _thm5)
 
 
-def _groups(c: _Pair, f: Generator) -> list:
-    """The chains of all six checks for one generator, grouped by check."""
-    spec = f.spec
-    sf = float(s_f_from_spectrum(c.js, f).value)
-    return [chains(c, f, spec, sf) for chains in _CHAINS]
+def _evaluate(pairs: list, generators) -> list:
+    """For each pair of a block, per generator: its _Terms and the chains of
+    all six checks, grouped by check."""
+    out = [[] for _ in pairs]
+    for f in generators:
+        for row, c, e in zip(out, pairs, _terms(pairs, f)):
+            row.append((e, [chains(c, f, e) for chains in _CHAINS]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +512,10 @@ def _public(chains, name: str):
     def check(q, p, f: Generator, js: JointSpectrum = None, tol: float = DEFAULT_TOL,
               eps: float = 1e-12, sf: float = None) -> BoundChainReport:
         c = _Pair(q, p, js, eps)
-        if sf is None:
-            sf = s_f_from_spectrum(c.js, f).value
-        return _reports([chains(c, f, f.spec, float(sf))], c.js, tol)[0]
+        e = _terms([c], f)[0]
+        if sf is not None:
+            e = e._replace(sf=float(sf))
+        return _reports([chains(c, f, e)], c.js, tol)[0]
 
     check.__name__ = check.__qualname__ = name
     check.__doc__ = chains.__doc__
@@ -460,11 +530,22 @@ check_thm4 = _public(_thm4, "check_thm4")
 check_thm5 = _public(_thm5, "check_thm5")
 
 
+def certify(q, p, generators, js: JointSpectrum = None, tol: float = DEFAULT_TOL,
+            eps: float = 1e-12) -> list:
+    """All six chains for each generator on one pair, sharing the pair's
+    invariants and judged in one pass.  Returns, per generator, its S_f
+    (a DivergenceValue) and its six reports."""
+    c = _Pair(q, p, js, eps)
+    rows = _evaluate([c], generators)[0]
+    reports = _reports([g for _, groups in rows for g in groups], c.js, tol)
+    n = len(_CHAINS)
+    return [(e.dv, tuple(reports[i * n:(i + 1) * n])) for i, (e, _) in enumerate(rows)]
+
+
 def run_all_checks(q, p, f: Generator, js: JointSpectrum = None,
                    tol: float = DEFAULT_TOL, eps: float = 1e-12) -> tuple:
     """All six chains for one generator, sharing one joint spectrum."""
-    c = _Pair(q, p, js, eps)
-    return tuple(_reports(_groups(c, f), c.js, tol))
+    return certify(q, p, (f,), js=js, tol=tol, eps=eps)[0][1]
 
 
 # ---------------------------------------------------------------------------
@@ -692,84 +773,112 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def fuzz(config: FuzzConfig) -> FuzzResult:
-    """Run every chain on `trials` sampled pairs; collect violations.
+class _Tally:
+    """fuzz's aggregates, fed one block of trials at a time in trial order."""
 
-    Trials run one after another, in index order.  Each draws from a
-    stream keyed by (seed, trial index), so the output is deterministic
-    and any violation replays from its (seed, trial) pair.  config.jobs
-    is validated but does not change how the run executes.  A pair that
-    joint_spectrum rejects (singular P, lost double stochasticity) is
-    recorded as a skipped trial with the reason.
-    """
-    violations = []
-    statuses = collections.Counter()  # (check, status code) -> chains
-    buckets = collections.Counter()  # (check, slack bucket) -> links
-    near_tight = []
-    near_tight_total = 0
-    min_slack = None
-    skipped_trials = []
+    def __init__(self, config: FuzzConfig):
+        self.config = config
+        self.violations = []
+        self.statuses = collections.Counter()  # (check, status code) -> chains
+        self.buckets = collections.Counter()  # (check, slack bucket) -> links
+        self.near_tight = []
+        self.near_tight_total = 0
+        self.min_slack = None
 
-    for trial in range(int(config.trials)):
-        qd, pd = sample_pair(config.sampler, config.dim, config.floor,
-                             _trial_rng(config.seed, trial))
-        try:
-            js = joint_spectrum(qd, pd, config.eps)
-        except (PreconditionError, ArithmeticError) as exc:
-            skipped_trials.append({"trial": trial, "reason": str(exc)})
-            continue
-        pair = _Pair(qd, pd, js, config.eps)
-        groups = [g for f in config.generators for g in _groups(pair, f)]
-        chains = [ch for g in groups for ch in g]
+    def add(self, block: list) -> None:
+        """Evaluate every chain of `block`, a list of (trial, _Pair), judge
+        all its links in one pass, and aggregate them."""
+        config = self.config
+        per_pair = [[g for _, groups in row for g in groups]
+                    for row in _evaluate([c for _, c in block], config.generators)]
+        chains = [ch for groups in per_pair for g in groups for ch in g]
         status, nlinks, codes, slack, bucket, _ = _link_eval(chains, config.tol)
-        owner = np.repeat(np.arange(len(chains)), nlinks)
+        owner = np.repeat(np.arange(len(chains)), nlinks)  # link -> chain
+        pair_of = np.repeat(np.arange(len(block)), [sum(map(len, groups)) for groups in per_pair])
         checks = [ch[0] for ch in chains]
-        statuses.update(zip(checks, status.tolist()))
-        buckets.update(zip([checks[j] for j in owner.tolist()], bucket.tolist()))
+        self.statuses.update(zip(checks, status.tolist()))
+        link_checks = itertools.chain.from_iterable(map(itertools.repeat, checks, nlinks.tolist()))
+        self.buckets.update(zip(link_checks, bucket.tolist()))
 
         def where(i):
-            check, spec, labels = chains[owner[i]][:3]
-            at = i - int(np.searchsorted(owner, owner[i]))
-            return check, spec, f"{labels[at]}<={labels[at + 1]}"
+            j = owner[i]
+            check, spec, labels = chains[j][:3]
+            at = i - int(np.searchsorted(owner, j))
+            return block[pair_of[j]][0], check, spec, f"{labels[at]}<={labels[at + 1]}"
 
         finite = np.isfinite(slack)
         if finite.any():
             i = int(np.argmin(np.where(finite, slack, INF)))
-            if min_slack is None or slack[i] < min_slack["slack"]:
-                check, spec, link = where(i)
-                min_slack = {"slack": float(slack[i]), "check": check, "generator": spec,
-                             "trial": trial, "link": link}
+            if self.min_slack is None or slack[i] < self.min_slack["slack"]:
+                trial, check, spec, link = where(i)
+                self.min_slack = {"slack": float(slack[i]), "check": check, "generator": spec,
+                                  "trial": trial, "link": link}
         tight = np.flatnonzero(finite & (slack >= 0.0) & (slack < NEAR_TIGHT_SLACK))
-        near_tight_total += tight.size
-        for i in tight[:max(0, 100 - len(near_tight))]:
-            check, spec, link = where(i)
-            near_tight.append({"trial": trial, "check": check, "generator": spec,
-                               "link": link, "slack": float(slack[i])})
+        self.near_tight_total += tight.size
+        for i in tight[:max(0, 100 - len(self.near_tight))]:
+            trial, check, spec, link = where(i)
+            self.near_tight.append({"trial": trial, "check": check, "generator": spec,
+                                    "link": link, "slack": float(slack[i])})
 
-        if (codes == 2).any():
-            for top in _reports(groups, js, config.tol):
-                violations.extend(collect_violations(top, config.seed, trial, qd, pd))
+        for k in sorted(set(pair_of[owner[codes == 2]].tolist())):
+            trial, c = block[k]
+            for top in _reports(per_pair[k], c.js, config.tol):
+                self.violations.extend(collect_violations(top, config.seed, trial, c.qd, c.pd))
 
-    checks = sorted({check for check, _ in statuses})
-    summary = {
-        "config": {
-            "dim": int(config.dim),
-            "trials": int(config.trials),
-            "seed": int(config.seed),
-            "sampler": config.sampler,
-            "floor": float(config.floor),
-            "tol": float(config.tol),
-            "eps": float(config.eps),
-            "generators": [g.spec for g in config.generators],
-        },
-        "checks": {k: {name: statuses[k, code] for code, name in enumerate(_STATUSES)}
-                   for k in checks},
-        "slack_histograms": {k: {name: buckets[k, code] for code, name in enumerate(_SLACK_BUCKETS)}
-                             for k in checks},
-        "violations": len(violations),
-        "near_tight_total": near_tight_total,
-        "near_tight": near_tight,
-        "min_slack": min_slack,
-        "skipped_trials": skipped_trials,
-    }
-    return FuzzResult(config=config, violations=tuple(violations), summary=summary)
+    def summary(self, skipped_trials: list) -> dict:
+        config = self.config
+        checks = sorted({check for check, _ in self.statuses})
+        return {
+            "config": {
+                "dim": int(config.dim),
+                "trials": int(config.trials),
+                "seed": int(config.seed),
+                "sampler": config.sampler,
+                "floor": float(config.floor),
+                "tol": float(config.tol),
+                "eps": float(config.eps),
+                "generators": [g.spec for g in config.generators],
+            },
+            "checks": {k: {name: self.statuses[k, code] for code, name in enumerate(_STATUSES)}
+                       for k in checks},
+            "slack_histograms": {k: {name: self.buckets[k, code]
+                                     for code, name in enumerate(_SLACK_BUCKETS)}
+                                 for k in checks},
+            "violations": len(self.violations),
+            "near_tight_total": self.near_tight_total,
+            "near_tight": self.near_tight,
+            "min_slack": self.min_slack,
+            "skipped_trials": skipped_trials,
+        }
+
+
+def fuzz(config: FuzzConfig) -> FuzzResult:
+    """Run every chain on `trials` sampled pairs; collect violations.
+
+    Each trial draws from a stream keyed by (seed, trial index), so the
+    output is deterministic and any violation replays from its (seed,
+    trial) pair.  Trials are evaluated in blocks of FUZZ_BLOCK, each
+    generator in one pass over a block, and aggregated in trial order, so
+    the output is the same as one trial at a time would give.
+    config.jobs is validated but does not change how the run executes.
+    A pair that joint_spectrum rejects (singular P, lost double
+    stochasticity) is recorded as a skipped trial with the reason.
+    """
+    tally = _Tally(config)
+    skipped_trials = []
+    trials = int(config.trials)
+    for first in range(0, trials, FUZZ_BLOCK):
+        block = []  # (trial, pair)
+        for trial in range(first, min(first + FUZZ_BLOCK, trials)):
+            qd, pd = sample_pair(config.sampler, config.dim, config.floor,
+                                 _trial_rng(config.seed, trial))
+            try:
+                js = joint_spectrum(qd, pd, config.eps)
+            except (PreconditionError, ArithmeticError) as exc:
+                skipped_trials.append({"trial": trial, "reason": str(exc)})
+                continue
+            block.append((trial, _Pair(qd, pd, js, config.eps)))
+        if block:
+            tally.add(block)
+    return FuzzResult(config=config, violations=tuple(tally.violations),
+                      summary=tally.summary(skipped_trials))

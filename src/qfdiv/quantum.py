@@ -130,8 +130,9 @@ class JointSpectrum:
     w[i, j] = |<u_i, v_j>|^2 the eigenbasis overlaps, and [r, R] the
     ratio window min/max of lambda_i / mu_j, which always contains 1.
     q_vectors and p_vectors hold the eigenvector columns in the same
-    descending order.  Weights, ratios and the positive-ratio mask are
-    computed once, on construction, and are read-only.
+    descending order, and eps the invertibility threshold P was checked
+    against.  Weights, ratios and the positive-ratio mask are computed
+    once, on construction, and are read-only.
     """
 
     lam: np.ndarray
@@ -141,6 +142,7 @@ class JointSpectrum:
     R: float
     q_vectors: np.ndarray
     p_vectors: np.ndarray
+    eps: float = DEFAULT_INVERTIBILITY_EPS
     wt: np.ndarray = field(init=False, repr=False, compare=False)
     ratio: np.ndarray = field(init=False, repr=False, compare=False)
     pos: np.ndarray = field(init=False, repr=False, compare=False)
@@ -194,7 +196,7 @@ def joint_spectrum(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> JointSpectru
     # Unit traces force r <= 1 <= R; only last-ulp rounding can break it.
     r = min(r, 1.0)
     R = max(R, 1.0)
-    return JointSpectrum(lam=lam, mu=mu, w=w, r=r, R=R, q_vectors=u, p_vectors=v)
+    return JointSpectrum(lam=lam, mu=mu, w=w, r=r, R=R, q_vectors=u, p_vectors=v, eps=eps)
 
 
 @dataclass(frozen=True)
@@ -209,13 +211,47 @@ class DivergenceValue:
         return self.value
 
 
-def s_f_from_spectrum(js: JointSpectrum, f: Generator) -> DivergenceValue:
+def weighted_sums(spectra, terms) -> list:
+    """sum_ij mu_j W_ij terms(lambda_i / mu_j) for each spectrum of a block.
+
+    The block is evaluated stacked, as one (B, d, d) array.  A spectrum
+    with a zero ratio or a non-finite term gets None, for the caller to
+    evaluate on its own.  Each sum equals the single-spectrum
+    (weights * terms).sum() bit for bit.
+    """
+    out = [None] * len(spectra)
+    rows = [i for i, js in enumerate(spectra) if js.pos.all()]
+    if rows:
+        vals = np.asarray(terms(np.stack([spectra[i].ratio for i in rows])), dtype=np.float64)
+        vals = vals.reshape(len(rows), -1)
+        wts = np.stack([spectra[i].wt for i in rows]).reshape(len(rows), -1)
+        sums = (wts * vals).sum(axis=1)
+        for i, total, finite in zip(rows, sums.tolist(), np.isfinite(vals).all(axis=1)):
+            if finite:
+                out[i] = total
+    return out
+
+
+def s_f_from_spectrum(js, f: Generator):
     """Evaluate sum_ij mu_j W_ij f(lambda_i / mu_j) on prepared data.
 
     Zero ratios dispatch to f(0+).  An infinite f-value makes the result
     +inf only when its weight mu_j W_ij exceeds the weight floor; below
     it the term counts as zero mass.
+
+    js may also be a sequence of joint spectra of one dimension, a
+    block: the result is then a list with each spectrum's value, the
+    same as one call per spectrum would give.
     """
+    if isinstance(js, JointSpectrum):
+        return _s_f_one(js, f)
+    spectra = list(js)
+    sums = weighted_sums(spectra, f.fn)
+    return [_s_f_one(one, f) if total is None else DivergenceValue(value=total, generator=f.spec)
+            for one, total in zip(spectra, sums)]
+
+
+def _s_f_one(js: JointSpectrum, f: Generator) -> DivergenceValue:
     wt = js.wt
     fvals = np.full_like(js.ratio, f.value_at_zero)
     if js.pos.any():

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+import qfdiv
 from qfdiv.classical import (
     i_f,
     range_check,
@@ -255,6 +256,9 @@ def test_criterion_11_cli_fuzz_stdout_is_byte_identical():
     env = dict(os.environ)
     env.pop("QFDIV_SEED", None)
     env.pop("QFDIV_TIMESTAMP", None)
+    # The child imports the qfdiv this suite imports, installed or not.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qfdiv.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     base = [sys.executable, "-m", "qfdiv", "fuzz",
             "--dim", "3", "--trials", "25", "--seed", "42"]
 

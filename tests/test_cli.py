@@ -134,6 +134,18 @@ class TestCertify:
             assert float(row[col]) >= value - 1e-12
         assert "thm3=pass" in row["verdicts"]
 
+    def test_catalog_shares_one_pair_context(self, files, capsys, monkeypatch):
+        # chi for thm2 and the swapped chi-square for neg-log, once per pair.
+        import qfdiv.harness
+
+        calls = []
+        real = qfdiv.harness.chi_square
+        monkeypatch.setattr(qfdiv.harness, "chi_square",
+                            lambda *a: calls.append(a) or real(*a))
+        code, _ = run(capsys, "certify", "--q", files["qb"], "--p", files["pb"])
+        assert code == 0
+        assert len(calls) == 2
+
     def test_selftest_hook_forces_exit_1(self, files, capsys, monkeypatch):
         monkeypatch.setenv("QFDIV_SELFTEST_CORRUPT", "1")
         code, out = run(capsys, "certify", "--q", files["qa"], "--p", files["pa"],
@@ -271,6 +283,15 @@ class TestOutputFiles:
         run(capsys, "compute", "--q", files["qa"], "--p", files["pa"],
             "--generator", "chi2", "--out", str(out_path))
         assert json.loads(out_path.read_text())["manifest"]["numpy"] == np.__version__
+
+    def test_manifest_records_blas_and_simd(self, files, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        run(capsys, "compute", "--q", files["qa"], "--p", files["pa"],
+            "--generator", "chi2", "--out", str(out_path))
+        man = json.loads(out_path.read_text())["manifest"]
+        config = np.show_config(mode="dicts")
+        assert man["blas"]["name"] == config["Build Dependencies"]["blas"]["name"]
+        assert man["simd"]["found"] == config["SIMD Extensions"]["found"]
 
     def test_timestamp_override_gives_byte_identical_files(self, files, capsys,
                                                            tmp_path, monkeypatch):

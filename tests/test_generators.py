@@ -1,5 +1,6 @@
 """Generator catalog: values, limits, derivatives, and window bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -398,6 +399,83 @@ class TestPsi:
         sup = psi_sup(f, r, R)
         val = psi(f, t, r, R)
         assert val <= sup + 1e-9 * max(1.0, abs(sup))
+
+
+def reference_psi_sup(f, r, R):
+    """psi_sup as the max over the whole 10001-point np.linspace grid, t = 1
+    when interior, and the two endpoint limits: the unpruned definition."""
+    fr, fR = f(r), f(R)
+    d_right_r, d_left_R = f.deriv_right(r), f.deriv_left(R)
+    if math.isinf(fr) or math.isinf(fR) or d_right_r == -INF or d_left_R == INF:
+        return INF
+    slope = (fR - fr) / (R - r)
+    h = (R - r) * 1e-6
+    ts = np.linspace(r + h, R - h, 10001)
+    if r < 1.0 < R:
+        ts = np.append(ts, 1.0)
+    fts = np.asarray(f.fn(ts), dtype=np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gaps = (fR - fts) / (R - ts) - (fts - fr) / (ts - r)
+    best = float(gaps.max())
+    if not math.isfinite(best):
+        best = float(np.max(gaps, where=np.isfinite(gaps), initial=-INF))
+    return max(best, slope - d_right_r, d_left_R - slope)
+
+
+def _bits(x):
+    return float.hex(float(x))
+
+
+PRUNING_GENERATORS = (
+    *default_catalog(),
+    *(parse_generator_spec(s) for s in (
+        "dichotomy:alpha=0", "dichotomy:alpha=0.01", "dichotomy:alpha=1", "arimoto:alpha=1",
+        "arimoto:alpha=inf", "matsushita:alpha=1", "puri-vincze:alpha=1", "chi-alpha:alpha=1.5",
+        "tsallis:q=0.1")),
+    conjugate(kl_quantum()),
+    shift(hellinger(), 1e3),
+)
+
+
+class TestPsiSupPruning:
+    """psi_sup skips the grid cells the three-chord bound excludes; its
+    value must still be the full grid's max, bit for bit."""
+
+    @pytest.mark.parametrize("r, R", [
+        (1.0 - 2e-11, 1.0 + 2e-11), (0.01, 3e6), (1e-9, 1e9), (0.3, 2.5), (0.0, 2.0),
+        (0.5, 1.0), (1.0, 2.0)])
+    def test_edge_windows_match_full_grid(self, r, R):
+        callable_kl = from_callable("custom-ent", lambda t: t * np.log(t))
+        for f in (*PRUNING_GENERATORS, callable_kl):
+            if r == 0.0 and not math.isfinite(f.value_at_zero):
+                continue
+            assert _bits(psi_sup(f, r, R)) == _bits(reference_psi_sup(f, r, R)), f.spec
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(PRUNING_GENERATORS), st.floats(-9.0, -1e-4), st.floats(1e-4, 9.0))
+    def test_property_matches_full_grid(self, f, log_r, log_R):
+        r, R = 10.0**log_r, 10.0**log_R
+        assert _bits(psi_sup(f, r, R)) == _bits(reference_psi_sup(f, r, R))
+
+    def test_cancelling_formula_matches_full_grid(self):
+        # dichotomy at alpha = 1e-8 loses about 1e8 ulps to cancellation, far
+        # more than PSI_PAD covers; the edge cells show that noise.
+        f = parse_generator_spec("dichotomy:alpha=1e-8")
+        for r, R in ((1.0 - 1e-6, 1.0 + 1e-6), (1.0 - 1e-7, 1.0 + 1e-7), (0.5, 2.0)):
+            assert _bits(psi_sup(f, r, R)) == _bits(reference_psi_sup(f, r, R)), (r, R)
+
+    def test_block_matches_scalar_calls(self):
+        rs = np.array([0.3, 1e-9, 0.01, 1.0 - 2e-11, 0.0, 0.9])
+        Rs = np.array([2.5, 1e9, 3e6, 1.0 + 2e-11, 2.0, 1.0])
+        for f in PRUNING_GENERATORS:
+            block = psi_sup(f, rs, Rs)
+            assert [_bits(v) for v in block] == [_bits(psi_sup(f, r, R)) for r, R in zip(rs, Rs)]
+
+    def test_most_of_the_grid_is_skipped(self):
+        seen = []
+        counting = dataclasses.replace(kl_quantum(), fn=lambda t: seen.append(np.size(t)) or t * np.log(t))
+        psi_sup(counting, 0.3, 2.5)
+        assert sum(seen) < 1000
 
 
 class TestJensenGapBound:

@@ -280,6 +280,16 @@ class TestRunAllChecks:
                     assert sub.status in ("pass", "vacuous-pass", "skipped")
 
 
+    def test_supplied_spectrum_keeps_its_threshold(self):
+        # P's smallest eigenvalue 5e-13 is below the default eps 1e-12 but
+        # above the 1e-15 the joint spectrum was built with.
+        q = np.diag([0.5, 0.3, 0.2])
+        p = np.diag([0.6, 0.4 - 5e-13, 5e-13])
+        reports = run_all_checks(q, p, parse_generator_spec("kl"), js=joint_spectrum(q, p, 1e-15))
+        assert [r.check for r in reports] == [
+            "nonneg", "derivative-gap", "thm2", "thm3", "thm4", "thm5"]
+
+
 class TestCoefficients:
     def test_frozen_values(self):
         assert chi_square_secant_coeff(0.5, 1.5) == pytest.approx(1.0, abs=1e-14)
@@ -486,7 +496,7 @@ def reference_fuzz(config):
                              _trial_rng(config.seed, trial))
         try:
             js = joint_spectrum(qd, pd, config.eps)
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             skipped.append({"trial": trial, "reason": str(exc)})
             continue
         for f in config.generators:
@@ -537,8 +547,12 @@ class TestFuzzMatchesReports:
         dict(dim=2, trials=10, seed=3, sampler="commuting", floor=0.0,
              generators=FINITE_AT_ZERO, tol=1e-300),
         dict(dim=3, trials=4, seed=0, eps=0.5),
+        # 37 trials span three blocks: trials 3, 5, 13, 23 and 29 are skipped,
+        # and the second config fails links in trials 7, 9 and 29.
+        dict(dim=3, trials=37, seed=2, eps=0.01),
+        dict(dim=3, trials=37, seed=2, sampler="mixture", tol=1e-300),
     ], ids=["ginibre", "commuting", "mixture", "floor0", "floor0-commuting",
-            "tol-ginibre", "tol-commuting", "skipped"])
+            "tol-ginibre", "tol-commuting", "skipped", "blocks-skipped", "blocks-tol"])
     def test_summary_and_violations(self, cfg):
         config = FuzzConfig(**cfg)
         result = fuzz(config)

@@ -165,6 +165,20 @@ class TestSFCommutingOracle:
         assert val == pytest.approx(i_f([0.75, 0.25], [0.5, 0.5], kl_quantum()), abs=1e-15)
 
 
+class TestSFBlock:
+    def test_block_matches_one_call_per_spectrum(self):
+        # Full-rank pairs take the stacked sum; a singular Q (zero ratios)
+        # takes the single-spectrum path.
+        rng = np.random.default_rng(7)
+        spectra = [joint_spectrum(random_density(4, rng), random_density(4, rng)) for _ in range(5)]
+        spectra.insert(2, joint_spectrum(np.diag([0.7, 0.3, 0.0, 0.0]), np.eye(4) / 4.0))
+        for f in default_catalog():
+            block = s_f_from_spectrum(spectra, f)
+            single = [s_f_from_spectrum(js, f) for js in spectra]
+            assert [(repr(v.value), v.flags) for v in block] == [
+                (repr(v.value), v.flags) for v in single], f.spec
+
+
 class TestSFInvariances:
     def test_vanishes_on_equal_states(self):
         rng = np.random.default_rng(13)
