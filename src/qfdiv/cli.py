@@ -364,6 +364,7 @@ def cmd_spectrum(args, argv) -> int:
         "eigenvalues_q": js.lam.tolist(),
         "eigenvalues_p": js.mu.tolist(),
         "overlap": js.w.tolist(),
+        "overlap_defect": {"rows": js.defect[0], "columns": js.defect[1]},
         "r": js.r,
         "R": js.R,
     }

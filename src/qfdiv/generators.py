@@ -556,13 +556,15 @@ def conjugate(f: Generator) -> Generator:
     def fn(u):
         return u * f.fn(1.0 / u)
 
+    # Like every generator's one-sided derivatives, these take scalars or
+    # arrays of positive points.
     def dl(u):
         inv = 1.0 / u
-        return float(f.fn(inv)) - inv * f.deriv_right(inv)
+        return f.fn(inv) - inv * f.deriv_right_fn(inv)
 
     def dr(u):
         inv = 1.0 / u
-        return float(f.fn(inv)) - inv * f.deriv_left(inv)
+        return f.fn(inv) - inv * f.deriv_left_fn(inv)
 
     # lim_{u->0+} (f*)'(u) = lim_{v->inf} [f(v) - v f'_-(v)], the tangent
     # intercept at 0, which is non-increasing in v.  Probe two decades.
@@ -597,8 +599,8 @@ def shift(f: Generator, c: float) -> Generator:
         name=f"shift({f.spec},{_fmt_param(c)})",
         params={},
         fn=lambda t: f.fn(t) + c * (t - 1.0),
-        deriv_left_fn=lambda t: f.deriv_left(t) + c,
-        deriv_right_fn=lambda t: f.deriv_right(t) + c,
+        deriv_left_fn=lambda t: f.deriv_left_fn(t) + c,
+        deriv_right_fn=lambda t: f.deriv_right_fn(t) + c,
         value_at_zero=f.value_at_zero - c,
         star_at_zero=f.star_at_zero + c,
         deriv_at_zero=f.deriv_at_zero + c,

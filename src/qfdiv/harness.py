@@ -10,10 +10,13 @@ reported as skipped.
 
 certify (and run_all_checks and the check_* functions) and fuzz share
 one pipeline, run on a block of pairs: one pair for certify, up to
-FUZZ_BLOCK trials for fuzz.  A pair's invariants (joint spectrum,
-window, V, chi) are computed once.  Per generator, one pass over the
-block computes S_f, the derivative-gap sums and sup Psi, and one scalar
-call per endpoint quantity (f(r), f(R), f(1), f((r+R)/2), f'_+(r),
+FUZZ_BLOCK trials for fuzz.  For fuzz the block starts at the draw:
+only the random numbers are drawn trial by trial; the states are
+formed, checked and diagonalized (one eigh call) as one stack.  The
+pairs' invariants (joint spectra, windows, V, chi) are computed once,
+over the stacked block.  Per generator, one pass over the block
+computes S_f, the derivative-gap sums and sup Psi, and one scalar call
+per endpoint quantity (f(r), f(R), f(1), f((r+R)/2), f'_+(r),
 f'_-(R)) serves every chain.  One producer per check emits its chains'
 terms as data, closed-form subchains come from a table keyed by (check,
 family), and all links of the block are judged in one vectorized pass.
@@ -48,14 +51,16 @@ from .generators import (
     psi_value,
     secant_value,
 )
-from .hermitian import matrix_to_json
+from .hermitian import MAX_DIM, matrix_to_json
 from .quantum import (
     WEIGHT_FLOOR,
     DensityMatrix,
     DivergenceValue,
     JointSpectrum,
     as_density,
-    chi_square,
+    chi_squares,
+    densities,
+    joint_spectra,
     joint_spectrum,
     s_f_from_spectrum,
     weighted_sums,
@@ -80,6 +85,7 @@ __all__ = [
     "neg_log_range_coeff",
     "sample_density",
     "sample_pair",
+    "sample_pairs",
     "fuzz",
     "collect_violations",
 ]
@@ -188,34 +194,83 @@ def _reports(groups, js: JointSpectrum, tol: float) -> list:
 
 
 class _Pair:
-    """Invariants of one (Q, P) pair, shared by every generator's chains.
+    """Invariants of one (Q, P) pair of a block, shared by every generator's
+    chains.  chi and the swapped chi-square are computed for the whole
+    block, on first use."""
 
-    A supplied joint spectrum brings its own invertibility threshold,
-    which then replaces eps.
-    """
-
-    def __init__(self, q, p, js: JointSpectrum, eps: float):
-        self.qd, self.pd = as_density(q), as_density(p)
-        self.js = joint_spectrum(self.qd, self.pd, eps) if js is None else js
-        self.eps = self.js.eps
-        r, R = self.r, self.R = self.js.r, self.js.R
-        self.v = self.js.variational()
+    def __init__(self, block: "_Block", row: int, qd, pd, js: JointSpectrum, v: float,
+                 tight: bool):
+        self.block, self.row, self.qd, self.pd, self.js = block, row, qd, pd, js
+        self.eps = js.eps
+        r, R = self.r, self.R = js.r, js.R
+        self.v, self.tight = v, tight
         # thm4 and thm5 need the strict window R > 1 > r.
         self.strict = R - 1.0 > DEGENERATE_WINDOW_TOL and 1.0 - r > DEGENERATE_WINDOW_TOL
         self.k = (R - 1.0) * (1.0 - r) / (R - r) if self.strict else None
         self.quarter = 0.25 * (R - r)
-        # thm3 is tight when every occupied ratio sits at an end of the window.
-        occupied = self.js.ratio[self.js.wt > WEIGHT_FLOOR]
-        at_ends = (np.abs(occupied - r) <= 1e-12 * max(1.0, r)) | (np.abs(occupied - R) <= 1e-12 * R)
-        self.tight = bool(occupied.size and at_ends.all())
 
-    @functools.cached_property
+    @property
     def chi(self) -> float:
-        return math.sqrt(max(chi_square(self.qd, self.pd, self.eps), 0.0))
+        return _raise_or(self.block.chi[self.row])
+
+    @property
+    def chi_square_swapped(self) -> float:
+        return _raise_or(self.block.chi_swapped[self.row])
+
+
+def _raise_or(value):
+    if isinstance(value, Exception):
+        raise value
+    return value
+
+
+class _Block:
+    """What the pairs of a block compute together on first use: chi and the
+    swapped chi-square.  The spectra of a block share one invertibility
+    threshold, eps, which these are checked against."""
+
+    def __init__(self, qds: list, pds: list, eps: float):
+        self.qds, self.pds, self.eps = qds, pds, eps
 
     @functools.cached_property
-    def chi_square_swapped(self) -> float:
-        return chi_square(self.pd, self.qd, self.eps)
+    def chi(self) -> list:
+        """sqrt(chi-square(Q, P)), or its error, per pair."""
+        return [value if isinstance(value, Exception) else math.sqrt(max(value, 0.0))
+                for value in chi_squares(self.qds, self.pds, self.eps)]
+
+    @functools.cached_property
+    def chi_swapped(self) -> dict:
+        """chi-square(P, Q) for each pair whose Q is invertible at eps."""
+        rows = [k for k, qd in enumerate(self.qds) if qd.min_eigenvalue >= self.eps]
+        if not rows:
+            return {}
+        return dict(zip(rows, chi_squares([self.pds[k] for k in rows],
+                                          [self.qds[k] for k in rows], self.eps)))
+
+
+def _pairs(qds: list, pds: list, spectra: list) -> list:
+    """The _Pair of each pair of a block, with V and thm3's tightness (every
+    occupied ratio at an end of the window) computed over stacked arrays."""
+    lam = np.stack([js.lam for js in spectra])
+    mu = np.stack([js.mu for js in spectra])
+    w = np.stack([js.w for js in spectra])
+    ratio = np.stack([js.ratio for js in spectra])
+    occupied = np.stack([js.wt for js in spectra]) > WEIGHT_FLOOR
+    r = np.array([js.r for js in spectra])[:, np.newaxis, np.newaxis]
+    R = np.array([js.R for js in spectra])[:, np.newaxis, np.newaxis]
+    v = (w * np.abs(lam[:, :, np.newaxis] - mu[:, np.newaxis, :])).reshape(len(spectra), -1)
+    at_ends = (np.abs(ratio - r) <= 1e-12 * np.maximum(1.0, r)) | (np.abs(ratio - R) <= 1e-12 * R)
+    tight = occupied.any(axis=(1, 2)) & (at_ends | ~occupied).all(axis=(1, 2))
+    block = _Block(qds, pds, spectra[0].eps)
+    return [_Pair(block, k, *row) for k, row in enumerate(
+        zip(qds, pds, spectra, v.sum(axis=1).tolist(), tight.tolist()))]
+
+
+def _pair(q, p, js: JointSpectrum, eps: float) -> _Pair:
+    """One pair as a block of one; a supplied joint spectrum brings its own
+    invertibility threshold, which then replaces eps."""
+    qd, pd = as_density(q), as_density(p)
+    return _pairs([qd], [pd], [joint_spectrum(qd, pd, eps) if js is None else js])[0]
 
 
 class _Terms(NamedTuple):
@@ -511,7 +566,7 @@ def _public(chains, name: str):
 
     def check(q, p, f: Generator, js: JointSpectrum = None, tol: float = DEFAULT_TOL,
               eps: float = 1e-12, sf: float = None) -> BoundChainReport:
-        c = _Pair(q, p, js, eps)
+        c = _pair(q, p, js, eps)
         e = _terms([c], f)[0]
         if sf is not None:
             e = e._replace(sf=float(sf))
@@ -535,7 +590,7 @@ def certify(q, p, generators, js: JointSpectrum = None, tol: float = DEFAULT_TOL
     """All six chains for each generator on one pair, sharing the pair's
     invariants and judged in one pass.  Returns, per generator, its S_f
     (a DivergenceValue) and its six reports."""
-    c = _Pair(q, p, js, eps)
+    c = _pair(q, p, js, eps)
     rows = _evaluate([c], generators)[0]
     reports = _reports([g for _, groups in rows for g in groups], c.js, tol)
     n = len(_CHAINS)
@@ -591,46 +646,57 @@ def neg_log_range_coeff(r: float, R: float) -> float:
 # sampling
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    qmat, rmat = np.linalg.qr(g)
-    d = np.diag(rmat)
-    return qmat * (d / np.abs(d))
-
-
-def _apply_floor(rho: np.ndarray, dim: int, floor: float) -> np.ndarray:
-    if floor > 0.0:
-        rho = (rho + floor * np.eye(dim) / dim) / (1.0 + floor)
-    return (rho + rho.conj().T) / 2.0
-
-
 def _check_sampler_args(kind: str, dim: int, floor: float) -> tuple:
     if kind not in SAMPLER_KINDS:
         raise InputFormatError(f"unknown sampler {kind!r}; choose from {SAMPLER_KINDS}")
     dim = int(dim)
     if dim < 1:
         raise InputFormatError(f"dimension must be >= 1, got {dim}")
+    if dim > MAX_DIM:
+        raise InputFormatError(f"dimension must be at most {MAX_DIM}, got {dim}")
     floor = float(floor)
     if not 0.0 <= floor < 1.0 / dim:
         raise InputFormatError(f"floor must lie in [0, 1/dim), got {floor} at dim {dim}")
     return kind, dim, floor
 
 
-def _raw_state(kind: str, dim: int, rng: np.random.Generator,
-               basis: np.ndarray = None) -> np.ndarray:
+def _draw(kind: str, dim: int, rng: np.random.Generator, states: int) -> tuple:
+    """The random numbers of `states` states from one stream, in the order
+    sampling one state at a time draws them: standard normals as (real,
+    imaginary) pairs of (dim, dim) arrays, and Dirichlet weights (None for
+    ginibre).  The states of the commuting ensemble share one basis."""
     if kind == "ginibre":
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        rho = g @ g.conj().T
-        return rho / np.trace(rho).real
+        return rng.standard_normal((2 * states, dim, dim)), None
     if kind == "commuting":
-        u = basis if basis is not None else _haar_unitary(dim, rng)
-        evals = rng.dirichlet(np.ones(dim))
-        return (u * evals) @ u.conj().T
-    # mixture: dim rank-one projectors with Dirichlet weights
-    vecs = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    vecs /= np.linalg.norm(vecs, axis=0)
-    wts = rng.dirichlet(np.ones(dim))
-    return (vecs * wts) @ vecs.conj().T
+        return rng.standard_normal((2, dim, dim)), rng.dirichlet(np.ones(dim), size=states)
+    draws = [(rng.standard_normal((2, dim, dim)), rng.dirichlet(np.ones(dim)))
+             for _ in range(states)]
+    return np.concatenate([g for g, _ in draws]), np.stack([w for _, w in draws])
+
+
+def _states(kind: str, dim: int, floor: float, rngs: list, states: int) -> np.ndarray:
+    """The (len(rngs) * states, dim, dim) stack of sampled states (see
+    sample_density), `states` from each stream in turn, formed from the
+    draws in one stacked pass and made exactly Hermitian."""
+    draws = [_draw(kind, dim, rng, states) for rng in rngs]
+    normals = np.concatenate([g for g, _ in draws]).reshape(-1, 2, dim, dim)
+    g = normals[:, 0] + 1j * normals[:, 1]
+    if kind == "ginibre":
+        rho = g @ g.conj().swapaxes(1, 2)
+        rho = rho / np.trace(rho, axis1=1, axis2=2).real[:, np.newaxis, np.newaxis]
+    else:
+        if kind == "commuting":
+            # A Haar unitary: Q of the QR decomposition, column phases fixed by R.
+            qmat, rmat = np.linalg.qr(g)
+            d = np.diagonal(rmat, axis1=1, axis2=2)
+            vecs = np.repeat(qmat * (d / np.abs(d))[:, np.newaxis, :], states, axis=0)
+        else:
+            vecs = g / np.linalg.norm(g, axis=1)[:, np.newaxis, :]
+        wts = np.concatenate([w for _, w in draws])
+        rho = (vecs * wts[:, np.newaxis, :]) @ vecs.conj().swapaxes(1, 2)
+    if floor > 0.0:
+        rho = (rho + floor * np.eye(dim) / dim) / (1.0 + floor)
+    return (rho + rho.conj().swapaxes(1, 2)) / 2.0
 
 
 def sample_density(kind: str, dim: int, floor: float, rng: np.random.Generator) -> DensityMatrix:
@@ -642,22 +708,22 @@ def sample_density(kind: str, dim: int, floor: float, rng: np.random.Generator) 
     the smallest eigenvalue away from zero.
     """
     kind, dim, floor = _check_sampler_args(kind, dim, floor)
-    rho = _raw_state(kind, dim, rng)
-    return DensityMatrix(_apply_floor(rho, dim, floor))
+    return densities(_states(kind, dim, floor, [rng], 1))[0]
 
 
 def sample_pair(kind: str, dim: int, floor: float, rng: np.random.Generator) -> tuple:
     """A (Q, P) pair; the commuting ensemble shares one eigenbasis."""
+    return sample_pairs(kind, dim, floor, [rng])[0]
+
+
+def sample_pairs(kind: str, dim: int, floor: float, rngs) -> list:
+    """sample_pair for each stream of a block, bit for bit: the draws are
+    made stream by stream, everything after them over the stacked block
+    (one eigh call for all states).  The first state in (stream, Q before
+    P) order that fails a density check raises."""
     kind, dim, floor = _check_sampler_args(kind, dim, floor)
-    if kind == "commuting":
-        u = _haar_unitary(dim, rng)
-        a = _raw_state(kind, dim, rng, basis=u)
-        b = _raw_state(kind, dim, rng, basis=u)
-    else:
-        a = _raw_state(kind, dim, rng)
-        b = _raw_state(kind, dim, rng)
-    return (DensityMatrix(_apply_floor(a, dim, floor)),
-            DensityMatrix(_apply_floor(b, dim, floor)))
+    states = densities(_states(kind, dim, floor, list(rngs), 2))
+    return list(zip(states[0::2], states[1::2]))
 
 
 # ---------------------------------------------------------------------------
@@ -857,28 +923,33 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
 
     Each trial draws from a stream keyed by (seed, trial index), so the
     output is deterministic and any violation replays from its (seed,
-    trial) pair.  Trials are evaluated in blocks of FUZZ_BLOCK, each
-    generator in one pass over a block, and aggregated in trial order, so
-    the output is the same as one trial at a time would give.
-    config.jobs is validated but does not change how the run executes.
-    A pair that joint_spectrum rejects (singular P, lost double
-    stochasticity) is recorded as a skipped trial with the reason.
+    trial) pair.  Trials run in blocks of FUZZ_BLOCK: after each trial's
+    draws, the block's states are formed, checked and diagonalized, and
+    its joint spectra, V and chi computed, over stacked arrays; then each
+    generator is evaluated in one pass over the block, and the block is
+    aggregated in trial order.  The output is the same as one trial at a
+    time would give.  config.jobs is validated but does not change how
+    the run executes.  A pair that joint_spectrum rejects (singular P,
+    lost double stochasticity) is recorded as a skipped trial with the
+    reason.
     """
     tally = _Tally(config)
     skipped_trials = []
     trials = int(config.trials)
     for first in range(0, trials, FUZZ_BLOCK):
-        block = []  # (trial, pair)
-        for trial in range(first, min(first + FUZZ_BLOCK, trials)):
-            qd, pd = sample_pair(config.sampler, config.dim, config.floor,
-                                 _trial_rng(config.seed, trial))
-            try:
-                js = joint_spectrum(qd, pd, config.eps)
-            except (PreconditionError, ArithmeticError) as exc:
-                skipped_trials.append({"trial": trial, "reason": str(exc)})
-                continue
-            block.append((trial, _Pair(qd, pd, js, config.eps)))
-        if block:
-            tally.add(block)
+        numbers = range(first, min(first + FUZZ_BLOCK, trials))
+        pairs = sample_pairs(config.sampler, config.dim, config.floor,
+                             [_trial_rng(config.seed, trial) for trial in numbers])
+        spectra = joint_spectra([qd for qd, _ in pairs], [pd for _, pd in pairs], config.eps)
+        kept = []
+        for k, (trial, js) in enumerate(zip(numbers, spectra)):
+            if isinstance(js, Exception):
+                skipped_trials.append({"trial": trial, "reason": str(js)})
+            else:
+                kept.append(k)
+        if kept:
+            block = _pairs([pairs[k][0] for k in kept], [pairs[k][1] for k in kept],
+                           [spectra[k] for k in kept])
+            tally.add([(numbers[k], c) for k, c in zip(kept, block)])
     return FuzzResult(config=config, violations=tuple(tally.violations),
                       summary=tally.summary(skipped_trials))

@@ -9,6 +9,13 @@ overlap weights W_ij = |<u_i, v_j>|^2 between their eigenbases.  W is
 doubly stochastic, so the ratio window [r, R] with r = min lambda_i/mu_j
 and R = max lambda_i/mu_j always brackets 1.
 
+Density matrices, joint spectra and chi-square distances also come in
+blocks: densities, joint_spectra and chi_squares check and compute a
+whole stack at once, with one eigh call for all its states, and give
+each member the same bits and the same errors as the single-matrix or
+single-pair call.  DensityMatrix(m), joint_spectrum and chi_square are
+their one-member case.
+
 The named closed forms (umegaki, chi_square, tsallis, hellinger_sq) are
 computed by matrix functional calculus as an independent route; they
 never touch the overlap weights, which makes them usable as oracles for
@@ -32,8 +39,8 @@ from .generators import Generator
 from .hermitian import (
     CheckReport,
     EigenDecomposition,
-    eigh,
-    hermitian_part,
+    eigh_hermitian,
+    hermitian_stack,
     hs_norm,
     matrix_function,
     trace_norm,
@@ -44,11 +51,14 @@ __all__ = [
     "JointSpectrum",
     "DivergenceValue",
     "as_density",
+    "densities",
     "joint_spectrum",
+    "joint_spectra",
     "s_f",
     "s_f_from_spectrum",
     "umegaki",
     "chi_square",
+    "chi_squares",
     "tsallis",
     "hellinger_sq",
     "variational_q",
@@ -65,6 +75,14 @@ WEIGHT_FLOOR = 1e-14
 STOCHASTICITY_TOL = 1e-10
 
 
+def _frozen(cls, **fields):
+    """An instance of the frozen dataclass cls with the given field values,
+    set without running __init__ or __post_init__ (their work is done)."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """A trace-one positive semidefinite matrix with its spectral data."""
@@ -73,18 +91,12 @@ class DensityMatrix:
     dec: EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = hermitian_part(self.matrix)
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-            raise PreconditionError(f"density matrix must have unit trace, got {tr!r}")
-        dec = eigh(m)
-        vals = dec.eigenvalues.copy()
-        low = float(vals[0])
-        if low < EIGENVALUE_FLOOR:
-            raise PreconditionError(f"matrix is not positive semidefinite: eigenvalue {low}")
-        vals[vals < 0.0] = 0.0
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dec", EigenDecomposition(vals, dec.eigenvectors))
+        m = np.asarray(self.matrix, dtype=np.complex128)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise InputFormatError(f"expected a square matrix, got shape {m.shape}")
+        one = densities(m[np.newaxis])[0]
+        object.__setattr__(self, "matrix", one.matrix)
+        object.__setattr__(self, "dec", one.dec)
 
     @property
     def dim(self) -> int:
@@ -100,8 +112,55 @@ class DensityMatrix:
         return float(self.dec.eigenvalues[0])
 
 
+def densities(stack) -> list:
+    """A DensityMatrix for each matrix of an (n, d, d) stack, each equal to
+    DensityMatrix(m), checked and diagonalized together.
+
+    Every matrix gets DensityMatrix's checks, in its order: finite
+    entries and Hermitian within tolerance, unit trace, and positive
+    semidefinite (eigenvalues down to EIGENVALUE_FLOOR, then clamped to
+    0).  All are diagonalized by one eigh call; the first matrix in stack
+    order that fails raises.
+    """
+    sym, errors = hermitian_stack(stack)
+    traces = np.trace(sym, axis1=1, axis2=2).real
+    for i in np.flatnonzero(np.abs(traces - 1.0) > DENSITY_TRACE_TOL):
+        if errors[i] is None:
+            errors[i] = PreconditionError(
+                f"density matrix must have unit trace, got {float(traces[i])!r}")
+    first = next((i for i, exc in enumerate(errors) if exc is not None), len(errors))
+    # A matrix after the first failure cannot fail before it.
+    dec = eigh_hermitian(sym[:first])
+    low = dec.eigenvalues[:, 0]
+    negative = np.flatnonzero(low < EIGENVALUE_FLOOR)
+    if negative.size:
+        raise PreconditionError(
+            f"matrix is not positive semidefinite: eigenvalue {float(low[negative[0]])}")
+    if first < len(errors):
+        raise errors[first]
+    dec.eigenvalues[dec.eigenvalues < 0.0] = 0.0
+    return [_frozen(DensityMatrix, matrix=m,
+                    dec=_frozen(EigenDecomposition, eigenvalues=vals, eigenvectors=vecs))
+            for m, vals, vecs in zip(sym, dec.eigenvalues, dec.eigenvectors)]
+
+
 def as_density(x) -> DensityMatrix:
     return x if isinstance(x, DensityMatrix) else DensityMatrix(np.asarray(x))
+
+
+def _check_eps(eps: float) -> None:
+    if eps <= 0.0:
+        raise InputFormatError(f"invertibility threshold must be positive, got {eps}")
+
+
+def _singular(pd: DensityMatrix, eps: float):
+    """The error for a reference state pd singular at eps, or None."""
+    if pd.min_eigenvalue < eps:
+        return PreconditionError(
+            f"reference state is singular at tolerance {eps:g}: "
+            f"min eigenvalue {pd.min_eigenvalue:.3e}"
+        )
+    return None
 
 
 def _density_pair(q, p, eps: float = None) -> tuple:
@@ -112,14 +171,18 @@ def _density_pair(q, p, eps: float = None) -> tuple:
     if qd.dim != pd.dim:
         raise PreconditionError(f"dimension mismatch: {qd.dim} vs {pd.dim}")
     if eps is not None:
-        if eps <= 0.0:
-            raise InputFormatError(f"invertibility threshold must be positive, got {eps}")
-        if pd.min_eigenvalue < eps:
-            raise PreconditionError(
-                f"reference state is singular at tolerance {eps:g}: "
-                f"min eigenvalue {pd.min_eigenvalue:.3e}"
-            )
+        _check_eps(eps)
+        exc = _singular(pd, eps)
+        if exc is not None:
+            raise exc
     return qd, pd
+
+
+def _one(results: list):
+    """The single result of a block function, raised if it is an error."""
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
 
 
 @dataclass(frozen=True)
@@ -131,8 +194,10 @@ class JointSpectrum:
     ratio window min/max of lambda_i / mu_j, which always contains 1.
     q_vectors and p_vectors hold the eigenvector columns in the same
     descending order, and eps the invertibility threshold P was checked
-    against.  Weights, ratios and the positive-ratio mask are computed
-    once, on construction, and are read-only.
+    against.  defect is W's distance from double stochasticity, the
+    largest |row sum - 1| and |column sum - 1|.  Weights, ratios and the
+    positive-ratio mask are computed once, on construction, and are
+    read-only.
     """
 
     lam: np.ndarray
@@ -143,11 +208,14 @@ class JointSpectrum:
     q_vectors: np.ndarray
     p_vectors: np.ndarray
     eps: float = DEFAULT_INVERTIBILITY_EPS
+    defect: tuple = field(default=None, compare=False)
     wt: np.ndarray = field(init=False, repr=False, compare=False)
     ratio: np.ndarray = field(init=False, repr=False, compare=False)
     pos: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.defect is None:
+            object.__setattr__(self, "defect", _stochasticity_defect(self.w[np.newaxis])[0])
         ratio = self.lam[:, np.newaxis] / self.mu[np.newaxis, :]
         for name, arr in (("wt", self.w * self.mu[np.newaxis, :]),
                           ("ratio", ratio), ("pos", ratio > 0.0)):
@@ -170,33 +238,65 @@ class JointSpectrum:
         return float(np.sum(self.w * np.abs(self.lam[:, np.newaxis] - self.mu[np.newaxis, :])))
 
 
+def _stochasticity_defect(w: np.ndarray) -> list:
+    """(largest |row sum - 1|, largest |column sum - 1|) of each matrix of
+    an (n, d, d) stack."""
+    rows = np.abs(w.sum(axis=2) - 1.0).max(axis=1)
+    cols = np.abs(w.sum(axis=1) - 1.0).max(axis=1)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
 def joint_spectrum(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> JointSpectrum:
     """Diagonalize both states and assemble the joint spectral data.
 
     Requires the reference state p to be invertible: its smallest
     eigenvalue must be at least eps.
     """
-    qd, pd = _density_pair(q, p, eps)
+    qd, pd = _density_pair(q, p)
+    return _one(joint_spectra([qd], [pd], eps))
 
-    lam = qd.dec.eigenvalues[::-1].copy()
-    u = qd.dec.eigenvectors[:, ::-1]
-    mu = pd.dec.eigenvalues[::-1].copy()
-    v = pd.dec.eigenvectors[:, ::-1]
-    w = np.abs(u.conj().T @ v) ** 2
 
-    rows = np.abs(w.sum(axis=1) - 1.0).max()
-    cols = np.abs(w.sum(axis=0) - 1.0).max()
-    if max(rows, cols) > STOCHASTICITY_TOL:
-        raise ArithmeticError(
-            f"overlap matrix lost double stochasticity: row defect {rows:.2e}, column defect {cols:.2e}"
-        )
+def joint_spectra(qds, pds, eps: float = DEFAULT_INVERTIBILITY_EPS) -> list:
+    """joint_spectrum of each pair (qds[k], pds[k]) of a block of density
+    matrices of one dimension, in one stacked pass.
 
-    r = float(lam[-1] / mu[0])
-    R = float(lam[0] / mu[-1])
-    # Unit traces force r <= 1 <= R; only last-ulp rounding can break it.
-    r = min(r, 1.0)
-    R = max(R, 1.0)
-    return JointSpectrum(lam=lam, mu=mu, w=w, r=r, R=R, q_vectors=u, p_vectors=v, eps=eps)
+    A pair that joint_spectrum rejects gets, in place of its spectrum,
+    the exception joint_spectrum raises for it: PreconditionError for P
+    singular at eps, ArithmeticError for an overlap matrix that lost
+    double stochasticity.
+    """
+    _check_eps(eps)
+    q_vals = np.stack([qd.dec.eigenvalues for qd in qds])
+    p_vals = np.stack([pd.dec.eigenvalues for pd in pds])
+    lam = q_vals[:, ::-1].copy()
+    mu = p_vals[:, ::-1].copy()
+    u = np.stack([qd.dec.eigenvectors for qd in qds])[:, :, ::-1]
+    v = np.stack([pd.dec.eigenvectors for pd in pds])[:, :, ::-1]
+    w = np.abs(u.conj().swapaxes(1, 2) @ v) ** 2
+    defects = _stochasticity_defect(w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Unit traces force r <= 1 <= R; only last-ulp rounding can break it.
+        r = np.minimum(lam[:, -1] / mu[:, 0], 1.0).tolist()
+        R = np.maximum(lam[:, 0] / mu[:, -1], 1.0).tolist()
+        ratio = lam[:, :, np.newaxis] / mu[:, np.newaxis, :]
+    wt = w * mu[:, np.newaxis, :]
+    pos = ratio > 0.0
+    for arr in (wt, ratio, pos):
+        arr.flags.writeable = False
+
+    out = []
+    for k, pd in enumerate(pds):
+        exc = _singular(pd, eps)
+        rows, cols = defects[k]
+        if exc is None and max(rows, cols) > STOCHASTICITY_TOL:
+            exc = ArithmeticError(
+                f"overlap matrix lost double stochasticity: row defect {rows:.2e}, "
+                f"column defect {cols:.2e}"
+            )
+        out.append(exc or _frozen(
+            JointSpectrum, lam=lam[k], mu=mu[k], w=w[k], r=r[k], R=R[k], q_vectors=u[k],
+            p_vectors=v[k], eps=eps, defect=defects[k], wt=wt[k], ratio=ratio[k], pos=pos[k]))
+    return out
 
 
 @dataclass(frozen=True)
@@ -290,9 +390,34 @@ def umegaki(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:
 
 def chi_square(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:
     """tr(Q^2 P^(-1)) - 1, the chi-square distance."""
-    qd, pd = _density_pair(q, p, eps)
-    p_inv = matrix_function(pd.dec, lambda x: 1.0 / x)
-    return float(np.trace(qd.matrix @ qd.matrix @ p_inv).real) - 1.0
+    qd, pd = _density_pair(q, p)
+    return _one(chi_squares([qd], [pd], eps))
+
+
+def chi_squares(qds, pds, eps: float = DEFAULT_INVERTIBILITY_EPS) -> list:
+    """chi_square of each pair (qds[k], pds[k]) of a block, in one stacked
+    pass; a pair that chi_square rejects gets its exception instead."""
+    _check_eps(eps)
+    p_vecs = np.stack([pd.dec.eigenvectors for pd in pds])
+    q_mats = np.stack([qd.matrix for qd in qds])
+    # P^(-1) through P's ascending decomposition, as matrix_function builds it.
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / np.stack([pd.dec.eigenvalues for pd in pds])
+    p_inv = (p_vecs * inv[:, np.newaxis, :]) @ p_vecs.conj().swapaxes(1, 2)
+    p_inv = (p_inv + p_inv.conj().swapaxes(1, 2)) / 2.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        values = (np.trace(q_mats @ q_mats @ p_inv, axis1=1, axis2=2).real - 1.0).tolist()
+    finite = np.isfinite(inv).all(axis=1)
+    out = []
+    for k, pd in enumerate(pds):
+        exc = _singular(pd, eps)
+        if exc is None and not finite[k]:
+            try:
+                matrix_function(pd.dec, lambda x: 1.0 / x)
+            except PreconditionError as err:
+                exc = err
+        out.append(exc or values[k])
+    return out
 
 
 def tsallis(q, p, qparam: float, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qfdiv.cli import CSV_COLUMNS, main
-from qfdiv.hermitian import matrix_to_json
+from qfdiv.hermitian import MAX_DIM, matrix_to_json
 
 
 @pytest.fixture
@@ -139,8 +139,8 @@ class TestCertify:
         import qfdiv.harness
 
         calls = []
-        real = qfdiv.harness.chi_square
-        monkeypatch.setattr(qfdiv.harness, "chi_square",
+        real = qfdiv.harness.chi_squares
+        monkeypatch.setattr(qfdiv.harness, "chi_squares",
                             lambda *a: calls.append(a) or real(*a))
         code, _ = run(capsys, "certify", "--q", files["qb"], "--p", files["pb"])
         assert code == 0
@@ -172,6 +172,12 @@ def _lose_stochasticity(*args, **kwargs):
     raise ArithmeticError("overlap matrix lost double stochasticity: row defect 1e-06")
 
 
+def _lose_stochasticity_in_block(qds, pds, eps):
+    # joint_spectra reports a rejected pair by returning its exception.
+    return [ArithmeticError("overlap matrix lost double stochasticity: row defect 1e-06")
+            for _ in qds]
+
+
 class TestNumericalFailure:
     def test_certify_exits_4(self, files, capsys, monkeypatch):
         monkeypatch.setattr("qfdiv.cli.joint_spectrum", _lose_stochasticity)
@@ -180,7 +186,7 @@ class TestNumericalFailure:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_fuzz_records_the_trial_as_skipped(self, files, capsys, monkeypatch):
-        monkeypatch.setattr("qfdiv.harness.joint_spectrum", _lose_stochasticity)
+        monkeypatch.setattr("qfdiv.harness.joint_spectra", _lose_stochasticity_in_block)
         code, out = run(capsys, "fuzz", "--dim", "2", "--trials", "3", "--seed", "0")
         assert code == 0
         skipped = json.loads(out)["summary"]["skipped_trials"]
@@ -230,6 +236,28 @@ class TestFuzzCommand:
         code, _ = run(capsys, "fuzz", "--trials", "0")
         assert code == 2
 
+    def test_oversized_dim_exits_2(self, files, capsys):
+        # Refused before any (dim, dim) array is allocated.
+        code = main(["fuzz", "--dim", "100000", "--trials", "1"])
+        assert code == 2
+        assert f"at most {MAX_DIM}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("--dim", "3", "--trials", "20", "--seed", "2", "--eps-invert", "0.01"),
+        ("--dim", "3", "--trials", "10", "--seed", "1", "--tol", "1e-300"),
+        ("--dim", "4", "--trials", "9", "--seed", "5", "--sampler", "mixture"),
+        ("--dim", "2", "--trials", "9", "--seed", "6", "--sampler", "commuting",
+         "--allow-singular"),
+    ], ids=["skipped", "violations", "mixture", "commuting-singular"])
+    def test_block_size_does_not_change_stdout(self, capsys, monkeypatch, argv):
+        import qfdiv.harness
+
+        outputs = set()
+        for size in (1, 7, 16):
+            monkeypatch.setattr(qfdiv.harness, "FUZZ_BLOCK", size)
+            outputs.add(run(capsys, "fuzz", *argv))
+        assert len(outputs) == 1
+
 
 class TestSpectrum:
     def test_example_b_overlap(self, files, capsys):
@@ -242,6 +270,21 @@ class TestSpectrum:
         assert w == pytest.approx(np.full((2, 2), 0.5), abs=1e-12)
         assert doc["r"] == pytest.approx(5.0 / 14.0, abs=1e-14)
         assert doc["R"] == pytest.approx(2.5, abs=1e-14)
+
+    def test_prints_the_overlap_defect(self, files, capsys):
+        code, out = run(capsys, "spectrum", "--q", files["qb"], "--p", files["pb"])
+        assert code == 0
+        doc = json.loads(out[out.index("{"):])
+        w = np.asarray(doc["overlap"])
+        assert doc["overlap_defect"] == {"rows": np.abs(w.sum(axis=1) - 1.0).max(),
+                                         "columns": np.abs(w.sum(axis=0) - 1.0).max()}
+
+    def test_oversized_dim_in_input_exits_2(self, files, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 100_000, "re": [[1.0]]}))
+        code = main(["spectrum", "--q", str(path), "--p", files["pa"]])
+        assert code == 2
+        assert f"at most {MAX_DIM}" in capsys.readouterr().err
 
 
 class TestClassical:

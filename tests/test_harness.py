@@ -1,5 +1,6 @@
 """Bound chains, closed-form specializations, sampling, and fuzzing."""
 
+import dataclasses
 import json
 import math
 
@@ -8,8 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfdiv.errors import InputFormatError
-from qfdiv.generators import from_callable, parse_generator_spec
+from qfdiv.errors import InputFormatError, PreconditionError
+from qfdiv.generators import (
+    chi2,
+    conjugate,
+    from_callable,
+    kl_quantum,
+    parse_generator_spec,
+    shift,
+)
 from qfdiv.harness import (
     FuzzConfig,
     check_derivative_gap,
@@ -27,9 +35,10 @@ from qfdiv.harness import (
     run_all_checks,
     sample_density,
     sample_pair,
+    sample_pairs,
 )
 from qfdiv.generators import default_catalog
-from qfdiv.hermitian import matrix_from_json
+from qfdiv.hermitian import MAX_DIM, matrix_from_json
 from qfdiv.quantum import as_density, chi_square, joint_spectrum
 
 INF = math.inf
@@ -153,6 +162,14 @@ class TestThm3:
         assert rep.status == "pass"
         assert "equality:value=secant" in rep.flags
         assert "tight:ratios-at-endpoints" in rep.flags
+
+    def test_tight_with_unoccupied_ratios_inside_the_window(self):
+        # Anti-aligned eigenbases: W is the swap, so the occupied ratios are
+        # 0.7/0.4 = R and 0.3/0.6 = r, while the unoccupied 0.7/0.6 and
+        # 0.3/0.4 lie inside the window.
+        rep = check_thm3(np.diag([0.7, 0.3]), np.diag([0.4, 0.6]), parse_generator_spec("kl"))
+        assert "tight:ratios-at-endpoints" in rep.flags
+        assert "equality:value=secant" in rep.flags
 
     def test_example_b_not_tight(self):
         rep = check_thm3(EXAMPLE_B_Q, EXAMPLE_B_P, parse_generator_spec("kl-quantum"))
@@ -280,6 +297,39 @@ class TestRunAllChecks:
                     assert sub.status in ("pass", "vacuous-pass", "skipped")
 
 
+    @pytest.mark.parametrize("make", [lambda: conjugate(kl_quantum()),
+                                      lambda: shift(chi2(), 3.0)],
+                             ids=["conjugate-kl", "shift-chi2"])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_derived_generators_on_full_rank_pairs(self, make, dim):
+        # Their one-sided derivatives are evaluated on arrays of ratios.
+        q, p = sample_pair("ginibre", dim, 1e-3, rng_for(dim))
+        for rep in run_all_checks(q, p, make()):
+            assert rep.status in ("pass", "vacuous-pass", "skipped"), rep
+
+    def test_shift_leaves_every_chain_value_alone(self):
+        # sum_ij mu_j W_ij (lambda_i / mu_j - 1) = 0, so adding c (t - 1) to
+        # chi2 changes no exact chain term beyond rounding.  sup Psi is the
+        # max over a grid whose edge points sit 1e-6 (R - r) from r and R;
+        # the linear term cancels there only to about ulp * |f| / 1e-6, so
+        # those terms are held to the chain tolerance instead.
+        def by_check(reports):
+            return {rep.check: rep for top in reports for rep in (top, *top.subchains)}
+
+        q, p = sample_pair("ginibre", 4, 1e-3, rng_for(8))
+        grid_terms = {"window-psi-sup", "quarter-range-psi-sup"}
+        base = by_check(run_all_checks(q, p, chi2()))
+        moved = by_check(run_all_checks(q, p, shift(chi2(), 3.0)))
+        # chi2's closed-form subchains have no counterpart for the shift.
+        assert set(moved) == {"nonneg", "derivative-gap", "thm2", "thm3", "thm4",
+                              "thm4:alternate", "thm5"}
+        for check, b in moved.items():
+            a = base[check]
+            assert [label for label, _ in a.chain] == [label for label, _ in b.chain]
+            for (label, x), (_, y) in zip(a.chain, b.chain):
+                tol = 1e-9 * max(1.0, abs(x)) if label in grid_terms else 1e-12
+                assert abs(x - y) <= tol, (a.check, label, x, y)
+
     def test_supplied_spectrum_keeps_its_threshold(self):
         # P's smallest eigenvalue 5e-13 is below the default eps 1e-12 but
         # above the 1e-15 the joint spectrum was built with.
@@ -346,6 +396,141 @@ class TestSampling:
             sample_density("ginibre", 4, 0.25, rng_for(0))
 
 
+def reference_pair(kind, dim, floor, rng):
+    """sample_pair one state at a time: a (dim, dim) draw per call and 2-D
+    numpy operations throughout, with no stacking."""
+
+    def gauss():
+        return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+    def state(basis):
+        if kind == "ginibre":
+            g = gauss()
+            rho = g @ g.conj().T
+            rho = rho / np.trace(rho).real
+        elif kind == "commuting":
+            rho = (basis * rng.dirichlet(np.ones(dim))) @ basis.conj().T
+        else:
+            vecs = gauss()
+            vecs /= np.linalg.norm(vecs, axis=0)
+            rho = (vecs * rng.dirichlet(np.ones(dim))) @ vecs.conj().T
+        if floor > 0.0:
+            rho = (rho + floor * np.eye(dim) / dim) / (1.0 + floor)
+        return (rho + rho.conj().T) / 2.0
+
+    basis = None
+    if kind == "commuting":
+        qmat, rmat = np.linalg.qr(gauss())
+        basis = qmat * (np.diag(rmat) / np.abs(np.diag(rmat)))
+    return state(basis), state(basis)
+
+
+def reference_eigh(m):
+    """LAPACK eigh of one matrix, the zero clamp at ||m||_F, negatives to 0."""
+    vals, vecs = np.linalg.eigh(m)
+    vals[np.abs(vals) <= 1e-13 * np.linalg.norm(m)] = 0.0
+    vals[vals < 0.0] = 0.0
+    return vals, vecs
+
+
+def reference_joint(qd, pd):
+    """lam, mu, W, r, R and chi-square of one pair by 2-D numpy operations:
+    descending spectra, W = |U* V|^2, and tr(Q^2 P^-1) - 1 with P^-1 from
+    P's ascending decomposition through matrix_function."""
+    from qfdiv.hermitian import matrix_function
+
+    u, v = qd.dec.eigenvectors[:, ::-1], pd.dec.eigenvectors[:, ::-1]
+    lam, mu = qd.eigenvalues[::-1].copy(), pd.eigenvalues[::-1].copy()
+    w = np.abs(u.conj().T @ v) ** 2
+    chi = float(np.trace(qd.matrix @ qd.matrix @ matrix_function(pd.dec, lambda x: 1.0 / x))
+                .real) - 1.0
+    return lam, mu, w, min(float(lam[-1] / mu[0]), 1.0), max(float(lam[0] / mu[-1]), 1.0), chi
+
+
+def _js_arrays(js):
+    return (js.lam, js.mu, js.w, js.r, js.R, js.q_vectors, js.p_vectors, js.defect,
+            js.wt, js.ratio, js.pos)
+
+
+class TestBlockFrontEnd:
+    """sample_pairs, joint_spectra and chi_squares work on stacked blocks;
+    each row must equal the single-pair call bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["ginibre", "commuting", "mixture"])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("floor", [0.0, None], ids=["floor0", "default-floor"])
+    def test_block_matches_single_calls(self, kind, dim, floor):
+        from qfdiv.harness import _trial_rng
+        from qfdiv.quantum import chi_squares, joint_spectra
+
+        floor = 1e-6 / dim if floor is None else floor
+        trials = range(5)
+        block = sample_pairs(kind, dim, floor, [_trial_rng(17, t) for t in trials])
+        qds, pds = [q for q, _ in block], [p for _, p in block]
+        spectra = joint_spectra(qds, pds)
+        chis = chi_squares(qds, pds)
+        for t, qd, pd, js, chi in zip(trials, qds, pds, spectra, chis):
+            one = sample_pair(kind, dim, floor, _trial_rng(17, t))
+            for state, single, raw in zip((qd, pd), one,
+                                          reference_pair(kind, dim, floor, _trial_rng(17, t))):
+                assert np.array_equal(state.matrix, single.matrix)
+                assert np.array_equal(state.matrix, raw)
+                vals, vecs = reference_eigh(raw)
+                assert np.array_equal(state.eigenvalues, vals)
+                assert np.array_equal(state.dec.eigenvectors, vecs)
+            for a, b in zip(_js_arrays(js), _js_arrays(joint_spectrum(qd, pd))):
+                assert np.array_equal(a, b)
+            assert chi == chi_square(qd, pd)
+            for a, b in zip((js.lam, js.mu, js.w, js.r, js.R, chi), reference_joint(qd, pd)):
+                assert np.array_equal(a, b)
+
+    def test_failing_rows_carry_their_exceptions(self):
+        from qfdiv.harness import _trial_rng
+        from qfdiv.quantum import joint_spectra
+
+        block = sample_pairs("ginibre", 3, 1e-6 / 3, [_trial_rng(2, t) for t in range(16)])
+        # From trial 8 on, Q's eigenvectors are scaled off the unit sphere, so
+        # the overlap matrix is not doubly stochastic.  A singular P (below
+        # eps 0.01) is reported first, as joint_spectrum always did.
+        for k in range(8, 16):
+            qd, pd = block[k]
+            bent = dataclasses.replace(qd)
+            object.__setattr__(bent, "dec", dataclasses.replace(
+                qd.dec, eigenvectors=qd.dec.eigenvectors * 1.01))
+            block[k] = (bent, pd)
+        qds, pds = [q for q, _ in block], [p for _, p in block]
+        kinds = []
+        for k, ((qd, pd), got) in enumerate(zip(block, joint_spectra(qds, pds, 0.01))):
+            singular = pd.min_eigenvalue < 0.01
+            expected = (PreconditionError if singular else ArithmeticError if k >= 8 else None)
+            try:
+                want = joint_spectrum(qd, pd, 0.01)
+            except (PreconditionError, ArithmeticError) as exc:
+                assert type(got) is type(exc) is expected and str(got) == str(exc)
+                kinds.append((type(exc).__name__, k >= 8))
+            else:
+                assert expected is None
+                for a, b in zip(_js_arrays(got), _js_arrays(want)):
+                    assert np.array_equal(a, b)
+                kinds.append(("pass", False))
+        assert {("pass", False), ("PreconditionError", False), ("PreconditionError", True),
+                ("ArithmeticError", True)} <= set(kinds)
+
+    def test_fuzz_skips_the_same_trials_with_the_same_reasons(self):
+        from qfdiv.harness import _trial_rng
+
+        config = FuzzConfig(dim=3, trials=16, seed=2, eps=0.01)
+        expected = []
+        for t in range(16):
+            qd, pd = sample_pair("ginibre", 3, config.floor, _trial_rng(2, t))
+            try:
+                joint_spectrum(qd, pd, 0.01)
+            except PreconditionError as exc:
+                expected.append({"trial": t, "reason": str(exc)})
+        assert 0 < len(expected) < 16
+        assert fuzz(config).summary["skipped_trials"] == expected
+
+
 class TestFuzzConfig:
     def test_defaults(self):
         cfg = FuzzConfig(dim=5)
@@ -367,6 +552,14 @@ class TestFuzzConfig:
     def test_bad_jobs(self):
         with pytest.raises(InputFormatError):
             FuzzConfig(jobs=0)
+
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 100_000])
+    def test_oversized_dim_rejected(self, dim):
+        # Refused before anything of that size is allocated.
+        with pytest.raises(InputFormatError, match=f"at most {MAX_DIM}"):
+            FuzzConfig(dim=dim)
+        with pytest.raises(InputFormatError, match=f"at most {MAX_DIM}"):
+            sample_pair("ginibre", dim, 0.0, rng_for(0))
 
 
 class TestFuzz:

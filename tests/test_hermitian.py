@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from qfdiv.hermitian import (
     CheckReport,
     InputFormatError,
+    MAX_DIM,
     PreconditionError,
     eigh,
+    eigh_hermitian,
     gruss_gap_check,
     hermitian_part,
+    hermitian_stack,
     hs_inner,
     hs_norm,
     load_matrix,
@@ -80,6 +83,41 @@ class TestEigh:
         dec = eigh(a)
         scale = max(1.0, float(np.linalg.norm(a)))
         assert np.abs(dec.reconstruct() - a).max() <= 1e-11 * scale
+
+
+class TestEighStack:
+    def test_stack_matches_single_calls(self):
+        # A stack holding a rank-deficient matrix: its zero eigenvalue is
+        # clamped exactly as eigh on that matrix alone clamps it.
+        rng = np.random.default_rng(4)
+        v = np.linalg.qr(random_hermitian(4, rng))[0]
+        low_rank = (v * np.array([0.0, 1e-17, 0.5, 2.0])) @ v.conj().T
+        # 3e-13 is above the clamp threshold 1e-13 * ||A||_F (about 2e-13
+        # here) but below twice it: only the exact threshold keeps it.
+        near_zero = (v * np.array([3e-13, 0.5, 1.0, 1.5])) @ v.conj().T
+        raw = [random_hermitian(4, rng), low_rank, random_hermitian(4, rng) * 1e5, near_zero]
+        stack, errors = hermitian_stack(raw)
+        assert errors == [None] * 4
+        dec = eigh_hermitian(stack)
+        assert dec.eigenvalues.shape == (4, 4) and dec.eigenvectors.shape == (4, 4, 4)
+        for i, m in enumerate(raw):
+            assert np.array_equal(stack[i], hermitian_part(m))
+            one = eigh(m)
+            assert np.array_equal(dec.eigenvalues[i], one.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[i], one.eigenvectors)
+        assert np.count_nonzero(dec.eigenvalues[1] == 0.0) == 2
+        assert dec.eigenvalues[3][0] > 0.0
+
+    def test_stack_reports_each_bad_matrix(self):
+        good = np.eye(2)
+        skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+        nan = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        _, errors = hermitian_stack([good, skew, nan])
+        assert errors[0] is None
+        for exc, m in zip(errors[1:], (skew, nan)):
+            with pytest.raises(type(exc)) as single:
+                hermitian_part(m)
+            assert str(exc) == str(single.value)
 
 
 class TestHermitianPart:
@@ -234,6 +272,12 @@ class TestMatrixJson:
     def test_missing_key_rejected(self):
         with pytest.raises(InputFormatError):
             matrix_from_json({"re": [[1.0]]})
+
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 100_000])
+    def test_oversized_dim_rejected_before_parsing(self, dim):
+        # "re" is not even read: the dimension alone is refused.
+        with pytest.raises(InputFormatError, match=f"at most {MAX_DIM}"):
+            matrix_from_json({"dim": dim, "re": None})
 
     def test_file_round_trip(self, tmp_path):
         a = np.array([[0.5, 0.25j], [-0.25j, 0.5]])

@@ -1,5 +1,6 @@
 """Joint spectral representation and the quantum divergence values."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,8 +13,10 @@ from qfdiv.errors import InputFormatError, PreconditionError
 from qfdiv.generators import DEFAULT_SPECS, default_catalog, kl_quantum, neg_log, parse_generator_spec
 from qfdiv.quantum import (
     DensityMatrix,
+    JointSpectrum,
     as_density,
     chi_square,
+    densities,
     hellinger_sq,
     joint_spectrum,
     s_f,
@@ -74,6 +77,35 @@ class TestDensityMatrix:
     def test_as_density_idempotent(self):
         d = as_density(EXAMPLE_A_Q)
         assert as_density(d) is d
+
+
+class TestDensityStack:
+    def test_matches_one_density_matrix_per_matrix(self):
+        rng = np.random.default_rng(3)
+        stack = np.stack([random_density(3, rng, floor) for floor in (0.0, 1e-3, 1e-2)]
+                         + [np.diag([1.0 + 5e-13, -5e-13, 0.0])])
+        for block, one in zip(densities(stack), map(DensityMatrix, stack)):
+            assert np.array_equal(block.matrix, one.matrix)
+            assert np.array_equal(block.eigenvalues, one.eigenvalues)
+            assert np.array_equal(block.dec.eigenvectors, one.dec.eigenvectors)
+
+    @pytest.mark.parametrize("order, message", [
+        ((0, 1, 2, 3), "positive semidefinite"),
+        ((0, 2, 1, 3), "not Hermitian"),
+        ((3, 1, 2, 0), "unit trace"),
+    ])
+    def test_first_failing_matrix_raises(self, order, message):
+        # valid, not PSD, not Hermitian, wrong trace: whichever comes first
+        # in the stack raises, with DensityMatrix's own message.
+        mats = [EXAMPLE_A_Q, np.diag([1.5, -0.5]).astype(complex),
+                np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex),
+                np.diag([0.5, 0.6]).astype(complex)]
+        with pytest.raises(PreconditionError, match=message) as block_err:
+            densities(np.stack([mats[i] for i in order]))
+        first = next(i for i in order if i != 0)
+        with pytest.raises(PreconditionError) as one_err:
+            DensityMatrix(mats[first])
+        assert str(block_err.value) == str(one_err.value)
 
 
 class TestJointSpectrum:
@@ -140,6 +172,19 @@ class TestJointSpectrum:
         assert js.weights().shape == (2, 2)
         assert js.ratios().shape == (2, 2)
         assert js.weights().sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_keeps_the_stochasticity_defect(self):
+        rng = np.random.default_rng(13)
+        js = joint_spectrum(random_density(5, rng), random_density(5, rng))
+        rows = np.abs(js.w.sum(axis=1) - 1.0).max()
+        cols = np.abs(js.w.sum(axis=0) - 1.0).max()
+        assert js.defect == (rows, cols)
+        assert max(js.defect) <= 1e-10
+        # A spectrum built by hand computes it too; it takes no part in equality.
+        by_hand = JointSpectrum(lam=js.lam, mu=js.mu, w=js.w, r=js.r, R=js.R,
+                                q_vectors=js.q_vectors, p_vectors=js.p_vectors)
+        assert by_hand.defect == js.defect
+        assert by_hand == dataclasses.replace(by_hand, defect=(1.0, 1.0))
 
 
 class TestSFCommutingOracle:
