@@ -41,7 +41,7 @@ from .classical import (
 from .errors import InputFormatError, PreconditionError
 from .generators import parse_generator_spec
 from .harness import BoundChainReport, FuzzConfig, certify, collect_violations, fuzz
-from .hermitian import load_matrix
+from .hermitian import ZERO_EIGENVALUE_TOL, load_matrix
 from .quantum import (
     as_density,
     chi_square,
@@ -59,6 +59,8 @@ CSV_COLUMNS = (
     "bound_thm2", "bound_thm3", "bound_thm4", "bound_thm5", "verdicts",
 )
 UPPER_EQUALITY_TOL = 1e-12
+EPS_INVERT_HELP = (f"invertibility threshold on P's smallest eigenvalue (default 1e-12); those within "
+                   f"{ZERO_EIGENVALUE_TOL:g} * ||P||_F of 0 are clamped to 0, so a smaller one has no effect")
 
 
 def _num(x):
@@ -448,14 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("compute", help="divergence values and closed-form gaps")
     _add_common(sp, tol=False)
-    sp.add_argument("--eps-invert", type=float, default=1e-12,
-                    help="invertibility threshold on the smallest eigenvalue of P")
+    sp.add_argument("--eps-invert", type=float, default=1e-12, help=EPS_INVERT_HELP)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=cmd_compute)
 
     sp = subs.add_parser("certify", help="evaluate every bound chain on one pair")
     _add_common(sp)
-    sp.add_argument("--eps-invert", type=float, default=1e-12)
+    sp.add_argument("--eps-invert", type=float, default=1e-12, help=EPS_INVERT_HELP)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=cmd_certify)
 
@@ -469,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="ginibre")
     sp.add_argument("--floor", type=float, default=None,
                     help="eigenvalue floor mixed into each sample (default 1e-6/dim)")
-    sp.add_argument("--eps-invert", type=float, default=1e-12)
+    sp.add_argument("--eps-invert", type=float, default=1e-12, help=EPS_INVERT_HELP)
     sp.add_argument("--jobs", type=int, default=1,
                     help="accepted for compatibility (>= 1); trials always run serially")
     sp.add_argument("--allow-singular", action="store_true",
@@ -479,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("spectrum", help="joint eigenvalues, overlap matrix, and ratio window")
     sp.add_argument("--q", required=True)
     sp.add_argument("--p", required=True)
-    sp.add_argument("--eps-invert", type=float, default=1e-12)
+    sp.add_argument("--eps-invert", type=float, default=1e-12, help=EPS_INVERT_HELP)
     sp.add_argument("--out", help="write the report to this file")
     sp.set_defaults(func=cmd_spectrum)
 

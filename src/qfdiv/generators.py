@@ -629,11 +629,10 @@ def secant_bound(f: Generator, r: float, R: float) -> float:
     return secant_value(r, R, f(r), f(R))
 
 
-def secant_value(r: float, R: float, fr: float, fR: float) -> float:
-    """secant_bound from the values fr = f(r) and fR = f(R)."""
-    if math.isinf(fr) or math.isinf(fR):
-        return INF
-    return ((R - 1.0) * fr + (1.0 - r) * fR) / (R - r)
+def secant_value(r, R, fr, fR):
+    """secant_bound from fr = f(r) and fR = f(R), elementwise on arrays."""
+    value = np.where(np.isinf(fr) | np.isinf(fR), INF, ((R - 1.0) * fr + (1.0 - r) * fR) / (R - r))
+    return value if value.ndim else float(value)
 
 
 def psi(f: Generator, t: float, r: float, R: float) -> float:
@@ -645,9 +644,9 @@ def psi(f: Generator, t: float, r: float, R: float) -> float:
     return psi_value(t, r, R, f(t), f(r), f(R))
 
 
-def psi_value(t: float, r: float, R: float, ft: float, fr: float, fR: float) -> float:
-    """psi from the values ft = f(t), fr = f(r) and fR = f(R)."""
-    if math.isinf(fr) or math.isinf(fR) or math.isinf(ft):
+def psi_value(t, r, R, ft, fr, fR):
+    """psi from ft = f(t), fr = f(r) and fR = f(R), elementwise on arrays."""
+    if np.isinf(fr).any() or np.isinf(fR).any() or np.isinf(ft).any():
         raise PreconditionError("psi needs f finite at r, t, R")
     return (fR - ft) / (R - t) - (ft - fr) / (t - r)
 
@@ -836,11 +835,11 @@ def jensen_gap_bound(f: Generator, r: float, R: float) -> float:
     return jensen_gap_value(fr, fR, f(0.5 * (r + R)))
 
 
-def jensen_gap_value(fr: float, fR: float, fmid: float) -> float:
-    """jensen_gap_bound from f(r), f(R) and f((r + R)/2)."""
-    if math.isinf(fr) or math.isinf(fR):
-        return INF
-    return 2.0 * (0.5 * (fr + fR) - fmid)
+def jensen_gap_value(fr, fR, fmid):
+    """jensen_gap_bound from f(r), f(R) and f((r + R)/2), elementwise on
+    arrays."""
+    value = np.where(np.isinf(fr) | np.isinf(fR), INF, 2.0 * (0.5 * (fr + fR) - fmid))
+    return value if value.ndim else float(value)
 
 
 def from_callable(name: str, fn, *, value_at_zero: float = None,

@@ -13,15 +13,12 @@ one pipeline, run on a block of pairs: one pair for certify, up to
 FUZZ_BLOCK trials for fuzz.  For fuzz the block starts at the draw:
 only the random numbers are drawn trial by trial; the states are
 formed, checked and diagonalized (one eigh call) as one stack.  The
-pairs' invariants (joint spectra, windows, V, chi) are computed once,
-over the stacked block.  Per generator, one pass over the block
-computes S_f, the derivative-gap sums and sup Psi, and one scalar call
-per endpoint quantity (f(r), f(R), f(1), f((r+R)/2), f'_+(r),
-f'_-(R)) serves every chain.  One producer per check emits its chains'
-terms as data, closed-form subchains come from a table keyed by (check,
-family), and all links of the block are judged in one vectorized pass.
-fuzz aggregates from those arrays, in trial order, and builds reports
-only for a trial with a failed link.
+chains are columnar: each generator's terms are computed over the
+block, and one producer per check (closed forms from a table keyed by
+check and family) emits its chains for all pairs and generators at once,
+as (pairs, generators) arrays.  One vectorized pass judges all links,
+fuzz tallies them with bincount, and reports are built only where read:
+by certify, run_all_checks and check_*, and for a failed fuzz trial.
 
 fuzz draws its random density pairs from seeded,
 counter-based streams: trial k always uses the stream keyed by (seed,
@@ -32,7 +29,6 @@ block size) and any violation can be replayed bit-for-bit from its
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import functools
 import itertools
@@ -102,6 +98,13 @@ SAMPLER_KINDS = ("ginibre", "commuting", "mixture")
 FUZZ_BLOCK = 16
 
 
+def _check_tol(tol) -> float:
+    tol = float(tol)
+    if not 0.0 < tol < INF:
+        raise InputFormatError(f"tolerance must be positive and finite, got {tol}")
+    return tol
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -137,6 +140,20 @@ class BoundChainReport:
         return tuple(v for _, v in self.chain)
 
 
+class _Chain(NamedTuple):
+    """One chain over a block of B pairs and G generators: a (B, G) array per
+    term, the entries that have it (rows), its flags as (name, entries set
+    on), and whether it is a subchain of the top-level chain before it."""
+
+    check: str
+    labels: tuple
+    values: tuple
+    rows: np.ndarray
+    flags: tuple = ()
+    note: str = ""
+    sub: bool = False
+
+
 # Verdicts and statuses by code.  A chain's status is the worst verdict
 # among its links; a chain without links was skipped.
 _VERDICTS = ("pass", "vacuous", "fail")
@@ -147,15 +164,15 @@ _BUCKET_EDGES = np.array([0.0, 1e-9, 1e-6, 1e-3, 1.0])
 
 def _link_eval(chains, tol: float) -> tuple:
     """Judge every link of `chains` in one vectorized pass: each chain's
-    status code and link count, then each link's verdict code, slack,
-    slack bucket and equality flag.  An infinite right side makes a link
-    vacuous; an infinite left side under a finite one fails."""
-    sizes = np.fromiter((len(ch[3]) for ch in chains), np.intp, len(chains))
-    values = np.fromiter(itertools.chain.from_iterable(ch[3] for ch in chains), np.float64)
-    is_left = np.ones(values.size, dtype=bool)
-    is_left[np.cumsum(sizes) - 1] = False
-    at = np.flatnonzero(is_left)
-    left, right = values[at], values[at + 1]
+    status code per entry and link count, then per entry and link (in
+    chain order) the verdict code, slack, slack bucket and equality flag.
+    An infinite right side makes a link vacuous; an infinite left side
+    under a finite one fails."""
+    sizes = np.array([len(ch.labels) for ch in chains], dtype=np.intp)
+    values = (np.moveaxis(np.array([col for ch in chains for col in ch.values]), 0, -1)
+              if chains else np.zeros((0, 0)))
+    at = np.delete(np.arange(values.shape[-1]), np.cumsum(sizes) - 1)  # left ends of links
+    left, right = values[..., at], values[..., at + 1]
 
     vacuous = np.isinf(right)
     endless = np.isinf(left) & ~vacuous
@@ -169,134 +186,136 @@ def _link_eval(chains, tol: float) -> tuple:
     equal = held & ~vacuous & (np.abs(slack) <= EQUALITY_TOL * np.maximum(1.0, np.abs(right)))
 
     nlinks = sizes - 1
-    status = np.full(len(chains), 3)
+    status = np.full((*values.shape[:-1], len(chains)), 3)
     linked = nlinks > 0
-    if codes.size:
-        status[linked] = np.maximum.reduceat(codes, (np.cumsum(nlinks) - nlinks)[linked])
+    if at.size:
+        status[..., linked] = np.maximum.reduceat(codes, (np.cumsum(nlinks) - nlinks)[linked], axis=-1)
     return status, nlinks, codes, slack, buckets, equal
 
 
-def _reports(groups, js: JointSpectrum, tol: float) -> list:
-    """One report per group of chains: the first, with the rest as subchains."""
-    chains = [ch for g in groups for ch in g]
-    status, nlinks, codes, slack, _, equal = (a.tolist() for a in _link_eval(chains, tol))
-    built = []
-    for (check, spec, labels, values, flags, note), st, n, at in zip(
-            chains, status, nlinks, itertools.accumulate(nlinks, initial=0)):
-        equalities = [f"equality:{labels[i]}={labels[i + 1]}" for i in range(n) if equal[at + i]]
-        built.append(BoundChainReport(
-            check=check, chain=tuple(zip(labels, values)), slacks=tuple(slack[at:at + n]),
-            link_verdicts=tuple(_VERDICTS[v] for v in codes[at:at + n]), status=_STATUSES[st],
-            generator=spec, dim=js.dim, r=js.r, R=js.R, flags=(*flags, *equalities), note=note))
-    built = iter(built)
-    return [dataclasses.replace(next(built), subchains=tuple(itertools.islice(built, len(g) - 1)))
-            for g in groups]
+def _reports(chains, judged, row: int, js: JointSpectrum, generators) -> list:
+    """Per generator, the reports of pair `row` from the block's chains and
+    their _link_eval: one per top-level chain, with its subchains."""
+    if not chains:
+        return []
+    status, codes, slack, equal = (judged[i][row].tolist() for i in (0, 2, 3, 5))
+    values = np.array([col[row] for ch in chains for col in ch.values]).T.tolist()
+    has = np.array([ch.rows[row] for ch in chains]).T.tolist()
+    firsts = list(itertools.accumulate((len(ch.labels) for ch in chains), initial=0))
+    out = []
+    for g, f in enumerate(generators):
+        groups = []  # (a top-level chain's fields, its subchains' reports)
+        for j, (ch, first) in enumerate(zip(chains, firsts)):
+            if not has[g][j]:
+                continue
+            labels, n, at = ch.labels, len(ch.labels) - 1, first - j  # first term, first link
+            fields = dict(
+                check=ch.check, chain=tuple(zip(labels, values[g][first:first + n + 1])),
+                slacks=tuple(slack[g][at:at + n]),
+                link_verdicts=tuple(_VERDICTS[v] for v in codes[g][at:at + n]),
+                status=_STATUSES[status[g][j]], generator=f.spec, dim=js.dim, r=js.r, R=js.R,
+                flags=(*(name for name, on in ch.flags if on[row, g]),
+                       *(f"equality:{labels[i]}={labels[i + 1]}"
+                         for i in range(n) if equal[g][at + i])),
+                note=ch.note)
+            if ch.sub:
+                groups[-1][1].append(BoundChainReport(**fields))
+            else:
+                groups.append((fields, []))
+        out.append([BoundChainReport(**fields, subchains=tuple(subs)) for fields, subs in groups])
+    return out
 
 
-class _Pair:
-    """Invariants of one (Q, P) pair of a block, shared by every generator's
-    chains.  chi and the swapped chi-square are computed for the whole
-    block, on first use."""
-
-    def __init__(self, block: "_Block", row: int, qd, pd, js: JointSpectrum, v: float,
-                 tight: bool):
-        self.block, self.row, self.qd, self.pd, self.js = block, row, qd, pd, js
-        self.eps = js.eps
-        r, R = self.r, self.R = js.r, js.R
-        self.v, self.tight = v, tight
-        # thm4 and thm5 need the strict window R > 1 > r.
-        self.strict = R - 1.0 > DEGENERATE_WINDOW_TOL and 1.0 - r > DEGENERATE_WINDOW_TOL
-        self.k = (R - 1.0) * (1.0 - r) / (R - r) if self.strict else None
-        self.quarter = 0.25 * (R - r)
-
-    @property
-    def chi(self) -> float:
-        return _raise_or(self.block.chi[self.row])
-
-    @property
-    def chi_square_swapped(self) -> float:
-        return _raise_or(self.block.chi_swapped[self.row])
-
-
-def _raise_or(value):
-    if isinstance(value, Exception):
-        raise value
-    return value
+def _raise_first(results: list) -> list:
+    """Per-pair results, after raising the first error among them."""
+    for x in results:
+        if isinstance(x, Exception):
+            raise x
+    return results
 
 
 class _Block:
-    """What the pairs of a block compute together on first use: chi and the
-    swapped chi-square.  The spectra of a block share one invertibility
-    threshold, eps, which these are checked against."""
+    """The invariants of a block of B (Q, P) pairs, one (B, 1) column each:
+    window [r, R], V, K, thm3's tightness (every occupied ratio at an end
+    of the window); and the stacked weights and ratios.  chi and the
+    swapped chi-square are computed for the block once a pair needs them,
+    raising the first error (which only a spectrum not built from its own
+    pair can have).  The spectra share one threshold, eps."""
 
-    def __init__(self, qds: list, pds: list, eps: float):
-        self.qds, self.pds, self.eps = qds, pds, eps
+    def __init__(self, qds: list, pds: list, spectra: list):
+        self.qds, self.pds, self.spectra, self.eps = qds, pds, spectra, spectra[0].eps
+        lam, mu, w, ratio, self.wt = (np.stack([getattr(js, name) for js in spectra])
+                                      for name in ("lam", "mu", "w", "ratio", "wt"))
+        self.ratio, occupied = ratio, self.wt > WEIGHT_FLOOR
+        self.rs, self.Rs = [js.r for js in spectra], [js.R for js in spectra]  # for per_pair
+        r, R = np.array(self.rs), np.array(self.Rs)
+        v = (w * np.abs(lam[:, :, np.newaxis] - mu[:, np.newaxis, :])).reshape(len(r), -1).sum(axis=1)
+        r3, R3 = r[:, np.newaxis, np.newaxis], R[:, np.newaxis, np.newaxis]
+        at_ends = (np.abs(ratio - r3) <= 1e-12 * np.maximum(1.0, r3)) | (np.abs(ratio - R3) <= 1e-12 * R3)
+        tight = occupied.any(axis=(1, 2)) & (at_ends | ~occupied).all(axis=(1, 2))
+        # thm4 and thm5 need the strict window R > 1 > r.
+        strict = (R - 1.0 > DEGENERATE_WINDOW_TOL) & (1.0 - r > DEGENERATE_WINDOW_TOL)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = (R - 1.0) * (1.0 - r) / (R - r)
+        q_invertible = [qd.min_eigenvalue >= self.eps for qd in qds]
+        self.r, self.R, self.v, self.tight, self.window, self.strict, self.k, self.quarter, \
+            self.q_invertible = (np.array(x)[:, np.newaxis] for x in (
+                r, R, v, tight, r < R, strict, k, 0.25 * (R - r), q_invertible))
 
     @functools.cached_property
-    def chi(self) -> list:
-        """sqrt(chi-square(Q, P)), or its error, per pair."""
-        return [value if isinstance(value, Exception) else math.sqrt(max(value, 0.0))
-                for value in chi_squares(self.qds, self.pds, self.eps)]
+    def _chi(self) -> np.ndarray:
+        return np.array([[math.sqrt(max(value, 0.0))] for value in _raise_first(
+            chi_squares(self.qds, self.pds, self.eps))])
 
     @functools.cached_property
-    def chi_swapped(self) -> dict:
+    def _chi_swapped(self) -> np.ndarray:
         """chi-square(P, Q) for each pair whose Q is invertible at eps."""
-        rows = [k for k, qd in enumerate(self.qds) if qd.min_eigenvalue >= self.eps]
-        if not rows:
-            return {}
-        return dict(zip(rows, chi_squares([self.pds[k] for k in rows],
-                                          [self.qds[k] for k in rows], self.eps)))
+        out, rows = np.full((len(self.qds), 1), math.nan), np.flatnonzero(self.q_invertible)
+        out[rows, 0] = _raise_first(chi_squares([self.pds[k] for k in rows],
+                                                [self.qds[k] for k in rows], self.eps))
+        return out
+
+    def chi(self, rows, swapped: bool = False) -> np.ndarray:
+        """chi per pair, or chi-square(P, Q) if swapped, once an entry of rows needs it."""
+        return (self._chi_swapped if swapped else self._chi) if rows.any() else np.zeros_like(self.r)
+
+    def per_pair(self, rows, generators, bound) -> np.ndarray:
+        """bound(f, r, R) per (pair, generator) entry of `rows`, one float call
+        each (numpy's log and power can differ from math's); NaN elsewhere."""
+        out, (ks, gs) = np.full(rows.shape, math.nan), np.nonzero(rows)
+        out[ks, gs] = [bound(generators[g], self.rs[k], self.Rs[k])
+                       for k, g in zip(ks.tolist(), gs.tolist())]
+        return out
 
 
-def _pairs(qds: list, pds: list, spectra: list) -> list:
-    """The _Pair of each pair of a block, with V and thm3's tightness (every
-    occupied ratio at an end of the window) computed over stacked arrays."""
-    lam = np.stack([js.lam for js in spectra])
-    mu = np.stack([js.mu for js in spectra])
-    w = np.stack([js.w for js in spectra])
-    ratio = np.stack([js.ratio for js in spectra])
-    occupied = np.stack([js.wt for js in spectra]) > WEIGHT_FLOOR
-    r = np.array([js.r for js in spectra])[:, np.newaxis, np.newaxis]
-    R = np.array([js.R for js in spectra])[:, np.newaxis, np.newaxis]
-    v = (w * np.abs(lam[:, :, np.newaxis] - mu[:, np.newaxis, :])).reshape(len(spectra), -1)
-    at_ends = (np.abs(ratio - r) <= 1e-12 * np.maximum(1.0, r)) | (np.abs(ratio - R) <= 1e-12 * R)
-    tight = occupied.any(axis=(1, 2)) & (at_ends | ~occupied).all(axis=(1, 2))
-    block = _Block(qds, pds, spectra[0].eps)
-    return [_Pair(block, k, *row) for k, row in enumerate(
-        zip(qds, pds, spectra, v.sum(axis=1).tolist(), tight.tolist()))]
-
-
-def _pair(q, p, js: JointSpectrum, eps: float) -> _Pair:
+def _pair(q, p, js: JointSpectrum, eps: float) -> _Block:
     """One pair as a block of one; a supplied joint spectrum brings its own
     invertibility threshold, which then replaces eps."""
     qd, pd = as_density(q), as_density(p)
-    return _pairs([qd], [pd], [joint_spectrum(qd, pd, eps) if js is None else js])[0]
+    return _Block([qd], [pd], [joint_spectrum(qd, pd, eps) if js is None else js])
 
 
 class _Terms(NamedTuple):
-    """One generator's quantities on one pair, from which its chains are made.
+    """The generators' quantities on a block, one (B, G) array each: S_f,
+    the derivative-gap right side (NaN for a kinked f), sup Psi (NaN off
+    a strict window), f(r), f(R), f((r + R)/2), f'_+(r) and f'_-(R) from
+    one scalar call each, D = f'_-(R) - f'_+(r) (+inf if one diverges)
+    and all True; f(1) and f's smoothness (1, G); and the DivergenceValue
+    of each (pair, generator) whose S_f was evaluated on its own."""
 
-    dv is S_f and sf its value; slope_gap is the derivative-gap right
-    side (None for a generator with a kink) and sup the supremum of Psi
-    (None off a strict window).  The rest are f(r), f(R), f(1),
-    f((r + R)/2), f'_+(r) and f'_-(R), each from one scalar call.
-    """
-
-    dv: DivergenceValue
-    sf: float
-    slope_gap: float
-    sup: float
-    fr: float
-    fR: float
-    f1: float
-    fmid: float
-    dr: float
-    dR: float
-
-    @property
-    def derivative_gap(self) -> float:
-        """f'_-(R) - f'_+(r), or +inf when a one-sided derivative diverges."""
-        return self.dR - self.dr if math.isfinite(self.dR) and math.isfinite(self.dr) else INF
+    sf: np.ndarray
+    slope_gap: np.ndarray
+    sup: np.ndarray
+    fr: np.ndarray
+    fR: np.ndarray
+    fmid: np.ndarray
+    dr: np.ndarray
+    dR: np.ndarray
+    gap: np.ndarray
+    every: np.ndarray
+    f1: np.ndarray
+    smooth: np.ndarray
+    dvs: dict
 
 
 def _slope_gap(js: JointSpectrum, f: Generator) -> float:
@@ -314,72 +333,84 @@ def _slope_gap(js: JointSpectrum, f: Generator) -> float:
     return float((wt[finite][keep] * gaps[keep]).sum())
 
 
-def _terms(pairs: list, f: Generator) -> list:
-    """f's _Terms on each pair of a block.
-
-    S_f, the derivative-gap sums and sup Psi are each computed for the
-    whole block in one pass; a pair that the stacked sums leave out (a
-    zero ratio, an infinite value) is evaluated on its own.
-    """
-    ends = [(f(c.r), f(c.R), f(1.0), f(0.5 * (c.r + c.R)), f.deriv_right(c.r), f.deriv_left(c.R))
-            for c in pairs]
-    spectra = [c.js for c in pairs]
-    dvs = s_f_from_spectrum(spectra, f)
-    gaps = [None] * len(pairs)
-    if f.smooth:
-        sums = weighted_sums(spectra, lambda t: (t - 1.0) * f.deriv_right_fn(t))
-        gaps = [_slope_gap(js, f) if total is None else total for js, total in zip(spectra, sums)]
-    sups = [None] * len(pairs)
-    strict = [i for i, c in enumerate(pairs) if c.strict]
-    if strict:
-        values = psi_sup(f, [pairs[i].r for i in strict], [pairs[i].R for i in strict],
-                         ends=[[ends[i][k] for i in strict] for k in (0, 1, 4, 5)])
-        for i, value in zip(strict, values.tolist()):
-            sups[i] = value
-    return [_Terms(dv, float(dv.value), gap, sup, *end)
-            for dv, gap, sup, end in zip(dvs, gaps, sups, ends)]
+def _terms(b: _Block, generators) -> _Terms:
+    """The generators' _Terms on block b, generator by generator: S_f and
+    the derivative-gap sums in one pass over the block's stacked spectra
+    each (a pair they leave out, with a zero ratio or an infinite value,
+    on its own), sup Psi in one call."""
+    columns, dvs, strict = [], {}, b.strict[:, 0]
+    for g, f in enumerate(generators):
+        fr, fR, fmid, dr, dR = np.array(
+            [(f(r), f(R), f(0.5 * (r + R)), f.deriv_right(r), f.deriv_left(R))
+             for r, R in zip(b.rs, b.Rs)]).T
+        sf, held = weighted_sums(b.ratio, b.wt, f.fn)
+        for k in np.flatnonzero(~held).tolist():
+            dvs[k, g] = s_f_from_spectrum(b.spectra[k], f)
+            sf[k] = dvs[k, g].value
+        gaps = np.full(len(sf), math.nan)
+        if f.smooth:
+            gaps, held = weighted_sums(b.ratio, b.wt, lambda t: (t - 1.0) * f.deriv_right_fn(t))
+            for k in np.flatnonzero(~held).tolist():
+                gaps[k] = _slope_gap(b.spectra[k], f)
+        sup = np.full(len(sf), math.nan)
+        sup[strict] = psi_sup(f, b.r[strict, 0], b.R[strict, 0],
+                              ends=(fr[strict], fR[strict], dr[strict], dR[strict]))
+        columns.append((sf, gaps, sup, fr, fR, fmid, dr, dR))
+    sf, gaps, sup, fr, fR, fmid, dr, dR = (np.stack(col, axis=1) for col in zip(*columns))
+    with np.errstate(invalid="ignore", over="ignore"):
+        gap = np.where(np.isfinite(dR) & np.isfinite(dr), dR - dr, INF)
+    return _Terms(sf, gaps, sup, fr, fR, fmid, dr, dR, gap, np.ones(sf.shape, dtype=bool),
+                  np.array([[f(1.0) for f in generators]]),
+                  np.array([[f.smooth for f in generators]]), dvs)
 
 
 # ---------------------------------------------------------------------------
-# chain terms
+# chain producers
 #
-# A chain is a tuple (check, generator spec, labels, values, flags, note).
-# Each producer returns the chains of one check for one generator: the
-# check's own chain, then its subchains.  A skipped chain keeps only the
-# divergence value and says why in its note.
+# Each producer returns one check's chains for all pairs and generators of
+# a block, in report order: a skipped chain (for the entries its
+# hypotheses exclude), its own chain, then its subchains.  The list
+# depends only on the generators, not on the block.
 
 
-def _with_closed_form(c: _Pair, f: Generator, check: str, labels: tuple,
-                      values: tuple, flags=(), subs=()) -> list:
-    """The chain of `check`, its subchains `subs`, then its closed form for
-    f's family from _CLOSED_FORMS, if it has one."""
-    flags = list(flags)
-    name, sub_labels, terms = _CLOSED_FORMS.get((check, f.name), (None, None, None))
-    sub_values = terms(c, f, values, flags) if terms else None
-    closed = [] if sub_values is None else [(name, f.spec, sub_labels, sub_values, (), "")]
-    return [(check, f.spec, labels, values, flags, ""), *subs, *closed]
+_DEGENERATE = "degenerate window: r = R"
+_NOT_STRICT = "window must satisfy R > 1 > r strictly"
 
 
-def _nonneg(c: _Pair, f: Generator, e: _Terms) -> list:
+def _with_closed_form(b: _Block, gens: tuple, e: _Terms, check: str, labels: tuple,
+                      values: tuple, rows, flags=(), subs=(), skip: str = None) -> list:
+    """The chain of `check` on the entries `rows` (skipped on the others,
+    for the reason skip), its subchains `subs`, then the closed forms of
+    the generators' families from _CLOSED_FORMS on their entries."""
+    skipped = [_Chain(check, ("value",), (e.sf,), ~rows, note=skip)] if skip else []
+    closed = []
+    for (of, family), (name, sub_labels, terms) in _CLOSED_FORMS.items():
+        ours = rows & np.array([f.name == family for f in gens]) if of == check else None
+        if ours is not None and ours.any():
+            sub_values, sub_rows, more = terms(b, gens, e, ours)
+            flags = (*flags, *more)
+            closed.append(_Chain(name, sub_labels, sub_values, sub_rows, sub=True))
+    return [*skipped, _Chain(check, labels, values, rows, flags), *subs, *closed]
+
+
+def _nonneg(b: _Block, gens: tuple, e: _Terms) -> list:
     """Chain [0, S_f]: the divergence of a normalized generator is nonnegative."""
-    return [("nonneg", f.spec, ("zero", "value"), (0.0, e.sf), (), "")]
+    return [_Chain("nonneg", ("zero", "value"), (np.zeros(e.sf.shape), e.sf), e.every)]
 
 
-def _derivative_gap(c: _Pair, f: Generator, e: _Terms) -> list:
+def _derivative_gap(b: _Block, gens: tuple, e: _Terms) -> list:
     """Chain [S_f, sum of weights * (t - 1) f'(t)] for differentiable f.
 
     For f = -ln t the right side collapses to the chi-square distance
     with the states swapped; when Q is invertible that closed form is
     attached as an oracle subchain.
     """
-    if not f.smooth:
-        return [("derivative-gap", f.spec, ("value",), (e.sf,), (),
-                 "generator has a derivative kink; chain needs a continuous derivative")]
-    return _with_closed_form(c, f, "derivative-gap", ("value", "slope-weighted-gap"),
-                             (e.sf, e.slope_gap))
+    return _with_closed_form(b, gens, e, "derivative-gap", ("value", "slope-weighted-gap"),
+                             (e.sf, e.slope_gap), e.every & e.smooth,
+                             skip="generator has a derivative kink; chain needs a continuous derivative")
 
 
-def _thm2(c: _Pair, f: Generator, e: _Terms) -> list:
+def _thm2(b: _Block, gens: tuple, e: _Terms) -> list:
     """Four-term chain through the variational quantity and chi.
 
     [S_f, D/2 * V, D/2 * chi, (R-r)/4 * D] with D = f'_-(R) - f'_+(r),
@@ -388,25 +419,24 @@ def _thm2(c: _Pair, f: Generator, e: _Terms) -> list:
     kl, neg-log, and tsallis generators.  Skipped on a degenerate window
     r = R, where every window term vanishes and only rounding is left.
     """
-    if not c.r < c.R:
-        return [("thm2", f.spec, ("value",), (e.sf,), (), "degenerate window: r = R")]
-    big_d = e.derivative_gap
-    values = (e.sf, INF, INF, INF) if math.isinf(big_d) else (
-        e.sf, 0.5 * big_d * c.v, 0.5 * big_d * c.chi, c.quarter * big_d)
-    return _with_closed_form(c, f, "thm2", (
-        "value", "half-gap-variation", "half-gap-chi", "quarter-window-gap"), values)
+    d, rows = e.gap, b.window & e.every
+    finite = ~np.isinf(d)
+    chi = b.chi(rows & finite)
+    values = (e.sf, *(np.where(finite, x, INF) for x in (0.5 * d * b.v, 0.5 * d * chi, b.quarter * d)))
+    return _with_closed_form(b, gens, e, "thm2", (
+        "value", "half-gap-variation", "half-gap-chi", "quarter-window-gap"), values, rows,
+        skip=_DEGENERATE)
 
 
-def _thm3(c: _Pair, f: Generator, e: _Terms) -> list:
+def _thm3(b: _Block, gens: tuple, e: _Terms) -> list:
     """Two-term chain [S_f, secant value at the window endpoints]."""
-    if not c.r < c.R:
-        return [("thm3", f.spec, ("value",), (e.sf,), (), "degenerate window: r = R")]
-    return _with_closed_form(c, f, "thm3", ("value", "secant"),
-                             (e.sf, secant_value(c.r, c.R, e.fr, e.fR)),
-                             flags=["tight:ratios-at-endpoints"] if c.tight else [])
+    rows = b.window & e.every
+    return _with_closed_form(b, gens, e, "thm3", ("value", "secant"),
+                             (e.sf, secant_value(b.r, b.R, e.fr, e.fR)), rows,
+                             flags=(("tight:ratios-at-endpoints", rows & b.tight),), skip=_DEGENERATE)
 
 
-def _thm4(c: _Pair, f: Generator, e: _Terms) -> list:
+def _thm4(b: _Block, gens: tuple, e: _Terms) -> list:
     """Five-term chain through the double-slope gap Psi.
 
     Main chain: [S_f, K Psi(1), K sup Psi, K D, (R-r)/4 * D] with
@@ -415,192 +445,45 @@ def _thm4(c: _Pair, f: Generator, e: _Terms) -> list:
     the chi2 / inv / neg-log / kl closed forms.  Requires the strict
     window R > 1 > r.
     """
-    if not c.strict:
-        return [("thm4", f.spec, ("value",), (e.sf,), (), "window must satisfy R > 1 > r strictly")]
-    r, R, k, quarter, sf, sup = c.r, c.R, c.k, c.quarter, e.sf, e.sup
-    psi1 = INF if math.isinf(e.fr) else psi_value(1.0, r, R, e.f1, e.fr, e.fR)
-    big_d = e.derivative_gap
-    alternate = ("thm4:alternate", f.spec, (
+    strict, k, quarter, sf, sup, d = b.strict & e.every, b.k, b.quarter, e.sf, e.sup, e.gap
+    psi1 = np.full(sf.shape, INF)
+    finite = strict & ~np.isinf(e.fr)
+    psi1[finite] = psi_value(1.0, *(np.broadcast_to(x, sf.shape)[finite]
+                                    for x in (b.r, b.R, e.f1, e.fr, e.fR)))
+    k_psi1 = k * psi1
+    sec = secant_value(b.r, b.R, e.fr, e.fR)
+    matches = (np.isfinite(sec) & np.isfinite(psi1)
+               & (np.abs(k_psi1 - sec) <= 1e-9 * np.maximum(1.0, np.abs(sec))))
+    alternate = _Chain("thm4:alternate", (
         "value", "window-psi-at-one", "quarter-range-psi-at-one", "quarter-range-psi-sup",
-        "quarter-range-derivative-gap"), (sf, k * psi1, quarter * psi1, quarter * sup, quarter * big_d),
-        (), "")
-    sec = secant_value(r, R, e.fr, e.fR)
-    matches = math.isfinite(sec) and math.isfinite(psi1) and abs(k * psi1 - sec) <= 1e-9 * max(1.0, abs(sec))
-    return _with_closed_form(c, f, "thm4", (
+        "quarter-range-derivative-gap"), (sf, k_psi1, quarter * psi1, quarter * sup, quarter * d),
+        strict, sub=True)
+    return _with_closed_form(b, gens, e, "thm4", (
         "value", "window-psi-at-one", "window-psi-sup", "window-derivative-gap",
-        "quarter-range-derivative-gap"), (sf, k * psi1, k * sup, k * big_d, quarter * big_d),
-        flags=["matches-secant"] if matches else [], subs=[alternate])
+        "quarter-range-derivative-gap"), (sf, k_psi1, k * sup, k * d, quarter * d), strict,
+        flags=(("matches-secant", matches),), subs=[alternate], skip=_NOT_STRICT)
 
 
-def _thm5(c: _Pair, f: Generator, e: _Terms) -> list:
+def _thm5(b: _Block, gens: tuple, e: _Terms) -> list:
     """Two-term chain [S_f, midpoint Jensen gap bound] on a strict window."""
-    if not c.strict:
-        return [("thm5", f.spec, ("value",), (e.sf,), (), "window must satisfy R > 1 > r strictly")]
-    return _with_closed_form(c, f, "thm5", ("value", "midpoint-gap-bound"),
-                             (e.sf, jensen_gap_value(e.fr, e.fR, e.fmid)))
+    return _with_closed_form(b, gens, e, "thm5", ("value", "midpoint-gap-bound"),
+                             (e.sf, jensen_gap_value(e.fr, e.fR, e.fmid)), b.strict & e.every,
+                             skip=_NOT_STRICT)
 
 
 _CHAINS = (_nonneg, _derivative_gap, _thm2, _thm3, _thm4, _thm5)
 
 
-def _evaluate(pairs: list, generators) -> list:
-    """For each pair of a block, per generator: its _Terms and the chains of
-    all six checks, grouped by check."""
-    out = [[] for _ in pairs]
-    for f in generators:
-        for row, c, e in zip(out, pairs, _terms(pairs, f)):
-            row.append((e, [chains(c, f, e) for chains in _CHAINS]))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# closed-form specializations, keyed by (check, generator family)
-#
-# An entry names the subchain, labels its terms and computes them as
-# terms(pair, f, values of the check's own chain, flags of that chain).
-# terms may add to the flags, and returns None for no subchain.
-
-
-def _swap_oracle(c, f, main, flags):
-    # For f = -ln t the slope-weighted gap is the swapped chi-square distance.
-    if not c.qd.min_eigenvalue >= c.eps:
-        flags.append("swap-oracle-unavailable:singular-q")
-        return None
-    swapped = c.chi_square_swapped
-    if math.isfinite(main[1]) and abs(main[1] - swapped) <= 1e-8 * max(1.0, abs(swapped)):
-        flags.append("oracle:slope-gap-equals-swapped-chi-square")
-    return (0.0, main[0], swapped)
-
-
-def _thm2_form(coeff, final=None):
-    """thm2 with the family coefficient coeff(f, r, R) in place of D/2 and
-    last term final(r, R), by default (R - r)/2 times the coefficient."""
-
-    def terms(c, f, main, flags):
-        co = coeff(f, c.r, c.R)
-        last = final(c.r, c.R) if final else (0.5 * (c.R - c.r) * co if math.isfinite(co) else INF)
-        return (main[0], co * c.v, co * c.chi, last) if math.isfinite(co) else (main[0], INF, INF, last)
-
-    return terms
-
-
-def _tsallis_coeff(f, r, R):
-    qq = f.params["q"]
-    return qq * (R ** (1.0 - qq) - r ** (1.0 - qq)) / (2.0 * (1.0 - qq) * (R * r) ** (1.0 - qq))
-
-
-def _window(bounds):
-    """A closed form [S_f, *bounds(r, R)]."""
-    return lambda c, f, main, flags: (main[0], *bounds(c.r, c.R))
-
-
-def _kl_log_mix(r: float, R: float) -> float:
-    """The secant value of t ln t on [r, R]."""
-    return ((R - 1.0) * (r * math.log(r) if r > 0.0 else 0.0) + (1.0 - r) * R * math.log(R)) / (R - r)
-
-
-def _neg_log_log_mix(r: float, R: float) -> float:
-    """The secant value of -ln t on [r, R]."""
-    return ((1.0 - R) * math.log(r) + (r - 1.0) * math.log(R)) / (R - r) if r > 0.0 else INF
-
-
-def _chi2_thm4(c, f, main, flags):
-    chord = chi_square_chord_coeff(c.r, c.R)
-    if chord < chi_square_secant_coeff(c.r, c.R):
-        flags.append("sharper-than-secant-polynomial")
-    return (main[0], chord)
-
-
-_CLOSED_FORMS = {
-    ("derivative-gap", "neg-log"): (
-        "derivative-gap:swap", ("zero", "value", "chi-square-swapped"), _swap_oracle),
-    ("thm2", "chi2"): (
-        "thm2:chi2", ("value", "half-window-variation", "half-window-chi", "quarter-window-sq"),
-        _thm2_form(lambda f, r, R: 0.5 * (R - r), lambda r, R: 0.25 * (R - r) ** 2)),
-    ("thm2", "kl-quantum"): (
-        "thm2:kl-quantum", ("value", "half-log-variation", "half-log-chi", "quarter-window-log"),
-        _thm2_form(lambda f, r, R: 0.5 * math.log(R / r) if r > 0.0 else INF)),
-    ("thm2", "neg-log"): (
-        "thm2:neg-log", ("value", "half-ratio-variation", "half-ratio-chi", "quarter-window-ratio"),
-        _thm2_form(lambda f, r, R: (R - r) / (2.0 * r * R) if r > 0.0 else INF,
-                   lambda r, R: (R - r) ** 2 / (4.0 * r * R) if r > 0.0 else INF)),
-    ("thm2", "tsallis"): (
-        "thm2:tsallis", ("value", "half-power-variation", "half-power-chi", "quarter-window-power"),
-        _thm2_form(lambda f, r, R: _tsallis_coeff(f, r, R) if r > 0.0 else INF)),
-    ("thm3", "chi2"): (
-        "thm3:chi2", ("value", "window-polynomial"),
-        _window(lambda r, R: (chi_square_secant_coeff(r, R),))),
-    ("thm3", "kl-quantum"): (
-        "thm3:kl-quantum", ("value", "window-log-mix"), _window(lambda r, R: (_kl_log_mix(r, R),))),
-    ("thm3", "neg-log"): (
-        "thm3:neg-log", ("value", "window-log-mix"), _window(lambda r, R: (_neg_log_log_mix(r, R),))),
-    ("thm4", "chi2"): ("thm4:chi2", ("value", "window-product"), _chi2_thm4),
-    ("thm4", "inv-minus-one"): (
-        "thm4:inv-minus-one", ("value", "window-product-ratio"),
-        _window(lambda r, R: ((R - 1.0) * (1.0 - r) / (R * r) if r > 0.0 else INF,))),
-    ("thm4", "neg-log"): (
-        "thm4:neg-log", ("value", "window-log-mix", "window-product-ratio"),
-        _window(lambda r, R: (_neg_log_log_mix(r, R),
-                              (R - 1.0) * (1.0 - r) / (r * R) if r > 0.0 else INF))),
-    ("thm4", "kl-quantum"): (
-        "thm4:kl-quantum", ("value", "window-log-mix", "window-product-log"),
-        _window(lambda r, R: (_kl_log_mix(r, R),
-                              (R - 1.0) * (1.0 - r) * math.log(R / r) / (R - r) if r > 0.0 else INF))),
-    ("thm5", "chi2"): (
-        "thm5:chi2", ("value", "half-range-sq"), _window(lambda r, R: (0.5 * (R - r) ** 2,))),
-    ("thm5", "inv-minus-one"): (
-        "thm5:inv-minus-one", ("value", "range-sq-ratio"),
-        _window(lambda r, R: ((R - r) ** 2 / (r * R * (r + R)) if r > 0.0 else INF,))),
-    ("thm5", "neg-log"): (
-        "thm5:neg-log", ("value", "log-midpoint-gap", "quarter-range-ratio"),
-        _window(lambda r, R: (neg_log_jensen_coeff(r, R), neg_log_range_coeff(r, R)))),
-}
-
-
-# ---------------------------------------------------------------------------
-# individual chains
-
-
-def _public(chains, name: str):
-    """The public check function around the chain producer `chains`."""
-
-    def check(q, p, f: Generator, js: JointSpectrum = None, tol: float = DEFAULT_TOL,
-              eps: float = 1e-12, sf: float = None) -> BoundChainReport:
-        c = _pair(q, p, js, eps)
-        e = _terms([c], f)[0]
-        if sf is not None:
-            e = e._replace(sf=float(sf))
-        return _reports([chains(c, f, e)], c.js, tol)[0]
-
-    check.__name__ = check.__qualname__ = name
-    check.__doc__ = chains.__doc__
-    return check
-
-
-check_nonneg = _public(_nonneg, "check_nonneg")
-check_derivative_gap = _public(_derivative_gap, "check_derivative_gap")
-check_thm2 = _public(_thm2, "check_thm2")
-check_thm3 = _public(_thm3, "check_thm3")
-check_thm4 = _public(_thm4, "check_thm4")
-check_thm5 = _public(_thm5, "check_thm5")
-
-
-def certify(q, p, generators, js: JointSpectrum = None, tol: float = DEFAULT_TOL,
-            eps: float = 1e-12) -> list:
-    """All six chains for each generator on one pair, sharing the pair's
-    invariants and judged in one pass.  Returns, per generator, its S_f
-    (a DivergenceValue) and its six reports."""
-    c = _pair(q, p, js, eps)
-    rows = _evaluate([c], generators)[0]
-    reports = _reports([g for _, groups in rows for g in groups], c.js, tol)
-    n = len(_CHAINS)
-    return [(e.dv, tuple(reports[i * n:(i + 1) * n])) for i, (e, _) in enumerate(rows)]
-
-
-def run_all_checks(q, p, f: Generator, js: JointSpectrum = None,
-                   tol: float = DEFAULT_TOL, eps: float = 1e-12) -> tuple:
-    """All six chains for one generator, sharing one joint spectrum."""
-    return certify(q, p, (f,), js=js, tol=tol, eps=eps)[0][1]
+def _chains(b: _Block, generators, producers=_CHAINS, sf: float = None) -> tuple:
+    """The generators' _Terms on block b (with S_f replaced by sf, when
+    given) and the chains of `producers`, in report order."""
+    if not generators:
+        return None, []
+    e = _terms(b, generators)
+    if sf is not None:
+        e = e._replace(sf=np.full(e.sf.shape, float(sf)))
+    with np.errstate(all="ignore"):
+        return e, [ch for chains in producers for ch in chains(b, generators, e)]
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +526,159 @@ def neg_log_range_coeff(r: float, R: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# closed-form specializations, keyed by (check, generator family)
+#
+# An entry names the subchain, labels its terms and computes them as
+# terms(block, generators, _Terms, the family's entries with the check's
+# chain) -> (values, entries with the subchain, flags for the check's chain).
+
+
+def _swap_oracle(b, gens, e, rows):
+    # For f = -ln t the slope-weighted gap is the swapped chi-square distance.
+    singular, rows = rows & ~b.q_invertible, rows & b.q_invertible
+    swapped = np.broadcast_to(b.chi(rows, swapped=True), rows.shape)
+    equal = rows & np.isfinite(e.slope_gap) & (
+        np.abs(e.slope_gap - swapped) <= 1e-8 * np.maximum(1.0, np.abs(swapped)))
+    return (np.zeros(rows.shape), e.sf, swapped), rows, (
+        ("swap-oracle-unavailable:singular-q", singular),
+        ("oracle:slope-gap-equals-swapped-chi-square", equal))
+
+
+def _thm2_form(coeff, final=None):
+    """thm2 with the family coefficient coeff(f, r, R) in place of D/2 and
+    last term final(r, R), by default (R - r)/2 times the coefficient."""
+
+    def terms(b, gens, e, rows):
+        co = b.per_pair(rows, gens, coeff)
+        finite = np.isfinite(co)
+        last = (b.per_pair(rows, gens, lambda f, r, R: final(r, R)) if final
+                else np.where(finite, 0.5 * (b.R - b.r) * co, INF))
+        chi = b.chi(rows & finite)
+        return (e.sf, np.where(finite, co * b.v, INF), np.where(finite, co * chi, INF), last), rows, ()
+
+    return terms
+
+
+def _tsallis_coeff(f, r, R):
+    qq = f.params["q"]
+    return qq * (R ** (1.0 - qq) - r ** (1.0 - qq)) / (2.0 * (1.0 - qq) * (R * r) ** (1.0 - qq))
+
+
+def _window(*bounds):
+    """A closed form [S_f, *(bound(r, R) for bound in bounds)]."""
+    return lambda b, gens, e, rows: ((e.sf, *(b.per_pair(rows, gens, lambda f, r, R, bound=bound:
+                                                          bound(r, R)) for bound in bounds)), rows, ())
+
+
+def _kl_log_mix(r: float, R: float) -> float:
+    """The secant value of t ln t on [r, R]."""
+    return ((R - 1.0) * (r * math.log(r) if r > 0.0 else 0.0) + (1.0 - r) * R * math.log(R)) / (R - r)
+
+
+def _neg_log_log_mix(r: float, R: float) -> float:
+    """The secant value of -ln t on [r, R]."""
+    return ((1.0 - R) * math.log(r) + (r - 1.0) * math.log(R)) / (R - r) if r > 0.0 else INF
+
+
+def _chi2_thm4(b, gens, e, rows):
+    chord, secant = (b.per_pair(rows, gens, lambda f, r, R, coeff=coeff: coeff(r, R))
+                     for coeff in (chi_square_chord_coeff, chi_square_secant_coeff))
+    return (e.sf, chord), rows, (("sharper-than-secant-polynomial", rows & (chord < secant)),)
+
+
+_CLOSED_FORMS = {
+    ("derivative-gap", "neg-log"): (
+        "derivative-gap:swap", ("zero", "value", "chi-square-swapped"), _swap_oracle),
+    ("thm2", "chi2"): (
+        "thm2:chi2", ("value", "half-window-variation", "half-window-chi", "quarter-window-sq"),
+        _thm2_form(lambda f, r, R: 0.5 * (R - r), lambda r, R: 0.25 * (R - r) ** 2)),
+    ("thm2", "kl-quantum"): (
+        "thm2:kl-quantum", ("value", "half-log-variation", "half-log-chi", "quarter-window-log"),
+        _thm2_form(lambda f, r, R: 0.5 * math.log(R / r) if r > 0.0 else INF)),
+    ("thm2", "neg-log"): (
+        "thm2:neg-log", ("value", "half-ratio-variation", "half-ratio-chi", "quarter-window-ratio"),
+        _thm2_form(lambda f, r, R: (R - r) / (2.0 * r * R) if r > 0.0 else INF,
+                   lambda r, R: (R - r) ** 2 / (4.0 * r * R) if r > 0.0 else INF)),
+    ("thm2", "tsallis"): (
+        "thm2:tsallis", ("value", "half-power-variation", "half-power-chi", "quarter-window-power"),
+        _thm2_form(lambda f, r, R: _tsallis_coeff(f, r, R) if r > 0.0 else INF)),
+    ("thm3", "chi2"): (
+        "thm3:chi2", ("value", "window-polynomial"), _window(chi_square_secant_coeff)),
+    ("thm3", "kl-quantum"): ("thm3:kl-quantum", ("value", "window-log-mix"), _window(_kl_log_mix)),
+    ("thm3", "neg-log"): ("thm3:neg-log", ("value", "window-log-mix"), _window(_neg_log_log_mix)),
+    ("thm4", "chi2"): ("thm4:chi2", ("value", "window-product"), _chi2_thm4),
+    ("thm4", "inv-minus-one"): (
+        "thm4:inv-minus-one", ("value", "window-product-ratio"),
+        _window(lambda r, R: (R - 1.0) * (1.0 - r) / (R * r) if r > 0.0 else INF)),
+    ("thm4", "neg-log"): (
+        "thm4:neg-log", ("value", "window-log-mix", "window-product-ratio"),
+        _window(_neg_log_log_mix, lambda r, R: (R - 1.0) * (1.0 - r) / (r * R) if r > 0.0 else INF)),
+    ("thm4", "kl-quantum"): (
+        "thm4:kl-quantum", ("value", "window-log-mix", "window-product-log"),
+        _window(_kl_log_mix, lambda r, R: (
+            (R - 1.0) * (1.0 - r) * math.log(R / r) / (R - r) if r > 0.0 else INF))),
+    ("thm5", "chi2"): ("thm5:chi2", ("value", "half-range-sq"), _window(lambda r, R: 0.5 * (R - r) ** 2)),
+    ("thm5", "inv-minus-one"): (
+        "thm5:inv-minus-one", ("value", "range-sq-ratio"),
+        _window(lambda r, R: (R - r) ** 2 / (r * R * (r + R)) if r > 0.0 else INF)),
+    ("thm5", "neg-log"): (
+        "thm5:neg-log", ("value", "log-midpoint-gap", "quarter-range-ratio"),
+        _window(neg_log_jensen_coeff, neg_log_range_coeff)),
+}
+
+
+# ---------------------------------------------------------------------------
+# individual chains
+
+
+def _public(chains, name: str):
+    """The public check function around the chain producer `chains`."""
+
+    def check(q, p, f: Generator, js: JointSpectrum = None, tol: float = DEFAULT_TOL,
+              eps: float = 1e-12, sf: float = None) -> BoundChainReport:
+        tol = _check_tol(tol)
+        b = _pair(q, p, js, eps)
+        _, made = _chains(b, (f,), (chains,), sf)
+        return _reports(made, _link_eval(made, tol), 0, b.spectra[0], (f,))[0][0]
+
+    check.__name__ = check.__qualname__ = name
+    check.__doc__ = chains.__doc__
+    return check
+
+
+check_nonneg = _public(_nonneg, "check_nonneg")
+check_derivative_gap = _public(_derivative_gap, "check_derivative_gap")
+check_thm2 = _public(_thm2, "check_thm2")
+check_thm3 = _public(_thm3, "check_thm3")
+check_thm4 = _public(_thm4, "check_thm4")
+check_thm5 = _public(_thm5, "check_thm5")
+
+
+def certify(q, p, generators, js: JointSpectrum = None, tol: float = DEFAULT_TOL,
+            eps: float = 1e-12) -> list:
+    """All six chains for each generator on one pair, sharing the pair's
+    invariants and judged in one pass.  Returns, per generator, its S_f
+    (a DivergenceValue) and its six reports."""
+    tol = _check_tol(tol)
+    b, generators = _pair(q, p, js, eps), tuple(generators)
+    e, chains = _chains(b, generators)
+    reports = _reports(chains, _link_eval(chains, tol), 0, b.spectra[0], generators)
+    return [(e.dvs.get((0, g)) or DivergenceValue(value=float(e.sf[0, g]), generator=f.spec),
+             tuple(reports[g])) for g, f in enumerate(generators)]
+
+
+def run_all_checks(q, p, f: Generator, js: JointSpectrum = None,
+                   tol: float = DEFAULT_TOL, eps: float = 1e-12) -> tuple:
+    """All six chains for one generator, sharing one joint spectrum."""
+    return certify(q, p, (f,), js=js, tol=tol, eps=eps)[0][1]
+
+
+# ---------------------------------------------------------------------------
 # sampling
 
 
-def _check_sampler_args(kind: str, dim: int, floor: float) -> tuple:
+def _check_sampler_args(kind: str, dim: int, floor: float = None) -> tuple:
+    """(kind, dim, floor) checked; floor defaults to 1e-6 / dim."""
     if kind not in SAMPLER_KINDS:
         raise InputFormatError(f"unknown sampler {kind!r}; choose from {SAMPLER_KINDS}")
     dim = int(dim)
@@ -654,7 +686,7 @@ def _check_sampler_args(kind: str, dim: int, floor: float) -> tuple:
         raise InputFormatError(f"dimension must be >= 1, got {dim}")
     if dim > MAX_DIM:
         raise InputFormatError(f"dimension must be at most {MAX_DIM}, got {dim}")
-    floor = float(floor)
+    floor = 1e-6 / dim if floor is None else float(floor)
     if not 0.0 <= floor < 1.0 / dim:
         raise InputFormatError(f"floor must lie in [0, 1/dim), got {floor} at dim {dim}")
     return kind, dim, floor
@@ -745,17 +777,14 @@ class FuzzConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.floor is None:
-            object.__setattr__(self, "floor", 1e-6 / int(self.dim))
-        if self.generators is None:
-            object.__setattr__(self, "generators", default_catalog().generators)
-        else:
-            object.__setattr__(self, "generators", tuple(self.generators))
+        object.__setattr__(self, "generators", default_catalog().generators
+                           if self.generators is None else tuple(self.generators))
+        if self.floor is None:  # its default, 1e-6 / dim, once dim is checked
+            object.__setattr__(self, "floor", _check_sampler_args(self.sampler, self.dim)[2])
         _check_sampler_args(self.sampler, self.dim, self.floor)
         if int(self.trials) < 1:
             raise InputFormatError(f"trials must be >= 1, got {self.trials}")
-        if not self.tol > 0.0:
-            raise InputFormatError(f"tolerance must be positive, got {self.tol}")
+        _check_tol(self.tol)
         if not self.eps > 0.0:
             raise InputFormatError(f"eps must be positive, got {self.eps}")
         if int(self.jobs) < 1:
@@ -780,48 +809,24 @@ class Violation:
     p_json: dict
 
     def to_json(self) -> dict:
-        def num(x):
-            return repr(x) if math.isinf(x) else x
-
-        return {
-            "check": self.check,
-            "link": list(self.link),
-            "left": num(self.left),
-            "right": num(self.right),
-            "generator": self.generator,
-            "dim": self.dim,
-            "r": self.r,
-            "R": self.R,
-            "seed": self.seed,
-            "trial": self.trial,
-            "q": self.q_json,
-            "p": self.p_json,
-        }
+        """The fields in order (q_json as q, p_json as p), infinite sides as repr."""
+        doc = {field.name.removesuffix("_json"): getattr(self, field.name)
+               for field in dataclasses.fields(self)}
+        return {**doc, "link": list(self.link),
+                **{side: repr(doc[side]) for side in ("left", "right") if math.isinf(doc[side])}}
 
 
 def collect_violations(report: BoundChainReport, seed: int, trial: int,
                        qd: DensityMatrix, pd: DensityMatrix) -> list:
     """Flatten the failed links of a report (and its subchains)."""
-    out = []
-    for sub in report.subchains:
-        out.extend(collect_violations(sub, seed, trial, qd, pd))
+    out = [v for sub in report.subchains for v in collect_violations(sub, seed, trial, qd, pd)]
     for (left_term, right_term, verdict) in zip(report.chain, report.chain[1:], report.link_verdicts):
-        if verdict != "fail":
-            continue
-        out.append(Violation(
-            check=report.check,
-            link=(left_term[0], right_term[0]),
-            left=left_term[1],
-            right=right_term[1],
-            generator=report.generator,
-            dim=report.dim,
-            r=report.r,
-            R=report.R,
-            seed=seed,
-            trial=trial,
-            q_json=matrix_to_json(qd.matrix),
-            p_json=matrix_to_json(pd.matrix),
-        ))
+        if verdict == "fail":
+            out.append(Violation(
+                check=report.check, link=(left_term[0], right_term[0]), left=left_term[1],
+                right=right_term[1], generator=report.generator, dim=report.dim, r=report.r,
+                R=report.R, seed=seed, trial=trial, q_json=matrix_to_json(qd.matrix),
+                p_json=matrix_to_json(pd.matrix)))
     return out
 
 
@@ -840,60 +845,62 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 class _Tally:
-    """fuzz's aggregates, fed one block of trials at a time in trial order."""
+    """fuzz's aggregates, fed one block of trials at a time in trial order;
+    the check and link of each judged column are worked out once."""
 
     def __init__(self, config: FuzzConfig):
-        self.config = config
-        self.violations = []
-        self.statuses = collections.Counter()  # (check, status code) -> chains
-        self.buckets = collections.Counter()  # (check, slack bucket) -> links
-        self.near_tight = []
-        self.near_tight_total = 0
-        self.min_slack = None
+        self.config, self.violations, self.checks, self.counts = config, [], [], ()
+        self.near_tight, self.near_tight_total, self.min_slack = [], 0, None
 
-    def add(self, block: list) -> None:
-        """Evaluate every chain of `block`, a list of (trial, _Pair), judge
-        all its links in one pass, and aggregate them."""
-        config = self.config
-        per_pair = [[g for _, groups in row for g in groups]
-                    for row in _evaluate([c for _, c in block], config.generators)]
-        chains = [ch for groups in per_pair for g in groups for ch in g]
-        status, nlinks, codes, slack, bucket, _ = _link_eval(chains, config.tol)
-        owner = np.repeat(np.arange(len(chains)), nlinks)  # link -> chain
-        pair_of = np.repeat(np.arange(len(block)), [sum(map(len, groups)) for groups in per_pair])
-        checks = [ch[0] for ch in chains]
-        self.statuses.update(zip(checks, status.tolist()))
-        link_checks = itertools.chain.from_iterable(map(itertools.repeat, checks, nlinks.tolist()))
-        self.buckets.update(zip(link_checks, bucket.tolist()))
+    def add(self, trials: list, b: _Block) -> None:
+        """Evaluate every chain of block b, whose pairs are the trials
+        `trials`, judge all its links in one pass, and aggregate them."""
+        config, gens = self.config, self.config.generators
+        _, chains = _chains(b, gens)
+        if not chains:
+            return
+        judged = status, nlinks, codes, slack, bucket, _ = _link_eval(chains, config.tol)
+        if not self.checks:
+            self.checks = sorted({ch.check for ch in chains})
+            ids = np.array([self.checks.index(ch.check) for ch in chains])
+            self.ids = (ids, np.repeat(ids, nlinks))
+            self.counts = tuple(np.zeros((len(self.checks), len(names)), dtype=np.int64)
+                                for names in (_STATUSES, _SLACK_BUCKETS))
+            self.links = [(ch.check, f"{ch.labels[i]}<={ch.labels[i + 1]}")
+                          for ch in chains for i in range(len(ch.labels) - 1)]
+        present = np.moveaxis(np.array([ch.rows for ch in chains]), 0, -1)  # (B, G, chains)
+        linked = np.repeat(present, nlinks, axis=-1)  # (B, G, links)
+        for counts, ids, code, on in zip(self.counts, self.ids, (status, bucket), (present, linked)):
+            counts += np.bincount((ids * counts.shape[1] + code)[on],
+                                  minlength=counts.size).reshape(counts.shape)
 
         def where(i):
-            j = owner[i]
-            check, spec, labels = chains[j][:3]
-            at = i - int(np.searchsorted(owner, j))
-            return block[pair_of[j]][0], check, spec, f"{labels[at]}<={labels[at + 1]}"
+            (row, g), (check, link) = (divmod(int(i) // len(self.links), len(gens)),
+                                       self.links[int(i) % len(self.links)])
+            return (trials[row], check, gens[g].spec, link), float(slack.flat[i])
 
-        finite = np.isfinite(slack)
+        finite = linked & np.isfinite(slack)
         if finite.any():
-            i = int(np.argmin(np.where(finite, slack, INF)))
-            if self.min_slack is None or slack[i] < self.min_slack["slack"]:
-                trial, check, spec, link = where(i)
-                self.min_slack = {"slack": float(slack[i]), "check": check, "generator": spec,
+            (trial, check, spec, link), value = where(np.argmin(np.where(finite, slack, INF)))
+            if self.min_slack is None or value < self.min_slack["slack"]:
+                self.min_slack = {"slack": value, "check": check, "generator": spec,
                                   "trial": trial, "link": link}
         tight = np.flatnonzero(finite & (slack >= 0.0) & (slack < NEAR_TIGHT_SLACK))
         self.near_tight_total += tight.size
         for i in tight[:max(0, 100 - len(self.near_tight))]:
-            trial, check, spec, link = where(i)
+            (trial, check, spec, link), value = where(i)
             self.near_tight.append({"trial": trial, "check": check, "generator": spec,
-                                    "link": link, "slack": float(slack[i])})
+                                    "link": link, "slack": value})
 
-        for k in sorted(set(pair_of[owner[codes == 2]].tolist())):
-            trial, c = block[k]
-            for top in _reports(per_pair[k], c.js, config.tol):
-                self.violations.extend(collect_violations(top, config.seed, trial, c.qd, c.pd))
+        for row in np.flatnonzero((linked & (codes == 2)).any(axis=(1, 2))).tolist():
+            for top in itertools.chain.from_iterable(_reports(chains, judged, row, b.spectra[row], gens)):
+                self.violations.extend(collect_violations(
+                    top, config.seed, trials[row], b.qds[row], b.pds[row]))
 
     def summary(self, skipped_trials: list) -> dict:
         config = self.config
-        checks = sorted({check for check, _ in self.statuses})
+        seen = [(check, statuses, buckets) for check, statuses, buckets in
+                zip(self.checks, *(counts.tolist() for counts in self.counts)) if any(statuses)]
         return {
             "config": {
                 "dim": int(config.dim),
@@ -905,11 +912,8 @@ class _Tally:
                 "eps": float(config.eps),
                 "generators": [g.spec for g in config.generators],
             },
-            "checks": {k: {name: self.statuses[k, code] for code, name in enumerate(_STATUSES)}
-                       for k in checks},
-            "slack_histograms": {k: {name: self.buckets[k, code]
-                                     for code, name in enumerate(_SLACK_BUCKETS)}
-                                 for k in checks},
+            "checks": {k: dict(zip(_STATUSES, counts)) for k, counts, _ in seen},
+            "slack_histograms": {k: dict(zip(_SLACK_BUCKETS, links)) for k, _, links in seen},
             "violations": len(self.violations),
             "near_tight_total": self.near_tight_total,
             "near_tight": self.near_tight,
@@ -948,8 +952,7 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
             else:
                 kept.append(k)
         if kept:
-            block = _pairs([pairs[k][0] for k in kept], [pairs[k][1] for k in kept],
-                           [spectra[k] for k in kept])
-            tally.add([(numbers[k], c) for k, c in zip(kept, block)])
+            tally.add([numbers[k] for k in kept], _Block(
+                [pairs[k][0] for k in kept], [pairs[k][1] for k in kept], [spectra[k] for k in kept]))
     return FuzzResult(config=config, violations=tuple(tally.violations),
                       summary=tally.summary(skipped_trials))

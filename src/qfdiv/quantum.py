@@ -311,25 +311,19 @@ class DivergenceValue:
         return self.value
 
 
-def weighted_sums(spectra, terms) -> list:
-    """sum_ij mu_j W_ij terms(lambda_i / mu_j) for each spectrum of a block.
-
-    The block is evaluated stacked, as one (B, d, d) array.  A spectrum
-    with a zero ratio or a non-finite term gets None, for the caller to
-    evaluate on its own.  Each sum equals the single-spectrum
-    (weights * terms).sum() bit for bit.
-    """
-    out = [None] * len(spectra)
-    rows = [i for i, js in enumerate(spectra) if js.pos.all()]
-    if rows:
-        vals = np.asarray(terms(np.stack([spectra[i].ratio for i in rows])), dtype=np.float64)
-        vals = vals.reshape(len(rows), -1)
-        wts = np.stack([spectra[i].wt for i in rows]).reshape(len(rows), -1)
-        sums = (wts * vals).sum(axis=1)
-        for i, total, finite in zip(rows, sums.tolist(), np.isfinite(vals).all(axis=1)):
-            if finite:
-                out[i] = total
-    return out
+def weighted_sums(ratio: np.ndarray, wt: np.ndarray, terms) -> tuple:
+    """sum_ij wt_ij terms(ratio_ij) for each member of a block's (n, d, d)
+    stacks of ratios and weights, and whether it holds: only for members
+    with all ratios positive (the only ones terms sees) and all terms
+    finite.  A held sum equals the single-spectrum (weights * terms).sum()
+    bit for bit; the caller evaluates the other members on their own."""
+    full = (ratio > 0.0).reshape(len(ratio), -1).all(axis=1)
+    sums, held = np.full(len(ratio), math.nan), full.copy()
+    if full.any():
+        vals = np.asarray(terms(ratio[full]), dtype=np.float64).reshape(int(full.sum()), -1)
+        sums[full] = (wt[full].reshape(len(vals), -1) * vals).sum(axis=1)
+        held[full] = np.isfinite(vals).all(axis=1)
+    return sums, held
 
 
 def s_f_from_spectrum(js, f: Generator):
@@ -346,9 +340,12 @@ def s_f_from_spectrum(js, f: Generator):
     if isinstance(js, JointSpectrum):
         return _s_f_one(js, f)
     spectra = list(js)
-    sums = weighted_sums(spectra, f.fn)
-    return [_s_f_one(one, f) if total is None else DivergenceValue(value=total, generator=f.spec)
-            for one, total in zip(spectra, sums)]
+    if not spectra:
+        return []
+    sums, held = weighted_sums(np.stack([one.ratio for one in spectra]),
+                               np.stack([one.wt for one in spectra]), f.fn)
+    return [DivergenceValue(value=total, generator=f.spec) if ok else _s_f_one(one, f)
+            for one, total, ok in zip(spectra, sums.tolist(), held.tolist())]
 
 
 def _s_f_one(js: JointSpectrum, f: Generator) -> DivergenceValue:

@@ -236,6 +236,12 @@ class TestFuzzCommand:
         code, _ = run(capsys, "fuzz", "--trials", "0")
         assert code == 2
 
+    def test_zero_dim_exits_2(self, files, capsys):
+        # Refused before the default floor 1e-6/dim is computed.
+        code = main(["fuzz", "--dim", "0", "--trials", "1"])
+        assert code == 2
+        assert "dimension must be >= 1" in capsys.readouterr().err
+
     def test_oversized_dim_exits_2(self, files, capsys):
         # Refused before any (dim, dim) array is allocated.
         code = main(["fuzz", "--dim", "100000", "--trials", "1"])
@@ -257,6 +263,54 @@ class TestFuzzCommand:
             monkeypatch.setattr(qfdiv.harness, "FUZZ_BLOCK", size)
             outputs.add(run(capsys, "fuzz", *argv))
         assert len(outputs) == 1
+
+
+class TestToleranceValidation:
+    """--tol must be positive and finite: a negative or NaN tol would fail
+    every link and an infinite one pass every link."""
+
+    BAD = ["-1", "0", "nan", "inf"]
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_certify_exits_2(self, files, capsys, tol):
+        code = main(["certify", "--q", files["qb"], "--p", files["pb"], "--tol", tol])
+        assert code == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_fuzz_exits_2(self, capsys, tol):
+        code = main(["fuzz", "--dim", "2", "--trials", "1", "--tol", tol])
+        assert code == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+
+class TestEpsInvertFloor:
+    """A diagonal thermal P with N = 32 (smallest eigenvalue 2.18e-14) is
+    clamped to 0 by ZERO_EIGENVALUE_TOL * ||P||_F = 6.8e-14, so no
+    --eps-invert makes it invertible; the help text says so."""
+
+    def test_help_names_the_clamp(self, capsys):
+        from qfdiv.cli import build_parser
+        from qfdiv.hermitian import ZERO_EIGENVALUE_TOL
+
+        for command in ("compute", "certify", "fuzz", "spectrum"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--help"])
+            help_text = " ".join(capsys.readouterr().out.split())
+            assert (f"within {ZERO_EIGENVALUE_TOL:g} * ||P||_F of 0 are clamped to 0, "
+                    "so a smaller one has no effect") in help_text
+
+    def test_tiny_threshold_cannot_invert_clamped_p(self, files, capsys, tmp_path):
+        weights = np.exp(-np.arange(32.0))
+        p_path = tmp_path / "thermal.json"
+        p_path.write_text(json.dumps(matrix_to_json(np.diag(weights / weights.sum()))))
+        q_weights = np.exp(-2.0 * np.arange(32.0))
+        q_path = tmp_path / "thermal2.json"
+        q_path.write_text(json.dumps(matrix_to_json(np.diag(q_weights / q_weights.sum()))))
+        code = main(["compute", "--q", str(q_path), "--p", str(p_path),
+                     "--generator", "kl-quantum", "--eps-invert", "1e-300"])
+        assert code == 3
+        assert "singular at tolerance 1e-300: min eigenvalue 0.000e+00" in capsys.readouterr().err
 
 
 class TestSpectrum:

@@ -20,6 +20,7 @@ from qfdiv.generators import (
 )
 from qfdiv.harness import (
     FuzzConfig,
+    certify,
     check_derivative_gap,
     check_nonneg,
     check_thm2,
@@ -99,6 +100,22 @@ class TestDerivativeGap:
         assert sub.status == "pass"
         assert sub.chain[2][1] == pytest.approx(chi_square(EXAMPLE_A_P, EXAMPLE_A_Q), abs=1e-14)
         assert sub.chain[2][1] == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    def test_neg_log_swap_oracle_unavailable_for_singular_q(self):
+        # Q singular: no swapped chi-square, so no derivative-gap:swap
+        # subchain, and the chain says why.
+        reports = run_all_checks(np.diag([0.6, 0.4, 0.0]), np.diag([0.3, 0.3, 0.4]),
+                                 parse_generator_spec("neg-log"))
+        assert [(r.check, r.status, r.flags, [s.check for s in r.subchains],
+                 [s.status for s in r.subchains]) for r in reports] == [
+            ("nonneg", "vacuous-pass", (), [], []),
+            ("derivative-gap", "vacuous-pass", ("swap-oracle-unavailable:singular-q",), [], []),
+            ("thm2", "vacuous-pass", (), ["thm2:neg-log"], ["vacuous-pass"]),
+            ("thm3", "vacuous-pass", (), ["thm3:neg-log"], ["vacuous-pass"]),
+            ("thm4", "vacuous-pass", (), ["thm4:alternate", "thm4:neg-log"],
+             ["vacuous-pass", "vacuous-pass"]),
+            ("thm5", "vacuous-pass", (), ["thm5:neg-log"], ["vacuous-pass"]),
+        ]
 
     def test_singular_q_makes_rhs_vacuous(self):
         q = np.diag([1.0, 0.0])
@@ -545,6 +562,27 @@ class TestFuzzConfig:
         with pytest.raises(InputFormatError):
             FuzzConfig(tol=0.0)
 
+    @pytest.mark.parametrize("tol", [-1.0, INF, math.nan])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        with pytest.raises(InputFormatError, match="positive and finite"):
+            FuzzConfig(tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, INF, math.nan])
+    def test_every_entry_point_checks_tol(self, tol):
+        f = parse_generator_spec("chi2")
+        calls = [lambda: run_all_checks(EXAMPLE_B_Q, EXAMPLE_B_P, f, tol=tol),
+                 lambda: certify(EXAMPLE_B_Q, EXAMPLE_B_P, (f,), tol=tol),
+                 *(lambda check=check: check(EXAMPLE_B_Q, EXAMPLE_B_P, f, tol=tol) for check in (
+                     check_nonneg, check_derivative_gap, check_thm2, check_thm3, check_thm4,
+                     check_thm5))]
+        for call in calls:
+            with pytest.raises(InputFormatError, match="positive and finite"):
+                call()
+
+    def test_zero_dim_rejected_before_the_default_floor(self):
+        with pytest.raises(InputFormatError, match="dimension must be >= 1"):
+            FuzzConfig(dim=0)
+
     def test_bad_sampler(self):
         with pytest.raises(InputFormatError):
             FuzzConfig(sampler="none")
@@ -754,12 +792,15 @@ class TestFuzzMatchesReports:
         assert json.dumps([v.to_json() for v in result.violations]) == json.dumps(violations)
 
     def test_link_rule_on_special_values(self):
-        from qfdiv.harness import _SLACK_BUCKETS, _STATUSES, _VERDICTS, _link_eval
+        from qfdiv.harness import _SLACK_BUCKETS, _STATUSES, _VERDICTS, _Chain, _link_eval
 
         special = (0.0, -0.0, 1.0, -2.5, 1e-9, 5e-7, 1e-300, 1e300, INF, -INF, math.nan)
         pairs = [(a, b) for a in special for b in special]
-        chains = [("c", "g", ("a", "b"), pair, (), "") for pair in pairs]
+        # One chain per pair of values, each on a block of one pair.
+        chains = [_Chain("c", ("a", "b"), (np.array([a]), np.array([b])), np.ones(1, bool))
+                  for a, b in pairs]
         status, nlinks, codes, slacks, buckets, equal = _link_eval(chains, 1e-9)
+        status, codes, slacks, buckets, equal = status[0], codes[0], slacks[0], buckets[0], equal[0]
         assert list(nlinks) == [1] * len(pairs)
         for (left, right), st, code, slack, bucket, eq in zip(pairs, status, codes, slacks,
                                                               buckets, equal):

@@ -210,6 +210,23 @@ class TestSFCommutingOracle:
         assert val == pytest.approx(i_f([0.75, 0.25], [0.5, 0.5], kl_quantum()), abs=1e-15)
 
 
+class TestEpsInvertFloor:
+    def test_clamped_reference_state_stays_singular(self):
+        # Thermal P at beta*omega = 1, N = 32: its smallest eigenvalue
+        # 2.18e-14 lies below ZERO_EIGENVALUE_TOL * ||P||_F = 6.8e-14, so it
+        # is clamped to 0 and even eps = 1e-300 finds P singular.
+        from qfdiv.hermitian import ZERO_EIGENVALUE_TOL
+
+        weights = np.exp(-np.arange(32.0))
+        p = np.diag(weights / weights.sum())
+        assert 0.0 < p[-1, -1] < ZERO_EIGENVALUE_TOL * np.linalg.norm(p)
+        assert as_density(p).min_eigenvalue == 0.0
+        q = np.diag(np.exp(-2.0 * np.arange(32.0)) / np.exp(-2.0 * np.arange(32.0)).sum())
+        with pytest.raises(PreconditionError,
+                           match=r"singular at tolerance 1e-300: min eigenvalue 0\.000e\+00"):
+            s_f(q, p, kl_quantum(), eps=1e-300)
+
+
 class TestSFBlock:
     def test_block_matches_one_call_per_spectrum(self):
         # Full-rank pairs take the stacked sum; a singular Q (zero ratios)

@@ -5,7 +5,7 @@ Usage, from the repository root:
     python3 tools/identity.py > before.txt      # on the old commit
     python3 tools/identity.py | diff before.txt -   # on the new one
 
-It covers `fuzz` stdout on 24 configurations, `certify` JSON and CSV on
+It covers `fuzz` stdout on 27 configurations, `certify` JSON and CSV on
 16 pairs (with QFDIV_TIMESTAMP fixed) and `run_all_checks` reports as
 JSON over sampled and hand-made pairs, every generator of a 21-entry
 list and two tolerances.  The digests depend on the numpy/LAPACK/BLAS
@@ -56,6 +56,13 @@ FUZZ_CONFIGS = (
     ("fuzz", "--dim", "3", "--trials", "37", "--seed", "13", "--tol", "1e-300"),
     ("fuzz", "--dim", "4", "--trials", "100", "--seed", "7"),
     ("fuzz", "--dim", "2", "--trials", "50", "--seed", "8"),
+    # Every window degenerate (r = R = 1).
+    ("fuzz", "--dim", "1", "--trials", "20", "--seed", "14"),
+    # Only generators with a derivative kink.
+    ("fuzz", "--dim", "3", "--trials", "20", "--seed", "15", "--generator", "tv",
+     "--generator", "matsushita:alpha=1", "--generator", "arimoto:alpha=inf"),
+    ("fuzz", "--sampler", "commuting", "--dim", "2", "--trials", "20", "--seed", "16",
+     "--generator", "neg-log"),
 )
 
 EXTRA_SPECS = (
