@@ -13,7 +13,6 @@ sum is off by more than 1e-12 is rejected as malformed input.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import InputFormatError
 from .generators import Generator, shift
-from .hermitian import CheckReport, _chain_report
+from .hermitian import CheckReport, _chain_report, _load_json
 
 __all__ = [
     "DiscreteDistribution",
@@ -67,16 +66,20 @@ def _weights(d) -> np.ndarray:
     return DiscreteDistribution(np.asarray(d, dtype=np.float64)).weights
 
 
+def _pair_weights(q, p) -> tuple:
+    qw, pw = _weights(q), _weights(p)
+    if qw.size != pw.size:
+        raise InputFormatError(f"length mismatch: {qw.size} vs {pw.size}")
+    return qw, pw
+
+
 def i_f(q, p, f: Generator) -> float:
     """The f-divergence I_f(q, p) = sum_x p_x f(q_x / p_x).
 
     Zero handling: p_x = 0 and q_x = 0 contributes 0; p_x = 0 and
     q_x > 0 contributes q_x * f*(0).  May return +inf.
     """
-    qw = _weights(q)
-    pw = _weights(p)
-    if qw.size != pw.size:
-        raise InputFormatError(f"length mismatch: {qw.size} vs {pw.size}")
+    qw, pw = _pair_weights(q, p)
 
     total = 0.0
     both = (pw > 0.0) & (qw > 0.0)
@@ -95,10 +98,7 @@ def i_f(q, p, f: Generator) -> float:
 
 def variation_distance(q, p) -> float:
     """Total variation sum |q_x - p_x| (the full sum, not halved)."""
-    qw = _weights(q)
-    pw = _weights(p)
-    if qw.size != pw.size:
-        raise InputFormatError(f"length mismatch: {qw.size} vs {pw.size}")
+    qw, pw = _pair_weights(q, p)
     return float(np.sum(np.abs(qw - pw)))
 
 
@@ -110,12 +110,8 @@ def range_check(q, p, f: Generator, tol: float = 1e-10) -> CheckReport:
     value = i_f(q, p, f)
     upper = f.value_at_zero + f.star_at_zero
     note = "vacuous-upper: f(0) + f*(0) is infinite" if math.isinf(upper) else ""
-    report = _chain_report(
-        "range-of-values",
-        [("f-at-one", f(1.0)), ("divergence", value), ("zero-limit-sum", upper)],
-        tol,
-    )
-    return CheckReport(report.name, report.terms, report.tol, report.ok, note)
+    return _chain_report("range-of-values", [("f-at-one", f(1.0)), ("divergence", value),
+                                             ("zero-limit-sum", upper)], tol, note)
 
 
 def refinement_bound_check(q, p, f: Generator, tol: float = 1e-10) -> CheckReport:
@@ -129,12 +125,8 @@ def refinement_bound_check(q, p, f: Generator, tol: float = 1e-10) -> CheckRepor
     cap_sum = f.value_at_zero + f.star_at_zero
     bound = 0.5 * cap_sum * variation_distance(q, p) if math.isfinite(cap_sum) else math.inf
     note = "vacuous: f(0) + f*(0) is infinite" if math.isinf(cap_sum) else ""
-    report = _chain_report(
-        "refinement-bound",
-        [("zero", 0.0), ("divergence", value), ("half-sum-variation", bound)],
-        tol,
-    )
-    return CheckReport(report.name, report.terms, report.tol, report.ok, note)
+    return _chain_report("refinement-bound", [("zero", 0.0), ("divergence", value),
+                                              ("half-sum-variation", bound)], tol, note)
 
 
 def shift_invariance_check(q, p, f: Generator, c: float, tol: float = 1e-11) -> CheckReport:
@@ -171,11 +163,4 @@ def distribution_from_json(obj: dict) -> DiscreteDistribution:
 
 def load_distribution(path: str) -> DiscreteDistribution:
     """Read a distribution JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"malformed JSON in {path}: {exc}") from exc
-    return distribution_from_json(obj)
+    return distribution_from_json(_load_json(path))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -39,7 +40,7 @@ from .classical import (
     variation_distance,
 )
 from .errors import InputFormatError, PreconditionError
-from .generators import parse_generator_spec
+from .generators import DEFAULT_SPECS, parse_generator_spec
 from .harness import BoundChainReport, FuzzConfig, certify, collect_violations, fuzz
 from .hermitian import ZERO_EIGENVALUE_TOL, load_matrix
 from .quantum import (
@@ -138,23 +139,16 @@ def _resolve_seed(args) -> int:
 
 
 def _generators(args):
-    specs = args.generator if args.generator else None
-    if specs is None:
-        from .generators import DEFAULT_SPECS
-        specs = DEFAULT_SPECS
-    return tuple(parse_generator_spec(s) for s in specs)
+    return tuple(parse_generator_spec(s) for s in args.generator or DEFAULT_SPECS)
 
 
-def _closed_form(qd, pd, f, eps):
-    if f.name == "kl-quantum":
-        return umegaki(qd, pd, eps)
-    if f.name == "chi2":
-        return chi_square(qd, pd, eps)
-    if f.name == "tsallis":
-        return tsallis(qd, pd, f.params["q"], eps)
-    if f.name == "hellinger":
-        return hellinger_sq(qd, pd, eps)
-    return None
+# The independent closed form of S_f by family: (Q, P, f, eps) -> value.
+_CLOSED_FORMS = {
+    "kl-quantum": lambda qd, pd, f, eps: umegaki(qd, pd, eps),
+    "chi2": lambda qd, pd, f, eps: chi_square(qd, pd, eps),
+    "tsallis": lambda qd, pd, f, eps: tsallis(qd, pd, f.params["q"], eps),
+    "hellinger": lambda qd, pd, f, eps: hellinger_sq(qd, pd, eps),
+}
 
 
 def _value_row(qd, pd, js, f, eps, dv=None) -> dict:
@@ -162,7 +156,7 @@ def _value_row(qd, pd, js, f, eps, dv=None) -> dict:
     when one exists, and their gap."""
     if dv is None:
         dv = s_f_from_spectrum(js, f)
-    closed = _closed_form(qd, pd, f, eps)
+    closed = _CLOSED_FORMS[f.name](qd, pd, f, eps) if f.name in _CLOSED_FORMS else None
     gap = None
     if closed is not None and math.isfinite(dv.value) and math.isfinite(closed):
         gap = abs(dv.value - closed)
@@ -209,11 +203,7 @@ def _csv_text(rows: list, manifest: dict) -> str:
 
 
 def _csv_num(x):
-    if x is None:
-        return ""
-    if isinstance(x, float) and not math.isfinite(x):
-        return repr(x)
-    return repr(float(x))
+    return "" if x is None else repr(float(x))
 
 
 def _csv_row(row: dict) -> dict:
@@ -326,17 +316,8 @@ def cmd_fuzz(args, argv) -> int:
         if not generators:
             raise InputFormatError(
                 "--allow-singular left no generators: all requested ones are infinite at 0")
-    config = FuzzConfig(
-        dim=args.dim,
-        trials=args.trials,
-        seed=_resolve_seed(args),
-        sampler=args.sampler,
-        floor=floor,
-        generators=generators,
-        tol=args.tol,
-        eps=args.eps_invert,
-        jobs=args.jobs,
-    )
+    config = FuzzConfig(dim=args.dim, trials=args.trials, seed=_resolve_seed(args), sampler=args.sampler,
+                        floor=floor, generators=generators, tol=args.tol, eps=args.eps_invert, jobs=args.jobs)
     result = fuzz(config)
 
     # Deterministic stdout: summary and violations only, never a timestamp.
@@ -491,12 +472,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process (parsing leaves it as it was)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -57,6 +57,7 @@ __all__ = [
     "secant_bound",
     "psi",
     "psi_sup",
+    "psi_sups",
     "jensen_gap_bound",
     "from_callable",
     "parse_generator_spec",
@@ -68,7 +69,7 @@ INF = math.inf
 PSI_GRID_POINTS = 10001
 PSI_STEPS = PSI_GRID_POINTS - 1
 PSI_EDGE_FRACTION = 1e-6
-# psi_sup bounds its grid cell by cell; a cell spans this many grid steps.
+# psi_sups bounds its grid cell by cell; a cell spans this many grid steps.
 PSI_CELL = 100
 # Rounding pad of a cell bound, relative to the size of f on the window
 # (at least 1), about 4e6 ulps.  The catalog's formulas cancel inside
@@ -76,8 +77,11 @@ PSI_CELL = 100
 # still sits far below the spread of the cell bounds.
 PSI_PAD = 2.0**-30
 # A negative second difference -n of f in the edge cells means f-values err
-# by at least n/4; psi_sup pads for PSI_NOISE / 4 times that error.
+# by at least n/4; psi_sups pads for PSI_NOISE / 4 times that error.
 PSI_NOISE = 16.0
+
+# The largest stacked temporary, in points, of psi_sups and weighted_sums.
+STACK_POINTS = 2**14
 
 # Finite-difference step for generators built from a bare callable.
 FD_STEP = 1e-7
@@ -181,6 +185,11 @@ def _sgn(t):
     return np.sign(t - 1.0)
 
 
+def _kink(c: float) -> tuple:
+    """The one-sided derivatives of c |t - 1| at a scalar t."""
+    return (lambda t: -c if t <= 1.0 else c), (lambda t: -c if t < 1.0 else c)
+
+
 def chi_alpha(alpha: float = 2.0) -> Generator:
     """|u - 1|^alpha for alpha >= 1; alpha = 1 is total variation,
     alpha = 2 is the chi-square generator shifted to pass through 0."""
@@ -191,11 +200,8 @@ def chi_alpha(alpha: float = 2.0) -> Generator:
     def fn(t):
         return np.abs(t - 1.0) ** alpha
 
-    if alpha == 1.0:
-        dl = lambda t: -1.0 if t <= 1.0 else 1.0
-        dr = lambda t: -1.0 if t < 1.0 else 1.0
-    else:
-        dl = dr = lambda t: alpha * _sgn(t) * np.abs(t - 1.0) ** (alpha - 1.0)
+    deriv = lambda t: alpha * _sgn(t) * np.abs(t - 1.0) ** (alpha - 1.0)
+    dl, dr = _kink(1.0) if alpha == 1.0 else (deriv, deriv)
     return Generator(
         name="chi-alpha",
         params={"alpha": alpha},
@@ -265,11 +271,8 @@ def matsushita(alpha: float = 0.5) -> Generator:
     def fn(t):
         return np.abs(1.0 - t**alpha) ** (1.0 / alpha)
 
-    if alpha == 1.0:
-        dl = lambda t: -1.0 if t <= 1.0 else 1.0
-        dr = lambda t: -1.0 if t < 1.0 else 1.0
-    else:
-        dl = dr = lambda t: _sgn(t) * t ** (alpha - 1.0) * np.abs(1.0 - t**alpha) ** (1.0 / alpha - 1.0)
+    deriv = lambda t: _sgn(t) * t ** (alpha - 1.0) * np.abs(1.0 - t**alpha) ** (1.0 / alpha - 1.0)
+    dl, dr = _kink(1.0) if alpha == 1.0 else (deriv, deriv)
     return Generator(
         name="matsushita",
         params={"alpha": alpha},
@@ -293,17 +296,12 @@ def puri_vincze(alpha: float = 2.0) -> Generator:
     def fn(t):
         return np.abs(1.0 - t) ** alpha / (t + 1.0) ** (alpha - 1.0)
 
-    if alpha == 1.0:
-        dl = lambda t: -1.0 if t <= 1.0 else 1.0
-        dr = lambda t: -1.0 if t < 1.0 else 1.0
-    else:
+    def deriv(t):
+        a = alpha * _sgn(t) * np.abs(1.0 - t) ** (alpha - 1.0) * (t + 1.0) ** (1.0 - alpha)
+        b = (1.0 - alpha) * np.abs(1.0 - t) ** alpha * (t + 1.0) ** (-alpha)
+        return a + b
 
-        def deriv(t):
-            a = alpha * _sgn(t) * np.abs(1.0 - t) ** (alpha - 1.0) * (t + 1.0) ** (1.0 - alpha)
-            b = (1.0 - alpha) * np.abs(1.0 - t) ** alpha * (t + 1.0) ** (-alpha)
-            return a + b
-
-        dl = dr = deriv
+    dl, dr = _kink(1.0) if alpha == 1.0 else (deriv, deriv)
     return Generator(
         name="puri-vincze",
         params={"alpha": alpha},
@@ -329,8 +327,8 @@ def arimoto(alpha: float = 2.0) -> Generator:
             name="arimoto",
             params={"alpha": INF},
             fn=lambda t: 0.5 * np.abs(1.0 - t),
-            deriv_left_fn=lambda t: -0.5 if t <= 1.0 else 0.5,
-            deriv_right_fn=lambda t: -0.5 if t < 1.0 else 0.5,
+            deriv_left_fn=_kink(0.5)[0],
+            deriv_right_fn=_kink(0.5)[1],
             value_at_zero=0.5,
             star_at_zero=0.5,
             deriv_at_zero=-0.5,
@@ -403,8 +401,8 @@ def tv() -> Generator:
     return Generator(
         name="tv",
         fn=lambda t: np.abs(t - 1.0),
-        deriv_left_fn=lambda t: -1.0 if t <= 1.0 else 1.0,
-        deriv_right_fn=lambda t: -1.0 if t < 1.0 else 1.0,
+        deriv_left_fn=_kink(1.0)[0],
+        deriv_right_fn=_kink(1.0)[1],
         value_at_zero=1.0,
         star_at_zero=1.0,
         deriv_at_zero=-1.0,
@@ -663,28 +661,34 @@ def psi_sup(f: Generator, r, R, ends=None):
 
     Returns +inf when f(r) is infinite or a one-sided derivative at an
     endpoint diverges.  Never exceeds f'_-(R) - f'_+(r) when that gap is
-    finite.
-
-    r and R may also be equal-length arrays, a block of windows; the
-    result is then an array with one value per window.  ends, when
-    given, holds the scalar values f(r), f(R), f'_+(r) and f'_-(R), one
-    sequence each, so a caller that already has them need not evaluate
-    them again.
-
-    Most of the grid is never evaluated, and the value is still the
-    full grid's max bit for bit.  f is evaluated at every 100th grid
-    point, at t = 1, and on the grid's first and last 100-step cells,
-    where the edge pull-in makes rounding large.  For convex f, chord
-    slopes are nondecreasing in each endpoint (the three-chord lemma),
-    so on a cell [a, b] the gap is at most slope(b, R) - slope(r, a).
-    A cell whose bound, padded for rounding (from the size of f and
-    from the rounding noise the edge cells show), stays below the
-    largest value found so far cannot hold the max and is skipped; the
-    other cells are evaluated in full.  A window evaluates its whole grid
-    when most cells stay live (chi2, whose gap is constant), and always
-    for an approx generator, which need not be convex.
+    finite.  r and R may also be equal-length arrays, a block of windows,
+    giving one value per window.  ends, when given, holds the scalar
+    values f(r), f(R), f'_+(r) and f'_-(R), one sequence each.  This is
+    psi_sups with the one generator f.
     """
     scalar = np.ndim(r) == 0 and np.ndim(R) == 0
+    out = psi_sups((f,), r, R, None if ends is None else [np.reshape(e, (-1, 1)) for e in ends])[:, 0]
+    return float(out[0]) if scalar else out
+
+
+def psi_sups(generators, r, R, ends=None) -> np.ndarray:
+    """psi_sup of each generator on each window, a (windows, generators)
+    array; ends, when given, holds f(r), f(R), f'_+(r) and f'_-(R) as
+    (windows, generators) arrays of scalar-call values.
+
+    Most of the grid is never evaluated, and each value is still the full
+    grid's max bit for bit.  f is evaluated at every 100th grid point, at
+    t = 1, and on the first and last 100-step cells, where the edge
+    pull-in makes rounding large.  For convex f, chord slopes are
+    nondecreasing in each endpoint (the three-chord lemma), so on a cell
+    [a, b] the gap is at most slope(b, R) - slope(r, a).  A cell whose
+    bound, padded for rounding, stays below the largest value found so
+    far is skipped; the others are evaluated in full.  An entry takes its
+    whole grid when most cells stay live (chi2, whose gap is constant),
+    and always for an approx generator, which need not be convex.  All
+    entries are probed, and their live cells evaluated, together: in chunks
+    of about STACK_POINTS points, one f.fn call per generator and chunk.
+    """
     r, R = np.broadcast_arrays(np.atleast_1d(np.asarray(r, dtype=np.float64)),
                                np.atleast_1d(np.asarray(R, dtype=np.float64)))
     bad = ~((r < R) & np.isfinite(r) & np.isfinite(R))
@@ -692,15 +696,18 @@ def psi_sup(f: Generator, r, R, ends=None):
         i = int(np.argmax(bad))
         _check_window(r[i], R[i])
     if ends is None:
-        ends = ([f(x) for x in r], [f(x) for x in R],
-                [f.deriv_right(x) for x in r], [f.deriv_left(x) for x in R])
-    fr, fR, dr, dR = (np.asarray(e, dtype=np.float64).reshape(r.shape) for e in ends)
+        ends = [[[end(f, x) for f in generators] for x in xs] for end, xs in (
+            (Generator.__call__, r), (Generator.__call__, R), (Generator.deriv_right, r),
+            (Generator.deriv_left, R))]
+    fr, fR, dr, dR = (np.asarray(e, dtype=np.float64).reshape(r.size, len(generators)) for e in ends)
 
-    out = np.full(r.shape, INF)
-    ok = ~(np.isinf(fr) | np.isinf(fR) | (dr == -INF) | (dR == INF))
-    if ok.any():
-        out[ok] = _PsiGrid(r[ok], R[ok], fr[ok], fR[ok], dr[ok], dR[ok]).sup(f)
-    return float(out[0]) if scalar else out
+    out = np.full(fr.shape, INF)
+    # The entries with finite ends, generator by generator.
+    gen, win = np.nonzero((~(np.isinf(fr) | np.isinf(fR) | (dr == -INF) | (dR == INF))).T)
+    if gen.size:
+        at = (win, gen)
+        out[at] = _PsiGrid(generators, gen, win, r[win], R[win], fr[at], fR[at], dr[at], dR[at]).sup()
+    return out
 
 
 def _index(*parts) -> np.ndarray:
@@ -709,7 +716,7 @@ def _index(*parts) -> np.ndarray:
     return idx
 
 
-# Grid indices psi_sup evaluates first, in grid order: the whole first
+# Grid indices psi_sups evaluates first, in grid order: the whole first
 # cell, the inner cell edges, the whole last cell.
 _PROBE_IDX = _index(np.arange(0, PSI_CELL + 1), np.arange(2 * PSI_CELL, PSI_STEPS - PSI_CELL, PSI_CELL),
                     np.arange(PSI_STEPS - PSI_CELL, PSI_STEPS + 1))
@@ -717,19 +724,32 @@ _FIRST_CELL = slice(0, PSI_CELL + 1)  # columns of _PROBE_IDX
 _LAST_CELL = slice(-PSI_CELL - 1, None)
 _INNER_EDGES = slice(PSI_CELL, PSI_CELL + PSI_STEPS // PSI_CELL - 1)
 _CELL_IDX = _index(np.arange(1, PSI_CELL))
+_GRID_IDX = _index(np.arange(PSI_GRID_POINTS))
+
+
+def _gaps(ft, fr, fR, to_R, from_r):
+    """The double-slope gap (fR - ft) / to_R - (ft - fr) / from_r, with few
+    temporaries."""
+    gaps = fR - ft
+    gaps /= to_R
+    left = ft - fr
+    left /= from_r
+    gaps -= left
+    return gaps
 
 
 class _PsiGrid:
-    """psi_sup's grids for a block of windows, formed point by point.
+    """psi_sups' grids for a block of entries, formed point by point.
 
-    Point i of a window is i * step + start and its last point is stop,
+    Point i of an entry is i * step + start and its last point is stop,
     with (i / steps) * delta + start where the step is zero: exactly how
-    np.linspace(start, stop, PSI_GRID_POINTS) forms its points.  Window
-    data is indexed by w, an int or a column of window numbers, which
-    broadcasts against a row of grid indices.
+    np.linspace(start, stop, PSI_GRID_POINTS) forms its points.  Entry
+    data is indexed by w, an int or a column of entry numbers, which
+    broadcasts against a row of grid indices.  gen and win number each
+    entry's generator and window; the entries are sorted by generator.
     """
 
-    def __init__(self, r, R, fr, fR, dr, dR):
+    def __init__(self, generators, gen, win, r, R, fr, fR, dr, dR):
         slope = (fR - fr) / (R - r)
         self.lim_r, self.lim_R = slope - dr, dR - slope
         h = (R - r) * PSI_EDGE_FRACTION
@@ -740,11 +760,12 @@ class _PsiGrid:
         self.step = delta / PSI_STEPS
         self.interior = (r < 1.0) & (1.0 < R)
         self.scale = np.maximum(np.maximum(np.abs(fr), np.abs(fR)), 1.0)
+        self.generators, self.gen, self.win = generators, gen, win
         self.r, self.R, self.fr, self.fR = r, R, fr, fR
         self.start, self.stop, self.delta = start, stop, delta
 
     def points(self, w, idx):
-        """Grid points idx of windows w."""
+        """Grid points idx of entries w."""
         step, start = self.step[w], self.start[w]
         if np.all(step != 0.0):
             t = idx * step
@@ -755,70 +776,89 @@ class _PsiGrid:
             t[..., -1:] = self.stop[w]
         return t
 
-    def gaps(self, w, t, ft):
-        """The double-slope gap at points t of windows w, where f(t) = ft:
-        (f(R) - ft) / (R - t) - (ft - f(r)) / (t - r), with few temporaries."""
-        gaps = self.fR[w] - ft
-        gaps /= self.R[w] - t
-        left = ft - self.fr[w]
-        left /= t - self.r[w]
-        gaps -= left
-        return gaps
+    def evaluate(self, w, t) -> tuple:
+        """f and the gap at points t of the entries of column w (sorted), with
+        one f.fn call per generator, on its rows."""
+        ft, gen = np.empty_like(t), self.gen[w[:, 0]]
+        cuts = [0, *(np.flatnonzero(np.diff(gen)) + 1).tolist(), len(gen)]
+        for a, b in zip(cuts, cuts[1:]):
+            ft[a:b] = self.generators[gen[a]].fn(t[a:b])
+        return ft, _gaps(ft, self.fr[w], self.fR[w], self.R[w] - t, t - self.r[w])
 
-    def full(self, f, w: int) -> float:
-        """Window w's value from its whole grid."""
-        ts = self.points(w, np.arange(PSI_GRID_POINTS, dtype=np.float64))
+    def full(self, entries: list) -> list:
+        """The values of `entries`, all of one window, from its whole grid (and
+        R - t, t - r), formed once for them all."""
+        w = entries[0]
+        ts = self.points(w, _GRID_IDX)
         if self.interior[w]:
             ts = np.append(ts, 1.0)
-        gaps = self.gaps(w, ts, np.asarray(f.fn(ts), dtype=np.float64))
-        best = float(gaps.max())
-        if not math.isfinite(best):  # below a width of ~1e-10 an endpoint lands on the grid: 0/0
-            best = float(np.max(gaps, where=np.isfinite(gaps), initial=-INF))
-        return max(best, float(self.lim_r[w]), float(self.lim_R[w]))
+        to_R, from_r, out = self.R[w] - ts, ts - self.r[w], []
+        for e in entries:
+            gaps = _gaps(np.asarray(self.generators[self.gen[e]].fn(ts), dtype=np.float64),
+                         self.fr[e], self.fR[e], to_R, from_r)
+            best = float(gaps.max())
+            if not math.isfinite(best):  # below a width of ~1e-10 an endpoint lands on the grid: 0/0
+                best = float(np.max(gaps, where=np.isfinite(gaps), initial=-INF))
+            out.append(max(best, float(self.lim_r[e]), float(self.lim_R[e])))
+        return out
 
-    def sup(self, f) -> np.ndarray:
-        n = self.lim_r.size
+    def probe(self, rows):
+        """Probe the entries `rows` (sorted): their best value so far, whether
+        each needs its whole grid, and their live cells (entry, cell number)."""
+        col = rows[:, np.newaxis]
+        # t = 1 first (masked out where it is not interior), then the probe.
+        t = np.concatenate([np.ones((rows.size, 1)), self.points(col, _PROBE_IDX)], axis=1)
+        ft, gaps = self.evaluate(col, t)
+        gaps[~self.interior[rows], 0] = -INF
+        best = np.where(np.isfinite(gaps), gaps, -INF).max(axis=1)
+        found = np.fmax(np.fmax(best, self.lim_r[rows]), self.lim_R[rows])[:, np.newaxis]
+
+        # Bound the cells between the first and the last.
+        t, ft = t[:, 1:], ft[:, 1:]
+        edge, fedge = t[:, _INNER_EDGES], ft[:, _INNER_EDGES]
+        a, b, fa, fb = edge[:, :-1], edge[:, 1:], fedge[:, :-1], fedge[:, 1:]
+        to_R, from_r = self.R[col] - b, a - self.r[col]
+        bound = (self.fR[col] - fb) / to_R - (fa - self.fr[col]) / from_r
+        # Pad for rounding: f-values of size `scale` err by about PSI_PAD
+        # times it, and each slope divides that by a distance to an end.
+        # A formula that cancels more shows it in the edge cells: f is
+        # convex, so a negative second difference there is rounding.
+        scale = np.maximum(np.abs(ft).max(axis=1), self.scale[rows])
+        noise = -np.minimum(np.diff(ft[:, _FIRST_CELL], 2).min(axis=1),
+                            np.diff(ft[:, _LAST_CELL], 2).min(axis=1))
+        err = (PSI_PAD * scale + PSI_NOISE * np.maximum(noise, 0.0))[:, np.newaxis]
+        top = bound + err * (1.0 / to_R + 1.0 / from_r) + PSI_PAD * np.abs(bound)
+        live = ~(np.isfinite(top) & (top < found))
+        whole = live.sum(axis=1) > live.shape[1] // 2
+        w, j = np.nonzero(live & ~whole[:, np.newaxis])
+        return best, whole, rows[w], j
+
+    def sup(self) -> np.ndarray:
+        """The value of every entry."""
+        best = np.full(self.gen.size, -INF)
+        whole = np.array([f.approx for f in self.generators])[self.gen]
+        probed, cells = np.flatnonzero(~whole), []
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            if f.approx:
-                return np.array([self.full(f, w) for w in range(n)])
-            rows = np.arange(n)[:, np.newaxis]
-            # t = 1 first (masked out where it is not interior), then the probe.
-            t = np.concatenate([np.ones((n, 1)), self.points(rows, _PROBE_IDX)], axis=1)
-            ft = np.asarray(f.fn(t), dtype=np.float64)
-            gaps = self.gaps(rows, t, ft)
-            gaps[~self.interior, 0] = -INF
-            best = np.where(np.isfinite(gaps), gaps, -INF).max(axis=1)
-            found = np.fmax(np.fmax(best, self.lim_r), self.lim_R)[:, np.newaxis]
+            step = max(1, STACK_POINTS // (_PROBE_IDX.size + 1))
+            for lo in range(0, probed.size, step):
+                rows = probed[lo:lo + step]
+                best[rows], whole[rows], *live = self.probe(rows)
+                cells.append(live)
 
-            # Bound the cells between the first and the last.
-            t, ft = t[:, 1:], ft[:, 1:]
-            edge, fedge = t[:, _INNER_EDGES], ft[:, _INNER_EDGES]
-            a, b, fa, fb = edge[:, :-1], edge[:, 1:], fedge[:, :-1], fedge[:, 1:]
-            to_R, from_r = self.R[rows] - b, a - self.r[rows]
-            bound = (self.fR[rows] - fb) / to_R - (fa - self.fr[rows]) / from_r
-            # Pad for rounding: f-values of size `scale` err by about PSI_PAD
-            # times it, and each slope divides that by a distance to an end.
-            # A formula that cancels more shows it in the edge cells: f is
-            # convex, so a negative second difference there is rounding.
-            scale = np.maximum(np.abs(ft).max(axis=1), self.scale)
-            noise = -np.minimum(np.diff(ft[:, _FIRST_CELL], 2).min(axis=1),
-                                np.diff(ft[:, _LAST_CELL], 2).min(axis=1))
-            err = (PSI_PAD * scale + PSI_NOISE * np.maximum(noise, 0.0))[:, np.newaxis]
-            top = bound + err * (1.0 / to_R + 1.0 / from_r) + PSI_PAD * np.abs(bound)
-            live = ~(np.isfinite(top) & (top < found))
-            whole = live.sum(axis=1) > live.shape[1] // 2
-
-            w, j = np.nonzero(live & ~whole[:, np.newaxis])
-            if w.size:
-                w = w[:, np.newaxis]
-                pts = self.points(w, (PSI_CELL * (j + 1.0))[:, np.newaxis] + _CELL_IDX)
-                cell = self.gaps(w, pts, np.asarray(f.fn(pts), dtype=np.float64))
-                np.maximum.at(best, w[:, 0], np.where(np.isfinite(cell), cell, -INF).max(axis=1))
+            w, j = (np.concatenate(x) for x in zip(*cells)) if cells else ((), ())
+            step = STACK_POINTS // _CELL_IDX.size
+            for lo in range(0, len(w), step):
+                col, first = w[lo:lo + step, np.newaxis], PSI_CELL * (j[lo:lo + step, np.newaxis] + 1.0)
+                _, cell = self.evaluate(col, self.points(col, first + _CELL_IDX))
+                np.maximum.at(best, col[:, 0], np.where(np.isfinite(cell), cell, -INF).max(axis=1))
 
             out = np.where(self.lim_r > best, self.lim_r, best)
             out = np.where(self.lim_R > out, self.lim_R, out)
-            for i in np.flatnonzero(whole):
-                out[i] = self.full(f, i)
+            windows = {}
+            for e in np.flatnonzero(whole).tolist():
+                windows.setdefault(self.win[e], []).append(e)
+            for entries in windows.values():
+                out[entries] = self.full(entries)
         return out
 
 

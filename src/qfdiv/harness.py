@@ -13,9 +13,9 @@ one pipeline, run on a block of pairs: one pair for certify, up to
 FUZZ_BLOCK trials for fuzz.  For fuzz the block starts at the draw:
 only the random numbers are drawn trial by trial; the states are
 formed, checked and diagonalized (one eigh call) as one stack.  The
-chains are columnar: each generator's terms are computed over the
-block, and one producer per check (closed forms from a table keyed by
-check and family) emits its chains for all pairs and generators at once,
+chains are columnar: each term is computed over the block for all
+generators at once, and one producer per check (closed forms from a
+table keyed by check and family) emits its chains for all of them,
 as (pairs, generators) arrays.  One vectorized pass judges all links,
 fuzz tallies them with bincount, and reports are built only where read:
 by certify, run_all_checks and check_*, and for a failed fuzz trial.
@@ -29,6 +29,7 @@ block size) and any violation can be replayed bit-for-bit from its
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -43,7 +44,7 @@ from .generators import (
     Generator,
     default_catalog,
     jensen_gap_value,
-    psi_sup,
+    psi_sups,
     psi_value,
     secant_value,
 )
@@ -295,27 +296,12 @@ def _pair(q, p, js: JointSpectrum, eps: float) -> _Block:
     return _Block([qd], [pd], [joint_spectrum(qd, pd, eps) if js is None else js])
 
 
-class _Terms(NamedTuple):
-    """The generators' quantities on a block, one (B, G) array each: S_f,
-    the derivative-gap right side (NaN for a kinked f), sup Psi (NaN off
-    a strict window), f(r), f(R), f((r + R)/2), f'_+(r) and f'_-(R) from
-    one scalar call each, D = f'_-(R) - f'_+(r) (+inf if one diverges)
-    and all True; f(1) and f's smoothness (1, G); and the DivergenceValue
-    of each (pair, generator) whose S_f was evaluated on its own."""
-
-    sf: np.ndarray
-    slope_gap: np.ndarray
-    sup: np.ndarray
-    fr: np.ndarray
-    fR: np.ndarray
-    fmid: np.ndarray
-    dr: np.ndarray
-    dR: np.ndarray
-    gap: np.ndarray
-    every: np.ndarray
-    f1: np.ndarray
-    smooth: np.ndarray
-    dvs: dict
+# The generators' quantities on a block, one (B, G) array each: S_f, the derivative-gap
+# right side (NaN for a kinked f), sup Psi (NaN off a strict window), f(r), f(R),
+# f((r + R)/2), f'_+(r) and f'_-(R) from one scalar call each, D = f'_-(R) - f'_+(r) (+inf
+# if one diverges) and all True; f(1) and f's smoothness (1, G); and the DivergenceValue
+# of each (pair, generator) whose S_f was evaluated on its own.
+_Terms = collections.namedtuple("_Terms", "sf slope_gap sup fr fR fmid dr dR gap every f1 smooth dvs")
 
 
 def _slope_gap(js: JointSpectrum, f: Generator) -> float:
@@ -334,29 +320,28 @@ def _slope_gap(js: JointSpectrum, f: Generator) -> float:
 
 
 def _terms(b: _Block, generators) -> _Terms:
-    """The generators' _Terms on block b, generator by generator: S_f and
-    the derivative-gap sums in one pass over the block's stacked spectra
-    each (a pair they leave out, with a zero ratio or an infinite value,
-    on its own), sup Psi in one call."""
-    columns, dvs, strict = [], {}, b.strict[:, 0]
-    for g, f in enumerate(generators):
-        fr, fR, fmid, dr, dR = np.array(
-            [(f(r), f(R), f(0.5 * (r + R)), f.deriv_right(r), f.deriv_left(R))
-             for r, R in zip(b.rs, b.Rs)]).T
-        sf, held = weighted_sums(b.ratio, b.wt, f.fn)
-        for k in np.flatnonzero(~held).tolist():
-            dvs[k, g] = s_f_from_spectrum(b.spectra[k], f)
-            sf[k] = dvs[k, g].value
-        gaps = np.full(len(sf), math.nan)
-        if f.smooth:
-            gaps, held = weighted_sums(b.ratio, b.wt, lambda t: (t - 1.0) * f.deriv_right_fn(t))
-            for k in np.flatnonzero(~held).tolist():
-                gaps[k] = _slope_gap(b.spectra[k], f)
-        sup = np.full(len(sf), math.nan)
-        sup[strict] = psi_sup(f, b.r[strict, 0], b.R[strict, 0],
-                              ends=(fr[strict], fR[strict], dr[strict], dR[strict]))
-        columns.append((sf, gaps, sup, fr, fR, fmid, dr, dR))
-    sf, gaps, sup, fr, fR, fmid, dr, dR = (np.stack(col, axis=1) for col in zip(*columns))
+    """The generators' _Terms on block b, term by term over all generators:
+    S_f and the derivative-gap sums of every generator in one
+    weighted_sums pass over the block's stacked spectra (a pair they
+    leave out, with a zero ratio or an infinite value, on its own), sup
+    Psi in one psi_sups pass over every (strict window, generator) entry."""
+    dvs, strict, G = {}, b.strict[:, 0], len(generators)
+    fr, fR, fmid, dr, dR = np.moveaxis(np.array(
+        [[(f(r), f(R), f(0.5 * (r + R)), f.deriv_right(r), f.deriv_left(R)) for f in generators]
+         for r, R in zip(b.rs, b.Rs)]), -1, 0)
+    smooth = [g for g, f in enumerate(generators) if f.smooth]
+    sums, held = weighted_sums(b.ratio, b.wt, [f.fn for f in generators] + [
+        lambda t, f=generators[g]: (t - 1.0) * f.deriv_right_fn(t) for g in smooth])
+    sf, gaps = sums[:G].T.copy(), np.full(fr.shape, math.nan)
+    gaps[:, smooth] = sums[G:].T
+    for g, k in zip(*(x.tolist() for x in np.nonzero(~held[:G]))):
+        dvs[k, g] = s_f_from_spectrum(b.spectra[k], generators[g])
+        sf[k, g] = dvs[k, g].value
+    for i, k in zip(*(x.tolist() for x in np.nonzero(~held[G:]))):
+        gaps[k, smooth[i]] = _slope_gap(b.spectra[k], generators[smooth[i]])
+    sup = np.full(fr.shape, math.nan)
+    sup[strict] = psi_sups(generators, b.r[strict, 0], b.R[strict, 0],
+                           ends=(fr[strict], fR[strict], dr[strict], dR[strict]))
     with np.errstate(invalid="ignore", over="ignore"):
         gap = np.where(np.isfinite(dR) & np.isfinite(dr), dR - dr, INF)
     return _Terms(sf, gaps, sup, fr, fR, fmid, dr, dR, gap, np.ones(sf.shape, dtype=bool),
@@ -490,16 +475,19 @@ def _chains(b: _Block, generators, producers=_CHAINS, sf: float = None) -> tuple
 # closed-form window coefficients (for tightness comparisons)
 
 
-def _check_open_window(r: float, R: float) -> tuple:
+def _check_open_window(r: float, R: float, closed: bool = False) -> tuple:
+    """(r, R) as floats with 0 <= r < 1 < R, or thm3's 0 <= r <= 1 <= R, r < R if closed."""
     r, R = float(r), float(R)
-    if not 0.0 <= r < 1.0 < R:
-        raise PreconditionError(f"need 0 <= r < 1 < R, got r={r}, R={R}")
+    if not (0.0 <= r <= 1.0 <= R and r < R if closed else 0.0 <= r < 1.0 < R):
+        need = "0 <= r <= 1 <= R with r < R" if closed else "0 <= r < 1 < R"
+        raise PreconditionError(f"need {need}, got r={r}, R={R}")
     return r, R
 
 
 def chi_square_secant_coeff(r: float, R: float) -> float:
-    """(R-1)(1-r)(R+r+2)/(R-r): the chi-square secant-route bound."""
-    r, R = _check_open_window(r, R)
+    """(R-1)(1-r)(R+r+2)/(R-r): the chi-square secant-route bound, on
+    thm3's window 0 <= r <= 1 <= R with r < R."""
+    r, R = _check_open_window(r, R, closed=True)
     return (R - 1.0) * (1.0 - r) * (R + r + 2.0) / (R - r)
 
 
@@ -930,8 +918,8 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
     trial) pair.  Trials run in blocks of FUZZ_BLOCK: after each trial's
     draws, the block's states are formed, checked and diagonalized, and
     its joint spectra, V and chi computed, over stacked arrays; then each
-    generator is evaluated in one pass over the block, and the block is
-    aggregated in trial order.  The output is the same as one trial at a
+    term is evaluated in one pass over the block for all generators, and
+    the block is aggregated in trial order.  The output is the same as one trial at a
     time would give.  config.jobs is validated but does not change how
     the run executes.  A pair that joint_spectrum rejects (singular P,
     lost double stochasticity) is recorded as a skipped trial with the

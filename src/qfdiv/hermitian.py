@@ -175,12 +175,7 @@ def singular_values(a) -> np.ndarray:
 def operator_abs(a) -> np.ndarray:
     """The modulus |A| = (A*A)^(1/2); PSD for every square A."""
     m = _as_square_matrix(a)
-    gram = m.conj().T @ m
-    dec = eigh(gram)
-    roots = np.sqrt(np.clip(dec.eigenvalues, 0.0, None))
-    u = dec.eigenvectors
-    out = (u * roots) @ u.conj().T
-    return (out + out.conj().T) / 2.0
+    return matrix_function(m.conj().T @ m, lambda x: math.sqrt(max(x, 0.0)))
 
 
 def trace_norm(a) -> float:
@@ -221,10 +216,10 @@ class CheckReport:
         return tuple(v for _, v in self.terms)
 
 
-def _chain_report(name: str, terms, tol: float) -> CheckReport:
+def _chain_report(name: str, terms, tol: float, note: str = "") -> CheckReport:
     values = [v for _, v in terms]
     ok = all(left <= right + tol for left, right in zip(values, values[1:]))
-    return CheckReport(name=name, terms=tuple(terms), tol=tol, ok=ok)
+    return CheckReport(name=name, terms=tuple(terms), tol=tol, ok=ok, note=note)
 
 
 def _unit_vector(x) -> np.ndarray:
@@ -345,25 +340,27 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise InputFormatError(f"bad matrix JSON: {exc}") from exc
     if re.shape != (dim, dim):
         raise InputFormatError(f'"re" must be {dim}x{dim}, got shape {re.shape}')
-    if "im" in obj:
-        im = np.asarray(obj["im"], dtype=np.float64)
-        if im.shape != (dim, dim):
-            raise InputFormatError(f'"im" must be {dim}x{dim}, got shape {im.shape}')
-    else:
-        im = np.zeros((dim, dim))
+    im = np.asarray(obj.get("im", np.zeros((dim, dim))), dtype=np.float64)
+    if im.shape != (dim, dim):
+        raise InputFormatError(f'"im" must be {dim}x{dim}, got shape {im.shape}')
     return _as_square_matrix(re + 1j * im)
 
 
-def load_matrix(path: str) -> np.ndarray:
-    """Read a matrix JSON file."""
+def _load_json(path: str):
+    """The JSON document in a file; an unreadable or malformed file is an
+    InputFormatError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"malformed JSON in {path}: {exc}") from exc
-    return matrix_from_json(obj)
+
+
+def load_matrix(path: str) -> np.ndarray:
+    """Read a matrix JSON file."""
+    return matrix_from_json(_load_json(path))
 
 
 def save_matrix(a, path: str) -> None:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputFormatError, PreconditionError
-from .generators import Generator
+from .generators import STACK_POINTS, Generator
 from .hermitian import (
     CheckReport,
     EigenDecomposition,
@@ -312,17 +312,23 @@ class DivergenceValue:
 
 
 def weighted_sums(ratio: np.ndarray, wt: np.ndarray, terms) -> tuple:
-    """sum_ij wt_ij terms(ratio_ij) for each member of a block's (n, d, d)
-    stacks of ratios and weights, and whether it holds: only for members
-    with all ratios positive (the only ones terms sees) and all terms
-    finite.  A held sum equals the single-spectrum (weights * terms).sum()
-    bit for bit; the caller evaluates the other members on their own."""
+    """sum_ij wt_ij term(ratio_ij) for each function of the sequence terms and
+    each member of a block's (n, d, d) ratio and weight stacks, a (terms, n)
+    array, and whether each holds: only for members with all ratios
+    positive (gathered once; the only ones the terms see) and the term
+    finite on them.  The terms are weighted and summed as one stack, about
+    STACK_POINTS values at a time.  A held sum equals the single-spectrum
+    (weights * term).sum() bit for bit; the caller evaluates the others."""
     full = (ratio > 0.0).reshape(len(ratio), -1).all(axis=1)
-    sums, held = np.full(len(ratio), math.nan), full.copy()
+    sums, held = np.full((len(terms), len(ratio)), math.nan), np.zeros((len(terms), len(ratio)), dtype=bool)
     if full.any():
-        vals = np.asarray(terms(ratio[full]), dtype=np.float64).reshape(int(full.sum()), -1)
-        sums[full] = (wt[full].reshape(len(vals), -1) * vals).sum(axis=1)
-        held[full] = np.isfinite(vals).all(axis=1)
+        x, w = ratio[full], wt[full].reshape(int(full.sum()), -1)
+        step = max(1, STACK_POINTS // w.size)
+        for lo in range(0, len(terms), step):
+            vals = np.array([np.asarray(term(x), dtype=np.float64).reshape(w.shape)
+                             for term in terms[lo:lo + step]])
+            sums[lo:lo + step, full] = (w * vals).sum(axis=2)
+            held[lo:lo + step, full] = np.isfinite(vals).all(axis=2)
     return sums, held
 
 
@@ -343,9 +349,9 @@ def s_f_from_spectrum(js, f: Generator):
     if not spectra:
         return []
     sums, held = weighted_sums(np.stack([one.ratio for one in spectra]),
-                               np.stack([one.wt for one in spectra]), f.fn)
+                               np.stack([one.wt for one in spectra]), [f.fn])
     return [DivergenceValue(value=total, generator=f.spec) if ok else _s_f_one(one, f)
-            for one, total, ok in zip(spectra, sums.tolist(), held.tolist())]
+            for one, total, ok in zip(spectra, sums[0].tolist(), held[0].tolist())]
 
 
 def _s_f_one(js: JointSpectrum, f: Generator) -> DivergenceValue:
@@ -460,16 +466,14 @@ def sandwich_check(q, p, trials: int = 100, seed: int = 0,
     both ends are attained by the rank-one couplings of extremal
     eigenvectors: T = u_max v_min* hits R and T = u_min v_max* hits r.
     """
-    qd = as_density(q)
-    pd = as_density(p)
+    qd, pd = as_density(q), as_density(p)
     js = joint_spectrum(qd, pd, eps)
     d = js.dim
     q_half = matrix_function(qd.dec, math.sqrt)
     p_inv_half = matrix_function(pd.dec, lambda x: 1.0 / math.sqrt(x))
 
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    lower_slack = math.inf
-    upper_slack = math.inf
+    lower_slack = upper_slack = math.inf
     for _ in range(max(int(trials), 0)):
         t = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         t /= np.linalg.norm(t)

@@ -3,11 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qfdiv.cli import CSV_COLUMNS, main
+from qfdiv.cli import CSV_COLUMNS, build_parser, main
 from qfdiv.hermitian import MAX_DIM, matrix_to_json
 
 
@@ -420,3 +423,32 @@ class TestParser:
 
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["fuzz", "--frobnicate"]) == 2
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_reused_parser_keeps_no_state_between_calls(self, capsys):
+        argv = ("fuzz", "--dim", "2", "--trials", "2", "--seed", "3", "--generator", "tv")
+        first = run(capsys, *argv)
+        assert run(capsys, *argv) == first
+        assert json.loads(first[1])["summary"]["config"]["generators"] == ["tv"]
+        _, out = run(capsys, "fuzz", "--dim", "2", "--trials", "2", "--seed", "3")
+        assert len(json.loads(out)["summary"]["config"]["generators"]) == 12
+
+
+class TestImports:
+    def test_fuzz_and_certify_leave_numpy_ma_unimported(self, files):
+        # numpy.ma is imported lazily (by np.unique, among others) and costs
+        # about 1 MiB of resident memory.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = (
+            "import contextlib, io, sys\n"
+            "from qfdiv.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['fuzz', '--dim', '4', '--trials', '20', '--seed', '1']),\n"
+            f"             main(['certify', '--q', {files['qb']!r}, '--p', {files['pb']!r}])]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout.split() == ["[0,", "0]", "False"]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qfdiv.errors import InputFormatError, PreconditionError
 from qfdiv.generators import (
     DEFAULT_SPECS,
+    Generator,
     arimoto,
     chi2,
     chi_alpha,
@@ -27,6 +28,7 @@ from qfdiv.generators import (
     parse_generator_spec,
     psi,
     psi_sup,
+    psi_sups,
     puri_vincze,
     secant_bound,
     shift,
@@ -470,6 +472,28 @@ class TestPsiSupPruning:
         for f in PRUNING_GENERATORS:
             block = psi_sup(f, rs, Rs)
             assert [_bits(v) for v in block] == [_bits(psi_sup(f, r, R)) for r, R in zip(rs, Rs)]
+
+    def test_stacked_generators_match_one_call_each(self):
+        # One psi_sups pass over every (window, generator) entry: r = 0,
+        # narrow windows, t = 1 at an end (r = 1 or R = 1), a from_callable
+        # generator and a whole-grid generator (chi2) twice.
+        rs = np.array([0.3, 0.0, 1.0 - 2e-11, 1.0, 0.5, 1e-9, 0.01, 1.0 - 1e-7])
+        Rs = np.array([2.5, 2.0, 1.0 + 2e-11, 2.0, 1.0, 1e9, 3e6, 1.0 + 1e-7])
+        gens = (*PRUNING_GENERATORS, from_callable("custom-ent", lambda t: t * np.log(t)), chi2())
+        stacked = psi_sups(gens, rs, Rs)
+        assert stacked.shape == (rs.size, len(gens))
+        for g, f in enumerate(gens):
+            assert [_bits(v) for v in stacked[:, g]] == [
+                _bits(psi_sup(f, r, R)) for r, R in zip(rs, Rs)], f.spec
+
+    def test_stacked_generators_take_given_ends(self):
+        gens = (kl_quantum(), chi2(), tv())
+        rs, Rs = np.array([0.2, 0.6]), np.array([3.0, 1.5])
+        ends = [np.array([[fn(f, x) for f in gens] for x in xs]) for fn, xs in (
+            (Generator.__call__, rs), (Generator.__call__, Rs),
+            (Generator.deriv_right, rs), (Generator.deriv_left, Rs))]
+        assert [_bits(v) for v in psi_sups(gens, rs, Rs, ends).ravel()] == [
+            _bits(v) for v in psi_sups(gens, rs, Rs).ravel()]
 
     def test_most_of_the_grid_is_skipped(self):
         seen = []

@@ -201,6 +201,18 @@ class TestThm3:
         assert sub.chain[1][1] == pytest.approx(1.0, abs=1e-14)
         assert sub.status == "pass"
 
+    def test_chi2_printed_bound_on_window_closed_at_one(self):
+        # r = 1 exactly with R = 1 + 2^-52: thm3's hypothesis r <= 1 <= R
+        # holds, so the closed form is judged, not raised.
+        q, p = np.diag([0.5, 0.5]), np.diag([0.5, 0.5 - 2.0**-54])
+        assert joint_spectrum(q, p).r == 1.0 < joint_spectrum(q, p).R
+        reports = run_all_checks(q, p, chi2())
+        thm3 = next(rep for rep in reports if rep.check == "thm3")
+        assert [(sub.check, sub.status) for sub in thm3.subchains] == [("thm3:chi2", "pass")]
+        assert chi_square_secant_coeff(1.0, 2.0) == 0.0
+        with pytest.raises(PreconditionError):
+            chi_square_secant_coeff(1.0, 1.0)
+
     def test_kl_printed_equals_generic_secant(self):
         rep = check_thm3(EXAMPLE_B_Q, EXAMPLE_B_P, parse_generator_spec("kl-quantum"))
         sub = rep.subchains[0]

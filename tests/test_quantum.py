@@ -26,6 +26,7 @@ from qfdiv.quantum import (
     tsallis,
     umegaki,
     variational_q,
+    weighted_sums,
 )
 
 INF = math.inf
@@ -239,6 +240,26 @@ class TestSFBlock:
             single = [s_f_from_spectrum(js, f) for js in spectra]
             assert [(repr(v.value), v.flags) for v in block] == [
                 (repr(v.value), v.flags) for v in single], f.spec
+
+
+    def test_multi_term_weighted_sums_match_one_term_calls(self):
+        # A zero ratio (singular Q) leaves a member's sums unheld, an
+        # infinite value (the last term's, above t = 1) that term's sums.
+        # At d = 16 the 40 terms run in several stacked chunks.
+        rng = np.random.default_rng(11)
+        for dim in (3, 16):
+            spectra = [joint_spectrum(random_density(dim, rng), random_density(dim, rng))
+                       for _ in range(4)]
+            spectra.insert(1, joint_spectrum(np.diag([1.0] + [0.0] * (dim - 1)), np.eye(dim) / dim))
+            ratio, wt = (np.stack([getattr(js, x) for js in spectra]) for x in ("ratio", "wt"))
+            terms = [f.fn for f in default_catalog()] * 3 + [lambda t: np.where(t > 1.0, INF, t)] * 4
+            sums, held = weighted_sums(ratio, wt, terms)
+            assert sums.shape == held.shape == (len(terms), len(spectra))
+            for i, term in enumerate(terms):
+                one_sums, one_held = weighted_sums(ratio, wt, [term])
+                assert [repr(v) for v in sums[i]] == [repr(v) for v in one_sums[0]]
+                assert held[i].tolist() == one_held[0].tolist()
+            assert not held[:, 1].any() and not held[-1].any()
 
 
 class TestSFInvariances:

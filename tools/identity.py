@@ -5,7 +5,7 @@ Usage, from the repository root:
     python3 tools/identity.py > before.txt      # on the old commit
     python3 tools/identity.py | diff before.txt -   # on the new one
 
-It covers `fuzz` stdout on 27 configurations, `certify` JSON and CSV on
+It covers `fuzz` stdout on 28 configurations, `certify` JSON and CSV on
 16 pairs (with QFDIV_TIMESTAMP fixed) and `run_all_checks` reports as
 JSON over sampled and hand-made pairs, every generator of a 21-entry
 list and two tolerances.  The digests depend on the numpy/LAPACK/BLAS
@@ -63,6 +63,10 @@ FUZZ_CONFIGS = (
      "--generator", "matsushita:alpha=1", "--generator", "arimoto:alpha=inf"),
     ("fuzz", "--sampler", "commuting", "--dim", "2", "--trials", "20", "--seed", "16",
      "--generator", "neg-log"),
+    # A 16-pair block, then a 3-pair block, with a whole-grid generator repeated.
+    ("fuzz", "--dim", "5", "--trials", "19", "--seed", "17", "--generator", "chi2",
+     "--generator", "chi-alpha:alpha=2", "--generator", "chi2", "--generator", "neg-log",
+     "--generator", "tv"),
 )
 
 EXTRA_SPECS = (
