@@ -649,7 +649,7 @@ def psi_value(t, r, R, ft, fr, fR):
     return (fR - ft) / (R - t) - (ft - fr) / (t - r)
 
 
-def psi_sup(f: Generator, r, R, ends=None):
+def psi_sup(f: Generator, r: float, R: float) -> float:
     """Supremum of the double-slope gap over t in (r, R).
 
     The value is the max of the gap over a uniform 10001-point grid,
@@ -661,14 +661,9 @@ def psi_sup(f: Generator, r, R, ends=None):
 
     Returns +inf when f(r) is infinite or a one-sided derivative at an
     endpoint diverges.  Never exceeds f'_-(R) - f'_+(r) when that gap is
-    finite.  r and R may also be equal-length arrays, a block of windows,
-    giving one value per window.  ends, when given, holds the scalar
-    values f(r), f(R), f'_+(r) and f'_-(R), one sequence each.  This is
-    psi_sups with the one generator f.
+    finite.  This is psi_sups with one generator and one window.
     """
-    scalar = np.ndim(r) == 0 and np.ndim(R) == 0
-    out = psi_sups((f,), r, R, None if ends is None else [np.reshape(e, (-1, 1)) for e in ends])[:, 0]
-    return float(out[0]) if scalar else out
+    return float(psi_sups((f,), float(r), float(R))[0, 0])
 
 
 def psi_sups(generators, r, R, ends=None) -> np.ndarray:

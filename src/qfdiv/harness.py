@@ -50,16 +50,18 @@ from .generators import (
 )
 from .hermitian import MAX_DIM, matrix_to_json
 from .quantum import (
+    SUM_FLAGS,
     WEIGHT_FLOOR,
     DensityMatrix,
     DivergenceValue,
     JointSpectrum,
+    _check_eps,
+    _raise_first,
     as_density,
     chi_squares,
     densities,
     joint_spectra,
     joint_spectrum,
-    s_f_from_spectrum,
     weighted_sums,
 )
 
@@ -227,14 +229,6 @@ def _reports(chains, judged, row: int, js: JointSpectrum, generators) -> list:
     return out
 
 
-def _raise_first(results: list) -> list:
-    """Per-pair results, after raising the first error among them."""
-    for x in results:
-        if isinstance(x, Exception):
-            raise x
-    return results
-
-
 class _Block:
     """The invariants of a block of B (Q, P) pairs, one (B, 1) column each:
     window [r, R], V, K, thm3's tightness (every occupied ratio at an end
@@ -296,57 +290,37 @@ def _pair(q, p, js: JointSpectrum, eps: float) -> _Block:
     return _Block([qd], [pd], [joint_spectrum(qd, pd, eps) if js is None else js])
 
 
-# The generators' quantities on a block, one (B, G) array each: S_f, the derivative-gap
-# right side (NaN for a kinked f), sup Psi (NaN off a strict window), f(r), f(R),
-# f((r + R)/2), f'_+(r) and f'_-(R) from one scalar call each, D = f'_-(R) - f'_+(r) (+inf
-# if one diverges) and all True; f(1) and f's smoothness (1, G); and the DivergenceValue
-# of each (pair, generator) whose S_f was evaluated on its own.
-_Terms = collections.namedtuple("_Terms", "sf slope_gap sup fr fR fmid dr dR gap every f1 smooth dvs")
-
-
-def _slope_gap(js: JointSpectrum, f: Generator) -> float:
-    """sum of weights * (t - 1) f'_+(t) over the joint spectrum, or +inf when
-    an infinite slope carries weight."""
-    wt, ratios, pos = js.wt, js.ratio, js.pos
-    deriv = np.full_like(ratios, f.deriv_at_zero)
-    if pos.any():
-        deriv[pos] = np.asarray(f.deriv_right_fn(ratios[pos]), dtype=np.float64)
-    finite = np.isfinite(deriv)
-    if (~finite & (wt > WEIGHT_FLOOR)).any():
-        return INF
-    gaps = (ratios[finite] - 1.0) * deriv[finite]
-    keep = np.isfinite(gaps)
-    return float((wt[finite][keep] * gaps[keep]).sum())
+# The generators' quantities on a block, one (B, G) array each: S_f and its SUM_FLAGS
+# code, the derivative-gap right side (NaN for a kinked f), sup Psi (NaN off a strict
+# window), f(r), f(R), f((r + R)/2), f'_+(r) and f'_-(R) from one scalar call each,
+# D = f'_-(R) - f'_+(r) (+inf if one diverges) and all True; f(1) and f's smoothness (1, G).
+_Terms = collections.namedtuple("_Terms", "sf sf_flags slope_gap sup fr fR fmid dr dR gap every f1 smooth")
 
 
 def _terms(b: _Block, generators) -> _Terms:
     """The generators' _Terms on block b, term by term over all generators:
-    S_f and the derivative-gap sums of every generator in one
-    weighted_sums pass over the block's stacked spectra (a pair they
-    leave out, with a zero ratio or an infinite value, on its own), sup
-    Psi in one psi_sups pass over every (strict window, generator) entry."""
-    dvs, strict, G = {}, b.strict[:, 0], len(generators)
+    S_f and the derivative-gap sums sum wt (t - 1) f'_+(t) (value -f'(0+) at
+    t = 0) of every generator in one weighted_sums pass over the block's
+    stacked spectra, sup Psi in one psi_sups pass over every (strict
+    window, generator) entry."""
+    strict, G = b.strict[:, 0], len(generators)
     fr, fR, fmid, dr, dR = np.moveaxis(np.array(
         [[(f(r), f(R), f(0.5 * (r + R)), f.deriv_right(r), f.deriv_left(R)) for f in generators]
          for r, R in zip(b.rs, b.Rs)]), -1, 0)
     smooth = [g for g, f in enumerate(generators) if f.smooth]
-    sums, held = weighted_sums(b.ratio, b.wt, [f.fn for f in generators] + [
-        lambda t, f=generators[g]: (t - 1.0) * f.deriv_right_fn(t) for g in smooth])
-    sf, gaps = sums[:G].T.copy(), np.full(fr.shape, math.nan)
+    sums, codes = weighted_sums(b.ratio, b.wt, [(f.fn, f.value_at_zero) for f in generators] + [
+        (lambda t, f=generators[g]: (t - 1.0) * f.deriv_right_fn(t), -generators[g].deriv_at_zero)
+        for g in smooth])
+    gaps = np.full(fr.shape, math.nan)
     gaps[:, smooth] = sums[G:].T
-    for g, k in zip(*(x.tolist() for x in np.nonzero(~held[:G]))):
-        dvs[k, g] = s_f_from_spectrum(b.spectra[k], generators[g])
-        sf[k, g] = dvs[k, g].value
-    for i, k in zip(*(x.tolist() for x in np.nonzero(~held[G:]))):
-        gaps[k, smooth[i]] = _slope_gap(b.spectra[k], generators[smooth[i]])
     sup = np.full(fr.shape, math.nan)
     sup[strict] = psi_sups(generators, b.r[strict, 0], b.R[strict, 0],
                            ends=(fr[strict], fR[strict], dr[strict], dR[strict]))
     with np.errstate(invalid="ignore", over="ignore"):
         gap = np.where(np.isfinite(dR) & np.isfinite(dr), dR - dr, INF)
-    return _Terms(sf, gaps, sup, fr, fR, fmid, dr, dR, gap, np.ones(sf.shape, dtype=bool),
-                  np.array([[f(1.0) for f in generators]]),
-                  np.array([[f.smooth for f in generators]]), dvs)
+    return _Terms(sums[:G].T, codes[:G].T, gaps, sup, fr, fR, fmid, dr, dR, gap,
+                  np.ones(fr.shape, dtype=bool), np.array([[f(1.0) for f in generators]]),
+                  np.array([[f.smooth for f in generators]]))
 
 
 # ---------------------------------------------------------------------------
@@ -651,8 +625,9 @@ def certify(q, p, generators, js: JointSpectrum = None, tol: float = DEFAULT_TOL
     b, generators = _pair(q, p, js, eps), tuple(generators)
     e, chains = _chains(b, generators)
     reports = _reports(chains, _link_eval(chains, tol), 0, b.spectra[0], generators)
-    return [(e.dvs.get((0, g)) or DivergenceValue(value=float(e.sf[0, g]), generator=f.spec),
-             tuple(reports[g])) for g, f in enumerate(generators)]
+    return [(DivergenceValue(value=float(e.sf[0, g]), generator=f.spec,
+                             flags=SUM_FLAGS[e.sf_flags[0, g]]), tuple(reports[g]))
+            for g, f in enumerate(generators)]
 
 
 def run_all_checks(q, p, f: Generator, js: JointSpectrum = None,
@@ -773,8 +748,7 @@ class FuzzConfig:
         if int(self.trials) < 1:
             raise InputFormatError(f"trials must be >= 1, got {self.trials}")
         _check_tol(self.tol)
-        if not self.eps > 0.0:
-            raise InputFormatError(f"eps must be positive, got {self.eps}")
+        _check_eps(self.eps)
         if int(self.jobs) < 1:
             raise InputFormatError(f"jobs must be >= 1, got {self.jobs}")
 

@@ -336,13 +336,12 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise InputFormatError(f"dim must be at most {MAX_DIM}, got {dim}")
     try:
         re = np.asarray(obj["re"], dtype=np.float64)
+        im = np.asarray(obj.get("im", np.zeros((dim, dim))), dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad matrix JSON: {exc}") from exc
-    if re.shape != (dim, dim):
-        raise InputFormatError(f'"re" must be {dim}x{dim}, got shape {re.shape}')
-    im = np.asarray(obj.get("im", np.zeros((dim, dim))), dtype=np.float64)
-    if im.shape != (dim, dim):
-        raise InputFormatError(f'"im" must be {dim}x{dim}, got shape {im.shape}')
+    for name, part in (("re", re), ("im", im)):
+        if part.shape != (dim, dim):
+            raise InputFormatError(f'"{name}" must be {dim}x{dim}, got shape {part.shape}')
     return _as_square_matrix(re + 1j * im)
 
 

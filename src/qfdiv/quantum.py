@@ -9,6 +9,13 @@ overlap weights W_ij = |<u_i, v_j>|^2 between their eigenbases.  W is
 doubly stochastic, so the ratio window [r, R] with r = min lambda_i/mu_j
 and R = max lambda_i/mu_j always brackets 1.
 
+weighted_sums is the one implementation of such spectral sums, for a
+block of pairs and many terms at once: S_f and the derivative-gap sum
+sum_ij mu_j W_ij (t - 1) f'(t) alike.  Both edge conventions live there:
+a zero ratio takes the term's value at 0, and an infinite term carries
+no mass when its weight mu_j W_ij is at most WEIGHT_FLOOR.
+s_f_from_spectrum is its one-pair, one-generator case.
+
 Density matrices, joint spectra and chi-square distances also come in
 blocks: densities, joint_spectra and chi_squares check and compute a
 whole stack at once, with one eigh call for all its states, and give
@@ -149,7 +156,7 @@ def as_density(x) -> DensityMatrix:
 
 
 def _check_eps(eps: float) -> None:
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise InputFormatError(f"invertibility threshold must be positive, got {eps}")
 
 
@@ -178,11 +185,13 @@ def _density_pair(q, p, eps: float = None) -> tuple:
     return qd, pd
 
 
-def _one(results: list):
-    """The single result of a block function, raised if it is an error."""
-    if isinstance(results[0], Exception):
-        raise results[0]
-    return results[0]
+def _raise_first(results: list) -> list:
+    """A block function's per-member results, after raising the first error
+    among them."""
+    for x in results:
+        if isinstance(x, Exception):
+            raise x
+    return results
 
 
 @dataclass(frozen=True)
@@ -195,9 +204,8 @@ class JointSpectrum:
     q_vectors and p_vectors hold the eigenvector columns in the same
     descending order, and eps the invertibility threshold P was checked
     against.  defect is W's distance from double stochasticity, the
-    largest |row sum - 1| and |column sum - 1|.  Weights, ratios and the
-    positive-ratio mask are computed once, on construction, and are
-    read-only.
+    largest |row sum - 1| and |column sum - 1|.  Weights and ratios are
+    computed once, on construction, and are read-only.
     """
 
     lam: np.ndarray
@@ -211,14 +219,12 @@ class JointSpectrum:
     defect: tuple = field(default=None, compare=False)
     wt: np.ndarray = field(init=False, repr=False, compare=False)
     ratio: np.ndarray = field(init=False, repr=False, compare=False)
-    pos: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.defect is None:
             object.__setattr__(self, "defect", _stochasticity_defect(self.w[np.newaxis])[0])
-        ratio = self.lam[:, np.newaxis] / self.mu[np.newaxis, :]
         for name, arr in (("wt", self.w * self.mu[np.newaxis, :]),
-                          ("ratio", ratio), ("pos", ratio > 0.0)):
+                          ("ratio", self.lam[:, np.newaxis] / self.mu[np.newaxis, :])):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -253,7 +259,7 @@ def joint_spectrum(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> JointSpectru
     eigenvalue must be at least eps.
     """
     qd, pd = _density_pair(q, p)
-    return _one(joint_spectra([qd], [pd], eps))
+    return _raise_first(joint_spectra([qd], [pd], eps))[0]
 
 
 def joint_spectra(qds, pds, eps: float = DEFAULT_INVERTIBILITY_EPS) -> list:
@@ -280,8 +286,7 @@ def joint_spectra(qds, pds, eps: float = DEFAULT_INVERTIBILITY_EPS) -> list:
         R = np.maximum(lam[:, 0] / mu[:, -1], 1.0).tolist()
         ratio = lam[:, :, np.newaxis] / mu[:, np.newaxis, :]
     wt = w * mu[:, np.newaxis, :]
-    pos = ratio > 0.0
-    for arr in (wt, ratio, pos):
+    for arr in (wt, ratio):
         arr.flags.writeable = False
 
     out = []
@@ -295,7 +300,7 @@ def joint_spectra(qds, pds, eps: float = DEFAULT_INVERTIBILITY_EPS) -> list:
             )
         out.append(exc or _frozen(
             JointSpectrum, lam=lam[k], mu=mu[k], w=w[k], r=r[k], R=R[k], q_vectors=u[k],
-            p_vectors=v[k], eps=eps, defect=defects[k], wt=wt[k], ratio=ratio[k], pos=pos[k]))
+            p_vectors=v[k], eps=eps, defect=defects[k], wt=wt[k], ratio=ratio[k]))
     return out
 
 
@@ -311,63 +316,58 @@ class DivergenceValue:
         return self.value
 
 
+# weighted_sums' flag codes, as DivergenceValue flags.
+SUM_FLAGS = ((), ("infinite",), ("zero-mass-infinite-terms",))
+
+
 def weighted_sums(ratio: np.ndarray, wt: np.ndarray, terms) -> tuple:
-    """sum_ij wt_ij term(ratio_ij) for each function of the sequence terms and
-    each member of a block's (n, d, d) ratio and weight stacks, a (terms, n)
-    array, and whether each holds: only for members with all ratios
-    positive (gathered once; the only ones the terms see) and the term
-    finite on them.  The terms are weighted and summed as one stack, about
-    STACK_POINTS values at a time.  A held sum equals the single-spectrum
-    (weights * term).sum() bit for bit; the caller evaluates the others."""
-    full = (ratio > 0.0).reshape(len(ratio), -1).all(axis=1)
-    sums, held = np.full((len(terms), len(ratio)), math.nan), np.zeros((len(terms), len(ratio)), dtype=bool)
-    if full.any():
-        x, w = ratio[full], wt[full].reshape(int(full.sum()), -1)
-        step = max(1, STACK_POINTS // w.size)
-        for lo in range(0, len(terms), step):
-            vals = np.array([np.asarray(term(x), dtype=np.float64).reshape(w.shape)
-                             for term in terms[lo:lo + step]])
-            sums[lo:lo + step, full] = (w * vals).sum(axis=2)
-            held[lo:lo + step, full] = np.isfinite(vals).all(axis=2)
-    return sums, held
+    """sum_ij wt_ij term(ratio_ij) for each (term, value at 0) of the
+    sequence terms and each member of a block's (n, d, d) ratio and weight
+    stacks: a (terms, n) array of sums and one of SUM_FLAGS codes.
+
+    Each term is evaluated once, on all of the block's positive ratios; a
+    zero ratio takes the value at 0.  The terms are weighted and summed as
+    one stack, about STACK_POINTS values at a time.  A sum with an infinite
+    value is +inf (code 1) if any such value has weight above WEIGHT_FLOOR,
+    and otherwise the sum of its finite values (code 2): those terms carry
+    no mass.  Every sum equals the single-spectrum sum bit for bit."""
+    n = len(ratio)
+    x, w = ratio.reshape(n, -1), wt.reshape(n, -1)
+    pos = x > 0.0
+    xs, zero = x[pos], ~pos
+    singular = zero.any()
+    sums, codes = np.empty((len(terms), n)), np.zeros((len(terms), n), dtype=np.intp)
+    step = max(1, STACK_POINTS // w.size)
+    for lo in range(0, len(terms), step):
+        chunk = terms[lo:lo + step]
+        vals = np.array([term(xs) for term, _ in chunk], dtype=np.float64)
+        if singular:
+            vals, got = np.empty((len(chunk), *w.shape)), vals
+            vals[:, zero] = np.array([[at_zero] for _, at_zero in chunk])
+            vals[:, pos] = got
+        vals = vals.reshape(len(chunk), *w.shape)
+        with np.errstate(invalid="ignore"):  # inf * 0 weight; the loop below redoes such sums
+            sums[lo:lo + step] = (w * vals).sum(axis=2)
+        infinite = np.isinf(vals)
+        for i, k in zip(*(a.tolist() for a in np.nonzero(infinite.any(axis=2)))):
+            inf, v = infinite[i, k], vals[i, k]
+            if (inf & (w[k] > WEIGHT_FLOOR)).any():
+                sums[lo + i, k], codes[lo + i, k] = math.inf, 1
+            else:
+                sums[lo + i, k], codes[lo + i, k] = np.sum(w[k][~inf] * v[~inf]), 2
+    return sums, codes
 
 
-def s_f_from_spectrum(js, f: Generator):
-    """Evaluate sum_ij mu_j W_ij f(lambda_i / mu_j) on prepared data.
+def s_f_from_spectrum(js: JointSpectrum, f: Generator) -> DivergenceValue:
+    """Evaluate sum_ij mu_j W_ij f(lambda_i / mu_j) on prepared data: the
+    one-member case of weighted_sums.
 
     Zero ratios dispatch to f(0+).  An infinite f-value makes the result
     +inf only when its weight mu_j W_ij exceeds the weight floor; below
     it the term counts as zero mass.
-
-    js may also be a sequence of joint spectra of one dimension, a
-    block: the result is then a list with each spectrum's value, the
-    same as one call per spectrum would give.
     """
-    if isinstance(js, JointSpectrum):
-        return _s_f_one(js, f)
-    spectra = list(js)
-    if not spectra:
-        return []
-    sums, held = weighted_sums(np.stack([one.ratio for one in spectra]),
-                               np.stack([one.wt for one in spectra]), [f.fn])
-    return [DivergenceValue(value=total, generator=f.spec) if ok else _s_f_one(one, f)
-            for one, total, ok in zip(spectra, sums[0].tolist(), held[0].tolist())]
-
-
-def _s_f_one(js: JointSpectrum, f: Generator) -> DivergenceValue:
-    wt = js.wt
-    fvals = np.full_like(js.ratio, f.value_at_zero)
-    if js.pos.any():
-        fvals[js.pos] = f.fn(js.ratio[js.pos])
-
-    infinite = np.isinf(fvals)
-    if not infinite.any():
-        return DivergenceValue(value=float((wt * fvals).sum()), generator=f.spec)
-    if (infinite & (wt > WEIGHT_FLOOR)).any():
-        return DivergenceValue(value=math.inf, generator=f.spec, flags=("infinite",))
-    finite = ~infinite
-    value = float(np.sum(wt[finite] * fvals[finite]))
-    return DivergenceValue(value=value, generator=f.spec, flags=("zero-mass-infinite-terms",))
+    sums, codes = weighted_sums(js.ratio[np.newaxis], js.wt[np.newaxis], [(f.fn, f.value_at_zero)])
+    return DivergenceValue(value=float(sums[0, 0]), generator=f.spec, flags=SUM_FLAGS[codes[0, 0]])
 
 
 def s_f(q, p, f: Generator, eps: float = DEFAULT_INVERTIBILITY_EPS) -> DivergenceValue:
@@ -394,7 +394,7 @@ def umegaki(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:
 def chi_square(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:
     """tr(Q^2 P^(-1)) - 1, the chi-square distance."""
     qd, pd = _density_pair(q, p)
-    return _one(chi_squares([qd], [pd], eps))
+    return _raise_first(chi_squares([qd], [pd], eps))[0]
 
 
 def chi_squares(qds, pds, eps: float = DEFAULT_INVERTIBILITY_EPS) -> list:

@@ -316,6 +316,41 @@ class TestEpsInvertFloor:
         assert "singular at tolerance 1e-300: min eigenvalue 0.000e+00" in capsys.readouterr().err
 
 
+class TestEpsInvertValidation:
+    """--eps-invert must be positive; NaN used to pass the check, skip the
+    invertibility test and write NaN into the manifest."""
+
+    @pytest.mark.parametrize("eps", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("command", ["compute", "certify", "spectrum"])
+    @pytest.mark.parametrize("p", ["pa", "singular"])
+    def test_pair_commands_exit_2(self, files, capsys, tmp_path, command, p, eps):
+        singular = tmp_path / "singular.json"
+        singular.write_text(json.dumps(matrix_to_json(np.diag([1.0, 0.0]))))
+        p_path = str(singular) if p == "singular" else files[p]
+        code = main([command, "--q", files["qa"], "--p", p_path, "--eps-invert", eps])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "invertibility threshold must be positive" in captured.err
+
+    @pytest.mark.parametrize("eps", ["nan", "0", "-1"])
+    def test_fuzz_exits_2(self, capsys, eps):
+        code = main(["fuzz", "--dim", "2", "--trials", "1", "--eps-invert", eps])
+        assert code == 2
+        assert "invertibility threshold must be positive" in capsys.readouterr().err
+
+
+class TestBadImaginaryPart:
+    @pytest.mark.parametrize("im", [[["a", 0], [0, 0]], "x", [[0, 0], [0]]],
+                             ids=["non-numeric", "string", "ragged"])
+    @pytest.mark.parametrize("command", ["compute", "certify", "spectrum"])
+    def test_exits_2(self, files, capsys, tmp_path, command, im):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": im}))
+        code = main([command, "--q", str(path), "--p", files["pa"]])
+        assert code == 2
+        assert "bad matrix JSON" in capsys.readouterr().err
+
+
 class TestSpectrum:
     def test_example_b_overlap(self, files, capsys):
         code, out = run(capsys, "spectrum", "--q", files["qb"], "--p", files["pb"])

@@ -466,12 +466,10 @@ class TestPsiSupPruning:
         for r, R in ((1.0 - 1e-6, 1.0 + 1e-6), (1.0 - 1e-7, 1.0 + 1e-7), (0.5, 2.0)):
             assert _bits(psi_sup(f, r, R)) == _bits(reference_psi_sup(f, r, R)), (r, R)
 
-    def test_block_matches_scalar_calls(self):
-        rs = np.array([0.3, 1e-9, 0.01, 1.0 - 2e-11, 0.0, 0.9])
-        Rs = np.array([2.5, 1e9, 3e6, 1.0 + 2e-11, 2.0, 1.0])
-        for f in PRUNING_GENERATORS:
-            block = psi_sup(f, rs, Rs)
-            assert [_bits(v) for v in block] == [_bits(psi_sup(f, r, R)) for r, R in zip(rs, Rs)]
+    def test_takes_one_window(self):
+        # A block of windows is psi_sups' (test_stacked_generators_match_one_call_each).
+        with pytest.raises(TypeError):
+            psi_sup(kl_quantum(), np.array([0.3, 0.5]), np.array([2.5, 2.0]))
 
     def test_stacked_generators_match_one_call_each(self):
         # One psi_sups pass over every (window, generator) entry: r = 0,

@@ -478,7 +478,7 @@ def reference_joint(qd, pd):
 
 def _js_arrays(js):
     return (js.lam, js.mu, js.w, js.r, js.R, js.q_vectors, js.p_vectors, js.defect,
-            js.wt, js.ratio, js.pos)
+            js.wt, js.ratio)
 
 
 class TestBlockFrontEnd:

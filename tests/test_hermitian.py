@@ -269,6 +269,12 @@ class TestMatrixJson:
         with pytest.raises(InputFormatError):
             matrix_from_json({"dim": 2, "re": [[1.0]]})
 
+    @pytest.mark.parametrize("im", [[["a", 0], [0, 0]], "x", [[0, 0], [0]], [[0, 0]]],
+                             ids=["non-numeric", "string", "ragged", "bad-shape"])
+    def test_bad_im_rejected(self, im):
+        with pytest.raises(InputFormatError):
+            matrix_from_json({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": im})
+
     def test_missing_key_rejected(self):
         with pytest.raises(InputFormatError):
             matrix_from_json({"re": [[1.0]]})

@@ -10,8 +10,18 @@ from hypothesis import strategies as st
 
 from qfdiv.classical import i_f
 from qfdiv.errors import InputFormatError, PreconditionError
-from qfdiv.generators import DEFAULT_SPECS, default_catalog, kl_quantum, neg_log, parse_generator_spec
+from qfdiv.generators import (
+    DEFAULT_SPECS,
+    chi2,
+    default_catalog,
+    kl_quantum,
+    neg_log,
+    parse_generator_spec,
+)
+from qfdiv.harness import certify, check_derivative_gap
 from qfdiv.quantum import (
+    SUM_FLAGS,
+    WEIGHT_FLOOR,
     DensityMatrix,
     JointSpectrum,
     as_density,
@@ -228,38 +238,144 @@ class TestEpsInvertFloor:
             s_f(q, p, kl_quantum(), eps=1e-300)
 
 
+def reference_s_f(ratio, wt, term, at_zero):
+    """The spectral sum sum_ij wt_ij term(ratio_ij) of one pair and its flags,
+    entry by entry as the per-pair path formed it: a zero ratio takes
+    at_zero; an infinite value with weight above WEIGHT_FLOOR makes the sum
+    +inf, and below it the finite values are summed on their own."""
+    pos = ratio > 0.0
+    vals = np.full_like(ratio, at_zero)
+    if pos.any():
+        vals[pos] = term(ratio[pos])
+    infinite = np.isinf(vals)
+    if not infinite.any():
+        return float((wt * vals).sum()), ()
+    if (infinite & (wt > WEIGHT_FLOOR)).any():
+        return INF, ("infinite",)
+    finite = ~infinite
+    return float(np.sum(wt[finite] * vals[finite])), ("zero-mass-infinite-terms",)
+
+
+def slope_term(f):
+    """The derivative-gap sum's (term, value at 0): (t - 1) f'_+(t), -f'(0+)."""
+    return (lambda t: (t - 1.0) * f.deriv_right_fn(t)), -f.deriv_at_zero
+
+
+def _bits(x):
+    return float.hex(float(x))
+
+
+def reference_pairs():
+    """(name, Q, P): full rank at d = 2, 4 and 16, the commuting singular Q
+    diag(1, 0), and rank-deficient Q not commuting with P at d = 3 and 8."""
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    rank3 = g @ g.conj().T
+    rank2 = 0.3 * np.outer([1, 1, 0], [1, 1, 0]) + 0.4 / 3.0 * np.outer([1, -1, 1], [1, -1, 1])
+    return [
+        *((f"full-d{d}", random_density(d, rng), random_density(d, rng)) for d in (2, 4, 16)),
+        ("commuting-singular", np.diag([1.0, 0.0]), np.diag([0.7, 0.3])),
+        ("rank2-d3", rank2, np.diag([0.5, 0.3, 0.2])),
+        ("rank3-d8", rank3 / np.trace(rank3).real, random_density(8, rng)),
+    ]
+
+
+class TestSpectralSumReference:
+    """weighted_sums is the one spectral sum: S_f, certify's values and flags
+    and the derivative-gap sums equal reference_s_f bit for bit."""
+
+    def test_catalog_matches_reference(self):
+        seen = set()
+        for name, q, p in reference_pairs():
+            js = joint_spectrum(q, p)
+            results = certify(q, p, default_catalog())
+            for f, (dv, reports) in zip(default_catalog(), results):
+                value, flags = reference_s_f(js.ratio, js.wt, f.fn, f.value_at_zero)
+                one = s_f_from_spectrum(js, f)
+                assert (_bits(one.value), one.flags) == (_bits(value), flags), (name, f.spec)
+                assert (_bits(dv.value), dv.flags) == (_bits(value), flags), (name, f.spec)
+                seen.add(flags)
+                gap = reports[1]
+                assert gap.check == "derivative-gap"
+                if f.smooth:
+                    want, _ = reference_s_f(js.ratio, js.wt, *slope_term(f))
+                    assert _bits(dict(gap.chain)["slope-weighted-gap"]) == _bits(want), (name, f.spec)
+        # Each zero-ratio row of W sums to 1, so no catalog S_f has zero mass.
+        assert seen == {(), ("infinite",)}
+
+    def test_synthetic_infinite_terms(self):
+        # Member k's last ratio carries an infinite value with weight above,
+        # at and below WEIGHT_FLOOR; members 3 and 4 put it at a zero ratio
+        # (the value at 0), one with weight and one without.
+        ratio = np.tile(np.array([0.5, 1.0, 2.0, 3.0]), (5, 1))
+        wt = np.tile(np.array([0.1, 0.2, 0.3, 0.4]), (5, 1))
+        wt[:, -1] = [1e-3, WEIGHT_FLOOR, 1e-16, 0.5, 0.0]
+        ratio[3:, -1] = 0.0
+        terms = [(lambda t: np.where(t > 2.5, INF, t * t), INF),
+                 (lambda t: np.where(t > 2.5, -INF, -t), -INF),
+                 (lambda t: t, INF),
+                 (lambda t: t, 0.0)]
+        sums, codes = weighted_sums(ratio.reshape(5, 2, 2), wt.reshape(5, 2, 2), terms)
+        assert sums.shape == codes.shape == (len(terms), 5)
+        for i, (term, at_zero) in enumerate(terms):
+            for k in range(5):
+                value, flags = reference_s_f(ratio[k].reshape(2, 2), wt[k].reshape(2, 2), term, at_zero)
+                assert (_bits(sums[i, k]), SUM_FLAGS[codes[i, k]]) == (_bits(value), flags), (i, k)
+        assert codes[:2].tolist() == [[1, 2, 2, 1, 2]] * 2
+        assert codes[2].tolist() == [0, 0, 0, 1, 2] and not codes[3].any()
+        assert sums[1, 0] == INF
+
+    def test_derivative_gap_follows_the_s_f_rule(self):
+        # Where the per-pair slope sum differed: a NaN f' with weight gave
+        # +inf and now propagates; an overflowing (t - 1) f'(t) was dropped
+        # whatever its weight and now makes the sum +inf (the link vacuous).
+        q, p = EXAMPLE_B_Q, EXAMPLE_B_P
+        nan_slope = dataclasses.replace(
+            chi2(), deriv_right_fn=lambda t: np.where(t > 1.0, math.nan, 2.0 * t))
+        huge_slope = dataclasses.replace(
+            chi2(), deriv_right_fn=lambda t: np.where(t > 1.0, 1.5e308, 2.0 * t))
+        rep = check_derivative_gap(q, p, nan_slope)
+        assert math.isnan(dict(rep.chain)["slope-weighted-gap"]) and rep.status == "fail"
+        with np.errstate(over="ignore"):
+            rep = check_derivative_gap(q, p, huge_slope)
+        assert dict(rep.chain)["slope-weighted-gap"] == INF and rep.status == "vacuous-pass"
+
+
 class TestSFBlock:
     def test_block_matches_one_call_per_spectrum(self):
-        # Full-rank pairs take the stacked sum; a singular Q (zero ratios)
-        # takes the single-spectrum path.
+        # Full-rank pairs, a commuting singular Q and a non-commuting
+        # rank-deficient Q (zero ratios) in one stacked sum.
         rng = np.random.default_rng(7)
         spectra = [joint_spectrum(random_density(4, rng), random_density(4, rng)) for _ in range(5)]
         spectra.insert(2, joint_spectrum(np.diag([0.7, 0.3, 0.0, 0.0]), np.eye(4) / 4.0))
+        g = rng.standard_normal((4, 2))
+        spectra.insert(4, joint_spectrum(g @ g.T / np.trace(g @ g.T), random_density(4, rng)))
+        ratio, wt = (np.stack([getattr(js, x) for js in spectra]) for x in ("ratio", "wt"))
         for f in default_catalog():
-            block = s_f_from_spectrum(spectra, f)
+            sums, codes = weighted_sums(ratio, wt, [(f.fn, f.value_at_zero)])
             single = [s_f_from_spectrum(js, f) for js in spectra]
-            assert [(repr(v.value), v.flags) for v in block] == [
-                (repr(v.value), v.flags) for v in single], f.spec
-
+            assert [(_bits(v), SUM_FLAGS[c]) for v, c in zip(sums[0], codes[0])] == [
+                (_bits(v.value), v.flags) for v in single], f.spec
 
     def test_multi_term_weighted_sums_match_one_term_calls(self):
-        # A zero ratio (singular Q) leaves a member's sums unheld, an
-        # infinite value (the last term's, above t = 1) that term's sums.
-        # At d = 16 the 40 terms run in several stacked chunks.
+        # A zero ratio (singular Q) takes the value at 0, an infinite value
+        # (the last term's, above t = 1) flags its sum.  At d = 16 the 40
+        # terms run in several stacked chunks.
         rng = np.random.default_rng(11)
         for dim in (3, 16):
             spectra = [joint_spectrum(random_density(dim, rng), random_density(dim, rng))
                        for _ in range(4)]
             spectra.insert(1, joint_spectrum(np.diag([1.0] + [0.0] * (dim - 1)), np.eye(dim) / dim))
             ratio, wt = (np.stack([getattr(js, x) for js in spectra]) for x in ("ratio", "wt"))
-            terms = [f.fn for f in default_catalog()] * 3 + [lambda t: np.where(t > 1.0, INF, t)] * 4
-            sums, held = weighted_sums(ratio, wt, terms)
-            assert sums.shape == held.shape == (len(terms), len(spectra))
+            terms = [(f.fn, f.value_at_zero) for f in default_catalog()] * 3 + [
+                (lambda t: np.where(t > 1.0, INF, t), 0.0)] * 4
+            sums, codes = weighted_sums(ratio, wt, terms)
+            assert sums.shape == codes.shape == (len(terms), len(spectra))
             for i, term in enumerate(terms):
-                one_sums, one_held = weighted_sums(ratio, wt, [term])
-                assert [repr(v) for v in sums[i]] == [repr(v) for v in one_sums[0]]
-                assert held[i].tolist() == one_held[0].tolist()
-            assert not held[:, 1].any() and not held[-1].any()
+                one_sums, one_codes = weighted_sums(ratio, wt, [term])
+                assert [_bits(v) for v in sums[i]] == [_bits(v) for v in one_sums[0]]
+                assert codes[i].tolist() == one_codes[0].tolist()
+            assert codes[:, 1].any() and codes[-1].all()
 
 
 class TestSFInvariances:

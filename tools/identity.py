@@ -5,10 +5,10 @@ Usage, from the repository root:
     python3 tools/identity.py > before.txt      # on the old commit
     python3 tools/identity.py | diff before.txt -   # on the new one
 
-It covers `fuzz` stdout on 28 configurations, `certify` JSON and CSV on
-16 pairs (with QFDIV_TIMESTAMP fixed) and `run_all_checks` reports as
-JSON over sampled and hand-made pairs, every generator of a 21-entry
-list and two tolerances.  The digests depend on the numpy/LAPACK/BLAS
+It covers `fuzz` stdout on 28 configurations, `certify` and `compute`
+JSON and CSV on 16 pairs (with QFDIV_TIMESTAMP fixed) and `run_all_checks`
+reports as JSON over sampled and hand-made pairs, every generator of a
+21-entry list and two tolerances.  The digests depend on the numpy/LAPACK/BLAS
 build, so they compare two commits on one machine; they are not a test.
 Imports the standard library and the qfdiv under ./src only.
 """
@@ -80,6 +80,14 @@ def rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
+def low_rank(dim: int, rank: int, seed: int) -> np.ndarray:
+    """A fixed rank-`rank` density matrix G G* / tr, G a (dim, rank) Gaussian."""
+    g = rng(seed).standard_normal((2, dim, rank))
+    g = g[0] + 1j * g[1]
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 def pairs() -> list:
     """Hand-made pairs, then sampled ones: (name, Q, P) with plain matrices."""
     out = [
@@ -87,6 +95,10 @@ def pairs() -> list:
         ("example-b", np.array([[0.5, 0.25], [0.25, 0.5]]), np.diag([0.7, 0.3])),
         ("mixed-5", np.eye(5) / 5.0, np.eye(5) / 5.0),
         ("singular-q", np.diag([0.6, 0.4, 0.0]), np.diag([0.5, 0.3, 0.2])),
+        # Rank-deficient Q not commuting with P: zero ratios on a rotated basis.
+        ("rank2-d3", 0.3 * np.outer([1, 1, 0], [1, 1, 0])
+         + 0.4 / 3.0 * np.outer([1, -1, 1], [1, -1, 1]), np.diag([0.5, 0.3, 0.2])),
+        ("rank3-d8", low_rank(8, 3, 101), sample_pair("ginibre", 8, 1e-3, rng(102))[1].matrix),
     ]
     seed = 0
     for kind in ("ginibre", "mixture", "commuting"):
@@ -98,10 +110,13 @@ def pairs() -> list:
     return out
 
 
+HAND_MADE = 6
+
+
 def certify_cases(cases) -> list:
-    """The 4 hand-made pairs and every third sampled pair above d = 1: 16."""
-    sampled = [c for c in cases[4:] if c[1].shape[0] > 1]
-    return cases[:4] + sampled[::3]
+    """The hand-made pairs and every third sampled pair above d = 1: 16."""
+    sampled = [c for c in cases[HAND_MADE:] if c[1].shape[0] > 1]
+    return cases[:HAND_MADE] + sampled[::3]
 
 
 def digest(data) -> str:
@@ -130,9 +145,10 @@ def main_() -> None:
                 for which, m in (("q", q), ("p", p)):
                     with open(f"{which}.json", "w", encoding="utf-8") as fh:
                         json.dump(matrix_to_json(m), fh)
-                for fmt in ("json", "csv"):
-                    out = run_cli(("certify", "--q", "q.json", "--p", "p.json", "--format", fmt))
-                    print(digest(out), "certify", name, fmt)
+                for cmd in ("certify", "compute"):
+                    for fmt in ("json", "csv"):
+                        out = run_cli((cmd, "--q", "q.json", "--p", "p.json", "--format", fmt))
+                        print(digest(out), cmd, name, fmt)
         finally:
             os.chdir(cwd)
 
