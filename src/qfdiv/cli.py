@@ -41,7 +41,7 @@ from .classical import (
 )
 from .errors import InputFormatError, PreconditionError
 from .generators import DEFAULT_SPECS, parse_generator_spec
-from .harness import BoundChainReport, FuzzConfig, certify, collect_violations, fuzz
+from .harness import SAMPLER_KINDS, BoundChainReport, FuzzConfig, certify, collect_violations, fuzz
 from .hermitian import ZERO_EIGENVALUE_TOL, load_matrix
 from .quantum import (
     as_density,
@@ -77,6 +77,20 @@ def _sha256(path: str) -> str:
             return hashlib.sha256(fh.read()).hexdigest()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _pair_manifest(args, argv, tolerances: dict) -> dict:
+    """The manifest of a command that reads the pair of files --q and --p."""
+    return _manifest(argv, {"q": _sha256(args.q), "p": _sha256(args.p)}, None, tolerances)
+
+
+def _pair_inputs(args, argv, **tolerances) -> tuple:
+    """Q and P loaded and checked from --q and --p, their joint spectrum at
+    --eps-invert, and the manifest recording `tolerances` then eps_invert."""
+    qd = as_density(load_matrix(args.q))
+    pd = as_density(load_matrix(args.p))
+    js = joint_spectrum(qd, pd, args.eps_invert)
+    return qd, pd, js, _pair_manifest(args, argv, {**tolerances, "eps_invert": args.eps_invert})
 
 
 def _manifest(argv, inputs: dict, seed, tolerances: dict) -> dict:
@@ -217,14 +231,8 @@ def _csv_row(row: dict) -> dict:
 
 
 def cmd_compute(args, argv) -> int:
-    qd = as_density(load_matrix(args.q))
-    pd = as_density(load_matrix(args.p))
-    eps = args.eps_invert
-    js = joint_spectrum(qd, pd, eps)
-    manifest = _manifest(argv, {"q": _sha256(args.q), "p": _sha256(args.p)},
-                         None, {"eps_invert": eps})
-
-    results = [_value_row(qd, pd, js, f, eps) for f in _generators(args)]
+    qd, pd, js, manifest = _pair_inputs(args, argv)
+    results = [_value_row(qd, pd, js, f, args.eps_invert) for f in _generators(args)]
 
     human = [f"{row['generator']}: value={row['value']!r}"
              + (f" closed_form={row['closed_form']!r} gap={row['gap']!r}"
@@ -252,18 +260,13 @@ def _final_bounds(reports) -> dict:
 
 
 def cmd_certify(args, argv) -> int:
-    qd = as_density(load_matrix(args.q))
-    pd = as_density(load_matrix(args.p))
+    qd, pd, js, manifest = _pair_inputs(args, argv, tol=args.tol)
     eps = args.eps_invert
-    tol = args.tol
-    js = joint_spectrum(qd, pd, eps)
-    manifest = _manifest(argv, {"q": _sha256(args.q), "p": _sha256(args.p)},
-                         None, {"tol": tol, "eps_invert": eps})
 
     all_reports = []
     rows = []
     generators = _generators(args)
-    for f, (dv, reports) in zip(generators, certify(qd, pd, generators, js=js, tol=tol, eps=eps)):
+    for f, (dv, reports) in zip(generators, certify(qd, pd, generators, js=js, tol=args.tol, eps=eps)):
         if os.environ.get("QFDIV_SELFTEST_CORRUPT"):
             reports = tuple(
                 dataclasses.replace(
@@ -336,12 +339,7 @@ def cmd_fuzz(args, argv) -> int:
 
 
 def cmd_spectrum(args, argv) -> int:
-    qd = as_density(load_matrix(args.q))
-    pd = as_density(load_matrix(args.p))
-    eps = args.eps_invert
-    js = joint_spectrum(qd, pd, eps)
-    manifest = _manifest(argv, {"q": _sha256(args.q), "p": _sha256(args.p)},
-                         None, {"eps_invert": eps})
+    _, _, js, manifest = _pair_inputs(args, argv)
     doc = {
         "manifest": manifest,
         "eigenvalues_q": js.lam.tolist(),
@@ -370,8 +368,7 @@ def cmd_spectrum(args, argv) -> int:
 def cmd_classical(args, argv) -> int:
     q = load_distribution(args.q)
     p = load_distribution(args.p)
-    manifest = _manifest(argv, {"q": _sha256(args.q), "p": _sha256(args.p)},
-                         None, {"tol": args.tol})
+    manifest = _pair_manifest(args, argv, {"tol": args.tol})
 
     results = []
     human = []
@@ -447,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int, default=None,
                     help="trial stream seed (default: QFDIV_SEED or 0)")
-    sp.add_argument("--sampler", choices=("ginibre", "commuting", "mixture"),
-                    default="ginibre")
+    sp.add_argument("--sampler", choices=SAMPLER_KINDS, default="ginibre")
     sp.add_argument("--floor", type=float, default=None,
                     help="eigenvalue floor mixed into each sample (default 1e-6/dim)")
     sp.add_argument("--eps-invert", type=float, default=1e-12, help=EPS_INVERT_HELP)

@@ -10,10 +10,10 @@ interval, and the midpoint Jensen gap.
 
 Catalog families (all normalized to f(1) = 0):
 
-    chi_alpha      |u - 1|^alpha, alpha >= 1
-    dichotomy      [alpha u + 1 - alpha - u^alpha] / (alpha (1 - alpha))
+    chi_alpha      |u - 1|^alpha, finite alpha >= 1
+    dichotomy      [alpha u + 1 - alpha - u^alpha] / (alpha (1 - alpha)), finite alpha
     matsushita     |1 - u^alpha|^(1/alpha), 0 < alpha <= 1
-    puri_vincze    |1 - u|^alpha / (u + 1)^(alpha - 1), alpha >= 1
+    puri_vincze    |1 - u|^alpha / (u + 1)^(alpha - 1), finite alpha >= 1
     arimoto        (alpha/(alpha-1)) [(1 + u^alpha)^(1/alpha) - 2^(1/alpha - 1) (1 + u)]
     kl_quantum     u ln u
     neg_log        -ln u
@@ -186,16 +186,16 @@ def _sgn(t):
 
 
 def _kink(c: float) -> tuple:
-    """The one-sided derivatives of c |t - 1| at a scalar t."""
-    return (lambda t: -c if t <= 1.0 else c), (lambda t: -c if t < 1.0 else c)
+    """The one-sided derivatives of c |t - 1| at t, a scalar or an array."""
+    return (lambda t: np.where(t <= 1.0, -c, c)), (lambda t: np.where(t < 1.0, -c, c))
 
 
 def chi_alpha(alpha: float = 2.0) -> Generator:
     """|u - 1|^alpha for alpha >= 1; alpha = 1 is total variation,
     alpha = 2 is the chi-square generator shifted to pass through 0."""
     alpha = float(alpha)
-    if not alpha >= 1.0:
-        raise InputFormatError(f"chi-alpha needs alpha >= 1, got {alpha}")
+    if not 1.0 <= alpha < INF:
+        raise InputFormatError(f"chi-alpha needs finite alpha >= 1, got {alpha}")
 
     def fn(t):
         return np.abs(t - 1.0) ** alpha
@@ -219,6 +219,8 @@ def dichotomy(alpha: float = 0.5) -> Generator:
     """The one-parameter family spanning u - 1 - ln u (alpha = 0),
     2(sqrt(u) - 1)^2 (alpha = 1/2), and 1 - u + u ln u (alpha = 1)."""
     alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise InputFormatError(f"dichotomy needs finite alpha, got {alpha}")
     if alpha == 0.0:
         return Generator(
             name="dichotomy",
@@ -290,8 +292,8 @@ def puri_vincze(alpha: float = 2.0) -> Generator:
     """|1 - u|^alpha / (u + 1)^(alpha - 1) for alpha >= 1; self-conjugate.
     alpha = 2 is half the triangular discrimination."""
     alpha = float(alpha)
-    if not alpha >= 1.0:
-        raise InputFormatError(f"puri-vincze needs alpha >= 1, got {alpha}")
+    if not 1.0 <= alpha < INF:
+        raise InputFormatError(f"puri-vincze needs finite alpha >= 1, got {alpha}")
 
     def fn(t):
         return np.abs(1.0 - t) ** alpha / (t + 1.0) ** (alpha - 1.0)
@@ -322,7 +324,7 @@ def arimoto(alpha: float = 2.0) -> Generator:
     (1+u) ln 2 + u ln u - (1+u) ln(1+u), and |1-u|/2.
     """
     alpha = float(alpha)
-    if math.isinf(alpha):
+    if alpha == INF:
         return Generator(
             name="arimoto",
             params={"alpha": INF},
@@ -863,11 +865,7 @@ def jensen_gap_bound(f: Generator, r: float, R: float) -> float:
     Returns +inf when f(r) or f(R) is infinite.
     """
     r, R = _check_window(r, R)
-    fr = f(r)
-    fR = f(R)
-    if math.isinf(fr) or math.isinf(fR):
-        return INF
-    return jensen_gap_value(fr, fR, f(0.5 * (r + R)))
+    return jensen_gap_value(f(r), f(R), f(0.5 * (r + R)))
 
 
 def jensen_gap_value(fr, fR, fmid):

@@ -42,6 +42,7 @@ import numpy as np
 from .errors import InputFormatError, PreconditionError
 from .generators import (
     Generator,
+    _check_window,
     default_catalog,
     jensen_gap_value,
     psi_sups,
@@ -450,8 +451,9 @@ def _chains(b: _Block, generators, producers=_CHAINS, sf: float = None) -> tuple
 
 
 def _check_open_window(r: float, R: float, closed: bool = False) -> tuple:
-    """(r, R) as floats with 0 <= r < 1 < R, or thm3's 0 <= r <= 1 <= R, r < R if closed."""
-    r, R = float(r), float(R)
+    """(r, R) as finite floats with 0 <= r < 1 < R, or thm3's 0 <= r <= 1 <= R,
+    r < R if closed."""
+    r, R = _check_window(r, R)
     if not (0.0 <= r <= 1.0 <= R and r < R if closed else 0.0 <= r < 1.0 < R):
         need = "0 <= r <= 1 <= R with r < R" if closed else "0 <= r < 1 < R"
         raise PreconditionError(f"need {need}, got r={r}, R={R}")
@@ -742,9 +744,8 @@ class FuzzConfig:
     def __post_init__(self):
         object.__setattr__(self, "generators", default_catalog().generators
                            if self.generators is None else tuple(self.generators))
-        if self.floor is None:  # its default, 1e-6 / dim, once dim is checked
-            object.__setattr__(self, "floor", _check_sampler_args(self.sampler, self.dim)[2])
-        _check_sampler_args(self.sampler, self.dim, self.floor)
+        # The floor checked, or its default 1e-6 / dim once dim is.
+        object.__setattr__(self, "floor", _check_sampler_args(self.sampler, self.dim, self.floor)[2])
         if int(self.trials) < 1:
             raise InputFormatError(f"trials must be >= 1, got {self.trials}")
         _check_tol(self.tol)

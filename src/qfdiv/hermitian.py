@@ -234,6 +234,18 @@ def _quad_form(op: np.ndarray, x: np.ndarray) -> float:
     return float(np.real(np.vdot(x, op @ x)))
 
 
+def _moments(s, xv) -> tuple:
+    """S's eigendecomposition, its spectrum's ends, S itself, <Sx,x>,
+    <|S - <Sx,x>|x,x> and the variance <S^2 x,x> - <Sx,x>^2."""
+    dec = eigh(s)
+    smat = dec.reconstruct()
+    mean_s = _quad_form(smat, xv)
+    u = dec.eigenvectors
+    absdev = _quad_form((u * np.abs(dec.eigenvalues - mean_s)) @ u.conj().T, xv)
+    variance = _quad_form(smat @ smat, xv) - mean_s**2
+    return dec, float(dec.eigenvalues[0]), float(dec.eigenvalues[-1]), smat, mean_s, absdev, variance
+
+
 def gruss_gap_check(s, g, lam: float, rho: float, x, tol: float = 1e-10) -> CheckReport:
     """Covariance-gap chain for a selfadjoint S, scalar g, and unit x.
 
@@ -247,8 +259,7 @@ def gruss_gap_check(s, g, lam: float, rho: float, x, tol: float = 1e-10) -> Chec
     within ``tol`` absolute.
     """
     xv = _unit_vector(x)
-    dec = eigh(s)
-    lo, hi = float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
+    dec, lo, hi, smat, mean_s, absdev, variance = _moments(s, xv)
     # The hypothesis must hold on the whole spectral interval, not just
     # at eigenvalues; probe a fine grid plus the eigenvalues themselves.
     probes = np.union1d(np.linspace(lo, hi, 513), dec.eigenvalues)
@@ -260,32 +271,19 @@ def gruss_gap_check(s, g, lam: float, rho: float, x, tol: float = 1e-10) -> Chec
         )
 
     u = dec.eigenvectors
-    smat = dec.reconstruct()
     gmat = (u * np.asarray([float(g(t)) for t in dec.eigenvalues])) @ u.conj().T
-    mean_s = _quad_form(smat, xv)
     mean_g = _quad_form(gmat, xv)
     cross = float(np.real(np.vdot(xv, smat @ (gmat @ xv))))
     lhs = abs(cross - mean_s * mean_g)
-
-    absdev = (u * np.abs(dec.eigenvalues - mean_s)) @ u.conj().T
-    mid = rho * _quad_form(absdev, xv)
-    variance = _quad_form(smat @ smat, xv) - mean_s**2
     rhs = rho * math.sqrt(max(variance, 0.0))
-    return _chain_report("gruss-gap", [("gap", lhs), ("abs-deviation", mid), ("std-dev", rhs)], tol)
+    return _chain_report("gruss-gap", [("gap", lhs), ("abs-deviation", rho * absdev), ("std-dev", rhs)], tol)
 
 
 def variance_bound_check(s, x, tol: float = 1e-10) -> CheckReport:
     """Variance chain 0 <= var <= (Gamma-gamma)/2 * <|S - mean|x,x>
     <= (Gamma-gamma)^2 / 4 for a selfadjoint S and unit x."""
-    xv = _unit_vector(x)
-    dec = eigh(s)
-    lo, hi = float(dec.eigenvalues[0]), float(dec.eigenvalues[-1])
-    smat = dec.reconstruct()
-    mean_s = _quad_form(smat, xv)
-    variance = _quad_form(smat @ smat, xv) - mean_s**2
-    u = dec.eigenvectors
-    absdev = (u * np.abs(dec.eigenvalues - mean_s)) @ u.conj().T
-    mid = 0.5 * (hi - lo) * _quad_form(absdev, xv)
+    _, lo, hi, _, _, absdev, variance = _moments(s, _unit_vector(x))
+    mid = 0.5 * (hi - lo) * absdev
     cap = 0.25 * (hi - lo) ** 2
     return _chain_report(
         "variance-bound",

@@ -46,6 +46,7 @@ from .generators import STACK_POINTS, Generator
 from .hermitian import (
     CheckReport,
     EigenDecomposition,
+    _as_square_matrix,
     eigh_hermitian,
     hermitian_stack,
     hs_norm,
@@ -98,10 +99,7 @@ class DensityMatrix:
     dec: EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InputFormatError(f"expected a square matrix, got shape {m.shape}")
-        one = densities(m[np.newaxis])[0]
+        one = densities(_as_square_matrix(self.matrix)[np.newaxis])[0]
         object.__setattr__(self, "matrix", one.matrix)
         object.__setattr__(self, "dec", one.dec)
 
@@ -410,17 +408,7 @@ def chi_squares(qds, pds, eps: float = DEFAULT_INVERTIBILITY_EPS) -> list:
     p_inv = (p_inv + p_inv.conj().swapaxes(1, 2)) / 2.0
     with np.errstate(invalid="ignore", over="ignore"):
         values = (np.trace(q_mats @ q_mats @ p_inv, axis1=1, axis2=2).real - 1.0).tolist()
-    finite = np.isfinite(inv).all(axis=1)
-    out = []
-    for k, pd in enumerate(pds):
-        exc = _singular(pd, eps)
-        if exc is None and not finite[k]:
-            try:
-                matrix_function(pd.dec, lambda x: 1.0 / x)
-            except PreconditionError as err:
-                exc = err
-        out.append(exc or values[k])
-    return out
+    return [_singular(pd, eps) or value for pd, value in zip(pds, values)]
 
 
 def tsallis(q, p, qparam: float, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:

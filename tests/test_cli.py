@@ -287,6 +287,28 @@ class TestToleranceValidation:
         assert "tolerance must be positive and finite" in capsys.readouterr().err
 
 
+class TestNonFiniteGeneratorParameter:
+    """A NaN or infinite family parameter is malformed input (exit 2), not a
+    generator whose NaN values fail every chain."""
+
+    SPECS = ["dichotomy:alpha=nan", "dichotomy:alpha=inf", "dichotomy:alpha=-inf",
+             "chi-alpha:alpha=inf", "puri-vincze:alpha=inf"]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_certify_exits_2(self, files, capsys, spec):
+        code = main(["certify", "--q", files["qb"], "--p", files["pb"], "--generator", spec])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "finite alpha" in captured.err
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_fuzz_exits_2(self, capsys, spec):
+        code = main(["fuzz", "--dim", "2", "--trials", "2", "--generator", spec])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "finite alpha" in captured.err
+
+
 class TestEpsInvertFloor:
     """A diagonal thermal P with N = 32 (smallest eigenvalue 2.18e-14) is
     clamped to 0 by ZERO_EIGENVALUE_TOL * ||P||_F = 6.8e-14, so no

@@ -80,6 +80,26 @@ class TestCatalog:
         with pytest.raises(InputFormatError):
             parse_generator_spec("kl-quantum:alpha=2")
 
+    # A non-finite parameter is malformed input, not a generator whose
+    # values are NaN; arimoto's alpha = inf is its documented closure.
+    NON_FINITE = [
+        *(f"{name}:alpha={v}" for name in ("dichotomy", "chi-alpha", "puri-vincze")
+          for v in ("nan", "inf", "-inf")),
+        "arimoto:alpha=nan", "arimoto:alpha=-inf"]
+
+    @pytest.mark.parametrize("spec", NON_FINITE)
+    def test_parse_rejects_non_finite_parameters(self, spec):
+        with pytest.raises(InputFormatError):
+            parse_generator_spec(spec)
+
+    @pytest.mark.parametrize("make, alpha", [
+        *((make, alpha) for make in (dichotomy, chi_alpha, puri_vincze)
+          for alpha in (math.nan, INF, -INF)),
+        (arimoto, math.nan), (arimoto, -INF)])
+    def test_factories_reject_non_finite_parameters(self, make, alpha):
+        with pytest.raises(InputFormatError):
+            make(alpha)
+
 
 class TestFrozenValues:
     """Closed-form values frozen from independent evaluation."""
@@ -273,6 +293,18 @@ class TestDerivatives:
         with pytest.raises(PreconditionError):
             kl_quantum().deriv_left(0.0)
 
+    KINKED = [parse_generator_spec(s) for s in (
+        "tv", "chi-alpha:alpha=1", "matsushita:alpha=1", "puri-vincze:alpha=1", "arimoto:alpha=inf")]
+
+    @pytest.mark.parametrize("f", [*KINKED, *map(conjugate, KINKED),
+                                   *(shift(f, 0.75) for f in KINKED)], ids=repr)
+    def test_kinked_derivatives_take_arrays(self, f):
+        ts = np.array([0.125, 0.5, 1.0 - 2**-52, 1.0, 1.0 + 2**-52, 2.0, 9.0])
+        for fn, scalar in ((f.deriv_left_fn, f.deriv_left), (f.deriv_right_fn, f.deriv_right)):
+            out = fn(ts)
+            assert out.shape == ts.shape
+            assert [_bits(v) for v in out] == [_bits(scalar(t)) for t in ts]
+
 
 class TestEvaluation:
     def test_scalar_zero_uses_limit(self):
@@ -465,6 +497,30 @@ class TestPsiSupPruning:
         f = parse_generator_spec("dichotomy:alpha=1e-8")
         for r, R in ((1.0 - 1e-6, 1.0 + 1e-6), (1.0 - 1e-7, 1.0 + 1e-7), (0.5, 2.0)):
             assert _bits(psi_sup(f, r, R)) == _bits(reference_psi_sup(f, r, R)), (r, R)
+
+    @pytest.mark.parametrize("r, R", [
+        (5e-324, 1e-323), (1e-310, np.nextafter(1e-310, INF)), (1e-305, np.nextafter(1e-305, INF)),
+        (1e-320, 3e-320)])
+    def test_zero_step_windows_match_full_grid(self, r, R):
+        # The grid step (R - r) / 10000 rounds to zero, so the grid's points
+        # are formed as linspace forms them there (on the last window they
+        # are distinct and decide kl's value); a generator that cannot be
+        # evaluated this close to 0 raises the same error both ways.
+        assert (R - r) / 1e4 == 0.0
+
+        def outcome(fn, f):
+            try:
+                with np.errstate(invalid="ignore"):
+                    return _bits(fn(f, r, R))
+            except ArithmeticError as exc:
+                return repr(exc)
+
+        for f in PRUNING_GENERATORS:
+            assert outcome(psi_sup, f) == outcome(reference_psi_sup, f), f.spec
+
+    def test_one_bad_window_among_several_raises(self):
+        with pytest.raises(PreconditionError, match="need finite r < R, got r=0.5, R=inf"):
+            psi_sups((kl_quantum(), chi2()), np.array([0.3, 0.5, 0.2]), np.array([2.5, INF, 4.0]))
 
     def test_takes_one_window(self):
         # A block of windows is psi_sups' (test_stacked_generators_match_one_call_each).

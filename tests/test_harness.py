@@ -310,7 +310,32 @@ class TestThm5:
         assert rep.status == "skipped"
 
 
+class TestGivenValue:
+    """check_*(..., sf=x) judges the chains with x in place of S_f: every
+    "value" term (of the chain and its subchains) is x, the rest unchanged."""
+
+    @pytest.mark.parametrize("check", [check_nonneg, check_derivative_gap, check_thm2,
+                                       check_thm3, check_thm4, check_thm5])
+    @pytest.mark.parametrize("spec", ["kl-quantum", "chi2", "neg-log"])
+    def test_value_terms_are_replaced(self, check, spec):
+        f = parse_generator_spec(spec)
+        base, replaced = check(EXAMPLE_B_Q, EXAMPLE_B_P, f), check(EXAMPLE_B_Q, EXAMPLE_B_P, f, sf=-1.0)
+        assert len(replaced.subchains) == len(base.subchains)
+        for a, b in zip((base, *base.subchains), (replaced, *replaced.subchains)):
+            assert [label for label, _ in b.chain] == [label for label, _ in a.chain]
+            assert [v for label, v in b.chain] == [
+                -1.0 if label == "value" else v for label, v in a.chain]
+
+    def test_negative_value_fails_nonneg(self):
+        rep = check_nonneg(EXAMPLE_A_Q, EXAMPLE_A_P, parse_generator_spec("kl-quantum"), sf=-1.0)
+        assert rep.status == "fail"
+        assert rep.chain == (("zero", 0.0), ("value", -1.0))
+
+
 class TestRunAllChecks:
+    def test_empty_generator_list(self):
+        assert certify(EXAMPLE_B_Q, EXAMPLE_B_P, ()) == []
+
     def test_six_reports_in_order(self):
         reports = run_all_checks(EXAMPLE_B_Q, EXAMPLE_B_P, parse_generator_spec("kl-quantum"))
         assert [r.check for r in reports] == [
@@ -382,6 +407,13 @@ class TestCoefficients:
             chi_square_chord_coeff(1.2, 2.0)
         with pytest.raises(PreconditionError):
             neg_log_jensen_coeff(0.5, 0.9)
+
+    @pytest.mark.parametrize("coeff", [chi_square_secant_coeff, chi_square_chord_coeff,
+                                       neg_log_jensen_coeff, neg_log_range_coeff])
+    @pytest.mark.parametrize("R", [INF, math.nan])
+    def test_non_finite_window_raises(self, coeff, R):
+        with pytest.raises(PreconditionError, match="need finite r < R"):
+            coeff(0.5, R)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(1e-4, 1.0 - 1e-9), st.floats(1.0 + 1e-9, 100.0))
@@ -629,6 +661,12 @@ class TestFuzz:
         a = fuzz(FuzzConfig(dim=3, trials=15, seed=9, jobs=1)).summary
         b = fuzz(FuzzConfig(dim=3, trials=15, seed=9, jobs=4)).summary
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_empty_generator_list(self):
+        res = fuzz(FuzzConfig(dim=2, trials=3, generators=()))
+        assert res.violations == ()
+        assert res.summary["checks"] == {}
+        assert res.summary["min_slack"] is None
 
     def test_summary_has_slack_statistics(self):
         res = fuzz(FuzzConfig(dim=2, trials=10, seed=1))

@@ -6,10 +6,12 @@ Usage, from the repository root:
     python3 tools/identity.py | diff before.txt -   # on the new one
 
 It covers `fuzz` stdout on 28 configurations, `certify` and `compute`
-JSON and CSV on 16 pairs (with QFDIV_TIMESTAMP fixed) and `run_all_checks`
-reports as JSON over sampled and hand-made pairs, every generator of a
-21-entry list and two tolerances.  The digests depend on the numpy/LAPACK/BLAS
-build, so they compare two commits on one machine; they are not a test.
+JSON and CSV and `spectrum` with and without `--out` on 16 pairs (with
+QFDIV_TIMESTAMP fixed), `classical` on 5 distribution pairs, and
+`run_all_checks` reports as JSON over sampled and hand-made pairs, every
+generator of a 21-entry list and two tolerances.  The digests depend on
+the numpy/LAPACK/BLAS build, so they compare two commits on one machine;
+they are not a test.
 Imports the standard library and the qfdiv under ./src only.
 """
 
@@ -28,6 +30,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402  (qfdiv's own dependency)
 
+from qfdiv.classical import distribution_to_json  # noqa: E402
 from qfdiv.cli import main, report_to_json  # noqa: E402
 from qfdiv.generators import DEFAULT_SPECS, parse_generator_spec  # noqa: E402
 from qfdiv.harness import run_all_checks, sample_pair  # noqa: E402
@@ -112,6 +115,16 @@ def pairs() -> list:
 
 HAND_MADE = 6
 
+# (name, q, p) weight vectors for `classical`: zero weights on either
+# side, and disjoint supports.
+DISTRIBUTIONS = (
+    ("uniform-3", [1 / 3, 1 / 3, 1 / 3], [0.5, 0.25, 0.25]),
+    ("skewed-4", [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1]),
+    ("zero-q", [0.0, 0.5, 0.5], [0.2, 0.3, 0.5]),
+    ("zero-p", [0.25, 0.25, 0.5], [0.0, 0.5, 0.5]),
+    ("disjoint", [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.75, 0.25]),
+)
+
 
 def certify_cases(cases) -> list:
     """The hand-made pairs and every third sampled pair above d = 1: 16."""
@@ -130,6 +143,20 @@ def run_cli(argv) -> str:
     return f"exit={code}\n{buf.getvalue()}stderr:\n{err.getvalue()}"
 
 
+def write_pair(q, p, to_json) -> None:
+    """Write q.json and p.json in the current directory."""
+    for which, x in (("q", q), ("p", p)):
+        with open(f"{which}.json", "w", encoding="utf-8") as fh:
+            json.dump(to_json(x), fh)
+
+
+def run_cli_out(argv) -> str:
+    """run_cli with `--out out.json` appended, followed by the file it wrote."""
+    out = run_cli((*argv, "--out", "out.json"))
+    with open("out.json", encoding="utf-8") as fh:
+        return f"{out}file:\n{fh.read()}"
+
+
 def main_() -> None:
     os.environ.pop("QFDIV_SEED", None)
     os.environ["QFDIV_TIMESTAMP"] = "2026-01-01T00:00:00Z"
@@ -141,14 +168,19 @@ def main_() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
+            files = ("--q", "q.json", "--p", "p.json")
             for name, q, p in certify_cases(cases):
-                for which, m in (("q", q), ("p", p)):
-                    with open(f"{which}.json", "w", encoding="utf-8") as fh:
-                        json.dump(matrix_to_json(m), fh)
+                write_pair(q, p, matrix_to_json)
                 for cmd in ("certify", "compute"):
                     for fmt in ("json", "csv"):
-                        out = run_cli((cmd, "--q", "q.json", "--p", "p.json", "--format", fmt))
+                        out = run_cli((cmd, *files, "--format", fmt))
                         print(digest(out), cmd, name, fmt)
+                print(digest(run_cli(("spectrum", *files))), "spectrum", name)
+                print(digest(run_cli_out(("spectrum", *files))), "spectrum", name, "--out")
+            for name, q, p in DISTRIBUTIONS:
+                write_pair(q, p, distribution_to_json)
+                print(digest(run_cli(("classical", *files))), "classical", name)
+                print(digest(run_cli_out(("classical", *files))), "classical", name, "--out")
         finally:
             os.chdir(cwd)
 
