@@ -108,6 +108,8 @@ class Generator:
         normalized: f(1) = 0.
         smooth: no derivative kink anywhere on (0, infinity).
         approx: metadata came from finite differences, not closed form.
+        quadratic: the t^2 coefficient a of a quadratic f, whose Psi is
+            a (R - r) on every window; None for every other f.
     """
 
     name: str
@@ -121,6 +123,7 @@ class Generator:
     normalized: bool = True
     smooth: bool = True
     approx: bool = False
+    quadratic: float = None
 
     @functools.cached_property
     def spec(self) -> str:
@@ -137,26 +140,27 @@ class Generator:
             if t.size and float(t.min()) <= 0.0:
                 raise PreconditionError("array evaluation requires strictly positive points")
             return np.asarray(self.fn(t), dtype=np.float64)
-        t = float(t)
-        if t < 0.0:
-            raise PreconditionError(f"generator argument must be >= 0, got {t}")
-        if t == 0.0:
-            return self.value_at_zero
-        return float(self.fn(t))
+        return _at(self.fn, t, self.value_at_zero, "generator argument must be >= 0, got {t}")
 
     def deriv_left(self, t: float) -> float:
-        t = float(t)
-        if t <= 0.0:
-            raise PreconditionError("left derivative needs t > 0")
-        return float(self.deriv_left_fn(t))
+        return _at(self.deriv_left_fn, t, None, "left derivative needs t > 0")
 
     def deriv_right(self, t: float) -> float:
-        t = float(t)
-        if t < 0.0:
-            raise PreconditionError("right derivative needs t >= 0")
-        if t == 0.0:
-            return self.deriv_at_zero
-        return float(self.deriv_right_fn(t))
+        return _at(self.deriv_right_fn, t, self.deriv_at_zero, "right derivative needs t >= 0")
+
+
+def _at(fn, t: float, at_zero, need: str) -> float:
+    """fn at one point t, evaluated as a one-element array as a block
+    evaluates it: a value that diverges (1/t^2 underflowing, t^-0.99
+    overflowing) is infinite.  t = 0 gives at_zero, or the error `need`
+    (formatted with t) as a negative t does when at_zero is None."""
+    t = float(t)
+    if t < 0.0 or (t == 0.0 and at_zero is None):
+        raise PreconditionError(need.format(t=t))
+    if t == 0.0:
+        return at_zero
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return float(np.asarray(fn(np.array([t])), dtype=np.float64)[0])
 
 
 @dataclass(frozen=True)
@@ -212,6 +216,7 @@ def chi_alpha(alpha: float = 2.0) -> Generator:
         star_at_zero=INF if alpha > 1.0 else 1.0,
         deriv_at_zero=-alpha,
         smooth=alpha > 1.0,
+        quadratic=1.0 if alpha == 2.0 else None,
     )
 
 
@@ -222,35 +227,17 @@ def dichotomy(alpha: float = 0.5) -> Generator:
     if not math.isfinite(alpha):
         raise InputFormatError(f"dichotomy needs finite alpha, got {alpha}")
     if alpha == 0.0:
-        return Generator(
-            name="dichotomy",
-            params={"alpha": 0.0},
-            fn=lambda t: t - 1.0 - np.log(t),
-            deriv_left_fn=lambda t: 1.0 - 1.0 / t,
-            deriv_right_fn=lambda t: 1.0 - 1.0 / t,
-            value_at_zero=INF,
-            star_at_zero=1.0,
-            deriv_at_zero=-INF,
-        )
-    if alpha == 1.0:
-        return Generator(
-            name="dichotomy",
-            params={"alpha": 1.0},
-            fn=lambda t: 1.0 - t + t * np.log(t),
-            deriv_left_fn=np.log,
-            deriv_right_fn=np.log,
-            value_at_zero=1.0,
-            star_at_zero=INF,
-            deriv_at_zero=-INF,
-        )
+        fn, deriv = (lambda t: t - 1.0 - np.log(t)), (lambda t: 1.0 - 1.0 / t)
+    elif alpha == 1.0:
+        fn, deriv = (lambda t: 1.0 - t + t * np.log(t)), np.log
+    else:
+        denom = alpha * (1.0 - alpha)
 
-    denom = alpha * (1.0 - alpha)
+        def fn(t):
+            return (alpha * t + 1.0 - alpha - t**alpha) / denom
 
-    def fn(t):
-        return (alpha * t + 1.0 - alpha - t**alpha) / denom
-
-    def deriv(t):
-        return (1.0 - t ** (alpha - 1.0)) / (1.0 - alpha)
+        def deriv(t):
+            return (1.0 - t ** (alpha - 1.0)) / (1.0 - alpha)
 
     return Generator(
         name="dichotomy",
@@ -261,6 +248,7 @@ def dichotomy(alpha: float = 0.5) -> Generator:
         value_at_zero=1.0 / alpha if alpha > 0.0 else INF,
         star_at_zero=1.0 / (1.0 - alpha) if alpha < 1.0 else INF,
         deriv_at_zero=1.0 / (1.0 - alpha) if alpha > 1.0 else -INF,
+        quadratic=0.5 if alpha == 2.0 else None,  # (t - 1)^2 / 2
     )
 
 
@@ -339,26 +327,19 @@ def arimoto(alpha: float = 2.0) -> Generator:
     if not alpha > 0.0:
         raise InputFormatError(f"arimoto needs alpha > 0 or alpha = inf, got {alpha}")
     if alpha == 1.0:
-        ln2 = math.log(2.0)
-        return Generator(
-            name="arimoto",
-            params={"alpha": 1.0},
-            fn=lambda t: (1.0 + t) * ln2 + t * np.log(t) - (1.0 + t) * np.log(1.0 + t),
-            deriv_left_fn=lambda t: np.log(2.0 * t / (1.0 + t)),
-            deriv_right_fn=lambda t: np.log(2.0 * t / (1.0 + t)),
-            value_at_zero=ln2,
-            star_at_zero=ln2,
-            deriv_at_zero=-INF,
-        )
+        ln2 = zero = math.log(2.0)
+        fn = lambda t: (1.0 + t) * ln2 + t * np.log(t) - (1.0 + t) * np.log(1.0 + t)
+        deriv, deriv_at_zero = (lambda t: np.log(2.0 * t / (1.0 + t))), -INF
+    else:
+        c = alpha / (alpha - 1.0)
+        k = 2.0 ** (1.0 / alpha - 1.0)
+        zero, deriv_at_zero = c * (1.0 - k), -c * k if alpha > 1.0 else -INF
 
-    c = alpha / (alpha - 1.0)
-    k = 2.0 ** (1.0 / alpha - 1.0)
+        def fn(t):
+            return c * ((1.0 + t**alpha) ** (1.0 / alpha) - k * (1.0 + t))
 
-    def fn(t):
-        return c * ((1.0 + t**alpha) ** (1.0 / alpha) - k * (1.0 + t))
-
-    def deriv(t):
-        return c * (t ** (alpha - 1.0) * (1.0 + t**alpha) ** (1.0 / alpha - 1.0) - k)
+        def deriv(t):
+            return c * (t ** (alpha - 1.0) * (1.0 + t**alpha) ** (1.0 / alpha - 1.0) - k)
 
     return Generator(
         name="arimoto",
@@ -366,9 +347,9 @@ def arimoto(alpha: float = 2.0) -> Generator:
         fn=fn,
         deriv_left_fn=deriv,
         deriv_right_fn=deriv,
-        value_at_zero=c * (1.0 - k),
-        star_at_zero=c * (1.0 - k),
-        deriv_at_zero=-c * k if alpha > 1.0 else -INF,
+        value_at_zero=zero,
+        star_at_zero=zero,
+        deriv_at_zero=deriv_at_zero,
     )
 
 
@@ -422,6 +403,7 @@ def chi2() -> Generator:
         value_at_zero=-1.0,
         star_at_zero=INF,
         deriv_at_zero=0.0,
+        quadratic=1.0,
     )
 
 
@@ -556,8 +538,6 @@ def conjugate(f: Generator) -> Generator:
     def fn(u):
         return u * f.fn(1.0 / u)
 
-    # Like every generator's one-sided derivatives, these take scalars or
-    # arrays of positive points.
     def dl(u):
         inv = 1.0 / u
         return f.fn(inv) - inv * f.deriv_right_fn(inv)
@@ -568,9 +548,7 @@ def conjugate(f: Generator) -> Generator:
 
     # lim_{u->0+} (f*)'(u) = lim_{v->inf} [f(v) - v f'_-(v)], the tangent
     # intercept at 0, which is non-increasing in v.  Probe two decades.
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = float(f.fn(1e9)) - 1e9 * f.deriv_left(1e9)
-        b = float(f.fn(1e12)) - 1e12 * f.deriv_left(1e12)
+    a, b = (f(v) - v * f.deriv_left(v) for v in (1e9, 1e12))
     if math.isfinite(a) and math.isfinite(b) and abs(a - b) <= 1e-6 * max(1.0, abs(b)):
         d0 = b
     else:
@@ -607,6 +585,7 @@ def shift(f: Generator, c: float) -> Generator:
         normalized=f.normalized,
         smooth=f.smooth,
         approx=f.approx,
+        quadratic=f.quadratic,
     )
 
 
@@ -654,56 +633,94 @@ def psi_value(t, r, R, ft, fr, fR):
 def psi_sup(f: Generator, r: float, R: float) -> float:
     """Supremum of the double-slope gap over t in (r, R).
 
-    The value is the max of the gap over a uniform 10001-point grid,
-    pulled in from the endpoints by the fraction 1e-6 of the width,
-    together with t = 1 when interior and the two endpoint limits
+    The value is the max of the two endpoint limits
 
         Psi(r+) = slope(r, R) - f'_+(r),
-        Psi(R-) = f'_-(R) - slope(r, R).
+        Psi(R-) = f'_-(R) - slope(r, R),
 
+    the gap at t = 1 when interior, and a (R - r) for a quadratic f (its
+    gap everywhere), else the gap's max over a uniform 10001-point grid
+    pulled in from the endpoints by the fraction 1e-6 of the width.
     Returns +inf when f(r) is infinite or a one-sided derivative at an
     endpoint diverges.  Never exceeds f'_-(R) - f'_+(r) when that gap is
-    finite.  This is psi_sups with one generator and one window.
+    finite.  This is psi_sups with one generator and window.
     """
     return float(psi_sups((f,), float(r), float(R))[0, 0])
 
 
+def _window_ends(generators, r, R) -> tuple:
+    """f(r), f(R), f((r + R)/2), f'_+(r) and f'_-(R) of each generator on
+    each window [r, R] (1-D arrays), as (windows, generators) arrays: one
+    f.fn call on [r, R, (r + R)/2] and one call per derivative for each
+    generator, equal to the scalar calls.  r = 0 takes value_at_zero and
+    deriv_at_zero; a derivative that diverges comes out infinite."""
+    if (r < 0.0).any():
+        raise PreconditionError(f"generator argument must be >= 0, got {float(r.min())}")
+    n, zero = r.size, r == 0.0
+    points = np.concatenate([np.where(zero, 1.0, r), R, 0.5 * (r + R)])
+    out = np.empty((5, n, len(generators)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for g, f in enumerate(generators):
+            out[:3, :, g] = np.reshape(f.fn(points), (3, n))
+            out[3, :, g], out[4, :, g] = f.deriv_right_fn(points[:n]), f.deriv_left_fn(points[n:2 * n])
+    out[0, zero] = [f.value_at_zero for f in generators]
+    out[3, zero] = [f.deriv_at_zero for f in generators]
+    return tuple(out)
+
+
 def psi_sups(generators, r, R, ends=None) -> np.ndarray:
     """psi_sup of each generator on each window, a (windows, generators)
-    array; ends, when given, holds f(r), f(R), f'_+(r) and f'_-(R) as
-    (windows, generators) arrays of scalar-call values.
+    array; ends holds f(r), f(R), f'_+(r) and f'_-(R) as (windows,
+    generators) arrays, by default from _window_ends.
 
-    Most of the grid is never evaluated, and each value is still the full
-    grid's max bit for bit.  f is evaluated at every 100th grid point, at
-    t = 1, and on the first and last 100-step cells, where the edge
-    pull-in makes rounding large.  For convex f, chord slopes are
-    nondecreasing in each endpoint (the three-chord lemma), so on a cell
-    [a, b] the gap is at most slope(b, R) - slope(r, a).  A cell whose
-    bound, padded for rounding, stays below the largest value found so
-    far is skipped; the others are evaluated in full.  An entry takes its
-    whole grid when most cells stay live (chi2, whose gap is constant),
-    and always for an approx generator, which need not be convex.  All
-    entries are probed, and their live cells evaluated, together: in chunks
-    of about STACK_POINTS points, one f.fn call per generator and chunk.
+    A quadratic f (f.quadratic = a) takes the closed form a (R - r), with
+    Psi(1) formed from f(1) as check_thm4 forms it, and has no grid.  For
+    the other generators most of the grid is never evaluated, and each
+    value is still the full grid's max bit for bit.  f is evaluated at
+    every 100th grid point, at t = 1, and on the first and last 100-step
+    cells, where the edge pull-in makes rounding large.  For convex f,
+    chord slopes are nondecreasing in each endpoint (the three-chord
+    lemma), so on a cell [a, b] the gap is at most slope(b, R) -
+    slope(r, a).  A cell whose bound, padded for rounding, stays below the
+    largest value found so far is skipped; the others are evaluated in
+    full.  An approx generator, which need not be convex, takes its whole
+    grid.  All entries are probed, and their live cells evaluated,
+    together: in chunks of about STACK_POINTS points, one f.fn call per
+    generator and chunk.
     """
     r, R = np.broadcast_arrays(np.atleast_1d(np.asarray(r, dtype=np.float64)),
                                np.atleast_1d(np.asarray(R, dtype=np.float64)))
-    bad = ~((r < R) & np.isfinite(r) & np.isfinite(R))
-    if bad.any():
-        i = int(np.argmax(bad))
-        _check_window(r[i], R[i])
+    bad = np.flatnonzero(~((r < R) & np.isfinite(r) & np.isfinite(R)))
+    if bad.size:
+        _check_window(r[bad[0]], R[bad[0]])
     if ends is None:
-        ends = [[[end(f, x) for f in generators] for x in xs] for end, xs in (
-            (Generator.__call__, r), (Generator.__call__, R), (Generator.deriv_right, r),
-            (Generator.deriv_left, R))]
-    fr, fR, dr, dR = (np.asarray(e, dtype=np.float64).reshape(r.size, len(generators)) for e in ends)
+        fr, fR, _, dr, dR = _window_ends(generators, r, R)
+    else:
+        fr, fR, dr, dR = (np.asarray(e, dtype=np.float64).reshape(r.size, len(generators)) for e in ends)
 
     out = np.full(fr.shape, INF)
     # The entries with finite ends, generator by generator.
     gen, win = np.nonzero((~(np.isinf(fr) | np.isinf(fR) | (dr == -INF) | (dR == INF))).T)
-    if gen.size:
-        at = (win, gen)
-        out[at] = _PsiGrid(generators, gen, win, r[win], R[win], fr[at], fR[at], dr[at], dR[at]).sup()
+    at = (win, gen)
+    r, R, fr, fR = r[win], R[win], fr[at], fR[at]
+    slope = (fR - fr) / (R - r)
+    limits = slope - dr[at], dR[at] - slope
+    best = np.empty(gen.size)
+    q = np.array([f.quadratic is not None for f in generators], dtype=bool)[gen]
+    if q.any():
+        # The gap of a quadratic f is a (R - r) throughout; Psi(1), formed as
+        # check_thm4 forms it, can round above it.
+        a, f1 = np.array([(f.quadratic, f(1.0)) if f.quadratic is not None else (0.0, 0.0)
+                          for f in generators])[gen[q]].T
+        rq, Rq = r[q], R[q]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at_one = np.where((rq < 1.0) & (1.0 < Rq), psi_value(1.0, rq, Rq, f1, fr[q], fR[q]), -INF)
+        best[q] = np.maximum(a * (Rq - rq), at_one)
+    if not q.all():
+        best[~q] = _PsiGrid(generators, *(x[~q] for x in (gen, r, R, fr, fR, *limits))).sup()
+    for limit in limits:
+        best = np.where(limit > best, limit, best)
+    out[at] = best
     return out
 
 
@@ -742,13 +759,12 @@ class _PsiGrid:
     with (i / steps) * delta + start where the step is zero: exactly how
     np.linspace(start, stop, PSI_GRID_POINTS) forms its points.  Entry
     data is indexed by w, an int or a column of entry numbers, which
-    broadcasts against a row of grid indices.  gen and win number each
-    entry's generator and window; the entries are sorted by generator.
+    broadcasts against a row of grid indices.  gen numbers each entry's
+    generator; the entries are sorted by it.
     """
 
-    def __init__(self, generators, gen, win, r, R, fr, fR, dr, dR):
-        slope = (fR - fr) / (R - r)
-        self.lim_r, self.lim_R = slope - dr, dR - slope
+    def __init__(self, generators, gen, r, R, fr, fR, lim_r, lim_R):
+        self.lim_r, self.lim_R = lim_r, lim_R  # Psi(r+) and Psi(R-)
         h = (R - r) * PSI_EDGE_FRACTION
         start, stop = r + h, R - h
         if (start <= 0.0).any():
@@ -757,7 +773,7 @@ class _PsiGrid:
         self.step = delta / PSI_STEPS
         self.interior = (r < 1.0) & (1.0 < R)
         self.scale = np.maximum(np.maximum(np.abs(fr), np.abs(fR)), 1.0)
-        self.generators, self.gen, self.win = generators, gen, win
+        self.generators, self.gen = generators, gen
         self.r, self.R, self.fr, self.fR = r, R, fr, fR
         self.start, self.stop, self.delta = start, stop, delta
 
@@ -782,26 +798,21 @@ class _PsiGrid:
             ft[a:b] = self.generators[gen[a]].fn(t[a:b])
         return ft, _gaps(ft, self.fr[w], self.fR[w], self.R[w] - t, t - self.r[w])
 
-    def full(self, entries: list) -> list:
-        """The values of `entries`, all of one window, from its whole grid (and
-        R - t, t - r), formed once for them all."""
-        w = entries[0]
-        ts = self.points(w, _GRID_IDX)
-        if self.interior[w]:
+    def full(self, e: int) -> float:
+        """The grid max of entry e from its whole grid."""
+        ts = self.points(e, _GRID_IDX)
+        if self.interior[e]:
             ts = np.append(ts, 1.0)
-        to_R, from_r, out = self.R[w] - ts, ts - self.r[w], []
-        for e in entries:
-            gaps = _gaps(np.asarray(self.generators[self.gen[e]].fn(ts), dtype=np.float64),
-                         self.fr[e], self.fR[e], to_R, from_r)
-            best = float(gaps.max())
-            if not math.isfinite(best):  # below a width of ~1e-10 an endpoint lands on the grid: 0/0
-                best = float(np.max(gaps, where=np.isfinite(gaps), initial=-INF))
-            out.append(max(best, float(self.lim_r[e]), float(self.lim_R[e])))
-        return out
+        gaps = _gaps(np.asarray(self.generators[self.gen[e]].fn(ts), dtype=np.float64),
+                     self.fr[e], self.fR[e], self.R[e] - ts, ts - self.r[e])
+        best = float(gaps.max())
+        if not math.isfinite(best):  # below a width of ~1e-10 an endpoint lands on the grid: 0/0
+            best = float(np.max(gaps, where=np.isfinite(gaps), initial=-INF))
+        return best
 
     def probe(self, rows):
-        """Probe the entries `rows` (sorted): their best value so far, whether
-        each needs its whole grid, and their live cells (entry, cell number)."""
+        """Probe the entries `rows` (sorted): their best value so far and
+        their live cells (entry, cell number)."""
         col = rows[:, np.newaxis]
         # t = 1 first (masked out where it is not interior), then the probe.
         t = np.concatenate([np.ones((rows.size, 1)), self.points(col, _PROBE_IDX)], axis=1)
@@ -826,20 +837,19 @@ class _PsiGrid:
         err = (PSI_PAD * scale + PSI_NOISE * np.maximum(noise, 0.0))[:, np.newaxis]
         top = bound + err * (1.0 / to_R + 1.0 / from_r) + PSI_PAD * np.abs(bound)
         live = ~(np.isfinite(top) & (top < found))
-        whole = live.sum(axis=1) > live.shape[1] // 2
-        w, j = np.nonzero(live & ~whole[:, np.newaxis])
-        return best, whole, rows[w], j
+        w, j = np.nonzero(live)
+        return best, rows[w], j
 
     def sup(self) -> np.ndarray:
-        """The value of every entry."""
+        """The grid max of every entry, t = 1 included where interior."""
         best = np.full(self.gen.size, -INF)
-        whole = np.array([f.approx for f in self.generators])[self.gen]
-        probed, cells = np.flatnonzero(~whole), []
+        approx = np.array([f.approx for f in self.generators])[self.gen]
+        probed, cells = np.flatnonzero(~approx), []
         with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             step = max(1, STACK_POINTS // (_PROBE_IDX.size + 1))
             for lo in range(0, probed.size, step):
                 rows = probed[lo:lo + step]
-                best[rows], whole[rows], *live = self.probe(rows)
+                best[rows], *live = self.probe(rows)
                 cells.append(live)
 
             w, j = (np.concatenate(x) for x in zip(*cells)) if cells else ((), ())
@@ -849,14 +859,9 @@ class _PsiGrid:
                 _, cell = self.evaluate(col, self.points(col, first + _CELL_IDX))
                 np.maximum.at(best, col[:, 0], np.where(np.isfinite(cell), cell, -INF).max(axis=1))
 
-            out = np.where(self.lim_r > best, self.lim_r, best)
-            out = np.where(self.lim_R > out, self.lim_R, out)
-            windows = {}
-            for e in np.flatnonzero(whole).tolist():
-                windows.setdefault(self.win[e], []).append(e)
-            for entries in windows.values():
-                out[entries] = self.full(entries)
-        return out
+            for e in np.flatnonzero(approx).tolist():
+                best[e] = self.full(e)
+        return best
 
 
 def jensen_gap_bound(f: Generator, r: float, R: float) -> float:
@@ -886,28 +891,25 @@ def from_callable(name: str, fn, *, value_at_zero: float = None,
     """
 
     def ev(t):
-        if isinstance(t, np.ndarray):
-            flat = np.asarray([float(fn(x)) for x in t.ravel()], dtype=np.float64)
-            return flat.reshape(t.shape)
-        return float(fn(t))
+        t = np.asarray(t, dtype=np.float64)
+        return np.array([float(fn(x)) for x in t.ravel()]).reshape(t.shape)
 
     def dl(t):
         h = np.minimum(FD_STEP, 0.5 * np.asarray(t, dtype=np.float64))
-        out = (ev(t) - ev(t - h)) / h
-        return out if isinstance(t, np.ndarray) else float(out)
+        return (ev(t) - ev(t - h)) / h
 
     def dr(t):
         return (ev(t + FD_STEP) - ev(t)) / FD_STEP
 
+    def settled(a, b, otherwise):  # b, where the probes a and b agree to 1e-4
+        return b if abs(a - b) <= 1e-4 * max(1.0, abs(a), abs(b)) else otherwise
+
     if value_at_zero is None:
-        a, b = float(fn(1e-8)), float(fn(1e-10))
-        value_at_zero = b if abs(a - b) <= 1e-4 * max(1.0, abs(a), abs(b)) else INF
+        value_at_zero = settled(float(fn(1e-8)), float(fn(1e-10)), INF)
     if star_at_zero is None:
-        a, b = float(fn(1e8)) / 1e8, float(fn(1e10)) / 1e10
-        star_at_zero = b if abs(a - b) <= 1e-4 * max(1.0, abs(a), abs(b)) else INF
+        star_at_zero = settled(float(fn(1e8)) / 1e8, float(fn(1e10)) / 1e10, INF)
     if deriv_at_zero is None:
-        a, b = dr(1e-6), dr(1e-8)
-        deriv_at_zero = b if abs(a - b) <= 1e-4 * max(1.0, abs(a), abs(b)) else -INF
+        deriv_at_zero = settled(float(dr(1e-6)), float(dr(1e-8)), -INF)
     return Generator(
         name=name,
         params=dict(params or {}),

@@ -43,6 +43,7 @@ from .errors import InputFormatError, PreconditionError
 from .generators import (
     Generator,
     _check_window,
+    _window_ends,
     default_catalog,
     jensen_gap_value,
     psi_sups,
@@ -243,8 +244,7 @@ class _Block:
         lam, mu, w, ratio, self.wt = (np.stack([getattr(js, name) for js in spectra])
                                       for name in ("lam", "mu", "w", "ratio", "wt"))
         self.ratio, occupied = ratio, self.wt > WEIGHT_FLOOR
-        self.rs, self.Rs = [js.r for js in spectra], [js.R for js in spectra]  # for per_pair
-        r, R = np.array(self.rs), np.array(self.Rs)
+        r, R = np.array([js.r for js in spectra]), np.array([js.R for js in spectra])
         v = (w * np.abs(lam[:, :, np.newaxis] - mu[:, np.newaxis, :])).reshape(len(r), -1).sum(axis=1)
         r3, R3 = r[:, np.newaxis, np.newaxis], R[:, np.newaxis, np.newaxis]
         at_ends = (np.abs(ratio - r3) <= 1e-12 * np.maximum(1.0, r3)) | (np.abs(ratio - R3) <= 1e-12 * R3)
@@ -275,14 +275,6 @@ class _Block:
         """chi per pair, or chi-square(P, Q) if swapped, once an entry of rows needs it."""
         return (self._chi_swapped if swapped else self._chi) if rows.any() else np.zeros_like(self.r)
 
-    def per_pair(self, rows, generators, bound) -> np.ndarray:
-        """bound(f, r, R) per (pair, generator) entry of `rows`, one float call
-        each (numpy's log and power can differ from math's); NaN elsewhere."""
-        out, (ks, gs) = np.full(rows.shape, math.nan), np.nonzero(rows)
-        out[ks, gs] = [bound(generators[g], self.rs[k], self.Rs[k])
-                       for k, g in zip(ks.tolist(), gs.tolist())]
-        return out
-
 
 def _pair(q, p, js: JointSpectrum, eps: float) -> _Block:
     """One pair as a block of one; a supplied joint spectrum brings its own
@@ -293,21 +285,19 @@ def _pair(q, p, js: JointSpectrum, eps: float) -> _Block:
 
 # The generators' quantities on a block, one (B, G) array each: S_f and its SUM_FLAGS
 # code, the derivative-gap right side (NaN for a kinked f), sup Psi (NaN off a strict
-# window), f(r), f(R), f((r + R)/2), f'_+(r) and f'_-(R) from one scalar call each,
+# window), f(r), f(R), f((r + R)/2), f'_+(r) and f'_-(R) from _window_ends,
 # D = f'_-(R) - f'_+(r) (+inf if one diverges) and all True; f(1) and f's smoothness (1, G).
 _Terms = collections.namedtuple("_Terms", "sf sf_flags slope_gap sup fr fR fmid dr dR gap every f1 smooth")
 
 
 def _terms(b: _Block, generators) -> _Terms:
     """The generators' _Terms on block b, term by term over all generators:
-    S_f and the derivative-gap sums sum wt (t - 1) f'_+(t) (value -f'(0+) at
-    t = 0) of every generator in one weighted_sums pass over the block's
-    stacked spectra, sup Psi in one psi_sups pass over every (strict
-    window, generator) entry."""
+    the windows' endpoint values in one _window_ends pass, S_f and the
+    derivative-gap sums sum wt (t - 1) f'_+(t) (value -f'(0+) at t = 0) in
+    one weighted_sums pass over the block's stacked spectra, sup Psi in one
+    psi_sups pass over every (strict window, generator) entry."""
     strict, G = b.strict[:, 0], len(generators)
-    fr, fR, fmid, dr, dR = np.moveaxis(np.array(
-        [[(f(r), f(R), f(0.5 * (r + R)), f.deriv_right(r), f.deriv_left(R)) for f in generators]
-         for r, R in zip(b.rs, b.Rs)]), -1, 0)
+    fr, fR, fmid, dr, dR = _window_ends(generators, b.r[:, 0], b.R[:, 0])
     smooth = [g for g, f in enumerate(generators) if f.smooth]
     sums, codes = weighted_sums(b.ratio, b.wt, [(f.fn, f.value_at_zero) for f in generators] + [
         (lambda t, f=generators[g]: (t - 1.0) * f.deriv_right_fn(t), -generators[g].deriv_at_zero)
@@ -460,33 +450,32 @@ def _check_open_window(r: float, R: float, closed: bool = False) -> tuple:
     return r, R
 
 
-def chi_square_secant_coeff(r: float, R: float) -> float:
-    """(R-1)(1-r)(R+r+2)/(R-r): the chi-square secant-route bound, on
-    thm3's window 0 <= r <= 1 <= R with r < R."""
-    r, R = _check_open_window(r, R, closed=True)
-    return (R - 1.0) * (1.0 - r) * (R + r + 2.0) / (R - r)
+def _coefficient(name: str, formula, doc: str, closed: bool = False):
+    """The public function `name` of formula(r, R), written for a block's
+    (B, 1) columns and kept as .formula, on one checked window (closed: thm3's)."""
+
+    def coeff(r: float, R: float) -> float:
+        r, R = _check_open_window(r, R, closed)
+        with np.errstate(divide="ignore"):
+            return float(formula(np.array([[r]]), np.array([[R]]))[0, 0])
+
+    coeff.__name__, coeff.__qualname__, coeff.__doc__, coeff.formula = name, name, doc, formula
+    return coeff
 
 
-def chi_square_chord_coeff(r: float, R: float) -> float:
-    """(R-1)(1-r): the chi-square double-slope-route bound."""
-    r, R = _check_open_window(r, R)
-    return (R - 1.0) * (1.0 - r)
-
-
-def neg_log_jensen_coeff(r: float, R: float) -> float:
-    """ln((R+r)^2 / (4 r R)): the -ln midpoint-gap bound."""
-    r, R = _check_open_window(r, R)
-    if r == 0.0:
-        return INF
-    return math.log((R + r) ** 2 / (4.0 * r * R))
-
-
-def neg_log_range_coeff(r: float, R: float) -> float:
-    """(R-r)^2 / (4 r R): the coarser -ln window bound."""
-    r, R = _check_open_window(r, R)
-    if r == 0.0:
-        return INF
-    return (R - r) ** 2 / (4.0 * r * R)
+# A formula with r in a denominator or a logarithm is +inf at r = 0.
+chi_square_secant_coeff = _coefficient(
+    "chi_square_secant_coeff", lambda r, R: (R - 1.0) * (1.0 - r) * (R + r + 2.0) / (R - r),
+    "(R-1)(1-r)(R+r+2)/(R-r): the chi-square secant-route bound, on 0 <= r <= 1 <= R.", closed=True)
+chi_square_chord_coeff = _coefficient(
+    "chi_square_chord_coeff", lambda r, R: (R - 1.0) * (1.0 - r),
+    "(R-1)(1-r): the chi-square double-slope-route bound.")
+neg_log_jensen_coeff = _coefficient(
+    "neg_log_jensen_coeff", lambda r, R: np.where(r > 0.0, np.log((R + r) ** 2 / (4.0 * r * R)), INF),
+    "ln((R+r)^2 / (4 r R)): the -ln midpoint-gap bound.")
+neg_log_range_coeff = _coefficient(
+    "neg_log_range_coeff", lambda r, R: np.where(r > 0.0, (R - r) ** 2 / (4.0 * r * R), INF),
+    "(R-r)^2 / (4 r R): the coarser -ln window bound.")
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +484,8 @@ def neg_log_range_coeff(r: float, R: float) -> float:
 # An entry names the subchain, labels its terms and computes them as
 # terms(block, generators, _Terms, the family's entries with the check's
 # chain) -> (values, entries with the subchain, flags for the check's chain).
+# Each value is a formula of the block's r and R columns (and the generators'
+# parameters), evaluated on every entry and read on the subchain's.
 
 
 def _swap_oracle(b, gens, e, rows):
@@ -509,43 +500,48 @@ def _swap_oracle(b, gens, e, rows):
 
 
 def _thm2_form(coeff, final=None):
-    """thm2 with the family coefficient coeff(f, r, R) in place of D/2 and
-    last term final(r, R), by default (R - r)/2 times the coefficient."""
+    """thm2 with the family coefficient coeff(r, R, generators) in place of
+    D/2 and last term final(r, R), by default (R - r)/2 times coeff."""
 
     def terms(b, gens, e, rows):
-        co = b.per_pair(rows, gens, coeff)
+        co = np.broadcast_to(coeff(b.r, b.R, gens), rows.shape)
         finite = np.isfinite(co)
-        last = (b.per_pair(rows, gens, lambda f, r, R: final(r, R)) if final
-                else np.where(finite, 0.5 * (b.R - b.r) * co, INF))
+        last = final(b.r, b.R) if final else np.where(finite, 0.5 * (b.R - b.r) * co, INF)
         chi = b.chi(rows & finite)
-        return (e.sf, np.where(finite, co * b.v, INF), np.where(finite, co * chi, INF), last), rows, ()
+        return (e.sf, np.where(finite, co * b.v, INF), np.where(finite, co * chi, INF),
+                np.broadcast_to(last, rows.shape)), rows, ()
 
     return terms
 
 
-def _tsallis_coeff(f, r, R):
-    qq = f.params["q"]
-    return qq * (R ** (1.0 - qq) - r ** (1.0 - qq)) / (2.0 * (1.0 - qq) * (R * r) ** (1.0 - qq))
+def _tsallis_coeff(r, R, gens):
+    qq = np.array([[f.params.get("q", math.nan) for f in gens]])
+    return np.where(r > 0.0, qq * (R ** (1.0 - qq) - r ** (1.0 - qq))
+                    / (2.0 * (1.0 - qq) * (R * r) ** (1.0 - qq)), INF)
 
 
 def _window(*bounds):
     """A closed form [S_f, *(bound(r, R) for bound in bounds)]."""
-    return lambda b, gens, e, rows: ((e.sf, *(b.per_pair(rows, gens, lambda f, r, R, bound=bound:
-                                                          bound(r, R)) for bound in bounds)), rows, ())
+    return lambda b, gens, e, rows: (
+        (e.sf, *(np.broadcast_to(bound(b.r, b.R), rows.shape) for bound in bounds)), rows, ())
 
 
-def _kl_log_mix(r: float, R: float) -> float:
+def _kl_log_mix(r, R):
     """The secant value of t ln t on [r, R]."""
-    return ((R - 1.0) * (r * math.log(r) if r > 0.0 else 0.0) + (1.0 - r) * R * math.log(R)) / (R - r)
+    return ((R - 1.0) * np.where(r > 0.0, r * np.log(r), 0.0) + (1.0 - r) * R * np.log(R)) / (R - r)
 
 
-def _neg_log_log_mix(r: float, R: float) -> float:
+def _neg_log_log_mix(r, R):
     """The secant value of -ln t on [r, R]."""
-    return ((1.0 - R) * math.log(r) + (r - 1.0) * math.log(R)) / (R - r) if r > 0.0 else INF
+    return np.where(r > 0.0, ((1.0 - R) * np.log(r) + (r - 1.0) * np.log(R)) / (R - r), INF)
+
+
+def _product_ratio(r, R):
+    return np.where(r > 0.0, (R - 1.0) * (1.0 - r) / (R * r), INF)
 
 
 def _chi2_thm4(b, gens, e, rows):
-    chord, secant = (b.per_pair(rows, gens, lambda f, r, R, coeff=coeff: coeff(r, R))
+    chord, secant = (np.broadcast_to(coeff.formula(b.r, b.R), rows.shape)
                      for coeff in (chi_square_chord_coeff, chi_square_secant_coeff))
     return (e.sf, chord), rows, (("sharper-than-secant-polynomial", rows & (chord < secant)),)
 
@@ -555,39 +551,38 @@ _CLOSED_FORMS = {
         "derivative-gap:swap", ("zero", "value", "chi-square-swapped"), _swap_oracle),
     ("thm2", "chi2"): (
         "thm2:chi2", ("value", "half-window-variation", "half-window-chi", "quarter-window-sq"),
-        _thm2_form(lambda f, r, R: 0.5 * (R - r), lambda r, R: 0.25 * (R - r) ** 2)),
+        _thm2_form(lambda r, R, gens: 0.5 * (R - r), lambda r, R: 0.25 * (R - r) ** 2)),
     ("thm2", "kl-quantum"): (
         "thm2:kl-quantum", ("value", "half-log-variation", "half-log-chi", "quarter-window-log"),
-        _thm2_form(lambda f, r, R: 0.5 * math.log(R / r) if r > 0.0 else INF)),
+        _thm2_form(lambda r, R, gens: np.where(r > 0.0, 0.5 * np.log(R / r), INF))),
     ("thm2", "neg-log"): (
         "thm2:neg-log", ("value", "half-ratio-variation", "half-ratio-chi", "quarter-window-ratio"),
-        _thm2_form(lambda f, r, R: (R - r) / (2.0 * r * R) if r > 0.0 else INF,
-                   lambda r, R: (R - r) ** 2 / (4.0 * r * R) if r > 0.0 else INF)),
+        _thm2_form(lambda r, R, gens: np.where(r > 0.0, (R - r) / (2.0 * r * R), INF),
+                   neg_log_range_coeff.formula)),
     ("thm2", "tsallis"): (
         "thm2:tsallis", ("value", "half-power-variation", "half-power-chi", "quarter-window-power"),
-        _thm2_form(lambda f, r, R: _tsallis_coeff(f, r, R) if r > 0.0 else INF)),
+        _thm2_form(_tsallis_coeff)),
     ("thm3", "chi2"): (
-        "thm3:chi2", ("value", "window-polynomial"), _window(chi_square_secant_coeff)),
+        "thm3:chi2", ("value", "window-polynomial"), _window(chi_square_secant_coeff.formula)),
     ("thm3", "kl-quantum"): ("thm3:kl-quantum", ("value", "window-log-mix"), _window(_kl_log_mix)),
     ("thm3", "neg-log"): ("thm3:neg-log", ("value", "window-log-mix"), _window(_neg_log_log_mix)),
     ("thm4", "chi2"): ("thm4:chi2", ("value", "window-product"), _chi2_thm4),
     ("thm4", "inv-minus-one"): (
-        "thm4:inv-minus-one", ("value", "window-product-ratio"),
-        _window(lambda r, R: (R - 1.0) * (1.0 - r) / (R * r) if r > 0.0 else INF)),
+        "thm4:inv-minus-one", ("value", "window-product-ratio"), _window(_product_ratio)),
     ("thm4", "neg-log"): (
         "thm4:neg-log", ("value", "window-log-mix", "window-product-ratio"),
-        _window(_neg_log_log_mix, lambda r, R: (R - 1.0) * (1.0 - r) / (r * R) if r > 0.0 else INF)),
+        _window(_neg_log_log_mix, _product_ratio)),
     ("thm4", "kl-quantum"): (
         "thm4:kl-quantum", ("value", "window-log-mix", "window-product-log"),
-        _window(_kl_log_mix, lambda r, R: (
-            (R - 1.0) * (1.0 - r) * math.log(R / r) / (R - r) if r > 0.0 else INF))),
+        _window(_kl_log_mix, lambda r, R: np.where(
+            r > 0.0, (R - 1.0) * (1.0 - r) * np.log(R / r) / (R - r), INF))),
     ("thm5", "chi2"): ("thm5:chi2", ("value", "half-range-sq"), _window(lambda r, R: 0.5 * (R - r) ** 2)),
     ("thm5", "inv-minus-one"): (
         "thm5:inv-minus-one", ("value", "range-sq-ratio"),
-        _window(lambda r, R: (R - r) ** 2 / (r * R * (r + R)) if r > 0.0 else INF)),
+        _window(lambda r, R: np.where(r > 0.0, (R - r) ** 2 / (r * R * (r + R)), INF))),
     ("thm5", "neg-log"): (
         "thm5:neg-log", ("value", "log-midpoint-gap", "quarter-range-ratio"),
-        _window(neg_log_jensen_coeff, neg_log_range_coeff)),
+        _window(neg_log_jensen_coeff.formula, neg_log_range_coeff.formula)),
 }
 
 

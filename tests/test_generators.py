@@ -469,24 +469,27 @@ PRUNING_GENERATORS = (
     conjugate(kl_quantum()),
     shift(hellinger(), 1e3),
 )
+# The generators psi_sup takes over its grid; a quadratic f has none
+# (TestQuadraticPsiSup).
+GRID_GENERATORS = tuple(f for f in PRUNING_GENERATORS if f.quadratic is None)
+EDGE_WINDOWS = [(1.0 - 2e-11, 1.0 + 2e-11), (0.01, 3e6), (1e-9, 1e9), (0.3, 2.5), (0.0, 2.0),
+                (0.5, 1.0), (1.0, 2.0)]
 
 
 class TestPsiSupPruning:
     """psi_sup skips the grid cells the three-chord bound excludes; its
     value must still be the full grid's max, bit for bit."""
 
-    @pytest.mark.parametrize("r, R", [
-        (1.0 - 2e-11, 1.0 + 2e-11), (0.01, 3e6), (1e-9, 1e9), (0.3, 2.5), (0.0, 2.0),
-        (0.5, 1.0), (1.0, 2.0)])
+    @pytest.mark.parametrize("r, R", EDGE_WINDOWS)
     def test_edge_windows_match_full_grid(self, r, R):
         callable_kl = from_callable("custom-ent", lambda t: t * np.log(t))
-        for f in (*PRUNING_GENERATORS, callable_kl):
+        for f in (*GRID_GENERATORS, callable_kl):
             if r == 0.0 and not math.isfinite(f.value_at_zero):
                 continue
             assert _bits(psi_sup(f, r, R)) == _bits(reference_psi_sup(f, r, R)), f.spec
 
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(PRUNING_GENERATORS), st.floats(-9.0, -1e-4), st.floats(1e-4, 9.0))
+    @given(st.sampled_from(GRID_GENERATORS), st.floats(-9.0, -1e-4), st.floats(1e-4, 9.0))
     def test_property_matches_full_grid(self, f, log_r, log_R):
         r, R = 10.0**log_r, 10.0**log_R
         assert _bits(psi_sup(f, r, R)) == _bits(reference_psi_sup(f, r, R))
@@ -554,6 +557,86 @@ class TestPsiSupPruning:
         counting = dataclasses.replace(kl_quantum(), fn=lambda t: seen.append(np.size(t)) or t * np.log(t))
         psi_sup(counting, 0.3, 2.5)
         assert sum(seen) < 1000
+
+
+QUADRATIC_GENERATORS = (chi2(), chi_alpha(2.0), shift(chi2(), 3.0), dichotomy(2.0))
+
+
+def closed_form_psi_sup(f, r, R):
+    """max(a (R - r), Psi(1) when r < 1 < R, Psi(r+), Psi(R-)) from the scalar
+    calls, in float arithmetic."""
+    fr, fR, f1 = f(r), f(R), f(1.0)
+    slope = (fR - fr) / (R - r)
+    at_one = (fR - f1) / (R - 1.0) - (f1 - fr) / (1.0 - r) if r < 1.0 < R else -INF
+    return max(f.quadratic * (R - r), at_one, slope - f.deriv_right(r), f.deriv_left(R) - slope)
+
+
+class TestQuadraticPsiSup:
+    """A quadratic f has Psi = a (R - r) on every window, and psi_sup takes
+    that closed form instead of a grid."""
+
+    def test_quadratic_coefficient(self):
+        assert [f.quadratic for f in QUADRATIC_GENERATORS] == [1.0, 1.0, 1.0, 0.5]
+        for f in (*default_catalog(), chi_alpha(3.0), dichotomy(-1.0), conjugate(chi2()),
+                  from_callable("sq", lambda t: t * t - 1.0)):
+            if f.spec not in ("chi2", "chi-alpha:alpha=2"):
+                assert f.quadratic is None, f.spec
+
+    @pytest.mark.parametrize("r, R", EDGE_WINDOWS)
+    def test_edge_windows_equal_closed_form(self, r, R):
+        for f in QUADRATIC_GENERATORS:
+            assert _bits(psi_sup(f, r, R)) == _bits(closed_form_psi_sup(f, r, R)), f.spec
+
+    @pytest.mark.parametrize("r, R", EDGE_WINDOWS)
+    def test_edge_windows_near_full_grid(self, r, R):
+        for f in QUADRATIC_GENERATORS[:3]:
+            assert abs(psi_sup(f, r, R) - reference_psi_sup(f, r, R)) <= 1e-9 * max(1.0, R - r), f.spec
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(QUADRATIC_GENERATORS), st.floats(-9.0, -1e-4), st.floats(1e-4, 9.0))
+    def test_property_equals_closed_form_near_full_grid(self, f, log_r, log_R):
+        r, R = 10.0**log_r, 10.0**log_R
+        sup = psi_sup(f, r, R)
+        assert _bits(sup) == _bits(closed_form_psi_sup(f, r, R))
+        # The grid's own rounding: f-values of size `scale` err by an ulp or
+        # so, and its first and last gaps divide that by 1e-6 (R - r).  On
+        # windows of width about 0.1 that alone exceeds 1e-9.
+        scale = max(1.0, abs(f(r)), abs(f(R)))
+        grid_rounding = 8.0 * np.finfo(float).eps * scale / (1e-6 * (R - r))
+        assert abs(sup - reference_psi_sup(f, r, R)) <= 1e-9 * max(1.0, R - r) + grid_rounding
+
+    def test_no_grid_is_evaluated(self):
+        seen = []
+        counting = dataclasses.replace(chi2(), fn=lambda t: seen.append(np.size(t)) or t * t - 1.0)
+        for f in (counting, shift(counting, 3.0)):
+            seen.clear()
+            psi_sups((f,), np.array([0.3, 0.0, 1e-9]), np.array([2.5, 2.0, 1e9]))
+            assert seen == [9, 1]  # [r, R, (r + R)/2] of each window, then f(1)
+
+    def test_narrow_window_keeps_thm4(self):
+        # A grid's gap of (t - 1)^2 / 2 on this window is rounding noise,
+        # about 3e-4, far above the derivative gap R - r = 4e-11: K sup Psi
+        # <= K D failed at any tolerance below about 1e-15.
+        q = np.diag([0.5 + 1e-11, 0.5 - 1e-11])
+        rep = check_thm4(q, np.eye(2) / 2.0, dichotomy(2.0), tol=1e-300)
+        assert rep.status == "pass", rep.chain
+
+
+class TestDivergingDerivatives:
+    """A one-sided derivative that diverges near 0 is infinite, not an
+    arithmetic error, and so is psi_sup there."""
+
+    def test_inv_minus_one(self):
+        f = inv_minus_one()
+        assert f.deriv_right(1e-170) == -INF
+        assert f.deriv_left(1e-170) == -INF
+        assert psi_sup(f, 1e-305, np.nextafter(1e-305, INF)) == INF
+
+    def test_dichotomy_small_alpha(self):
+        f = dichotomy(0.01)
+        assert f.deriv_right(5e-324) == -INF
+        assert f.deriv_left(5e-324) == -INF
+        assert psi_sup(f, 5e-324, 1e-323) == INF
 
 
 class TestJensenGapBound:

@@ -38,6 +38,7 @@ from qfdiv.harness import (
     sample_pair,
     sample_pairs,
 )
+from qfdiv.harness import _Block, _pair, _terms
 from qfdiv.generators import default_catalog
 from qfdiv.hermitian import MAX_DIM, matrix_from_json
 from qfdiv.quantum import as_density, chi_square, joint_spectrum
@@ -363,10 +364,10 @@ class TestRunAllChecks:
 
     def test_shift_leaves_every_chain_value_alone(self):
         # sum_ij mu_j W_ij (lambda_i / mu_j - 1) = 0, so adding c (t - 1) to
-        # chi2 changes no exact chain term beyond rounding.  sup Psi is the
-        # max over a grid whose edge points sit 1e-6 (R - r) from r and R;
-        # the linear term cancels there only to about ulp * |f| / 1e-6, so
-        # those terms are held to the chain tolerance instead.
+        # chi2 changes no exact chain term beyond rounding.  sup Psi takes
+        # the max of (R - r) and the endpoint limits, whose slopes divide f's
+        # rounding by R - r, so the linear term cancels there only to about
+        # ulp * |f| / (R - r); those terms are held to the chain tolerance.
         def by_check(reports):
             return {rep.check: rep for top in reports for rep in (top, *top.subchains)}
 
@@ -392,6 +393,69 @@ class TestRunAllChecks:
         reports = run_all_checks(q, p, parse_generator_spec("kl"), js=joint_spectrum(q, p, 1e-15))
         assert [r.check for r in reports] == [
             "nonneg", "derivative-gap", "thm2", "thm3", "thm4", "thm5"]
+
+
+class TestArrayEvaluation:
+    """A block's endpoint values and closed forms are arrays, and equal the
+    scalar definitions of those quantities bit for bit."""
+
+    @staticmethod
+    def _blocks():
+        singular = (np.diag([0.6, 0.4, 0.0]), np.diag([0.5, 0.3, 0.2]))
+        sampled = [sample_pair(kind, 3, floor, rng_for(40 + k)) for k, (kind, floor) in enumerate(
+            (("ginibre", 1e-3), ("mixture", 0.0), ("commuting", 0.0)))]
+        qds, pds = ([as_density(x) for x in (singular[i], *(pair[i] for pair in sampled))] for i in (0, 1))
+        yield _Block(qds, pds, [joint_spectrum(qd, pd) for qd, pd in zip(qds, pds)])
+        yield _pair(*sample_pair("ginibre", 4, 1e-3, rng_for(44)), None, 1e-12)
+
+    def test_terms_equal_one_element_calls(self):
+        def one(fn, x):
+            return float(np.asarray(fn(np.array([x])))[0])
+
+        gens = tuple(default_catalog())
+        seen_zero = False
+        for b in self._blocks():
+            e = _terms(b, gens)
+            for k, (r, R) in enumerate(zip(b.r[:, 0].tolist(), b.R[:, 0].tolist())):
+                seen_zero |= r == 0.0
+                for g, f in enumerate(gens):
+                    expect = (f.value_at_zero if r == 0.0 else one(f.fn, r), one(f.fn, R),
+                              one(f.fn, 0.5 * (r + R)),
+                              f.deriv_at_zero if r == 0.0 else one(f.deriv_right_fn, r),
+                              one(f.deriv_left_fn, R))
+                    got = (e.fr[k, g], e.fR[k, g], e.fmid[k, g], e.dr[k, g], e.dR[k, g])
+                    assert [float.hex(float(x)) for x in got] == [float.hex(x) for x in expect], (
+                        f.spec, r, R)
+                    # The scalar calls are the same evaluation.
+                    assert got == (f(r), f(R), f(0.5 * (r + R)), f.deriv_right(r), f.deriv_left(R))
+        assert seen_zero
+
+    def test_chi2_psi_at_one_never_above_sup_at_any_tolerance(self):
+        for k, (kind, dim) in enumerate((kind, dim) for kind in ("ginibre", "mixture", "commuting")
+                                        for dim in (2, 3, 4, 8)):
+            for trial in range(8):
+                q, p = sample_pair(kind, dim, 0.0, rng_for(1000 * k + trial))
+                for f in (chi2(), parse_generator_spec("chi-alpha:alpha=2")):
+                    rep = check_thm4(q, p, f, tol=1e-300)
+                    if rep.status == "skipped":
+                        continue
+                    alternate = rep.subchains[0]
+                    assert alternate.check == "thm4:alternate"
+                    assert rep.link_verdicts[1] == "pass", (kind, dim, trial, rep.chain)
+                    assert alternate.link_verdicts[2] == "pass", (kind, dim, trial, alternate.chain)
+
+    def test_closed_forms_equal_coefficient_functions(self):
+        gens = tuple(parse_generator_spec(s) for s in ("chi2", "neg-log"))
+        for kind in ("ginibre", "mixture", "commuting"):
+            q, p = sample_pair(kind, 4, 1e-3, rng_for(7))
+            by_check = {rep.check: (rep.r, rep.R, rep.values) for _, reports in certify(q, p, gens)
+                        for top in reports for rep in (top, *top.subchains)}
+            r, R, values = by_check["thm3:chi2"]
+            assert values[1] == chi_square_secant_coeff(r, R)
+            r, R, values = by_check["thm4:chi2"]
+            assert values[1] == chi_square_chord_coeff(r, R)
+            r, R, values = by_check["thm5:neg-log"]
+            assert values[1:] == (neg_log_jensen_coeff(r, R), neg_log_range_coeff(r, R))
 
 
 class TestCoefficients:

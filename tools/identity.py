@@ -12,6 +12,15 @@ QFDIV_TIMESTAMP fixed), `classical` on 5 distribution pairs, and
 generator of a 21-entry list and two tolerances.  The digests depend on
 the numpy/LAPACK/BLAS build, so they compare two commits on one machine;
 they are not a test.
+
+Each fuzz configuration and tolerance of `run_all_checks` prints two
+lines: a value digest of the whole output, and a status digest marked
+`status`, of the exit code, `summary.checks` and the violation count for
+fuzz, and of each report's status and link verdicts for
+`run_all_checks`.  A declared output change (new rounding of a term, a
+closed form in place of a grid) may move value digests, each one
+explained; status digests may not move, short of a named link that
+rounding decides at a tolerance of 1e-300.
 Imports the standard library and the qfdiv under ./src only.
 """
 
@@ -136,11 +145,28 @@ def digest(data) -> str:
     return hashlib.sha256(data if isinstance(data, bytes) else data.encode()).hexdigest()
 
 
-def run_cli(argv) -> str:
+def run_main(argv) -> tuple:
+    """main(argv)'s exit code, stdout and stderr."""
     buf, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return f"exit={code}\n{buf.getvalue()}stderr:\n{err.getvalue()}"
+    return code, buf.getvalue(), err.getvalue()
+
+
+def run_cli(argv) -> str:
+    code, out, err = run_main(argv)
+    return f"exit={code}\n{out}stderr:\n{err}"
+
+
+def fuzz_status(code: int, out: str) -> str:
+    """The exit code, summary.checks and violation count of fuzz stdout."""
+    summary = json.loads(out)["summary"] if code in (0, 1) else None
+    return json.dumps([code, summary and [summary["checks"], summary["violations"]]])
+
+
+def verdicts(rep) -> list:
+    """A report's check, status and link verdicts, with its subchains'."""
+    return [rep.check, rep.status, list(rep.link_verdicts), [verdicts(s) for s in rep.subchains]]
 
 
 def write_pair(q, p, to_json) -> None:
@@ -161,7 +187,9 @@ def main_() -> None:
     os.environ.pop("QFDIV_SEED", None)
     os.environ["QFDIV_TIMESTAMP"] = "2026-01-01T00:00:00Z"
     for argv in FUZZ_CONFIGS:
-        print(digest(run_cli(argv)), " ".join(argv))
+        code, out, err = run_main(argv)
+        print(digest(f"exit={code}\n{out}stderr:\n{err}"), " ".join(argv))
+        print(digest(fuzz_status(code, out)), "status", " ".join(argv))
 
     cases = pairs()
     cwd = os.getcwd()
@@ -186,16 +214,20 @@ def main_() -> None:
 
     generators = [parse_generator_spec(s) for s in (*DEFAULT_SPECS, *EXTRA_SPECS)]
     for tol in (1e-9, 1e-300):
-        h = hashlib.sha256()
+        h, status = hashlib.sha256(), hashlib.sha256()
         for name, q, p in cases:
             for f in generators:
                 try:
-                    doc = [report_to_json(rep) for rep in run_all_checks(q, p, f, tol=tol)]
+                    reports = run_all_checks(q, p, f, tol=tol)
+                    doc, brief = [report_to_json(rep) for rep in reports], [verdicts(rep) for rep in reports]
                 except (ValueError, ArithmeticError) as exc:
                     doc = {"error": type(exc).__name__, "message": str(exc)}
+                    brief = {"error": type(exc).__name__}
                 h.update(json.dumps(doc).encode())
-        print(h.hexdigest(), f"run_all_checks pairs={len(cases)} "
-              f"generators={len(generators)} tol={tol:g}")
+                status.update(json.dumps(brief).encode())
+        what = f"run_all_checks pairs={len(cases)} generators={len(generators)} tol={tol:g}"
+        print(h.hexdigest(), what)
+        print(status.hexdigest(), "status", what)
 
 
 if __name__ == "__main__":
