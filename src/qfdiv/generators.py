@@ -72,8 +72,8 @@ PSI_EDGE_FRACTION = 1e-6
 # psi_sups bounds its grid cell by cell; a cell spans this many grid steps.
 PSI_CELL = 100
 # Rounding pad of a cell bound, relative to the size of f on the window
-# (at least 1), about 4e6 ulps.  The catalog's formulas cancel inside
-# (dichotomy at alpha = 0.01 loses a factor ~100 to it), and the pad
+# (at least 1), about 4e6 ulps.  Formulas cancel inside (the conjugate of
+# dichotomy at alpha = 0.01 loses a factor ~100 to it), and the pad
 # still sits far below the spread of the cell bounds.
 PSI_PAD = 2.0**-30
 # A negative second difference -n of f in the edge cells means f-values err
@@ -110,6 +110,9 @@ class Generator:
         approx: metadata came from finite differences, not closed form.
         quadratic: the t^2 coefficient a of a quadratic f, whose Psi is
             a (R - r) on every window; None for every other f.
+        psi_peak: where the double-slope gap Psi attains its sup on every
+            window (psi_sups): "r" at r+, "1" at t = 1, "R" at R-; None
+            where that is not known, and psi_sups searches a grid.
     """
 
     name: str
@@ -124,6 +127,7 @@ class Generator:
     smooth: bool = True
     approx: bool = False
     quadratic: float = None
+    psi_peak: str = None
 
     @functools.cached_property
     def spec(self) -> str:
@@ -217,6 +221,7 @@ def chi_alpha(alpha: float = 2.0) -> Generator:
         deriv_at_zero=-alpha,
         smooth=alpha > 1.0,
         quadratic=1.0 if alpha == 2.0 else None,
+        psi_peak={1.0: "1", 2.0: "r"}.get(alpha),
     )
 
 
@@ -249,6 +254,7 @@ def dichotomy(alpha: float = 0.5) -> Generator:
         star_at_zero=1.0 / (1.0 - alpha) if alpha < 1.0 else INF,
         deriv_at_zero=1.0 / (1.0 - alpha) if alpha > 1.0 else -INF,
         quadratic=0.5 if alpha == 2.0 else None,  # (t - 1)^2 / 2
+        psi_peak="r" if alpha <= 2.0 else "R",  # f'' = t^(alpha - 2)
     )
 
 
@@ -273,6 +279,7 @@ def matsushita(alpha: float = 0.5) -> Generator:
         star_at_zero=1.0,
         deriv_at_zero=-1.0 if alpha == 1.0 else -INF,
         smooth=alpha < 1.0,
+        psi_peak={0.5: "r", 1.0: "1"}.get(alpha),  # (1 - sqrt(t))^2 and |1 - t|
     )
 
 
@@ -302,6 +309,7 @@ def puri_vincze(alpha: float = 2.0) -> Generator:
         star_at_zero=1.0,
         deriv_at_zero=1.0 - 2.0 * alpha,
         smooth=alpha > 1.0,
+        psi_peak={1.0: "1", 2.0: "r"}.get(alpha),  # |1 - t| and f'' = 8 / (t + 1)^3
     )
 
 
@@ -323,6 +331,7 @@ def arimoto(alpha: float = 2.0) -> Generator:
             star_at_zero=0.5,
             deriv_at_zero=-0.5,
             smooth=False,
+            psi_peak="1",
         )
     if not alpha > 0.0:
         raise InputFormatError(f"arimoto needs alpha > 0 or alpha = inf, got {alpha}")
@@ -350,6 +359,9 @@ def arimoto(alpha: float = 2.0) -> Generator:
         value_at_zero=zero,
         star_at_zero=zero,
         deriv_at_zero=deriv_at_zero,
+        # f'' is t^(alpha - 2) (1 + t^alpha)^(1/alpha - 2) times a positive
+        # constant, nonincreasing for alpha <= 2.
+        psi_peak="r" if alpha <= 2.0 else None,
     )
 
 
@@ -363,6 +375,7 @@ def kl_quantum() -> Generator:
         value_at_zero=0.0,
         star_at_zero=INF,
         deriv_at_zero=-INF,
+        psi_peak="r",
     )
 
 
@@ -376,6 +389,7 @@ def neg_log() -> Generator:
         value_at_zero=INF,
         star_at_zero=0.0,
         deriv_at_zero=-INF,
+        psi_peak="r",
     )
 
 
@@ -390,6 +404,7 @@ def tv() -> Generator:
         star_at_zero=1.0,
         deriv_at_zero=-1.0,
         smooth=False,
+        psi_peak="1",
     )
 
 
@@ -404,6 +419,7 @@ def chi2() -> Generator:
         star_at_zero=INF,
         deriv_at_zero=0.0,
         quadratic=1.0,
+        psi_peak="r",
     )
 
 
@@ -428,6 +444,7 @@ def tsallis(q: float = 0.5) -> Generator:
         value_at_zero=1.0 / (1.0 - q),
         star_at_zero=0.0,
         deriv_at_zero=-INF,
+        psi_peak="r",
     )
 
 
@@ -441,6 +458,7 @@ def hellinger() -> Generator:
         value_at_zero=0.5,
         star_at_zero=0.5,
         deriv_at_zero=-INF,
+        psi_peak="r",
     )
 
 
@@ -454,6 +472,7 @@ def inv_minus_one() -> Generator:
         value_at_zero=INF,
         star_at_zero=0.0,
         deriv_at_zero=-INF,
+        psi_peak="r",
     )
 
 
@@ -586,6 +605,7 @@ def shift(f: Generator, c: float) -> Generator:
         smooth=f.smooth,
         approx=f.approx,
         quadratic=f.quadratic,
+        psi_peak=f.psi_peak,
     )
 
 
@@ -638,12 +658,15 @@ def psi_sup(f: Generator, r: float, R: float) -> float:
         Psi(r+) = slope(r, R) - f'_+(r),
         Psi(R-) = f'_-(R) - slope(r, R),
 
-    the gap at t = 1 when interior, and a (R - r) for a quadratic f (its
-    gap everywhere), else the gap's max over a uniform 10001-point grid
-    pulled in from the endpoints by the fraction 1e-6 of the width.
-    Returns +inf when f(r) is infinite or a one-sided derivative at an
-    endpoint diverges.  Never exceeds f'_-(R) - f'_+(r) when that gap is
-    finite.  This is psi_sups with one generator and window.
+    and the gap at t = 1 when interior.  That is the sup itself for a
+    generator that declares where Psi peaks (f.psi_peak, every catalog
+    default), with a (R - r) added for a quadratic f (its gap
+    everywhere).  For any other f the gap's max over a uniform
+    10001-point grid, pulled in from the endpoints by the fraction 1e-6
+    of the width, is added.  Returns +inf when f(r) is infinite or a
+    one-sided derivative at an endpoint diverges.  Never exceeds
+    f'_-(R) - f'_+(r) when that gap is finite.  This is psi_sups with
+    one generator and window.
     """
     return float(psi_sups((f,), float(r), float(R))[0, 0])
 
@@ -673,12 +696,23 @@ def psi_sups(generators, r, R, ends=None) -> np.ndarray:
     array; ends holds f(r), f(R), f'_+(r) and f'_-(R) as (windows,
     generators) arrays, by default from _window_ends.
 
-    A quadratic f (f.quadratic = a) takes the closed form a (R - r), with
-    Psi(1) formed from f(1) as check_thm4 forms it, and has no grid.  For
-    the other generators most of the grid is never evaluated, and each
-    value is still the full grid's max bit for bit.  f is evaluated at
-    every 100th grid point, at t = 1, and on the first and last 100-step
-    cells, where the edge pull-in makes rounding large.  For convex f,
+    A generator that declares f.psi_peak takes the closed form max(Psi(1)
+    when r < 1 < R, Psi(r+), Psi(R-)), plus a (R - r) for a quadratic f
+    (f.quadratic = a), and has no grid; Psi(1) is formed from f(1) as
+    check_thm4 forms it, so K Psi(1) <= K sup Psi holds after rounding.
+    For r < t < R, Taylor's formula with integral remainder gives
+
+        Psi'(t) = int_0^1 (1 - s) [f''(t + s (R - t)) - f''(t - s (t - r))] ds.
+
+    If f'' is nonincreasing, so is Psi, and sup Psi = Psi(r+) (psi_peak
+    "r"); if it is nondecreasing, sup Psi = Psi(R-) ("R").  For c |t - 1|
+    plus a linear term ("1"), Psi rises up to t = 1 and falls after it,
+    so sup Psi = Psi(1), or 0 = Psi(r+) where 1 is not interior.
+
+    The other generators search the grid, most of which is never
+    evaluated; each value is still the full grid's max bit for bit.  f is
+    evaluated at every 100th grid point, at t = 1, and on the first and
+    last 100-step cells, where the edge pull-in makes rounding large.  For convex f,
     chord slopes are nondecreasing in each endpoint (the three-chord
     lemma), so on a cell [a, b] the gap is at most slope(b, R) -
     slope(r, a).  A cell whose bound, padded for rounding, stays below the
@@ -706,18 +740,18 @@ def psi_sups(generators, r, R, ends=None) -> np.ndarray:
     slope = (fR - fr) / (R - r)
     limits = slope - dr[at], dR[at] - slope
     best = np.empty(gen.size)
-    q = np.array([f.quadratic is not None for f in generators], dtype=bool)[gen]
-    if q.any():
-        # The gap of a quadratic f is a (R - r) throughout; Psi(1), formed as
-        # check_thm4 forms it, can round above it.
-        a, f1 = np.array([(f.quadratic, f(1.0)) if f.quadratic is not None else (0.0, 0.0)
-                          for f in generators])[gen[q]].T
-        rq, Rq = r[q], R[q]
+    peaked = np.array([f.psi_peak is not None for f in generators], dtype=bool)[gen]
+    if peaked.any():
+        # Psi(1), and the constant gap a (R - r) of a quadratic f, which
+        # Psi(1) and the limits can round below or above.
+        a, f1 = np.array([(-INF if f.quadratic is None else f.quadratic, f(1.0))
+                          for f in generators])[gen[peaked]].T
+        rp, Rp = r[peaked], R[peaked]
         with np.errstate(divide="ignore", invalid="ignore"):
-            at_one = np.where((rq < 1.0) & (1.0 < Rq), psi_value(1.0, rq, Rq, f1, fr[q], fR[q]), -INF)
-        best[q] = np.maximum(a * (Rq - rq), at_one)
-    if not q.all():
-        best[~q] = _PsiGrid(generators, *(x[~q] for x in (gen, r, R, fr, fR, *limits))).sup()
+            at_one = np.where((rp < 1.0) & (1.0 < Rp), psi_value(1.0, rp, Rp, f1, fr[peaked], fR[peaked]), -INF)
+        best[peaked] = np.maximum(a * (Rp - rp), at_one)
+    if not peaked.all():
+        best[~peaked] = _PsiGrid(generators, *(x[~peaked] for x in (gen, r, R, fr, fR, *limits))).sup()
     for limit in limits:
         best = np.where(limit > best, limit, best)
     out[at] = best

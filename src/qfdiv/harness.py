@@ -93,7 +93,8 @@ __all__ = [
 
 INF = math.inf
 DEFAULT_TOL = 1e-9
-# Windows with R or r within this of 1 fail the strict R > 1 > r hypothesis.
+# Windows with R or r within this of 1 fail the strict R > 1 > r hypothesis,
+# and windows no wider than this count as degenerate (r = R).
 DEGENERATE_WINDOW_TOL = 1e-12
 EQUALITY_TOL = 1e-12
 NEAR_TIGHT_SLACK = 1e-6
@@ -256,7 +257,7 @@ class _Block:
         q_invertible = [qd.min_eigenvalue >= self.eps for qd in qds]
         self.r, self.R, self.v, self.tight, self.window, self.strict, self.k, self.quarter, \
             self.q_invertible = (np.array(x)[:, np.newaxis] for x in (
-                r, R, v, tight, r < R, strict, k, 0.25 * (R - r), q_invertible))
+                r, R, v, tight, R - r > DEGENERATE_WINDOW_TOL, strict, k, 0.25 * (R - r), q_invertible))
 
     @functools.cached_property
     def _chi(self) -> np.ndarray:
@@ -366,8 +367,9 @@ def _thm2(b: _Block, gens: tuple, e: _Terms) -> list:
     [S_f, D/2 * V, D/2 * chi, (R-r)/4 * D] with D = f'_-(R) - f'_+(r),
     V the variational quantity, and chi = sqrt of the chi-square
     distance.  Closed-form specializations are attached for the chi2,
-    kl, neg-log, and tsallis generators.  Skipped on a degenerate window
-    r = R, where every window term vanishes and only rounding is left.
+    kl, neg-log, and tsallis generators.  Skipped on a degenerate window,
+    R - r <= DEGENERATE_WINDOW_TOL, where every window term vanishes and
+    only rounding is left.
     """
     d, rows = e.gap, b.window & e.every
     finite = ~np.isinf(d)
@@ -379,7 +381,8 @@ def _thm2(b: _Block, gens: tuple, e: _Terms) -> list:
 
 
 def _thm3(b: _Block, gens: tuple, e: _Terms) -> list:
-    """Two-term chain [S_f, secant value at the window endpoints]."""
+    """Two-term chain [S_f, secant value at the window endpoints]; skipped
+    on a degenerate window, as thm2 is."""
     rows = b.window & e.every
     return _with_closed_form(b, gens, e, "thm3", ("value", "secant"),
                              (e.sf, secant_value(b.r, b.R, e.fr, e.fR)), rows,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfdiv import generators
 from qfdiv.errors import InputFormatError, PreconditionError
 from qfdiv.generators import (
     DEFAULT_SPECS,
@@ -35,7 +36,7 @@ from qfdiv.generators import (
     tsallis,
     tv,
 )
-from qfdiv.harness import check_thm4
+from qfdiv.harness import SAMPLER_KINDS, FuzzConfig, check_thm4, fuzz
 
 INF = math.inf
 
@@ -465,15 +466,34 @@ PRUNING_GENERATORS = (
     *(parse_generator_spec(s) for s in (
         "dichotomy:alpha=0", "dichotomy:alpha=0.01", "dichotomy:alpha=1", "arimoto:alpha=1",
         "arimoto:alpha=inf", "matsushita:alpha=1", "puri-vincze:alpha=1", "chi-alpha:alpha=1.5",
-        "tsallis:q=0.1")),
+        "tsallis:q=0.1", "chi-alpha:alpha=3", "matsushita:alpha=0.3", "puri-vincze:alpha=3",
+        "arimoto:alpha=3")),
     conjugate(kl_quantum()),
     shift(hellinger(), 1e3),
+    # Conjugates declare no peak, so these take the grid: a cancelling
+    # formula, a kink, and a large linear term.
+    conjugate(dichotomy(0.01)),
+    conjugate(tv()),
+    shift(conjugate(hellinger()), 1e3),
 )
-# The generators psi_sup takes over its grid; a quadratic f has none
-# (TestQuadraticPsiSup).
-GRID_GENERATORS = tuple(f for f in PRUNING_GENERATORS if f.quadratic is None)
+# The generators psi_sup takes over its grid; one that declares where Psi
+# peaks has none (TestClosedFormPsiSup).
+GRID_GENERATORS = tuple(f for f in PRUNING_GENERATORS if f.psi_peak is None)
+PEAKED_GENERATORS = tuple(f for f in PRUNING_GENERATORS if f.psi_peak is not None)
 EDGE_WINDOWS = [(1.0 - 2e-11, 1.0 + 2e-11), (0.01, 3e6), (1e-9, 1e9), (0.3, 2.5), (0.0, 2.0),
                 (0.5, 1.0), (1.0, 2.0)]
+# Windows whose grid step (R - r) / 10000 rounds to zero.
+ZERO_STEP_WINDOWS = [(5e-324, 1e-323), (1e-310, np.nextafter(1e-310, INF)),
+                     (1e-305, np.nextafter(1e-305, INF)), (1e-320, 3e-320)]
+
+
+def outcome(fn, f, r, R):
+    """fn(f, r, R) as bits, or the arithmetic error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return _bits(fn(f, r, R))
+    except ArithmeticError as exc:
+        return repr(exc)
 
 
 class TestPsiSupPruning:
@@ -496,30 +516,22 @@ class TestPsiSupPruning:
 
     def test_cancelling_formula_matches_full_grid(self):
         # dichotomy at alpha = 1e-8 loses about 1e8 ulps to cancellation, far
-        # more than PSI_PAD covers; the edge cells show that noise.
-        f = parse_generator_spec("dichotomy:alpha=1e-8")
+        # more than PSI_PAD covers; the edge cells show that noise.  Its
+        # conjugate evaluates it and declares no peak, so it takes the grid.
+        f = conjugate(dichotomy(1e-8))
+        assert f.psi_peak is None
         for r, R in ((1.0 - 1e-6, 1.0 + 1e-6), (1.0 - 1e-7, 1.0 + 1e-7), (0.5, 2.0)):
             assert _bits(psi_sup(f, r, R)) == _bits(reference_psi_sup(f, r, R)), (r, R)
 
-    @pytest.mark.parametrize("r, R", [
-        (5e-324, 1e-323), (1e-310, np.nextafter(1e-310, INF)), (1e-305, np.nextafter(1e-305, INF)),
-        (1e-320, 3e-320)])
+    @pytest.mark.parametrize("r, R", ZERO_STEP_WINDOWS)
     def test_zero_step_windows_match_full_grid(self, r, R):
         # The grid step (R - r) / 10000 rounds to zero, so the grid's points
         # are formed as linspace forms them there (on the last window they
         # are distinct and decide kl's value); a generator that cannot be
         # evaluated this close to 0 raises the same error both ways.
         assert (R - r) / 1e4 == 0.0
-
-        def outcome(fn, f):
-            try:
-                with np.errstate(invalid="ignore"):
-                    return _bits(fn(f, r, R))
-            except ArithmeticError as exc:
-                return repr(exc)
-
-        for f in PRUNING_GENERATORS:
-            assert outcome(psi_sup, f) == outcome(reference_psi_sup, f), f.spec
+        for f in GRID_GENERATORS:
+            assert outcome(psi_sup, f, r, R) == outcome(reference_psi_sup, f, r, R), f.spec
 
     def test_one_bad_window_among_several_raises(self):
         with pytest.raises(PreconditionError, match="need finite r < R, got r=0.5, R=inf"):
@@ -554,7 +566,8 @@ class TestPsiSupPruning:
 
     def test_most_of_the_grid_is_skipped(self):
         seen = []
-        counting = dataclasses.replace(kl_quantum(), fn=lambda t: seen.append(np.size(t)) or t * np.log(t))
+        counting = dataclasses.replace(kl_quantum(), fn=lambda t: seen.append(np.size(t)) or t * np.log(t),
+                                       psi_peak=None)
         psi_sup(counting, 0.3, 2.5)
         assert sum(seen) < 1000
 
@@ -563,12 +576,16 @@ QUADRATIC_GENERATORS = (chi2(), chi_alpha(2.0), shift(chi2(), 3.0), dichotomy(2.
 
 
 def closed_form_psi_sup(f, r, R):
-    """max(a (R - r), Psi(1) when r < 1 < R, Psi(r+), Psi(R-)) from the scalar
-    calls, in float arithmetic."""
-    fr, fR, f1 = f(r), f(R), f(1.0)
+    """max(a (R - r) for a quadratic f, Psi(1) when r < 1 < R, Psi(r+),
+    Psi(R-)) from the scalar calls, in float arithmetic; +inf where f(r) or
+    f(R) is infinite or an endpoint derivative diverges."""
+    fr, fR, f1, d_right_r, d_left_R = f(r), f(R), f(1.0), f.deriv_right(r), f.deriv_left(R)
+    if math.isinf(fr) or math.isinf(fR) or d_right_r == -INF or d_left_R == INF:
+        return INF
     slope = (fR - fr) / (R - r)
     at_one = (fR - f1) / (R - 1.0) - (f1 - fr) / (1.0 - r) if r < 1.0 < R else -INF
-    return max(f.quadratic * (R - r), at_one, slope - f.deriv_right(r), f.deriv_left(R) - slope)
+    constant = -INF if f.quadratic is None else f.quadratic * (R - r)
+    return max(constant, at_one, slope - d_right_r, d_left_R - slope)
 
 
 class TestQuadraticPsiSup:
@@ -620,6 +637,130 @@ class TestQuadraticPsiSup:
         q = np.diag([0.5 + 1e-11, 0.5 - 1e-11])
         rep = check_thm4(q, np.eye(2) / 2.0, dichotomy(2.0), tol=1e-300)
         assert rep.status == "pass", rep.chain
+
+
+# Catalog parameters that declare where Psi peaks: the defaults, those
+# tools/identity.py adds, and the other parameters whose f'' is monotone or
+# whose f is c |t - 1| plus a linear term.
+PEAKED_SPECS = (
+    *DEFAULT_SPECS, "tsallis:q=0.1", "tsallis:q=0.2", "tsallis:q=0.8", "dichotomy:alpha=-1",
+    "dichotomy:alpha=0", "dichotomy:alpha=0.01", "dichotomy:alpha=0.25", "dichotomy:alpha=1",
+    "dichotomy:alpha=2", "dichotomy:alpha=3", "arimoto:alpha=1", "arimoto:alpha=1.5",
+    "arimoto:alpha=inf", "chi-alpha:alpha=1", "matsushita:alpha=1", "puri-vincze:alpha=1",
+)
+UNPEAKED_SPECS = ("chi-alpha:alpha=1.5", "chi-alpha:alpha=3", "matsushita:alpha=0.3",
+                  "matsushita:alpha=0.7", "puri-vincze:alpha=1.5", "puri-vincze:alpha=3",
+                  "arimoto:alpha=3")
+PEAKED = st.one_of(
+    st.sampled_from(PEAKED_SPECS).map(parse_generator_spec),
+    # Families whose f'' is monotone for every parameter drawn, away from
+    # the cancellation of dichotomy near alpha = 0 and 1 and of arimoto
+    # near alpha = 0.
+    st.floats(-2.0, 4.0).filter(lambda a: abs(a * (1.0 - a)) >= 0.01).map(dichotomy),
+    st.floats(0.01, 0.99).map(tsallis),
+    st.floats(0.25, 2.0).map(arimoto),
+    st.tuples(st.sampled_from(PEAKED_SPECS), st.floats(-5.0, 5.0)).map(
+        lambda sc: shift(parse_generator_spec(sc[0]), sc[1])),
+)
+
+
+def against_peak(f, r, R):
+    """The largest step of Psi against the direction f.psi_peak declares,
+    relative to max(1, |Psi|), sampled at t = 1 and at 2001 points of the
+    middle 98% of (r, R), r < 1 < R: Psi falls throughout for "r", rises
+    throughout for "R", and rises up to t = 1 and falls after it for "1"."""
+    t = np.union1d(np.linspace(r + 0.01 * (R - r), R - 0.01 * (R - r), 2001), [1.0])
+    ft, fr, fR = f(t), f(r), f(R)
+    gap = (fR - ft) / (R - t) - (ft - fr) / (t - r)
+    step = np.diff(gap) / np.maximum(1.0, np.maximum(np.abs(gap[:-1]), np.abs(gap[1:])))
+    rising = {"r": np.zeros(step.size, dtype=bool), "R": np.ones(step.size, dtype=bool),
+              "1": t[1:] <= 1.0}[f.psi_peak]
+    return float(np.max(np.where(rising, -step, step)))
+
+
+def edge_rounding(f, r, R):
+    """How far above sup Psi a grid point's gap can round: f-values of size
+    `scale` err by a few ulps, 100 times more where dichotomy's formula
+    cancels (alpha = 0.01), and the first and last grid gaps divide that by
+    1e-6 (R - r)."""
+    scale = max(1.0, abs(f(r)), abs(f(R)))
+    return 1e3 * np.finfo(float).eps * scale / (1e-6 * (R - r))
+
+
+class TestClosedFormPsiSup:
+    """A generator that declares where Psi peaks (f.psi_peak) takes psi_sup
+    in closed form, max(Psi(1), Psi(r+), Psi(R-)), with no grid.  The
+    declarations are checked here, not trusted."""
+
+    def test_declarations(self):
+        peaks = {spec: parse_generator_spec(spec).psi_peak for spec in (*PEAKED_SPECS, *UNPEAKED_SPECS)}
+        assert {s for s, p in peaks.items() if p == "1"} == {
+            "tv", "chi-alpha:alpha=1", "matsushita:alpha=1", "puri-vincze:alpha=1", "arimoto:alpha=inf"}
+        assert {s for s, p in peaks.items() if p == "R"} == {"dichotomy:alpha=3"}
+        assert {s for s, p in peaks.items() if p is None} == set(UNPEAKED_SPECS)
+        assert shift(tv(), 2.0).psi_peak == "1" and shift(dichotomy(3.0), -1.0).psi_peak == "R"
+        for f in (conjugate(kl_quantum()), conjugate(tv()), from_callable("ent", lambda t: t * math.log(t))):
+            assert f.psi_peak is None, f.spec
+
+    @settings(max_examples=150, deadline=None)
+    @given(PEAKED, st.floats(0.02, 0.9), st.floats(1.1, 10.0))
+    def test_property_psi_monotone_on_each_side_of_peak(self, f, r, R):
+        # Rounding bound: f-values here err by at most about 1e-13 (dichotomy
+        # at alpha = 0.01 cancels by 1 / (alpha (1 - alpha)) ~ 100), and each
+        # slope divides that by a distance of at least 0.01 (R - r) >= 2e-3,
+        # so a gap errs by about 1e-10 and a step by twice that.
+        assert against_peak(f, r, R) <= 1e-9, f.spec
+
+    def test_wrong_peak_is_caught(self):
+        # Neither side holds for arimoto at alpha = 3 or chi-alpha at alpha =
+        # 3, which is why they declare no peak.
+        for f, wrong in ((dichotomy(3.0), "r"), (kl_quantum(), "R"), (kl_quantum(), "1"), (tv(), "r"),
+                         (tv(), "R"), (arimoto(3.0), "r"), (arimoto(3.0), "R"), (chi_alpha(3.0), "r"),
+                         (chi_alpha(3.0), "R")):
+            assert against_peak(dataclasses.replace(f, psi_peak=wrong), 0.05, 2.0) > 1e-4, (f.spec, wrong)
+
+    @pytest.mark.parametrize("r, R", EDGE_WINDOWS + ZERO_STEP_WINDOWS)
+    def test_edge_windows_equal_closed_form(self, r, R):
+        for f in PEAKED_GENERATORS:
+            assert outcome(psi_sup, f, r, R) == outcome(closed_form_psi_sup, f, r, R), f.spec
+
+    @pytest.mark.parametrize("r, R", EDGE_WINDOWS)
+    def test_edge_windows_within_full_grid(self, r, R):
+        # The grid holds t = 1 and both limits, so it can only be higher.
+        for f in PEAKED_GENERATORS:
+            sup, grid = psi_sup(f, r, R), reference_psi_sup(f, r, R)
+            assert sup == grid or grid - edge_rounding(f, r, R) <= sup < grid, f.spec
+
+    @settings(max_examples=100, deadline=None)
+    @given(PEAKED, st.floats(-9.0, -1e-4), st.floats(1e-4, 9.0))
+    def test_property_equals_closed_form_within_full_grid(self, f, log_r, log_R):
+        r, R = 10.0**log_r, 10.0**log_R
+        sup = psi_sup(f, r, R)
+        assert _bits(sup) == _bits(closed_form_psi_sup(f, r, R))
+        grid = reference_psi_sup(f, r, R)
+        assert sup == grid or grid - edge_rounding(f, r, R) <= sup < grid
+
+    @pytest.mark.parametrize("f", [dichotomy(0.01), kl_quantum(), tsallis(0.5)], ids=lambda f: f.spec)
+    def test_narrow_window_keeps_thm4(self, f):
+        # The grid read rounding as sup Psi here: 2.8 for dichotomy at alpha =
+        # 0.01, against a derivative gap of 4e-11, so K sup Psi <= K D failed
+        # at tol 1e-300.
+        rep = check_thm4(np.diag([0.5 + 1e-11, 0.5 - 1e-11]), np.eye(2) / 2.0, f, tol=1e-300)
+        chain = dict(rep.chain)
+        assert rep.status == "pass", rep.chain
+        assert chain["window-psi-sup"] <= chain["window-derivative-gap"]
+
+    def test_fuzz_builds_no_grid(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("psi_sups built a grid")
+
+        monkeypatch.setattr(generators, "_PsiGrid", no_grid)
+        with pytest.raises(AssertionError, match="built a grid"):
+            psi_sup(conjugate(kl_quantum()), 0.3, 2.5)
+        for sampler in SAMPLER_KINDS:
+            for dim, floor in ((2, None), (4, 1e-3)):
+                result = fuzz(FuzzConfig(dim=dim, trials=20, seed=7, sampler=sampler, floor=floor))
+                assert result.summary["checks"]["thm4"]["pass"] > 0, (sampler, dim)
 
 
 class TestDivergingDerivatives:

@@ -19,6 +19,7 @@ from qfdiv.generators import (
     shift,
 )
 from qfdiv.harness import (
+    DEGENERATE_WINDOW_TOL,
     FuzzConfig,
     certify,
     check_derivative_gap,
@@ -173,6 +174,25 @@ class TestThm2:
         assert rep.status == "skipped"
         assert "degenerate window" in rep.note
 
+    def test_ulp_wide_window_skipped(self):
+        # A 1x1 pair 1 ulp apart: thm2 and thm3 would judge rounding, and at
+        # tol 1e-300 thm2 failed on terms of about 1e-32.
+        q, p = np.array([[1.0]]), np.array([[1.0 - 2.0**-53]])
+        js = joint_spectrum(q, p)
+        assert 0.0 < js.R - js.r <= DEGENERATE_WINDOW_TOL
+        for f in default_catalog():
+            reports = {rep.check: rep for rep in run_all_checks(q, p, f, tol=1e-300)}
+            for check in ("thm2", "thm3"):
+                assert reports[check].status == "skipped", (f.spec, check)
+                assert "degenerate window" in reports[check].note
+
+    def test_window_just_wider_than_tolerance_judged(self):
+        q, p = np.diag([0.5 + 1e-12, 0.5 - 1e-12]), np.eye(2) / 2.0
+        js = joint_spectrum(q, p)
+        assert js.R - js.r > DEGENERATE_WINDOW_TOL
+        for check in (check_thm2, check_thm3):
+            assert check(q, p, kl_quantum()).status == "pass"
+
 
 class TestThm3:
     def test_example_a_equality(self):
@@ -204,12 +224,14 @@ class TestThm3:
 
     def test_chi2_printed_bound_on_window_closed_at_one(self):
         # r = 1 exactly with R = 1 + 2^-52: thm3's hypothesis r <= 1 <= R
-        # holds, so the closed form is judged, not raised.
+        # holds, so nothing raises; the window is 1 ulp wide, so the chain
+        # and its closed form are skipped as degenerate.  The closed form
+        # itself takes r = 1.
         q, p = np.diag([0.5, 0.5]), np.diag([0.5, 0.5 - 2.0**-54])
         assert joint_spectrum(q, p).r == 1.0 < joint_spectrum(q, p).R
         reports = run_all_checks(q, p, chi2())
         thm3 = next(rep for rep in reports if rep.check == "thm3")
-        assert [(sub.check, sub.status) for sub in thm3.subchains] == [("thm3:chi2", "pass")]
+        assert (thm3.status, thm3.subchains) == ("skipped", ())
         assert chi_square_secant_coeff(1.0, 2.0) == 0.0
         with pytest.raises(PreconditionError):
             chi_square_secant_coeff(1.0, 1.0)

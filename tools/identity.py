@@ -6,7 +6,7 @@ Usage, from the repository root:
     python3 tools/identity.py | diff before.txt -   # on the new one
 
 It covers `fuzz` stdout on 28 configurations, `certify` and `compute`
-JSON and CSV and `spectrum` with and without `--out` on 16 pairs (with
+JSON and CSV and `spectrum` with and without `--out` on 17 pairs (with
 QFDIV_TIMESTAMP fixed), `classical` on 5 distribution pairs, and
 `run_all_checks` reports as JSON over sampled and hand-made pairs, every
 generator of a 21-entry list and two tolerances.  The digests depend on
@@ -111,6 +111,9 @@ def pairs() -> list:
         ("rank2-d3", 0.3 * np.outer([1, 1, 0], [1, 1, 0])
          + 0.4 / 3.0 * np.outer([1, -1, 1], [1, -1, 1]), np.diag([0.5, 0.3, 0.2])),
         ("rank3-d8", low_rank(8, 3, 101), sample_pair("ginibre", 8, 1e-3, rng(102))[1].matrix),
+        # A window 4e-11 wide around 1, where a formula that cancels leaves
+        # sup Psi mostly rounding.
+        ("narrow", np.diag([0.5 + 1e-11, 0.5 - 1e-11]), np.eye(2) / 2.0),
     ]
     seed = 0
     for kind in ("ginibre", "mixture", "commuting"):
@@ -122,7 +125,7 @@ def pairs() -> list:
     return out
 
 
-HAND_MADE = 6
+HAND_MADE = 7
 
 # (name, q, p) weight vectors for `classical`: zero weights on either
 # side, and disjoint supports.
@@ -136,7 +139,7 @@ DISTRIBUTIONS = (
 
 
 def certify_cases(cases) -> list:
-    """The hand-made pairs and every third sampled pair above d = 1: 16."""
+    """The hand-made pairs and every third sampled pair above d = 1: 17."""
     sampled = [c for c in cases[HAND_MADE:] if c[1].shape[0] > 1]
     return cases[:HAND_MADE] + sampled[::3]
 
