@@ -67,21 +67,7 @@ __all__ = [
 INF = math.inf
 
 PSI_GRID_POINTS = 10001
-PSI_STEPS = PSI_GRID_POINTS - 1
 PSI_EDGE_FRACTION = 1e-6
-# psi_sups bounds its grid cell by cell; a cell spans this many grid steps.
-PSI_CELL = 100
-# Rounding pad of a cell bound, relative to the size of f on the window
-# (at least 1), about 4e6 ulps.  Formulas cancel inside (the conjugate of
-# dichotomy at alpha = 0.01 loses a factor ~100 to it), and the pad
-# still sits far below the spread of the cell bounds.
-PSI_PAD = 2.0**-30
-# A negative second difference -n of f in the edge cells means f-values err
-# by at least n/4; psi_sups pads for PSI_NOISE / 4 times that error.
-PSI_NOISE = 16.0
-
-# The largest stacked temporary, in points, of psi_sups and weighted_sums.
-STACK_POINTS = 2**14
 
 # Finite-difference step for generators built from a bare callable.
 FD_STEP = 1e-7
@@ -112,7 +98,7 @@ class Generator:
             a (R - r) on every window; None for every other f.
         psi_peak: where the double-slope gap Psi attains its sup on every
             window (psi_sups): "r" at r+, "1" at t = 1, "R" at R-; None
-            where that is not known, and psi_sups searches a grid.
+            where that is not known, and psi_sups takes a grid.
     """
 
     name: str
@@ -663,10 +649,10 @@ def psi_sup(f: Generator, r: float, R: float) -> float:
     default), with a (R - r) added for a quadratic f (its gap
     everywhere).  For any other f the gap's max over a uniform
     10001-point grid, pulled in from the endpoints by the fraction 1e-6
-    of the width, is added.  Returns +inf when f(r) is infinite or a
-    one-sided derivative at an endpoint diverges.  Never exceeds
-    f'_-(R) - f'_+(r) when that gap is finite.  This is psi_sups with
-    one generator and window.
+    of the width, is added: one f.fn call on the grid and t = 1.  Returns
+    +inf when f(r) is infinite or a one-sided derivative at an endpoint
+    diverges.  Never exceeds f'_-(R) - f'_+(r) when that gap is finite.
+    This is psi_sups with one generator and window.
     """
     return float(psi_sups((f,), float(r), float(R))[0, 0])
 
@@ -709,18 +695,12 @@ def psi_sups(generators, r, R, ends=None) -> np.ndarray:
     plus a linear term ("1"), Psi rises up to t = 1 and falls after it,
     so sup Psi = Psi(1), or 0 = Psi(r+) where 1 is not interior.
 
-    The other generators search the grid, most of which is never
-    evaluated; each value is still the full grid's max bit for bit.  f is
-    evaluated at every 100th grid point, at t = 1, and on the first and
-    last 100-step cells, where the edge pull-in makes rounding large.  For convex f,
-    chord slopes are nondecreasing in each endpoint (the three-chord
-    lemma), so on a cell [a, b] the gap is at most slope(b, R) -
-    slope(r, a).  A cell whose bound, padded for rounding, stays below the
-    largest value found so far is skipped; the others are evaluated in
-    full.  An approx generator, which need not be convex, takes its whole
-    grid.  All entries are probed, and their live cells evaluated,
-    together: in chunks of about STACK_POINTS points, one f.fn call per
-    generator and chunk.
+    The other generators (conjugates, from_callable generators and the
+    catalog parameters without a declared peak) take the max of the two
+    limits and the gap's max over a grid (_grid_sups): PSI_GRID_POINTS
+    points pulled in from the endpoints by PSI_EDGE_FRACTION of the width,
+    and t = 1 when interior, in one f.fn call per (window, generator)
+    entry.
     """
     r, R = np.broadcast_arrays(np.atleast_1d(np.asarray(r, dtype=np.float64)),
                                np.atleast_1d(np.asarray(R, dtype=np.float64)))
@@ -751,151 +731,33 @@ def psi_sups(generators, r, R, ends=None) -> np.ndarray:
             at_one = np.where((rp < 1.0) & (1.0 < Rp), psi_value(1.0, rp, Rp, f1, fr[peaked], fR[peaked]), -INF)
         best[peaked] = np.maximum(a * (Rp - rp), at_one)
     if not peaked.all():
-        best[~peaked] = _PsiGrid(generators, *(x[~peaked] for x in (gen, r, R, fr, fR, *limits))).sup()
+        best[~peaked] = _grid_sups(generators, *(x[~peaked] for x in (gen, r, R, fr, fR)))
     for limit in limits:
         best = np.where(limit > best, limit, best)
     out[at] = best
     return out
 
 
-def _index(*parts) -> np.ndarray:
-    idx = np.concatenate(parts).astype(np.float64)
-    idx.flags.writeable = False
-    return idx
-
-
-# Grid indices psi_sups evaluates first, in grid order: the whole first
-# cell, the inner cell edges, the whole last cell.
-_PROBE_IDX = _index(np.arange(0, PSI_CELL + 1), np.arange(2 * PSI_CELL, PSI_STEPS - PSI_CELL, PSI_CELL),
-                    np.arange(PSI_STEPS - PSI_CELL, PSI_STEPS + 1))
-_FIRST_CELL = slice(0, PSI_CELL + 1)  # columns of _PROBE_IDX
-_LAST_CELL = slice(-PSI_CELL - 1, None)
-_INNER_EDGES = slice(PSI_CELL, PSI_CELL + PSI_STEPS // PSI_CELL - 1)
-_CELL_IDX = _index(np.arange(1, PSI_CELL))
-_GRID_IDX = _index(np.arange(PSI_GRID_POINTS))
-
-
-def _gaps(ft, fr, fR, to_R, from_r):
-    """The double-slope gap (fR - ft) / to_R - (ft - fr) / from_r, with few
-    temporaries."""
-    gaps = fR - ft
-    gaps /= to_R
-    left = ft - fr
-    left /= from_r
-    gaps -= left
-    return gaps
-
-
-class _PsiGrid:
-    """psi_sups' grids for a block of entries, formed point by point.
-
-    Point i of an entry is i * step + start and its last point is stop,
-    with (i / steps) * delta + start where the step is zero: exactly how
-    np.linspace(start, stop, PSI_GRID_POINTS) forms its points.  Entry
-    data is indexed by w, an int or a column of entry numbers, which
-    broadcasts against a row of grid indices.  gen numbers each entry's
-    generator; the entries are sorted by it.
-    """
-
-    def __init__(self, generators, gen, r, R, fr, fR, lim_r, lim_R):
-        self.lim_r, self.lim_R = lim_r, lim_R  # Psi(r+) and Psi(R-)
-        h = (R - r) * PSI_EDGE_FRACTION
-        start, stop = r + h, R - h
-        if (start <= 0.0).any():
-            raise PreconditionError("array evaluation requires strictly positive points")
-        delta = stop - start
-        self.step = delta / PSI_STEPS
-        self.interior = (r < 1.0) & (1.0 < R)
-        self.scale = np.maximum(np.maximum(np.abs(fr), np.abs(fR)), 1.0)
-        self.generators, self.gen = generators, gen
-        self.r, self.R, self.fr, self.fR = r, R, fr, fR
-        self.start, self.stop, self.delta = start, stop, delta
-
-    def points(self, w, idx):
-        """Grid points idx of entries w."""
-        step, start = self.step[w], self.start[w]
-        if np.all(step != 0.0):
-            t = idx * step
-            t += start
-        else:
-            t = np.where(step != 0.0, idx * step + start, idx / PSI_STEPS * self.delta[w] + start)
-        if idx.ndim == 1 and idx[-1] == PSI_STEPS:
-            t[..., -1:] = self.stop[w]
-        return t
-
-    def evaluate(self, w, t) -> tuple:
-        """f and the gap at points t of the entries of column w (sorted), with
-        one f.fn call per generator, on its rows."""
-        ft, gen = np.empty_like(t), self.gen[w[:, 0]]
-        cuts = [0, *(np.flatnonzero(np.diff(gen)) + 1).tolist(), len(gen)]
-        for a, b in zip(cuts, cuts[1:]):
-            ft[a:b] = self.generators[gen[a]].fn(t[a:b])
-        return ft, _gaps(ft, self.fr[w], self.fR[w], self.R[w] - t, t - self.r[w])
-
-    def full(self, e: int) -> float:
-        """The grid max of entry e from its whole grid."""
-        ts = self.points(e, _GRID_IDX)
-        if self.interior[e]:
-            ts = np.append(ts, 1.0)
-        gaps = _gaps(np.asarray(self.generators[self.gen[e]].fn(ts), dtype=np.float64),
-                     self.fr[e], self.fR[e], self.R[e] - ts, ts - self.r[e])
-        best = float(gaps.max())
-        if not math.isfinite(best):  # below a width of ~1e-10 an endpoint lands on the grid: 0/0
-            best = float(np.max(gaps, where=np.isfinite(gaps), initial=-INF))
-        return best
-
-    def probe(self, rows):
-        """Probe the entries `rows` (sorted): their best value so far and
-        their live cells (entry, cell number)."""
-        col = rows[:, np.newaxis]
-        # t = 1 first (masked out where it is not interior), then the probe.
-        t = np.concatenate([np.ones((rows.size, 1)), self.points(col, _PROBE_IDX)], axis=1)
-        ft, gaps = self.evaluate(col, t)
-        gaps[~self.interior[rows], 0] = -INF
-        best = np.where(np.isfinite(gaps), gaps, -INF).max(axis=1)
-        found = np.fmax(np.fmax(best, self.lim_r[rows]), self.lim_R[rows])[:, np.newaxis]
-
-        # Bound the cells between the first and the last.
-        t, ft = t[:, 1:], ft[:, 1:]
-        edge, fedge = t[:, _INNER_EDGES], ft[:, _INNER_EDGES]
-        a, b, fa, fb = edge[:, :-1], edge[:, 1:], fedge[:, :-1], fedge[:, 1:]
-        to_R, from_r = self.R[col] - b, a - self.r[col]
-        bound = (self.fR[col] - fb) / to_R - (fa - self.fr[col]) / from_r
-        # Pad for rounding: f-values of size `scale` err by about PSI_PAD
-        # times it, and each slope divides that by a distance to an end.
-        # A formula that cancels more shows it in the edge cells: f is
-        # convex, so a negative second difference there is rounding.
-        scale = np.maximum(np.abs(ft).max(axis=1), self.scale[rows])
-        noise = -np.minimum(np.diff(ft[:, _FIRST_CELL], 2).min(axis=1),
-                            np.diff(ft[:, _LAST_CELL], 2).min(axis=1))
-        err = (PSI_PAD * scale + PSI_NOISE * np.maximum(noise, 0.0))[:, np.newaxis]
-        top = bound + err * (1.0 / to_R + 1.0 / from_r) + PSI_PAD * np.abs(bound)
-        live = ~(np.isfinite(top) & (top < found))
-        w, j = np.nonzero(live)
-        return best, rows[w], j
-
-    def sup(self) -> np.ndarray:
-        """The grid max of every entry, t = 1 included where interior."""
-        best = np.full(self.gen.size, -INF)
-        approx = np.array([f.approx for f in self.generators])[self.gen]
-        probed, cells = np.flatnonzero(~approx), []
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            step = max(1, STACK_POINTS // (_PROBE_IDX.size + 1))
-            for lo in range(0, probed.size, step):
-                rows = probed[lo:lo + step]
-                best[rows], *live = self.probe(rows)
-                cells.append(live)
-
-            w, j = (np.concatenate(x) for x in zip(*cells)) if cells else ((), ())
-            step = STACK_POINTS // _CELL_IDX.size
-            for lo in range(0, len(w), step):
-                col, first = w[lo:lo + step, np.newaxis], PSI_CELL * (j[lo:lo + step, np.newaxis] + 1.0)
-                _, cell = self.evaluate(col, self.points(col, first + _CELL_IDX))
-                np.maximum.at(best, col[:, 0], np.where(np.isfinite(cell), cell, -INF).max(axis=1))
-
-            for e in np.flatnonzero(approx).tolist():
-                best[e] = self.full(e)
-        return best
+def _grid_sups(generators, gen, r, R, fr, fR) -> np.ndarray:
+    """The double-slope gap's max over the grid of each entry, entry e
+    being generator gen[e] on the window [r[e], R[e]]: np.linspace(r + h,
+    R - h, PSI_GRID_POINTS) with h = PSI_EDGE_FRACTION (R - r), and t = 1
+    when r < 1 < R, in one f.fn call."""
+    h = (R - r) * PSI_EDGE_FRACTION
+    if (r + h <= 0.0).any():
+        raise PreconditionError("array evaluation requires strictly positive points")
+    best = np.empty(gen.size)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for e, g in enumerate(gen.tolist()):
+            ts = np.linspace(r[e] + h[e], R[e] - h[e], PSI_GRID_POINTS)
+            if r[e] < 1.0 < R[e]:
+                ts = np.append(ts, 1.0)
+            ft = np.asarray(generators[g].fn(ts), dtype=np.float64)
+            gaps = (fR[e] - ft) / (R[e] - ts) - (ft - fr[e]) / (ts - r[e])
+            best[e] = gaps.max()
+            if not math.isfinite(best[e]):  # below a width of ~1e-10 an endpoint lands on the grid: 0/0
+                best[e] = np.max(gaps, where=np.isfinite(gaps), initial=-INF)
+    return best
 
 
 def jensen_gap_bound(f: Generator, r: float, R: float) -> float:

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputFormatError, PreconditionError
-from .generators import STACK_POINTS, Generator
+from .generators import Generator
 from .hermitian import (
     CheckReport,
     EigenDecomposition,
@@ -316,6 +316,9 @@ class DivergenceValue:
 
 # weighted_sums' flag codes, as DivergenceValue flags.
 SUM_FLAGS = ((), ("infinite",), ("zero-mass-infinite-terms",))
+
+# The largest stacked temporary of weighted_sums, in values.
+STACK_POINTS = 2**14
 
 
 def weighted_sums(ratio: np.ndarray, wt: np.ndarray, terms) -> tuple:

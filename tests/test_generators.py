@@ -438,7 +438,7 @@ class TestPsi:
 
 def reference_psi_sup(f, r, R):
     """psi_sup as the max over the whole 10001-point np.linspace grid, t = 1
-    when interior, and the two endpoint limits: the unpruned definition."""
+    when interior, and the two endpoint limits: the definition."""
     fr, fR = f(r), f(R)
     d_right_r, d_left_R = f.deriv_right(r), f.deriv_left(R)
     if math.isinf(fr) or math.isinf(fR) or d_right_r == -INF or d_left_R == INF:
@@ -461,7 +461,7 @@ def _bits(x):
     return float.hex(float(x))
 
 
-PRUNING_GENERATORS = (
+PSI_GENERATORS = (
     *default_catalog(),
     *(parse_generator_spec(s) for s in (
         "dichotomy:alpha=0", "dichotomy:alpha=0.01", "dichotomy:alpha=1", "arimoto:alpha=1",
@@ -478,8 +478,8 @@ PRUNING_GENERATORS = (
 )
 # The generators psi_sup takes over its grid; one that declares where Psi
 # peaks has none (TestClosedFormPsiSup).
-GRID_GENERATORS = tuple(f for f in PRUNING_GENERATORS if f.psi_peak is None)
-PEAKED_GENERATORS = tuple(f for f in PRUNING_GENERATORS if f.psi_peak is not None)
+GRID_GENERATORS = tuple(f for f in PSI_GENERATORS if f.psi_peak is None)
+PEAKED_GENERATORS = tuple(f for f in PSI_GENERATORS if f.psi_peak is not None)
 EDGE_WINDOWS = [(1.0 - 2e-11, 1.0 + 2e-11), (0.01, 3e6), (1e-9, 1e9), (0.3, 2.5), (0.0, 2.0),
                 (0.5, 1.0), (1.0, 2.0)]
 # Windows whose grid step (R - r) / 10000 rounds to zero.
@@ -497,8 +497,8 @@ def outcome(fn, f, r, R):
 
 
 class TestPsiSupPruning:
-    """psi_sup skips the grid cells the three-chord bound excludes; its
-    value must still be the full grid's max, bit for bit."""
+    """A generator that declares no peak takes psi_sup from its grid; the
+    value must be the full grid's max, bit for bit."""
 
     @pytest.mark.parametrize("r, R", EDGE_WINDOWS)
     def test_edge_windows_match_full_grid(self, r, R):
@@ -515,8 +515,7 @@ class TestPsiSupPruning:
         assert _bits(psi_sup(f, r, R)) == _bits(reference_psi_sup(f, r, R))
 
     def test_cancelling_formula_matches_full_grid(self):
-        # dichotomy at alpha = 1e-8 loses about 1e8 ulps to cancellation, far
-        # more than PSI_PAD covers; the edge cells show that noise.  Its
+        # dichotomy at alpha = 1e-8 loses about 1e8 ulps to cancellation.  Its
         # conjugate evaluates it and declares no peak, so it takes the grid.
         f = conjugate(dichotomy(1e-8))
         assert f.psi_peak is None
@@ -525,10 +524,10 @@ class TestPsiSupPruning:
 
     @pytest.mark.parametrize("r, R", ZERO_STEP_WINDOWS)
     def test_zero_step_windows_match_full_grid(self, r, R):
-        # The grid step (R - r) / 10000 rounds to zero, so the grid's points
-        # are formed as linspace forms them there (on the last window they
-        # are distinct and decide kl's value); a generator that cannot be
-        # evaluated this close to 0 raises the same error both ways.
+        # The grid step (R - r) / 10000 rounds to zero (on the last window
+        # the points are still distinct and decide kl's value); a generator
+        # that cannot be evaluated this close to 0 raises the same error
+        # both ways.
         assert (R - r) / 1e4 == 0.0
         for f in GRID_GENERATORS:
             assert outcome(psi_sup, f, r, R) == outcome(reference_psi_sup, f, r, R), f.spec
@@ -548,7 +547,7 @@ class TestPsiSupPruning:
         # generator and a whole-grid generator (chi2) twice.
         rs = np.array([0.3, 0.0, 1.0 - 2e-11, 1.0, 0.5, 1e-9, 0.01, 1.0 - 1e-7])
         Rs = np.array([2.5, 2.0, 1.0 + 2e-11, 2.0, 1.0, 1e9, 3e6, 1.0 + 1e-7])
-        gens = (*PRUNING_GENERATORS, from_callable("custom-ent", lambda t: t * np.log(t)), chi2())
+        gens = (*PSI_GENERATORS, from_callable("custom-ent", lambda t: t * np.log(t)), chi2())
         stacked = psi_sups(gens, rs, Rs)
         assert stacked.shape == (rs.size, len(gens))
         for g, f in enumerate(gens):
@@ -563,13 +562,6 @@ class TestPsiSupPruning:
             (Generator.deriv_right, rs), (Generator.deriv_left, Rs))]
         assert [_bits(v) for v in psi_sups(gens, rs, Rs, ends).ravel()] == [
             _bits(v) for v in psi_sups(gens, rs, Rs).ravel()]
-
-    def test_most_of_the_grid_is_skipped(self):
-        seen = []
-        counting = dataclasses.replace(kl_quantum(), fn=lambda t: seen.append(np.size(t)) or t * np.log(t),
-                                       psi_peak=None)
-        psi_sup(counting, 0.3, 2.5)
-        assert sum(seen) < 1000
 
 
 QUADRATIC_GENERATORS = (chi2(), chi_alpha(2.0), shift(chi2(), 3.0), dichotomy(2.0))
@@ -718,6 +710,12 @@ class TestClosedFormPsiSup:
                          (tv(), "R"), (arimoto(3.0), "r"), (arimoto(3.0), "R"), (chi_alpha(3.0), "r"),
                          (chi_alpha(3.0), "R")):
             assert against_peak(dataclasses.replace(f, psi_peak=wrong), 0.05, 2.0) > 1e-4, (f.spec, wrong)
+        # Nor for puri-vincze at alpha = 3, whose f'' = 24 |t - 1| / (t + 1)^4
+        # is 0 at t = 1 and peaks at t = 5/3, or for matsushita at alpha =
+        # 0.3; on this window every declaration steps against Psi.
+        for f in (puri_vincze(3.0), matsushita(0.3)):
+            for wrong in "rR1":
+                assert against_peak(dataclasses.replace(f, psi_peak=wrong), 0.9, 10.0) > 1e-5, (f.spec, wrong)
 
     @pytest.mark.parametrize("r, R", EDGE_WINDOWS + ZERO_STEP_WINDOWS)
     def test_edge_windows_equal_closed_form(self, r, R):
@@ -754,7 +752,7 @@ class TestClosedFormPsiSup:
         def no_grid(*args):
             raise AssertionError("psi_sups built a grid")
 
-        monkeypatch.setattr(generators, "_PsiGrid", no_grid)
+        monkeypatch.setattr(generators, "_grid_sups", no_grid)
         with pytest.raises(AssertionError, match="built a grid"):
             psi_sup(conjugate(kl_quantum()), 0.3, 2.5)
         for sampler in SAMPLER_KINDS:

@@ -5,7 +5,7 @@ Usage, from the repository root:
     python3 tools/identity.py > before.txt      # on the old commit
     python3 tools/identity.py | diff before.txt -   # on the new one
 
-It covers `fuzz` stdout on 28 configurations, `certify` and `compute`
+It covers `fuzz` stdout on 29 configurations, `certify` and `compute`
 JSON and CSV and `spectrum` with and without `--out` on 17 pairs (with
 QFDIV_TIMESTAMP fixed), `classical` on 5 distribution pairs, and
 `run_all_checks` reports as JSON over sampled and hand-made pairs, every
@@ -79,6 +79,12 @@ FUZZ_CONFIGS = (
     ("fuzz", "--dim", "5", "--trials", "19", "--seed", "17", "--generator", "chi2",
      "--generator", "chi-alpha:alpha=2", "--generator", "chi2", "--generator", "neg-log",
      "--generator", "tv"),
+    # The CLI-reachable generators that declare no psi_peak, so psi_sups takes
+    # their grids: a 16-pair block, then a 1-pair block.
+    ("fuzz", "--dim", "4", "--trials", "17", "--seed", "18", "--floor", "1e-3",
+     "--generator", "chi-alpha:alpha=1.5", "--generator", "chi-alpha:alpha=3",
+     "--generator", "matsushita:alpha=0.3", "--generator", "puri-vincze:alpha=3",
+     "--generator", "arimoto:alpha=3"),
 )
 
 EXTRA_SPECS = (
