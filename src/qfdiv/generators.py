@@ -179,9 +179,23 @@ def _sgn(t):
     return np.sign(t - 1.0)
 
 
-def _kink(c: float) -> tuple:
-    """The one-sided derivatives of c |t - 1| at t, a scalar or an array."""
-    return (lambda t: np.where(t <= 1.0, -c, c)), (lambda t: np.where(t < 1.0, -c, c))
+def _abs_gap(name: str, params: dict, c: float) -> Generator:
+    """c |t - 1|, to which tv (c = 1), chi-alpha, matsushita and puri-vincze
+    at alpha = 1 (c = 1) and arimoto at alpha = inf (c = 1/2) reduce exactly:
+    t**1.0 = t, x**1.0 = x and (t + 1)**0.0 = 1.  Psi rises up to t = 1 and
+    falls after it, so it peaks there."""
+    return Generator(
+        name=name,
+        params=params,
+        fn=lambda t: c * np.abs(t - 1.0),
+        deriv_left_fn=lambda t: np.where(t <= 1.0, -c, c),
+        deriv_right_fn=lambda t: np.where(t < 1.0, -c, c),
+        value_at_zero=c,
+        star_at_zero=c,
+        deriv_at_zero=-c,
+        smooth=False,
+        psi_peak="1",
+    )
 
 
 def chi_alpha(alpha: float = 2.0) -> Generator:
@@ -190,24 +204,24 @@ def chi_alpha(alpha: float = 2.0) -> Generator:
     alpha = float(alpha)
     if not 1.0 <= alpha < INF:
         raise InputFormatError(f"chi-alpha needs finite alpha >= 1, got {alpha}")
+    if alpha == 1.0:
+        return _abs_gap("chi-alpha", {"alpha": alpha}, 1.0)
 
     def fn(t):
         return np.abs(t - 1.0) ** alpha
 
     deriv = lambda t: alpha * _sgn(t) * np.abs(t - 1.0) ** (alpha - 1.0)
-    dl, dr = _kink(1.0) if alpha == 1.0 else (deriv, deriv)
     return Generator(
         name="chi-alpha",
         params={"alpha": alpha},
         fn=fn,
-        deriv_left_fn=dl,
-        deriv_right_fn=dr,
+        deriv_left_fn=deriv,
+        deriv_right_fn=deriv,
         value_at_zero=1.0,
-        star_at_zero=INF if alpha > 1.0 else 1.0,
+        star_at_zero=INF,
         deriv_at_zero=-alpha,
-        smooth=alpha > 1.0,
         quadratic=1.0 if alpha == 2.0 else None,
-        psi_peak={1.0: "1", 2.0: "r"}.get(alpha),
+        psi_peak="r" if alpha == 2.0 else None,
     )
 
 
@@ -249,23 +263,23 @@ def matsushita(alpha: float = 0.5) -> Generator:
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise InputFormatError(f"matsushita needs 0 < alpha <= 1, got {alpha}")
+    if alpha == 1.0:
+        return _abs_gap("matsushita", {"alpha": alpha}, 1.0)
 
     def fn(t):
         return np.abs(1.0 - t**alpha) ** (1.0 / alpha)
 
     deriv = lambda t: _sgn(t) * t ** (alpha - 1.0) * np.abs(1.0 - t**alpha) ** (1.0 / alpha - 1.0)
-    dl, dr = _kink(1.0) if alpha == 1.0 else (deriv, deriv)
     return Generator(
         name="matsushita",
         params={"alpha": alpha},
         fn=fn,
-        deriv_left_fn=dl,
-        deriv_right_fn=dr,
+        deriv_left_fn=deriv,
+        deriv_right_fn=deriv,
         value_at_zero=1.0,
         star_at_zero=1.0,
-        deriv_at_zero=-1.0 if alpha == 1.0 else -INF,
-        smooth=alpha < 1.0,
-        psi_peak={0.5: "r", 1.0: "1"}.get(alpha),  # (1 - sqrt(t))^2 and |1 - t|
+        deriv_at_zero=-INF,
+        psi_peak="r" if alpha == 0.5 else None,  # (1 - sqrt(t))^2
     )
 
 
@@ -275,6 +289,8 @@ def puri_vincze(alpha: float = 2.0) -> Generator:
     alpha = float(alpha)
     if not 1.0 <= alpha < INF:
         raise InputFormatError(f"puri-vincze needs finite alpha >= 1, got {alpha}")
+    if alpha == 1.0:
+        return _abs_gap("puri-vincze", {"alpha": alpha}, 1.0)
 
     def fn(t):
         return np.abs(1.0 - t) ** alpha / (t + 1.0) ** (alpha - 1.0)
@@ -284,18 +300,16 @@ def puri_vincze(alpha: float = 2.0) -> Generator:
         b = (1.0 - alpha) * np.abs(1.0 - t) ** alpha * (t + 1.0) ** (-alpha)
         return a + b
 
-    dl, dr = _kink(1.0) if alpha == 1.0 else (deriv, deriv)
     return Generator(
         name="puri-vincze",
         params={"alpha": alpha},
         fn=fn,
-        deriv_left_fn=dl,
-        deriv_right_fn=dr,
+        deriv_left_fn=deriv,
+        deriv_right_fn=deriv,
         value_at_zero=1.0,
         star_at_zero=1.0,
         deriv_at_zero=1.0 - 2.0 * alpha,
-        smooth=alpha > 1.0,
-        psi_peak={1.0: "1", 2.0: "r"}.get(alpha),  # |1 - t| and f'' = 8 / (t + 1)^3
+        psi_peak="r" if alpha == 2.0 else None,  # f'' = 8 / (t + 1)^3
     )
 
 
@@ -307,18 +321,7 @@ def arimoto(alpha: float = 2.0) -> Generator:
     """
     alpha = float(alpha)
     if alpha == INF:
-        return Generator(
-            name="arimoto",
-            params={"alpha": INF},
-            fn=lambda t: 0.5 * np.abs(1.0 - t),
-            deriv_left_fn=_kink(0.5)[0],
-            deriv_right_fn=_kink(0.5)[1],
-            value_at_zero=0.5,
-            star_at_zero=0.5,
-            deriv_at_zero=-0.5,
-            smooth=False,
-            psi_peak="1",
-        )
+        return _abs_gap("arimoto", {"alpha": INF}, 0.5)
     if not alpha > 0.0:
         raise InputFormatError(f"arimoto needs alpha > 0 or alpha = inf, got {alpha}")
     if alpha == 1.0:
@@ -381,17 +384,7 @@ def neg_log() -> Generator:
 
 def tv() -> Generator:
     """|u - 1|: total variation."""
-    return Generator(
-        name="tv",
-        fn=lambda t: np.abs(t - 1.0),
-        deriv_left_fn=_kink(1.0)[0],
-        deriv_right_fn=_kink(1.0)[1],
-        value_at_zero=1.0,
-        star_at_zero=1.0,
-        deriv_at_zero=-1.0,
-        smooth=False,
-        psi_peak="1",
-    )
+    return _abs_gap("tv", {}, 1.0)
 
 
 def chi2() -> Generator:
@@ -602,15 +595,23 @@ def _check_window(r: float, R: float) -> tuple:
     return r, R
 
 
+def _check_open_window(r: float, R: float, closed: bool = False) -> tuple:
+    """(r, R) as finite floats with 0 <= r < 1 < R, or thm3's 0 <= r <= 1 <= R,
+    r < R if closed."""
+    r, R = _check_window(r, R)
+    if not (0.0 <= r <= 1.0 <= R and r < R if closed else 0.0 <= r < 1.0 < R):
+        need = "0 <= r <= 1 <= R with r < R" if closed else "0 <= r < 1 < R"
+        raise PreconditionError(f"need {need}, got r={r}, R={R}")
+    return r, R
+
+
 def secant_bound(f: Generator, r: float, R: float) -> float:
     """Chord value [(R-1) f(r) + (1-r) f(R)] / (R - r).
 
     Requires 0 <= r <= 1 <= R with r < R.  Returns +inf when f(r) is
     infinite (e.g. -ln at r = 0).
     """
-    r, R = _check_window(r, R)
-    if not (0.0 <= r <= 1.0 <= R):
-        raise PreconditionError(f"need 0 <= r <= 1 <= R, got r={r}, R={R}")
+    r, R = _check_open_window(r, R, closed=True)
     return secant_value(r, R, f(r), f(R))
 
 
@@ -644,12 +645,12 @@ def psi_sup(f: Generator, r: float, R: float) -> float:
         Psi(r+) = slope(r, R) - f'_+(r),
         Psi(R-) = f'_-(R) - slope(r, R),
 
-    and the gap at t = 1 when interior.  That is the sup itself for a
-    generator that declares where Psi peaks (f.psi_peak, every catalog
-    default), with a (R - r) added for a quadratic f (its gap
-    everywhere).  For any other f the gap's max over a uniform
-    10001-point grid, pulled in from the endpoints by the fraction 1e-6
-    of the width, is added: one f.fn call on the grid and t = 1.  Returns
+    and the gap Psi(1) at t = 1 when interior, taken for every f.  That is
+    the sup itself for a generator that declares where Psi peaks
+    (f.psi_peak, every catalog default), with a (R - r) added for a
+    quadratic f (its gap everywhere).  For any other f the gap's max over
+    a uniform 10001-point grid, pulled in from the endpoints by the
+    fraction 1e-6 of the width, is added: one f.fn call on the grid.  Returns
     +inf when f(r) is infinite or a one-sided derivative at an endpoint
     diverges.  Never exceeds f'_-(R) - f'_+(r) when that gap is finite.
     This is psi_sups with one generator and window.
@@ -682,11 +683,12 @@ def psi_sups(generators, r, R, ends=None) -> np.ndarray:
     array; ends holds f(r), f(R), f'_+(r) and f'_-(R) as (windows,
     generators) arrays, by default from _window_ends.
 
-    A generator that declares f.psi_peak takes the closed form max(Psi(1)
-    when r < 1 < R, Psi(r+), Psi(R-)), plus a (R - r) for a quadratic f
-    (f.quadratic = a), and has no grid; Psi(1) is formed from f(1) as
-    check_thm4 forms it, so K Psi(1) <= K sup Psi holds after rounding.
-    For r < t < R, Taylor's formula with integral remainder gives
+    Every entry takes max(Psi(1) when r < 1 < R, Psi(r+), Psi(R-)), plus
+    a (R - r) for a quadratic f (f.quadratic = a).  Psi(1) is formed from
+    f(1) as check_thm4 forms it, so K Psi(1) <= K sup Psi holds after
+    rounding for every generator.  A generator that declares f.psi_peak
+    has no grid: that max is its sup.  For r < t < R, Taylor's formula
+    with integral remainder gives
 
         Psi'(t) = int_0^1 (1 - s) [f''(t + s (R - t)) - f''(t - s (t - r))] ds.
 
@@ -696,11 +698,10 @@ def psi_sups(generators, r, R, ends=None) -> np.ndarray:
     so sup Psi = Psi(1), or 0 = Psi(r+) where 1 is not interior.
 
     The other generators (conjugates, from_callable generators and the
-    catalog parameters without a declared peak) take the max of the two
-    limits and the gap's max over a grid (_grid_sups): PSI_GRID_POINTS
-    points pulled in from the endpoints by PSI_EDGE_FRACTION of the width,
-    and t = 1 when interior, in one f.fn call per (window, generator)
-    entry.
+    catalog parameters without a declared peak) add the gap's max over a
+    grid (_grid_sups): PSI_GRID_POINTS points pulled in from the endpoints
+    by PSI_EDGE_FRACTION of the width, in one f.fn call per (window,
+    generator) entry.
     """
     r, R = np.broadcast_arrays(np.atleast_1d(np.asarray(r, dtype=np.float64)),
                                np.atleast_1d(np.asarray(R, dtype=np.float64)))
@@ -719,19 +720,15 @@ def psi_sups(generators, r, R, ends=None) -> np.ndarray:
     r, R, fr, fR = r[win], R[win], fr[at], fR[at]
     slope = (fR - fr) / (R - r)
     limits = slope - dr[at], dR[at] - slope
-    best = np.empty(gen.size)
-    peaked = np.array([f.psi_peak is not None for f in generators], dtype=bool)[gen]
-    if peaked.any():
-        # Psi(1), and the constant gap a (R - r) of a quadratic f, which
-        # Psi(1) and the limits can round below or above.
-        a, f1 = np.array([(-INF if f.quadratic is None else f.quadratic, f(1.0))
-                          for f in generators])[gen[peaked]].T
-        rp, Rp = r[peaked], R[peaked]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            at_one = np.where((rp < 1.0) & (1.0 < Rp), psi_value(1.0, rp, Rp, f1, fr[peaked], fR[peaked]), -INF)
-        best[peaked] = np.maximum(a * (Rp - rp), at_one)
-    if not peaked.all():
-        best[~peaked] = _grid_sups(generators, *(x[~peaked] for x in (gen, r, R, fr, fR)))
+    # Psi(1), and the constant gap a (R - r) of a quadratic f, which Psi(1)
+    # and the limits can round below or above.
+    a, f1 = np.array([(-INF if f.quadratic is None else f.quadratic, f(1.0)) for f in generators])[gen].T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        at_one = np.where((r < 1.0) & (1.0 < R), psi_value(1.0, r, R, f1, fr, fR), -INF)
+    best = np.maximum(a * (R - r), at_one)
+    grid = np.array([f.psi_peak is None for f in generators], dtype=bool)[gen]
+    if grid.any():
+        best[grid] = np.maximum(best[grid], _grid_sups(generators, *(x[grid] for x in (gen, r, R, fr, fR))))
     for limit in limits:
         best = np.where(limit > best, limit, best)
     out[at] = best
@@ -741,8 +738,8 @@ def psi_sups(generators, r, R, ends=None) -> np.ndarray:
 def _grid_sups(generators, gen, r, R, fr, fR) -> np.ndarray:
     """The double-slope gap's max over the grid of each entry, entry e
     being generator gen[e] on the window [r[e], R[e]]: np.linspace(r + h,
-    R - h, PSI_GRID_POINTS) with h = PSI_EDGE_FRACTION (R - r), and t = 1
-    when r < 1 < R, in one f.fn call."""
+    R - h, PSI_GRID_POINTS) with h = PSI_EDGE_FRACTION (R - r), in one
+    f.fn call.  psi_sups adds Psi(1)."""
     h = (R - r) * PSI_EDGE_FRACTION
     if (r + h <= 0.0).any():
         raise PreconditionError("array evaluation requires strictly positive points")
@@ -750,8 +747,6 @@ def _grid_sups(generators, gen, r, R, fr, fR) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for e, g in enumerate(gen.tolist()):
             ts = np.linspace(r[e] + h[e], R[e] - h[e], PSI_GRID_POINTS)
-            if r[e] < 1.0 < R[e]:
-                ts = np.append(ts, 1.0)
             ft = np.asarray(generators[g].fn(ts), dtype=np.float64)
             gaps = (fR[e] - ft) / (R[e] - ts) - (ft - fr[e]) / (ts - r[e])
             best[e] = gaps.max()

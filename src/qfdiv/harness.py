@@ -39,10 +39,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InputFormatError, PreconditionError
+from .errors import InputFormatError
 from .generators import (
     Generator,
-    _check_window,
+    _check_open_window,
     _window_ends,
     default_catalog,
     jensen_gap_value,
@@ -234,10 +234,11 @@ def _reports(chains, judged, row: int, js: JointSpectrum, generators) -> list:
 
 class _Block:
     """The invariants of a block of B (Q, P) pairs, one (B, 1) column each:
-    window [r, R], V, K, thm3's tightness (every occupied ratio at an end
-    of the window); and the stacked weights and ratios.  chi and the
-    swapped chi-square are computed for the block once a pair needs them,
-    raising the first error (which only a spectrum not built from its own
+    window [r, R], V, K, chi, thm3's tightness (every occupied ratio at an
+    end of the window); and the stacked weights and ratios.  chi, which
+    thm2 reads on every block, is computed with the block; the swapped
+    chi-square, which only neg-log's oracle reads, once it is read.  Both
+    raise the first error (which only a spectrum not built from its own
     pair can have).  The spectra share one threshold, eps."""
 
     def __init__(self, qds: list, pds: list, spectra: list):
@@ -255,26 +256,19 @@ class _Block:
         with np.errstate(divide="ignore", invalid="ignore"):
             k = (R - 1.0) * (1.0 - r) / (R - r)
         q_invertible = [qd.min_eigenvalue >= self.eps for qd in qds]
-        self.r, self.R, self.v, self.tight, self.window, self.strict, self.k, self.quarter, \
+        chi = [math.sqrt(max(value, 0.0)) for value in _raise_first(chi_squares(qds, pds, self.eps))]
+        self.r, self.R, self.v, self.chi, self.tight, self.window, self.strict, self.k, self.quarter, \
             self.q_invertible = (np.array(x)[:, np.newaxis] for x in (
-                r, R, v, tight, R - r > DEGENERATE_WINDOW_TOL, strict, k, 0.25 * (R - r), q_invertible))
+                r, R, v, chi, tight, R - r > DEGENERATE_WINDOW_TOL, strict, k, 0.25 * (R - r), q_invertible))
 
     @functools.cached_property
-    def _chi(self) -> np.ndarray:
-        return np.array([[math.sqrt(max(value, 0.0))] for value in _raise_first(
-            chi_squares(self.qds, self.pds, self.eps))])
-
-    @functools.cached_property
-    def _chi_swapped(self) -> np.ndarray:
+    def chi_swapped(self) -> np.ndarray:
         """chi-square(P, Q) for each pair whose Q is invertible at eps."""
         out, rows = np.full((len(self.qds), 1), math.nan), np.flatnonzero(self.q_invertible)
-        out[rows, 0] = _raise_first(chi_squares([self.pds[k] for k in rows],
-                                                [self.qds[k] for k in rows], self.eps))
+        if rows.size:
+            out[rows, 0] = _raise_first(chi_squares([self.pds[k] for k in rows],
+                                                    [self.qds[k] for k in rows], self.eps))
         return out
-
-    def chi(self, rows, swapped: bool = False) -> np.ndarray:
-        """chi per pair, or chi-square(P, Q) if swapped, once an entry of rows needs it."""
-        return (self._chi_swapped if swapped else self._chi) if rows.any() else np.zeros_like(self.r)
 
 
 def _pair(q, p, js: JointSpectrum, eps: float) -> _Block:
@@ -321,7 +315,9 @@ def _terms(b: _Block, generators) -> _Terms:
 # Each producer returns one check's chains for all pairs and generators of
 # a block, in report order: a skipped chain (for the entries its
 # hypotheses exclude), its own chain, then its subchains.  The list
-# depends only on the generators, not on the block.
+# depends only on the generators, not on the block: a closed form is
+# listed whenever its family is, with no entries where the block excludes
+# it.  _Tally relies on this, fixing its chain layout from the first block.
 
 
 _DEGENERATE = "degenerate window: r = R"
@@ -332,13 +328,14 @@ def _with_closed_form(b: _Block, gens: tuple, e: _Terms, check: str, labels: tup
                       values: tuple, rows, flags=(), subs=(), skip: str = None) -> list:
     """The chain of `check` on the entries `rows` (skipped on the others,
     for the reason skip), its subchains `subs`, then the closed forms of
-    the generators' families from _CLOSED_FORMS on their entries."""
+    the generators' families from _CLOSED_FORMS on their entries (none on
+    a block whose rows exclude them)."""
     skipped = [_Chain(check, ("value",), (e.sf,), ~rows, note=skip)] if skip else []
     closed = []
+    names = [f.name for f in gens]
     for (of, family), (name, sub_labels, terms) in _CLOSED_FORMS.items():
-        ours = rows & np.array([f.name == family for f in gens]) if of == check else None
-        if ours is not None and ours.any():
-            sub_values, sub_rows, more = terms(b, gens, e, ours)
+        if of == check and family in names:
+            sub_values, sub_rows, more = terms(b, gens, e, rows & np.array([n == family for n in names]))
             flags = (*flags, *more)
             closed.append(_Chain(name, sub_labels, sub_values, sub_rows, sub=True))
     return [*skipped, _Chain(check, labels, values, rows, flags), *subs, *closed]
@@ -366,15 +363,14 @@ def _thm2(b: _Block, gens: tuple, e: _Terms) -> list:
 
     [S_f, D/2 * V, D/2 * chi, (R-r)/4 * D] with D = f'_-(R) - f'_+(r),
     V the variational quantity, and chi = sqrt of the chi-square
-    distance.  Closed-form specializations are attached for the chi2,
-    kl, neg-log, and tsallis generators.  Skipped on a degenerate window,
-    R - r <= DEGENERATE_WINDOW_TOL, where every window term vanishes and
-    only rounding is left.
+    distance: the closed forms' shape (_thm2_form) with coefficient D/2,
+    whose halving and quartering are exact.  Closed-form specializations
+    are attached for the chi2, kl, neg-log, and tsallis generators.
+    Skipped on a degenerate window, R - r <= DEGENERATE_WINDOW_TOL, where
+    every window term vanishes and only rounding is left.
     """
-    d, rows = e.gap, b.window & e.every
-    finite = ~np.isinf(d)
-    chi = b.chi(rows & finite)
-    values = (e.sf, *(np.where(finite, x, INF) for x in (0.5 * d * b.v, 0.5 * d * chi, b.quarter * d)))
+    rows = b.window & e.every
+    values, _, _ = _thm2_form(lambda r, R, gens: 0.5 * e.gap)(b, gens, e, rows)
     return _with_closed_form(b, gens, e, "thm2", (
         "value", "half-gap-variation", "half-gap-chi", "quarter-window-gap"), values, rows,
         skip=_DEGENERATE)
@@ -443,16 +439,6 @@ def _chains(b: _Block, generators, producers=_CHAINS, sf: float = None) -> tuple
 # closed-form window coefficients (for tightness comparisons)
 
 
-def _check_open_window(r: float, R: float, closed: bool = False) -> tuple:
-    """(r, R) as finite floats with 0 <= r < 1 < R, or thm3's 0 <= r <= 1 <= R,
-    r < R if closed."""
-    r, R = _check_window(r, R)
-    if not (0.0 <= r <= 1.0 <= R and r < R if closed else 0.0 <= r < 1.0 < R):
-        need = "0 <= r <= 1 <= R with r < R" if closed else "0 <= r < 1 < R"
-        raise PreconditionError(f"need {need}, got r={r}, R={R}")
-    return r, R
-
-
 def _coefficient(name: str, formula, doc: str, closed: bool = False):
     """The public function `name` of formula(r, R), written for a block's
     (B, 1) columns and kept as .formula, on one checked window (closed: thm3's)."""
@@ -494,7 +480,7 @@ neg_log_range_coeff = _coefficient(
 def _swap_oracle(b, gens, e, rows):
     # For f = -ln t the slope-weighted gap is the swapped chi-square distance.
     singular, rows = rows & ~b.q_invertible, rows & b.q_invertible
-    swapped = np.broadcast_to(b.chi(rows, swapped=True), rows.shape)
+    swapped = np.broadcast_to(b.chi_swapped, rows.shape)
     equal = rows & np.isfinite(e.slope_gap) & (
         np.abs(e.slope_gap - swapped) <= 1e-8 * np.maximum(1.0, np.abs(swapped)))
     return (np.zeros(rows.shape), e.sf, swapped), rows, (
@@ -510,8 +496,7 @@ def _thm2_form(coeff, final=None):
         co = np.broadcast_to(coeff(b.r, b.R, gens), rows.shape)
         finite = np.isfinite(co)
         last = final(b.r, b.R) if final else np.where(finite, 0.5 * (b.R - b.r) * co, INF)
-        chi = b.chi(rows & finite)
-        return (e.sf, np.where(finite, co * b.v, INF), np.where(finite, co * chi, INF),
+        return (e.sf, np.where(finite, co * b.v, INF), np.where(finite, co * b.chi, INF),
                 np.broadcast_to(last, rows.shape)), rows, ()
 
     return terms
@@ -807,7 +792,8 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 class _Tally:
     """fuzz's aggregates, fed one block of trials at a time in trial order;
-    the check and link of each judged column are worked out once."""
+    the check and link of each judged column are worked out once, on the
+    first block, since the chain list depends only on the generators."""
 
     def __init__(self, config: FuzzConfig):
         self.config, self.violations, self.checks, self.counts = config, [], [], ()

@@ -307,6 +307,26 @@ class TestDerivatives:
             assert [_bits(v) for v in out] == [_bits(scalar(t)) for t in ts]
 
 
+class TestAbsGap:
+    """tv, chi-alpha, matsushita and puri-vincze at alpha = 1 and arimoto at
+    alpha = inf are one generator, c |t - 1|: their family formulas reduce
+    to it exactly at these parameters."""
+
+    @pytest.mark.parametrize("spec, c, formula", [
+        ("tv", 1.0, lambda t: np.abs(t - 1.0)),
+        ("chi-alpha:alpha=1", 1.0, lambda t: np.abs(t - 1.0) ** 1.0),
+        ("matsushita:alpha=1", 1.0, lambda t: np.abs(1.0 - t ** 1.0) ** 1.0),
+        ("puri-vincze:alpha=1", 1.0, lambda t: np.abs(1.0 - t) ** 1.0 / (t + 1.0) ** 0.0),
+        ("arimoto:alpha=inf", 0.5, lambda t: 0.5 * np.abs(1.0 - t)),
+    ], ids=lambda x: x if isinstance(x, str) else "")
+    def test_family_formula_is_fn_bit_for_bit(self, spec, c, formula):
+        f = parse_generator_spec(spec)
+        ts = np.array([5e-324, 1e-300, 0.5, 1.0, 2.0, 1e300])
+        assert [_bits(v) for v in f.fn(ts)] == [_bits(v) for v in formula(ts)]
+        assert (f.value_at_zero, f.star_at_zero, f.deriv_at_zero) == (c, c, -c)
+        assert (f.smooth, f.psi_peak, f.quadratic) == (False, "1", None)
+
+
 class TestEvaluation:
     def test_scalar_zero_uses_limit(self):
         assert kl_quantum()(0.0) == 0.0

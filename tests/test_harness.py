@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfdiv import harness
 from qfdiv.errors import InputFormatError, PreconditionError
 from qfdiv.generators import (
     chi2,
@@ -17,6 +18,7 @@ from qfdiv.generators import (
     kl_quantum,
     parse_generator_spec,
     shift,
+    tv,
 )
 from qfdiv.harness import (
     DEGENERATE_WINDOW_TOL,
@@ -453,11 +455,17 @@ class TestArrayEvaluation:
         assert seen_zero
 
     def test_chi2_psi_at_one_never_above_sup_at_any_tolerance(self):
+        # psi_sups takes Psi(1) for every generator, also for those without
+        # a declared peak: conjugates, a from_callable one (10001 Python
+        # calls per grid, so on two pairs each) and grid-taking parameters.
+        quadratic = (chi2(), parse_generator_spec("chi-alpha:alpha=2"))
+        grid = (conjugate(kl_quantum()), conjugate(tv()), from_callable("ent", lambda t: t * math.log(t)),
+                parse_generator_spec("chi-alpha:alpha=3"), parse_generator_spec("arimoto:alpha=3"))
         for k, (kind, dim) in enumerate((kind, dim) for kind in ("ginibre", "mixture", "commuting")
                                         for dim in (2, 3, 4, 8)):
             for trial in range(8):
                 q, p = sample_pair(kind, dim, 0.0, rng_for(1000 * k + trial))
-                for f in (chi2(), parse_generator_spec("chi-alpha:alpha=2")):
+                for f in (*quadratic, *grid) if trial < 2 else quadratic:
                     rep = check_thm4(q, p, f, tol=1e-300)
                     if rep.status == "skipped":
                         continue
@@ -797,6 +805,35 @@ class TestFuzz:
         res = fuzz(FuzzConfig(dim=3, trials=4, seed=0, eps=0.5))
         assert len(res.summary["skipped_trials"]) == 4
         assert res.violations == ()
+
+    @pytest.mark.parametrize("degenerate", [0, 1], ids=["degenerate-first", "degenerate-last"])
+    def test_block_without_closed_forms_keeps_chain_list(self, monkeypatch, degenerate):
+        # 17 trials are a block of 16 and a block of 1.  Block `degenerate` is
+        # Q = P = I/2, whose window r = R = 1 leaves no entry to any closed
+        # form of thm2 to thm5; the tally's chain layout must still fit the
+        # other block.
+        half = as_density(np.eye(2) / 2.0)
+        real, blocks = harness.sample_pairs, []
+
+        def sample(kind, dim, floor, rngs):
+            pairs = real(kind, dim, floor, rngs)
+            blocks.append([(half, half)] * len(pairs) if len(blocks) == degenerate else pairs)
+            return blocks[-1]
+
+        monkeypatch.setattr(harness, "sample_pairs", sample)
+        result = fuzz(FuzzConfig(dim=2, trials=17))
+        assert result.violations == ()
+        expected = {}
+        for qd, pd in (pair for pairs in blocks for pair in pairs):
+            for f in default_catalog():
+                for top in run_all_checks(qd, pd, f):
+                    for rep in (top, *top.subchains):
+                        if qd is half and rep.check in ("thm2", "thm3", "thm4", "thm5"):
+                            assert rep.status == "skipped", (f.spec, rep.check)
+                        counts = expected.setdefault(rep.check, dict.fromkeys(
+                            ("pass", "vacuous-pass", "fail", "skipped"), 0))
+                        counts[rep.status] += 1
+        assert result.summary["checks"] == expected
 
 
 class TestCollectViolations:

@@ -9,7 +9,7 @@ It covers `fuzz` stdout on 29 configurations, `certify` and `compute`
 JSON and CSV and `spectrum` with and without `--out` on 17 pairs (with
 QFDIV_TIMESTAMP fixed), `classical` on 5 distribution pairs, and
 `run_all_checks` reports as JSON over sampled and hand-made pairs, every
-generator of a 21-entry list and two tolerances.  The digests depend on
+generator of a 23-entry list and two tolerances.  The digests depend on
 the numpy/LAPACK/BLAS build, so they compare two commits on one machine;
 they are not a test.
 
@@ -72,7 +72,8 @@ FUZZ_CONFIGS = (
     ("fuzz", "--dim", "1", "--trials", "20", "--seed", "14"),
     # Only generators with a derivative kink.
     ("fuzz", "--dim", "3", "--trials", "20", "--seed", "15", "--generator", "tv",
-     "--generator", "matsushita:alpha=1", "--generator", "arimoto:alpha=inf"),
+     "--generator", "matsushita:alpha=1", "--generator", "arimoto:alpha=inf",
+     "--generator", "chi-alpha:alpha=1", "--generator", "puri-vincze:alpha=1"),
     ("fuzz", "--sampler", "commuting", "--dim", "2", "--trials", "20", "--seed", "16",
      "--generator", "neg-log"),
     # A 16-pair block, then a 3-pair block, with a whole-grid generator repeated.
@@ -90,7 +91,7 @@ FUZZ_CONFIGS = (
 EXTRA_SPECS = (
     "chi-alpha:alpha=3", "chi-alpha:alpha=1.5", "tsallis:q=0.2", "tsallis:q=0.8",
     "dichotomy:alpha=0.25", "matsushita:alpha=0.3", "puri-vincze:alpha=3",
-    "arimoto:alpha=3", "arimoto:alpha=1.5",
+    "arimoto:alpha=3", "arimoto:alpha=1.5", "chi-alpha:alpha=1", "puri-vincze:alpha=1",
 )
 
 
