@@ -28,6 +28,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -125,7 +126,42 @@ def _numpy_build() -> dict:
 
 
 def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) and a newline, byte for byte.
+
+    json.dumps with an indent runs json's pure-Python encoder over every
+    value.  Here a scalar, and a container that holds no container, are
+    written by one call of json's C encoder, built per depth with an item
+    separator that breaks the line and indents; the newline and indent
+    after the opening and before the closing bracket are spliced in.
+    Only containers of containers are laid out in Python, and their keys
+    must be str: another key raises TypeError (json.dumps would convert
+    it).  An unserializable value raises json.dumps's TypeError."""
+    encoders = {}  # depth -> C encoder
+    default = json.JSONEncoder().default
+
+    def encode(obj, depth: int) -> str:
+        inner = "\n" + "  " * (depth + 1)
+        if isinstance(obj, dict):
+            parts = obj.values()
+        else:
+            parts = obj if isinstance(obj, (list, tuple)) else ()
+        if not any(isinstance(part, (dict, list, tuple)) for part in parts):
+            if depth not in encoders:
+                encoders[depth] = c_make_encoder(None, default, encode_basestring_ascii, None, ": ",
+                                                 "," + inner, False, False, True)
+            text = "".join(encoders[depth](obj, 0))
+            # A scalar or an empty container, as it is; else the brackets on their own lines.
+            return text if not parts else text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
+        if isinstance(obj, dict):
+            for key in obj:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+            body = ("," + inner).join(encode_basestring_ascii(key) + ": " + encode(value, depth + 1)
+                                      for key, value in obj.items())
+            return "{" + inner + body + inner[:-2] + "}"
+        return "[" + inner + ("," + inner).join(encode(part, depth + 1) for part in obj) + inner[:-2] + "]"
+
+    return encode(doc, 0) + "\n"
 
 
 def _emit(doc: dict, out: str, human_lines) -> None:

@@ -122,6 +122,11 @@ class Generator:
         inner = ",".join(f"{k}={_fmt_param(v)}" for k, v in sorted(self.params.items()))
         return f"{self.name}:{inner}"
 
+    @functools.cached_property
+    def value_at_one(self) -> float:
+        """f(1), evaluated once."""
+        return self(1.0)
+
     def __repr__(self) -> str:
         return f"Generator({self.spec!r})"
 
@@ -722,7 +727,8 @@ def psi_sups(generators, r, R, ends=None) -> np.ndarray:
     limits = slope - dr[at], dR[at] - slope
     # Psi(1), and the constant gap a (R - r) of a quadratic f, which Psi(1)
     # and the limits can round below or above.
-    a, f1 = np.array([(-INF if f.quadratic is None else f.quadratic, f(1.0)) for f in generators])[gen].T
+    a, f1 = np.array([(-INF if f.quadratic is None else f.quadratic, f.value_at_one)
+                      for f in generators])[gen].T
     with np.errstate(divide="ignore", invalid="ignore"):
         at_one = np.where((r < 1.0) & (1.0 < R), psi_value(1.0, r, R, f1, fr, fR), -INF)
     best = np.maximum(a * (R - r), at_one)

@@ -24,7 +24,8 @@ fuzz draws its random density pairs from seeded,
 counter-based streams: trial k always uses the stream keyed by (seed,
 k), so a run's output is a function of its configuration (not of the
 block size) and any violation can be replayed bit-for-bit from its
-(seed, trial) pair.
+(seed, trial) pair.  One Philox serves a run, re-keyed for each trial to
+the state a Philox built with that key starts in.
 """
 
 from __future__ import annotations
@@ -305,7 +306,7 @@ def _terms(b: _Block, generators) -> _Terms:
     with np.errstate(invalid="ignore", over="ignore"):
         gap = np.where(np.isfinite(dR) & np.isfinite(dr), dR - dr, INF)
     return _Terms(sums[:G].T, codes[:G].T, gaps, sup, fr, fR, fmid, dr, dR, gap,
-                  np.ones(fr.shape, dtype=bool), np.array([[f(1.0) for f in generators]]),
+                  np.ones(fr.shape, dtype=bool), np.array([[f.value_at_one for f in generators]]),
                   np.array([[f.smooth for f in generators]]))
 
 
@@ -654,10 +655,11 @@ def _draw(kind: str, dim: int, rng: np.random.Generator, states: int) -> tuple:
     return np.concatenate([g for g, _ in draws]), np.stack([w for _, w in draws])
 
 
-def _states(kind: str, dim: int, floor: float, rngs: list, states: int) -> np.ndarray:
-    """The (len(rngs) * states, dim, dim) stack of sampled states (see
-    sample_density), `states` from each stream in turn, formed from the
-    draws in one stacked pass and made exactly Hermitian."""
+def _states(kind: str, dim: int, floor: float, rngs, states: int) -> np.ndarray:
+    """The (streams * states, dim, dim) stack of sampled states (see
+    sample_density), `states` from each stream of the iterable rngs in
+    turn, formed from the draws in one stacked pass and made exactly
+    Hermitian.  Each stream is drawn from before the next is taken."""
     draws = [_draw(kind, dim, rng, states) for rng in rngs]
     normals = np.concatenate([g for g, _ in draws]).reshape(-1, 2, dim, dim)
     g = normals[:, 0] + 1j * normals[:, 1]
@@ -699,10 +701,12 @@ def sample_pair(kind: str, dim: int, floor: float, rng: np.random.Generator) -> 
 def sample_pairs(kind: str, dim: int, floor: float, rngs) -> list:
     """sample_pair for each stream of a block, bit for bit: the draws are
     made stream by stream, everything after them over the stacked block
-    (one eigh call for all states).  The first state in (stream, Q before
-    P) order that fails a density check raises."""
+    (one eigh call for all states).  rngs is iterated once, and each
+    stream is drawn from before the next is taken, so it may yield one
+    Generator re-keyed in turn.  The first state in (stream, Q before P)
+    order that fails a density check raises."""
     kind, dim, floor = _check_sampler_args(kind, dim, floor)
-    states = densities(_states(kind, dim, floor, list(rngs), 2))
+    states = densities(_states(kind, dim, floor, rngs, 2))
     return list(zip(states[0::2], states[1::2]))
 
 
@@ -790,6 +794,20 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _rekey(rng: np.random.Generator, seed: int, trial: int) -> np.random.Generator:
+    """rng, whose bit generator is a Philox, set to the state _trial_rng(seed,
+    trial) starts in: counter 0, key (seed mod 2**64, trial), an empty
+    buffer.  Setting a state is several times cheaper than building a
+    Generator."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed % (2**64), trial], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
+
+
 class _Tally:
     """fuzz's aggregates, fed one block of trials at a time in trial order;
     the check and link of each judged column are worked out once, on the
@@ -821,23 +839,26 @@ class _Tally:
             counts += np.bincount((ids * counts.shape[1] + code)[on],
                                   minlength=counts.size).reshape(counts.shape)
 
-        def where(i):
-            (row, g), (check, link) = (divmod(int(i) // len(self.links), len(gens)),
-                                       self.links[int(i) % len(self.links)])
-            return (trials[row], check, gens[g].spec, link), float(slack.flat[i])
-
+        # The least finite slack's entry, then the near-tight entries still
+        # to list, decoded from their flat (B, G, links) indices together.
         finite = linked & np.isfinite(slack)
-        if finite.any():
-            (trial, check, spec, link), value = where(np.argmin(np.where(finite, slack, INF)))
-            if self.min_slack is None or value < self.min_slack["slack"]:
-                self.min_slack = {"slack": value, "check": check, "generator": spec,
-                                  "trial": trial, "link": link}
+        lowest = bool(finite.any())
         tight = np.flatnonzero(finite & (slack >= 0.0) & (slack < NEAR_TIGHT_SLACK))
         self.near_tight_total += tight.size
-        for i in tight[:max(0, 100 - len(self.near_tight))]:
-            (trial, check, spec, link), value = where(i)
-            self.near_tight.append({"trial": trial, "check": check, "generator": spec,
-                                    "link": link, "slack": value})
+        at = tight[:max(0, 100 - len(self.near_tight))]
+        if lowest:
+            at = np.concatenate(([np.argmin(np.where(finite, slack, INF))], at))
+        rows, rest = np.divmod(at, len(gens) * len(self.links))
+        gs, links = np.divmod(rest, len(self.links))
+        entries = [{"trial": trials[row], "check": self.links[k][0], "generator": gens[g].spec,
+                    "link": self.links[k][1], "slack": value}
+                   for row, g, k, value in zip(rows.tolist(), gs.tolist(), links.tolist(),
+                                               slack.ravel()[at].tolist())]
+        if lowest:
+            low = entries.pop(0)
+            if self.min_slack is None or low["slack"] < self.min_slack["slack"]:
+                self.min_slack = {key: low[key] for key in ("slack", "check", "generator", "trial", "link")}
+        self.near_tight.extend(entries)
 
         for row in np.flatnonzero((linked & (codes == 2)).any(axis=(1, 2))).tolist():
             for top in itertools.chain.from_iterable(_reports(chains, judged, row, b.spectra[row], gens)):
@@ -887,10 +908,11 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
     tally = _Tally(config)
     skipped_trials = []
     trials = int(config.trials)
+    rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for every trial
     for first in range(0, trials, FUZZ_BLOCK):
         numbers = range(first, min(first + FUZZ_BLOCK, trials))
         pairs = sample_pairs(config.sampler, config.dim, config.floor,
-                             [_trial_rng(config.seed, trial) for trial in numbers])
+                             (_rekey(rng, config.seed, trial) for trial in numbers))
         spectra = joint_spectra([qd for qd, _ in pairs], [pd for _, pd in pairs], config.eps)
         kept = []
         for k, (trial, js) in enumerate(zip(numbers, spectra)):

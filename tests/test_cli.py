@@ -3,14 +3,17 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qfdiv.cli import CSV_COLUMNS, build_parser, main
+from qfdiv.cli import CSV_COLUMNS, _dump_json, build_parser, main
 from qfdiv.hermitian import MAX_DIM, matrix_to_json
 
 
@@ -491,6 +494,46 @@ class TestParser:
         assert json.loads(first[1])["summary"]["config"]["generators"] == ["tv"]
         _, out = run(capsys, "fuzz", "--dim", "2", "--trials", "2", "--seed", "3")
         assert len(json.loads(out)["summary"]["config"]["generators"]) == 12
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324]),
+    st.floats().map(np.float64),
+    st.text(), st.text(alphabet=st.characters(max_codepoint=0x1f)),
+)
+_DOCUMENTS = st.recursive(_SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4), st.lists(children, max_size=4).map(tuple),
+    st.dictionaries(st.text(), children, max_size=4)), max_leaves=40)
+# Empty containers at every depth, nested five deep.
+_DEEP = {"a": [{}, [], (), {"b": [[], {"c": [{}, ({"d": []},), "\u00e9\u0001"]}]}], "e": {"f": {"g": {}}}}
+
+
+class TestJsonWriter:
+    """Every JSON document is written by _dump_json, which must give
+    json.dumps(indent=2)'s bytes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_DOCUMENTS)
+    @example(_DEEP)
+    @example({"x": [math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float64(1 / 3), True, None, 2**70]})
+    def test_matches_json_dumps_indent_2(self, doc):
+        assert _dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("doc", [
+        {"a": [1, object()]},
+        {"a": {"b": [1, {1, 2}]}},
+        [{"a": np.int64(3)}],
+        np.float32(1.0),
+    ])
+    def test_unserializable_value_raises_type_error(self, doc):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _dump_json(doc)
+
+    @pytest.mark.parametrize("doc", [{1: [2]}, {"a": {"b": {2: {}}}}, [{"a": {None: [1]}}]])
+    def test_non_str_key_of_container_of_containers_raises_type_error(self, doc):
+        with pytest.raises(TypeError, match="keys must be str"):
+            _dump_json(doc)
 
 
 class TestImports:

@@ -738,6 +738,54 @@ class TestFuzzConfig:
             sample_pair("ginibre", dim, 0.0, rng_for(0))
 
 
+def _same_state(a, b) -> bool:
+    """Two bit-generator state dicts are equal, arrays by dtype and value."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+class TestRekey:
+    """fuzz draws every trial from one Philox re-keyed to (seed, trial); each
+    re-keyed state must be the one a Philox built with that key starts in."""
+
+    @pytest.mark.parametrize("seed", [0, 19, 2**64 - 1, 2**64 + 7, -1, -(2**70) - 3])
+    def test_rekeyed_state_and_draws_are_a_fresh_philox(self, seed):
+        from qfdiv.harness import _rekey, _trial_rng
+
+        rng = np.random.Generator(np.random.Philox(key=0))
+        rng.integers(2**32, dtype=np.uint32)  # a buffered 32-bit half and a partly used buffer
+        for t in (0, 1, 5, 5, 2**40):
+            before = rng.bit_generator.state
+            assert (before["buffer_pos"], before["has_uint32"]) != (4, 0)
+            assert _rekey(rng, seed, t) is rng
+            fresh = np.random.Philox(key=np.array([seed % 2**64, t], dtype=np.uint64))
+            assert _same_state(rng.bit_generator.state, fresh.state)
+            assert _same_state(rng.bit_generator.state, _trial_rng(seed, t).bit_generator.state)
+            ref = np.random.Generator(fresh)
+            for d in (1, 3, 4):
+                assert np.array_equal(rng.standard_normal((2, d, d)), ref.standard_normal((2, d, d)))
+                assert np.array_equal(rng.dirichlet(np.ones(d)), ref.dirichlet(np.ones(d)))
+            rng.random()  # an odd number of 64-bit draws leaves buffer_pos != 4
+            rng.integers(2**32, dtype=np.uint32)
+
+    @pytest.mark.parametrize("kind", ["ginibre", "commuting", "mixture"])
+    def test_block_from_one_rekeyed_stream_matches_fresh_streams(self, kind):
+        # sample_pairs must draw from each yielded stream before taking the
+        # next, since every one is the same re-keyed Generator.
+        from qfdiv.harness import _rekey, _trial_rng
+
+        rng = np.random.Generator(np.random.Philox(key=0))
+        trials = range(3, 9)
+        block = sample_pairs(kind, 3, 1e-4, (_rekey(rng, 23, t) for t in trials))
+        fresh = sample_pairs(kind, 3, 1e-4, [_trial_rng(23, t) for t in trials])
+        for (q, p), (q0, p0) in zip(block, fresh, strict=True):
+            assert np.array_equal(q.matrix, q0.matrix)
+            assert np.array_equal(p.matrix, p0.matrix)
+
+
 class TestFuzz:
     def test_clean_run_has_no_violations(self):
         res = fuzz(FuzzConfig(dim=3, trials=20, seed=5))
@@ -955,8 +1003,12 @@ class TestFuzzMatchesReports:
         # and the second config fails links in trials 7, 9 and 29.
         dict(dim=3, trials=37, seed=2, eps=0.01),
         dict(dim=3, trials=37, seed=2, sampler="mixture", tol=1e-300),
+        # 198 links are near-tight; the first block lists 80, so the cap of 100
+        # listed entries is reached in the second.
+        dict(dim=3, trials=40, seed=19, generators=(tv(),)),
     ], ids=["ginibre", "commuting", "mixture", "floor0", "floor0-commuting",
-            "tol-ginibre", "tol-commuting", "skipped", "blocks-skipped", "blocks-tol"])
+            "tol-ginibre", "tol-commuting", "skipped", "blocks-skipped", "blocks-tol",
+            "near-tight-cap"])
     def test_summary_and_violations(self, cfg):
         config = FuzzConfig(**cfg)
         result = fuzz(config)
