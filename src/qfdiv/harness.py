@@ -12,13 +12,15 @@ certify (and run_all_checks and the check_* functions) and fuzz share
 one pipeline, run on a block of pairs: one pair for certify, up to
 FUZZ_BLOCK trials for fuzz.  For fuzz the block starts at the draw:
 only the random numbers are drawn trial by trial; the states are
-formed, checked and diagonalized (one eigh call) as one stack.  The
-chains are columnar: each term is computed over the block for all
-generators at once, and one producer per check (closed forms from a
-table keyed by check and family) emits its chains for all of them,
-as (pairs, generators) arrays.  One vectorized pass judges all links,
-fuzz tallies them with bincount, and reports are built only where read:
-by certify, run_all_checks and check_*, and for a failed fuzz trial.
+formed, checked and diagonalized (one eigh call) as one stack, and
+states and spectra stay stacks up to the tally.  The chains are
+columnar: each term is computed over the block for all generators at
+once, and one producer per check (closed forms from a table keyed by
+check and family) emits its chains for all of them, as (pairs,
+generators) arrays.  One vectorized pass judges all links, fuzz
+tallies them with bincount, and reports (and a pair's DensityMatrix
+objects) are built only where read: by certify, run_all_checks and
+check_*, and for a failed fuzz trial.
 
 fuzz draws its random density pairs from seeded,
 counter-based streams: trial k always uses the stream keyed by (seed,
@@ -51,7 +53,7 @@ from .generators import (
     psi_value,
     secant_value,
 )
-from .hermitian import MAX_DIM, matrix_to_json
+from .hermitian import MAX_DIM, _whole, matrix_to_json
 from .quantum import (
     SUM_FLAGS,
     WEIGHT_FLOOR,
@@ -59,8 +61,9 @@ from .quantum import (
     DivergenceValue,
     JointSpectrum,
     _check_eps,
+    _density_pair,
+    _member,
     _raise_first,
-    as_density,
     chi_squares,
     densities,
     joint_spectra,
@@ -87,7 +90,6 @@ __all__ = [
     "neg_log_range_coeff",
     "sample_density",
     "sample_pair",
-    "sample_pairs",
     "fuzz",
     "collect_violations",
 ]
@@ -200,11 +202,12 @@ def _link_eval(chains, tol: float) -> tuple:
     return status, nlinks, codes, slack, buckets, equal
 
 
-def _reports(chains, judged, row: int, js: JointSpectrum, generators) -> list:
-    """Per generator, the reports of pair `row` from the block's chains and
-    their _link_eval: one per top-level chain, with its subchains."""
+def _reports(chains, judged, row: int, b: "_Block", generators) -> list:
+    """Per generator, the reports of pair `row` of block b from its chains
+    and their _link_eval: one per top-level chain, with its subchains."""
     if not chains:
         return []
+    r, R = float(b.r[row, 0]), float(b.R[row, 0])
     status, codes, slack, equal = (judged[i][row].tolist() for i in (0, 2, 3, 5))
     values = np.array([col[row] for ch in chains for col in ch.values]).T.tolist()
     has = np.array([ch.rows[row] for ch in chains]).T.tolist()
@@ -220,7 +223,7 @@ def _reports(chains, judged, row: int, js: JointSpectrum, generators) -> list:
                 check=ch.check, chain=tuple(zip(labels, values[g][first:first + n + 1])),
                 slacks=tuple(slack[g][at:at + n]),
                 link_verdicts=tuple(_VERDICTS[v] for v in codes[g][at:at + n]),
-                status=_STATUSES[status[g][j]], generator=f.spec, dim=js.dim, r=js.r, R=js.R,
+                status=_STATUSES[status[g][j]], generator=f.spec, dim=b.dim, r=r, R=R,
                 flags=(*(name for name, on in ch.flags if on[row, g]),
                        *(f"equality:{labels[i]}={labels[i + 1]}"
                          for i in range(n) if equal[g][at + i])),
@@ -236,18 +239,17 @@ def _reports(chains, judged, row: int, js: JointSpectrum, generators) -> list:
 class _Block:
     """The invariants of a block of B (Q, P) pairs, one (B, 1) column each:
     window [r, R], V, K, chi, thm3's tightness (every occupied ratio at an
-    end of the window); and the stacked weights and ratios.  chi, which
-    thm2 reads on every block, is computed with the block; the swapped
-    chi-square, which only neg-log's oracle reads, once it is read.  Both
-    raise the first error (which only a spectrum not built from its own
-    pair can have).  The spectra share one threshold, eps."""
+    end of the window); and the stacks they come from: states q, p and
+    their decompositions from densities, joint_spectra's fields.  chi,
+    which thm2 reads on every block, is computed with the block; the
+    swapped chi-square, which only neg-log's oracle reads, once it is read.
+    Both raise the first error (which only a spectrum not built from its
+    own pair can have).  The spectra share one threshold, eps."""
 
-    def __init__(self, qds: list, pds: list, spectra: list):
-        self.qds, self.pds, self.spectra, self.eps = qds, pds, spectra, spectra[0].eps
-        lam, mu, w, ratio, self.wt = (np.stack([getattr(js, name) for js in spectra])
-                                      for name in ("lam", "mu", "w", "ratio", "wt"))
-        self.ratio, occupied = ratio, self.wt > WEIGHT_FLOOR
-        r, R = np.array([js.r for js in spectra]), np.array([js.R for js in spectra])
+    def __init__(self, q, qdec, p, pdec, fields: dict, eps: float):
+        self.q, self.qdec, self.p, self.pdec, self.eps = q, qdec, p, pdec, eps
+        lam, mu, w, ratio, self.wt, r, R = (fields[name] for name in ("lam", "mu", "w", "ratio", "wt", "r", "R"))
+        self.ratio, occupied, self.dim = ratio, self.wt > WEIGHT_FLOOR, lam.shape[1]
         v = (w * np.abs(lam[:, :, np.newaxis] - mu[:, np.newaxis, :])).reshape(len(r), -1).sum(axis=1)
         r3, R3 = r[:, np.newaxis, np.newaxis], R[:, np.newaxis, np.newaxis]
         at_ends = (np.abs(ratio - r3) <= 1e-12 * np.maximum(1.0, r3)) | (np.abs(ratio - R3) <= 1e-12 * R3)
@@ -256,8 +258,8 @@ class _Block:
         strict = (R - 1.0 > DEGENERATE_WINDOW_TOL) & (1.0 - r > DEGENERATE_WINDOW_TOL)
         with np.errstate(divide="ignore", invalid="ignore"):
             k = (R - 1.0) * (1.0 - r) / (R - r)
-        q_invertible = [qd.min_eigenvalue >= self.eps for qd in qds]
-        chi = [math.sqrt(max(value, 0.0)) for value in _raise_first(chi_squares(qds, pds, self.eps))]
+        q_invertible = qdec.eigenvalues[:, 0] >= eps
+        chi = [math.sqrt(max(value, 0.0)) for value in _raise_first(chi_squares(q, pdec, eps))]
         self.r, self.R, self.v, self.chi, self.tight, self.window, self.strict, self.k, self.quarter, \
             self.q_invertible = (np.array(x)[:, np.newaxis] for x in (
                 r, R, v, chi, tight, R - r > DEGENERATE_WINDOW_TOL, strict, k, 0.25 * (R - r), q_invertible))
@@ -265,18 +267,19 @@ class _Block:
     @functools.cached_property
     def chi_swapped(self) -> np.ndarray:
         """chi-square(P, Q) for each pair whose Q is invertible at eps."""
-        out, rows = np.full((len(self.qds), 1), math.nan), np.flatnonzero(self.q_invertible)
+        out, rows = np.full((len(self.q), 1), math.nan), np.flatnonzero(self.q_invertible)
         if rows.size:
-            out[rows, 0] = _raise_first(chi_squares([self.pds[k] for k in rows],
-                                                    [self.qds[k] for k in rows], self.eps))
+            out[rows, 0] = _raise_first(chi_squares(self.p[rows], self.qdec[rows], self.eps))
         return out
 
 
 def _pair(q, p, js: JointSpectrum, eps: float) -> _Block:
     """One pair as a block of one; a supplied joint spectrum brings its own
     invertibility threshold, which then replaces eps."""
-    qd, pd = as_density(q), as_density(p)
-    return _Block([qd], [pd], [joint_spectrum(qd, pd, eps) if js is None else js])
+    qd, pd = _density_pair(q, p)
+    js = joint_spectrum(qd, pd, eps) if js is None else js
+    return _Block(qd.matrix[np.newaxis], qd.dec[np.newaxis], pd.matrix[np.newaxis], pd.dec[np.newaxis],
+                  {name: np.array([getattr(js, name)]) for name in vars(js)}, js.eps)
 
 
 # The generators' quantities on a block, one (B, G) array each: S_f and its SUM_FLAGS
@@ -587,7 +590,7 @@ def _public(chains, name: str):
         tol = _check_tol(tol)
         b = _pair(q, p, js, eps)
         _, made = _chains(b, (f,), (chains,), sf)
-        return _reports(made, _link_eval(made, tol), 0, b.spectra[0], (f,))[0][0]
+        return _reports(made, _link_eval(made, tol), 0, b, (f,))[0][0]
 
     check.__name__ = check.__qualname__ = name
     check.__doc__ = chains.__doc__
@@ -610,7 +613,7 @@ def certify(q, p, generators, js: JointSpectrum = None, tol: float = DEFAULT_TOL
     tol = _check_tol(tol)
     b, generators = _pair(q, p, js, eps), tuple(generators)
     e, chains = _chains(b, generators)
-    reports = _reports(chains, _link_eval(chains, tol), 0, b.spectra[0], generators)
+    reports = _reports(chains, _link_eval(chains, tol), 0, b, generators)
     return [(DivergenceValue(value=float(e.sf[0, g]), generator=f.spec,
                              flags=SUM_FLAGS[e.sf_flags[0, g]]), tuple(reports[g]))
             for g, f in enumerate(generators)]
@@ -630,7 +633,7 @@ def _check_sampler_args(kind: str, dim: int, floor: float = None) -> tuple:
     """(kind, dim, floor) checked; floor defaults to 1e-6 / dim."""
     if kind not in SAMPLER_KINDS:
         raise InputFormatError(f"unknown sampler {kind!r}; choose from {SAMPLER_KINDS}")
-    dim = int(dim)
+    dim = _whole(dim, "dimension")
     if dim < 1:
         raise InputFormatError(f"dimension must be >= 1, got {dim}")
     if dim > MAX_DIM:
@@ -690,24 +693,14 @@ def sample_density(kind: str, dim: int, floor: float, rng: np.random.Generator) 
     the smallest eigenvalue away from zero.
     """
     kind, dim, floor = _check_sampler_args(kind, dim, floor)
-    return densities(_states(kind, dim, floor, [rng], 1))[0]
+    return _member(*densities(_states(kind, dim, floor, [rng], 1)), 0)
 
 
 def sample_pair(kind: str, dim: int, floor: float, rng: np.random.Generator) -> tuple:
     """A (Q, P) pair; the commuting ensemble shares one eigenbasis."""
-    return sample_pairs(kind, dim, floor, [rng])[0]
-
-
-def sample_pairs(kind: str, dim: int, floor: float, rngs) -> list:
-    """sample_pair for each stream of a block, bit for bit: the draws are
-    made stream by stream, everything after them over the stacked block
-    (one eigh call for all states).  rngs is iterated once, and each
-    stream is drawn from before the next is taken, so it may yield one
-    Generator re-keyed in turn.  The first state in (stream, Q before P)
-    order that fails a density check raises."""
     kind, dim, floor = _check_sampler_args(kind, dim, floor)
-    states = densities(_states(kind, dim, floor, rngs, 2))
-    return list(zip(states[0::2], states[1::2]))
+    states = densities(_states(kind, dim, floor, [rng], 2))
+    return _member(*states, 0), _member(*states, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -731,9 +724,11 @@ class FuzzConfig:
     def __post_init__(self):
         object.__setattr__(self, "generators", default_catalog().generators
                            if self.generators is None else tuple(self.generators))
-        # The floor checked, or its default 1e-6 / dim once dim is.
-        object.__setattr__(self, "floor", _check_sampler_args(self.sampler, self.dim, self.floor)[2])
-        if int(self.trials) < 1:
+        # dim checked, and the floor checked, or its default 1e-6 / dim once dim is.
+        _, dim, floor = _check_sampler_args(self.sampler, self.dim, self.floor)
+        for name, value in (("dim", dim), ("floor", floor), ("trials", _whole(self.trials, "trials"))):
+            object.__setattr__(self, name, value)
+        if self.trials < 1:
             raise InputFormatError(f"trials must be >= 1, got {self.trials}")
         _check_tol(self.tol)
         _check_eps(self.eps)
@@ -861,9 +856,9 @@ class _Tally:
         self.near_tight.extend(entries)
 
         for row in np.flatnonzero((linked & (codes == 2)).any(axis=(1, 2))).tolist():
-            for top in itertools.chain.from_iterable(_reports(chains, judged, row, b.spectra[row], gens)):
-                self.violations.extend(collect_violations(
-                    top, config.seed, trials[row], b.qds[row], b.pds[row]))
+            qd, pd = _member(b.q, b.qdec, row), _member(b.p, b.pdec, row)
+            for top in itertools.chain.from_iterable(_reports(chains, judged, row, b, gens)):
+                self.violations.extend(collect_violations(top, config.seed, trials[row], qd, pd))
 
     def summary(self, skipped_trials: list) -> dict:
         config = self.config
@@ -871,8 +866,8 @@ class _Tally:
                 zip(self.checks, *(counts.tolist() for counts in self.counts)) if any(statuses)]
         return {
             "config": {
-                "dim": int(config.dim),
-                "trials": int(config.trials),
+                "dim": config.dim,
+                "trials": config.trials,
                 "seed": int(config.seed),
                 "sampler": config.sampler,
                 "floor": float(config.floor),
@@ -897,31 +892,28 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
     output is deterministic and any violation replays from its (seed,
     trial) pair.  Trials run in blocks of FUZZ_BLOCK: after each trial's
     draws, the block's states are formed, checked and diagonalized, and
-    its joint spectra, V and chi computed, over stacked arrays; then each
-    term is evaluated in one pass over the block for all generators, and
-    the block is aggregated in trial order.  The output is the same as one trial at a
-    time would give.  config.jobs is validated but does not change how
-    the run executes.  A pair that joint_spectrum rejects (singular P,
-    lost double stochasticity) is recorded as a skipped trial with the
-    reason.
+    its joint spectra, V and chi computed, over arrays that stay stacked
+    (per-pair states are built only for a trial that fails a link); then
+    each term is evaluated in one pass over the block for all generators,
+    and the block is aggregated in trial order.  The output is the same
+    as one trial at a time would give.  config.jobs is validated but does
+    not change how the run executes.  A pair that joint_spectrum rejects
+    (singular P, lost double stochasticity) is recorded as a skipped
+    trial with the reason.
     """
     tally = _Tally(config)
     skipped_trials = []
-    trials = int(config.trials)
     rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for every trial
-    for first in range(0, trials, FUZZ_BLOCK):
-        numbers = range(first, min(first + FUZZ_BLOCK, trials))
-        pairs = sample_pairs(config.sampler, config.dim, config.floor,
-                             (_rekey(rng, config.seed, trial) for trial in numbers))
-        spectra = joint_spectra([qd for qd, _ in pairs], [pd for _, pd in pairs], config.eps)
-        kept = []
-        for k, (trial, js) in enumerate(zip(numbers, spectra)):
-            if isinstance(js, Exception):
-                skipped_trials.append({"trial": trial, "reason": str(js)})
-            else:
-                kept.append(k)
-        if kept:
-            tally.add([numbers[k] for k in kept], _Block(
-                [pairs[k][0] for k in kept], [pairs[k][1] for k in kept], [spectra[k] for k in kept]))
+    for first in range(0, config.trials, FUZZ_BLOCK):
+        numbers = range(first, min(first + FUZZ_BLOCK, config.trials))
+        sym, dec = densities(_states(config.sampler, config.dim, config.floor,
+                                     (_rekey(rng, config.seed, trial) for trial in numbers), 2))
+        fields, errors = joint_spectra(dec[0::2], dec[1::2], config.eps)
+        skipped_trials.extend({"trial": t, "reason": str(exc)} for t, exc in zip(numbers, errors) if exc)
+        kept = np.flatnonzero([exc is None for exc in errors])
+        if kept.size:
+            tally.add([numbers[k] for k in kept.tolist()], _Block(
+                sym[0::2][kept], dec[0::2][kept], sym[1::2][kept], dec[1::2][kept],
+                {name: x[kept] for name, x in fields.items()}, config.eps))
     return FuzzResult(config=config, violations=tuple(tally.violations),
                       summary=tally.summary(skipped_trials))

@@ -65,6 +65,16 @@ def _as_square_matrix(a) -> np.ndarray:
     return m
 
 
+def _whole(value, what: str) -> int:
+    """value as an int; a value that is not a whole number is an InputFormatError."""
+    try:
+        if int(value) == value or int(value) == float(value):  # float(): a numeric string
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputFormatError(f"{what} must be a whole number, got {value!r}")
+
+
 def hermitian_stack(a, tol: float = HERMITICITY_TOL) -> tuple:
     """(A + A*)/2 for every matrix of an (n, d, d) stack, and per matrix
     None or the error hermitian_part raises for it: entries not finite,
@@ -101,6 +111,10 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+    def __getitem__(self, k) -> "EigenDecomposition":
+        """Member or members k along the stack axis of a stacked decomposition."""
+        return EigenDecomposition(self.eigenvalues[k], self.eigenvectors[k])
+
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
         return (u * self.eigenvalues) @ u.conj().T
@@ -120,8 +134,7 @@ def eigh(a) -> EigenDecomposition:
     Raises:
         PreconditionError: input not Hermitian within tolerance.
     """
-    dec = eigh_hermitian(hermitian_part(a)[np.newaxis])
-    return EigenDecomposition(dec.eigenvalues[0], dec.eigenvectors[0])
+    return eigh_hermitian(hermitian_part(a)[np.newaxis])[0]
 
 
 def eigh_hermitian(stack: np.ndarray) -> EigenDecomposition:
@@ -324,10 +337,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the {"dim", "re", "im"} exchange form into a complex matrix."""
     if not isinstance(obj, dict):
         raise InputFormatError("matrix JSON must be an object")
-    try:
-        dim = int(obj["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad matrix JSON: {exc}") from exc
+    dim = _whole(obj.get("dim"), "bad matrix JSON: dim")
     if dim <= 0:
         raise InputFormatError(f"dim must be positive, got {dim}")
     if dim > MAX_DIM:

@@ -16,12 +16,12 @@ a zero ratio takes the term's value at 0, and an infinite term carries
 no mass when its weight mu_j W_ij is at most WEIGHT_FLOOR.
 s_f_from_spectrum is its one-pair, one-generator case.
 
-Density matrices, joint spectra and chi-square distances also come in
-blocks: densities, joint_spectra and chi_squares check and compute a
-whole stack at once, with one eigh call for all its states, and give
-each member the same bits and the same errors as the single-matrix or
-single-pair call.  DensityMatrix(m), joint_spectrum and chi_square are
-their one-member case.
+Density matrices, joint spectra and chi-square distances come in blocks
+that stay stacked: densities, joint_spectra and chi_squares check and
+compute a whole stack at once (one eigh call for all its states) into
+stacked arrays, each member the same bits and errors as the single call.
+DensityMatrix(m), joint_spectrum and chi_square, their one-member case,
+are the only places a per-pair object is built.
 
 The named closed forms (umegaki, chi_square, tsallis, hellinger_sq) are
 computed by matrix functional calculus as an independent route; they
@@ -99,9 +99,9 @@ class DensityMatrix:
     dec: EigenDecomposition = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        one = densities(_as_square_matrix(self.matrix)[np.newaxis])[0]
-        object.__setattr__(self, "matrix", one.matrix)
-        object.__setattr__(self, "dec", one.dec)
+        sym, dec = densities(_as_square_matrix(self.matrix)[np.newaxis])
+        object.__setattr__(self, "matrix", sym[0])
+        object.__setattr__(self, "dec", dec[0])
 
     @property
     def dim(self) -> int:
@@ -117,9 +117,10 @@ class DensityMatrix:
         return float(self.dec.eigenvalues[0])
 
 
-def densities(stack) -> list:
-    """A DensityMatrix for each matrix of an (n, d, d) stack, each equal to
-    DensityMatrix(m), checked and diagonalized together.
+def densities(stack) -> tuple:
+    """The (n, d, d) stack checked and diagonalized as DensityMatrix(m)
+    does each matrix m: its Hermitian parts and their stacked
+    EigenDecomposition, member k equal to DensityMatrix(stack[k])'s.
 
     Every matrix gets DensityMatrix's checks, in its order: finite
     entries and Hermitian within tolerance, unit trace, and positive
@@ -144,9 +145,12 @@ def densities(stack) -> list:
     if first < len(errors):
         raise errors[first]
     dec.eigenvalues[dec.eigenvalues < 0.0] = 0.0
-    return [_frozen(DensityMatrix, matrix=m,
-                    dec=_frozen(EigenDecomposition, eigenvalues=vals, eigenvectors=vecs))
-            for m, vals, vecs in zip(sym, dec.eigenvalues, dec.eigenvectors)]
+    return sym, dec
+
+
+def _member(sym: np.ndarray, dec: EigenDecomposition, k: int) -> DensityMatrix:
+    """Member k of densities' stacks, as a DensityMatrix."""
+    return _frozen(DensityMatrix, matrix=sym[k], dec=dec[k])
 
 
 def as_density(x) -> DensityMatrix:
@@ -158,13 +162,11 @@ def _check_eps(eps: float) -> None:
         raise InputFormatError(f"invertibility threshold must be positive, got {eps}")
 
 
-def _singular(pd: DensityMatrix, eps: float):
-    """The error for a reference state pd singular at eps, or None."""
-    if pd.min_eigenvalue < eps:
+def _singular(low: float, eps: float):
+    """The error for a reference state of least eigenvalue low singular at eps, or None."""
+    if low < eps:
         return PreconditionError(
-            f"reference state is singular at tolerance {eps:g}: "
-            f"min eigenvalue {pd.min_eigenvalue:.3e}"
-        )
+            f"reference state is singular at tolerance {eps:g}: min eigenvalue {low:.3e}")
     return None
 
 
@@ -177,15 +179,12 @@ def _density_pair(q, p, eps: float = None) -> tuple:
         raise PreconditionError(f"dimension mismatch: {qd.dim} vs {pd.dim}")
     if eps is not None:
         _check_eps(eps)
-        exc = _singular(pd, eps)
-        if exc is not None:
-            raise exc
+        _raise_first([_singular(pd.min_eigenvalue, eps)])
     return qd, pd
 
 
 def _raise_first(results: list) -> list:
-    """A block function's per-member results, after raising the first error
-    among them."""
+    """A block function's per-member results, after raising the first error among them."""
     for x in results:
         if isinstance(x, Exception):
             raise x
@@ -220,7 +219,7 @@ class JointSpectrum:
 
     def __post_init__(self):
         if self.defect is None:
-            object.__setattr__(self, "defect", _stochasticity_defect(self.w[np.newaxis])[0])
+            object.__setattr__(self, "defect", tuple(_stochasticity_defect(self.w).tolist()))
         for name, arr in (("wt", self.w * self.mu[np.newaxis, :]),
                           ("ratio", self.lam[:, np.newaxis] / self.mu[np.newaxis, :])):
             arr.flags.writeable = False
@@ -242,12 +241,10 @@ class JointSpectrum:
         return float(np.sum(self.w * np.abs(self.lam[:, np.newaxis] - self.mu[np.newaxis, :])))
 
 
-def _stochasticity_defect(w: np.ndarray) -> list:
-    """(largest |row sum - 1|, largest |column sum - 1|) of each matrix of
-    an (n, d, d) stack."""
-    rows = np.abs(w.sum(axis=2) - 1.0).max(axis=1)
-    cols = np.abs(w.sum(axis=1) - 1.0).max(axis=1)
-    return list(zip(rows.tolist(), cols.tolist()))
+def _stochasticity_defect(w: np.ndarray) -> np.ndarray:
+    """(largest |row sum - 1|, largest |column sum - 1|) of a (d, d) matrix,
+    or of each matrix of an (n, d, d) stack as an (n, 2) array."""
+    return np.abs(np.stack([w.sum(axis=-1), w.sum(axis=-2)], axis=-2) - 1.0).max(axis=-1)
 
 
 def joint_spectrum(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> JointSpectrum:
@@ -257,49 +254,42 @@ def joint_spectrum(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> JointSpectru
     eigenvalue must be at least eps.
     """
     qd, pd = _density_pair(q, p)
-    return _raise_first(joint_spectra([qd], [pd], eps))[0]
+    fields, errors = joint_spectra(qd.dec[np.newaxis], pd.dec[np.newaxis], eps)
+    _raise_first(errors)
+    one = {name: x[0] for name, x in fields.items()}
+    one.update(r=float(one["r"]), R=float(one["R"]), defect=tuple(one["defect"].tolist()))
+    return _frozen(JointSpectrum, eps=eps, **one)
 
 
-def joint_spectra(qds, pds, eps: float = DEFAULT_INVERTIBILITY_EPS) -> list:
-    """joint_spectrum of each pair (qds[k], pds[k]) of a block of density
-    matrices of one dimension, in one stacked pass.
-
-    A pair that joint_spectrum rejects gets, in place of its spectrum,
-    the exception joint_spectrum raises for it: PreconditionError for P
+def joint_spectra(q_dec, p_dec, eps: float = DEFAULT_INVERTIBILITY_EPS) -> tuple:
+    """joint_spectrum of each pair of a block of one dimension, given as
+    the stacked decompositions of its Qs and Ps, in one stacked pass:
+    JointSpectrum's fields but eps, stacked, and per pair None or the
+    exception joint_spectrum raises for it (PreconditionError for P
     singular at eps, ArithmeticError for an overlap matrix that lost
-    double stochasticity.
-    """
+    double stochasticity)."""
     _check_eps(eps)
-    q_vals = np.stack([qd.dec.eigenvalues for qd in qds])
-    p_vals = np.stack([pd.dec.eigenvalues for pd in pds])
-    lam = q_vals[:, ::-1].copy()
-    mu = p_vals[:, ::-1].copy()
-    u = np.stack([qd.dec.eigenvectors for qd in qds])[:, :, ::-1]
-    v = np.stack([pd.dec.eigenvectors for pd in pds])[:, :, ::-1]
+    lam = q_dec.eigenvalues[:, ::-1].copy()
+    mu = p_dec.eigenvalues[:, ::-1].copy()
+    u, v = q_dec.eigenvectors[:, :, ::-1], p_dec.eigenvectors[:, :, ::-1]
     w = np.abs(u.conj().swapaxes(1, 2) @ v) ** 2
-    defects = _stochasticity_defect(w)
+    defect = _stochasticity_defect(w)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Unit traces force r <= 1 <= R; only last-ulp rounding can break it.
-        r = np.minimum(lam[:, -1] / mu[:, 0], 1.0).tolist()
-        R = np.maximum(lam[:, 0] / mu[:, -1], 1.0).tolist()
+        r = np.minimum(lam[:, -1] / mu[:, 0], 1.0)
+        R = np.maximum(lam[:, 0] / mu[:, -1], 1.0)
         ratio = lam[:, :, np.newaxis] / mu[:, np.newaxis, :]
     wt = w * mu[:, np.newaxis, :]
     for arr in (wt, ratio):
         arr.flags.writeable = False
-
-    out = []
-    for k, pd in enumerate(pds):
-        exc = _singular(pd, eps)
-        rows, cols = defects[k]
-        if exc is None and max(rows, cols) > STOCHASTICITY_TOL:
-            exc = ArithmeticError(
+    errors = [_singular(low, eps) for low in p_dec.eigenvalues[:, 0].tolist()]
+    for k, (rows, cols) in enumerate(defect.tolist()):
+        if errors[k] is None and max(rows, cols) > STOCHASTICITY_TOL:
+            errors[k] = ArithmeticError(
                 f"overlap matrix lost double stochasticity: row defect {rows:.2e}, "
-                f"column defect {cols:.2e}"
-            )
-        out.append(exc or _frozen(
-            JointSpectrum, lam=lam[k], mu=mu[k], w=w[k], r=r[k], R=R[k], q_vectors=u[k],
-            p_vectors=v[k], eps=eps, defect=defects[k], wt=wt[k], ratio=ratio[k]))
-    return out
+                f"column defect {cols:.2e}")
+    return dict(lam=lam, mu=mu, w=w, r=r, R=R, q_vectors=u, p_vectors=v, defect=defect, wt=wt,
+                ratio=ratio), errors
 
 
 @dataclass(frozen=True)
@@ -395,23 +385,23 @@ def umegaki(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:
 def chi_square(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:
     """tr(Q^2 P^(-1)) - 1, the chi-square distance."""
     qd, pd = _density_pair(q, p)
-    return _raise_first(chi_squares([qd], [pd], eps))[0]
+    return _raise_first(chi_squares(qd.matrix[np.newaxis], pd.dec[np.newaxis], eps))[0]
 
 
-def chi_squares(qds, pds, eps: float = DEFAULT_INVERTIBILITY_EPS) -> list:
-    """chi_square of each pair (qds[k], pds[k]) of a block, in one stacked
-    pass; a pair that chi_square rejects gets its exception instead."""
+def chi_squares(q_mats, p_dec, eps: float = DEFAULT_INVERTIBILITY_EPS) -> list:
+    """chi_square of each pair of a block, its Qs stacked in q_mats and
+    its Ps as a stacked decomposition, in one stacked pass; a pair that
+    chi_square rejects gets its exception instead."""
     _check_eps(eps)
-    p_vecs = np.stack([pd.dec.eigenvectors for pd in pds])
-    q_mats = np.stack([qd.matrix for qd in qds])
+    p_vecs, p_vals = p_dec.eigenvectors, p_dec.eigenvalues
     # P^(-1) through P's ascending decomposition, as matrix_function builds it.
     with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / np.stack([pd.dec.eigenvalues for pd in pds])
+        inv = 1.0 / p_vals
     p_inv = (p_vecs * inv[:, np.newaxis, :]) @ p_vecs.conj().swapaxes(1, 2)
     p_inv = (p_inv + p_inv.conj().swapaxes(1, 2)) / 2.0
     with np.errstate(invalid="ignore", over="ignore"):
         values = (np.trace(q_mats @ q_mats @ p_inv, axis1=1, axis2=2).real - 1.0).tolist()
-    return [_singular(pd, eps) or value for pd, value in zip(pds, values)]
+    return [_singular(low, eps) or value for low, value in zip(p_vals[:, 0].tolist(), values)]
 
 
 def tsallis(q, p, qparam: float, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:

@@ -178,10 +178,13 @@ def _lose_stochasticity(*args, **kwargs):
     raise ArithmeticError("overlap matrix lost double stochasticity: row defect 1e-06")
 
 
-def _lose_stochasticity_in_block(qds, pds, eps):
+def _lose_stochasticity_in_block(q_dec, p_dec, eps):
     # joint_spectra reports a rejected pair by returning its exception.
-    return [ArithmeticError("overlap matrix lost double stochasticity: row defect 1e-06")
-            for _ in qds]
+    from qfdiv.quantum import joint_spectra
+
+    fields, errors = joint_spectra(q_dec, p_dec, eps)
+    return fields, [ArithmeticError("overlap matrix lost double stochasticity: row defect 1e-06")
+                    for _ in errors]
 
 
 class TestNumericalFailure:
@@ -374,6 +377,26 @@ class TestBadImaginaryPart:
         code = main([command, "--q", str(path), "--p", files["pa"]])
         assert code == 2
         assert "bad matrix JSON" in capsys.readouterr().err
+
+
+class TestMatrixDim:
+    @pytest.mark.parametrize("dim", ["1e400", "2.5", "-Infinity", "NaN", '"two"', "null"])
+    def test_dim_not_a_whole_number_exits_2(self, files, capsys, tmp_path, dim):
+        # 1e400 parses to inf, whose int() overflow once exited 4; 2.5 once
+        # ran as a 2x2 matrix.
+        path = tmp_path / "q.json"
+        path.write_text('{"dim": %s, "re": [[0.5, 0.0], [0.0, 0.5]]}' % dim)
+        code = main(["spectrum", "--q", str(path), "--p", files["pa"]])
+        assert code == 2
+        assert "bad matrix JSON: dim must be a whole number" in capsys.readouterr().err
+
+    def test_whole_float_dim_is_accepted(self, files, capsys, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text('{"dim": 2.0, "re": [[0.5, 0.0], [0.0, 0.5]]}')
+        outs = [run(capsys, "spectrum", "--q", q, "--p", files["pa"]) for q in (str(path), files["pa"])]
+        assert [code for code, _ in outs] == [0, 0]
+        # The same matrix as the dim 2 file, up to the manifest naming the inputs.
+        assert len({out[:out.index("{")] for _, out in outs}) == 1
 
 
 class TestSpectrum:

@@ -1,6 +1,5 @@
 """Bound chains, closed-form specializations, sampling, and fuzzing."""
 
-import dataclasses
 import json
 import math
 
@@ -39,12 +38,11 @@ from qfdiv.harness import (
     run_all_checks,
     sample_density,
     sample_pair,
-    sample_pairs,
 )
-from qfdiv.harness import _Block, _pair, _terms
+from qfdiv.harness import _Block, _pair, _states, _terms
 from qfdiv.generators import default_catalog
 from qfdiv.hermitian import MAX_DIM, matrix_from_json
-from qfdiv.quantum import as_density, chi_square, joint_spectrum
+from qfdiv.quantum import _member, as_density, chi_square, densities, joint_spectra, joint_spectrum
 
 INF = math.inf
 
@@ -428,8 +426,11 @@ class TestArrayEvaluation:
         singular = (np.diag([0.6, 0.4, 0.0]), np.diag([0.5, 0.3, 0.2]))
         sampled = [sample_pair(kind, 3, floor, rng_for(40 + k)) for k, (kind, floor) in enumerate(
             (("ginibre", 1e-3), ("mixture", 0.0), ("commuting", 0.0)))]
-        qds, pds = ([as_density(x) for x in (singular[i], *(pair[i] for pair in sampled))] for i in (0, 1))
-        yield _Block(qds, pds, [joint_spectrum(qd, pd) for qd, pd in zip(qds, pds)])
+        q, qdec = densities(np.stack([singular[0], *(qd.matrix for qd, _ in sampled)]))
+        p, pdec = densities(np.stack([singular[1], *(pd.matrix for _, pd in sampled)]))
+        fields, errors = joint_spectra(qdec, pdec)
+        assert errors == [None] * 4
+        yield _Block(q, qdec, p, pdec, fields, 1e-12)
         yield _pair(*sample_pair("ginibre", 4, 1e-3, rng_for(44)), None, 1e-12)
 
     def test_terms_equal_one_element_calls(self):
@@ -602,60 +603,69 @@ def reference_joint(qd, pd):
     return lam, mu, w, min(float(lam[-1] / mu[0]), 1.0), max(float(lam[0] / mu[-1]), 1.0), chi
 
 
+_JS_FIELDS = ("lam", "mu", "w", "r", "R", "q_vectors", "p_vectors", "defect", "wt", "ratio")
+
+
 def _js_arrays(js):
-    return (js.lam, js.mu, js.w, js.r, js.R, js.q_vectors, js.p_vectors, js.defect,
-            js.wt, js.ratio)
+    return tuple(getattr(js, name) for name in _JS_FIELDS)
+
+
+def _row_arrays(fields, k):
+    """Row k of joint_spectra's stacked fields, in _js_arrays' order."""
+    assert sorted(fields) == sorted(_JS_FIELDS)
+    return tuple(fields[name][k] for name in _JS_FIELDS)
 
 
 class TestBlockFrontEnd:
-    """sample_pairs, joint_spectra and chi_squares work on stacked blocks;
-    each row must equal the single-pair call bit for bit."""
+    """A block's states, joint spectra and chi-squares stay stacked through
+    _states, densities, joint_spectra and chi_squares; each row must equal
+    the single-pair call bit for bit."""
 
     @pytest.mark.parametrize("kind", ["ginibre", "commuting", "mixture"])
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16])
     @pytest.mark.parametrize("floor", [0.0, None], ids=["floor0", "default-floor"])
     def test_block_matches_single_calls(self, kind, dim, floor):
         from qfdiv.harness import _trial_rng
-        from qfdiv.quantum import chi_squares, joint_spectra
+        from qfdiv.quantum import chi_squares
 
         floor = 1e-6 / dim if floor is None else floor
         trials = range(5)
-        block = sample_pairs(kind, dim, floor, [_trial_rng(17, t) for t in trials])
-        qds, pds = [q for q, _ in block], [p for _, p in block]
-        spectra = joint_spectra(qds, pds)
-        chis = chi_squares(qds, pds)
-        for t, qd, pd, js, chi in zip(trials, qds, pds, spectra, chis):
+        sym, dec = densities(_states(kind, dim, floor, [_trial_rng(17, t) for t in trials], 2))
+        fields, errors = joint_spectra(dec[0::2], dec[1::2])
+        chis = chi_squares(sym[0::2], dec[1::2])
+        assert len(sym) == 10 and errors == [None] * 5 and len(chis) == 5
+        for k, t in enumerate(trials):
             one = sample_pair(kind, dim, floor, _trial_rng(17, t))
-            for state, single, raw in zip((qd, pd), one,
-                                          reference_pair(kind, dim, floor, _trial_rng(17, t))):
-                assert np.array_equal(state.matrix, single.matrix)
-                assert np.array_equal(state.matrix, raw)
+            for i, single, raw in zip((2 * k, 2 * k + 1), one,
+                                      reference_pair(kind, dim, floor, _trial_rng(17, t))):
+                assert np.array_equal(sym[i], single.matrix)
+                assert np.array_equal(sym[i], raw)
                 vals, vecs = reference_eigh(raw)
-                assert np.array_equal(state.eigenvalues, vals)
-                assert np.array_equal(state.dec.eigenvectors, vecs)
-            for a, b in zip(_js_arrays(js), _js_arrays(joint_spectrum(qd, pd))):
+                assert np.array_equal(dec.eigenvalues[i], vals)
+                assert np.array_equal(dec.eigenvectors[i], vecs)
+            qd, pd = one
+            js = joint_spectrum(qd, pd)
+            # The one-pair spectrum's window and defect are Python floats.
+            assert type(js.r) is float and type(js.R) is float
+            assert type(js.defect) is tuple and all(type(x) is float for x in js.defect)
+            for a, b in zip(_row_arrays(fields, k), _js_arrays(js)):
                 assert np.array_equal(a, b)
-            assert chi == chi_square(qd, pd)
-            for a, b in zip((js.lam, js.mu, js.w, js.r, js.R, chi), reference_joint(qd, pd)):
+            assert chis[k] == chi_square(qd, pd)
+            for a, b in zip((*_row_arrays(fields, k)[:5], chis[k]), reference_joint(qd, pd)):
                 assert np.array_equal(a, b)
 
     def test_failing_rows_carry_their_exceptions(self):
         from qfdiv.harness import _trial_rng
-        from qfdiv.quantum import joint_spectra
 
-        block = sample_pairs("ginibre", 3, 1e-6 / 3, [_trial_rng(2, t) for t in range(16)])
+        sym, dec = densities(_states("ginibre", 3, 1e-6 / 3, [_trial_rng(2, t) for t in range(16)], 2))
         # From trial 8 on, Q's eigenvectors are scaled off the unit sphere, so
         # the overlap matrix is not doubly stochastic.  A singular P (below
         # eps 0.01) is reported first, as joint_spectrum always did.
-        for k in range(8, 16):
-            qd, pd = block[k]
-            bent = dataclasses.replace(qd)
-            object.__setattr__(bent, "dec", dataclasses.replace(
-                qd.dec, eigenvectors=qd.dec.eigenvectors * 1.01))
-            block[k] = (bent, pd)
-        qds, pds = [q for q, _ in block], [p for _, p in block]
+        dec.eigenvectors[16::2] *= 1.01
+        fields, errors = joint_spectra(dec[0::2], dec[1::2], 0.01)
         kinds = []
-        for k, ((qd, pd), got) in enumerate(zip(block, joint_spectra(qds, pds, 0.01))):
+        for k, got in enumerate(errors):
+            qd, pd = _member(sym, dec, 2 * k), _member(sym, dec, 2 * k + 1)
             singular = pd.min_eigenvalue < 0.01
             expected = (PreconditionError if singular else ArithmeticError if k >= 8 else None)
             try:
@@ -664,8 +674,8 @@ class TestBlockFrontEnd:
                 assert type(got) is type(exc) is expected and str(got) == str(exc)
                 kinds.append((type(exc).__name__, k >= 8))
             else:
-                assert expected is None
-                for a, b in zip(_js_arrays(got), _js_arrays(want)):
+                assert expected is None and got is None
+                for a, b in zip(_row_arrays(fields, k), _js_arrays(want)):
                     assert np.array_equal(a, b)
                 kinds.append(("pass", False))
         assert {("pass", False), ("PreconditionError", False), ("PreconditionError", True),
@@ -716,6 +726,18 @@ class TestFuzzConfig:
         for call in calls:
             with pytest.raises(InputFormatError, match="positive and finite"):
                 call()
+
+    def test_whole_numbers_stored_as_ints(self):
+        config = FuzzConfig(dim=3.0, trials=5.0)
+        assert (type(config.dim), type(config.trials)) == (int, int)
+        assert json.dumps(fuzz(config).summary) == json.dumps(fuzz(FuzzConfig(dim=3, trials=5)).summary)
+
+    @pytest.mark.parametrize("field", ["dim", "trials"])
+    @pytest.mark.parametrize("value", [2.5, INF, math.nan, "x", None])
+    def test_fractional_dim_or_trials_rejected(self, field, value):
+        # dim = 2.5 once ran silently at d = 2.
+        with pytest.raises(InputFormatError, match="whole number"):
+            FuzzConfig(**{field: value})
 
     def test_zero_dim_rejected_before_the_default_floor(self):
         with pytest.raises(InputFormatError, match="dimension must be >= 1"):
@@ -773,17 +795,18 @@ class TestRekey:
 
     @pytest.mark.parametrize("kind", ["ginibre", "commuting", "mixture"])
     def test_block_from_one_rekeyed_stream_matches_fresh_streams(self, kind):
-        # sample_pairs must draw from each yielded stream before taking the
-        # next, since every one is the same re-keyed Generator.
+        # _states must draw from each yielded stream before taking the next,
+        # since every one is the same re-keyed Generator.
         from qfdiv.harness import _rekey, _trial_rng
 
         rng = np.random.Generator(np.random.Philox(key=0))
         trials = range(3, 9)
-        block = sample_pairs(kind, 3, 1e-4, (_rekey(rng, 23, t) for t in trials))
-        fresh = sample_pairs(kind, 3, 1e-4, [_trial_rng(23, t) for t in trials])
-        for (q, p), (q0, p0) in zip(block, fresh, strict=True):
-            assert np.array_equal(q.matrix, q0.matrix)
-            assert np.array_equal(p.matrix, p0.matrix)
+        block, _ = densities(_states(kind, 3, 1e-4, (_rekey(rng, 23, t) for t in trials), 2))
+        fresh, _ = densities(_states(kind, 3, 1e-4, [_trial_rng(23, t) for t in trials], 2))
+        assert block.shape == fresh.shape == (2 * len(trials), 3, 3)
+        for q, p, q0, p0 in zip(block[0::2], block[1::2], fresh[0::2], fresh[1::2], strict=True):
+            assert np.array_equal(q, q0)
+            assert np.array_equal(p, p0)
 
 
 class TestFuzz:
@@ -860,28 +883,71 @@ class TestFuzz:
         # Q = P = I/2, whose window r = R = 1 leaves no entry to any closed
         # form of thm2 to thm5; the tally's chain layout must still fit the
         # other block.
-        half = as_density(np.eye(2) / 2.0)
-        real, blocks = harness.sample_pairs, []
+        real, blocks = harness._states, []
 
-        def sample(kind, dim, floor, rngs):
-            pairs = real(kind, dim, floor, rngs)
-            blocks.append([(half, half)] * len(pairs) if len(blocks) == degenerate else pairs)
+        def states(kind, dim, floor, rngs, n):
+            stack = real(kind, dim, floor, rngs, n)
+            blocks.append(np.broadcast_to(np.eye(2) / 2.0, stack.shape).astype(stack.dtype)
+                          if len(blocks) == degenerate else stack)
             return blocks[-1]
 
-        monkeypatch.setattr(harness, "sample_pairs", sample)
+        monkeypatch.setattr(harness, "_states", states)
         result = fuzz(FuzzConfig(dim=2, trials=17))
         assert result.violations == ()
+        assert [len(stack) for stack in blocks] == [32, 2]
         expected = {}
-        for qd, pd in (pair for pairs in blocks for pair in pairs):
-            for f in default_catalog():
-                for top in run_all_checks(qd, pd, f):
-                    for rep in (top, *top.subchains):
-                        if qd is half and rep.check in ("thm2", "thm3", "thm4", "thm5"):
-                            assert rep.status == "skipped", (f.spec, rep.check)
-                        counts = expected.setdefault(rep.check, dict.fromkeys(
-                            ("pass", "vacuous-pass", "fail", "skipped"), 0))
-                        counts[rep.status] += 1
+        for i, stack in enumerate(blocks):
+            for qd, pd in zip(stack[0::2], stack[1::2]):
+                for f in default_catalog():
+                    for top in run_all_checks(qd, pd, f):
+                        for rep in (top, *top.subchains):
+                            if i == degenerate and rep.check in ("thm2", "thm3", "thm4", "thm5"):
+                                assert rep.status == "skipped", (f.spec, rep.check)
+                            counts = expected.setdefault(rep.check, dict.fromkeys(
+                                ("pass", "vacuous-pass", "fail", "skipped"), 0))
+                            counts[rep.status] += 1
         assert result.summary["checks"] == expected
+
+
+class TestBlocksStayStacked:
+    """fuzz keeps a block's states and spectra as stacks: it builds a
+    DensityMatrix only for a trial with a failed link, and no JointSpectrum."""
+
+    @staticmethod
+    def _count_objects(monkeypatch):
+        from qfdiv import quantum
+
+        built = {"DensityMatrix": 0, "JointSpectrum": 0}
+        real = quantum._frozen
+
+        def frozen(cls, **fields):
+            if cls.__name__ in built:
+                built[cls.__name__] += 1
+            return real(cls, **fields)
+
+        monkeypatch.setattr(quantum, "_frozen", frozen)
+        for cls in (quantum.DensityMatrix, quantum.JointSpectrum):
+            def post_init(self, real_post=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                real_post(self)
+            monkeypatch.setattr(cls, "__post_init__", post_init)
+        return built
+
+    def test_clean_run_builds_no_per_pair_objects(self, monkeypatch):
+        built = self._count_objects(monkeypatch)
+        result = fuzz(FuzzConfig(dim=3, trials=37, seed=2, eps=0.01))
+        assert result.violations == () and len(result.summary["skipped_trials"]) == 5
+        assert built == {"DensityMatrix": 0, "JointSpectrum": 0}
+
+    def test_violating_run_builds_states_only_for_failing_trials(self, monkeypatch):
+        built = self._count_objects(monkeypatch)
+        result = fuzz(FuzzConfig(dim=3, trials=37, seed=2, eps=0.01, tol=1e-300))
+        failing = {v.trial for v in result.violations}
+        assert failing == {12, 15, 18, 19, 24, 27}
+        assert built == {"DensityMatrix": 2 * len(failing), "JointSpectrum": 0}
+        # The single-pair API still builds its objects through the counted paths.
+        joint_spectrum(EXAMPLE_B_Q, EXAMPLE_B_P)
+        assert built == {"DensityMatrix": 2 * len(failing) + 2, "JointSpectrum": 1}
 
 
 class TestCollectViolations:
@@ -1003,11 +1069,15 @@ class TestFuzzMatchesReports:
         # and the second config fails links in trials 7, 9 and 29.
         dict(dim=3, trials=37, seed=2, eps=0.01),
         dict(dim=3, trials=37, seed=2, sampler="mixture", tol=1e-300),
+        # The same skipped trials, with trials 12, 15, 18, 19, 24 and 27 failing
+        # links in the same blocks: the kept rows of every stack line up.
+        dict(dim=3, trials=37, seed=2, eps=0.01, tol=1e-300),
         # 198 links are near-tight; the first block lists 80, so the cap of 100
         # listed entries is reached in the second.
         dict(dim=3, trials=40, seed=19, generators=(tv(),)),
     ], ids=["ginibre", "commuting", "mixture", "floor0", "floor0-commuting",
             "tol-ginibre", "tol-commuting", "skipped", "blocks-skipped", "blocks-tol",
+            "blocks-skipped-tol",
             "near-tight-cap"])
     def test_summary_and_violations(self, cfg):
         config = FuzzConfig(**cfg)

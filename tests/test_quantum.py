@@ -95,10 +95,12 @@ class TestDensityStack:
         rng = np.random.default_rng(3)
         stack = np.stack([random_density(3, rng, floor) for floor in (0.0, 1e-3, 1e-2)]
                          + [np.diag([1.0 + 5e-13, -5e-13, 0.0])])
-        for block, one in zip(densities(stack), map(DensityMatrix, stack)):
-            assert np.array_equal(block.matrix, one.matrix)
-            assert np.array_equal(block.eigenvalues, one.eigenvalues)
-            assert np.array_equal(block.dec.eigenvectors, one.dec.eigenvectors)
+        sym, dec = densities(stack)
+        assert len(sym) == len(dec.eigenvalues) == len(dec.eigenvectors) == len(stack)
+        for k, one in enumerate(map(DensityMatrix, stack)):
+            assert np.array_equal(sym[k], one.matrix)
+            assert np.array_equal(dec.eigenvalues[k], one.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[k], one.dec.eigenvectors)
 
     @pytest.mark.parametrize("order, message", [
         ((0, 1, 2, 3), "positive semidefinite"),

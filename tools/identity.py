@@ -5,7 +5,7 @@ Usage, from the repository root:
     python3 tools/identity.py > before.txt      # on the old commit
     python3 tools/identity.py | diff before.txt -   # on the new one
 
-It covers `fuzz` stdout on 30 configurations, `certify` and `compute`
+It covers `fuzz` stdout on 31 configurations, `certify` and `compute`
 JSON and CSV and `spectrum` with and without `--out` on 17 pairs (with
 QFDIV_TIMESTAMP fixed), `classical` on 5 distribution pairs, and
 `run_all_checks` reports as JSON over sampled and hand-made pairs, every
@@ -66,6 +66,9 @@ FUZZ_CONFIGS = (
      "--generator", "tv", "--generator", "chi2", "--generator", "hellinger"),
     ("fuzz", "--dim", "3", "--trials", "37", "--seed", "13", "--eps-invert", "0.01"),
     ("fuzz", "--dim", "3", "--trials", "37", "--seed", "13", "--tol", "1e-300"),
+    # Skipped trials and failing links in the same blocks.
+    ("fuzz", "--dim", "3", "--trials", "37", "--seed", "2", "--eps-invert", "0.01", "--tol",
+     "1e-300"),
     ("fuzz", "--dim", "4", "--trials", "100", "--seed", "7"),
     ("fuzz", "--dim", "2", "--trials", "50", "--seed", "8"),
     # Every window degenerate (r = R = 1).
