@@ -138,6 +138,7 @@ def _dump_json(doc: dict) -> str:
     it).  An unserializable value raises json.dumps's TypeError."""
     encoders = {}  # depth -> C encoder
     default = json.JSONEncoder().default
+    scalars = frozenset((str, int, float, bool, type(None)))  # tried before the isinstance scan
 
     def encode(obj, depth: int) -> str:
         inner = "\n" + "  " * (depth + 1)
@@ -145,7 +146,7 @@ def _dump_json(doc: dict) -> str:
             parts = obj.values()
         else:
             parts = obj if isinstance(obj, (list, tuple)) else ()
-        if not any(isinstance(part, (dict, list, tuple)) for part in parts):
+        if scalars.issuperset(map(type, parts)) or not any(isinstance(p, (dict, list, tuple)) for p in parts):
             if depth not in encoders:
                 encoders[depth] = c_make_encoder(None, default, encode_basestring_ascii, None, ": ",
                                                  "," + inner, False, False, True)

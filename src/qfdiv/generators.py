@@ -361,11 +361,12 @@ def arimoto(alpha: float = 2.0) -> Generator:
 
 def kl_quantum() -> Generator:
     """u ln u: the relative-entropy generator."""
+    deriv = lambda t: np.log(t) + 1.0
     return Generator(
         name="kl-quantum",
         fn=lambda t: t * np.log(t),
-        deriv_left_fn=lambda t: np.log(t) + 1.0,
-        deriv_right_fn=lambda t: np.log(t) + 1.0,
+        deriv_left_fn=deriv,
+        deriv_right_fn=deriv,
         value_at_zero=0.0,
         star_at_zero=INF,
         deriv_at_zero=-INF,
@@ -375,11 +376,12 @@ def kl_quantum() -> Generator:
 
 def neg_log() -> Generator:
     """-ln u: the reversed relative-entropy generator."""
+    deriv = lambda t: -1.0 / t
     return Generator(
         name="neg-log",
         fn=lambda t: -np.log(t),
-        deriv_left_fn=lambda t: -1.0 / t,
-        deriv_right_fn=lambda t: -1.0 / t,
+        deriv_left_fn=deriv,
+        deriv_right_fn=deriv,
         value_at_zero=INF,
         star_at_zero=0.0,
         deriv_at_zero=-INF,
@@ -394,11 +396,12 @@ def tv() -> Generator:
 
 def chi2() -> Generator:
     """u^2 - 1: the chi-square generator."""
+    deriv = lambda t: 2.0 * t
     return Generator(
         name="chi2",
         fn=lambda t: t * t - 1.0,
-        deriv_left_fn=lambda t: 2.0 * t,
-        deriv_right_fn=lambda t: 2.0 * t,
+        deriv_left_fn=deriv,
+        deriv_right_fn=deriv,
         value_at_zero=-1.0,
         star_at_zero=INF,
         deriv_at_zero=0.0,
@@ -434,11 +437,12 @@ def tsallis(q: float = 0.5) -> Generator:
 
 def hellinger() -> Generator:
     """(1/2)(sqrt(u) - 1)^2: squared Hellinger generator; self-conjugate."""
+    deriv = lambda t: 0.5 * (1.0 - 1.0 / np.sqrt(t))
     return Generator(
         name="hellinger",
         fn=lambda t: 0.5 * (np.sqrt(t) - 1.0) ** 2,
-        deriv_left_fn=lambda t: 0.5 * (1.0 - 1.0 / np.sqrt(t)),
-        deriv_right_fn=lambda t: 0.5 * (1.0 - 1.0 / np.sqrt(t)),
+        deriv_left_fn=deriv,
+        deriv_right_fn=deriv,
         value_at_zero=0.5,
         star_at_zero=0.5,
         deriv_at_zero=-INF,
@@ -448,11 +452,12 @@ def hellinger() -> Generator:
 
 def inv_minus_one() -> Generator:
     """1/u - 1: the conjugate of the chi-square generator's direction swap."""
+    deriv = lambda t: -1.0 / (t * t)
     return Generator(
         name="inv-minus-one",
         fn=lambda t: 1.0 / t - 1.0,
-        deriv_left_fn=lambda t: -1.0 / (t * t),
-        deriv_right_fn=lambda t: -1.0 / (t * t),
+        deriv_left_fn=deriv,
+        deriv_right_fn=deriv,
         value_at_zero=INF,
         star_at_zero=0.0,
         deriv_at_zero=-INF,
@@ -632,13 +637,14 @@ def psi(f: Generator, t: float, r: float, R: float) -> float:
     t = float(t)
     if not r < t < R:
         raise PreconditionError(f"need r < t < R, got t={t} outside ({r}, {R})")
-    return psi_value(t, r, R, f(t), f(r), f(R))
+    ft, fr, fR = f(t), f(r), f(R)
+    if math.isinf(fr) or math.isinf(fR) or math.isinf(ft):
+        raise PreconditionError("psi needs f finite at r, t, R")
+    return psi_value(t, r, R, ft, fr, fR)
 
 
 def psi_value(t, r, R, ft, fr, fR):
     """psi from ft = f(t), fr = f(r) and fR = f(R), elementwise on arrays."""
-    if np.isinf(fr).any() or np.isinf(fR).any() or np.isinf(ft).any():
-        raise PreconditionError("psi needs f finite at r, t, R")
     return (fR - ft) / (R - t) - (ft - fr) / (t - r)
 
 
@@ -663,37 +669,50 @@ def psi_sup(f: Generator, r: float, R: float) -> float:
     return float(psi_sups((f,), float(r), float(R))[0, 0])
 
 
-def _window_ends(generators, r, R) -> tuple:
-    """f(r), f(R), f((r + R)/2), f'_+(r) and f'_-(R) of each generator on
-    each window [r, R] (1-D arrays), as (windows, generators) arrays: one
-    f.fn call on [r, R, (r + R)/2] and one call per derivative for each
-    generator, equal to the scalar calls.  r = 0 takes value_at_zero and
-    deriv_at_zero; a derivative that diverges comes out infinite."""
+def _window_ends(generators, r, R, out, ratios=np.empty(0)):
+    """Per generator, one f.fn call on [ratios, r, R, (r + R)/2] and one
+    derivative call on [ratios, r, R] (right on [ratios, r], left on [R]
+    where they differ), equal to the scalar calls: yields weighted_sums'
+    terms f and (t - 1) f'_+(t) at the positive points ratios, and fills
+    out, (6, windows, generators), by the end with f(r), f(R), f((r + R)/2),
+    f'_+(r), f'_-(R) (r = 0 takes value_at_zero and deriv_at_zero) and
+    Psi(1) (+inf where 1 is not interior or f(r) or f(R) is infinite)."""
     if (r < 0.0).any():
         raise PreconditionError(f"generator argument must be >= 0, got {float(r.min())}")
-    n, zero = r.size, r == 0.0
-    points = np.concatenate([np.where(zero, 1.0, r), R, 0.5 * (r + R)])
-    out = np.empty((5, n, len(generators)))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for g, f in enumerate(generators):
-            out[:3, :, g] = np.reshape(f.fn(points), (3, n))
-            out[3, :, g], out[4, :, g] = f.deriv_right_fn(points[:n]), f.deriv_left_fn(points[n:2 * n])
+    m, n, zero = ratios.size, r.size, r == 0.0
+    points = np.concatenate([ratios, np.where(zero, 1.0, r), R, 0.5 * (r + R)])
+    ratios = points[:m]  # one copy of the ratios is held, not two
+    for g, f in enumerate(generators):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # not held across a yield
+            at = np.asarray(f.fn(points), dtype=np.float64)
+            if f.deriv_left_fn is f.deriv_right_fn:
+                slopes = f.deriv_right_fn(points[:m + 2 * n])
+            else:
+                slopes = np.concatenate([f.deriv_right_fn(points[:m + n]),
+                                         f.deriv_left_fn(points[m + n:m + 2 * n])])
+            out[:5, :, g] = np.concatenate([at[m:], slopes[m:]]).reshape(5, n)
+            slopes = (ratios - 1.0) * slopes[:m]
+        yield at[:m], f.value_at_zero
+        yield slopes, -f.deriv_at_zero
     out[0, zero] = [f.value_at_zero for f in generators]
     out[3, zero] = [f.deriv_at_zero for f in generators]
-    return tuple(out)
+    r, R, f1 = r[:, np.newaxis], R[:, np.newaxis], np.array([f.value_at_one for f in generators])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out[5] = np.where((r < 1.0) & (1.0 < R) & ~np.isinf(out[0]) & ~np.isinf(out[1]),
+                          psi_value(1.0, r, R, f1, out[0], out[1]), INF)
 
 
 def psi_sups(generators, r, R, ends=None) -> np.ndarray:
     """psi_sup of each generator on each window, a (windows, generators)
-    array; ends holds f(r), f(R), f'_+(r) and f'_-(R) as (windows,
+    array; ends holds f(r), f(R), f'_+(r), f'_-(R) and Psi(1) as (windows,
     generators) arrays, by default from _window_ends.
 
     Every entry takes max(Psi(1) when r < 1 < R, Psi(r+), Psi(R-)), plus
-    a (R - r) for a quadratic f (f.quadratic = a).  Psi(1) is formed from
-    f(1) as check_thm4 forms it, so K Psi(1) <= K sup Psi holds after
-    rounding for every generator.  A generator that declares f.psi_peak
-    has no grid: that max is its sup.  For r < t < R, Taylor's formula
-    with integral remainder gives
+    a (R - r) for a quadratic f (f.quadratic = a).  Psi(1) is the one
+    check_thm4 reads, so K Psi(1) <= K sup Psi holds after rounding for
+    every generator.  A generator that declares f.psi_peak has no grid:
+    that max is its sup.  For r < t < R, Taylor's formula with integral
+    remainder gives
 
         Psi'(t) = int_0^1 (1 - s) [f''(t + s (R - t)) - f''(t - s (t - r))] ds.
 
@@ -714,31 +733,25 @@ def psi_sups(generators, r, R, ends=None) -> np.ndarray:
     if bad.size:
         _check_window(r[bad[0]], R[bad[0]])
     if ends is None:
-        fr, fR, _, dr, dR = _window_ends(generators, r, R)
-    else:
-        fr, fR, dr, dR = (np.asarray(e, dtype=np.float64).reshape(r.size, len(generators)) for e in ends)
-
-    out = np.full(fr.shape, INF)
-    # The entries with finite ends, generator by generator.
-    gen, win = np.nonzero((~(np.isinf(fr) | np.isinf(fR) | (dr == -INF) | (dR == INF))).T)
-    at = (win, gen)
-    r, R, fr, fR = r[win], R[win], fr[at], fR[at]
-    slope = (fR - fr) / (R - r)
-    limits = slope - dr[at], dR[at] - slope
-    # Psi(1), and the constant gap a (R - r) of a quadratic f, which Psi(1)
-    # and the limits can round below or above.
-    a, f1 = np.array([(-INF if f.quadratic is None else f.quadratic, f.value_at_one)
-                      for f in generators])[gen].T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        at_one = np.where((r < 1.0) & (1.0 < R), psi_value(1.0, r, R, f1, fr, fR), -INF)
-    best = np.maximum(a * (R - r), at_one)
-    grid = np.array([f.psi_peak is None for f in generators], dtype=bool)[gen]
-    if grid.any():
-        best[grid] = np.maximum(best[grid], _grid_sups(generators, *(x[grid] for x in (gen, r, R, fr, fR))))
-    for limit in limits:
-        best = np.where(limit > best, limit, best)
-    out[at] = best
-    return out
+        out = np.empty((6, r.size, len(generators)))
+        list(_window_ends(generators, r, R, out))  # no ratios: run for out alone
+        ends = out[[0, 1, 3, 4, 5]]
+    fr, fR, dr, dR, at_one = (np.asarray(e, dtype=np.float64).reshape(r.size, len(generators)) for e in ends)
+    finite = ~(np.isinf(fr) | np.isinf(fR) | (dr == -INF) | (dR == INF))
+    a = np.array([-INF if f.quadratic is None else f.quadratic for f in generators])
+    r2, R2 = r[:, np.newaxis], R[:, np.newaxis]
+    with np.errstate(invalid="ignore", over="ignore"):  # entries with an infinite end, +inf below
+        slope = (fR - fr) / (R2 - r2)
+        # Psi(1), and the constant gap a (R - r) of a quadratic f, which Psi(1)
+        # and the limits can round below or above.
+        best = np.maximum(a * (R2 - r2), np.where((r2 < 1.0) & (1.0 < R2), at_one, -INF))
+        gen, win = np.nonzero((finite & np.array([f.psi_peak is None for f in generators])).T)
+        if gen.size:
+            best[win, gen] = np.maximum(best[win, gen], _grid_sups(
+                generators, gen, r[win], R[win], fr[win, gen], fR[win, gen]))
+        for limit in (slope - dr, dR - slope):
+            best = np.where(limit > best, limit, best)
+    return np.where(finite, best, INF)
 
 
 def _grid_sups(generators, gen, r, R, fr, fR) -> np.ndarray:

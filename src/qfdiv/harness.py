@@ -50,7 +50,6 @@ from .generators import (
     default_catalog,
     jensen_gap_value,
     psi_sups,
-    psi_value,
     secant_value,
 )
 from .hermitian import MAX_DIM, _whole, matrix_to_json
@@ -150,9 +149,9 @@ class BoundChainReport:
 
 
 class _Chain(NamedTuple):
-    """One chain over a block of B pairs and G generators: a (B, G) array per
-    term, the entries that have it (rows), its flags as (name, entries set
-    on), and whether it is a subchain of the top-level chain before it."""
+    """One chain over a block of B pairs and G generators: per term a value
+    broadcast to (B, G) where read, the entries that have it (rows), its
+    flags as (name, entries set on), and whether it is a subchain."""
 
     check: str
     labels: tuple
@@ -178,8 +177,11 @@ def _link_eval(chains, tol: float) -> tuple:
     An infinite right side makes a link vacuous; an infinite left side
     under a finite one fails."""
     sizes = np.array([len(ch.labels) for ch in chains], dtype=np.intp)
-    values = (np.moveaxis(np.array([col for ch in chains for col in ch.values]), 0, -1)
-              if chains else np.zeros((0, 0)))
+    cols = [col for ch in chains for col in ch.values]
+    values = np.empty((len(cols), *(chains[0].rows.shape if chains else (0,))))
+    for i, col in enumerate(cols):
+        values[i] = col  # broadcast to (B, G)
+    values = np.moveaxis(values, 0, -1)
     at = np.delete(np.arange(values.shape[-1]), np.cumsum(sizes) - 1)  # left ends of links
     left, right = values[..., at], values[..., at + 1]
 
@@ -209,7 +211,10 @@ def _reports(chains, judged, row: int, b: "_Block", generators) -> list:
         return []
     r, R = float(b.r[row, 0]), float(b.R[row, 0])
     status, codes, slack, equal = (judged[i][row].tolist() for i in (0, 2, 3, 5))
-    values = np.array([col[row] for ch in chains for col in ch.values]).T.tolist()
+    values = np.empty((sum(len(ch.values) for ch in chains), len(generators)))
+    for i, col in enumerate(col for ch in chains for col in ch.values):
+        values[i] = col[row] if np.ndim(col) else col  # a (B, 1) column broadcasts
+    values = values.T.tolist()
     has = np.array([ch.rows[row] for ch in chains]).T.tolist()
     firsts = list(itertools.accumulate((len(ch.labels) for ch in chains), initial=0))
     out = []
@@ -283,34 +288,31 @@ def _pair(q, p, js: JointSpectrum, eps: float) -> _Block:
 
 
 # The generators' quantities on a block, one (B, G) array each: S_f and its SUM_FLAGS
-# code, the derivative-gap right side (NaN for a kinked f), sup Psi (NaN off a strict
-# window), f(r), f(R), f((r + R)/2), f'_+(r) and f'_-(R) from _window_ends,
-# D = f'_-(R) - f'_+(r) (+inf if one diverges) and all True; f(1) and f's smoothness (1, G).
-_Terms = collections.namedtuple("_Terms", "sf sf_flags slope_gap sup fr fR fmid dr dR gap every f1 smooth")
+# code, the derivative-gap right side (read for a smooth f only), sup Psi (NaN off a
+# strict window), f(r), f(R), f((r + R)/2), f'_+(r), f'_-(R) and Psi(1) from _window_ends,
+# D = f'_-(R) - f'_+(r) (+inf if one diverges) and all True; f's smoothness (1, G),
+# and a (G,) mask per family present with closed forms.
+_Terms = collections.namedtuple(
+    "_Terms", "sf sf_flags slope_gap sup fr fR fmid dr dR gap psi1 every smooth families")
 
 
 def _terms(b: _Block, generators) -> _Terms:
     """The generators' _Terms on block b, term by term over all generators:
-    the windows' endpoint values in one _window_ends pass, S_f and the
-    derivative-gap sums sum wt (t - 1) f'_+(t) (value -f'(0+) at t = 0) in
-    one weighted_sums pass over the block's stacked spectra, sup Psi in one
-    psi_sups pass over every (strict window, generator) entry."""
-    strict, G = b.strict[:, 0], len(generators)
-    fr, fR, fmid, dr, dR = _window_ends(generators, b.r[:, 0], b.R[:, 0])
-    smooth = [g for g, f in enumerate(generators) if f.smooth]
-    sums, codes = weighted_sums(b.ratio, b.wt, [(f.fn, f.value_at_zero) for f in generators] + [
-        (lambda t, f=generators[g]: (t - 1.0) * f.deriv_right_fn(t), -generators[g].deriv_at_zero)
-        for g in smooth])
-    gaps = np.full(fr.shape, math.nan)
-    gaps[:, smooth] = sums[G:].T
+    one _window_ends pass gives the windows' endpoint values and, summed by
+    weighted_sums as they come, S_f and the derivative-gap sums sum wt (t - 1)
+    f'_+(t) (value -f'(0+) at t = 0) over the block's stacked spectra; then
+    Psi(1) for thm4 and psi_sups, and sup Psi in one psi_sups pass."""
+    strict, r, R = b.strict[:, 0], b.r[:, 0], b.R[:, 0]
+    fr, fR, fmid, dr, dR, psi1 = ends = np.empty((6, len(r), len(generators)))
+    sums, codes = weighted_sums(b.ratio, b.wt, _window_ends(generators, r, R, ends, b.ratio[b.ratio > 0.0]))
     sup = np.full(fr.shape, math.nan)
-    sup[strict] = psi_sups(generators, b.r[strict, 0], b.R[strict, 0],
-                           ends=(fr[strict], fR[strict], dr[strict], dR[strict]))
+    sup[strict] = psi_sups(generators, r[strict], R[strict], ends=[x[strict] for x in (fr, fR, dr, dR, psi1)])
     with np.errstate(invalid="ignore", over="ignore"):
         gap = np.where(np.isfinite(dR) & np.isfinite(dr), dR - dr, INF)
-    return _Terms(sums[:G].T, codes[:G].T, gaps, sup, fr, fR, fmid, dr, dR, gap,
-                  np.ones(fr.shape, dtype=bool), np.array([[f.value_at_one for f in generators]]),
-                  np.array([[f.smooth for f in generators]]))
+    names = [f.name for f in generators]
+    return _Terms(sums[0::2].T, codes[0::2].T, sums[1::2].T, sup, fr, fR, fmid, dr, dR, gap, psi1,
+                  np.ones(fr.shape, dtype=bool), np.array([[f.smooth for f in generators]]),
+                  {n: np.array([m == n for m in names]) for n in _CLOSED_FAMILIES.intersection(names)})
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +338,9 @@ def _with_closed_form(b: _Block, gens: tuple, e: _Terms, check: str, labels: tup
     a block whose rows exclude them)."""
     skipped = [_Chain(check, ("value",), (e.sf,), ~rows, note=skip)] if skip else []
     closed = []
-    names = [f.name for f in gens]
-    for (of, family), (name, sub_labels, terms) in _CLOSED_FORMS.items():
-        if of == check and family in names:
-            sub_values, sub_rows, more = terms(b, gens, e, rows & np.array([n == family for n in names]))
+    for family, (name, sub_labels, terms) in _CLOSED_FORMS[check].items():
+        if family in e.families:
+            sub_values, sub_rows, more = terms(b, gens, e, rows & e.families[family])
             flags = (*flags, *more)
             closed.append(_Chain(name, sub_labels, sub_values, sub_rows, sub=True))
     return [*skipped, _Chain(check, labels, values, rows, flags), *subs, *closed]
@@ -347,7 +348,7 @@ def _with_closed_form(b: _Block, gens: tuple, e: _Terms, check: str, labels: tup
 
 def _nonneg(b: _Block, gens: tuple, e: _Terms) -> list:
     """Chain [0, S_f]: the divergence of a normalized generator is nonnegative."""
-    return [_Chain("nonneg", ("zero", "value"), (np.zeros(e.sf.shape), e.sf), e.every)]
+    return [_Chain("nonneg", ("zero", "value"), (0.0, e.sf), e.every)]
 
 
 def _derivative_gap(b: _Block, gens: tuple, e: _Terms) -> list:
@@ -374,7 +375,7 @@ def _thm2(b: _Block, gens: tuple, e: _Terms) -> list:
     every window term vanishes and only rounding is left.
     """
     rows = b.window & e.every
-    values, _, _ = _thm2_form(lambda r, R, gens: 0.5 * e.gap)(b, gens, e, rows)
+    values, _, _ = _thm2_form(lambda *_: 0.5 * e.gap)(b, gens, e, rows)
     return _with_closed_form(b, gens, e, "thm2", (
         "value", "half-gap-variation", "half-gap-chi", "quarter-window-gap"), values, rows,
         skip=_DEGENERATE)
@@ -398,11 +399,7 @@ def _thm4(b: _Block, gens: tuple, e: _Terms) -> list:
     the chi2 / inv / neg-log / kl closed forms.  Requires the strict
     window R > 1 > r.
     """
-    strict, k, quarter, sf, sup, d = b.strict & e.every, b.k, b.quarter, e.sf, e.sup, e.gap
-    psi1 = np.full(sf.shape, INF)
-    finite = strict & ~np.isinf(e.fr)
-    psi1[finite] = psi_value(1.0, *(np.broadcast_to(x, sf.shape)[finite]
-                                    for x in (b.r, b.R, e.f1, e.fr, e.fR)))
+    strict, k, quarter, sf, sup, d, psi1 = b.strict & e.every, b.k, b.quarter, e.sf, e.sup, e.gap, e.psi1
     k_psi1 = k * psi1
     sec = secant_value(b.r, b.R, e.fr, e.fR)
     matches = (np.isfinite(sec) & np.isfinite(psi1)
@@ -472,50 +469,54 @@ neg_log_range_coeff = _coefficient(
 
 
 # ---------------------------------------------------------------------------
-# closed-form specializations, keyed by (check, generator family)
+# closed-form specializations, by check, then by generator family
 #
 # An entry names the subchain, labels its terms and computes them as
 # terms(block, generators, _Terms, the family's entries with the check's
 # chain) -> (values, entries with the subchain, flags for the check's chain).
 # Each value is a formula of the block's r and R columns (and the generators'
-# parameters), evaluated on every entry and read on the subchain's.
+# parameters), kept as the (B, 1) column it comes out as, and read on the
+# subchain's entries.
 
 
 def _swap_oracle(b, gens, e, rows):
     # For f = -ln t the slope-weighted gap is the swapped chi-square distance.
     singular, rows = rows & ~b.q_invertible, rows & b.q_invertible
-    swapped = np.broadcast_to(b.chi_swapped, rows.shape)
+    swapped = b.chi_swapped
     equal = rows & np.isfinite(e.slope_gap) & (
         np.abs(e.slope_gap - swapped) <= 1e-8 * np.maximum(1.0, np.abs(swapped)))
-    return (np.zeros(rows.shape), e.sf, swapped), rows, (
+    return (0.0, e.sf, swapped), rows, (
         ("swap-oracle-unavailable:singular-q", singular),
         ("oracle:slope-gap-equals-swapped-chi-square", equal))
 
 
 def _thm2_form(coeff, final=None):
-    """thm2 with the family coefficient coeff(r, R, generators) in place of
-    D/2 and last term final(r, R), by default (R - r)/2 times coeff."""
+    """thm2 with the family coefficient coeff(r, R, generators, rows) in
+    place of D/2 and last term final(r, R), by default (R - r)/2 times
+    coeff."""
 
     def terms(b, gens, e, rows):
-        co = np.broadcast_to(coeff(b.r, b.R, gens), rows.shape)
+        co = coeff(b.r, b.R, gens, rows)
         finite = np.isfinite(co)
         last = final(b.r, b.R) if final else np.where(finite, 0.5 * (b.R - b.r) * co, INF)
-        return (e.sf, np.where(finite, co * b.v, INF), np.where(finite, co * b.chi, INF),
-                np.broadcast_to(last, rows.shape)), rows, ()
+        return (e.sf, np.where(finite, co * b.v, INF), np.where(finite, co * b.chi, INF), last), rows, ()
 
     return terms
 
 
-def _tsallis_coeff(r, R, gens):
-    qq = np.array([[f.params.get("q", math.nan) for f in gens]])
-    return np.where(r > 0.0, qq * (R ** (1.0 - qq) - r ** (1.0 - qq))
-                    / (2.0 * (1.0 - qq) * (R * r) ** (1.0 - qq)), INF)
+def _tsallis_coeff(r, R, gens, rows):
+    # The powers on the columns with an entry only; the others are never read.
+    cols = np.flatnonzero(rows.any(axis=0))
+    qq = np.array([[gens[g].params["q"] for g in cols.tolist()]])
+    co = np.full(rows.shape, math.nan)
+    co[:, cols] = np.where(r > 0.0, qq * (R ** (1.0 - qq) - r ** (1.0 - qq))
+                           / (2.0 * (1.0 - qq) * (R * r) ** (1.0 - qq)), INF)
+    return co
 
 
 def _window(*bounds):
     """A closed form [S_f, *(bound(r, R) for bound in bounds)]."""
-    return lambda b, gens, e, rows: (
-        (e.sf, *(np.broadcast_to(bound(b.r, b.R), rows.shape) for bound in bounds)), rows, ())
+    return lambda b, gens, e, rows: ((e.sf, *(bound(b.r, b.R) for bound in bounds)), rows, ())
 
 
 def _kl_log_mix(r, R):
@@ -533,49 +534,52 @@ def _product_ratio(r, R):
 
 
 def _chi2_thm4(b, gens, e, rows):
-    chord, secant = (np.broadcast_to(coeff.formula(b.r, b.R), rows.shape)
-                     for coeff in (chi_square_chord_coeff, chi_square_secant_coeff))
+    chord, secant = (coeff.formula(b.r, b.R) for coeff in (chi_square_chord_coeff, chi_square_secant_coeff))
     return (e.sf, chord), rows, (("sharper-than-secant-polynomial", rows & (chord < secant)),)
 
 
 _CLOSED_FORMS = {
-    ("derivative-gap", "neg-log"): (
-        "derivative-gap:swap", ("zero", "value", "chi-square-swapped"), _swap_oracle),
-    ("thm2", "chi2"): (
-        "thm2:chi2", ("value", "half-window-variation", "half-window-chi", "quarter-window-sq"),
-        _thm2_form(lambda r, R, gens: 0.5 * (R - r), lambda r, R: 0.25 * (R - r) ** 2)),
-    ("thm2", "kl-quantum"): (
-        "thm2:kl-quantum", ("value", "half-log-variation", "half-log-chi", "quarter-window-log"),
-        _thm2_form(lambda r, R, gens: np.where(r > 0.0, 0.5 * np.log(R / r), INF))),
-    ("thm2", "neg-log"): (
-        "thm2:neg-log", ("value", "half-ratio-variation", "half-ratio-chi", "quarter-window-ratio"),
-        _thm2_form(lambda r, R, gens: np.where(r > 0.0, (R - r) / (2.0 * r * R), INF),
-                   neg_log_range_coeff.formula)),
-    ("thm2", "tsallis"): (
-        "thm2:tsallis", ("value", "half-power-variation", "half-power-chi", "quarter-window-power"),
-        _thm2_form(_tsallis_coeff)),
-    ("thm3", "chi2"): (
-        "thm3:chi2", ("value", "window-polynomial"), _window(chi_square_secant_coeff.formula)),
-    ("thm3", "kl-quantum"): ("thm3:kl-quantum", ("value", "window-log-mix"), _window(_kl_log_mix)),
-    ("thm3", "neg-log"): ("thm3:neg-log", ("value", "window-log-mix"), _window(_neg_log_log_mix)),
-    ("thm4", "chi2"): ("thm4:chi2", ("value", "window-product"), _chi2_thm4),
-    ("thm4", "inv-minus-one"): (
-        "thm4:inv-minus-one", ("value", "window-product-ratio"), _window(_product_ratio)),
-    ("thm4", "neg-log"): (
-        "thm4:neg-log", ("value", "window-log-mix", "window-product-ratio"),
-        _window(_neg_log_log_mix, _product_ratio)),
-    ("thm4", "kl-quantum"): (
-        "thm4:kl-quantum", ("value", "window-log-mix", "window-product-log"),
-        _window(_kl_log_mix, lambda r, R: np.where(
-            r > 0.0, (R - 1.0) * (1.0 - r) * np.log(R / r) / (R - r), INF))),
-    ("thm5", "chi2"): ("thm5:chi2", ("value", "half-range-sq"), _window(lambda r, R: 0.5 * (R - r) ** 2)),
-    ("thm5", "inv-minus-one"): (
-        "thm5:inv-minus-one", ("value", "range-sq-ratio"),
-        _window(lambda r, R: np.where(r > 0.0, (R - r) ** 2 / (r * R * (r + R)), INF))),
-    ("thm5", "neg-log"): (
-        "thm5:neg-log", ("value", "log-midpoint-gap", "quarter-range-ratio"),
-        _window(neg_log_jensen_coeff.formula, neg_log_range_coeff.formula)),
+    "derivative-gap": {"neg-log": (
+        "derivative-gap:swap", ("zero", "value", "chi-square-swapped"), _swap_oracle)},
+    "thm2": {
+        "chi2": (
+            "thm2:chi2", ("value", "half-window-variation", "half-window-chi", "quarter-window-sq"),
+            _thm2_form(lambda r, R, *_: 0.5 * (R - r), lambda r, R: 0.25 * (R - r) ** 2)),
+        "kl-quantum": (
+            "thm2:kl-quantum", ("value", "half-log-variation", "half-log-chi", "quarter-window-log"),
+            _thm2_form(lambda r, R, *_: np.where(r > 0.0, 0.5 * np.log(R / r), INF))),
+        "neg-log": (
+            "thm2:neg-log", ("value", "half-ratio-variation", "half-ratio-chi", "quarter-window-ratio"),
+            _thm2_form(lambda r, R, *_: np.where(r > 0.0, (R - r) / (2.0 * r * R), INF),
+                       neg_log_range_coeff.formula)),
+        "tsallis": (
+            "thm2:tsallis", ("value", "half-power-variation", "half-power-chi", "quarter-window-power"),
+            _thm2_form(_tsallis_coeff)),
+    },
+    "thm3": {
+        "chi2": ("thm3:chi2", ("value", "window-polynomial"), _window(chi_square_secant_coeff.formula)),
+        "kl-quantum": ("thm3:kl-quantum", ("value", "window-log-mix"), _window(_kl_log_mix)),
+        "neg-log": ("thm3:neg-log", ("value", "window-log-mix"), _window(_neg_log_log_mix)),
+    },
+    "thm4": {
+        "chi2": ("thm4:chi2", ("value", "window-product"), _chi2_thm4),
+        "inv-minus-one": ("thm4:inv-minus-one", ("value", "window-product-ratio"), _window(_product_ratio)),
+        "neg-log": ("thm4:neg-log", ("value", "window-log-mix", "window-product-ratio"),
+                    _window(_neg_log_log_mix, _product_ratio)),
+        "kl-quantum": (
+            "thm4:kl-quantum", ("value", "window-log-mix", "window-product-log"),
+            _window(_kl_log_mix, lambda r, R: np.where(
+                r > 0.0, (R - 1.0) * (1.0 - r) * np.log(R / r) / (R - r), INF))),
+    },
+    "thm5": {
+        "chi2": ("thm5:chi2", ("value", "half-range-sq"), _window(lambda r, R: 0.5 * (R - r) ** 2)),
+        "inv-minus-one": ("thm5:inv-minus-one", ("value", "range-sq-ratio"),
+                          _window(lambda r, R: np.where(r > 0.0, (R - r) ** 2 / (r * R * (r + R)), INF))),
+        "neg-log": ("thm5:neg-log", ("value", "log-midpoint-gap", "quarter-range-ratio"),
+                    _window(neg_log_jensen_coeff.formula, neg_log_range_coeff.formula)),
+    },
 }
+_CLOSED_FAMILIES = {family for forms in _CLOSED_FORMS.values() for family in forms}
 
 
 # ---------------------------------------------------------------------------
@@ -726,13 +730,14 @@ class FuzzConfig:
                            if self.generators is None else tuple(self.generators))
         # dim checked, and the floor checked, or its default 1e-6 / dim once dim is.
         _, dim, floor = _check_sampler_args(self.sampler, self.dim, self.floor)
-        for name, value in (("dim", dim), ("floor", floor), ("trials", _whole(self.trials, "trials"))):
+        for name, value in (("dim", dim), ("floor", floor), ("trials", _whole(self.trials, "trials")),
+                            ("seed", _whole(self.seed, "seed")), ("jobs", _whole(self.jobs, "jobs"))):
             object.__setattr__(self, name, value)
         if self.trials < 1:
             raise InputFormatError(f"trials must be >= 1, got {self.trials}")
         _check_tol(self.tol)
         _check_eps(self.eps)
-        if int(self.jobs) < 1:
+        if self.jobs < 1:
             raise InputFormatError(f"jobs must be >= 1, got {self.jobs}")
 
 
@@ -868,7 +873,7 @@ class _Tally:
             "config": {
                 "dim": config.dim,
                 "trials": config.trials,
-                "seed": int(config.seed),
+                "seed": config.seed,
                 "sampler": config.sampler,
                 "floor": float(config.floor),
                 "tol": float(config.tol),

@@ -36,6 +36,7 @@ tr|Q - P| (both are provided; see trace_distance).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -312,41 +313,40 @@ STACK_POINTS = 2**14
 
 
 def weighted_sums(ratio: np.ndarray, wt: np.ndarray, terms) -> tuple:
-    """sum_ij wt_ij term(ratio_ij) for each (term, value at 0) of the
-    sequence terms and each member of a block's (n, d, d) ratio and weight
-    stacks: a (terms, n) array of sums and one of SUM_FLAGS codes.
+    """sum_ij wt_ij term(ratio_ij) for each (values, value at 0) of the
+    nonempty iterable terms and each member of a block's (n, d, d) ratio
+    and weight stacks: a (terms, n) array of sums and one of SUM_FLAGS codes.
 
-    Each term is evaluated once, on all of the block's positive ratios; a
-    zero ratio takes the value at 0.  The terms are weighted and summed as
-    one stack, about STACK_POINTS values at a time.  A sum with an infinite
-    value is +inf (code 1) if any such value has weight above WEIGHT_FLOOR,
-    and otherwise the sum of its finite values (code 2): those terms carry
-    no mass.  Every sum equals the single-spectrum sum bit for bit."""
+    A term's values are those at ratio[ratio > 0]; a zero ratio takes the
+    value at 0.  The terms are drawn, weighted and summed as one stack,
+    about STACK_POINTS values at a time.  A sum with an infinite value is
+    +inf (code 1) if any such value has weight above WEIGHT_FLOOR, and
+    otherwise the sum of its finite values (code 2): those terms carry no
+    mass.  Every sum equals the single-spectrum sum bit for bit."""
     n = len(ratio)
     x, w = ratio.reshape(n, -1), wt.reshape(n, -1)
     pos = x > 0.0
-    xs, zero = x[pos], ~pos
-    singular = zero.any()
-    sums, codes = np.empty((len(terms), n)), np.zeros((len(terms), n), dtype=np.intp)
-    step = max(1, STACK_POINTS // w.size)
-    for lo in range(0, len(terms), step):
-        chunk = terms[lo:lo + step]
-        vals = np.array([term(xs) for term, _ in chunk], dtype=np.float64)
-        if singular:
+    zero, terms, out = ~pos, iter(terms), []
+    while chunk := list(itertools.islice(terms, max(1, STACK_POINTS // w.size))):
+        vals = (np.array([values for values, _ in chunk], dtype=np.float64) if len(chunk) > 1
+                else np.asarray(chunk[0][0], dtype=np.float64)[np.newaxis])  # one term: not copied
+        if zero.any():
             vals, got = np.empty((len(chunk), *w.shape)), vals
             vals[:, zero] = np.array([[at_zero] for _, at_zero in chunk])
             vals[:, pos] = got
         vals = vals.reshape(len(chunk), *w.shape)
         with np.errstate(invalid="ignore"):  # inf * 0 weight; the loop below redoes such sums
-            sums[lo:lo + step] = (w * vals).sum(axis=2)
+            total = (w * vals).sum(axis=2)
+        code = np.zeros(total.shape, dtype=np.intp)
         infinite = np.isinf(vals)
         for i, k in zip(*(a.tolist() for a in np.nonzero(infinite.any(axis=2)))):
             inf, v = infinite[i, k], vals[i, k]
             if (inf & (w[k] > WEIGHT_FLOOR)).any():
-                sums[lo + i, k], codes[lo + i, k] = math.inf, 1
+                total[i, k], code[i, k] = math.inf, 1
             else:
-                sums[lo + i, k], codes[lo + i, k] = np.sum(w[k][~inf] * v[~inf]), 2
-    return sums, codes
+                total[i, k], code[i, k] = np.sum(w[k][~inf] * v[~inf]), 2
+        out.append((total, code))
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 def s_f_from_spectrum(js: JointSpectrum, f: Generator) -> DivergenceValue:
@@ -357,7 +357,8 @@ def s_f_from_spectrum(js: JointSpectrum, f: Generator) -> DivergenceValue:
     +inf only when its weight mu_j W_ij exceeds the weight floor; below
     it the term counts as zero mass.
     """
-    sums, codes = weighted_sums(js.ratio[np.newaxis], js.wt[np.newaxis], [(f.fn, f.value_at_zero)])
+    x = js.ratio
+    sums, codes = weighted_sums(x[np.newaxis], js.wt[np.newaxis], [(f.fn(x[x > 0.0]), f.value_at_zero)])
     return DivergenceValue(value=float(sums[0, 0]), generator=f.spec, flags=SUM_FLAGS[codes[0, 0]])
 
 

@@ -580,6 +580,7 @@ class TestPsiSupPruning:
         ends = [np.array([[fn(f, x) for f in gens] for x in xs]) for fn, xs in (
             (Generator.__call__, rs), (Generator.__call__, Rs),
             (Generator.deriv_right, rs), (Generator.deriv_left, Rs))]
+        ends.append(np.array([[psi(f, 1.0, r, R) for f in gens] for r, R in zip(rs, Rs)]))
         assert [_bits(v) for v in psi_sups(gens, rs, Rs, ends).ravel()] == [
             _bits(v) for v in psi_sups(gens, rs, Rs).ravel()]
 

@@ -1,5 +1,7 @@
 """Bound chains, closed-form specializations, sampling, and fuzzing."""
 
+import collections
+import dataclasses
 import json
 import math
 
@@ -39,7 +41,7 @@ from qfdiv.harness import (
     sample_density,
     sample_pair,
 )
-from qfdiv.harness import _Block, _pair, _states, _terms
+from qfdiv.harness import _CLOSED_FORMS, _Block, _chains, _pair, _states, _terms
 from qfdiv.generators import default_catalog
 from qfdiv.hermitian import MAX_DIM, matrix_from_json
 from qfdiv.quantum import _member, as_density, chi_square, densities, joint_spectra, joint_spectrum
@@ -739,6 +741,26 @@ class TestFuzzConfig:
         with pytest.raises(InputFormatError, match="whole number"):
             FuzzConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["seed", "jobs"])
+    def test_fractional_seed_or_jobs_rejected(self, field):
+        # seed = 2.5 once ran silently as seed 2, and jobs = 2.5 was stored as 2.5.
+        with pytest.raises(InputFormatError, match="whole number"):
+            FuzzConfig(**{field: 2.5})
+
+    def test_whole_seed_runs_as_that_seed(self):
+        config = FuzzConfig(dim=3, trials=3, seed=3.0, jobs=2.0)
+        assert (type(config.seed), type(config.jobs)) == (int, int)
+        other = FuzzConfig(dim=3, trials=3, seed=3)
+        assert json.dumps(fuzz(config).summary) == json.dumps(fuzz(other).summary)
+
+    @pytest.mark.parametrize("seed, same_draws", [(2**64 + 7, 7), (-1, 2**64 - 1)])
+    def test_large_and_negative_seeds_run(self, seed, same_draws):
+        # The streams are keyed by the seed mod 2**64; the summary keeps the seed given.
+        summary = fuzz(FuzzConfig(dim=3, trials=3, seed=seed)).summary
+        assert summary["config"]["seed"] == seed
+        other = fuzz(FuzzConfig(dim=3, trials=3, seed=same_draws)).summary
+        assert json.dumps({**summary, "config": None}) == json.dumps({**other, "config": None})
+
     def test_zero_dim_rejected_before_the_default_floor(self):
         with pytest.raises(InputFormatError, match="dimension must be >= 1"):
             FuzzConfig(dim=0)
@@ -948,6 +970,71 @@ class TestBlocksStayStacked:
         # The single-pair API still builds its objects through the counted paths.
         joint_spectrum(EXAMPLE_B_Q, EXAMPLE_B_P)
         assert built == {"DensityMatrix": 2 * len(failing) + 2, "JointSpectrum": 1}
+
+
+class TestOneEvaluationPerBlock:
+    """Each generator is evaluated once per fuzz block: one f.fn call on the
+    block's positive ratios and window points, and one call per derivative
+    function; and a closed form stays the column it comes out as."""
+
+    @staticmethod
+    def counted(f):
+        """f with counting fn and derivatives, a shared derivative kept shared."""
+        calls = collections.Counter()
+
+        def count(name, fn):
+            def counted_fn(t):
+                calls[name] += 1
+                return fn(t)
+            return counted_fn
+
+        shared = f.deriv_left_fn is f.deriv_right_fn
+        left = count("deriv" if shared else "left", f.deriv_left_fn)
+        right = left if shared else count("right", f.deriv_right_fn)
+        return dataclasses.replace(f, fn=count("fn", f.fn), deriv_left_fn=left, deriv_right_fn=right), calls
+
+    def test_declared_generator(self):
+        f, calls = self.counted(kl_quantum())
+        fuzz(FuzzConfig(dim=3, trials=17, seed=21, generators=(f,)))  # blocks of 16 and 1
+        # Twice each, and f(1) once, cached by value_at_one.
+        assert dict(calls) == {"fn": 2 + 1, "deriv": 2}
+
+    def test_conjugate_keeps_two_derivative_calls(self):
+        f, calls = self.counted(conjugate(kl_quantum()))
+        assert f.psi_peak is None  # fn is called for its grids too
+        fuzz(FuzzConfig(dim=3, trials=17, seed=21, generators=(f,)))
+        assert (calls["left"], calls["right"]) == (2, 2)
+
+    def test_default_catalog_block_makes_25_calls(self):
+        wrapped = [self.counted(f) for f in default_catalog()]
+        fuzz(FuzzConfig(dim=3, trials=17, seed=21, generators=[f for f, _ in wrapped]))
+        # tv's left and right derivatives differ; the other 11 share one.
+        total = sum(sum(calls.values()) for _, calls in wrapped)
+        assert total - len(wrapped) == 2 * 25
+
+    def test_closed_forms_stay_columns(self):
+        gens = tuple(default_catalog())
+        sym, dec = densities(_states("ginibre", 4, 1e-3, [rng_for(45)], 6))
+        fields, errors = joint_spectra(dec[0::2], dec[1::2])
+        assert errors == [None] * 3
+        e, chains = _chains(_Block(sym[0::2], dec[0::2], sym[1::2], dec[1::2], fields, 1e-12), gens)
+        closed = {name for forms in _CLOSED_FORMS.values() for name, _, _ in forms.values()}
+        shapes = {ch.check: {np.shape(v) for v in ch.values if v is not e.sf}
+                  for ch in chains if ch.check in closed}
+        assert set(shapes) == closed
+        # tsallis's coefficient depends on its q: a column per generator.
+        assert shapes.pop("thm2:tsallis") == {(3, len(gens))}
+        assert set().union(*shapes.values()) == {(), (3, 1)}
+
+    def test_generator_infinite_at_the_upper_end(self):
+        # f(R) overflows while f(r) is finite: Psi(1) is +inf like sup Psi,
+        # where thm4 once raised "psi needs f finite at r, t, R".
+        f = parse_generator_spec("chi-alpha:alpha=200")
+        rep = check_thm4(*sample_pair("ginibre", 4, 1e-3, rng_for(3)), f)
+        assert rep.R > 40.0 and dict(rep.chain)["window-psi-at-one"] == INF
+        assert rep.status == "vacuous-pass"
+        summary = fuzz(FuzzConfig(dim=4, trials=5, generators=(f,))).summary
+        assert summary["violations"] == 0 and summary["checks"]["thm4"]["fail"] == 0
 
 
 class TestCollectViolations:

@@ -263,6 +263,12 @@ def slope_term(f):
     return (lambda t: (t - 1.0) * f.deriv_right_fn(t)), -f.deriv_at_zero
 
 
+def at_positive(ratio, terms):
+    """weighted_sums' terms from (term, value at 0) pairs: each term's
+    values at the positive ratios."""
+    return [(term(ratio[ratio > 0.0]), at_zero) for term, at_zero in terms]
+
+
 def _bits(x):
     return float.hex(float(x))
 
@@ -317,7 +323,8 @@ class TestSpectralSumReference:
                  (lambda t: np.where(t > 2.5, -INF, -t), -INF),
                  (lambda t: t, INF),
                  (lambda t: t, 0.0)]
-        sums, codes = weighted_sums(ratio.reshape(5, 2, 2), wt.reshape(5, 2, 2), terms)
+        block = ratio.reshape(5, 2, 2)
+        sums, codes = weighted_sums(block, wt.reshape(5, 2, 2), at_positive(block, terms))
         assert sums.shape == codes.shape == (len(terms), 5)
         for i, (term, at_zero) in enumerate(terms):
             for k in range(5):
@@ -354,7 +361,7 @@ class TestSFBlock:
         spectra.insert(4, joint_spectrum(g @ g.T / np.trace(g @ g.T), random_density(4, rng)))
         ratio, wt = (np.stack([getattr(js, x) for js in spectra]) for x in ("ratio", "wt"))
         for f in default_catalog():
-            sums, codes = weighted_sums(ratio, wt, [(f.fn, f.value_at_zero)])
+            sums, codes = weighted_sums(ratio, wt, at_positive(ratio, [(f.fn, f.value_at_zero)]))
             single = [s_f_from_spectrum(js, f) for js in spectra]
             assert [(_bits(v), SUM_FLAGS[c]) for v, c in zip(sums[0], codes[0])] == [
                 (_bits(v.value), v.flags) for v in single], f.spec
@@ -371,10 +378,10 @@ class TestSFBlock:
             ratio, wt = (np.stack([getattr(js, x) for js in spectra]) for x in ("ratio", "wt"))
             terms = [(f.fn, f.value_at_zero) for f in default_catalog()] * 3 + [
                 (lambda t: np.where(t > 1.0, INF, t), 0.0)] * 4
-            sums, codes = weighted_sums(ratio, wt, terms)
+            sums, codes = weighted_sums(ratio, wt, at_positive(ratio, terms))
             assert sums.shape == codes.shape == (len(terms), len(spectra))
             for i, term in enumerate(terms):
-                one_sums, one_codes = weighted_sums(ratio, wt, [term])
+                one_sums, one_codes = weighted_sums(ratio, wt, at_positive(ratio, [term]))
                 assert [_bits(v) for v in sums[i]] == [_bits(v) for v in one_sums[0]]
                 assert codes[i].tolist() == one_codes[0].tolist()
             assert codes[:, 1].any() and codes[-1].all()

@@ -5,7 +5,7 @@ Usage, from the repository root:
     python3 tools/identity.py > before.txt      # on the old commit
     python3 tools/identity.py | diff before.txt -   # on the new one
 
-It covers `fuzz` stdout on 31 configurations, `certify` and `compute`
+It covers `fuzz` stdout on 32 configurations, `certify` and `compute`
 JSON and CSV and `spectrum` with and without `--out` on 17 pairs (with
 QFDIV_TIMESTAMP fixed), `classical` on 5 distribution pairs, and
 `run_all_checks` reports as JSON over sampled and hand-made pairs, every
@@ -92,6 +92,11 @@ FUZZ_CONFIGS = (
     # 198 near-tight links, of which the first block lists 80: the cap of
     # 100 listed entries is reached in a later block.
     ("fuzz", "--dim", "3", "--trials", "40", "--seed", "19", "--generator", "tv"),
+    # Two tsallis columns with different q and an aliased kl pair, across a
+    # 16-pair and a 1-pair block: each family's closed forms on its own columns.
+    ("fuzz", "--dim", "4", "--trials", "17", "--seed", "20", "--generator", "tsallis:q=0.2",
+     "--generator", "kl", "--generator", "tsallis:q=0.8", "--generator", "neg-log",
+     "--generator", "kl-quantum"),
 )
 
 EXTRA_SPECS = (
