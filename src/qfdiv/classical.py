@@ -163,4 +163,4 @@ def distribution_from_json(obj: dict) -> DiscreteDistribution:
 
 def load_distribution(path: str) -> DiscreteDistribution:
     """Read a distribution JSON file."""
-    return distribution_from_json(_load_json(path))
+    return distribution_from_json(_load_json(path)[0])

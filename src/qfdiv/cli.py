@@ -21,7 +21,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import hashlib
 import io
 import json
 import math
@@ -34,17 +33,18 @@ import numpy as np
 
 from . import __version__
 from .classical import (
+    distribution_from_json,
     i_f,
-    load_distribution,
     range_check,
     refinement_bound_check,
     variation_distance,
 )
 from .errors import InputFormatError, PreconditionError
 from .generators import DEFAULT_SPECS, parse_generator_spec
-from .harness import SAMPLER_KINDS, BoundChainReport, FuzzConfig, certify, collect_violations, fuzz
-from .hermitian import ZERO_EIGENVALUE_TOL, load_matrix
+from .harness import DEFAULT_TOL, SAMPLER_KINDS, BoundChainReport, FuzzConfig, certify, collect_violations, fuzz
+from .hermitian import ZERO_EIGENVALUE_TOL, _load_json, matrix_from_json
 from .quantum import (
+    DEFAULT_INVERTIBILITY_EPS,
     as_density,
     chi_square,
     hellinger_sq,
@@ -61,8 +61,8 @@ CSV_COLUMNS = (
     "bound_thm2", "bound_thm3", "bound_thm4", "bound_thm5", "verdicts",
 )
 UPPER_EQUALITY_TOL = 1e-12
-EPS_INVERT_HELP = (f"invertibility threshold on P's smallest eigenvalue (default 1e-12); those within "
-                   f"{ZERO_EIGENVALUE_TOL:g} * ||P||_F of 0 are clamped to 0, so a smaller one has no effect")
+EPS_INVERT_HELP = (f"invertibility threshold on P's smallest eigenvalue (default {DEFAULT_INVERTIBILITY_EPS:g}); those "
+                   f"within {ZERO_EIGENVALUE_TOL:g} * ||P||_F of 0 are clamped to 0, so a smaller one has no effect")
 
 
 def _num(x):
@@ -72,26 +72,21 @@ def _num(x):
     return x
 
 
-def _sha256(path: str) -> str:
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _pair_manifest(args, argv, tolerances: dict) -> dict:
-    """The manifest of a command that reads the pair of files --q and --p."""
-    return _manifest(argv, {"q": _sha256(args.q), "p": _sha256(args.p)}, None, tolerances)
+def _read_pair(args, parse) -> tuple:
+    """parse() of the documents in --q and --p, Q read and parsed first, and
+    the input digests of the manifest: the sha256 of the bytes parsed."""
+    q_doc, q_digest = _load_json(args.q)
+    q = parse(q_doc)
+    p_doc, p_digest = _load_json(args.p)
+    return q, parse(p_doc), {"q": q_digest, "p": p_digest}
 
 
 def _pair_inputs(args, argv, **tolerances) -> tuple:
     """Q and P loaded and checked from --q and --p, their joint spectrum at
     --eps-invert, and the manifest recording `tolerances` then eps_invert."""
-    qd = as_density(load_matrix(args.q))
-    pd = as_density(load_matrix(args.p))
+    qd, pd, digests = _read_pair(args, lambda doc: as_density(matrix_from_json(doc)))
     js = joint_spectrum(qd, pd, args.eps_invert)
-    return qd, pd, js, _pair_manifest(args, argv, {**tolerances, "eps_invert": args.eps_invert})
+    return qd, pd, js, _manifest(argv, digests, None, {**tolerances, "eps_invert": args.eps_invert})
 
 
 def _manifest(argv, inputs: dict, seed, tolerances: dict) -> dict:
@@ -165,11 +160,20 @@ def _dump_json(doc: dict) -> str:
     return encode(doc, 0) + "\n"
 
 
+def _write(path: str, text: str) -> None:
+    """Write the text of an --out file; a path that cannot be written is an
+    InputFormatError."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(doc: dict, out: str, human_lines) -> None:
     """Write the document to --out, or print it; --out gets a confirmation."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(doc if isinstance(doc, str) else _dump_json(doc))
+        _write(out, doc if isinstance(doc, str) else _dump_json(doc))
         for line in human_lines:
             print(line)
         print(f"wrote {out}")
@@ -366,8 +370,7 @@ def cmd_fuzz(args, argv) -> int:
     if args.out:
         manifest = _manifest(argv, {}, config.seed,
                              {"tol": config.tol, "eps_invert": config.eps})
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dump_json({"manifest": manifest, **stdout_doc}))
+        _write(args.out, _dump_json({"manifest": manifest, **stdout_doc}))
     return 1 if result.violations else 0
 
 
@@ -399,9 +402,8 @@ def cmd_spectrum(args, argv) -> int:
 
 
 def cmd_classical(args, argv) -> int:
-    q = load_distribution(args.q)
-    p = load_distribution(args.p)
-    manifest = _pair_manifest(args, argv, {"tol": args.tol})
+    q, p, digests = _read_pair(args, distribution_from_json)
+    manifest = _manifest(argv, digests, None, {"tol": args.tol})
 
     results = []
     human = []
@@ -438,7 +440,7 @@ def cmd_classical(args, argv) -> int:
 # parser
 
 
-def _add_common(sub, *, files=True, tol=True, tol_default=1e-9):
+def _add_common(sub, *, files=True, tol=True, tol_default=DEFAULT_TOL):
     if files:
         sub.add_argument("--q", required=True, help="path to the Q input file")
         sub.add_argument("--p", required=True, help="path to the P input file")
@@ -461,27 +463,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("compute", help="divergence values and closed-form gaps")
     _add_common(sp, tol=False)
-    sp.add_argument("--eps-invert", type=float, default=1e-12, help=EPS_INVERT_HELP)
+    sp.add_argument("--eps-invert", type=float, default=DEFAULT_INVERTIBILITY_EPS, help=EPS_INVERT_HELP)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=cmd_compute)
 
     sp = subs.add_parser("certify", help="evaluate every bound chain on one pair")
     _add_common(sp)
-    sp.add_argument("--eps-invert", type=float, default=1e-12, help=EPS_INVERT_HELP)
+    sp.add_argument("--eps-invert", type=float, default=DEFAULT_INVERTIBILITY_EPS, help=EPS_INVERT_HELP)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=cmd_certify)
 
     sp = subs.add_parser("fuzz", help="seeded random search for chain violations")
     _add_common(sp, files=False)
-    sp.add_argument("--dim", type=int, default=4)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--dim", type=int, default=FuzzConfig.dim)
+    sp.add_argument("--trials", type=int, default=FuzzConfig.trials)
     sp.add_argument("--seed", type=int, default=None,
                     help="trial stream seed (default: QFDIV_SEED or 0)")
-    sp.add_argument("--sampler", choices=SAMPLER_KINDS, default="ginibre")
+    sp.add_argument("--sampler", choices=SAMPLER_KINDS, default=FuzzConfig.sampler)
     sp.add_argument("--floor", type=float, default=None,
                     help="eigenvalue floor mixed into each sample (default 1e-6/dim)")
-    sp.add_argument("--eps-invert", type=float, default=1e-12, help=EPS_INVERT_HELP)
-    sp.add_argument("--jobs", type=int, default=1,
+    sp.add_argument("--eps-invert", type=float, default=DEFAULT_INVERTIBILITY_EPS, help=EPS_INVERT_HELP)
+    sp.add_argument("--jobs", type=int, default=FuzzConfig.jobs,
                     help="accepted for compatibility (>= 1); trials always run serially")
     sp.add_argument("--allow-singular", action="store_true",
                     help="remove the sampling floor and keep only generators finite at 0")
@@ -490,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("spectrum", help="joint eigenvalues, overlap matrix, and ratio window")
     sp.add_argument("--q", required=True)
     sp.add_argument("--p", required=True)
-    sp.add_argument("--eps-invert", type=float, default=1e-12, help=EPS_INVERT_HELP)
+    sp.add_argument("--eps-invert", type=float, default=DEFAULT_INVERTIBILITY_EPS, help=EPS_INVERT_HELP)
     sp.add_argument("--out", help="write the report to this file")
     sp.set_defaults(func=cmd_spectrum)
 

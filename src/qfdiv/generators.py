@@ -483,21 +483,6 @@ _FAMILIES = {
 
 _ALIASES = {"kl": "kl-quantum"}
 
-DEFAULT_SPECS = (
-    "chi-alpha:alpha=2",
-    "dichotomy:alpha=0.5",
-    "matsushita:alpha=0.5",
-    "puri-vincze:alpha=2",
-    "arimoto:alpha=2",
-    "kl-quantum",
-    "neg-log",
-    "tv",
-    "chi2",
-    "tsallis:q=0.5",
-    "hellinger",
-    "inv-minus-one",
-)
-
 
 def parse_generator_spec(spec: str) -> Generator:
     """Build a catalog generator from a spec string ``name[:param=value,...]``.
@@ -532,8 +517,12 @@ def parse_generator_spec(spec: str) -> Generator:
 
 
 def default_catalog() -> GeneratorCatalog:
-    """The twelve catalog families at their default parameters."""
-    return GeneratorCatalog(tuple(parse_generator_spec(s) for s in DEFAULT_SPECS))
+    """The twelve catalog families at their default parameters, in the
+    order of _FAMILIES, which is the catalog's order."""
+    return GeneratorCatalog(tuple(factory() for factory, _ in _FAMILIES.values()))
+
+
+DEFAULT_SPECS = tuple(f.spec for f in default_catalog())
 
 
 def conjugate(f: Generator) -> Generator:

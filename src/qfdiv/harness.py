@@ -54,6 +54,7 @@ from .generators import (
 )
 from .hermitian import MAX_DIM, _whole, matrix_to_json
 from .quantum import (
+    DEFAULT_INVERTIBILITY_EPS,
     SUM_FLAGS,
     WEIGHT_FLOOR,
     DensityMatrix,
@@ -590,7 +591,7 @@ def _public(chains, name: str):
     """The public check function around the chain producer `chains`."""
 
     def check(q, p, f: Generator, js: JointSpectrum = None, tol: float = DEFAULT_TOL,
-              eps: float = 1e-12, sf: float = None) -> BoundChainReport:
+              eps: float = DEFAULT_INVERTIBILITY_EPS, sf: float = None) -> BoundChainReport:
         tol = _check_tol(tol)
         b = _pair(q, p, js, eps)
         _, made = _chains(b, (f,), (chains,), sf)
@@ -610,7 +611,7 @@ check_thm5 = _public(_thm5, "check_thm5")
 
 
 def certify(q, p, generators, js: JointSpectrum = None, tol: float = DEFAULT_TOL,
-            eps: float = 1e-12) -> list:
+            eps: float = DEFAULT_INVERTIBILITY_EPS) -> list:
     """All six chains for each generator on one pair, sharing the pair's
     invariants and judged in one pass.  Returns, per generator, its S_f
     (a DivergenceValue) and its six reports."""
@@ -624,7 +625,7 @@ def certify(q, p, generators, js: JointSpectrum = None, tol: float = DEFAULT_TOL
 
 
 def run_all_checks(q, p, f: Generator, js: JointSpectrum = None,
-                   tol: float = DEFAULT_TOL, eps: float = 1e-12) -> tuple:
+                   tol: float = DEFAULT_TOL, eps: float = DEFAULT_INVERTIBILITY_EPS) -> tuple:
     """All six chains for one generator, sharing one joint spectrum."""
     return certify(q, p, (f,), js=js, tol=tol, eps=eps)[0][1]
 
@@ -722,7 +723,7 @@ class FuzzConfig:
     floor: float = None
     generators: tuple = None
     tol: float = DEFAULT_TOL
-    eps: float = 1e-12
+    eps: float = DEFAULT_INVERTIBILITY_EPS
     jobs: int = 1
 
     def __post_init__(self):

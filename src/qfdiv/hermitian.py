@@ -14,6 +14,7 @@ Matrices are plain complex ndarrays.  The JSON exchange format is
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -353,21 +354,24 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return _as_square_matrix(re + 1j * im)
 
 
-def _load_json(path: str):
-    """The JSON document in a file; an unreadable or malformed file is an
-    InputFormatError."""
+def _load_json(path: str) -> tuple:
+    """The JSON document in a file, read once, and the sha256 of the bytes
+    it was parsed from; an unreadable file, or one that is not UTF-8 JSON,
+    is an InputFormatError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
         raise InputFormatError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def load_matrix(path: str) -> np.ndarray:
     """Read a matrix JSON file."""
-    return matrix_from_json(_load_json(path))
+    return matrix_from_json(_load_json(path)[0])
 
 
 def save_matrix(a, path: str) -> None:

@@ -65,6 +65,19 @@ class TestDiscreteDistribution:
         with pytest.raises(InputFormatError):
             DiscreteDistribution(np.eye(2))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InputFormatError, match="finite"):
+            DiscreteDistribution(np.asarray([0.5, bad]))
+
+    def test_json_not_an_object(self):
+        with pytest.raises(InputFormatError, match="must be an object"):
+            distribution_from_json([0.5, 0.5])
+
+    def test_json_non_numeric_weights(self):
+        with pytest.raises(InputFormatError, match="bad weights"):
+            distribution_from_json({"weights": ["a", "b"]})
+
     def test_json_round_trip(self):
         d = dist(0.25, 0.75)
         d2 = distribution_from_json(distribution_to_json(d))

@@ -1,6 +1,7 @@
 """Command-line interface: output documents, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -241,6 +242,17 @@ class TestFuzzCommand:
         assert "neg-log" not in names and "inv-minus-one" not in names
         assert "kl-quantum" in names and "tv" in names
 
+    def test_non_integer_seed_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("QFDIV_SEED", "abc")
+        code = main(["fuzz", "--dim", "2", "--trials", "1"])
+        assert code == 2
+        assert "QFDIV_SEED must be an integer" in capsys.readouterr().err
+
+    def test_allow_singular_with_only_unbounded_generators_exits_2(self, capsys):
+        code = main(["fuzz", "--trials", "1", "--allow-singular", "--generator", "neg-log"])
+        assert code == 2
+        assert "--allow-singular left no generators" in capsys.readouterr().err
+
     def test_zero_trials_exits_2(self, files, capsys):
         code, _ = run(capsys, "fuzz", "--trials", "0")
         assert code == 2
@@ -419,6 +431,15 @@ class TestSpectrum:
         assert doc["overlap_defect"] == {"rows": np.abs(w.sum(axis=1) - 1.0).max(),
                                          "columns": np.abs(w.sum(axis=0) - 1.0).max()}
 
+    def test_out_file_and_human_lines(self, files, capsys, tmp_path):
+        target = tmp_path / "spectrum.json"
+        code, out = run(capsys, "spectrum", "--q", files["qb"], "--p", files["pb"],
+                        "--out", str(target))
+        assert code == 0
+        assert out.splitlines()[0].startswith("eigenvalues-q: ")
+        assert out.endswith(f"wrote {target}\n")
+        assert json.loads(target.read_text())["R"] == pytest.approx(2.5, abs=1e-14)
+
     def test_oversized_dim_in_input_exits_2(self, files, capsys, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text(json.dumps({"dim": 100_000, "re": [[1.0]]}))
@@ -493,6 +514,67 @@ class TestOutputFiles:
                      "--out", str(out_path))
         assert "manifest" not in json.loads(out)
         assert "manifest" in json.loads(out_path.read_text())
+
+
+class TestInputDigests:
+    def test_digests_are_of_the_file_bytes(self, files, capsys):
+        _, out = run(capsys, "classical", "--q", files["dq"], "--p", files["dp"],
+                     "--generator", "tv")
+        inputs = json.loads(out)["manifest"]["inputs"]
+        for which, path in (("q", files["dq"]), ("p", files["dp"])):
+            with open(path, "rb") as fh:
+                assert inputs[which] == hashlib.sha256(fh.read()).hexdigest()
+
+    def test_a_pipe_is_digested_as_read(self, files):
+        # A pipe can be read only once: the digest is of the bytes parsed.
+        with open(files["qa"], "rb") as fh:
+            data = fh.read()
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        done = subprocess.run([sys.executable, "-m", "qfdiv", "compute", "--q", "/dev/stdin",
+                               "--p", files["pa"], "--generator", "chi2"],
+                              input=data, env=env, capture_output=True, check=True)
+        assert json.loads(done.stdout)["manifest"]["inputs"]["q"] == hashlib.sha256(data).hexdigest()
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("encode", [
+        lambda text: text.encode("utf-16"),
+        lambda text: b"\xff" + text.encode(),
+        # Decoded as UTF-8, a byte-order mark is a character JSON does not allow.
+        lambda text: b"\xef\xbb\xbf" + text.encode(),
+    ], ids=["utf-16", "0xff", "utf-8-bom"])
+    @pytest.mark.parametrize("command, good", [("compute", "pa"), ("classical", "dp")])
+    def test_exits_2_as_malformed_json(self, files, capsys, tmp_path, encode, command, good):
+        path = tmp_path / "q.json"
+        with open(files[good], encoding="utf-8") as fh:
+            path.write_bytes(encode(fh.read()))
+        code = main([command, "--q", str(path), "--p", files[good]])
+        assert code == 2
+        assert f"malformed JSON in {path}" in capsys.readouterr().err
+
+
+class TestUnwritableOut:
+    COMMANDS = {
+        "compute": ("compute", "--q", "qa", "--p", "pa", "--generator", "chi2"),
+        "certify": ("certify", "--q", "qa", "--p", "pa", "--generator", "chi2"),
+        "spectrum": ("spectrum", "--q", "qa", "--p", "pa"),
+        "classical": ("classical", "--q", "dq", "--p", "dp", "--generator", "tv"),
+        "fuzz": ("fuzz", "--dim", "2", "--trials", "2", "--generator", "chi2"),
+    }
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_exits_2(self, files, capsys, tmp_path, command, where):
+        target = str(tmp_path / "missing" / "out.json") if where == "missing-dir" else str(tmp_path)
+        argv = [files.get(a, a) for a in self.COMMANDS[command]]
+        code = main([*argv, "--out", target])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"cannot write {target}" in captured.err
+        # fuzz prints its summary before it writes the file; the others print nothing.
+        expected = run(capsys, *argv)[1] if command == "fuzz" else ""
+        assert captured.out == expected
 
 
 class TestParser:

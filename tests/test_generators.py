@@ -47,10 +47,23 @@ PROBE_GRID = np.geomspace(1e-6, 1e3, 181)
 
 
 class TestCatalog:
+    # The catalog as the factory defaults make it: a changed default moves a spec.
+    SPECS = ("chi-alpha:alpha=2", "dichotomy:alpha=0.5", "matsushita:alpha=0.5",
+             "puri-vincze:alpha=2", "arimoto:alpha=2", "kl-quantum", "neg-log", "tv", "chi2",
+             "tsallis:q=0.5", "hellinger", "inv-minus-one")
+
     def test_default_catalog_size_and_specs(self):
         cat = default_catalog()
         assert len(cat) == 12
-        assert tuple(g.spec for g in cat) == DEFAULT_SPECS
+        assert tuple(g.spec for g in cat) == self.SPECS
+        assert DEFAULT_SPECS == self.SPECS
+
+    def test_names_in_catalog_order(self):
+        assert default_catalog().names() == tuple(spec.partition(":")[0] for spec in self.SPECS)
+
+    def test_get_unknown_name(self):
+        with pytest.raises(InputFormatError, match="no generator named"):
+            default_catalog().get("chi-alpha:alpha=2")
 
     def test_get_by_spec(self):
         cat = default_catalog()
@@ -80,6 +93,20 @@ class TestCatalog:
     def test_parse_unknown_param(self):
         with pytest.raises(InputFormatError):
             parse_generator_spec("kl-quantum:alpha=2")
+
+    @pytest.mark.parametrize("spec", ["", "   "])
+    def test_parse_empty_spec(self, spec):
+        with pytest.raises(InputFormatError, match="non-empty"):
+            parse_generator_spec(spec)
+
+    def test_parse_non_numeric_value(self):
+        with pytest.raises(InputFormatError, match="non-numeric"):
+            parse_generator_spec("tsallis:q=abc")
+
+    @pytest.mark.parametrize("make, param", [(matsushita, 2.0), (tsallis, 1.5)])
+    def test_factories_reject_parameters_out_of_range(self, make, param):
+        with pytest.raises(InputFormatError, match="needs"):
+            make(param)
 
     # A non-finite parameter is malformed input, not a generator whose
     # values are NaN; arimoto's alpha = inf is its documented closure.
@@ -410,6 +437,10 @@ class TestPsi:
     def test_psi_sup_kl_frozen(self):
         # sup is the t -> r+ limit: slope - f'(r) on [0.5, 1.5].
         assert psi_sup(kl_quantum(), 0.5, 1.5) == pytest.approx(0.6479184330021645, rel=1e-9)
+
+    def test_psi_sup_rejects_negative_lower_end(self):
+        with pytest.raises(PreconditionError, match=">= 0"):
+            psi_sup(kl_quantum(), -1.0, 2.0)
 
     def test_psi_sup_infinite_when_endpoint_blows_up(self):
         assert psi_sup(neg_log(), 0.0, 2.0) == INF

@@ -119,6 +119,10 @@ class TestEighStack:
                 hermitian_part(m)
             assert str(exc) == str(single.value)
 
+    def test_two_dimensional_array_rejected(self):
+        with pytest.raises(InputFormatError, match="stack of square matrices"):
+            hermitian_stack(np.eye(2))
+
 
 class TestHermitianPart:
     def test_symmetrizes_small_defect(self):
@@ -152,6 +156,10 @@ class TestMatrixFunction:
         with pytest.raises(PreconditionError):
             matrix_function(np.diag([1.0, 0.0]), math.log)
 
+    def test_infinite_value_raises(self):
+        with pytest.raises(PreconditionError, match="infinite"):
+            matrix_function(np.diag([1.0, 0.0]), lambda x: math.inf if x == 0.0 else x)
+
     def test_accepts_decomposition(self):
         dec = eigh(np.diag([1.0, 4.0]))
         out = matrix_function(dec, math.sqrt)
@@ -178,6 +186,10 @@ class TestNormsAndTraces:
         b = np.array([[1.0, 1j], [0.0, 2.0]])
         manual = np.sum(np.conj(b) * a)
         assert hs_inner(a, b) == pytest.approx(manual, abs=1e-14)
+
+    def test_hs_inner_dimension_mismatch(self):
+        with pytest.raises(InputFormatError, match="dimension mismatch"):
+            hs_inner(np.eye(2), np.eye(3))
 
     def test_hs_norm_frobenius(self):
         a = np.array([[3.0, 0.0], [0.0, 4.0]])
@@ -249,6 +261,10 @@ class TestTraceHoelder:
         with pytest.raises(PreconditionError):
             trace_hoelder_check(np.eye(2), np.eye(2), 1.5)
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(InputFormatError, match="dimension mismatch"):
+            trace_hoelder_check(np.eye(2), np.eye(3), 0.5)
+
     def test_equality_for_identity(self):
         rep = trace_hoelder_check(np.eye(2), np.eye(2), 0.5)
         assert rep.ok
@@ -294,6 +310,14 @@ class TestMatrixJson:
     def test_missing_file_is_input_error(self):
         with pytest.raises(InputFormatError):
             load_matrix("/nonexistent/m.json")
+
+    def test_non_object_rejected(self):
+        with pytest.raises(InputFormatError, match="must be an object"):
+            matrix_from_json([[1.0]])
+
+    def test_zero_dim_rejected(self):
+        with pytest.raises(InputFormatError, match="dim must be positive"):
+            matrix_from_json({"dim": 0, "re": []})
 
 
 class TestCheckReport:

@@ -5,13 +5,14 @@ Usage, from the repository root:
     python3 tools/identity.py > before.txt      # on the old commit
     python3 tools/identity.py | diff before.txt -   # on the new one
 
-It covers `fuzz` stdout on 32 configurations, `certify` and `compute`
-JSON and CSV and `spectrum` with and without `--out` on 17 pairs (with
-QFDIV_TIMESTAMP fixed), `classical` on 5 distribution pairs, and
-`run_all_checks` reports as JSON over sampled and hand-made pairs, every
-generator of a 23-entry list and two tolerances.  The digests depend on
-the numpy/LAPACK/BLAS build, so they compare two commits on one machine;
-they are not a test.
+It covers `fuzz` stdout on 32 configurations and `fuzz --out` on 2 of
+them; `certify` and `compute` JSON and CSV on 17 pairs, and with `--out`
+on the 7 hand-made ones; `spectrum` with and without `--out` on the 17
+pairs (with QFDIV_TIMESTAMP fixed); `classical` with and without `--out`
+on 5 distribution pairs; and `run_all_checks` reports as JSON over
+sampled and hand-made pairs, every generator of a 23-entry list and two
+tolerances.  The digests depend on the numpy/LAPACK/BLAS build, so they
+compare two commits on one machine; they are not a test.
 
 Each fuzz configuration and tolerance of `run_all_checks` prints two
 lines: a value digest of the whole output, and a status digest marked
@@ -97,6 +98,12 @@ FUZZ_CONFIGS = (
     ("fuzz", "--dim", "4", "--trials", "17", "--seed", "20", "--generator", "tsallis:q=0.2",
      "--generator", "kl", "--generator", "tsallis:q=0.8", "--generator", "neg-log",
      "--generator", "kl-quantum"),
+)
+
+# The configurations also run with `--out`: one that passes, one with violations.
+FUZZ_OUT_CONFIGS = (
+    ("fuzz", "--sampler", "ginibre", "--dim", "3", "--trials", "20", "--seed", "11"),
+    ("fuzz", "--dim", "3", "--trials", "10", "--seed", "1", "--tol", "1e-300"),
 )
 
 EXTRA_SPECS = (
@@ -218,12 +225,17 @@ def main_() -> None:
         os.chdir(tmp)
         try:
             files = ("--q", "q.json", "--p", "p.json")
-            for name, q, p in certify_cases(cases):
+            for argv in FUZZ_OUT_CONFIGS:
+                print(digest(run_cli_out(argv)), " ".join(argv), "--out")
+            for i, (name, q, p) in enumerate(certify_cases(cases)):
                 write_pair(q, p, matrix_to_json)
                 for cmd in ("certify", "compute"):
                     for fmt in ("json", "csv"):
                         out = run_cli((cmd, *files, "--format", fmt))
                         print(digest(out), cmd, name, fmt)
+                        if i < HAND_MADE:
+                            out = run_cli_out((cmd, *files, "--format", fmt))
+                            print(digest(out), cmd, name, fmt, "--out")
                 print(digest(run_cli(("spectrum", *files))), "spectrum", name)
                 print(digest(run_cli_out(("spectrum", *files))), "spectrum", name, "--out")
             for name, q, p in DISTRIBUTIONS:
