@@ -42,7 +42,7 @@ from .classical import (
 from .errors import InputFormatError, PreconditionError
 from .generators import DEFAULT_SPECS, parse_generator_spec
 from .harness import DEFAULT_TOL, SAMPLER_KINDS, BoundChainReport, FuzzConfig, certify, collect_violations, fuzz
-from .hermitian import ZERO_EIGENVALUE_TOL, _load_json, matrix_from_json
+from .hermitian import ZERO_EIGENVALUE_TOL, _json_num, _load_json, matrix_from_json
 from .quantum import (
     DEFAULT_INVERTIBILITY_EPS,
     as_density,
@@ -63,13 +63,6 @@ CSV_COLUMNS = (
 UPPER_EQUALITY_TOL = 1e-12
 EPS_INVERT_HELP = (f"invertibility threshold on P's smallest eigenvalue (default {DEFAULT_INVERTIBILITY_EPS:g}); those "
                    f"within {ZERO_EIGENVALUE_TOL:g} * ||P||_F of 0 are clamped to 0, so a smaller one has no effect")
-
-
-def _num(x):
-    """JSON-safe number: infinities and NaN become strings."""
-    if isinstance(x, float) and not math.isfinite(x):
-        return repr(x)
-    return x
 
 
 def _read_pair(args, parse) -> tuple:
@@ -234,8 +227,8 @@ def report_to_json(rep: BoundChainReport) -> dict:
         "dim": rep.dim,
         "r": rep.r,
         "R": rep.R,
-        "chain": [[label, _num(value)] for label, value in rep.chain],
-        "slacks": [_num(s) for s in rep.slacks],
+        "chain": [[label, _json_num(value)] for label, value in rep.chain],
+        "slacks": [_json_num(s) for s in rep.slacks],
         "link_verdicts": list(rep.link_verdicts),
         "flags": list(rep.flags),
         "note": rep.note,
@@ -248,23 +241,16 @@ def _any_fail(rep: BoundChainReport) -> bool:
 
 
 def _csv_text(rows: list, manifest: dict) -> str:
+    """The manifest as a comment line, the header, then a row's CSV_COLUMNS
+    cells: a string as it is, a number as repr(float), missing or None empty."""
     buf = io.StringIO()
     buf.write("# manifest: " + json.dumps(manifest) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([row.get(col, "") for col in CSV_COLUMNS])
+        writer.writerow([v if isinstance(v, str) else "" if v is None else repr(float(v))
+                         for v in map(row.get, CSV_COLUMNS)])
     return buf.getvalue()
-
-
-def _csv_num(x):
-    return "" if x is None else repr(float(x))
-
-
-def _csv_row(row: dict) -> dict:
-    """The CSV cells of a row: strings as they are, numbers through _csv_num."""
-    return {k: v if isinstance(v, str) else _csv_num(v)
-            for k, v in row.items() if k in CSV_COLUMNS}
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +268,9 @@ def cmd_compute(args, argv) -> int:
     human.append(f"r={js.r!r} R={js.R!r}")
 
     if args.format == "csv":
-        _emit(_csv_text([_csv_row(row) for row in results], manifest), args.out, human)
+        _emit(_csv_text(results, manifest), args.out, human)
     else:
-        doc = {"manifest": manifest,
-               "results": [{k: _num(v) if not isinstance(v, list) else v
-                            for k, v in row.items()} for row in results]}
+        doc = {"manifest": manifest, "results": [{k: _json_num(v) for k, v in row.items()} for row in results]}
         _emit(doc, args.out, human)
     return 0
 
@@ -330,11 +314,11 @@ def cmd_certify(args, argv) -> int:
 
     if args.format == "csv":
         # The closed forms in the CSV rows cost functional calculus, so JSON skips them.
-        rows = [_csv_row({
+        rows = [{
             **_value_row(qd, pd, js, f, eps, dv),
             **_final_bounds(reports),
             "verdicts": ";".join(f"{rep.check}={rep.status}" for rep in reports),
-        }) for f, (dv, reports) in zip(generators, results)]
+        } for f, (dv, reports) in zip(generators, results)]
         _emit(_csv_text(rows, manifest), args.out, human)
     else:
         doc = {
@@ -351,6 +335,8 @@ def cmd_fuzz(args, argv) -> int:
     generators = _generators(args)
     floor = args.floor
     if args.allow_singular:
+        if floor is not None:
+            raise InputFormatError("--allow-singular removes the sampling floor; do not also give --floor")
         floor = 0.0
         generators = tuple(g for g in generators if math.isfinite(g.value_at_zero))
         if not generators:
@@ -392,12 +378,9 @@ def cmd_spectrum(args, argv) -> int:
     ]
     human += ["  " + " ".join(repr(float(x)) for x in row) for row in js.w]
     human += [f"r: {js.r!r}", f"R: {js.R!r}"]
-    if args.out:
-        _emit(doc, args.out, human)
-    else:
-        for line in human:
-            print(line)
-        sys.stdout.write(_dump_json(doc))
+    if not args.out:  # the human lines head the document on stdout
+        print("\n".join(human))
+    _emit(doc, args.out, human)
     return 0
 
 
@@ -419,10 +402,10 @@ def cmd_classical(args, argv) -> int:
             flags.append("upper-equality")
         results.append({
             "generator": f.spec,
-            "value": _num(value),
-            "lower": _num(lower),
-            "upper": _num(upper),
-            "refinement_bound": _num(refinement),
+            "value": _json_num(value),
+            "lower": _json_num(lower),
+            "upper": _json_num(upper),
+            "refinement_bound": _json_num(refinement),
             "variation": variation_distance(q, p),
             "range_ok": rng_rep.ok,
             "refinement_ok": ref_rep.ok,
@@ -503,6 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code and stderr prefix of each error family main reports.
+_EXITS = {InputFormatError: (2, ""), PreconditionError: (3, ""), ArithmeticError: (4, "numerical failure: ")}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser main uses, built once per process (parsing leaves it as it was)."""
@@ -518,12 +505,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, argv)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ArithmeticError as exc:
-        print(f"error: numerical failure: {exc}", file=sys.stderr)
-        return 4
+    except tuple(_EXITS) as exc:
+        code, prefix = next(_EXITS[kind] for kind in type(exc).__mro__ if kind in _EXITS)
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code

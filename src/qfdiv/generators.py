@@ -23,8 +23,7 @@ Catalog families (all normalized to f(1) = 0):
     hellinger      (1/2)(sqrt(u) - 1)^2
     inv_minus_one  1/u - 1
 
-Generators are immutable; evaluation is pure and safe to call from
-concurrent workers.
+Generators are immutable, and evaluation is pure.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ __all__ = [
     "from_callable",
     "parse_generator_spec",
     "default_catalog",
+    "DEFAULT_SPECS",
 ]
 
 INF = math.inf
@@ -489,7 +489,8 @@ def parse_generator_spec(spec: str) -> Generator:
 
     Names are case-insensitive; underscores and hyphens are
     interchangeable.  "kl" is accepted for "kl-quantum".  Parameter
-    values go through float(), so "inf" is a valid arimoto alpha.
+    values go through float(), so "inf" is a valid arimoto alpha; a
+    parameter given twice is an error.
     """
     if not isinstance(spec, str) or not spec.strip():
         raise InputFormatError("generator spec must be a non-empty string")
@@ -509,6 +510,8 @@ def parse_generator_spec(spec: str) -> Generator:
                 raise InputFormatError(
                     f"bad parameter {part.strip()!r} for {name}; allowed: {allowed or '()'}"
                 )
+            if key in kwargs:
+                raise InputFormatError(f"repeated parameter {key!r} in {spec.strip()!r}")
             try:
                 kwargs[key] = float(val)
             except ValueError as exc:

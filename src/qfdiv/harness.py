@@ -52,7 +52,7 @@ from .generators import (
     psi_sups,
     secant_value,
 )
-from .hermitian import MAX_DIM, _whole, matrix_to_json
+from .hermitian import MAX_DIM, _json_num, _whole, matrix_to_json
 from .quantum import (
     DEFAULT_INVERTIBILITY_EPS,
     SUM_FLAGS,
@@ -63,7 +63,6 @@ from .quantum import (
     _check_eps,
     _density_pair,
     _member,
-    _raise_first,
     chi_squares,
     densities,
     joint_spectra,
@@ -265,7 +264,7 @@ class _Block:
         with np.errstate(divide="ignore", invalid="ignore"):
             k = (R - 1.0) * (1.0 - r) / (R - r)
         q_invertible = qdec.eigenvalues[:, 0] >= eps
-        chi = [math.sqrt(max(value, 0.0)) for value in _raise_first(chi_squares(q, pdec, eps))]
+        chi = np.sqrt(np.maximum(chi_squares(q, pdec, eps), 0.0))
         self.r, self.R, self.v, self.chi, self.tight, self.window, self.strict, self.k, self.quarter, \
             self.q_invertible = (np.array(x)[:, np.newaxis] for x in (
                 r, R, v, chi, tight, R - r > DEGENERATE_WINDOW_TOL, strict, k, 0.25 * (R - r), q_invertible))
@@ -275,7 +274,7 @@ class _Block:
         """chi-square(P, Q) for each pair whose Q is invertible at eps."""
         out, rows = np.full((len(self.q), 1), math.nan), np.flatnonzero(self.q_invertible)
         if rows.size:
-            out[rows, 0] = _raise_first(chi_squares(self.p[rows], self.qdec[rows], self.eps))
+            out[rows, 0] = chi_squares(self.p[rows], self.qdec[rows], self.eps)
         return out
 
 
@@ -291,10 +290,10 @@ def _pair(q, p, js: JointSpectrum, eps: float) -> _Block:
 # The generators' quantities on a block, one (B, G) array each: S_f and its SUM_FLAGS
 # code, the derivative-gap right side (read for a smooth f only), sup Psi (NaN off a
 # strict window), f(r), f(R), f((r + R)/2), f'_+(r), f'_-(R) and Psi(1) from _window_ends,
-# D = f'_-(R) - f'_+(r) (+inf if one diverges) and all True; f's smoothness (1, G),
-# and a (G,) mask per family present with closed forms.
+# D = f'_-(R) - f'_+(r) (+inf if one diverges), the secant value on [r, R] and all True;
+# f's smoothness (1, G), and a (G,) mask per family present with closed forms.
 _Terms = collections.namedtuple(
-    "_Terms", "sf sf_flags slope_gap sup fr fR fmid dr dR gap psi1 every smooth families")
+    "_Terms", "sf sf_flags slope_gap sup fr fR fmid dr dR gap psi1 secant every smooth families")
 
 
 def _terms(b: _Block, generators) -> _Terms:
@@ -308,10 +307,11 @@ def _terms(b: _Block, generators) -> _Terms:
     sums, codes = weighted_sums(b.ratio, b.wt, _window_ends(generators, r, R, ends, b.ratio[b.ratio > 0.0]))
     sup = np.full(fr.shape, math.nan)
     sup[strict] = psi_sups(generators, r[strict], R[strict], ends=[x[strict] for x in (fr, fR, dr, dR, psi1)])
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # r = R gives 0/0
         gap = np.where(np.isfinite(dR) & np.isfinite(dr), dR - dr, INF)
+        secant = secant_value(b.r, b.R, fr, fR)
     names = [f.name for f in generators]
-    return _Terms(sums[0::2].T, codes[0::2].T, sums[1::2].T, sup, fr, fR, fmid, dr, dR, gap, psi1,
+    return _Terms(sums[0::2].T, codes[0::2].T, sums[1::2].T, sup, fr, fR, fmid, dr, dR, gap, psi1, secant,
                   np.ones(fr.shape, dtype=bool), np.array([[f.smooth for f in generators]]),
                   {n: np.array([m == n for m in names]) for n in _CLOSED_FAMILIES.intersection(names)})
 
@@ -387,7 +387,7 @@ def _thm3(b: _Block, gens: tuple, e: _Terms) -> list:
     on a degenerate window, as thm2 is."""
     rows = b.window & e.every
     return _with_closed_form(b, gens, e, "thm3", ("value", "secant"),
-                             (e.sf, secant_value(b.r, b.R, e.fr, e.fR)), rows,
+                             (e.sf, e.secant), rows,
                              flags=(("tight:ratios-at-endpoints", rows & b.tight),), skip=_DEGENERATE)
 
 
@@ -401,8 +401,7 @@ def _thm4(b: _Block, gens: tuple, e: _Terms) -> list:
     window R > 1 > r.
     """
     strict, k, quarter, sf, sup, d, psi1 = b.strict & e.every, b.k, b.quarter, e.sf, e.sup, e.gap, e.psi1
-    k_psi1 = k * psi1
-    sec = secant_value(b.r, b.R, e.fr, e.fR)
+    k_psi1, sec = k * psi1, e.secant
     matches = (np.isfinite(sec) & np.isfinite(psi1)
                & (np.abs(k_psi1 - sec) <= 1e-9 * np.maximum(1.0, np.abs(sec))))
     alternate = _Chain("thm4:alternate", (
@@ -492,12 +491,12 @@ def _swap_oracle(b, gens, e, rows):
 
 
 def _thm2_form(coeff, final=None):
-    """thm2 with the family coefficient coeff(r, R, generators, rows) in
+    """thm2 with the family coefficient coeff(r, R, generators) in
     place of D/2 and last term final(r, R), by default (R - r)/2 times
     coeff."""
 
     def terms(b, gens, e, rows):
-        co = coeff(b.r, b.R, gens, rows)
+        co = coeff(b.r, b.R, gens)
         finite = np.isfinite(co)
         last = final(b.r, b.R) if final else np.where(finite, 0.5 * (b.R - b.r) * co, INF)
         return (e.sf, np.where(finite, co * b.v, INF), np.where(finite, co * b.chi, INF), last), rows, ()
@@ -505,14 +504,11 @@ def _thm2_form(coeff, final=None):
     return terms
 
 
-def _tsallis_coeff(r, R, gens, rows):
-    # The powers on the columns with an entry only; the others are never read.
-    cols = np.flatnonzero(rows.any(axis=0))
-    qq = np.array([[gens[g].params["q"] for g in cols.tolist()]])
-    co = np.full(rows.shape, math.nan)
-    co[:, cols] = np.where(r > 0.0, qq * (R ** (1.0 - qq) - r ** (1.0 - qq))
-                           / (2.0 * (1.0 - qq) * (R * r) ** (1.0 - qq)), INF)
-    return co
+def _tsallis_coeff(r, R, gens):
+    # q is NaN off the tsallis columns, whose entries the subchain never has.
+    qq = np.array([[f.params["q"] if f.name == "tsallis" else math.nan for f in gens]])
+    return np.where(r > 0.0, qq * (R ** (1.0 - qq) - r ** (1.0 - qq))
+                    / (2.0 * (1.0 - qq) * (R * r) ** (1.0 - qq)), INF)
 
 
 def _window(*bounds):
@@ -666,8 +662,8 @@ def _draw(kind: str, dim: int, rng: np.random.Generator, states: int) -> tuple:
 def _states(kind: str, dim: int, floor: float, rngs, states: int) -> np.ndarray:
     """The (streams * states, dim, dim) stack of sampled states (see
     sample_density), `states` from each stream of the iterable rngs in
-    turn, formed from the draws in one stacked pass and made exactly
-    Hermitian.  Each stream is drawn from before the next is taken."""
+    turn, formed from the draws in one stacked pass; densities makes them
+    exactly Hermitian.  Each stream is drawn from before the next is taken."""
     draws = [_draw(kind, dim, rng, states) for rng in rngs]
     normals = np.concatenate([g for g, _ in draws]).reshape(-1, 2, dim, dim)
     g = normals[:, 0] + 1j * normals[:, 1]
@@ -686,7 +682,7 @@ def _states(kind: str, dim: int, floor: float, rngs, states: int) -> np.ndarray:
         rho = (vecs * wts[:, np.newaxis, :]) @ vecs.conj().swapaxes(1, 2)
     if floor > 0.0:
         rho = (rho + floor * np.eye(dim) / dim) / (1.0 + floor)
-    return (rho + rho.conj().swapaxes(1, 2)) / 2.0
+    return rho
 
 
 def sample_density(kind: str, dim: int, floor: float, rng: np.random.Generator) -> DensityMatrix:
@@ -760,11 +756,11 @@ class Violation:
     p_json: dict
 
     def to_json(self) -> dict:
-        """The fields in order (q_json as q, p_json as p), infinite sides as repr."""
-        doc = {field.name.removesuffix("_json"): getattr(self, field.name)
+        """The fields in order (q_json as q, p_json as p), the link as a list,
+        non-finite numbers as repr."""
+        doc = {field.name.removesuffix("_json"): _json_num(getattr(self, field.name))
                for field in dataclasses.fields(self)}
-        return {**doc, "link": list(self.link),
-                **{side: repr(doc[side]) for side in ("left", "right") if math.isinf(doc[side])}}
+        return {**doc, "link": list(self.link)}
 
 
 def collect_violations(report: BoundChainReport, seed: int, trial: int,
@@ -849,8 +845,7 @@ class _Tally:
         at = tight[:max(0, 100 - len(self.near_tight))]
         if lowest:
             at = np.concatenate(([np.argmin(np.where(finite, slack, INF))], at))
-        rows, rest = np.divmod(at, len(gens) * len(self.links))
-        gs, links = np.divmod(rest, len(self.links))
+        rows, gs, links = np.unravel_index(at, slack.shape)
         entries = [{"trial": trials[row], "check": self.links[k][0], "generator": gens[g].spec,
                     "link": self.links[k][1], "slack": value}
                    for row, g, k, value in zip(rows.tolist(), gs.tolist(), links.tolist(),

@@ -354,6 +354,12 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return _as_square_matrix(re + 1j * im)
 
 
+def _json_num(x):
+    """x as a JSON document holds it: a non-finite float becomes its repr
+    ("inf", "-inf", "nan"), anything else is kept."""
+    return repr(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _load_json(path: str) -> tuple:
     """The JSON document in a file, read once, and the sha256 of the bytes
     it was parsed from; an unreadable file, or one that is not UTF-8 JSON,
@@ -365,7 +371,7 @@ def _load_json(path: str) -> tuple:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
-    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise InputFormatError(f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -180,16 +180,9 @@ def _density_pair(q, p, eps: float = None) -> tuple:
         raise PreconditionError(f"dimension mismatch: {qd.dim} vs {pd.dim}")
     if eps is not None:
         _check_eps(eps)
-        _raise_first([_singular(pd.min_eigenvalue, eps)])
+        if error := _singular(pd.min_eigenvalue, eps):
+            raise error
     return qd, pd
-
-
-def _raise_first(results: list) -> list:
-    """A block function's per-member results, after raising the first error among them."""
-    for x in results:
-        if isinstance(x, Exception):
-            raise x
-    return results
 
 
 @dataclass(frozen=True)
@@ -255,8 +248,9 @@ def joint_spectrum(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> JointSpectru
     eigenvalue must be at least eps.
     """
     qd, pd = _density_pair(q, p)
-    fields, errors = joint_spectra(qd.dec[np.newaxis], pd.dec[np.newaxis], eps)
-    _raise_first(errors)
+    fields, (error,) = joint_spectra(qd.dec[np.newaxis], pd.dec[np.newaxis], eps)
+    if error:
+        raise error
     one = {name: x[0] for name, x in fields.items()}
     one.update(r=float(one["r"]), R=float(one["R"]), defect=tuple(one["defect"].tolist()))
     return _frozen(JointSpectrum, eps=eps, **one)
@@ -386,23 +380,24 @@ def umegaki(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:
 def chi_square(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:
     """tr(Q^2 P^(-1)) - 1, the chi-square distance."""
     qd, pd = _density_pair(q, p)
-    return _raise_first(chi_squares(qd.matrix[np.newaxis], pd.dec[np.newaxis], eps))[0]
+    return float(chi_squares(qd.matrix[np.newaxis], pd.dec[np.newaxis], eps)[0])
 
 
-def chi_squares(q_mats, p_dec, eps: float = DEFAULT_INVERTIBILITY_EPS) -> list:
+def chi_squares(q_mats, p_dec, eps: float = DEFAULT_INVERTIBILITY_EPS) -> np.ndarray:
     """chi_square of each pair of a block, its Qs stacked in q_mats and
-    its Ps as a stacked decomposition, in one stacked pass; a pair that
-    chi_square rejects gets its exception instead."""
+    its Ps as a stacked decomposition, in one stacked pass, as a float
+    array; chi_square's PreconditionError for the first pair whose P is
+    singular at eps."""
     _check_eps(eps)
     p_vecs, p_vals = p_dec.eigenvectors, p_dec.eigenvalues
+    singular = np.flatnonzero(p_vals[:, 0] < eps)
+    if singular.size:
+        raise _singular(float(p_vals[singular[0], 0]), eps)
     # P^(-1) through P's ascending decomposition, as matrix_function builds it.
-    with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / p_vals
-    p_inv = (p_vecs * inv[:, np.newaxis, :]) @ p_vecs.conj().swapaxes(1, 2)
-    p_inv = (p_inv + p_inv.conj().swapaxes(1, 2)) / 2.0
     with np.errstate(invalid="ignore", over="ignore"):
-        values = (np.trace(q_mats @ q_mats @ p_inv, axis1=1, axis2=2).real - 1.0).tolist()
-    return [_singular(low, eps) or value for low, value in zip(p_vals[:, 0].tolist(), values)]
+        p_inv = (p_vecs * (1.0 / p_vals)[:, np.newaxis, :]) @ p_vecs.conj().swapaxes(1, 2)
+        p_inv = (p_inv + p_inv.conj().swapaxes(1, 2)) / 2.0
+        return np.trace(q_mats @ q_mats @ p_inv, axis1=1, axis2=2).real - 1.0
 
 
 def tsallis(q, p, qparam: float, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:

@@ -195,6 +195,15 @@ class TestNumericalFailure:
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_arithmetic_error_subclass_exits_4(self, files, capsys, monkeypatch):
+        def overflow(*args, **kwargs):
+            raise FloatingPointError("overflow encountered")
+
+        monkeypatch.setattr("qfdiv.cli.joint_spectrum", overflow)
+        code = main(["spectrum", "--q", files["qa"], "--p", files["pa"]])
+        assert code == 4
+        assert capsys.readouterr().err == "error: numerical failure: overflow encountered\n"
+
     def test_fuzz_records_the_trial_as_skipped(self, files, capsys, monkeypatch):
         monkeypatch.setattr("qfdiv.harness.joint_spectra", _lose_stochasticity_in_block)
         code, out = run(capsys, "fuzz", "--dim", "2", "--trials", "3", "--seed", "0")
@@ -252,6 +261,37 @@ class TestFuzzCommand:
         code = main(["fuzz", "--trials", "1", "--allow-singular", "--generator", "neg-log"])
         assert code == 2
         assert "--allow-singular left no generators" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("floor", ["1e-3", "0"])
+    def test_allow_singular_with_floor_exits_2(self, capsys, floor):
+        # --allow-singular sets the floor to 0; an explicit --floor is refused,
+        # not overwritten.
+        code = main(["fuzz", "--trials", "1", "--allow-singular", "--floor", floor])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--allow-singular" in captured.err and "--floor" in captured.err
+        assert captured.out == ""
+
+    def test_repeated_generator_parameter_exits_2(self, capsys):
+        code = main(["fuzz", "--trials", "1", "--generator", "tsallis:q=0.5,q=0.3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "repeated parameter 'q'" in captured.err
+        assert captured.out == ""
+
+    def test_nan_chain_sides_are_strings(self, capsys):
+        # puri-vincze at alpha = 2000 overflows to NaN chain terms; every
+        # violation side is then "nan", so stdout is strict JSON.
+        code, out = run(capsys, "fuzz", "--dim", "3", "--trials", "2", "--generator",
+                        "puri-vincze:alpha=2000")
+        assert code == 1
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        sides = [v[side] for v in json.loads(out, parse_constant=refuse)["violations"]
+                 for side in ("left", "right")]
+        assert "nan" in sides
 
     def test_zero_trials_exits_2(self, files, capsys):
         code, _ = run(capsys, "fuzz", "--trials", "0")
@@ -550,6 +590,17 @@ class TestNonUtf8Input:
         with open(files[good], encoding="utf-8") as fh:
             path.write_bytes(encode(fh.read()))
         code = main([command, "--q", str(path), "--p", files[good]])
+        assert code == 2
+        assert f"malformed JSON in {path}" in capsys.readouterr().err
+
+
+class TestDeeplyNestedInput:
+    @pytest.mark.parametrize("command", ["compute", "classical"])
+    def test_exits_2_as_malformed_json(self, capsys, tmp_path, command):
+        # json.loads raises RecursionError on nesting this deep.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        code = main([command, "--q", str(path), "--p", str(path)])
         assert code == 2
         assert f"malformed JSON in {path}" in capsys.readouterr().err
 

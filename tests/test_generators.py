@@ -58,6 +58,11 @@ class TestCatalog:
         assert tuple(g.spec for g in cat) == self.SPECS
         assert DEFAULT_SPECS == self.SPECS
 
+    def test_star_import_has_default_specs(self):
+        names = {}
+        exec("from qfdiv.generators import *", names)
+        assert names["DEFAULT_SPECS"] is DEFAULT_SPECS
+
     def test_names_in_catalog_order(self):
         assert default_catalog().names() == tuple(spec.partition(":")[0] for spec in self.SPECS)
 
@@ -97,6 +102,12 @@ class TestCatalog:
     @pytest.mark.parametrize("spec", ["", "   "])
     def test_parse_empty_spec(self, spec):
         with pytest.raises(InputFormatError, match="non-empty"):
+            parse_generator_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["tsallis:q=0.5,q=0.3", "tsallis:q=0.5,Q=0.5",
+                                      "chi-alpha:alpha=2, alpha=3"])
+    def test_parse_rejects_repeated_parameter(self, spec):
+        with pytest.raises(InputFormatError, match="repeated parameter"):
             parse_generator_spec(spec)
 
     def test_parse_non_numeric_value(self):

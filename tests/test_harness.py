@@ -358,6 +358,12 @@ class TestGivenValue:
 
 
 class TestRunAllChecks:
+    def test_package_exports_certify(self):
+        import qfdiv
+
+        assert qfdiv.certify is qfdiv.harness.certify
+        assert "certify" in qfdiv.__all__
+
     def test_empty_generator_list(self):
         assert certify(EXAMPLE_B_Q, EXAMPLE_B_P, ()) == []
 

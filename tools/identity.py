@@ -9,10 +9,11 @@ It covers `fuzz` stdout on 32 configurations and `fuzz --out` on 2 of
 them; `certify` and `compute` JSON and CSV on 17 pairs, and with `--out`
 on the 7 hand-made ones; `spectrum` with and without `--out` on the 17
 pairs (with QFDIV_TIMESTAMP fixed); `classical` with and without `--out`
-on 5 distribution pairs; and `run_all_checks` reports as JSON over
-sampled and hand-made pairs, every generator of a 23-entry list and two
-tolerances.  The digests depend on the numpy/LAPACK/BLAS build, so they
-compare two commits on one machine; they are not a test.
+on 5 distribution pairs; 6 runs on bad input that exit 2 or 3; and
+`run_all_checks` reports as JSON over sampled and hand-made pairs, every
+generator of a 23-entry list and two tolerances.  The digests depend on
+the numpy/LAPACK/BLAS build, so they compare two commits on one machine;
+they are not a test.
 
 Each fuzz configuration and tolerance of `run_all_checks` prints two
 lines: a value digest of the whole output, and a status digest marked
@@ -152,6 +153,22 @@ def pairs() -> list:
 
 HAND_MADE = 7
 
+# Runs on bad input, each digested with its exit code, stdout and stderr;
+# ERROR_FILES holds the text of the files they read.
+ERROR_RUNS = (
+    ("malformed-json", ("compute", "--q", "bad.json", "--p", "bad.json")),
+    ("unknown-generator", ("fuzz", "--trials", "1", "--generator", "nope")),
+    ("zero-tol", ("fuzz", "--trials", "1", "--tol", "0")),
+    ("singular-p", ("certify", "--q", "q2.json", "--p", "p2-singular.json")),
+    ("dimension-mismatch", ("compute", "--q", "q2.json", "--p", "p3.json")),
+    ("spectrum-singular-p", ("spectrum", "--q", "q2.json", "--p", "p2-singular.json")),
+)
+ERROR_FILES = {
+    "bad.json": '{"dim": 2,',
+    **{name: json.dumps(matrix_to_json(m)) for name, m in (
+        ("q2.json", np.eye(2) / 2.0), ("p2-singular.json", np.diag([1.0, 0.0])), ("p3.json", np.eye(3) / 3.0))},
+}
+
 # (name, q, p) weight vectors for `classical`: zero weights on either
 # side, and disjoint supports.
 DISTRIBUTIONS = (
@@ -242,6 +259,11 @@ def main_() -> None:
                 write_pair(q, p, distribution_to_json)
                 print(digest(run_cli(("classical", *files))), "classical", name)
                 print(digest(run_cli_out(("classical", *files))), "classical", name, "--out")
+            for path, text in ERROR_FILES.items():
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            for name, argv in ERROR_RUNS:
+                print(digest(run_cli(argv)), "error", name)
         finally:
             os.chdir(cwd)
 
