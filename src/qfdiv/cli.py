@@ -120,13 +120,23 @@ def _dump_json(doc: dict) -> str:
     value.  Here a scalar, and a container that holds no container, are
     written by one call of json's C encoder, built per depth with an item
     separator that breaks the line and indents; the newline and indent
-    after the opening and before the closing bracket are spliced in.
-    Only containers of containers are laid out in Python, and their keys
-    must be str: another key raises TypeError (json.dumps would convert
-    it).  An unserializable value raises json.dumps's TypeError."""
-    encoders = {}  # depth -> C encoder
+    after the opening and before the closing bracket are spliced in.  So
+    are the children of a container of such dicts, written by one call and
+    split at each separator followed by "{" (each newline is a separator's,
+    as the C encoder escapes every control character in a string).  Other
+    containers of containers are laid out in Python, and their keys must
+    be str: another key raises TypeError (json.dumps would convert it).
+    An unserializable value raises json.dumps's TypeError."""
     default = json.JSONEncoder().default
     scalars = frozenset((str, int, float, bool, type(None)))  # tried before the isinstance scan
+
+    @functools.cache
+    def c_encoder(depth: int):
+        return c_make_encoder(None, default, encode_basestring_ascii, None, ": ",
+                              ",\n" + "  " * (depth + 1), False, False, True)
+
+    def flat(parts) -> bool:
+        return scalars.issuperset(map(type, parts)) or not any(isinstance(p, (dict, list, tuple)) for p in parts)
 
     def encode(obj, depth: int) -> str:
         inner = "\n" + "  " * (depth + 1)
@@ -134,21 +144,23 @@ def _dump_json(doc: dict) -> str:
             parts = obj.values()
         else:
             parts = obj if isinstance(obj, (list, tuple)) else ()
-        if scalars.issuperset(map(type, parts)) or not any(isinstance(p, (dict, list, tuple)) for p in parts):
-            if depth not in encoders:
-                encoders[depth] = c_make_encoder(None, default, encode_basestring_ascii, None, ": ",
-                                                 "," + inner, False, False, True)
-            text = "".join(encoders[depth](obj, 0))
+        if flat(parts):
+            text = "".join(c_encoder(depth)(obj, 0))
             # A scalar or an empty container, as it is; else the brackets on their own lines.
             return text if not parts else text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
         if isinstance(obj, dict):
             for key in obj:
                 if not isinstance(key, str):
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
-            body = ("," + inner).join(encode_basestring_ascii(key) + ": " + encode(value, depth + 1)
-                                      for key, value in obj.items())
-            return "{" + inner + body + inner[:-2] + "}"
-        return "[" + inner + ("," + inner).join(encode(part, depth + 1) for part in obj) + inner[:-2] + "]"
+        if all(isinstance(p, dict) for p in parts) and flat([v for p in parts for v in p.values()]):
+            bodies = "".join(c_encoder(depth + 1)(list(parts), 0))[2:-2].split("}," + inner + "  {")
+            children = ["{" + inner + "  " + body + inner + "}" if body else "{}" for body in bodies]
+        else:
+            children = [encode(part, depth + 1) for part in parts]
+        if isinstance(obj, dict):
+            children = [encode_basestring_ascii(key) + ": " + child for key, child in zip(obj, children)]
+        brackets = "{}" if isinstance(obj, dict) else "[]"
+        return brackets[0] + inner + ("," + inner).join(children) + inner[:-2] + brackets[1]
 
     return encode(doc, 0) + "\n"
 

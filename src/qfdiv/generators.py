@@ -484,13 +484,22 @@ _FAMILIES = {
 _ALIASES = {"kl": "kl-quantum"}
 
 
+@functools.lru_cache(maxsize=256)
+def _shared(name: str, params: tuple) -> Generator:
+    """Family `name` at params, sorted (key, float.hex(value)) pairs, built
+    once per process.  The key holds a value's exact bits, so alpha=0 and
+    alpha=-0, whose specs differ, stay two generators."""
+    return _FAMILIES[name][0](**{key: float.fromhex(value) for key, value in params})
+
+
 def parse_generator_spec(spec: str) -> Generator:
-    """Build a catalog generator from a spec string ``name[:param=value,...]``.
+    """The catalog generator of a spec string ``name[:param=value,...]``.
 
     Names are case-insensitive; underscores and hyphens are
     interchangeable.  "kl" is accepted for "kl-quantum".  Parameter
     values go through float(), so "inf" is a valid arimoto alpha; a
-    parameter given twice is an error.
+    parameter given twice is an error.  Equal family and parameter values
+    give one shared, frozen instance per process: do not mutate its params.
     """
     if not isinstance(spec, str) or not spec.strip():
         raise InputFormatError("generator spec must be a non-empty string")
@@ -500,7 +509,7 @@ def parse_generator_spec(spec: str) -> Generator:
     if name not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise InputFormatError(f"unknown generator {head.strip()!r}; known: {known}")
-    factory, allowed = _FAMILIES[name]
+    allowed = _FAMILIES[name][1]
     kwargs = {}
     if tail.strip():
         for part in tail.split(","):
@@ -516,13 +525,13 @@ def parse_generator_spec(spec: str) -> Generator:
                 kwargs[key] = float(val)
             except ValueError as exc:
                 raise InputFormatError(f"non-numeric value in {part.strip()!r}") from exc
-    return factory(**kwargs)
+    return _shared(name, tuple(sorted((key, value.hex()) for key, value in kwargs.items())))
 
 
 def default_catalog() -> GeneratorCatalog:
-    """The twelve catalog families at their default parameters, in the
-    order of _FAMILIES, which is the catalog's order."""
-    return GeneratorCatalog(tuple(factory() for factory, _ in _FAMILIES.values()))
+    """The twelve catalog families at their default parameters, shared with
+    parse_generator_spec, in the order of _FAMILIES (the catalog's order)."""
+    return GeneratorCatalog(tuple(_shared(name, ()) for name in _FAMILIES))
 
 
 DEFAULT_SPECS = tuple(f.spec for f in default_catalog())

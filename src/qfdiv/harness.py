@@ -170,19 +170,37 @@ _SLACK_BUCKETS = ("negative", "<1e-9", "<1e-6", "<1e-3", "<1", ">=1", "vacuous")
 _BUCKET_EDGES = np.array([0.0, 1e-9, 1e-6, 1e-3, 1.0])
 
 
+def _layout(chains) -> tuple:
+    """The links of `chains`, fixed by their checks and labels and so worked
+    out once per process for a generator set: each link's left term, each
+    chain's link count, which chains have a link and their first links; the
+    sorted checks, each chain's and link's index among them, and each link's
+    (check, "left<=right")."""
+    return _shaped(tuple((ch.check, ch.labels) for ch in chains))
+
+
+@functools.lru_cache(maxsize=64)
+def _shaped(shape: tuple) -> tuple:
+    sizes = np.array([len(labels) for _, labels in shape], dtype=np.intp)
+    nlinks, checks = sizes - 1, sorted({check for check, _ in shape})
+    ids = np.array([checks.index(check) for check, _ in shape], dtype=np.intp)
+    return (np.delete(np.arange(sizes.sum()), np.cumsum(sizes) - 1), nlinks, nlinks > 0,
+            (np.cumsum(nlinks) - nlinks)[nlinks > 0], checks, (ids, np.repeat(ids, nlinks)),
+            [(check, f"{labels[i]}<={labels[i + 1]}") for check, labels in shape for i in range(len(labels) - 1)])
+
+
 def _link_eval(chains, tol: float) -> tuple:
     """Judge every link of `chains` in one vectorized pass: each chain's
     status code per entry and link count, then per entry and link (in
     chain order) the verdict code, slack, slack bucket and equality flag.
     An infinite right side makes a link vacuous; an infinite left side
     under a finite one fails."""
-    sizes = np.array([len(ch.labels) for ch in chains], dtype=np.intp)
+    at, nlinks, linked, starts = _layout(chains)[:4]
     cols = [col for ch in chains for col in ch.values]
     values = np.empty((len(cols), *(chains[0].rows.shape if chains else (0,))))
     for i, col in enumerate(cols):
         values[i] = col  # broadcast to (B, G)
     values = np.moveaxis(values, 0, -1)
-    at = np.delete(np.arange(values.shape[-1]), np.cumsum(sizes) - 1)  # left ends of links
     left, right = values[..., at], values[..., at + 1]
 
     vacuous = np.isinf(right)
@@ -196,11 +214,9 @@ def _link_eval(chains, tol: float) -> tuple:
     buckets = np.where(np.isinf(slack), 6, np.searchsorted(_BUCKET_EDGES, slack, side="right"))
     equal = held & ~vacuous & (np.abs(slack) <= EQUALITY_TOL * np.maximum(1.0, np.abs(right)))
 
-    nlinks = sizes - 1
     status = np.full((*values.shape[:-1], len(chains)), 3)
-    linked = nlinks > 0
     if at.size:
-        status[..., linked] = np.maximum.reduceat(codes, (np.cumsum(nlinks) - nlinks)[linked], axis=-1)
+        status[..., linked] = np.maximum.reduceat(codes, starts, axis=-1)
     return status, nlinks, codes, slack, buckets, equal
 
 
@@ -310,10 +326,17 @@ def _terms(b: _Block, generators) -> _Terms:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # r = R gives 0/0
         gap = np.where(np.isfinite(dR) & np.isfinite(dr), dR - dr, INF)
         secant = secant_value(b.r, b.R, fr, fR)
-    names = [f.name for f in generators]
     return _Terms(sums[0::2].T, codes[0::2].T, sums[1::2].T, sup, fr, fR, fmid, dr, dR, gap, psi1, secant,
-                  np.ones(fr.shape, dtype=bool), np.array([[f.smooth for f in generators]]),
-                  {n: np.array([m == n for m in names]) for n in _CLOSED_FAMILIES.intersection(names)})
+                  np.ones(fr.shape, dtype=bool), *_columns(tuple(generators)))
+
+
+@functools.lru_cache(maxsize=64)
+def _columns(generators: tuple) -> tuple:
+    """The generators' _Terms.smooth and _Terms.families, worked out once
+    per generator tuple."""
+    names = [f.name for f in generators]
+    return (np.array([[f.smooth for f in generators]]),
+            {n: np.array([m == n for m in names]) for n in _CLOSED_FAMILIES.intersection(names)})
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +347,7 @@ def _terms(b: _Block, generators) -> _Terms:
 # hypotheses exclude), its own chain, then its subchains.  The list
 # depends only on the generators, not on the block: a closed form is
 # listed whenever its family is, with no entries where the block excludes
-# it.  _Tally relies on this, fixing its chain layout from the first block.
+# it.  _layout relies on this, working a chain list's links out once.
 
 
 _DEGENERATE = "degenerate window: r = R"
@@ -807,8 +830,8 @@ def _rekey(rng: np.random.Generator, seed: int, trial: int) -> np.random.Generat
 
 class _Tally:
     """fuzz's aggregates, fed one block of trials at a time in trial order;
-    the check and link of each judged column are worked out once, on the
-    first block, since the chain list depends only on the generators."""
+    the check and link of each judged column come from _layout, worked
+    out once per process for a generator set."""
 
     def __init__(self, config: FuzzConfig):
         self.config, self.violations, self.checks, self.counts = config, [], [], ()
@@ -822,17 +845,13 @@ class _Tally:
         if not chains:
             return
         judged = status, nlinks, codes, slack, bucket, _ = _link_eval(chains, config.tol)
-        if not self.checks:
-            self.checks = sorted({ch.check for ch in chains})
-            ids = np.array([self.checks.index(ch.check) for ch in chains])
-            self.ids = (ids, np.repeat(ids, nlinks))
+        self.checks, column_ids, link_names = _layout(chains)[4:]
+        if not self.counts:
             self.counts = tuple(np.zeros((len(self.checks), len(names)), dtype=np.int64)
                                 for names in (_STATUSES, _SLACK_BUCKETS))
-            self.links = [(ch.check, f"{ch.labels[i]}<={ch.labels[i + 1]}")
-                          for ch in chains for i in range(len(ch.labels) - 1)]
         present = np.moveaxis(np.array([ch.rows for ch in chains]), 0, -1)  # (B, G, chains)
         linked = np.repeat(present, nlinks, axis=-1)  # (B, G, links)
-        for counts, ids, code, on in zip(self.counts, self.ids, (status, bucket), (present, linked)):
+        for counts, ids, code, on in zip(self.counts, column_ids, (status, bucket), (present, linked)):
             counts += np.bincount((ids * counts.shape[1] + code)[on],
                                   minlength=counts.size).reshape(counts.shape)
 
@@ -846,8 +865,8 @@ class _Tally:
         if lowest:
             at = np.concatenate(([np.argmin(np.where(finite, slack, INF))], at))
         rows, gs, links = np.unravel_index(at, slack.shape)
-        entries = [{"trial": trials[row], "check": self.links[k][0], "generator": gens[g].spec,
-                    "link": self.links[k][1], "slack": value}
+        entries = [{"trial": trials[row], "check": link_names[k][0], "generator": gens[g].spec,
+                    "link": link_names[k][1], "slack": value}
                    for row, g, k, value in zip(rows.tolist(), gs.tolist(), links.tolist(),
                                                slack.ravel()[at].tolist())]
         if lowest:

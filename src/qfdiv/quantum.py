@@ -159,8 +159,8 @@ def as_density(x) -> DensityMatrix:
 
 
 def _check_eps(eps: float) -> None:
-    if not eps > 0.0:
-        raise InputFormatError(f"invertibility threshold must be positive, got {eps}")
+    if not 0.0 < eps < math.inf:
+        raise InputFormatError(f"invertibility threshold must be positive and finite, got {eps}")
 
 
 def _singular(low: float, eps: float):

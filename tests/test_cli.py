@@ -397,10 +397,11 @@ class TestEpsInvertFloor:
 
 
 class TestEpsInvertValidation:
-    """--eps-invert must be positive; NaN used to pass the check, skip the
-    invertibility test and write NaN into the manifest."""
+    """--eps-invert must be positive and finite; NaN used to pass the check,
+    skip the invertibility test and write NaN into the manifest, and inf
+    made every fuzz trial skipped."""
 
-    @pytest.mark.parametrize("eps", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("eps", ["nan", "0", "-1", "inf"])
     @pytest.mark.parametrize("command", ["compute", "certify", "spectrum"])
     @pytest.mark.parametrize("p", ["pa", "singular"])
     def test_pair_commands_exit_2(self, files, capsys, tmp_path, command, p, eps):
@@ -412,7 +413,7 @@ class TestEpsInvertValidation:
         assert code == 2 and captured.out == ""
         assert "invertibility threshold must be positive" in captured.err
 
-    @pytest.mark.parametrize("eps", ["nan", "0", "-1"])
+    @pytest.mark.parametrize("eps", ["nan", "0", "-1", "inf"])
     def test_fuzz_exits_2(self, capsys, eps):
         code = main(["fuzz", "--dim", "2", "--trials", "1", "--eps-invert", eps])
         assert code == 2
@@ -652,6 +653,26 @@ class TestParser:
         assert len(json.loads(out)["summary"]["config"]["generators"]) == 12
 
 
+class TestSharedGenerators:
+    """Generators, and what is worked out from a generator set, are shared
+    by every call in a process; a call's bytes must not depend on the calls
+    before it."""
+
+    def test_fuzz_and_certify_bytes_survive_another_generator_set(self, capsys, files, monkeypatch):
+        monkeypatch.setenv("QFDIV_TIMESTAMP", "2026-01-01T00:00:00Z")
+        a = ("--generator", "tsallis:q=0.2", "--generator", "kl", "--generator", "tv")
+        b = ("--generator", "chi2", "--generator", "tsallis:q=0.8", "--generator", "kl-quantum",
+             "--generator", "neg-log")
+
+        def both(generators):
+            return [run(capsys, "fuzz", "--dim", "3", "--trials", "17", "--seed", "5", *generators),
+                    run(capsys, "certify", "--q", files["qb"], "--p", files["pb"], *generators)]
+
+        first = both(a)
+        assert both(b) != first
+        assert both(a) == first
+
+
 _SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(),
     st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324]),
@@ -673,6 +694,12 @@ class TestJsonWriter:
     @given(_DOCUMENTS)
     @example(_DEEP)
     @example({"x": [math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float64(1 / 3), True, None, 2**70]})
+    # Containers of flat dicts, which are written by one C call and split.
+    @example([{"},\n  {": "},\n    {", "a": "{\u0001}"}, {"b": "\n", "c": "}, {"}, {"d": "\u0001"}])
+    @example([{}, {"a": 1}, {}, {"b": 2.5, "c": None}, {}])
+    @example({"x": {"a": 1, "b": "}"}, "y": {}, "w": {"e": True, "f": "\n  }"}})
+    @example([{"a": 1}, (1, {"b": 2}), {"c": 3}, [], {"d": {}}])
+    @example({"a": [{1: "x", None: 2, 2.5: False}, {"y": 1}], "b": {"c": {True: -0.0}}})
     def test_matches_json_dumps_indent_2(self, doc):
         assert _dump_json(doc) == json.dumps(doc, indent=2) + "\n"
 
@@ -686,7 +713,7 @@ class TestJsonWriter:
         with pytest.raises(TypeError, match="not JSON serializable"):
             _dump_json(doc)
 
-    @pytest.mark.parametrize("doc", [{1: [2]}, {"a": {"b": {2: {}}}}, [{"a": {None: [1]}}]])
+    @pytest.mark.parametrize("doc", [{1: [2]}, {"a": {"b": {2: {}}}}, [{"a": {None: [1]}}], {1: {"a": 1}}])
     def test_non_str_key_of_container_of_containers_raises_type_error(self, doc):
         with pytest.raises(TypeError, match="keys must be str"):
             _dump_json(doc)

@@ -83,6 +83,15 @@ class TestCatalog:
         assert parse_generator_spec("kl").name == "kl-quantum"
         assert parse_generator_spec("CHI_ALPHA:ALPHA=2").spec == "chi-alpha:alpha=2"
 
+    def test_parse_shares_one_generator_per_family_and_values(self):
+        assert parse_generator_spec("tsallis:q=0.5") is parse_generator_spec("TSALLIS:q=5e-1")
+        assert parse_generator_spec("kl") is default_catalog().get("kl-quantum")
+
+    def test_parse_keeps_signed_zero_parameters_apart(self):
+        plus, minus = (parse_generator_spec(f"dichotomy:alpha={v}") for v in ("0", "-0"))
+        assert plus is not minus
+        assert (plus.spec, minus.spec) == ("dichotomy:alpha=0", "dichotomy:alpha=-0")
+
     def test_parse_inf_parameter(self):
         g = parse_generator_spec("arimoto:alpha=inf")
         assert g(3.0) == pytest.approx(1.0, abs=1e-14)

@@ -9,11 +9,12 @@ It covers `fuzz` stdout on 32 configurations and `fuzz --out` on 2 of
 them; `certify` and `compute` JSON and CSV on 17 pairs, and with `--out`
 on the 7 hand-made ones; `spectrum` with and without `--out` on the 17
 pairs (with QFDIV_TIMESTAMP fixed); `classical` with and without `--out`
-on 5 distribution pairs; 6 runs on bad input that exit 2 or 3; and
+on 5 distribution pairs; 6 runs on bad input that exit 2 or 3;
 `run_all_checks` reports as JSON over sampled and hand-made pairs, every
-generator of a 23-entry list and two tolerances.  The digests depend on
-the numpy/LAPACK/BLAS build, so they compare two commits on one machine;
-they are not a test.
+generator of a 23-entry list and two tolerances; and last, the first fuzz
+configuration rerun in the same process, marked `warm`.  The digests
+depend on the numpy/LAPACK/BLAS build, so they compare two commits on
+one machine; they are not a test.
 
 Each fuzz configuration and tolerance of `run_all_checks` prints two
 lines: a value digest of the whole output, and a status digest marked
@@ -283,6 +284,11 @@ def main_() -> None:
         what = f"run_all_checks pairs={len(cases)} generators={len(generators)} tol={tol:g}"
         print(h.hexdigest(), what)
         print(status.hexdigest(), "status", what)
+
+    # The first fuzz configuration again, after every other run has warmed
+    # the per-process caches: its digest must equal the first line's.
+    code, out, err = run_main(FUZZ_CONFIGS[0])
+    print(digest(f"exit={code}\n{out}stderr:\n{err}"), "warm", " ".join(FUZZ_CONFIGS[0]))
 
 
 if __name__ == "__main__":
