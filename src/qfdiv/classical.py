@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputFormatError
 from .generators import Generator, shift
-from .hermitian import CheckReport, _chain_report, _load_json
+from .hermitian import CheckReport, _chain_report, _json_floats, _load_json
 
 __all__ = [
     "DiscreteDistribution",
@@ -154,11 +154,7 @@ def distribution_from_json(obj: dict) -> DiscreteDistribution:
     """Parse the {"weights": [...]} exchange form."""
     if not isinstance(obj, dict) or "weights" not in obj:
         raise InputFormatError('distribution JSON must be an object with "weights"')
-    try:
-        w = np.asarray(obj["weights"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad weights: {exc}") from exc
-    return DiscreteDistribution(w)
+    return DiscreteDistribution(_json_floats(obj["weights"], "bad weights"))
 
 
 def load_distribution(path: str) -> DiscreteDistribution:

@@ -134,7 +134,8 @@ class Generator:
         if isinstance(t, np.ndarray):
             if t.size and float(t.min()) <= 0.0:
                 raise PreconditionError("array evaluation requires strictly positive points")
-            return np.asarray(self.fn(t), dtype=np.float64)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                return np.asarray(self.fn(t), dtype=np.float64)
         return _at(self.fn, t, self.value_at_zero, "generator argument must be >= 0, got {t}")
 
     def deriv_left(self, t: float) -> float:

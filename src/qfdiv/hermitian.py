@@ -338,20 +338,45 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the {"dim", "re", "im"} exchange form into a complex matrix."""
     if not isinstance(obj, dict):
         raise InputFormatError("matrix JSON must be an object")
-    dim = _whole(obj.get("dim"), "bad matrix JSON: dim")
+    dim = obj.get("dim")
+    if not _is_json_number(dim):  # _whole takes a numeric string or a bool as well
+        raise InputFormatError(f"bad matrix JSON: dim must be a whole number, got {dim!r}")
+    dim = _whole(dim, "bad matrix JSON: dim")
     if dim <= 0:
         raise InputFormatError(f"dim must be positive, got {dim}")
     if dim > MAX_DIM:
         raise InputFormatError(f"dim must be at most {MAX_DIM}, got {dim}")
     try:
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj.get("im", np.zeros((dim, dim))), dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
+        re = _json_floats(obj["re"], "bad matrix JSON")
+    except KeyError as exc:
         raise InputFormatError(f"bad matrix JSON: {exc}") from exc
+    im = _json_floats(obj["im"], "bad matrix JSON") if "im" in obj else np.zeros((dim, dim))
     for name, part in (("re", re), ("im", im)):
         if part.shape != (dim, dim):
             raise InputFormatError(f'"{name}" must be {dim}x{dim}, got shape {part.shape}')
     return _as_square_matrix(re + 1j * im)
+
+
+def _is_json_number(x) -> bool:
+    """Whether x is a number as JSON has them: an int or a float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _json_floats(value, what: str) -> np.ndarray:
+    """value, a JSON number or lists of them nested to any depth, as a
+    float64 array; anything else, such as ragged lists or a string or a
+    bool among the entries, is the InputFormatError "<what>: ..."."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"{what}: {exc}") from exc
+    entries = [value]
+    for _ in range(array.ndim):
+        entries = [x for part in entries for x in part]
+    for x in entries:
+        if not _is_json_number(x):
+            raise InputFormatError(f"{what}: not a number: {x!r}")
+    return array
 
 
 def _json_num(x):

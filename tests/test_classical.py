@@ -1,6 +1,7 @@
 """Classical divergence of probability vectors and its bound checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qfdiv.generators import (
     DEFAULT_SPECS,
     chi2,
     hellinger,
+    inv_minus_one,
     kl_quantum,
     neg_log,
     parse_generator_spec,
@@ -118,6 +120,12 @@ class TestIF:
     def test_infinite_when_generator_blows_up(self):
         assert i_f(dist(1.0, 0.0), dist(0.5, 0.5), neg_log()) == INF
         assert i_f(dist(0.5, 0.5), dist(1.0, 0.0), kl_quantum()) == INF
+
+    def test_overflow_to_infinity_warns_nothing(self):
+        # q/p = 2e-320, where 1/t overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert i_f(dist(1e-320, 1.0), dist(0.5, 0.5), inv_minus_one()) == INF
 
     def test_orthogonal_tv_is_two(self):
         assert i_f(dist(1.0, 0.0), dist(0.0, 1.0), tv()) == pytest.approx(2.0, abs=1e-14)

@@ -1,6 +1,7 @@
 """Command-line interface: output documents, exit codes, determinism."""
 
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -47,6 +48,29 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+STAMP = "2026-01-01T00:00:00Z"
+
+
+def _process(argv, env=(), args=("-m", "qfdiv")) -> tuple:
+    """The exit code, stdout and stderr of `python -m qfdiv argv` (or of
+    python with other args) run from ./src, with QFDIV_TIMESTAMP pinned."""
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+           "QFDIV_TIMESTAMP": STAMP, **dict(env)}
+    done = subprocess.run([sys.executable, *args, *argv], env=env, capture_output=True, text=True,
+                          check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _in_process(capsys, monkeypatch, argv, env=()) -> tuple:
+    """_process's triple for main(argv) in this process."""
+    for key, value in {"QFDIV_TIMESTAMP": STAMP, **dict(env)}.items():
+        monkeypatch.setenv(key, value)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestCompute:
@@ -421,8 +445,9 @@ class TestEpsInvertValidation:
 
 
 class TestBadImaginaryPart:
-    @pytest.mark.parametrize("im", [[["a", 0], [0, 0]], "x", [[0, 0], [0]]],
-                             ids=["non-numeric", "string", "ragged"])
+    @pytest.mark.parametrize("im", [[["a", 0], [0, 0]], "x", [[0, 0], [0]], [["0", "0"], ["0", "0"]],
+                                    [[True, 0], [0, False]]],
+                             ids=["non-numeric", "string", "ragged", "numeric-string", "boolean"])
     @pytest.mark.parametrize("command", ["compute", "certify", "spectrum"])
     def test_exits_2(self, files, capsys, tmp_path, command, im):
         path = tmp_path / "q.json"
@@ -433,7 +458,7 @@ class TestBadImaginaryPart:
 
 
 class TestMatrixDim:
-    @pytest.mark.parametrize("dim", ["1e400", "2.5", "-Infinity", "NaN", '"two"', "null"])
+    @pytest.mark.parametrize("dim", ["1e400", "2.5", "-Infinity", "NaN", '"two"', "null", "true", '"2"'])
     def test_dim_not_a_whole_number_exits_2(self, files, capsys, tmp_path, dim):
         # 1e400 parses to inf, whose int() overflow once exited 4; 2.5 once
         # ran as a 2x2 matrix.
@@ -507,6 +532,26 @@ class TestClassical:
         assert code == 0
         doc = json.loads(out[out.index("{"):])
         assert "upper-equality" in doc["results"][0]["flags"]
+
+    @pytest.mark.parametrize("weights", [[True, 0.0], [0.5, "0.5"]], ids=["boolean", "numeric-string"])
+    def test_weights_must_be_numbers(self, files, capsys, tmp_path, weights):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"weights": weights}))
+        code = main(["classical", "--q", str(path), "--p", files["orth_p"]])
+        assert code == 2
+        assert "bad weights" in capsys.readouterr().err
+
+    def test_a_subnormal_weight_prints_no_warning(self, capsys, monkeypatch, tmp_path):
+        # q/p = 2e-320, where inv-minus-one's 1/t overflows to +inf.
+        q, p = tmp_path / "q.json", tmp_path / "p.json"
+        q.write_text(json.dumps({"weights": [1e-320, 1.0]}))
+        p.write_text(json.dumps({"weights": [0.5, 0.5]}))
+        argv = ["classical", "--q", str(q), "--p", str(p)]
+        done = _process(argv)
+        assert done == _in_process(capsys, monkeypatch, argv)
+        assert done[0] == 0 and done[2] == ""
+        row = next(r for r in json.loads(done[1])["results"] if r["generator"] == "inv-minus-one")
+        assert row["value"] == "inf"
 
 
 class TestOutputFiles:
@@ -717,6 +762,56 @@ class TestJsonWriter:
     def test_non_str_key_of_container_of_containers_raises_type_error(self, doc):
         with pytest.raises(TypeError, match="keys must be str"):
             _dump_json(doc)
+
+
+class TestProcessExit:
+    """`python -m qfdiv` ends through qfdiv.__main__.run, which freezes the
+    heap once main has returned: the process prints what main prints and
+    exits with its code."""
+
+    @pytest.mark.parametrize("argv, env, code, err", [
+        (("certify", "--q", "qb", "--p", "pb"), (), 0, ""),
+        (("certify", "--q", "qb", "--p", "pb", "--format", "csv"), (), 0, ""),
+        (("fuzz", "--dim", "3", "--trials", "5", "--seed", "1"), (), 0, ""),
+        (("certify", "--q", "qa", "--p", "pa", "--generator", "chi2"),
+         (("QFDIV_SELFTEST_CORRUPT", "1"),), 1, ""),
+        (("classical", "--q", "bad", "--p", "dp"), (), 2, "error: bad weights"),
+        (("certify", "--q", "qa", "--p", "singular"), (), 3, "error: reference state is singular"),
+    ], ids=["certify-json", "certify-csv", "fuzz", "exit-1", "exit-2", "exit-3"])
+    def test_same_bytes_and_code_as_main(self, files, capsys, monkeypatch, tmp_path, argv, env, code, err):
+        singular = tmp_path / "singular.json"
+        singular.write_text(json.dumps(matrix_to_json(np.diag([1.0, 0.0]))))
+        argv = [str(singular) if a == "singular" else files.get(a, a) for a in argv]
+        done = _process(argv, env)
+        assert done == _in_process(capsys, monkeypatch, argv, env)
+        assert done[0] == code and (done[2].startswith(err) if err else done[2] == "")
+
+    def test_out_file_is_complete(self, files, capsys, monkeypatch, tmp_path):
+        out = tmp_path / "out.json"
+        argv = ["certify", "--q", files["qb"], "--p", files["pb"], "--out", str(out)]
+        texts = []
+        for call in (lambda: _process(argv), lambda: _in_process(capsys, monkeypatch, argv)):
+            assert call()[0] == 0
+            texts.append(out.read_text(encoding="utf-8"))
+        assert texts[0] == texts[1] and json.loads(texts[0])["status"] == "pass"
+
+    def test_atexit_handlers_run_after_the_freeze(self, files, capsys, monkeypatch):
+        argv = ["certify", "--q", files["qb"], "--p", files["pb"], "--generator", "chi2"]
+        script = ("import atexit, gc, sys\n"
+                  "atexit.register(lambda: print('atexit ran, frozen', gc.get_freeze_count() > 0))\n"
+                  f"sys.argv = ['qfdiv', *{argv!r}]\n"
+                  "from qfdiv.__main__ import run\n"
+                  "run()\n")
+        code, out, err = _process([], args=("-c", script))
+        assert (code, err) == (0, "")
+        assert out == _in_process(capsys, monkeypatch, argv)[1] + "atexit ran, frozen True\n"
+
+    def test_main_leaves_the_heap_unfrozen(self, files, capsys):
+        # Callers run main many times in one process; a freeze would keep
+        # each call's garbage alive until exit.
+        before = gc.get_freeze_count()
+        assert run(capsys, "certify", "--q", files["qb"], "--p", files["pb"])[0] == 0
+        assert gc.get_freeze_count() == before
 
 
 class TestImports:

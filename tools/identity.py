@@ -9,7 +9,11 @@ It covers `fuzz` stdout on 32 configurations and `fuzz --out` on 2 of
 them; `certify` and `compute` JSON and CSV on 17 pairs, and with `--out`
 on the 7 hand-made ones; `spectrum` with and without `--out` on the 17
 pairs (with QFDIV_TIMESTAMP fixed); `classical` with and without `--out`
-on 5 distribution pairs; 6 runs on bad input that exit 2 or 3;
+on 5 distribution pairs; 6 runs on bad input that exit 2 or 3; 5 runs
+made as `python -m qfdiv` processes that import ./src, marked `process`
+(`certify` JSON and CSV on the first hand-made pair, the first fuzz
+configuration, and the bad-input runs that exit 2 and 3), which see how
+a process exits and must equal the in-process lines of the same runs;
 `run_all_checks` reports as JSON over sampled and hand-made pairs, every
 generator of a 23-entry list and two tolerances; and last, the first fuzz
 configuration rerun in the same process, marked `warm`.  The digests
@@ -34,6 +38,7 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -164,6 +169,9 @@ ERROR_RUNS = (
     ("dimension-mismatch", ("compute", "--q", "q2.json", "--p", "p3.json")),
     ("spectrum-singular-p", ("spectrum", "--q", "q2.json", "--p", "p2-singular.json")),
 )
+# The runs above that are also made as `python -m qfdiv` processes: one
+# that exits 2 and one that exits 3.
+PROCESS_ERROR_RUNS = ("malformed-json", "singular-p")
 ERROR_FILES = {
     "bad.json": '{"dim": 2,',
     **{name: json.dumps(matrix_to_json(m)) for name, m in (
@@ -202,6 +210,15 @@ def run_main(argv) -> tuple:
 def run_cli(argv) -> str:
     code, out, err = run_main(argv)
     return f"exit={code}\n{out}stderr:\n{err}"
+
+
+def run_process(argv) -> str:
+    """run_cli's text for `python -m qfdiv argv` in a fresh interpreter that
+    imports qfdiv from ./src, so it covers how the process exits."""
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    proc = subprocess.run([sys.executable, "-m", "qfdiv", *argv], capture_output=True, text=True, env=env,
+                          check=False)
+    return f"exit={proc.returncode}\n{proc.stdout}stderr:\n{proc.stderr}"
 
 
 def fuzz_status(code: int, out: str) -> str:
@@ -265,6 +282,13 @@ def main_() -> None:
                     fh.write(text)
             for name, argv in ERROR_RUNS:
                 print(digest(run_cli(argv)), "error", name)
+            name, q, p = cases[0]
+            write_pair(q, p, matrix_to_json)
+            runs = [(f"certify {name} {fmt}", ("certify", *files, "--format", fmt)) for fmt in ("json", "csv")]
+            runs.append((" ".join(FUZZ_CONFIGS[0]), FUZZ_CONFIGS[0]))
+            runs += [(f"error {name}", argv) for name, argv in ERROR_RUNS if name in PROCESS_ERROR_RUNS]
+            for label, argv in runs:
+                print(digest(run_process(argv)), "process", label)
         finally:
             os.chdir(cwd)
 
