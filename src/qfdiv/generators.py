@@ -330,6 +330,8 @@ def arimoto(alpha: float = 2.0) -> Generator:
         return _abs_gap("arimoto", {"alpha": INF}, 0.5)
     if not alpha > 0.0:
         raise InputFormatError(f"arimoto needs alpha > 0 or alpha = inf, got {alpha}")
+    if not 1.0 / alpha < 1024.0:  # 2 ** (1/alpha), f(1)'s first term, would overflow
+        raise InputFormatError(f"arimoto needs alpha > 1/1024, where 2**(1/alpha) is finite, got {alpha}")
     if alpha == 1.0:
         ln2 = zero = math.log(2.0)
         fn = lambda t: (1.0 + t) * ln2 + t * np.log(t) - (1.0 + t) * np.log(1.0 + t)

@@ -151,7 +151,9 @@ class BoundChainReport:
 class _Chain(NamedTuple):
     """One chain over a block of B pairs and G generators: per term a value
     broadcast to (B, G) where read, the entries that have it (rows), its
-    flags as (name, entries set on), and whether it is a subchain."""
+    flags as (name, entries set on), the reason its check is skipped on the
+    other entries (none: it is not reported there), and whether it is a
+    subchain."""
 
     check: str
     labels: tuple
@@ -163,7 +165,7 @@ class _Chain(NamedTuple):
 
 
 # Verdicts and statuses by code.  A chain's status is the worst verdict
-# among its links; a chain without links was skipped.
+# among its links; an entry outside its rows, where it has a note, is skipped.
 _VERDICTS = ("pass", "vacuous", "fail")
 _STATUSES = ("pass", "vacuous-pass", "fail", "skipped")
 _SLACK_BUCKETS = ("negative", "<1e-9", "<1e-6", "<1e-3", "<1", ">=1", "vacuous")
@@ -171,9 +173,9 @@ _BUCKET_EDGES = np.array([0.0, 1e-9, 1e-6, 1e-3, 1.0])
 
 
 def _layout(chains) -> tuple:
-    """The links of `chains`, fixed by their checks and labels and so worked
-    out once per process for a generator set: each link's left term, each
-    chain's link count, which chains have a link and their first links; the
+    """The links of `chains`, each of which has at least one, fixed by their
+    checks and labels and so worked out once per process for a generator
+    set: each link's left term, each chain's link count and first link; the
     sorted checks, each chain's and link's index among them, and each link's
     (check, "left<=right")."""
     return _shaped(tuple((ch.check, ch.labels) for ch in chains))
@@ -184,18 +186,18 @@ def _shaped(shape: tuple) -> tuple:
     sizes = np.array([len(labels) for _, labels in shape], dtype=np.intp)
     nlinks, checks = sizes - 1, sorted({check for check, _ in shape})
     ids = np.array([checks.index(check) for check, _ in shape], dtype=np.intp)
-    return (np.delete(np.arange(sizes.sum()), np.cumsum(sizes) - 1), nlinks, nlinks > 0,
-            (np.cumsum(nlinks) - nlinks)[nlinks > 0], checks, (ids, np.repeat(ids, nlinks)),
+    return (np.delete(np.arange(sizes.sum()), np.cumsum(sizes) - 1), nlinks, np.cumsum(nlinks) - nlinks,
+            checks, (ids, np.repeat(ids, nlinks)),
             [(check, f"{labels[i]}<={labels[i + 1]}") for check, labels in shape for i in range(len(labels) - 1)])
 
 
 def _link_eval(chains, tol: float) -> tuple:
     """Judge every link of `chains` in one vectorized pass: each chain's
     status code per entry and link count, then per entry and link (in
-    chain order) the verdict code, slack, slack bucket and equality flag.
-    An infinite right side makes a link vacuous; an infinite left side
-    under a finite one fails."""
-    at, nlinks, linked, starts = _layout(chains)[:4]
+    chain order) the verdict code, slack and slack bucket.  An infinite
+    right side makes a link vacuous; an infinite left side under a finite
+    one fails."""
+    at, nlinks, starts = _layout(chains)[:3]
     cols = [col for ch in chains for col in ch.values]
     values = np.empty((len(cols), *(chains[0].rows.shape if chains else (0,))))
     for i, col in enumerate(cols):
@@ -212,21 +214,18 @@ def _link_eval(chains, tol: float) -> tuple:
     slack[endless] = -INF
     codes = np.where(vacuous, 1, np.where(held, 0, 2))
     buckets = np.where(np.isinf(slack), 6, np.searchsorted(_BUCKET_EDGES, slack, side="right"))
-    equal = held & ~vacuous & (np.abs(slack) <= EQUALITY_TOL * np.maximum(1.0, np.abs(right)))
-
-    status = np.full((*values.shape[:-1], len(chains)), 3)
-    if at.size:
-        status[..., linked] = np.maximum.reduceat(codes, starts, axis=-1)
-    return status, nlinks, codes, slack, buckets, equal
+    status = np.maximum.reduceat(codes, starts, axis=-1) if at.size else codes
+    return status, nlinks, codes, slack, buckets
 
 
 def _reports(chains, judged, row: int, b: "_Block", generators) -> list:
     """Per generator, the reports of pair `row` of block b from its chains
-    and their _link_eval: one per top-level chain, with its subchains."""
+    and their _link_eval: one per top-level chain, with its subchains, or a
+    skipped report where the chain's check is skipped."""
     if not chains:
         return []
     r, R = float(b.r[row, 0]), float(b.R[row, 0])
-    status, codes, slack, equal = (judged[i][row].tolist() for i in (0, 2, 3, 5))
+    status, codes, slack = (judged[i][row].tolist() for i in (0, 2, 3))
     values = np.empty((sum(len(ch.values) for ch in chains), len(generators)))
     for i, col in enumerate(col for ch in chains for col in ch.values):
         values[i] = col[row] if np.ndim(col) else col  # a (B, 1) column broadcasts
@@ -237,18 +236,24 @@ def _reports(chains, judged, row: int, b: "_Block", generators) -> list:
     for g, f in enumerate(generators):
         groups = []  # (a top-level chain's fields, its subchains' reports)
         for j, (ch, first) in enumerate(zip(chains, firsts)):
-            if not has[g][j]:
-                continue
             labels, n, at = ch.labels, len(ch.labels) - 1, first - j  # first term, first link
-            fields = dict(
-                check=ch.check, chain=tuple(zip(labels, values[g][first:first + n + 1])),
-                slacks=tuple(slack[g][at:at + n]),
-                link_verdicts=tuple(_VERDICTS[v] for v in codes[g][at:at + n]),
-                status=_STATUSES[status[g][j]], generator=f.spec, dim=b.dim, r=r, R=R,
-                flags=(*(name for name, on in ch.flags if on[row, g]),
-                       *(f"equality:{labels[i]}={labels[i + 1]}"
-                         for i in range(n) if equal[g][at + i])),
-                note=ch.note)
+            if has[g][j]:
+                terms = values[g][first:first + n + 1]
+                fields = dict(
+                    chain=tuple(zip(labels, terms)), slacks=tuple(slack[g][at:at + n]),
+                    link_verdicts=tuple(_VERDICTS[v] for v in codes[g][at:at + n]),
+                    status=_STATUSES[status[g][j]],
+                    # A link holds with equality if it passes with a slack within
+                    # EQUALITY_TOL * max(1, |right|) of zero.
+                    flags=(*(name for name, on in ch.flags if on[row, g]),
+                           *(f"equality:{labels[i]}={labels[i + 1]}" for i in range(n) if codes[g][at + i] == 0
+                             and abs(slack[g][at + i]) <= EQUALITY_TOL * max(1.0, abs(terms[i + 1])))))
+            elif ch.note:
+                fields = dict(chain=((labels[0], values[g][first]),), slacks=(), link_verdicts=(),
+                              status="skipped", note=ch.note)
+            else:
+                continue
+            fields.update(check=ch.check, generator=f.spec, dim=b.dim, r=r, R=R)
             if ch.sub:
                 groups[-1][1].append(BoundChainReport(**fields))
             else:
@@ -343,8 +348,8 @@ def _columns(generators: tuple) -> tuple:
 # chain producers
 #
 # Each producer returns one check's chains for all pairs and generators of
-# a block, in report order: a skipped chain (for the entries its
-# hypotheses exclude), its own chain, then its subchains.  The list
+# a block, in report order: its own chain (with the reason it is skipped on
+# the entries its hypotheses exclude), then its subchains.  The list
 # depends only on the generators, not on the block: a closed form is
 # listed whenever its family is, with no entries where the block excludes
 # it.  _layout relies on this, working a chain list's links out once.
@@ -355,19 +360,18 @@ _NOT_STRICT = "window must satisfy R > 1 > r strictly"
 
 
 def _with_closed_form(b: _Block, gens: tuple, e: _Terms, check: str, labels: tuple,
-                      values: tuple, rows, flags=(), subs=(), skip: str = None) -> list:
+                      values: tuple, rows, flags=(), subs=(), skip: str = "") -> list:
     """The chain of `check` on the entries `rows` (skipped on the others,
     for the reason skip), its subchains `subs`, then the closed forms of
     the generators' families from _CLOSED_FORMS on their entries (none on
     a block whose rows exclude them)."""
-    skipped = [_Chain(check, ("value",), (e.sf,), ~rows, note=skip)] if skip else []
     closed = []
     for family, (name, sub_labels, terms) in _CLOSED_FORMS[check].items():
         if family in e.families:
             sub_values, sub_rows, more = terms(b, gens, e, rows & e.families[family])
             flags = (*flags, *more)
             closed.append(_Chain(name, sub_labels, sub_values, sub_rows, sub=True))
-    return [*skipped, _Chain(check, labels, values, rows, flags), *subs, *closed]
+    return [_Chain(check, labels, values, rows, flags, skip), *subs, *closed]
 
 
 def _nonneg(b: _Block, gens: tuple, e: _Terms) -> list:
@@ -671,15 +675,24 @@ def _check_sampler_args(kind: str, dim: int, floor: float = None) -> tuple:
 def _draw(kind: str, dim: int, rng: np.random.Generator, states: int) -> tuple:
     """The random numbers of `states` states from one stream, in the order
     sampling one state at a time draws them: standard normals as (real,
-    imaginary) pairs of (dim, dim) arrays, and Dirichlet weights (None for
-    ginibre).  The states of the commuting ensemble share one basis."""
+    imaginary) pairs of (dim, dim) arrays, and Dirichlet(1, ..., 1) weights
+    (None for ginibre), one (dim,) row after each mixture state's normals.
+    The states of the commuting ensemble share one basis, drawn before
+    their (states, dim) weights."""
     if kind == "ginibre":
         return rng.standard_normal((2 * states, dim, dim)), None
     if kind == "commuting":
-        return rng.standard_normal((2, dim, dim)), rng.dirichlet(np.ones(dim), size=states)
-    draws = [(rng.standard_normal((2, dim, dim)), rng.dirichlet(np.ones(dim)))
-             for _ in range(states)]
-    return np.concatenate([g for g, _ in draws]), np.stack([w for _, w in draws])
+        normals, weights = rng.standard_normal((2, dim, dim)), rng.standard_exponential((states, dim))
+    else:
+        normals, weights = np.empty((2 * states, dim, dim)), np.empty((states, dim))
+        for i in range(states):
+            rng.standard_normal(out=normals[2 * i:2 * i + 2])
+            rng.standard_exponential(out=weights[i])
+    # The weights as Generator.dirichlet forms them from unit exponentials,
+    # bit for bit and without its per-call checks: each row times the
+    # reciprocal of its sum taken left to right (.sum() pairs a long row's terms).
+    weights *= 1.0 / np.cumsum(weights, axis=1)[:, -1:]
+    return normals, weights
 
 
 def _states(kind: str, dim: int, floor: float, rngs, states: int) -> np.ndarray:
@@ -712,7 +725,9 @@ def sample_density(kind: str, dim: int, floor: float, rng: np.random.Generator) 
     """One random density matrix of the given ensemble.
 
     kinds: "ginibre" (Wishart-normalized), "commuting" (random spectrum
-    on a Haar basis), "mixture" (Dirichlet-weighted rank-one states).
+    on a Haar basis), "mixture" (Dirichlet-weighted rank-one states).  The
+    Dirichlet(1, ..., 1) weights are unit exponentials over their
+    left-to-right sum: what Generator.dirichlet returns for unit alphas.
     floor in [0, 1/dim) mixes in floor * I/dim and renormalizes, keeping
     the smallest eigenvalue away from zero.
     """
@@ -844,14 +859,17 @@ class _Tally:
         _, chains = _chains(b, gens)
         if not chains:
             return
-        judged = status, nlinks, codes, slack, bucket, _ = _link_eval(chains, config.tol)
-        self.checks, column_ids, link_names = _layout(chains)[4:]
+        judged = status, nlinks, codes, slack, bucket = _link_eval(chains, config.tol)
+        self.checks, column_ids, link_names = _layout(chains)[3:]
         if not self.counts:
             self.counts = tuple(np.zeros((len(self.checks), len(names)), dtype=np.int64)
                                 for names in (_STATUSES, _SLACK_BUCKETS))
         present = np.moveaxis(np.array([ch.rows for ch in chains]), 0, -1)  # (B, G, chains)
         linked = np.repeat(present, nlinks, axis=-1)  # (B, G, links)
-        for counts, ids, code, on in zip(self.counts, column_ids, (status, bucket), (present, linked)):
+        # Outside its rows a chain with a note counts as its check skipped.
+        counted = present | np.array([bool(ch.note) for ch in chains])
+        status = np.where(present, status, _STATUSES.index("skipped"))
+        for counts, ids, code, on in zip(self.counts, column_ids, (status, bucket), (counted, linked)):
             counts += np.bincount((ids * counts.shape[1] + code)[on],
                                   minlength=counts.size).reshape(counts.shape)
 

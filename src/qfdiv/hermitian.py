@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,12 +68,15 @@ def _as_square_matrix(a) -> np.ndarray:
 
 
 def _whole(value, what: str) -> int:
-    """value as an int; a value that is not a whole number is an InputFormatError."""
-    try:
-        if int(value) == value or int(value) == float(value):  # float(): a numeric string
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
+    """value as an int; a value that is not a whole number, or that is a
+    bool, a string or anything else but a number, is an InputFormatError.
+    So 4, 4.0 and numpy.int64(4) are 4, and True and "4" are refused."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if int(value) == value:
+                return int(value)
+        except (ValueError, OverflowError):  # NaN, an infinity
+            pass
     raise InputFormatError(f"{what} must be a whole number, got {value!r}")
 
 
@@ -338,10 +342,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     """Parse the {"dim", "re", "im"} exchange form into a complex matrix."""
     if not isinstance(obj, dict):
         raise InputFormatError("matrix JSON must be an object")
-    dim = obj.get("dim")
-    if not _is_json_number(dim):  # _whole takes a numeric string or a bool as well
-        raise InputFormatError(f"bad matrix JSON: dim must be a whole number, got {dim!r}")
-    dim = _whole(dim, "bad matrix JSON: dim")
+    dim = _whole(obj.get("dim"), "bad matrix JSON: dim")
     if dim <= 0:
         raise InputFormatError(f"dim must be positive, got {dim}")
     if dim > MAX_DIM:

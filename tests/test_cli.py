@@ -15,7 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfdiv.cli import CSV_COLUMNS, _dump_json, build_parser, main
+from qfdiv.cli import CSV_COLUMNS, _dump_json, _manifest, build_parser, main, report_to_json
+from qfdiv.generators import default_catalog
+from qfdiv.harness import FuzzConfig, certify, fuzz, sample_pair
 from qfdiv.hermitian import MAX_DIM, matrix_to_json
 
 
@@ -302,6 +304,16 @@ class TestFuzzCommand:
         assert code == 2
         assert "repeated parameter 'q'" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("alpha", ["0.0009", "1e-300"])
+    @pytest.mark.parametrize("cmd", ["certify", "fuzz"])
+    def test_arimoto_alpha_below_overflow_exits_2(self, files, capsys, cmd, alpha):
+        # 2 ** (1/alpha - 1) overflowed while the spec was parsed, and exited 4.
+        args = ("--q", files["qa"], "--p", files["pa"]) if cmd == "certify" else ("--trials", "1")
+        code = main([cmd, *args, "--generator", f"arimoto:alpha={alpha}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: arimoto needs alpha") and captured.out == ""
 
     def test_nan_chain_sides_are_strings(self, capsys):
         # puri-vincze at alpha = 2000 overflows to NaN chain terms; every
@@ -731,6 +743,21 @@ _DOCUMENTS = st.recursive(_SCALARS, lambda children: st.one_of(
 _DEEP = {"a": [{}, [], (), {"b": [[], {"c": [{}, ({"d": []},), "\u00e9\u0001"]}]}], "e": {"f": {"g": {}}}}
 
 
+def _run_documents() -> tuple:
+    """The documents certify writes for a full-catalog run on a d = 8 pair
+    (70 KB), and fuzz writes for a run with violations."""
+    q, p = sample_pair("ginibre", 8, 1e-3, np.random.Generator(np.random.Philox(key=8)))
+    reports = [report_to_json(rep) for _, reps in certify(q, p, default_catalog()) for rep in reps]
+    manifest = _manifest(["certify"], {"q": "0" * 64, "p": "f" * 64}, None, {"tol": 1e-9, "eps_invert": 1e-12})
+    result = fuzz(FuzzConfig(dim=3, trials=10, seed=1, tol=1e-300))
+    assert result.violations
+    return ({"manifest": manifest, "status": "pass", "reports": reports, "violations": []},
+            {"summary": result.summary, "violations": [v.to_json() for v in result.violations]})
+
+
+_CERTIFY_DOC, _FUZZ_DOC = _run_documents()
+
+
 class TestJsonWriter:
     """Every JSON document is written by _dump_json, which must give
     json.dumps(indent=2)'s bytes."""
@@ -738,6 +765,9 @@ class TestJsonWriter:
     @settings(max_examples=400, deadline=None)
     @given(_DOCUMENTS)
     @example(_DEEP)
+    # Documents as certify and fuzz write them.
+    @example(_CERTIFY_DOC)
+    @example(_FUZZ_DOC)
     @example({"x": [math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float64(1 / 3), True, None, 2**70]})
     # Containers of flat dicts, which are written by one C call and split.
     @example([{"},\n  {": "},\n    {", "a": "{\u0001}"}, {"b": "\n", "c": "}, {"}, {"d": "\u0001"}])

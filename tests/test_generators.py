@@ -148,6 +148,15 @@ class TestCatalog:
         with pytest.raises(InputFormatError):
             make(alpha)
 
+    @pytest.mark.parametrize("alpha", [0.0009, 1 / 1024, 1e-300, 5e-324])
+    def test_arimoto_rejects_alpha_where_its_constant_overflows(self, alpha):
+        with pytest.raises(InputFormatError, match="arimoto needs alpha"):
+            arimoto(alpha)
+
+    def test_arimoto_small_alpha_still_parses(self):
+        f = parse_generator_spec("arimoto:alpha=1e-3")
+        assert f.params["alpha"] == 1e-3 and math.isfinite(f.value_at_zero)
+
 
 class TestFrozenValues:
     """Closed-form values frozen from independent evaluation."""

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -559,6 +560,27 @@ class TestSampling:
         with pytest.raises(InputFormatError):
             sample_density("ginibre", 4, 0.25, rng_for(0))
 
+    @pytest.mark.parametrize("dim", [1, 2, 8, 16, 64])
+    @pytest.mark.parametrize("states", [1, 2, 3])
+    def test_draw_weights_are_generator_dirichlet(self, dim, states):
+        # _draw forms unit-alpha Dirichlet weights itself; they must be
+        # Generator.dirichlet's numbers, and leave the stream where it does.
+        from qfdiv.harness import _draw
+
+        for kind in ("mixture", "commuting"):
+            rng, ref = rng_for(100 + dim), rng_for(100 + dim)
+            normals, weights = _draw(kind, dim, rng, states)
+            if kind == "commuting":
+                expected = ref.standard_normal((2, dim, dim)), ref.dirichlet(np.ones(dim), size=states)
+            else:
+                draws = [(ref.standard_normal((2, dim, dim)), ref.dirichlet(np.ones(dim)))
+                         for _ in range(states)]
+                expected = np.concatenate([g for g, _ in draws]), np.stack([w for _, w in draws])
+            for got, want in zip((normals, weights), expected):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), kind
+            assert _same_state(rng.bit_generator.state, ref.bit_generator.state), kind
+            assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes(), kind
+
 
 def reference_pair(kind, dim, floor, rng):
     """sample_pair one state at a time: a (dim, dim) draw per call and 2-D
@@ -752,6 +774,20 @@ class TestFuzzConfig:
         # seed = 2.5 once ran silently as seed 2, and jobs = 2.5 was stored as 2.5.
         with pytest.raises(InputFormatError, match="whole number"):
             FuzzConfig(**{field: 2.5})
+
+    @pytest.mark.parametrize("field", ["dim", "trials", "seed", "jobs"])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "4", " 4 ", "4.0"])
+    def test_bool_or_string_rejected(self, field, value):
+        # trials=True once ran 1 trial, seed="7" seeded 7 and dim=" 4 " ran at d = 4.
+        with pytest.raises(InputFormatError, match="whole number"):
+            FuzzConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("dim", 4.0), ("dim", np.int64(4)), ("trials", np.int32(3)), ("trials", np.float64(3.0)),
+        ("seed", np.uint64(7)), ("jobs", np.int8(2))])
+    def test_whole_float_and_numpy_integer_accepted(self, field, value):
+        config = FuzzConfig(**{field: value})
+        assert type(getattr(config, field)) is int and getattr(config, field) == value
 
     def test_whole_seed_runs_as_that_seed(self):
         config = FuzzConfig(dim=3, trials=3, seed=3.0, jobs=2.0)
@@ -1180,24 +1216,28 @@ class TestFuzzMatchesReports:
         assert json.dumps([v.to_json() for v in result.violations]) == json.dumps(violations)
 
     def test_link_rule_on_special_values(self):
-        from qfdiv.harness import _SLACK_BUCKETS, _STATUSES, _VERDICTS, _Chain, _link_eval
+        from qfdiv.harness import _SLACK_BUCKETS, _STATUSES, _VERDICTS, _Chain, _link_eval, _reports
 
         special = (0.0, -0.0, 1.0, -2.5, 1e-9, 5e-7, 1e-300, 1e300, INF, -INF, math.nan)
         pairs = [(a, b) for a in special for b in special]
-        # One chain per pair of values, each on a block of one pair.
-        chains = [_Chain("c", ("a", "b"), (np.array([a]), np.array([b])), np.ones(1, bool))
+        # One chain per pair of values, each on a block of one pair and one generator.
+        chains = [_Chain("c", ("a", "b"), (np.array([[a]]), np.array([[b]])), np.ones((1, 1), bool))
                   for a, b in pairs]
-        status, nlinks, codes, slacks, buckets, equal = _link_eval(chains, 1e-9)
-        status, codes, slacks, buckets, equal = status[0], codes[0], slacks[0], buckets[0], equal[0]
+        judged = status, nlinks, codes, slacks, buckets = _link_eval(chains, 1e-9)
+        status, codes, slacks, buckets = status[0, 0], codes[0, 0], slacks[0, 0], buckets[0, 0]
         assert list(nlinks) == [1] * len(pairs)
-        for (left, right), st, code, slack, bucket, eq in zip(pairs, status, codes, slacks,
-                                                              buckets, equal):
+        # The equality flag is derived where reports are built.
+        block = types.SimpleNamespace(r=np.zeros((1, 1)), R=np.ones((1, 1)), dim=1)
+        reports = _reports(chains, judged, 0, block, (types.SimpleNamespace(spec="g"),))[0]
+        for (left, right), st, code, slack, bucket, rep in zip(pairs, status, codes, slacks,
+                                                               buckets, reports):
             verdict, expected = _scalar_link(left, right, 1e-9)
             assert _VERDICTS[code] == verdict, (left, right)
             assert _STATUSES[st] == {"vacuous": "vacuous-pass"}.get(verdict, verdict)
             assert _same(float(slack), expected), (left, right)
             assert _SLACK_BUCKETS[bucket] == _slack_bucket(expected), (left, right)
-            assert eq == (verdict == "pass" and abs(expected) <= 1e-12 * max(1.0, abs(right)))
+            eq = verdict == "pass" and abs(expected) <= 1e-12 * max(1.0, abs(right))
+            assert rep.flags == (("equality:a=b",) if eq else ()), (left, right)
 
     def test_tiny_tolerance_forces_violations(self):
         assert fuzz(FuzzConfig(dim=3, trials=10, seed=1, tol=1e-300)).violations

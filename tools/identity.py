@@ -5,7 +5,7 @@ Usage, from the repository root:
     python3 tools/identity.py > before.txt      # on the old commit
     python3 tools/identity.py | diff before.txt -   # on the new one
 
-It covers `fuzz` stdout on 32 configurations and `fuzz --out` on 2 of
+It covers `fuzz` stdout on 36 configurations and `fuzz --out` on 2 of
 them; `certify` and `compute` JSON and CSV on 17 pairs, and with `--out`
 on the 7 hand-made ones; `spectrum` with and without `--out` on the 17
 pairs (with QFDIV_TIMESTAMP fixed); `classical` with and without `--out`
@@ -105,6 +105,10 @@ FUZZ_CONFIGS = (
     ("fuzz", "--dim", "4", "--trials", "17", "--seed", "20", "--generator", "tsallis:q=0.2",
      "--generator", "kl", "--generator", "tsallis:q=0.8", "--generator", "neg-log",
      "--generator", "kl-quantum"),
+    # Dirichlet weights on rows long enough that a pairwise sum would round
+    # differently from a sequential one, across a 16-pair and a 4-pair block.
+    *(("fuzz", "--sampler", kind, "--dim", str(d), "--trials", "20", "--seed", "21")
+      for kind in ("mixture", "commuting") for d in (16, 33)),
 )
 
 # The configurations also run with `--out`: one that passes, one with violations.
