@@ -40,7 +40,7 @@ from .classical import (
     variation_distance,
 )
 from .errors import InputFormatError, PreconditionError
-from .generators import DEFAULT_SPECS, parse_generator_spec
+from .generators import default_catalog, parse_generator_spec
 from .harness import DEFAULT_TOL, SAMPLER_KINDS, BoundChainReport, FuzzConfig, certify, collect_violations, fuzz
 from .hermitian import ZERO_EIGENVALUE_TOL, _json_num, _load_json, matrix_from_json
 from .quantum import (
@@ -199,7 +199,7 @@ def _resolve_seed(args) -> int:
 
 
 def _generators(args):
-    return tuple(parse_generator_spec(s) for s in args.generator or DEFAULT_SPECS)
+    return tuple(map(parse_generator_spec, args.generator)) if args.generator else default_catalog().generators
 
 
 # The independent closed form of S_f by family: (Q, P, f, eps) -> value.

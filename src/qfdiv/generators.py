@@ -487,22 +487,14 @@ _FAMILIES = {
 _ALIASES = {"kl": "kl-quantum"}
 
 
-@functools.lru_cache(maxsize=256)
-def _shared(name: str, params: tuple) -> Generator:
-    """Family `name` at params, sorted (key, float.hex(value)) pairs, built
-    once per process.  The key holds a value's exact bits, so alpha=0 and
-    alpha=-0, whose specs differ, stay two generators."""
-    return _FAMILIES[name][0](**{key: float.fromhex(value) for key, value in params})
-
-
 def parse_generator_spec(spec: str) -> Generator:
     """The catalog generator of a spec string ``name[:param=value,...]``.
 
     Names are case-insensitive; underscores and hyphens are
     interchangeable.  "kl" is accepted for "kl-quantum".  Parameter
     values go through float(), so "inf" is a valid arimoto alpha; a
-    parameter given twice is an error.  Equal family and parameter values
-    give one shared, frozen instance per process: do not mutate its params.
+    parameter given twice is an error.  Each call builds a new Generator
+    from the family's factory; default_catalog's are built once.
     """
     if not isinstance(spec, str) or not spec.strip():
         raise InputFormatError("generator spec must be a non-empty string")
@@ -528,16 +520,20 @@ def parse_generator_spec(spec: str) -> Generator:
                 kwargs[key] = float(val)
             except ValueError as exc:
                 raise InputFormatError(f"non-numeric value in {part.strip()!r}") from exc
-    return _shared(name, tuple(sorted((key, value.hex()) for key, value in kwargs.items())))
+    return _FAMILIES[name][0](**kwargs)
+
+
+_DEFAULT_CATALOG = GeneratorCatalog(tuple(factory() for factory, _ in _FAMILIES.values()))
 
 
 def default_catalog() -> GeneratorCatalog:
-    """The twelve catalog families at their default parameters, shared with
-    parse_generator_spec, in the order of _FAMILIES (the catalog's order)."""
-    return GeneratorCatalog(tuple(_shared(name, ()) for name in _FAMILIES))
+    """The twelve catalog families at their default parameters, in the order
+    of _FAMILIES: one catalog, built at import, that every call returns (do
+    not mutate its generators' params); parse_generator_spec builds anew."""
+    return _DEFAULT_CATALOG
 
 
-DEFAULT_SPECS = tuple(f.spec for f in default_catalog())
+DEFAULT_SPECS = tuple(f.spec for f in _DEFAULT_CATALOG)
 
 
 def conjugate(f: Generator) -> Generator:

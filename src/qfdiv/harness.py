@@ -52,7 +52,7 @@ from .generators import (
     psi_sups,
     secant_value,
 )
-from .hermitian import MAX_DIM, _json_num, _whole, matrix_to_json
+from .hermitian import MAX_DIM, _json_num, _positive, _real, _whole, matrix_to_json
 from .quantum import (
     DEFAULT_INVERTIBILITY_EPS,
     SUM_FLAGS,
@@ -60,7 +60,6 @@ from .quantum import (
     DensityMatrix,
     DivergenceValue,
     JointSpectrum,
-    _check_eps,
     _density_pair,
     _member,
     chi_squares,
@@ -104,13 +103,6 @@ SAMPLER_KINDS = ("ginibre", "commuting", "mixture")
 # fuzz evaluates its trials in blocks of this many; the output does not
 # depend on it.
 FUZZ_BLOCK = 16
-
-
-def _check_tol(tol) -> float:
-    tol = float(tol)
-    if not 0.0 < tol < INF:
-        raise InputFormatError(f"tolerance must be positive and finite, got {tol}")
-    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +607,7 @@ def _public(chains, name: str):
 
     def check(q, p, f: Generator, js: JointSpectrum = None, tol: float = DEFAULT_TOL,
               eps: float = DEFAULT_INVERTIBILITY_EPS, sf: float = None) -> BoundChainReport:
-        tol = _check_tol(tol)
+        tol = _positive(tol, "tolerance")
         b = _pair(q, p, js, eps)
         _, made = _chains(b, (f,), (chains,), sf)
         return _reports(made, _link_eval(made, tol), 0, b, (f,))[0][0]
@@ -638,7 +630,7 @@ def certify(q, p, generators, js: JointSpectrum = None, tol: float = DEFAULT_TOL
     """All six chains for each generator on one pair, sharing the pair's
     invariants and judged in one pass.  Returns, per generator, its S_f
     (a DivergenceValue) and its six reports."""
-    tol = _check_tol(tol)
+    tol = _positive(tol, "tolerance")
     b, generators = _pair(q, p, js, eps), tuple(generators)
     e, chains = _chains(b, generators)
     reports = _reports(chains, _link_eval(chains, tol), 0, b, generators)
@@ -666,7 +658,7 @@ def _check_sampler_args(kind: str, dim: int, floor: float = None) -> tuple:
         raise InputFormatError(f"dimension must be >= 1, got {dim}")
     if dim > MAX_DIM:
         raise InputFormatError(f"dimension must be at most {MAX_DIM}, got {dim}")
-    floor = 1e-6 / dim if floor is None else float(floor)
+    floor = 1e-6 / dim if floor is None else _real(floor, "floor")
     if not 0.0 <= floor < 1.0 / dim:
         raise InputFormatError(f"floor must lie in [0, 1/dim), got {floor} at dim {dim}")
     return kind, dim, floor
@@ -761,17 +753,18 @@ class FuzzConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "generators", default_catalog().generators
-                           if self.generators is None else tuple(self.generators))
+        generators = default_catalog().generators if self.generators is None else tuple(self.generators)
+        if bad := [f for f in generators if not isinstance(f, Generator)]:
+            raise InputFormatError(f"generators must hold Generator instances, got {bad[0]!r}")
         # dim checked, and the floor checked, or its default 1e-6 / dim once dim is.
         _, dim, floor = _check_sampler_args(self.sampler, self.dim, self.floor)
-        for name, value in (("dim", dim), ("floor", floor), ("trials", _whole(self.trials, "trials")),
-                            ("seed", _whole(self.seed, "seed")), ("jobs", _whole(self.jobs, "jobs"))):
+        for name, value in (("generators", generators), ("dim", dim), ("floor", floor),
+                            ("trials", _whole(self.trials, "trials")), ("seed", _whole(self.seed, "seed")),
+                            ("jobs", _whole(self.jobs, "jobs")), ("tol", _positive(self.tol, "tolerance")),
+                            ("eps", _positive(self.eps, "invertibility threshold"))):
             object.__setattr__(self, name, value)
         if self.trials < 1:
             raise InputFormatError(f"trials must be >= 1, got {self.trials}")
-        _check_tol(self.tol)
-        _check_eps(self.eps)
         if self.jobs < 1:
             raise InputFormatError(f"jobs must be >= 1, got {self.jobs}")
 
@@ -908,9 +901,9 @@ class _Tally:
                 "trials": config.trials,
                 "seed": config.seed,
                 "sampler": config.sampler,
-                "floor": float(config.floor),
-                "tol": float(config.tol),
-                "eps": float(config.eps),
+                "floor": config.floor,
+                "tol": config.tol,
+                "eps": config.eps,
                 "generators": [g.spec for g in config.generators],
             },
             "checks": {k: dict(zip(_STATUSES, counts)) for k, counts, _ in seen},

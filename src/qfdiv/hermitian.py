@@ -67,6 +67,26 @@ def _as_square_matrix(a) -> np.ndarray:
     return m
 
 
+def _real(value, what: str) -> float:
+    """value as a float; a bool, a string or anything else but a real number
+    is an InputFormatError.  So 1 and numpy.float32(0.5) are taken, True and
+    "0.5" refused, and an int beyond the float range is an infinity."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf if value > 0 else -math.inf
+    raise InputFormatError(f"{what} must be a real number, got {value!r}")
+
+
+def _positive(value, what: str) -> float:
+    """_real(value, what), which must be positive and finite."""
+    value = _real(value, what)
+    if not 0.0 < value < math.inf:
+        raise InputFormatError(f"{what} must be positive and finite, got {value}")
+    return value
+
+
 def _whole(value, what: str) -> int:
     """value as an int; a value that is not a whole number, or that is a
     bool, a string or anything else but a number, is an InputFormatError.
@@ -358,11 +378,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     return _as_square_matrix(re + 1j * im)
 
 
-def _is_json_number(x) -> bool:
-    """Whether x is a number as JSON has them: an int or a float, not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _json_floats(value, what: str) -> np.ndarray:
     """value, a JSON number or lists of them nested to any depth, as a
     float64 array; anything else, such as ragged lists or a string or a
@@ -375,7 +390,7 @@ def _json_floats(value, what: str) -> np.ndarray:
     for _ in range(array.ndim):
         entries = [x for part in entries for x in part]
     for x in entries:
-        if not _is_json_number(x):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise InputFormatError(f"{what}: not a number: {x!r}")
     return array
 

@@ -48,6 +48,7 @@ from .hermitian import (
     CheckReport,
     EigenDecomposition,
     _as_square_matrix,
+    _positive,
     eigh_hermitian,
     hermitian_stack,
     hs_norm,
@@ -158,11 +159,6 @@ def as_density(x) -> DensityMatrix:
     return x if isinstance(x, DensityMatrix) else DensityMatrix(np.asarray(x))
 
 
-def _check_eps(eps: float) -> None:
-    if not 0.0 < eps < math.inf:
-        raise InputFormatError(f"invertibility threshold must be positive and finite, got {eps}")
-
-
 def _singular(low: float, eps: float):
     """The error for a reference state of least eigenvalue low singular at eps, or None."""
     if low < eps:
@@ -179,8 +175,7 @@ def _density_pair(q, p, eps: float = None) -> tuple:
     if qd.dim != pd.dim:
         raise PreconditionError(f"dimension mismatch: {qd.dim} vs {pd.dim}")
     if eps is not None:
-        _check_eps(eps)
-        if error := _singular(pd.min_eigenvalue, eps):
+        if error := _singular(pd.min_eigenvalue, _positive(eps, "invertibility threshold")):
             raise error
     return qd, pd
 
@@ -263,7 +258,7 @@ def joint_spectra(q_dec, p_dec, eps: float = DEFAULT_INVERTIBILITY_EPS) -> tuple
     exception joint_spectrum raises for it (PreconditionError for P
     singular at eps, ArithmeticError for an overlap matrix that lost
     double stochasticity)."""
-    _check_eps(eps)
+    eps = _positive(eps, "invertibility threshold")
     lam = q_dec.eigenvalues[:, ::-1].copy()
     mu = p_dec.eigenvalues[:, ::-1].copy()
     u, v = q_dec.eigenvectors[:, :, ::-1], p_dec.eigenvectors[:, :, ::-1]
@@ -388,7 +383,7 @@ def chi_squares(q_mats, p_dec, eps: float = DEFAULT_INVERTIBILITY_EPS) -> np.nda
     its Ps as a stacked decomposition, in one stacked pass, as a float
     array; chi_square's PreconditionError for the first pair whose P is
     singular at eps."""
-    _check_eps(eps)
+    eps = _positive(eps, "invertibility threshold")
     p_vecs, p_vals = p_dec.eigenvectors, p_dec.eigenvalues
     singular = np.flatnonzero(p_vals[:, 0] < eps)
     if singular.size:

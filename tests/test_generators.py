@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfdiv import generators
+from qfdiv import cli, generators
 from qfdiv.errors import InputFormatError, PreconditionError
 from qfdiv.generators import (
     DEFAULT_SPECS,
@@ -83,9 +83,14 @@ class TestCatalog:
         assert parse_generator_spec("kl").name == "kl-quantum"
         assert parse_generator_spec("CHI_ALPHA:ALPHA=2").spec == "chi-alpha:alpha=2"
 
-    def test_parse_shares_one_generator_per_family_and_values(self):
-        assert parse_generator_spec("tsallis:q=0.5") is parse_generator_spec("TSALLIS:q=5e-1")
-        assert parse_generator_spec("kl") is default_catalog().get("kl-quantum")
+    def test_parse_specs_and_one_default_catalog(self):
+        assert parse_generator_spec("tsallis:q=0.5").spec == parse_generator_spec("TSALLIS:q=5e-1").spec
+        assert parse_generator_spec("kl").spec == "kl-quantum"
+        # The catalog is built once; the CLI's default generators are its own.
+        assert default_catalog() is default_catalog()
+        served = cli._generators(cli.build_parser().parse_args(["fuzz"]))
+        assert len(served) == len(default_catalog().generators)
+        assert all(a is b for a, b in zip(served, default_catalog().generators))
 
     def test_parse_keeps_signed_zero_parameters_apart(self):
         plus, minus = (parse_generator_spec(f"dichotomy:alpha={v}") for v in ("0", "-0"))

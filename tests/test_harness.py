@@ -740,21 +740,31 @@ class TestFuzzConfig:
         with pytest.raises(InputFormatError):
             FuzzConfig(tol=0.0)
 
-    @pytest.mark.parametrize("tol", [-1.0, INF, math.nan])
+    @pytest.mark.parametrize("tol", [-1.0, INF, math.nan, pytest.param(-10**400, id="huge-negative-int")])
     def test_tol_must_be_positive_and_finite(self, tol):
         with pytest.raises(InputFormatError, match="positive and finite"):
             FuzzConfig(tol=tol)
 
+    @staticmethod
+    def entry_points(tol) -> list:
+        """Each public call that judges chains, on one pair at tolerance tol."""
+        f = parse_generator_spec("chi2")
+        return [lambda: run_all_checks(EXAMPLE_B_Q, EXAMPLE_B_P, f, tol=tol),
+                lambda: certify(EXAMPLE_B_Q, EXAMPLE_B_P, (f,), tol=tol),
+                *(lambda check=check: check(EXAMPLE_B_Q, EXAMPLE_B_P, f, tol=tol) for check in (
+                    check_nonneg, check_derivative_gap, check_thm2, check_thm3, check_thm4,
+                    check_thm5))]
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, INF, math.nan])
     def test_every_entry_point_checks_tol(self, tol):
-        f = parse_generator_spec("chi2")
-        calls = [lambda: run_all_checks(EXAMPLE_B_Q, EXAMPLE_B_P, f, tol=tol),
-                 lambda: certify(EXAMPLE_B_Q, EXAMPLE_B_P, (f,), tol=tol),
-                 *(lambda check=check: check(EXAMPLE_B_Q, EXAMPLE_B_P, f, tol=tol) for check in (
-                     check_nonneg, check_derivative_gap, check_thm2, check_thm3, check_thm4,
-                     check_thm5))]
-        for call in calls:
+        for call in self.entry_points(tol):
             with pytest.raises(InputFormatError, match="positive and finite"):
+                call()
+
+    @pytest.mark.parametrize("tol", ["1e-9", True])
+    def test_every_entry_point_refuses_a_tol_that_is_not_a_number(self, tol):
+        for call in self.entry_points(tol):
+            with pytest.raises(InputFormatError, match="tolerance must be a real number"):
                 call()
 
     def test_whole_numbers_stored_as_ints(self):
@@ -788,6 +798,28 @@ class TestFuzzConfig:
     def test_whole_float_and_numpy_integer_accepted(self, field, value):
         config = FuzzConfig(**{field: value})
         assert type(getattr(config, field)) is int and getattr(config, field) == value
+
+    @pytest.mark.parametrize("field", ["tol", "eps", "floor"])
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "1e-9", " 0.001 ", [1e-9]])
+    def test_bool_or_string_tolerance_or_floor_rejected(self, field, value):
+        # tol="1e-9" once died in the first block and eps="1e-12" raised a bare
+        # TypeError; floor="0.001", floor=False and tol=True ran, the last at tol 1.
+        with pytest.raises(InputFormatError, match="must be a real number"):
+            FuzzConfig(dim=2, **{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("tol", 1), ("tol", np.float32(0.5)), ("eps", 1), ("eps", np.float64(1e-3)), ("floor", 0),
+        ("floor", np.float16(0.25))])
+    def test_real_numbers_stored_as_floats(self, field, value):
+        config = FuzzConfig(dim=2, **{field: value})
+        assert type(getattr(config, field)) is float and getattr(config, field) == value
+
+    @pytest.mark.parametrize("generators", [["kl-quantum"], "kl", [chi2(), None]],
+                             ids=["spec", "string", "none-entry"])
+    def test_generators_must_be_generator_instances(self, generators):
+        # generators=["kl-quantum"] once died in the first block with an AttributeError.
+        with pytest.raises(InputFormatError, match="Generator instances"):
+            FuzzConfig(generators=generators)
 
     def test_whole_seed_runs_as_that_seed(self):
         config = FuzzConfig(dim=3, trials=3, seed=3.0, jobs=2.0)

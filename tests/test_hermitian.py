@@ -295,6 +295,10 @@ class TestMatrixJson:
         with pytest.raises(InputFormatError):
             matrix_from_json({"re": [[1.0]]})
 
+    def test_missing_re_rejected(self):
+        with pytest.raises(InputFormatError, match="bad matrix JSON: 're'"):
+            matrix_from_json({"dim": 2})
+
     @pytest.mark.parametrize("dim", [MAX_DIM + 1, 100_000])
     def test_oversized_dim_rejected_before_parsing(self, dim):
         # "re" is not even read: the dimension alone is refused.

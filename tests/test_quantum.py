@@ -469,6 +469,18 @@ class TestClosedForms:
         with pytest.raises(PreconditionError):
             umegaki(EXAMPLE_A_Q, np.eye(3) / 3.0)
 
+    @pytest.mark.parametrize("closed", [umegaki, lambda q, p: tsallis(q, p, 0.5), hellinger_sq, chi_square],
+                             ids=["umegaki", "tsallis", "hellinger_sq", "chi_square"])
+    def test_singular_reference_state_rejected(self, closed):
+        with pytest.raises(PreconditionError, match="reference state is singular"):
+            closed(EXAMPLE_A_Q, np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("eps", ["1e-12", True, None])
+    def test_eps_must_be_a_real_number(self, eps):
+        # eps="1e-12" once raised a bare TypeError.
+        with pytest.raises(InputFormatError, match="invertibility threshold must be a real number"):
+            joint_spectrum(EXAMPLE_A_Q, EXAMPLE_A_P, eps)
+
 
 class TestVariationalAndTrace:
     def test_example_b_variational(self):
