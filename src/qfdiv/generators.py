@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputFormatError, PreconditionError
+from .hermitian import _real
 
 __all__ = [
     "Generator",
@@ -131,11 +132,6 @@ class Generator:
         return f"Generator({self.spec!r})"
 
     def __call__(self, t):
-        if isinstance(t, np.ndarray):
-            if t.size and float(t.min()) <= 0.0:
-                raise PreconditionError("array evaluation requires strictly positive points")
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                return np.asarray(self.fn(t), dtype=np.float64)
         return _at(self.fn, t, self.value_at_zero, "generator argument must be >= 0, got {t}")
 
     def deriv_left(self, t: float) -> float:
@@ -145,18 +141,22 @@ class Generator:
         return _at(self.deriv_right_fn, t, self.deriv_at_zero, "right derivative needs t >= 0")
 
 
-def _at(fn, t: float, at_zero, need: str) -> float:
-    """fn at one point t, evaluated as a one-element array as a block
-    evaluates it: a value that diverges (1/t^2 underflowing, t^-0.99
-    overflowing) is infinite.  t = 0 gives at_zero, or the error `need`
-    (formatted with t) as a negative t does when at_zero is None."""
-    t = float(t)
-    if t < 0.0 or (t == 0.0 and at_zero is None):
-        raise PreconditionError(need.format(t=t))
-    if t == 0.0:
-        return at_zero
+def _at(fn, t, at_zero, need: str):
+    """fn at t, a number or an ndarray, evaluated the same for both and as a
+    block evaluates it: a value that diverges (1/t^2 underflowing, t^-0.99
+    overflowing) is infinite.  The one rule for 0: a zero point takes at_zero,
+    or, if that is None, is the error `need` (with t) that a negative one is."""
+    x = np.array(t if isinstance(t, np.ndarray) else [float(t)], dtype=np.float64)
+    zero = x <= 0.0
+    if edge := bool(zero.any()):  # one check when every point is positive
+        bad = zero if at_zero is None else x < 0.0
+        if bad.any():
+            raise PreconditionError(need.format(t=float(x[bad][0])))
+        x[zero] = 1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return float(np.asarray(fn(np.array([t])), dtype=np.float64)[0])
+        y = np.asarray(fn(x), dtype=np.float64)
+    y = np.where(zero, at_zero, y) if edge else y
+    return y if isinstance(t, np.ndarray) else float(y[0])
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def _abs_gap(name: str, params: dict, c: float) -> Generator:
 def chi_alpha(alpha: float = 2.0) -> Generator:
     """|u - 1|^alpha for alpha >= 1; alpha = 1 is total variation,
     alpha = 2 is the chi-square generator shifted to pass through 0."""
-    alpha = float(alpha)
+    alpha = _real(alpha, "chi-alpha alpha")
     if not 1.0 <= alpha < INF:
         raise InputFormatError(f"chi-alpha needs finite alpha >= 1, got {alpha}")
     if alpha == 1.0:
@@ -234,7 +234,7 @@ def chi_alpha(alpha: float = 2.0) -> Generator:
 def dichotomy(alpha: float = 0.5) -> Generator:
     """The one-parameter family spanning u - 1 - ln u (alpha = 0),
     2(sqrt(u) - 1)^2 (alpha = 1/2), and 1 - u + u ln u (alpha = 1)."""
-    alpha = float(alpha)
+    alpha = _real(alpha, "dichotomy alpha")
     if not math.isfinite(alpha):
         raise InputFormatError(f"dichotomy needs finite alpha, got {alpha}")
     if alpha == 0.0:
@@ -266,7 +266,7 @@ def dichotomy(alpha: float = 0.5) -> Generator:
 
 def matsushita(alpha: float = 0.5) -> Generator:
     """|1 - u^alpha|^(1/alpha) for 0 < alpha <= 1; self-conjugate."""
-    alpha = float(alpha)
+    alpha = _real(alpha, "matsushita alpha")
     if not 0.0 < alpha <= 1.0:
         raise InputFormatError(f"matsushita needs 0 < alpha <= 1, got {alpha}")
     if alpha == 1.0:
@@ -292,7 +292,7 @@ def matsushita(alpha: float = 0.5) -> Generator:
 def puri_vincze(alpha: float = 2.0) -> Generator:
     """|1 - u|^alpha / (u + 1)^(alpha - 1) for alpha >= 1; self-conjugate.
     alpha = 2 is half the triangular discrimination."""
-    alpha = float(alpha)
+    alpha = _real(alpha, "puri-vincze alpha")
     if not 1.0 <= alpha < INF:
         raise InputFormatError(f"puri-vincze needs finite alpha >= 1, got {alpha}")
     if alpha == 1.0:
@@ -325,7 +325,7 @@ def arimoto(alpha: float = 2.0) -> Generator:
     alpha = 1 and alpha = inf are the closures of the generic form:
     (1+u) ln 2 + u ln u - (1+u) ln(1+u), and |1-u|/2.
     """
-    alpha = float(alpha)
+    alpha = _real(alpha, "arimoto alpha")
     if alpha == INF:
         return _abs_gap("arimoto", {"alpha": INF}, 0.5)
     if not alpha > 0.0:
@@ -415,7 +415,7 @@ def chi2() -> Generator:
 
 def tsallis(q: float = 0.5) -> Generator:
     """(1 - u^q)/(1 - q) for 0 < q < 1."""
-    q = float(q)
+    q = _real(q, "tsallis q")
     if not 0.0 < q < 1.0:
         raise InputFormatError(f"tsallis needs 0 < q < 1, got {q}")
 
@@ -578,7 +578,7 @@ def conjugate(f: Generator) -> Generator:
 
 def shift(f: Generator, c: float) -> Generator:
     """f(u) + c (u - 1): same induced divergence, shifted generator."""
-    c = float(c)
+    c = _real(c, "shift constant")
     if c == 0.0:
         return f
     return Generator(
@@ -672,30 +672,32 @@ def psi_sup(f: Generator, r: float, R: float) -> float:
 def _window_ends(generators, r, R, out, ratios=np.empty(0)):
     """Per generator, one f.fn call on [ratios, r, R, (r + R)/2] and one
     derivative call on [ratios, r, R] (right on [ratios, r], left on [R]
-    where they differ), equal to the scalar calls: yields weighted_sums'
-    terms f and (t - 1) f'_+(t) at the positive points ratios, and fills
-    out, (6, windows, generators), by the end with f(r), f(R), f((r + R)/2),
-    f'_+(r), f'_-(R) (r = 0 takes value_at_zero and deriv_at_zero) and
-    Psi(1) (+inf where 1 is not interior or f(r) or f(R) is infinite)."""
+    where they differ), equal to the scalar calls (_at's rule for 0: f(0+),
+    and f'(0+) at a ratio or r): yields weighted_sums' terms f and (t - 1)
+    f'_+(t) at the ratios, and fills out, (6, windows, generators), by the
+    end with f(r), f(R), f((r + R)/2), f'_+(r), f'_-(R) and Psi(1) (+inf
+    where 1 is not interior or f(r) or f(R) is infinite)."""
     if (r < 0.0).any():
         raise PreconditionError(f"generator argument must be >= 0, got {float(r.min())}")
-    m, n, zero = ratios.size, r.size, r == 0.0
-    points = np.concatenate([ratios, np.where(zero, 1.0, r), R, 0.5 * (r + R)])
-    ratios = points[:m]  # one copy of the ratios is held, not two
+    m, n = ratios.size, r.size
+    points = np.concatenate([ratios, r, R, 0.5 * (r + R)])
+    zero = np.flatnonzero(points == 0.0)
+    points[zero] = 1.0
+    right_zero = zero[zero < m + n]  # (r + R)/2 can underflow to 0; it has no slope
     for g, f in enumerate(generators):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # not held across a yield
             at = np.asarray(f.fn(points), dtype=np.float64)
+            at[zero] = f.value_at_zero
             if f.deriv_left_fn is f.deriv_right_fn:
                 slopes = f.deriv_right_fn(points[:m + 2 * n])
             else:
                 slopes = np.concatenate([f.deriv_right_fn(points[:m + n]),
                                          f.deriv_left_fn(points[m + n:m + 2 * n])])
+            slopes[right_zero] = f.deriv_at_zero
             out[:5, :, g] = np.concatenate([at[m:], slopes[m:]]).reshape(5, n)
             slopes = (ratios - 1.0) * slopes[:m]
-        yield at[:m], f.value_at_zero
-        yield slopes, -f.deriv_at_zero
-    out[0, zero] = [f.value_at_zero for f in generators]
-    out[3, zero] = [f.deriv_at_zero for f in generators]
+        yield at[:m]
+        yield slopes
     r, R, f1 = r[:, np.newaxis], R[:, np.newaxis], np.array([f.value_at_one for f in generators])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out[5] = np.where((r < 1.0) & (1.0 < R) & ~np.isinf(out[0]) & ~np.isinf(out[1]),
@@ -757,16 +759,14 @@ def psi_sups(generators, r, R, ends=None) -> np.ndarray:
 def _grid_sups(generators, gen, r, R, fr, fR) -> np.ndarray:
     """The double-slope gap's max over the grid of each entry, entry e
     being generator gen[e] on the window [r[e], R[e]]: np.linspace(r + h,
-    R - h, PSI_GRID_POINTS) with h = PSI_EDGE_FRACTION (R - r), in one
-    f.fn call.  psi_sups adds Psi(1)."""
+    R - h, PSI_GRID_POINTS) with h = PSI_EDGE_FRACTION (R - r), in one f
+    call (a point that underflows to 0 takes f(0+)).  psi_sups adds Psi(1)."""
     h = (R - r) * PSI_EDGE_FRACTION
-    if (r + h <= 0.0).any():
-        raise PreconditionError("array evaluation requires strictly positive points")
     best = np.empty(gen.size)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for e, g in enumerate(gen.tolist()):
             ts = np.linspace(r[e] + h[e], R[e] - h[e], PSI_GRID_POINTS)
-            ft = np.asarray(generators[g].fn(ts), dtype=np.float64)
+            ft = generators[g](ts)
             gaps = (fR[e] - ft) / (R[e] - ts) - (ft - fr[e]) / (ts - r[e])
             best[e] = gaps.max()
             if not math.isfinite(best[e]):  # below a width of ~1e-10 an endpoint lands on the grid: 0/0

@@ -317,22 +317,22 @@ def _terms(b: _Block, generators) -> _Terms:
     Psi(1) for thm4 and psi_sups, and sup Psi in one psi_sups pass."""
     strict, r, R = b.strict[:, 0], b.r[:, 0], b.R[:, 0]
     fr, fR, fmid, dr, dR, psi1 = ends = np.empty((6, len(r), len(generators)))
-    sums, codes = weighted_sums(b.ratio, b.wt, _window_ends(generators, r, R, ends, b.ratio[b.ratio > 0.0]))
+    sums, codes = weighted_sums(b.wt, _window_ends(generators, r, R, ends, b.ratio.reshape(-1)))
     sup = np.full(fr.shape, math.nan)
     sup[strict] = psi_sups(generators, r[strict], R[strict], ends=[x[strict] for x in (fr, fR, dr, dR, psi1)])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # r = R gives 0/0
         gap = np.where(np.isfinite(dR) & np.isfinite(dr), dR - dr, INF)
         secant = secant_value(b.r, b.R, fr, fR)
     return _Terms(sums[0::2].T, codes[0::2].T, sums[1::2].T, sup, fr, fR, fmid, dr, dR, gap, psi1, secant,
-                  np.ones(fr.shape, dtype=bool), *_columns(tuple(generators)))
+                  np.ones(fr.shape, dtype=bool), *_columns(tuple((f.name, f.smooth) for f in generators)))
 
 
 @functools.lru_cache(maxsize=64)
-def _columns(generators: tuple) -> tuple:
-    """The generators' _Terms.smooth and _Terms.families, worked out once
-    per generator tuple."""
-    names = [f.name for f in generators]
-    return (np.array([[f.smooth for f in generators]]),
+def _columns(shape: tuple) -> tuple:
+    """_Terms.smooth and _Terms.families of the generators whose (name,
+    smooth) pairs, all they read, are `shape`: once per such tuple."""
+    names = [name for name, _ in shape]
+    return (np.array([[smooth for _, smooth in shape]]),
             {n: np.array([m == n for m in names]) for n in _CLOSED_FAMILIES.intersection(names)})
 
 

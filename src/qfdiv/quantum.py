@@ -11,9 +11,9 @@ and R = max lambda_i/mu_j always brackets 1.
 
 weighted_sums is the one implementation of such spectral sums, for a
 block of pairs and many terms at once: S_f and the derivative-gap sum
-sum_ij mu_j W_ij (t - 1) f'(t) alike.  Both edge conventions live there:
-a zero ratio takes the term's value at 0, and an infinite term carries
-no mass when its weight mu_j W_ij is at most WEIGHT_FLOOR.
+sum_ij mu_j W_ij (t - 1) f'(t) alike.  There an infinite term carries no
+mass when its weight mu_j W_ij is at most WEIGHT_FLOOR; a zero ratio's
+term, f(0+) or -f'(0+), is the generators' to give (generators._at).
 s_f_from_spectrum is its one-pair, one-generator case.
 
 Density matrices, joint spectra and chi-square distances come in blocks
@@ -49,6 +49,7 @@ from .hermitian import (
     EigenDecomposition,
     _as_square_matrix,
     _positive,
+    _real,
     eigh_hermitian,
     hermitian_stack,
     hs_norm,
@@ -248,7 +249,7 @@ def joint_spectrum(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> JointSpectru
         raise error
     one = {name: x[0] for name, x in fields.items()}
     one.update(r=float(one["r"]), R=float(one["R"]), defect=tuple(one["defect"].tolist()))
-    return _frozen(JointSpectrum, eps=eps, **one)
+    return _frozen(JointSpectrum, eps=float(eps), **one)  # the float joint_spectra checked
 
 
 def joint_spectra(q_dec, p_dec, eps: float = DEFAULT_INVERTIBILITY_EPS) -> tuple:
@@ -301,28 +302,21 @@ SUM_FLAGS = ((), ("infinite",), ("zero-mass-infinite-terms",))
 STACK_POINTS = 2**14
 
 
-def weighted_sums(ratio: np.ndarray, wt: np.ndarray, terms) -> tuple:
-    """sum_ij wt_ij term(ratio_ij) for each (values, value at 0) of the
-    nonempty iterable terms and each member of a block's (n, d, d) ratio
-    and weight stacks: a (terms, n) array of sums and one of SUM_FLAGS codes.
-
-    A term's values are those at ratio[ratio > 0]; a zero ratio takes the
-    value at 0.  The terms are drawn, weighted and summed as one stack,
+def weighted_sums(wt: np.ndarray, terms) -> tuple:
+    """sum_ij wt_ij term_ij for each term, an array of values at every ratio
+    of the block, of the nonempty iterable terms and each member of the
+    block's (n, d, d) weight stack: a (terms, n) array of sums and one of
+    SUM_FLAGS codes.  A zero ratio's value, f(0+), is the generator's to
+    give (generators._at).  The terms are weighted and summed as one stack,
     about STACK_POINTS values at a time.  A sum with an infinite value is
     +inf (code 1) if any such value has weight above WEIGHT_FLOOR, and
     otherwise the sum of its finite values (code 2): those terms carry no
     mass.  Every sum equals the single-spectrum sum bit for bit."""
-    n = len(ratio)
-    x, w = ratio.reshape(n, -1), wt.reshape(n, -1)
-    pos = x > 0.0
-    zero, terms, out = ~pos, iter(terms), []
+    n = len(wt)
+    w, terms, out = wt.reshape(n, -1), iter(terms), []
     while chunk := list(itertools.islice(terms, max(1, STACK_POINTS // w.size))):
-        vals = (np.array([values for values, _ in chunk], dtype=np.float64) if len(chunk) > 1
-                else np.asarray(chunk[0][0], dtype=np.float64)[np.newaxis])  # one term: not copied
-        if zero.any():
-            vals, got = np.empty((len(chunk), *w.shape)), vals
-            vals[:, zero] = np.array([[at_zero] for _, at_zero in chunk])
-            vals[:, pos] = got
+        vals = (np.array(chunk, dtype=np.float64) if len(chunk) > 1
+                else np.asarray(chunk[0], dtype=np.float64)[np.newaxis])  # one term: not copied
         vals = vals.reshape(len(chunk), *w.shape)
         with np.errstate(invalid="ignore"):  # inf * 0 weight; the loop below redoes such sums
             total = (w * vals).sum(axis=2)
@@ -342,12 +336,11 @@ def s_f_from_spectrum(js: JointSpectrum, f: Generator) -> DivergenceValue:
     """Evaluate sum_ij mu_j W_ij f(lambda_i / mu_j) on prepared data: the
     one-member case of weighted_sums.
 
-    Zero ratios dispatch to f(0+).  An infinite f-value makes the result
-    +inf only when its weight mu_j W_ij exceeds the weight floor; below
-    it the term counts as zero mass.
+    Zero ratios take f(0+), as f does at 0.  An infinite f-value makes the
+    result +inf only when its weight mu_j W_ij exceeds the weight floor;
+    below it the term counts as zero mass.
     """
-    x = js.ratio
-    sums, codes = weighted_sums(x[np.newaxis], js.wt[np.newaxis], [(f.fn(x[x > 0.0]), f.value_at_zero)])
+    sums, codes = weighted_sums(js.wt[np.newaxis], [f(js.ratio)])
     return DivergenceValue(value=float(sums[0, 0]), generator=f.spec, flags=SUM_FLAGS[codes[0, 0]])
 
 
@@ -397,7 +390,7 @@ def chi_squares(q_mats, p_dec, eps: float = DEFAULT_INVERTIBILITY_EPS) -> np.nda
 
 def tsallis(q, p, qparam: float, eps: float = DEFAULT_INVERTIBILITY_EPS) -> float:
     """(1 - tr(Q^q P^(1-q))) / (1 - q) for q in (0, 1)."""
-    qparam = float(qparam)
+    qparam = _real(qparam, "tsallis parameter")
     if not 0.0 < qparam < 1.0:
         raise InputFormatError(f"tsallis parameter must lie in (0, 1), got {qparam}")
     qd, pd = _density_pair(q, p, eps)

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qfdiv.cli import CSV_COLUMNS, _dump_json, _manifest, build_parser, main, report_to_json
+from qfdiv import harness
+from qfdiv.cli import CSV_COLUMNS, _dump_json, _manifest, _numpy_build, build_parser, main, report_to_json
 from qfdiv.generators import default_catalog
 from qfdiv.harness import FuzzConfig, certify, fuzz, sample_pair
 from qfdiv.hermitian import MAX_DIM, matrix_to_json
@@ -595,6 +596,15 @@ class TestOutputFiles:
         assert man["blas"]["name"] == config["Build Dependencies"]["blas"]["name"]
         assert man["simd"]["found"] == config["SIMD Extensions"]["found"]
 
+    def test_numpy_without_config_dicts_records_no_blas_or_simd(self, monkeypatch):
+        # numpy before 1.25 has no show_config(mode=...), only the printout.
+        def show_config():
+            raise AssertionError("printed the configuration")
+
+        monkeypatch.setattr(np, "show_config", show_config)
+        assert _numpy_build() == {"blas": {"name": None, "version": None},
+                                  "simd": {"baseline": [], "found": []}}
+
     def test_timestamp_override_gives_byte_identical_files(self, files, capsys,
                                                            tmp_path, monkeypatch):
         monkeypatch.setenv("QFDIV_TIMESTAMP", "2026-01-01T00:00:00Z")
@@ -698,6 +708,12 @@ class TestParser:
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["fuzz", "--frobnicate"]) == 2
 
+    def test_argv_defaults_to_the_command_line(self, capsys, monkeypatch):
+        argv = ("fuzz", "--dim", "2", "--trials", "2", "--seed", "3", "--generator", "tv")
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["qfdiv", *argv])
+        assert (main(), capsys.readouterr().out) == expected
+
     def test_build_parser_returns_a_new_parser(self):
         assert build_parser() is not build_parser()
 
@@ -728,6 +744,16 @@ class TestSharedGenerators:
         first = both(a)
         assert both(b) != first
         assert both(a) == first
+
+    def test_explicit_specs_share_one_column_entry(self, capsys):
+        # Each call parses its specs into new generators; the per-set columns
+        # are keyed by what they read, so the later calls hit the cache.
+        harness._columns.cache_clear()
+        argv = ("fuzz", "--dim", "2", "--trials", "2", "--generator", "kl", "--generator", "chi2")
+        outs = [run(capsys, *argv) for _ in range(3)]
+        assert outs[1:] == outs[:2]
+        info = harness._columns.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
 
 
 _SCALARS = st.one_of(

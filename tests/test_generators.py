@@ -153,6 +153,28 @@ class TestCatalog:
         with pytest.raises(InputFormatError):
             make(alpha)
 
+    # Parameters are real numbers: a string or a bool, which float() would
+    # take, is refused; numpy numbers are taken.
+    @pytest.mark.parametrize("make, param", [
+        (chi_alpha, "3"), (dichotomy, True), (tsallis, " 0.25 "), (matsushita, "0.5"),
+        (puri_vincze, False), (arimoto, "inf"), (chi_alpha, None), (tsallis, b"0.5"),
+        (lambda c: shift(kl_quantum(), c), "0.5"), (lambda c: shift(kl_quantum(), c), True)])
+    def test_factories_reject_parameters_that_are_not_real_numbers(self, make, param):
+        with pytest.raises(InputFormatError, match="must be a real number"):
+            make(param)
+
+    @pytest.mark.parametrize("make, param", [
+        (chi_alpha, np.float64(3.0)), (chi_alpha, np.int64(3)), (dichotomy, np.float32(0.5)),
+        (matsushita, np.float32(0.5)), (puri_vincze, np.int32(2)), (arimoto, np.float64(1.5)),
+        (tsallis, np.float32(0.25)), (arimoto, 3)])
+    def test_factories_take_numpy_and_python_numbers(self, make, param):
+        f = make(param)
+        assert f.params == make(float(param)).params and type(next(iter(f.params.values()))) is float
+        assert shift(f, np.float32(0.5)).spec == shift(f, 0.5).spec
+
+    def test_arimoto_int_beyond_the_float_range_is_the_inf_closure(self):
+        assert arimoto(10**400).spec == arimoto(INF).spec == "arimoto:alpha=inf"
+
     @pytest.mark.parametrize("alpha", [0.0009, 1 / 1024, 1e-300, 5e-324])
     def test_arimoto_rejects_alpha_where_its_constant_overflows(self, alpha):
         with pytest.raises(InputFormatError, match="arimoto needs alpha"):
@@ -399,15 +421,43 @@ class TestEvaluation:
 
     def test_array_path_matches_scalar(self):
         f = parse_generator_spec("arimoto:alpha=2")
-        ts = np.array([0.25, 1.0, 3.5])
+        ts = np.array([0.0, 0.25, 1.0, 3.5])
         out = f(ts)
         assert out.shape == ts.shape
         for t, v in zip(ts, out):
             assert v == pytest.approx(f(float(t)), rel=1e-14, abs=1e-15)
 
-    def test_array_path_rejects_zero(self):
-        with pytest.raises(PreconditionError):
-            kl_quantum()(np.array([0.5, 0.0]))
+    def test_array_path_equals_scalar_path_at_zero(self):
+        # One rule for t = 0 on both paths: f takes f(0+) and f'_+ takes
+        # f'(0+), where an array with a zero once raised.  A negative point
+        # raises on both, and so does a zero one for f'_-.
+        ts = np.array([[0.0, 0.25], [1.0, 0.0], [3.5, 1e-12]])
+        for f in (*default_catalog(), *map(conjugate, default_catalog())):
+            for call in (f, f.deriv_right):
+                got = call(ts)
+                assert got.shape == ts.shape
+                want = [call(float(t)) for t in ts.ravel()]
+                assert [float.hex(v) for v in got.ravel().tolist()] == [float.hex(v) for v in want], f.spec
+            assert f(ts)[0, 0] == f.value_at_zero and f.deriv_right(ts)[1, 1] == f.deriv_at_zero
+        f = kl_quantum()
+        with pytest.raises(PreconditionError, match="must be >= 0, got -0.5"):
+            f(np.array([0.5, 0.0, -0.5]))
+        with pytest.raises(PreconditionError, match="right derivative needs t >= 0"):
+            f.deriv_right(np.array([[1.0], [-1e-300]]))
+        with pytest.raises(PreconditionError, match="left derivative needs t > 0"):
+            f.deriv_left(np.array([0.5, 0.0]))
+        assert f(np.empty(0)).shape == (0,)
+
+    def test_subnormal_window_has_a_sup(self):
+        # The grid of [0, 5e-324] and its midpoint underflow to 0, which
+        # take f(0+) like every other zero point; this once raised.
+        f = chi_alpha(3.0)
+        assert f.psi_peak is None
+        value = psi_sup(f, 0.0, 5e-324)
+        assert type(value) is float and math.isfinite(value)
+        out = np.empty((6, 1, 1))
+        list(generators._window_ends((f,), np.array([0.0]), np.array([5e-324]), out))
+        assert out[:5, 0, 0].tolist() == [1.0, 1.0, 1.0, -3.0, -3.0]
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(DEFAULT_SPECS),

@@ -1,6 +1,7 @@
 """Joint spectral representation and the quantum divergence values."""
 
 import dataclasses
+import fractions
 import math
 
 import numpy as np
@@ -180,6 +181,11 @@ class TestJointSpectrum:
         with pytest.raises(InputFormatError):
             joint_spectrum(EXAMPLE_A_Q, EXAMPLE_A_P, eps=0.0)
 
+    def test_stores_the_threshold_as_the_float_it_checked(self):
+        js = joint_spectrum(EXAMPLE_A_Q, EXAMPLE_A_P, np.float32(1e-3))
+        assert type(js.eps) is float and js.eps == float(np.float32(1e-3))
+        assert joint_spectrum(EXAMPLE_A_Q, EXAMPLE_A_P, fractions.Fraction(1, 1000)).eps == 1e-3
+
     def test_weights_and_ratios_shapes(self):
         js = joint_spectrum(EXAMPLE_B_Q, EXAMPLE_B_P)
         assert js.weights().shape == (2, 2)
@@ -265,8 +271,14 @@ def slope_term(f):
 
 def at_positive(ratio, terms):
     """weighted_sums' terms from (term, value at 0) pairs: each term's
-    values at the positive ratios."""
-    return [(term(ratio[ratio > 0.0]), at_zero) for term, at_zero in terms]
+    values over the whole stack, term at the positive ratios and the value
+    at 0 at the zero ones."""
+    pos, out = ratio > 0.0, []
+    for term, at_zero in terms:
+        vals = np.full(ratio.shape, at_zero, dtype=np.float64)
+        vals[pos] = term(ratio[pos])
+        out.append(vals)
+    return out
 
 
 def _bits(x):
@@ -324,7 +336,7 @@ class TestSpectralSumReference:
                  (lambda t: t, INF),
                  (lambda t: t, 0.0)]
         block = ratio.reshape(5, 2, 2)
-        sums, codes = weighted_sums(block, wt.reshape(5, 2, 2), at_positive(block, terms))
+        sums, codes = weighted_sums(wt.reshape(5, 2, 2), at_positive(block, terms))
         assert sums.shape == codes.shape == (len(terms), 5)
         for i, (term, at_zero) in enumerate(terms):
             for k in range(5):
@@ -361,7 +373,7 @@ class TestSFBlock:
         spectra.insert(4, joint_spectrum(g @ g.T / np.trace(g @ g.T), random_density(4, rng)))
         ratio, wt = (np.stack([getattr(js, x) for js in spectra]) for x in ("ratio", "wt"))
         for f in default_catalog():
-            sums, codes = weighted_sums(ratio, wt, at_positive(ratio, [(f.fn, f.value_at_zero)]))
+            sums, codes = weighted_sums(wt, at_positive(ratio, [(f.fn, f.value_at_zero)]))
             single = [s_f_from_spectrum(js, f) for js in spectra]
             assert [(_bits(v), SUM_FLAGS[c]) for v, c in zip(sums[0], codes[0])] == [
                 (_bits(v.value), v.flags) for v in single], f.spec
@@ -378,10 +390,10 @@ class TestSFBlock:
             ratio, wt = (np.stack([getattr(js, x) for js in spectra]) for x in ("ratio", "wt"))
             terms = [(f.fn, f.value_at_zero) for f in default_catalog()] * 3 + [
                 (lambda t: np.where(t > 1.0, INF, t), 0.0)] * 4
-            sums, codes = weighted_sums(ratio, wt, at_positive(ratio, terms))
+            sums, codes = weighted_sums(wt, at_positive(ratio, terms))
             assert sums.shape == codes.shape == (len(terms), len(spectra))
             for i, term in enumerate(terms):
-                one_sums, one_codes = weighted_sums(ratio, wt, at_positive(ratio, [term]))
+                one_sums, one_codes = weighted_sums(wt, at_positive(ratio, [term]))
                 assert [_bits(v) for v in sums[i]] == [_bits(v) for v in one_sums[0]]
                 assert codes[i].tolist() == one_codes[0].tolist()
             assert codes[:, 1].any() and codes[-1].all()
@@ -464,6 +476,16 @@ class TestClosedForms:
     def test_tsallis_parameter_range(self):
         with pytest.raises(InputFormatError):
             tsallis(EXAMPLE_A_Q, EXAMPLE_A_P, 1.0)
+
+    @pytest.mark.parametrize("q", ["0.5", True, None, b"0.5"])
+    def test_tsallis_parameter_must_be_a_real_number(self, q):
+        with pytest.raises(InputFormatError, match="tsallis parameter must be a real number"):
+            tsallis(EXAMPLE_A_Q, EXAMPLE_A_P, q)
+
+    def test_tsallis_takes_numpy_numbers(self):
+        want = tsallis(EXAMPLE_A_Q, EXAMPLE_A_P, 0.5)
+        assert tsallis(EXAMPLE_A_Q, EXAMPLE_A_P, np.float32(0.5)) == want
+        assert tsallis(EXAMPLE_A_Q, EXAMPLE_A_P, np.float64(0.5)) == want
 
     def test_dimension_mismatch(self):
         with pytest.raises(PreconditionError):

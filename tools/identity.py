@@ -15,7 +15,11 @@ made as `python -m qfdiv` processes that import ./src, marked `process`
 configuration, and the bad-input runs that exit 2 and 3), which see how
 a process exits and must equal the in-process lines of the same runs;
 `run_all_checks` reports as JSON over sampled and hand-made pairs, every
-generator of a 23-entry list and two tolerances; and last, two fuzz
+generator of a 23-entry list and two tolerances; one line marked
+`scalar` over the scalar calls of those 23 generators and their 23
+conjugates (f, f'_+ and f'_- at 6 points, 0 among them, f as an array
+of the 5 positive ones, and psi_sup, jensen_gap_bound and secant_bound
+on 8 windows, 2 of them with r = 0); and last, two fuzz
 configurations rerun in the same process, marked `warm`: the first (the
 default catalog) and the `--seed 20` one (explicit tsallis and kl specs,
 parsed afresh after earlier runs filled the per-process caches).  The digests
@@ -51,7 +55,14 @@ import numpy as np  # noqa: E402  (qfdiv's own dependency)
 
 from qfdiv.classical import distribution_to_json  # noqa: E402
 from qfdiv.cli import main, report_to_json  # noqa: E402
-from qfdiv.generators import DEFAULT_SPECS, parse_generator_spec  # noqa: E402
+from qfdiv.generators import (  # noqa: E402
+    DEFAULT_SPECS,
+    conjugate,
+    jensen_gap_bound,
+    parse_generator_spec,
+    psi_sup,
+    secant_bound,
+)
 from qfdiv.harness import run_all_checks, sample_pair  # noqa: E402
 from qfdiv.hermitian import matrix_to_json  # noqa: E402
 
@@ -127,6 +138,14 @@ EXTRA_SPECS = (
     "dichotomy:alpha=0.25", "matsushita:alpha=0.3", "puri-vincze:alpha=3",
     "arimoto:alpha=3", "arimoto:alpha=1.5", "chi-alpha:alpha=1", "puri-vincze:alpha=1",
 )
+
+
+# Windows for the `scalar` line, r = 0 among them; secant_bound skips those
+# outside 0 <= r <= 1 <= R.  Points for the scalar generator calls, and for
+# one array call on the positive ones.
+SCALAR_WINDOWS = ((0.0, 1.5), (0.0, 30.0), (0.25, 4.0), (0.5, 1.0), (1.0, 2.0), (0.999, 1.001),
+                  (1e-9, 1e9), (2.0, 5.0))
+SCALAR_POINTS = (0.0, 1e-12, 0.25, 1.0, 3.5, 1e12)
 
 
 def rng(seed: int) -> np.random.Generator:
@@ -255,6 +274,29 @@ def run_cli_out(argv) -> str:
         return f"{out}file:\n{fh.read()}"
 
 
+def scalar_digest(generators) -> str:
+    """sha256 over each generator's scalar calls: f, f'_+ and f'_- at
+    SCALAR_POINTS, f on the positive ones as an array, and psi_sup,
+    secant_bound and jensen_gap_bound on SCALAR_WINDOWS; an error is
+    digested as its type and message."""
+    def attempt(fn, *args):
+        try:
+            value = fn(*args)
+        except (ValueError, ArithmeticError) as exc:
+            return [type(exc).__name__, str(exc)]
+        return np.asarray(value, dtype=np.float64).tolist()
+
+    h = hashlib.sha256()
+    positive = np.array([t for t in SCALAR_POINTS if t > 0.0])
+    for f in generators:
+        doc = [f.spec, attempt(f, positive)]
+        doc += [[attempt(call, t) for call in (f, f.deriv_right, f.deriv_left)] for t in SCALAR_POINTS]
+        doc += [[attempt(bound, f, r, R) for bound in (psi_sup, jensen_gap_bound)]
+                + ([attempt(secant_bound, f, r, R)] if r <= 1.0 <= R else []) for r, R in SCALAR_WINDOWS]
+        h.update(json.dumps(doc).encode())
+    return h.hexdigest()
+
+
 def main_() -> None:
     os.environ.pop("QFDIV_SEED", None)
     os.environ["QFDIV_TIMESTAMP"] = "2026-01-01T00:00:00Z"
@@ -317,6 +359,9 @@ def main_() -> None:
         what = f"run_all_checks pairs={len(cases)} generators={len(generators)} tol={tol:g}"
         print(h.hexdigest(), what)
         print(status.hexdigest(), "status", what)
+
+    generators += [conjugate(f) for f in generators]
+    print(scalar_digest(generators), "scalar", f"generators={len(generators)} windows={len(SCALAR_WINDOWS)}")
 
     # Two fuzz configurations again, after every other run has warmed the
     # per-process caches: each digest must equal its first line's.
