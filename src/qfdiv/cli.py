@@ -22,6 +22,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -113,27 +114,30 @@ def _numpy_build() -> dict:
     }
 
 
+@functools.cache
+def _c_encoder(depth: int):
+    """json's C encoder for a container at `depth` of an indent-2 document."""
+    return c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ",
+                          ",\n" + "  " * (depth + 1), False, False, True)
+
+
 def _dump_json(doc: dict) -> str:
     """json.dumps(doc, indent=2) and a newline, byte for byte.
 
     json.dumps with an indent runs json's pure-Python encoder over every
     value.  Here a scalar, and a container that holds no container, are
-    written by one call of json's C encoder, built per depth with an item
-    separator that breaks the line and indents; the newline and indent
-    after the opening and before the closing bracket are spliced in.  So
-    are the children of a container of such dicts, written by one call and
-    split at each separator followed by "{" (each newline is a separator's,
-    as the C encoder escapes every control character in a string).  Other
-    containers of containers are laid out in Python, and their keys must
-    be str: another key raises TypeError (json.dumps would convert it).
-    An unserializable value raises json.dumps's TypeError."""
-    default = json.JSONEncoder().default
+    written by one call of json's C encoder (_c_encoder); the newline and
+    indent after the opening and before the closing bracket are spliced
+    in.  A container of containers is laid out in Python, and its keys
+    must be str: another key raises TypeError (json.dumps would convert
+    it).  If its children are all dicts, or all lists, that hold no
+    container, they are written by one call and split at each separator
+    between a closing and an opening bracket; else its scalar children are
+    written by one call as a list and split at each separator (each
+    newline is a separator's, as the C encoder escapes every control
+    character in a string), and the others are laid out in turn.  An
+    unserializable value raises json.dumps's TypeError."""
     scalars = frozenset((str, int, float, bool, type(None)))  # tried before the isinstance scan
-
-    @functools.cache
-    def c_encoder(depth: int):
-        return c_make_encoder(None, default, encode_basestring_ascii, None, ": ",
-                              ",\n" + "  " * (depth + 1), False, False, True)
 
     def flat(parts) -> bool:
         return scalars.issuperset(map(type, parts)) or not any(isinstance(p, (dict, list, tuple)) for p in parts)
@@ -145,18 +149,24 @@ def _dump_json(doc: dict) -> str:
         else:
             parts = obj if isinstance(obj, (list, tuple)) else ()
         if flat(parts):
-            text = "".join(c_encoder(depth)(obj, 0))
+            text = "".join(_c_encoder(depth)(obj, 0))
             # A scalar or an empty container, as it is; else the brackets on their own lines.
             return text if not parts else text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
         if isinstance(obj, dict):
             for key in obj:
                 if not isinstance(key, str):
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
-        if all(isinstance(p, dict) for p in parts) and flat([v for p in parts for v in p.values()]):
-            bodies = "".join(c_encoder(depth + 1)(list(parts), 0))[2:-2].split("}," + inner + "  {")
-            children = ["{" + inner + "  " + body + inner + "}" if body else "{}" for body in bodies]
+        kinds = set(map(type, parts))
+        if (kinds == {dict} or kinds <= {list, tuple}) and flat(
+                [v for p in parts for v in (p.values() if dict in kinds else p)]):
+            o, c = "{}" if dict in kinds else "[]"
+            bodies = "".join(_c_encoder(depth + 1)(list(parts), 0))[2:-2].split(c + "," + inner + "  " + o)
+            children = [o + inner + "  " + body + inner + c if body else o + c for body in bodies]
         else:
-            children = [encode(part, depth + 1) for part in parts]
+            lone = [type(p) in scalars for p in parts]
+            texts = iter("".join(_c_encoder(depth)(list(itertools.compress(parts, lone)), 0))[1:-1].split(
+                "," + inner) if any(lone) else ())
+            children = [next(texts) if scalar else encode(part, depth + 1) for part, scalar in zip(parts, lone)]
         if isinstance(obj, dict):
             children = [encode_basestring_ascii(key) + ": " + child for key, child in zip(obj, children)]
         brackets = "{}" if isinstance(obj, dict) else "[]"

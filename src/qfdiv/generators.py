@@ -669,14 +669,15 @@ def psi_sup(f: Generator, r: float, R: float) -> float:
     return float(psi_sups((f,), float(r), float(R))[0, 0])
 
 
-def _window_ends(generators, r, R, out, ratios=np.empty(0)):
+def _window_ends(generators, r, R, out, ratios=np.empty(0)) -> np.ndarray:
     """Per generator, one f.fn call on [ratios, r, R, (r + R)/2] and one
     derivative call on [ratios, r, R] (right on [ratios, r], left on [R]
     where they differ), equal to the scalar calls (_at's rule for 0: f(0+),
-    and f'(0+) at a ratio or r): yields weighted_sums' terms f and (t - 1)
-    f'_+(t) at the ratios, and fills out, (6, windows, generators), by the
-    end with f(r), f(R), f((r + R)/2), f'_+(r), f'_-(R) and Psi(1) (+inf
-    where 1 is not interior or f(r) or f(R) is infinite)."""
+    and f'(0+) at a ratio or r).  Returns weighted_sums' terms f and (t - 1)
+    f'_+(t) at the ratios, rows 2g and 2g + 1 of one array, and fills out,
+    (6, windows, generators), with f(r), f(R), f((r + R)/2), f'_+(r),
+    f'_-(R) and Psi(1) (+inf where 1 is not interior or f(r) or f(R) is
+    infinite)."""
     if (r < 0.0).any():
         raise PreconditionError(f"generator argument must be >= 0, got {float(r.min())}")
     m, n = ratios.size, r.size
@@ -684,24 +685,25 @@ def _window_ends(generators, r, R, out, ratios=np.empty(0)):
     zero = np.flatnonzero(points == 0.0)
     points[zero] = 1.0
     right_zero = zero[zero < m + n]  # (r + R)/2 can underflow to 0; it has no slope
-    for g, f in enumerate(generators):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # not held across a yield
-            at = np.asarray(f.fn(points), dtype=np.float64)
-            at[zero] = f.value_at_zero
-            if f.deriv_left_fn is f.deriv_right_fn:
-                slopes = f.deriv_right_fn(points[:m + 2 * n])
-            else:
-                slopes = np.concatenate([f.deriv_right_fn(points[:m + n]),
-                                         f.deriv_left_fn(points[m + n:m + 2 * n])])
-            slopes[right_zero] = f.deriv_at_zero
-            out[:5, :, g] = np.concatenate([at[m:], slopes[m:]]).reshape(5, n)
-            slopes = (ratios - 1.0) * slopes[:m]
-        yield at[:m]
-        yield slopes
-    r, R, f1 = r[:, np.newaxis], R[:, np.newaxis], np.array([f.value_at_one for f in generators])
+    # Per generator, f at every point, then its slopes at [ratios, r, R].
+    at = np.empty((len(generators), 2, m + 3 * n))
+    at_zero = np.array([[f.value_at_zero, f.deriv_at_zero] for f in generators]).reshape(-1, 2, 1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for g, f in enumerate(generators):
+            at[g, 0] = f.fn(points)
+            if f.deriv_left_fn is f.deriv_right_fn:
+                at[g, 1, :m + 2 * n] = f.deriv_right_fn(points[:m + 2 * n])
+            else:
+                at[g, 1, :m + n] = f.deriv_right_fn(points[:m + n])
+                at[g, 1, m + n:m + 2 * n] = f.deriv_left_fn(points[m + n:m + 2 * n])
+        at[:, 0, zero], at[:, 1, right_zero] = at_zero[:, 0], at_zero[:, 1]
+        out[:3] = at[:, 0, m:].reshape(-1, 3, n).transpose(1, 2, 0)
+        out[3:5] = at[:, 1, m:m + 2 * n].reshape(-1, 2, n).transpose(1, 2, 0)
+        at[:, 1, :m] *= ratios - 1.0
+        r, R, f1 = r[:, np.newaxis], R[:, np.newaxis], np.array([f.value_at_one for f in generators])
         out[5] = np.where((r < 1.0) & (1.0 < R) & ~np.isinf(out[0]) & ~np.isinf(out[1]),
                           psi_value(1.0, r, R, f1, out[0], out[1]), INF)
+    return at[:, :, :m].reshape(2 * len(generators), m)
 
 
 def psi_sups(generators, r, R, ends=None) -> np.ndarray:
@@ -736,7 +738,7 @@ def psi_sups(generators, r, R, ends=None) -> np.ndarray:
         _check_window(r[bad[0]], R[bad[0]])
     if ends is None:
         out = np.empty((6, r.size, len(generators)))
-        list(_window_ends(generators, r, R, out))  # no ratios: run for out alone
+        _window_ends(generators, r, R, out)  # no ratios: run for out alone
         ends = out[[0, 1, 3, 4, 5]]
     fr, fR, dr, dR, at_one = (np.asarray(e, dtype=np.float64).reshape(r.size, len(generators)) for e in ends)
     finite = ~(np.isinf(fr) | np.isinf(fR) | (dr == -INF) | (dR == INF))

@@ -15,12 +15,14 @@ only the random numbers are drawn trial by trial; the states are
 formed, checked and diagonalized (one eigh call) as one stack, and
 states and spectra stay stacks up to the tally.  The chains are
 columnar: each term is computed over the block for all generators at
-once, and one producer per check (closed forms from a table keyed by
-check and family) emits its chains for all of them, as (pairs,
-generators) arrays.  One vectorized pass judges all links, fuzz
-tallies them with bincount, and reports (and a pair's DensityMatrix
-objects) are built only where read: by certify, run_all_checks and
-check_*, and for a failed fuzz trial.
+once (the generators' values at the ratios as one array), and one
+producer per check (closed forms from a table keyed by check and
+family) emits its chains for all of them, as (pairs, generators)
+arrays.  One vectorized pass judges the links only where a chain exists
+(a closed form on its family's generators alone), as (pairs, entries)
+arrays; fuzz tallies them with bincount, and reports (and a pair's
+DensityMatrix objects) are built only where read: by certify,
+run_all_checks and check_*, and for a failed fuzz trial.
 
 fuzz draws its random density pairs from seeded,
 counter-based streams: trial k always uses the stream keyed by (seed,
@@ -42,6 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import quantum
 from .errors import InputFormatError
 from .generators import (
     Generator,
@@ -142,10 +145,10 @@ class BoundChainReport:
 
 class _Chain(NamedTuple):
     """One chain over a block of B pairs and G generators: per term a value
-    broadcast to (B, G) where read, the entries that have it (rows), its
-    flags as (name, entries set on), the reason its check is skipped on the
-    other entries (none: it is not reported there), and whether it is a
-    subchain."""
+    broadcast to (B, G) where read, the entries that have it (rows, only on
+    the columns where it exists), its flags as (name, entries set on), the
+    reason its check is skipped on the other entries (none: it is not
+    reported there), and whether it is a subchain."""
 
     check: str
     labels: tuple
@@ -164,38 +167,57 @@ _SLACK_BUCKETS = ("negative", "<1e-9", "<1e-6", "<1e-3", "<1", ">=1", "vacuous")
 _BUCKET_EDGES = np.array([0.0, 1e-9, 1e-6, 1e-3, 1.0])
 
 
-def _layout(chains) -> tuple:
-    """The links of `chains`, each of which has at least one, fixed by their
-    checks and labels and so worked out once per process for a generator
-    set: each link's left term, each chain's link count and first link; the
-    sorted checks, each chain's and link's index among them, and each link's
-    (check, "left<=right")."""
-    return _shaped(tuple((ch.check, ch.labels) for ch in chains))
+# The links that exist (_shaped): a generic chain's on every generator column, a
+# closed form's on its family's.  Per (generator, chain) instance, in that order:
+# its chain, generator, check (index in the sorted checks), whether the chain has
+# a note, rows' flat column in (pairs, chains * generators), link count and first
+# entry.  Per entry (generator, chain, link), in that order: its instance,
+# generator, left term's flat column in (pairs, terms * generators) and
+# (check, "left<=right").
+_Table = collections.namedtuple("_Table", "checks chain gen check noted rows links starts owner entry_gen left names")
+# _link_eval's _Table and verdicts: (pairs, instances) or (pairs, entries) arrays in its order.
+_Judged = collections.namedtuple("_Judged", "table present status codes slack buckets left right")
 
 
 @functools.lru_cache(maxsize=64)
-def _shaped(shape: tuple) -> tuple:
-    sizes = np.array([len(labels) for _, labels in shape], dtype=np.intp)
-    nlinks, checks = sizes - 1, sorted({check for check, _ in shape})
-    ids = np.array([checks.index(check) for check, _ in shape], dtype=np.intp)
-    return (np.delete(np.arange(sizes.sum()), np.cumsum(sizes) - 1), nlinks, np.cumsum(nlinks) - nlinks,
-            checks, (ids, np.repeat(ids, nlinks)),
-            [(check, f"{labels[i]}<={labels[i + 1]}") for check, labels in shape for i in range(len(labels) - 1)])
+def _shaped(shape: tuple, names: tuple) -> _Table:
+    """The _Table of chains whose (check, labels, note) are `shape`, each
+    with a link, on the generators named `names`: all it reads, so it is
+    worked out once per process for a generator set."""
+    ng, checks = len(names), sorted({check for check, _, _ in shape})
+    firsts = list(itertools.accumulate((len(labels) for _, labels, _ in shape), initial=0))
+    # A generic chain has no family, so it takes each column's name.
+    inst = [(g, j) for g, name in enumerate(names) for j, (check, _, _) in enumerate(shape)
+            if _FAMILY.get(check, name) == name]
+    links = [len(shape[j][1]) - 1 for _, j in inst]
+    entries = [(i, g, j, k) for i, (g, j) in enumerate(inst) for k in range(links[i])]
+    index = functools.partial(np.array, dtype=np.intp)
+    return _Table(
+        checks=checks, chain=[j for _, j in inst], gen=[g for g, _ in inst],
+        check=index([checks.index(shape[j][0]) for _, j in inst]), noted=np.array([bool(shape[j][2]) for _, j in inst]),
+        rows=index([j * ng + g for g, j in inst]), links=links,
+        starts=list(itertools.accumulate(links, initial=0))[:-1],
+        owner=index([e[0] for e in entries]), entry_gen=[e[1] for e in entries],
+        left=index([(firsts[j] + k) * ng + g for _, g, j, k in entries]),
+        names=[(shape[j][0], f"{shape[j][1][k]}<={shape[j][1][k + 1]}") for _, _, j, k in entries])
 
 
-def _link_eval(chains, tol: float) -> tuple:
-    """Judge every link of `chains` in one vectorized pass: each chain's
-    status code per entry and link count, then per entry and link (in
-    chain order) the verdict code, slack and slack bucket.  An infinite
-    right side makes a link vacuous; an infinite left side under a finite
-    one fails."""
-    at, nlinks, starts = _layout(chains)[:3]
+def _link_eval(chains, generators, tol: float) -> _Judged:
+    """Judge the links of `chains` (at least one) that exist on `generators`
+    in one pass over their terms, gathered as (pairs, entries) arrays: the
+    _Table; per pair and instance whether its rows have it and its status
+    (skipped where not); per pair and entry the verdict code, slack, slack
+    bucket and both terms.  An infinite right side makes a link vacuous; an
+    infinite left side under a finite one fails."""
+    t = _shaped(tuple((ch.check, ch.labels, ch.note) for ch in chains), tuple(f.name for f in generators))
+    n = len(chains[0].rows)
     cols = [col for ch in chains for col in ch.values]
-    values = np.empty((len(cols), *(chains[0].rows.shape if chains else (0,))))
+    values = np.empty((n, len(cols), len(generators)))
     for i, col in enumerate(cols):
-        values[i] = col  # broadcast to (B, G)
-    values = np.moveaxis(values, 0, -1)
-    left, right = values[..., at], values[..., at + 1]
+        values[:, i] = col  # broadcast to (B, G)
+    values = values.reshape(n, -1)
+    left, right = values[:, t.left], values[:, t.left + len(generators)]
+    present = np.stack([ch.rows for ch in chains], axis=1).reshape(n, -1)[:, t.rows]
 
     vacuous = np.isinf(right)
     endless = np.isinf(left) & ~vacuous
@@ -206,52 +228,41 @@ def _link_eval(chains, tol: float) -> tuple:
     slack[endless] = -INF
     codes = np.where(vacuous, 1, np.where(held, 0, 2))
     buckets = np.where(np.isinf(slack), 6, np.searchsorted(_BUCKET_EDGES, slack, side="right"))
-    status = np.maximum.reduceat(codes, starts, axis=-1) if at.size else codes
-    return status, nlinks, codes, slack, buckets
+    status = np.where(present, np.maximum.reduceat(codes, t.starts, axis=1), _STATUSES.index("skipped"))
+    return _Judged(t, present, status, codes, slack, buckets, left, right)
 
 
-def _reports(chains, judged, row: int, b: "_Block", generators) -> list:
+def _reports(chains, judged: _Judged, row: int, b: "_Block", generators) -> list:
     """Per generator, the reports of pair `row` of block b from its chains
     and their _link_eval: one per top-level chain, with its subchains, or a
     skipped report where the chain's check is skipped."""
-    if not chains:
-        return []
-    r, R = float(b.r[row, 0]), float(b.R[row, 0])
-    status, codes, slack = (judged[i][row].tolist() for i in (0, 2, 3))
-    values = np.empty((sum(len(ch.values) for ch in chains), len(generators)))
-    for i, col in enumerate(col for ch in chains for col in ch.values):
-        values[i] = col[row] if np.ndim(col) else col  # a (B, 1) column broadcasts
-    values = values.T.tolist()
-    has = np.array([ch.rows[row] for ch in chains]).T.tolist()
-    firsts = list(itertools.accumulate((len(ch.labels) for ch in chains), initial=0))
-    out = []
-    for g, f in enumerate(generators):
-        groups = []  # (a top-level chain's fields, its subchains' reports)
-        for j, (ch, first) in enumerate(zip(chains, firsts)):
-            labels, n, at = ch.labels, len(ch.labels) - 1, first - j  # first term, first link
-            if has[g][j]:
-                terms = values[g][first:first + n + 1]
-                fields = dict(
-                    chain=tuple(zip(labels, terms)), slacks=tuple(slack[g][at:at + n]),
-                    link_verdicts=tuple(_VERDICTS[v] for v in codes[g][at:at + n]),
-                    status=_STATUSES[status[g][j]],
-                    # A link holds with equality if it passes with a slack within
-                    # EQUALITY_TOL * max(1, |right|) of zero.
-                    flags=(*(name for name, on in ch.flags if on[row, g]),
-                           *(f"equality:{labels[i]}={labels[i + 1]}" for i in range(n) if codes[g][at + i] == 0
-                             and abs(slack[g][at + i]) <= EQUALITY_TOL * max(1.0, abs(terms[i + 1])))))
-            elif ch.note:
-                fields = dict(chain=((labels[0], values[g][first]),), slacks=(), link_verdicts=(),
-                              status="skipped", note=ch.note)
-            else:
-                continue
-            fields.update(check=ch.check, generator=f.spec, dim=b.dim, r=r, R=R)
-            if ch.sub:
-                groups[-1][1].append(BoundChainReport(**fields))
-            else:
-                groups.append((fields, []))
-        out.append([BoundChainReport(**fields, subchains=tuple(subs)) for fields, subs in groups])
-    return out
+    t, r, R = judged.table, float(b.r[row, 0]), float(b.R[row, 0])
+    present, status, codes, slack, left, right = (x[row].tolist() for x in (
+        judged.present, judged.status, judged.codes, judged.slack, judged.left, judged.right))
+    groups = [[] for _ in generators]  # per generator: (a top-level chain's fields, its subchains' reports)
+    for i, (g, j, n, at) in enumerate(zip(t.gen, t.chain, t.links, t.starts)):
+        ch, labels = chains[j], chains[j].labels
+        if present[i]:
+            terms = [*left[at:at + n], right[at + n - 1]]
+            fields = dict(
+                chain=tuple(zip(labels, terms)), slacks=tuple(slack[at:at + n]),
+                link_verdicts=tuple(_VERDICTS[v] for v in codes[at:at + n]), status=_STATUSES[status[i]],
+                # A link holds with equality if it passes with a slack within
+                # EQUALITY_TOL * max(1, |right|) of zero.
+                flags=(*(name for name, on in ch.flags if on[row, g]),
+                       *(f"equality:{labels[k]}={labels[k + 1]}" for k in range(n) if codes[at + k] == 0
+                         and abs(slack[at + k]) <= EQUALITY_TOL * max(1.0, abs(terms[k + 1])))))
+        elif ch.note:
+            fields = dict(chain=((labels[0], left[at]),), slacks=(), link_verdicts=(), status="skipped",
+                          note=ch.note)
+        else:
+            continue
+        fields.update(check=ch.check, generator=generators[g].spec, dim=b.dim, r=r, R=R)
+        if ch.sub:
+            groups[g][-1][1].append(BoundChainReport(**fields))
+        else:
+            groups[g].append((fields, []))
+    return [[BoundChainReport(**fields, subchains=tuple(subs)) for fields, subs in group] for group in groups]
 
 
 class _Block:
@@ -311,13 +322,17 @@ _Terms = collections.namedtuple(
 
 def _terms(b: _Block, generators) -> _Terms:
     """The generators' _Terms on block b, term by term over all generators:
-    one _window_ends pass gives the windows' endpoint values and, summed by
-    weighted_sums as they come, S_f and the derivative-gap sums sum wt (t - 1)
-    f'_+(t) (value -f'(0+) at t = 0) over the block's stacked spectra; then
-    Psi(1) for thm4 and psi_sups, and sup Psi in one psi_sups pass."""
+    _window_ends, on as many at a time as quantum.STACK_POINTS allows, gives
+    the windows' endpoint values, Psi(1) among them, and, summed by
+    weighted_sums, S_f and the derivative-gap sums sum wt (t - 1) f'_+(t)
+    (value -f'(0+) at t = 0) over the block's stacked spectra; then sup Psi
+    in one psi_sups pass."""
     strict, r, R = b.strict[:, 0], b.r[:, 0], b.R[:, 0]
     fr, fR, fmid, dr, dR, psi1 = ends = np.empty((6, len(r), len(generators)))
-    sums, codes = weighted_sums(b.wt, _window_ends(generators, r, R, ends, b.ratio.reshape(-1)))
+    ratios, step = b.ratio.reshape(-1), max(1, quantum.STACK_POINTS // b.ratio.size)
+    sums, codes = (np.concatenate(x) for x in zip(*(
+        weighted_sums(b.wt, _window_ends(generators[g:g + step], r, R, ends[..., g:g + step], ratios))
+        for g in range(0, len(generators), step))))
     sup = np.full(fr.shape, math.nan)
     sup[strict] = psi_sups(generators, r[strict], R[strict], ends=[x[strict] for x in (fr, fR, dr, dR, psi1)])
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # r = R gives 0/0
@@ -333,7 +348,7 @@ def _columns(shape: tuple) -> tuple:
     smooth) pairs, all they read, are `shape`: once per such tuple."""
     names = [name for name, _ in shape]
     return (np.array([[smooth for _, smooth in shape]]),
-            {n: np.array([m == n for m in names]) for n in _CLOSED_FAMILIES.intersection(names)})
+            {n: np.array([m == n for m in names]) for n in set(_FAMILY.values()).intersection(names)})
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +359,7 @@ def _columns(shape: tuple) -> tuple:
 # the entries its hypotheses exclude), then its subchains.  The list
 # depends only on the generators, not on the block: a closed form is
 # listed whenever its family is, with no entries where the block excludes
-# it.  _layout relies on this, working a chain list's links out once.
+# it.  _shaped relies on this, working a chain list's links out once.
 
 
 _DEGENERATE = "degenerate window: r = R"
@@ -595,7 +610,8 @@ _CLOSED_FORMS = {
                     _window(neg_log_jensen_coeff.formula, neg_log_range_coeff.formula)),
     },
 }
-_CLOSED_FAMILIES = {family for forms in _CLOSED_FORMS.values() for family in forms}
+# Each closed-form subchain's family, on whose generator columns alone it exists.
+_FAMILY = {name: family for forms in _CLOSED_FORMS.values() for family, (name, _, _) in forms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +626,7 @@ def _public(chains, name: str):
         tol = _positive(tol, "tolerance")
         b = _pair(q, p, js, eps)
         _, made = _chains(b, (f,), (chains,), sf)
-        return _reports(made, _link_eval(made, tol), 0, b, (f,))[0][0]
+        return _reports(made, _link_eval(made, (f,), tol), 0, b, (f,))[0][0]
 
     check.__name__ = check.__qualname__ = name
     check.__doc__ = chains.__doc__
@@ -632,8 +648,10 @@ def certify(q, p, generators, js: JointSpectrum = None, tol: float = DEFAULT_TOL
     (a DivergenceValue) and its six reports."""
     tol = _positive(tol, "tolerance")
     b, generators = _pair(q, p, js, eps), tuple(generators)
+    if not generators:
+        return []
     e, chains = _chains(b, generators)
-    reports = _reports(chains, _link_eval(chains, tol), 0, b, generators)
+    reports = _reports(chains, _link_eval(chains, generators, tol), 0, b, generators)
     return [(DivergenceValue(value=float(e.sf[0, g]), generator=f.spec,
                              flags=SUM_FLAGS[e.sf_flags[0, g]]), tuple(reports[g]))
             for g, f in enumerate(generators)]
@@ -837,9 +855,9 @@ def _rekey(rng: np.random.Generator, seed: int, trial: int) -> np.random.Generat
 
 
 class _Tally:
-    """fuzz's aggregates, fed one block of trials at a time in trial order;
-    the check and link of each judged column come from _layout, worked
-    out once per process for a generator set."""
+    """fuzz's aggregates, fed one block of trials at a time in trial order,
+    read from _link_eval's (pairs, entries) arrays and _Table, worked out
+    once per process for a generator set."""
 
     def __init__(self, config: FuzzConfig):
         self.config, self.violations, self.checks, self.counts = config, [], [], ()
@@ -852,22 +870,22 @@ class _Tally:
         _, chains = _chains(b, gens)
         if not chains:
             return
-        judged = status, nlinks, codes, slack, bucket = _link_eval(chains, config.tol)
-        self.checks, column_ids, link_names = _layout(chains)[3:]
+        judged = _link_eval(chains, gens, config.tol)
+        t, self.checks = judged.table, judged.table.checks
         if not self.counts:
             self.counts = tuple(np.zeros((len(self.checks), len(names)), dtype=np.int64)
                                 for names in (_STATUSES, _SLACK_BUCKETS))
-        present = np.moveaxis(np.array([ch.rows for ch in chains]), 0, -1)  # (B, G, chains)
-        linked = np.repeat(present, nlinks, axis=-1)  # (B, G, links)
+        linked = judged.present[:, t.owner]  # (B, entries)
         # Outside its rows a chain with a note counts as its check skipped.
-        counted = present | np.array([bool(ch.note) for ch in chains])
-        status = np.where(present, status, _STATUSES.index("skipped"))
-        for counts, ids, code, on in zip(self.counts, column_ids, (status, bucket), (counted, linked)):
+        counted = judged.present | t.noted
+        for counts, ids, code, on in zip(self.counts, (t.check, t.check[t.owner]), (judged.status, judged.buckets),
+                                         (counted, linked)):
             counts += np.bincount((ids * counts.shape[1] + code)[on],
                                   minlength=counts.size).reshape(counts.shape)
 
         # The least finite slack's entry, then the near-tight entries still
-        # to list, decoded from their flat (B, G, links) indices together.
+        # to list, decoded from their flat (B, entries) indices together.
+        slack = judged.slack
         finite = linked & np.isfinite(slack)
         lowest = bool(finite.any())
         tight = np.flatnonzero(finite & (slack >= 0.0) & (slack < NEAR_TIGHT_SLACK))
@@ -875,18 +893,17 @@ class _Tally:
         at = tight[:max(0, 100 - len(self.near_tight))]
         if lowest:
             at = np.concatenate(([np.argmin(np.where(finite, slack, INF))], at))
-        rows, gs, links = np.unravel_index(at, slack.shape)
-        entries = [{"trial": trials[row], "check": link_names[k][0], "generator": gens[g].spec,
-                    "link": link_names[k][1], "slack": value}
-                   for row, g, k, value in zip(rows.tolist(), gs.tolist(), links.tolist(),
-                                               slack.ravel()[at].tolist())]
+        rows, links = np.unravel_index(at, slack.shape)
+        entries = [{"trial": trials[row], "check": t.names[k][0], "generator": gens[t.entry_gen[k]].spec,
+                    "link": t.names[k][1], "slack": value}
+                   for row, k, value in zip(rows.tolist(), links.tolist(), slack.ravel()[at].tolist())]
         if lowest:
             low = entries.pop(0)
             if self.min_slack is None or low["slack"] < self.min_slack["slack"]:
                 self.min_slack = {key: low[key] for key in ("slack", "check", "generator", "trial", "link")}
         self.near_tight.extend(entries)
 
-        for row in np.flatnonzero((linked & (codes == 2)).any(axis=(1, 2))).tolist():
+        for row in np.flatnonzero((linked & (judged.codes == 2)).any(axis=1)).tolist():
             qd, pd = _member(b.q, b.qdec, row), _member(b.p, b.pdec, row)
             for top in itertools.chain.from_iterable(_reports(chains, judged, row, b, gens)):
                 self.violations.extend(collect_violations(top, config.seed, trials[row], qd, pd))

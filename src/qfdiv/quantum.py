@@ -36,7 +36,6 @@ tr|Q - P| (both are provided; see trace_distance).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -298,38 +297,33 @@ class DivergenceValue:
 # weighted_sums' flag codes, as DivergenceValue flags.
 SUM_FLAGS = ((), ("infinite",), ("zero-mass-infinite-terms",))
 
-# The largest stacked temporary of weighted_sums, in values.
+# A block's term pass takes generators in chunks of about this many ratio values.
 STACK_POINTS = 2**14
 
 
 def weighted_sums(wt: np.ndarray, terms) -> tuple:
     """sum_ij wt_ij term_ij for each term, an array of values at every ratio
-    of the block, of the nonempty iterable terms and each member of the
-    block's (n, d, d) weight stack: a (terms, n) array of sums and one of
-    SUM_FLAGS codes.  A zero ratio's value, f(0+), is the generator's to
-    give (generators._at).  The terms are weighted and summed as one stack,
-    about STACK_POINTS values at a time.  A sum with an infinite value is
-    +inf (code 1) if any such value has weight above WEIGHT_FLOOR, and
-    otherwise the sum of its finite values (code 2): those terms carry no
-    mass.  Every sum equals the single-spectrum sum bit for bit."""
-    n = len(wt)
-    w, terms, out = wt.reshape(n, -1), iter(terms), []
-    while chunk := list(itertools.islice(terms, max(1, STACK_POINTS // w.size))):
-        vals = (np.array(chunk, dtype=np.float64) if len(chunk) > 1
-                else np.asarray(chunk[0], dtype=np.float64)[np.newaxis])  # one term: not copied
-        vals = vals.reshape(len(chunk), *w.shape)
-        with np.errstate(invalid="ignore"):  # inf * 0 weight; the loop below redoes such sums
-            total = (w * vals).sum(axis=2)
-        code = np.zeros(total.shape, dtype=np.intp)
-        infinite = np.isinf(vals)
-        for i, k in zip(*(a.tolist() for a in np.nonzero(infinite.any(axis=2)))):
-            inf, v = infinite[i, k], vals[i, k]
-            if (inf & (w[k] > WEIGHT_FLOOR)).any():
-                total[i, k], code[i, k] = math.inf, 1
-            else:
-                total[i, k], code[i, k] = np.sum(w[k][~inf] * v[~inf]), 2
-        out.append((total, code))
-    return tuple(map(np.concatenate, zip(*out)))
+    of the block, of terms (the rows of an array, or a nonempty list) and
+    each member of the block's (n, d, d) weight stack: a (terms, n) array of
+    sums and one of SUM_FLAGS codes.  A zero ratio's value, f(0+), is the
+    generator's to give (generators._at).  The terms are weighted and summed
+    as one stack.  A sum with an infinite value is +inf (code 1) if any such
+    value has weight above WEIGHT_FLOOR, and otherwise the sum of its
+    finite values (code 2): those terms carry no mass.  Every sum equals
+    the single-spectrum sum bit for bit."""
+    w = wt.reshape(len(wt), -1)
+    vals = np.asarray(terms, dtype=np.float64).reshape(len(terms), *w.shape)
+    with np.errstate(invalid="ignore"):  # inf * 0 weight; the loop below redoes such sums
+        total = (w * vals).sum(axis=2)
+    code = np.zeros(total.shape, dtype=np.intp)
+    infinite = np.isinf(vals)
+    for i, k in zip(*(a.tolist() for a in np.nonzero(infinite.any(axis=2)))):
+        inf, v = infinite[i, k], vals[i, k]
+        if (inf & (w[k] > WEIGHT_FLOOR)).any():
+            total[i, k], code[i, k] = math.inf, 1
+        else:
+            total[i, k], code[i, k] = np.sum(w[k][~inf] * v[~inf]), 2
+    return total, code
 
 
 def s_f_from_spectrum(js: JointSpectrum, f: Generator) -> DivergenceValue:

@@ -352,13 +352,34 @@ class TestFuzzCommand:
         ("--dim", "4", "--trials", "9", "--seed", "5", "--sampler", "mixture"),
         ("--dim", "2", "--trials", "9", "--seed", "6", "--sampler", "commuting",
          "--allow-singular"),
-    ], ids=["skipped", "violations", "mixture", "commuting-singular"])
+        ("--dim", "1", "--trials", "9", "--seed", "14"),
+        ("--dim", "3", "--trials", "9", "--seed", "15", "--generator", "tv", "--generator", "matsushita:alpha=1",
+         "--generator", "arimoto:alpha=inf", "--generator", "chi-alpha:alpha=1"),
+        ("--dim", "4", "--trials", "9", "--seed", "20", "--generator", "tsallis:q=0.2", "--generator", "kl",
+         "--generator", "tsallis:q=0.8"),
+    ], ids=["skipped", "violations", "mixture", "commuting-singular", "degenerate-windows", "kinks-only",
+            "two-tsallis"])
     def test_block_size_does_not_change_stdout(self, capsys, monkeypatch, argv):
         import qfdiv.harness
 
         outputs = set()
         for size in (1, 7, 16):
             monkeypatch.setattr(qfdiv.harness, "FUZZ_BLOCK", size)
+            outputs.add(run(capsys, "fuzz", *argv))
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--dim", "4", "--trials", "17", "--seed", "3", "--floor", "1e-3"),
+        ("--dim", "3", "--trials", "10", "--seed", "1", "--tol", "1e-300"),
+        ("--dim", "2", "--trials", "9", "--seed", "6", "--sampler", "commuting", "--allow-singular"),
+    ], ids=["default", "violations", "commuting-singular"])
+    def test_term_chunks_do_not_change_stdout(self, capsys, monkeypatch, argv):
+        # One generator per chunk of the term pass, and every generator in one.
+        import qfdiv.quantum
+
+        outputs = {run(capsys, "fuzz", *argv)}
+        for points in (1, 2**20):
+            monkeypatch.setattr(qfdiv.quantum, "STACK_POINTS", points)
             outputs.add(run(capsys, "fuzz", *argv))
         assert len(outputs) == 1
 
@@ -801,8 +822,23 @@ class TestJsonWriter:
     @example({"x": {"a": 1, "b": "}"}, "y": {}, "w": {"e": True, "f": "\n  }"}})
     @example([{"a": 1}, (1, {"b": 2}), {"c": 3}, [], {"d": {}}])
     @example({"a": [{1: "x", None: 2, 2.5: False}, {"y": 1}], "b": {"c": {True: -0.0}}})
+    # Containers of flat lists, written by one C call and split; scalars
+    # beside containers, written by one C call and split.
+    @example([["],\n  [", "]"], [], (1, "],\n    ["), ["\n  ]"]])
+    @example({"chain": [["a", 1.0], []], "s": "],\n  [", "f": [1, 2], "d": {}, "n": None, "e": []})
+    @example([1, [[2]], "x", {"a": [3]}, True, np.float64(0.5), np.float64(1.5)])
     def test_matches_json_dumps_indent_2(self, doc):
         assert _dump_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_certify_stdout_is_json_dumps_indent_2(self, tmp_path, capsys):
+        # The full-catalog certify document of a d = 8 pair, as the CLI writes it.
+        q, p = sample_pair("ginibre", 8, 1e-3, np.random.Generator(np.random.Philox(key=8)))
+        for name, state in (("q", q), ("p", p)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(matrix_to_json(state.matrix)))
+        code, out = run(capsys, "certify", "--q", str(tmp_path / "q.json"), "--p", str(tmp_path / "p.json"))
+        doc = json.loads(out)
+        assert code == 0 and len(doc["reports"]) == 6 * len(default_catalog())
+        assert out == json.dumps(doc, indent=2) + "\n"
 
     @pytest.mark.parametrize("doc", [
         {"a": [1, object()]},

@@ -42,7 +42,7 @@ from qfdiv.harness import (
     sample_density,
     sample_pair,
 )
-from qfdiv.harness import _CLOSED_FORMS, _Block, _chains, _pair, _states, _terms
+from qfdiv.harness import _CLOSED_FORMS, _Block, _chains, _link_eval, _pair, _states, _terms
 from qfdiv.generators import default_catalog
 from qfdiv.hermitian import MAX_DIM, matrix_from_json
 from qfdiv.quantum import _member, as_density, chi_square, densities, joint_spectra, joint_spectrum
@@ -1100,6 +1100,27 @@ class TestOneEvaluationPerBlock:
         assert shapes.pop("thm2:tsallis") == {(3, len(gens))}
         assert set().union(*shapes.values()) == {(), (3, 1)}
 
+    def test_link_table_holds_only_existing_links(self):
+        gens = tuple(default_catalog())
+        sym, dec = densities(_states("ginibre", 4, 1e-3, [rng_for(45)], 6))
+        fields, errors = joint_spectra(dec[0::2], dec[1::2])
+        _, chains = _chains(_Block(sym[0::2], dec[0::2], sym[1::2], dec[1::2], fields, 1e-12), gens)
+        judged = _link_eval(chains, gens, 1e-9)
+        t = judged.table
+        # 15 links of generic chains on each of the 12 columns, and the 27 of
+        # the closed forms each on its family's one column.
+        assert judged.codes.shape == judged.slack.shape == (3, 207) and len(t.names) == 207
+        family = {name: fam for forms in _CLOSED_FORMS.values() for fam, (name, _, _) in forms.items()}
+        want = [(g, j, k) for g, f in enumerate(gens) for j, ch in enumerate(chains)
+                if family.get(ch.check, f.name) == f.name for k in range(len(ch.labels) - 1)]
+        got = [(t.gen[i], t.chain[i], e - t.starts[i]) for e, i in enumerate(t.owner.tolist())]
+        assert got == want  # by generator, then chain, then link
+        assert [name for name, _ in t.names] == [chains[j].check for _, j, _ in want]
+        on = set(zip(t.gen, t.chain))
+        for j, ch in enumerate(chains):
+            assert not any(ch.rows[:, g].any() for g in range(len(gens)) if (g, j) not in on), ch.check
+            assert ch.rows.any(), ch.check
+
     def test_generator_infinite_at_the_upper_end(self):
         # f(R) overflows while f(r) is finite: Psi(1) is +inf like sup Psi,
         # where thm4 once raised "psi needs f finite at r, t, R".
@@ -1255,12 +1276,16 @@ class TestFuzzMatchesReports:
         # One chain per pair of values, each on a block of one pair and one generator.
         chains = [_Chain("c", ("a", "b"), (np.array([[a]]), np.array([[b]])), np.ones((1, 1), bool))
                   for a, b in pairs]
-        judged = status, nlinks, codes, slacks, buckets = _link_eval(chains, 1e-9)
-        status, codes, slacks, buckets = status[0, 0], codes[0, 0], slacks[0, 0], buckets[0, 0]
-        assert list(nlinks) == [1] * len(pairs)
+        gens = (types.SimpleNamespace(name="g", spec="g"),)
+        judged = _link_eval(chains, gens, 1e-9)
+        # One pair, and per chain one instance with one entry, in chain order.
+        status, codes, slacks, buckets = (x[0] for x in (judged.status, judged.codes, judged.slack, judged.buckets))
+        assert judged.table.links == [1] * len(pairs) and len(codes) == len(pairs)
+        assert all(_same(float(x), a) and _same(float(y), b)
+                   for (a, b), x, y in zip(pairs, judged.left[0], judged.right[0]))
         # The equality flag is derived where reports are built.
         block = types.SimpleNamespace(r=np.zeros((1, 1)), R=np.ones((1, 1)), dim=1)
-        reports = _reports(chains, judged, 0, block, (types.SimpleNamespace(spec="g"),))[0]
+        reports = _reports(chains, judged, 0, block, gens)[0]
         for (left, right), st, code, slack, bucket, rep in zip(pairs, status, codes, slacks,
                                                                buckets, reports):
             verdict, expected = _scalar_link(left, right, 1e-9)

@@ -5,7 +5,7 @@ Usage, from the repository root:
     python3 tools/identity.py > before.txt      # on the old commit
     python3 tools/identity.py | diff before.txt -   # on the new one
 
-It covers `fuzz` stdout on 36 configurations and `fuzz --out` on 2 of
+It covers `fuzz` stdout on 37 configurations and `fuzz --out` on 2 of
 them; `certify` and `compute` JSON and CSV on 17 pairs, and with `--out`
 on the 7 hand-made ones; `spectrum` with and without `--out` on the 17
 pairs (with QFDIV_TIMESTAMP fixed); `classical` with and without `--out`
@@ -122,6 +122,9 @@ FUZZ_CONFIGS = (
     # differently from a sequential one, across a 16-pair and a 4-pair block.
     *(("fuzz", "--sampler", kind, "--dim", str(d), "--trials", "20", "--seed", "21")
       for kind in ("mixture", "commuting") for d in (16, 33)),
+    # 65536 ratio points in a 16-pair block: the term pass evaluates one
+    # generator per chunk of quantum.STACK_POINTS values.
+    ("fuzz", "--sampler", "mixture", "--dim", "64", "--trials", "17", "--seed", "22"),
 )
 
 # The explicit-spec configuration rerun last, marked `warm`.
