@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputFormatError
 from .generators import Generator, shift
-from .hermitian import CheckReport, _chain_report, _json_floats, _load_json
+from .hermitian import CheckReport, _chain_report, _json_floats, _load_json, _positive
 
 __all__ = [
     "DiscreteDistribution",
@@ -107,6 +107,7 @@ def range_check(q, p, f: Generator, tol: float = 1e-10) -> CheckReport:
 
     An infinite upper limit leaves the upper link vacuously true.
     """
+    tol = _positive(tol, "tolerance")
     value = i_f(q, p, f)
     upper = f.value_at_zero + f.star_at_zero
     note = "vacuous-upper: f(0) + f*(0) is infinite" if math.isinf(upper) else ""
@@ -119,6 +120,7 @@ def refinement_bound_check(q, p, f: Generator, tol: float = 1e-10) -> CheckRepor
 
     Reported as vacuous (not failure) when f(0) + f*(0) is infinite.
     """
+    tol = _positive(tol, "tolerance")
     if not f.normalized:
         raise InputFormatError(f"refinement bound needs a normalized generator, got {f.spec}")
     value = i_f(q, p, f)
@@ -131,6 +133,7 @@ def refinement_bound_check(q, p, f: Generator, tol: float = 1e-10) -> CheckRepor
 
 def shift_invariance_check(q, p, f: Generator, c: float, tol: float = 1e-11) -> CheckReport:
     """I_{f + c(u-1)} equals I_f: the generator shift is invisible."""
+    tol = _positive(tol, "tolerance")
     base = i_f(q, p, f)
     shifted = i_f(q, p, shift(f, c))
     if math.isinf(base) or math.isinf(shifted):

@@ -23,7 +23,9 @@ Catalog families (all normalized to f(1) = 0):
     hellinger      (1/2)(sqrt(u) - 1)^2
     inv_minus_one  1/u - 1
 
-Generators are immutable, and evaluation is pure.
+Generators are immutable, and evaluation is pure.  Points reach f and
+its derivatives only through _at, for one generator or a block's many:
+a zero point takes f(0+) or f'(0+), and f'_-(0) or a negative point raises.
 """
 
 from __future__ import annotations
@@ -132,31 +134,39 @@ class Generator:
         return f"Generator({self.spec!r})"
 
     def __call__(self, t):
-        return _at(self.fn, t, self.value_at_zero, "generator argument must be >= 0, got {t}")
+        return _at((self.fn,), t, (self.value_at_zero,), _NEGATIVE)[0]
 
     def deriv_left(self, t: float) -> float:
-        return _at(self.deriv_left_fn, t, None, "left derivative needs t > 0")
+        return _at((self.deriv_left_fn,), t, None, "left derivative needs t > 0")[0]
 
     def deriv_right(self, t: float) -> float:
-        return _at(self.deriv_right_fn, t, self.deriv_at_zero, "right derivative needs t >= 0")
+        return _at((self.deriv_right_fn,), t, (self.deriv_at_zero,), "right derivative needs t >= 0")[0]
 
 
-def _at(fn, t, at_zero, need: str):
-    """fn at t, a number or an ndarray, evaluated the same for both and as a
-    block evaluates it: a value that diverges (1/t^2 underflowing, t^-0.99
-    overflowing) is infinite.  The one rule for 0: a zero point takes at_zero,
-    or, if that is None, is the error `need` (with t) that a negative one is."""
-    x = np.array(t if isinstance(t, np.ndarray) else [float(t)], dtype=np.float64)
+_NEGATIVE = "generator argument must be >= 0, got {t}"
+
+
+def _at(fns, t, at_zero, need: str, out=None):
+    """Each function of fns at t, a number or an ndarray, evaluated the same
+    for both and as a block evaluates it: a value that diverges (1/t^2
+    underflowing, t^-0.99 overflowing) is infinite.  The one rule for 0: a
+    zero point takes the function's entry of at_zero, or, if that is None,
+    is the error `need` (with t) that a negative one is.  Row k, for fns[k],
+    is an array of t's shape (of out, if given) or a float for a number."""
+    x = np.asarray(t if isinstance(t, np.ndarray) else [float(t)], dtype=np.float64)
     zero = x <= 0.0
     if edge := bool(zero.any()):  # one check when every point is positive
         bad = zero if at_zero is None else x < 0.0
         if bad.any():
             raise PreconditionError(need.format(t=float(x[bad][0])))
-        x[zero] = 1.0
+        x = np.where(zero, 1.0, x)
+    out = np.empty((len(fns), *x.shape)) if out is None else out
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        y = np.asarray(fn(x), dtype=np.float64)
-    y = np.where(zero, at_zero, y) if edge else y
-    return y if isinstance(t, np.ndarray) else float(y[0])
+        for k, fn in enumerate(fns):
+            out[k] = fn(x)
+    if edge:
+        out[:, zero] = np.reshape(at_zero, (-1, 1))
+    return out if isinstance(t, np.ndarray) else out[:, 0].tolist()
 
 
 @dataclass(frozen=True)
@@ -670,37 +680,23 @@ def psi_sup(f: Generator, r: float, R: float) -> float:
 
 
 def _window_ends(generators, r, R, out, ratios=np.empty(0)) -> np.ndarray:
-    """Per generator, one f.fn call on [ratios, r, R, (r + R)/2] and one
-    derivative call on [ratios, r, R] (right on [ratios, r], left on [R]
-    where they differ), equal to the scalar calls (_at's rule for 0: f(0+),
-    and f'(0+) at a ratio or r).  Returns weighted_sums' terms f and (t - 1)
-    f'_+(t) at the ratios, rows 2g and 2g + 1 of one array, and fills out,
-    (6, windows, generators), with f(r), f(R), f((r + R)/2), f'_+(r),
-    f'_-(R) and Psi(1) (+inf where 1 is not interior or f(r) or f(R) is
-    infinite)."""
-    if (r < 0.0).any():
-        raise PreconditionError(f"generator argument must be >= 0, got {float(r.min())}")
+    """weighted_sums' terms f and (t - 1) f'_+(t) at the ratios, rows 2g and
+    2g + 1 of one array; out, (6, windows, generators), takes f(r), f(R),
+    f((r + R)/2), f'_+(r), f'_-(R) and Psi(1) (+inf where 1 is not interior
+    or f(r) or f(R) is infinite)."""
     m, n = ratios.size, r.size
     points = np.concatenate([ratios, r, R, 0.5 * (r + R)])
-    zero = np.flatnonzero(points == 0.0)
-    points[zero] = 1.0
-    right_zero = zero[zero < m + n]  # (r + R)/2 can underflow to 0; it has no slope
-    # Per generator, f at every point, then its slopes at [ratios, r, R].
     at = np.empty((len(generators), 2, m + 3 * n))
-    at_zero = np.array([[f.value_at_zero, f.deriv_at_zero] for f in generators]).reshape(-1, 2, 1)
+    _at([f.fn for f in generators], points, [f.value_at_zero for f in generators], _NEGATIVE, at[:, 0])
+    _at([f.deriv_right_fn for f in generators], points[:m + 2 * n], [f.deriv_at_zero for f in generators],
+        _NEGATIVE, at[:, 1, :m + 2 * n])
+    if kinked := [g for g, f in enumerate(generators) if f.deriv_left_fn is not f.deriv_right_fn]:
+        at[kinked, 1, m + n:m + 2 * n] = _at([generators[g].deriv_left_fn for g in kinked], R, None, _NEGATIVE)
+    out[:3] = at[:, 0, m:].reshape(-1, 3, n).transpose(1, 2, 0)
+    out[3:5] = at[:, 1, m:m + 2 * n].reshape(-1, 2, n).transpose(1, 2, 0)
+    r, R, f1 = r[:, np.newaxis], R[:, np.newaxis], np.array([f.value_at_one for f in generators])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for g, f in enumerate(generators):
-            at[g, 0] = f.fn(points)
-            if f.deriv_left_fn is f.deriv_right_fn:
-                at[g, 1, :m + 2 * n] = f.deriv_right_fn(points[:m + 2 * n])
-            else:
-                at[g, 1, :m + n] = f.deriv_right_fn(points[:m + n])
-                at[g, 1, m + n:m + 2 * n] = f.deriv_left_fn(points[m + n:m + 2 * n])
-        at[:, 0, zero], at[:, 1, right_zero] = at_zero[:, 0], at_zero[:, 1]
-        out[:3] = at[:, 0, m:].reshape(-1, 3, n).transpose(1, 2, 0)
-        out[3:5] = at[:, 1, m:m + 2 * n].reshape(-1, 2, n).transpose(1, 2, 0)
         at[:, 1, :m] *= ratios - 1.0
-        r, R, f1 = r[:, np.newaxis], R[:, np.newaxis], np.array([f.value_at_one for f in generators])
         out[5] = np.where((r < 1.0) & (1.0 < R) & ~np.isinf(out[0]) & ~np.isinf(out[1]),
                           psi_value(1.0, r, R, f1, out[0], out[1]), INF)
     return at[:, :, :m].reshape(2 * len(generators), m)
@@ -768,8 +764,7 @@ def _grid_sups(generators, gen, r, R, fr, fR) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for e, g in enumerate(gen.tolist()):
             ts = np.linspace(r[e] + h[e], R[e] - h[e], PSI_GRID_POINTS)
-            ft = generators[g](ts)
-            gaps = (fR[e] - ft) / (R[e] - ts) - (ft - fr[e]) / (ts - r[e])
+            gaps = psi_value(ts, r[e], R[e], generators[g](ts), fr[e], fR[e])
             best[e] = gaps.max()
             if not math.isfinite(best[e]):  # below a width of ~1e-10 an endpoint lands on the grid: 0/0
                 best[e] = np.max(gaps, where=np.isfinite(gaps), initial=-INF)

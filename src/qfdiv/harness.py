@@ -65,6 +65,7 @@ from .quantum import (
     JointSpectrum,
     _density_pair,
     _member,
+    _variation,
     chi_squares,
     densities,
     joint_spectra,
@@ -136,7 +137,6 @@ class BoundChainReport:
     flags: tuple = ()
     subchains: tuple = ()
     note: str = ""
-    seed: object = None
 
     @property
     def values(self) -> tuple:
@@ -279,7 +279,7 @@ class _Block:
         self.q, self.qdec, self.p, self.pdec, self.eps = q, qdec, p, pdec, eps
         lam, mu, w, ratio, self.wt, r, R = (fields[name] for name in ("lam", "mu", "w", "ratio", "wt", "r", "R"))
         self.ratio, occupied, self.dim = ratio, self.wt > WEIGHT_FLOOR, lam.shape[1]
-        v = (w * np.abs(lam[:, :, np.newaxis] - mu[:, np.newaxis, :])).reshape(len(r), -1).sum(axis=1)
+        v = _variation(lam, mu, w)
         r3, R3 = r[:, np.newaxis, np.newaxis], R[:, np.newaxis, np.newaxis]
         at_ends = (np.abs(ratio - r3) <= 1e-12 * np.maximum(1.0, r3)) | (np.abs(ratio - R3) <= 1e-12 * R3)
         tight = occupied.any(axis=(1, 2)) & (at_ends | ~occupied).all(axis=(1, 2))
@@ -671,9 +671,7 @@ def _check_sampler_args(kind: str, dim: int, floor: float = None) -> tuple:
     """(kind, dim, floor) checked; floor defaults to 1e-6 / dim."""
     if kind not in SAMPLER_KINDS:
         raise InputFormatError(f"unknown sampler {kind!r}; choose from {SAMPLER_KINDS}")
-    dim = _whole(dim, "dimension")
-    if dim < 1:
-        raise InputFormatError(f"dimension must be >= 1, got {dim}")
+    dim = _whole(dim, "dimension", least=1)
     if dim > MAX_DIM:
         raise InputFormatError(f"dimension must be at most {MAX_DIM}, got {dim}")
     floor = 1e-6 / dim if floor is None else _real(floor, "floor")

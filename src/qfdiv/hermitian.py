@@ -2,11 +2,11 @@
 
 Everything downstream (density matrices, joint spectra, divergence
 values) is built on the primitives here: the Hermitian eigendecomposition
-(LAPACK through numpy.linalg.eigh, with numerically-zero eigenvalues
-clamped to exactly 0), matrix functions through the eigendecomposition,
-traces and the Schatten 1- and 2-norms, plus checkable forms of the
-classical trace inequalities (Gruss-type gap, variance bound, trace
-Hoelder).
+(LAPACK through numpy.linalg.eigh; eigenvalues within ZERO_EIGENVALUE_TOL
+||A||_F of 0 are set to exactly 0, in one comparison over a stack),
+matrix functions through the eigendecomposition, traces and the Schatten
+1- and 2-norms, plus checkable forms of the classical trace inequalities
+(Gruss-type gap, variance bound, trace Hoelder).
 
 Matrices are plain complex ndarrays.  The JSON exchange format is
 ``{"dim": d, "re": [[...]], "im": [[...]]}`` with "im" optional.
@@ -87,16 +87,20 @@ def _positive(value, what: str) -> float:
     return value
 
 
-def _whole(value, what: str) -> int:
+def _whole(value, what: str, least: int = None) -> int:
     """value as an int; a value that is not a whole number, or that is a
-    bool, a string or anything else but a number, is an InputFormatError.
-    So 4, 4.0 and numpy.int64(4) are 4, and True and "4" are refused."""
+    bool, a string or anything else but a number, or less than least, is an
+    InputFormatError.  So 4, 4.0 and numpy.int64(4) are 4, and True and "4"
+    are refused."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
-            if int(value) == value:
-                return int(value)
+            whole = int(value)
         except (ValueError, OverflowError):  # NaN, an infinity
-            pass
+            whole = None
+        if whole == value:
+            if least is not None and whole < least:
+                raise InputFormatError(f"{what} must be >= {least}, got {whole}")
+            return whole
     raise InputFormatError(f"{what} must be a whole number, got {value!r}")
 
 
@@ -168,13 +172,8 @@ def eigh_hermitian(stack: np.ndarray) -> EigenDecomposition:
     and (n, d, d) eigenvectors, each matrix's the same as eigh gives."""
     vals, vecs = np.linalg.eigh(stack)
     # Clamp numerically-zero eigenvalues so downstream zero dispatch is exact.
-    # The threshold is np.linalg.norm of each matrix; a stacked estimate,
-    # off by a few ulps at most, picks the matrices that might need it.
-    rough = np.sqrt((np.abs(stack) ** 2).sum(axis=(1, 2)))
-    near = (np.abs(vals) <= 2.0 * ZERO_EIGENVALUE_TOL * rough[:, np.newaxis]).any(axis=1)
-    for i in np.flatnonzero(near):
-        row = vals[i]
-        row[np.abs(row) <= ZERO_EIGENVALUE_TOL * np.linalg.norm(stack[i])] = 0.0
+    norm = np.sqrt((stack.real ** 2 + stack.imag ** 2).sum(axis=(1, 2)))
+    vals[np.abs(vals) <= ZERO_EIGENVALUE_TOL * norm[:, np.newaxis]] = 0.0
     return EigenDecomposition(vals, vecs)
 
 
@@ -296,6 +295,7 @@ def gruss_gap_check(s, g, lam: float, rho: float, x, tol: float = 1e-10) -> Chec
 
     within ``tol`` absolute.
     """
+    lam, rho, tol = _real(lam, "lam"), _real(rho, "rho"), _positive(tol, "tolerance")
     xv = _unit_vector(x)
     dec, lo, hi, smat, mean_s, absdev, variance = _moments(s, xv)
     # The hypothesis must hold on the whole spectral interval, not just
@@ -320,6 +320,7 @@ def gruss_gap_check(s, g, lam: float, rho: float, x, tol: float = 1e-10) -> Chec
 def variance_bound_check(s, x, tol: float = 1e-10) -> CheckReport:
     """Variance chain 0 <= var <= (Gamma-gamma)/2 * <|S - mean|x,x>
     <= (Gamma-gamma)^2 / 4 for a selfadjoint S and unit x."""
+    tol = _positive(tol, "tolerance")
     _, lo, hi, _, _, absdev, variance = _moments(s, _unit_vector(x))
     mid = 0.5 * (hi - lo) * absdev
     cap = 0.25 * (hi - lo) ** 2
@@ -333,6 +334,7 @@ def variance_bound_check(s, x, tol: float = 1e-10) -> CheckReport:
 def trace_hoelder_check(a, b, alpha: float, tol: float = 1e-10) -> CheckReport:
     """Trace Hoelder chain |tr(AB)| <= tr|AB| <= (tr|A|^(1/alpha))^alpha
     (tr|B|^(1/(1-alpha)))^(1-alpha), with ``tol`` relative slack."""
+    alpha, tol = _real(alpha, "alpha"), _positive(tol, "tolerance")
     if not 0.0 < alpha < 1.0:
         raise PreconditionError(f"alpha must lie in (0, 1), got {alpha}")
     ma = _as_square_matrix(a)

@@ -21,7 +21,9 @@ that stay stacked: densities, joint_spectra and chi_squares check and
 compute a whole stack at once (one eigh call for all its states) into
 stacked arrays, each member the same bits and errors as the single call.
 DensityMatrix(m), joint_spectrum and chi_square, their one-member case,
-are the only places a per-pair object is built.
+are the only places a per-pair object is built.  A spectrum's weights
+mu_j W_ij, ratios lambda_i / mu_j and W's defect are derived by one
+function (_derived) and V by one (_variation), for a pair or a stack.
 
 The named closed forms (umegaki, chi_square, tsallis, hellinger_sq) are
 computed by matrix functional calculus as an independent route; they
@@ -49,6 +51,7 @@ from .hermitian import (
     _as_square_matrix,
     _positive,
     _real,
+    _whole,
     eigh_hermitian,
     hermitian_stack,
     hs_norm,
@@ -207,12 +210,10 @@ class JointSpectrum:
     ratio: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.defect is None:
-            object.__setattr__(self, "defect", tuple(_stochasticity_defect(self.w).tolist()))
-        for name, arr in (("wt", self.w * self.mu[np.newaxis, :]),
-                          ("ratio", self.lam[:, np.newaxis] / self.mu[np.newaxis, :])):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        defect, wt, ratio = _derived(self.lam, self.mu, self.w)
+        defect = tuple(defect.tolist()) if self.defect is None else self.defect
+        for name, value in (("defect", defect), ("wt", wt), ("ratio", ratio)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -227,13 +228,25 @@ class JointSpectrum:
 
     def variational(self) -> float:
         """sum_ij W_ij |lambda_i - mu_j|, the value of variational_q."""
-        return float(np.sum(self.w * np.abs(self.lam[:, np.newaxis] - self.mu[np.newaxis, :])))
+        return float(_variation(self.lam, self.mu, self.w))
 
 
-def _stochasticity_defect(w: np.ndarray) -> np.ndarray:
-    """(largest |row sum - 1|, largest |column sum - 1|) of a (d, d) matrix,
-    or of each matrix of an (n, d, d) stack as an (n, 2) array."""
-    return np.abs(np.stack([w.sum(axis=-1), w.sum(axis=-2)], axis=-2) - 1.0).max(axis=-1)
+def _derived(lam, mu, w) -> tuple:
+    """W's defect (largest |row sum - 1|, largest |column sum - 1|), and the
+    read-only weights mu_j W_ij and ratios lambda_i / mu_j, of one pair's
+    spectrum or, stacked, of each pair of a block's."""
+    defect = np.abs(np.stack([w.sum(axis=-1), w.sum(axis=-2)], axis=-2) - 1.0).max(axis=-1)
+    wt = w * mu[..., np.newaxis, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = lam[..., :, np.newaxis] / mu[..., np.newaxis, :]
+    wt.flags.writeable = ratio.flags.writeable = False
+    return defect, wt, ratio
+
+
+def _variation(lam, mu, w):
+    """sum_ij W_ij |lambda_i - mu_j| of one pair's spectrum or, stacked, of
+    each pair of a block's."""
+    return (w * np.abs(lam[..., :, np.newaxis] - mu[..., np.newaxis, :])).reshape(*w.shape[:-2], -1).sum(axis=-1)
 
 
 def joint_spectrum(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> JointSpectrum:
@@ -246,9 +259,8 @@ def joint_spectrum(q, p, eps: float = DEFAULT_INVERTIBILITY_EPS) -> JointSpectru
     fields, (error,) = joint_spectra(qd.dec[np.newaxis], pd.dec[np.newaxis], eps)
     if error:
         raise error
-    one = {name: x[0] for name, x in fields.items()}
-    one.update(r=float(one["r"]), R=float(one["R"]), defect=tuple(one["defect"].tolist()))
-    return _frozen(JointSpectrum, eps=float(eps), **one)  # the float joint_spectra checked
+    lam, mu, w, r, R, u, v = (fields[name][0] for name in ("lam", "mu", "w", "r", "R", "q_vectors", "p_vectors"))
+    return JointSpectrum(lam, mu, w, float(r), float(R), u, v, float(eps))  # the float joint_spectra checked
 
 
 def joint_spectra(q_dec, p_dec, eps: float = DEFAULT_INVERTIBILITY_EPS) -> tuple:
@@ -259,19 +271,14 @@ def joint_spectra(q_dec, p_dec, eps: float = DEFAULT_INVERTIBILITY_EPS) -> tuple
     singular at eps, ArithmeticError for an overlap matrix that lost
     double stochasticity)."""
     eps = _positive(eps, "invertibility threshold")
-    lam = q_dec.eigenvalues[:, ::-1].copy()
-    mu = p_dec.eigenvalues[:, ::-1].copy()
+    lam, mu = (dec.eigenvalues[:, ::-1].copy() for dec in (q_dec, p_dec))
     u, v = q_dec.eigenvectors[:, :, ::-1], p_dec.eigenvectors[:, :, ::-1]
     w = np.abs(u.conj().swapaxes(1, 2) @ v) ** 2
-    defect = _stochasticity_defect(w)
+    defect, wt, ratio = _derived(lam, mu, w)
     with np.errstate(divide="ignore", invalid="ignore"):
         # Unit traces force r <= 1 <= R; only last-ulp rounding can break it.
         r = np.minimum(lam[:, -1] / mu[:, 0], 1.0)
         R = np.maximum(lam[:, 0] / mu[:, -1], 1.0)
-        ratio = lam[:, :, np.newaxis] / mu[:, np.newaxis, :]
-    wt = w * mu[:, np.newaxis, :]
-    for arr in (wt, ratio):
-        arr.flags.writeable = False
     errors = [_singular(low, eps) for low in p_dec.eigenvalues[:, 0].tolist()]
     for k, (rows, cols) in enumerate(defect.tolist()):
         if errors[k] is None and max(rows, cols) > STOCHASTICITY_TOL:
@@ -425,15 +432,16 @@ def sandwich_check(q, p, trials: int = 100, seed: int = 0,
     both ends are attained by the rank-one couplings of extremal
     eigenvectors: T = u_max v_min* hits R and T = u_min v_max* hits r.
     """
+    trials, seed = _whole(trials, "trials", least=0), _whole(seed, "seed", least=0)
     qd, pd = as_density(q), as_density(p)
     js = joint_spectrum(qd, pd, eps)
     d = js.dim
     q_half = matrix_function(qd.dec, math.sqrt)
     p_inv_half = matrix_function(pd.dec, lambda x: 1.0 / math.sqrt(x))
 
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     lower_slack = upper_slack = math.inf
-    for _ in range(max(int(trials), 0)):
+    for _ in range(trials):
         t = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         t /= np.linalg.norm(t)
         mid = hs_norm(q_half @ t @ p_inv_half) ** 2

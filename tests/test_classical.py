@@ -234,3 +234,17 @@ class TestShiftInvariance:
     def test_infinite_values_match(self):
         rep = shift_invariance_check(dist(0.5, 0.5), dist(1.0, 0.0), kl_quantum(), 3.0)
         assert rep.ok
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda q, p: range_check(q, p, kl_quantum(), tol="1e-3"), "tolerance must be a real number"),
+    (lambda q, p: range_check(q, p, kl_quantum(), tol=True), "tolerance must be a real number"),
+    (lambda q, p: refinement_bound_check(q, p, tv(), tol=-1.0), "tolerance must be positive"),
+    (lambda q, p: refinement_bound_check(q, p, tv(), tol=math.inf), "tolerance must be positive"),
+    (lambda q, p: shift_invariance_check(q, p, chi2(), 1.0, tol=True), "tolerance must be a real number"),
+    (lambda q, p: shift_invariance_check(q, p, chi2(), 1.0, tol=0.0), "tolerance must be positive"),
+], ids=range(6))
+def test_checks_take_real_positive_tolerances(call, message):
+    # tol="1e-3" once raised a bare TypeError, and True, -1.0 and 0 ran.
+    with pytest.raises(InputFormatError, match=message):
+        call(dist(0.75, 0.25), dist(0.5, 0.5))

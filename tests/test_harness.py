@@ -45,7 +45,7 @@ from qfdiv.harness import (
 from qfdiv.harness import _CLOSED_FORMS, _Block, _chains, _link_eval, _pair, _states, _terms
 from qfdiv.generators import default_catalog
 from qfdiv.hermitian import MAX_DIM, matrix_from_json
-from qfdiv.quantum import _member, as_density, chi_square, densities, joint_spectra, joint_spectrum
+from qfdiv.quantum import _member, as_density, chi_square, densities, joint_spectra, joint_spectrum, variational_q
 
 INF = math.inf
 
@@ -446,12 +446,16 @@ class TestArrayEvaluation:
         def one(fn, x):
             return float(np.asarray(fn(np.array([x])))[0])
 
-        gens = tuple(default_catalog())
+        # tv's one-sided derivatives differ at its kink, and so do those of
+        # every from_callable generator (finite differences from each side).
+        gens = (*default_catalog(), from_callable("kink", lambda t: abs(t - 1.0) + t * t - 1.0, smooth=False))
         seen_zero = False
         for b in self._blocks():
             e = _terms(b, gens)
             for k, (r, R) in enumerate(zip(b.r[:, 0].tolist(), b.R[:, 0].tolist())):
                 seen_zero |= r == 0.0
+                # The block's V is variational_q's, bit for bit.
+                assert b.v[k, 0] == variational_q(b.q[k], b.p[k])
                 for g, f in enumerate(gens):
                     expect = (f.value_at_zero if r == 0.0 else one(f.fn, r), one(f.fn, R),
                               one(f.fn, 0.5 * (r + R)),

@@ -11,6 +11,7 @@ from qfdiv.hermitian import (
     CheckReport,
     InputFormatError,
     MAX_DIM,
+    ZERO_EIGENVALUE_TOL,
     PreconditionError,
     eigh,
     eigh_hermitian,
@@ -95,11 +96,19 @@ class TestEighStack:
         # 3e-13 is above the clamp threshold 1e-13 * ||A||_F (about 2e-13
         # here) but below twice it: only the exact threshold keeps it.
         near_zero = (v * np.array([3e-13, 0.5, 1.0, 1.5])) @ v.conj().T
-        raw = [random_hermitian(4, rng), low_rank, random_hermitian(4, rng) * 1e5, near_zero]
+        # ||A||_F = scale at each scale: 0.9 and -0.9 times the threshold
+        # are clamped, -1.1 and 1.1 times it stay, each member on its own norm.
+        ends = [(-0.9, 1.1), (0.9, -1.1)]
+        scaled = [(v * (scale * np.array([*(x * ZERO_EIGENVALUE_TOL for x in pair), 0.6, 0.8]))) @ v.conj().T
+                  for scale in (1e-6, 1.0, 1e6) for pair in ends]
+        raw = [random_hermitian(4, rng), low_rank, random_hermitian(4, rng) * 1e5, near_zero, *scaled]
         stack, errors = hermitian_stack(raw)
-        assert errors == [None] * 4
+        assert errors == [None] * len(raw)
         dec = eigh_hermitian(stack)
-        assert dec.eigenvalues.shape == (4, 4) and dec.eigenvectors.shape == (4, 4, 4)
+        assert dec.eigenvalues.shape == (len(raw), 4) and dec.eigenvectors.shape == (len(raw), 4, 4)
+        for i, pair in enumerate(ends * 3, start=4):
+            # Ascending, the negative end first: exactly the +-0.9 end is 0.
+            assert (dec.eigenvalues[i] == 0.0).tolist() == [pair[0] == -0.9, pair[0] == 0.9, False, False]
         for i, m in enumerate(raw):
             assert np.array_equal(stack[i], hermitian_part(m))
             one = eigh(m)
@@ -270,6 +279,24 @@ class TestTraceHoelder:
         assert rep.ok
         values = [v for _, v in rep.terms]
         assert values == pytest.approx([2.0, 2.0, 2.0], abs=1e-12)
+
+
+UNIT_X = np.array([1.0, 1.0]) / math.sqrt(2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: variance_bound_check(s, UNIT_X, tol="1e-3"), "tolerance must be a real number"),
+    (lambda s: variance_bound_check(s, UNIT_X, tol=math.nan), "tolerance must be positive"),
+    (lambda s: trace_hoelder_check(s, s, "0.5"), "alpha must be a real number"),
+    (lambda s: trace_hoelder_check(s, s, 0.5, tol=-1e-10), "tolerance must be positive"),
+    (lambda s: gruss_gap_check(s, lambda t: t, 0.0, "1", UNIT_X), "rho must be a real number"),
+    (lambda s: gruss_gap_check(s, lambda t: t, True, 1.0, UNIT_X), "lam must be a real number"),
+    (lambda s: gruss_gap_check(s, lambda t: t, 0.5, 0.5, UNIT_X, tol=True), "tolerance must be a real number"),
+], ids=range(7))
+def test_checks_take_real_numbers(call, message):
+    # Strings once raised a bare TypeError, and NaN, True and -1e-10 ran.
+    with pytest.raises(InputFormatError, match=message):
+        call(np.diag([0.0, 1.0]))
 
 
 class TestMatrixJson:

@@ -204,6 +204,11 @@ class TestJointSpectrum:
                                 q_vectors=js.q_vectors, p_vectors=js.p_vectors)
         assert by_hand.defect == js.defect
         assert by_hand == dataclasses.replace(by_hand, defect=(1.0, 1.0))
+        # So are its weights and ratios, bit for bit, and read-only alike.
+        for name in ("wt", "ratio"):
+            mine, theirs = getattr(by_hand, name), getattr(js, name)
+            assert mine.tobytes() == theirs.tobytes() and mine.shape == theirs.shape
+            assert not mine.flags.writeable and not theirs.flags.writeable
 
 
 class TestSFCommutingOracle:
@@ -545,6 +550,23 @@ class TestSandwich:
             p = random_density(dim, rng)
             rep = sandwich_check(q, p, trials=40, seed=k)
             assert rep.ok
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(trials="3"), "trials must be a whole number"),
+        (dict(trials=2.9), "trials must be a whole number"),
+        (dict(trials=True), "trials must be a whole number"),
+        (dict(trials=-4), "trials must be >= 0"),
+        (dict(seed=True), "seed must be a whole number"),
+        (dict(seed="7"), "seed must be a whole number"),
+        (dict(seed=-1), "seed must be >= 0"),
+    ], ids=range(7))
+    def test_takes_whole_counts(self, kwargs, message):
+        # trials="3" and seed=True once ran through int(), trials=-4 made no
+        # probe, trials=2.9 made 2, and seed=-1 raised numpy's ValueError.
+        with pytest.raises(InputFormatError, match=message):
+            sandwich_check(EXAMPLE_B_Q, EXAMPLE_B_P, **kwargs)
+        assert sandwich_check(EXAMPLE_B_Q, EXAMPLE_B_P, trials=3.0, seed=np.int64(1)).terms == \
+            sandwich_check(EXAMPLE_B_Q, EXAMPLE_B_P, trials=3, seed=1).terms
 
     def test_attainment_terms_are_small(self):
         rep = sandwich_check(EXAMPLE_B_Q, EXAMPLE_B_P, trials=10, seed=1)

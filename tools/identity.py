@@ -8,8 +8,9 @@ Usage, from the repository root:
 It covers `fuzz` stdout on 37 configurations and `fuzz --out` on 2 of
 them; `certify` and `compute` JSON and CSV on 17 pairs, and with `--out`
 on the 7 hand-made ones; `spectrum` with and without `--out` on the 17
-pairs (with QFDIV_TIMESTAMP fixed); `classical` with and without `--out`
-on 5 distribution pairs; 6 runs on bad input that exit 2 or 3; 5 runs
+pairs (with QFDIV_TIMESTAMP fixed), and with `--eps-invert 1e-14` on 2
+thermal pairs, one on each side of the eigenvalue clamp; `classical`
+with and without `--out` on 5 distribution pairs; 6 runs on bad input that exit 2 or 3; 5 runs
 made as `python -m qfdiv` processes that import ./src, marked `process`
 (`certify` JSON and CSV on the first hand-made pair, the first fuzz
 configuration, and the bad-input runs that exit 2 and 3), which see how
@@ -190,6 +191,18 @@ def pairs() -> list:
 
 HAND_MADE = 7
 
+# Thermal pairs P ~ e^-n, Q ~ e^-2n (n < N) for `spectrum --eps-invert 1e-14`.
+# P's least eigenvalue lies above the clamp ZERO_EIGENVALUE_TOL ||P||_F at
+# N = 30 (1.61e-13 against 6.80e-14; exit 0) and below it at N = 31
+# (5.92e-14; clamped to 0, so P is singular: exit 3).
+THERMAL_SIZES = (30, 31)
+
+
+def thermal(size: int, beta: float) -> np.ndarray:
+    weights = np.exp(-beta * np.arange(float(size)))
+    return np.diag(weights / weights.sum())
+
+
 # Runs on bad input, each digested with its exit code, stdout and stderr;
 # ERROR_FILES holds the text of the files they read.
 ERROR_RUNS = (
@@ -327,6 +340,10 @@ def main_() -> None:
                             print(digest(out), cmd, name, fmt, "--out")
                 print(digest(run_cli(("spectrum", *files))), "spectrum", name)
                 print(digest(run_cli_out(("spectrum", *files))), "spectrum", name, "--out")
+            for size in THERMAL_SIZES:
+                write_pair(thermal(size, 2.0), thermal(size, 1.0), matrix_to_json)
+                argv = ("spectrum", *files, "--eps-invert", "1e-14")
+                print(digest(run_cli(argv)), "spectrum", f"thermal-{size}", "--eps-invert 1e-14")
             for name, q, p in DISTRIBUTIONS:
                 write_pair(q, p, distribution_to_json)
                 print(digest(run_cli(("classical", *files))), "classical", name)
