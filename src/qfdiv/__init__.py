@@ -7,168 +7,20 @@ the two to window quantities r and R.  Generator families are built by
 name with ``parse_generator_spec`` or in bulk with ``default_catalog``;
 the short closed-form names (``umegaki``, ``chi_square``, ...) are the
 independent formulas used to cross-check the spectral route.
+
+The package exports exactly its modules' ``__all__`` lists and
+``__version__``: each public name is declared once, in its own module.
 """
 
-from .classical import (
-    DiscreteDistribution,
-    distribution_from_json,
-    distribution_to_json,
-    i_f,
-    load_distribution,
-    range_check,
-    refinement_bound_check,
-    shift_invariance_check,
-    variation_distance,
-)
-from .errors import InputFormatError, PreconditionError
-from .generators import (
-    DEFAULT_SPECS,
-    Generator,
-    GeneratorCatalog,
-    conjugate,
-    default_catalog,
-    from_callable,
-    jensen_gap_bound,
-    parse_generator_spec,
-    psi,
-    psi_sup,
-    secant_bound,
-    shift,
-)
-from .harness import (
-    BoundChainReport,
-    FuzzConfig,
-    FuzzResult,
-    Violation,
-    check_derivative_gap,
-    check_nonneg,
-    check_thm2,
-    check_thm3,
-    check_thm4,
-    check_thm5,
-    certify,
-    chi_square_chord_coeff,
-    chi_square_secant_coeff,
-    fuzz,
-    neg_log_jensen_coeff,
-    neg_log_range_coeff,
-    run_all_checks,
-    sample_density,
-    sample_pair,
-)
-from .hermitian import (
-    CheckReport,
-    EigenDecomposition,
-    eigh,
-    gruss_gap_check,
-    hermitian_part,
-    hs_inner,
-    hs_norm,
-    load_matrix,
-    matrix_from_json,
-    matrix_function,
-    matrix_to_json,
-    operator_abs,
-    save_matrix,
-    singular_values,
-    trace,
-    trace_hoelder_check,
-    trace_norm,
-    variance_bound_check,
-)
-from .quantum import (
-    DensityMatrix,
-    DivergenceValue,
-    JointSpectrum,
-    as_density,
-    chi_square,
-    hellinger_sq,
-    joint_spectrum,
-    s_f,
-    s_f_from_spectrum,
-    sandwich_check,
-    tsallis,
-    trace_distance,
-    umegaki,
-    variational_q,
-)
+from . import classical, errors, generators, harness, hermitian, quantum
+from .classical import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .generators import *  # noqa: F403
+from .harness import *  # noqa: F403
+from .hermitian import *  # noqa: F403
+from .quantum import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "InputFormatError",
-    "PreconditionError",
-    "EigenDecomposition",
-    "CheckReport",
-    "eigh",
-    "hermitian_part",
-    "matrix_function",
-    "trace",
-    "operator_abs",
-    "singular_values",
-    "trace_norm",
-    "hs_norm",
-    "hs_inner",
-    "gruss_gap_check",
-    "variance_bound_check",
-    "trace_hoelder_check",
-    "matrix_to_json",
-    "matrix_from_json",
-    "load_matrix",
-    "save_matrix",
-    "Generator",
-    "GeneratorCatalog",
-    "DEFAULT_SPECS",
-    "parse_generator_spec",
-    "default_catalog",
-    "conjugate",
-    "shift",
-    "secant_bound",
-    "psi",
-    "psi_sup",
-    "jensen_gap_bound",
-    "from_callable",
-    "DiscreteDistribution",
-    "i_f",
-    "variation_distance",
-    "range_check",
-    "refinement_bound_check",
-    "shift_invariance_check",
-    "distribution_to_json",
-    "distribution_from_json",
-    "load_distribution",
-    "DensityMatrix",
-    "JointSpectrum",
-    "DivergenceValue",
-    "as_density",
-    "joint_spectrum",
-    "s_f",
-    "s_f_from_spectrum",
-    "umegaki",
-    "chi_square",
-    "tsallis",
-    "hellinger_sq",
-    "variational_q",
-    "trace_distance",
-    "sandwich_check",
-    "BoundChainReport",
-    "FuzzConfig",
-    "FuzzResult",
-    "Violation",
-    "check_nonneg",
-    "check_derivative_gap",
-    "check_thm2",
-    "check_thm3",
-    "check_thm4",
-    "check_thm5",
-    "run_all_checks",
-    "certify",
-    "chi_square_secant_coeff",
-    "chi_square_chord_coeff",
-    "neg_log_jensen_coeff",
-    "neg_log_range_coeff",
-    "sample_density",
-    "sample_pair",
-    "fuzz",
-]
+__all__ = ["__version__", *errors.__all__, *hermitian.__all__, *generators.__all__, *classical.__all__,
+           *quantum.__all__, *harness.__all__]

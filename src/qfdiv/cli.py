@@ -42,7 +42,8 @@ from .classical import (
 )
 from .errors import InputFormatError, PreconditionError
 from .generators import default_catalog, parse_generator_spec
-from .harness import DEFAULT_TOL, SAMPLER_KINDS, BoundChainReport, FuzzConfig, certify, collect_violations, fuzz
+from .harness import (DEFAULT_TOL, EQUALITY_TOL, SAMPLER_KINDS, BoundChainReport, FuzzConfig, certify,
+                      collect_violations, fuzz)
 from .hermitian import ZERO_EIGENVALUE_TOL, _json_num, _load_json, matrix_from_json
 from .quantum import (
     DEFAULT_INVERTIBILITY_EPS,
@@ -61,7 +62,6 @@ CSV_COLUMNS = (
     "generator", "value", "closed_form", "gap", "r", "R",
     "bound_thm2", "bound_thm3", "bound_thm4", "bound_thm5", "verdicts",
 )
-UPPER_EQUALITY_TOL = 1e-12
 EPS_INVERT_HELP = (f"invertibility threshold on P's smallest eigenvalue (default {DEFAULT_INVERTIBILITY_EPS:g}); those "
                    f"within {ZERO_EIGENVALUE_TOL:g} * ||P||_F of 0 are clamped to 0, so a smaller one has no effect")
 
@@ -420,7 +420,7 @@ def cmd_classical(args, argv) -> int:
         upper = rng_rep.terms[2][1]
         refinement = ref_rep.terms[2][1]
         flags = []
-        if math.isfinite(upper) and abs(value - upper) <= UPPER_EQUALITY_TOL * max(1.0, abs(upper)):
+        if math.isfinite(upper) and abs(value - upper) <= EQUALITY_TOL * max(1.0, abs(upper)):
             flags.append("upper-equality")
         results.append({
             "generator": f.spec,

@@ -42,24 +42,11 @@ from .hermitian import _real
 __all__ = [
     "Generator",
     "GeneratorCatalog",
-    "chi_alpha",
-    "dichotomy",
-    "matsushita",
-    "puri_vincze",
-    "arimoto",
-    "kl_quantum",
-    "neg_log",
-    "tv",
-    "chi2",
-    "tsallis",
-    "hellinger",
-    "inv_minus_one",
     "conjugate",
     "shift",
     "secant_bound",
     "psi",
     "psi_sup",
-    "psi_sups",
     "jensen_gap_bound",
     "from_callable",
     "parse_generator_spec",

@@ -55,7 +55,7 @@ from .generators import (
     psi_sups,
     secant_value,
 )
-from .hermitian import MAX_DIM, _json_num, _positive, _real, _whole, matrix_to_json
+from .hermitian import MAX_DIM, _json_num, _philox_key, _positive, _real, _whole, matrix_to_json
 from .quantum import (
     DEFAULT_INVERTIBILITY_EPS,
     SUM_FLAGS,
@@ -93,7 +93,6 @@ __all__ = [
     "sample_density",
     "sample_pair",
     "fuzz",
-    "collect_violations",
 ]
 
 INF = math.inf
@@ -775,14 +774,10 @@ class FuzzConfig:
         # dim checked, and the floor checked, or its default 1e-6 / dim once dim is.
         _, dim, floor = _check_sampler_args(self.sampler, self.dim, self.floor)
         for name, value in (("generators", generators), ("dim", dim), ("floor", floor),
-                            ("trials", _whole(self.trials, "trials")), ("seed", _whole(self.seed, "seed")),
-                            ("jobs", _whole(self.jobs, "jobs")), ("tol", _positive(self.tol, "tolerance")),
+                            ("trials", _whole(self.trials, "trials", least=1)), ("seed", _whole(self.seed, "seed")),
+                            ("jobs", _whole(self.jobs, "jobs", least=1)), ("tol", _positive(self.tol, "tolerance")),
                             ("eps", _positive(self.eps, "invertibility threshold"))):
             object.__setattr__(self, name, value)
-        if self.trials < 1:
-            raise InputFormatError(f"trials must be >= 1, got {self.trials}")
-        if self.jobs < 1:
-            raise InputFormatError(f"jobs must be >= 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -834,8 +829,7 @@ class FuzzResult:
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    key = np.array([seed % (2**64), trial], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(seed, trial)))
 
 
 def _rekey(rng: np.random.Generator, seed: int, trial: int) -> np.random.Generator:
@@ -846,7 +840,7 @@ def _rekey(rng: np.random.Generator, seed: int, trial: int) -> np.random.Generat
     rng.bit_generator.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed % (2**64), trial], dtype=np.uint64)},
+                  "key": _philox_key(seed, trial)},
         "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return rng

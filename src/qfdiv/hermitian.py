@@ -25,14 +25,10 @@ import numpy as np
 from .errors import InputFormatError, PreconditionError
 
 __all__ = [
-    "PreconditionError",
-    "InputFormatError",
     "EigenDecomposition",
     "CheckReport",
     "hermitian_part",
-    "hermitian_stack",
     "eigh",
-    "eigh_hermitian",
     "matrix_function",
     "trace",
     "operator_abs",
@@ -102,6 +98,11 @@ def _whole(value, what: str, least: int = None) -> int:
                 raise InputFormatError(f"{what} must be >= {least}, got {whole}")
             return whole
     raise InputFormatError(f"{what} must be a whole number, got {value!r}")
+
+
+def _philox_key(seed: int, k: int) -> np.ndarray:
+    """Philox's key (seed mod 2**64, k); for a seed below 2**64, k = 0 keys Philox(key=seed)'s stream."""
+    return np.array([seed % 2**64, k], dtype=np.uint64)
 
 
 def hermitian_stack(a, tol: float = HERMITICITY_TOL) -> tuple:

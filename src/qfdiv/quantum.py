@@ -49,6 +49,7 @@ from .hermitian import (
     CheckReport,
     EigenDecomposition,
     _as_square_matrix,
+    _philox_key,
     _positive,
     _real,
     _whole,
@@ -64,14 +65,11 @@ __all__ = [
     "JointSpectrum",
     "DivergenceValue",
     "as_density",
-    "densities",
     "joint_spectrum",
-    "joint_spectra",
     "s_f",
     "s_f_from_spectrum",
     "umegaki",
     "chi_square",
-    "chi_squares",
     "tsallis",
     "hellinger_sq",
     "variational_q",
@@ -439,7 +437,7 @@ def sandwich_check(q, p, trials: int = 100, seed: int = 0,
     q_half = matrix_function(qd.dec, math.sqrt)
     p_inv_half = matrix_function(pd.dec, lambda x: 1.0 / math.sqrt(x))
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, 0)))
     lower_slack = upper_slack = math.inf
     for _ in range(trials):
         t = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

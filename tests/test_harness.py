@@ -851,6 +851,11 @@ class TestFuzzConfig:
         with pytest.raises(InputFormatError):
             FuzzConfig(jobs=0)
 
+    @pytest.mark.parametrize("field", ["trials", "jobs"])
+    def test_counts_below_one_rejected(self, field):
+        with pytest.raises(InputFormatError, match=f"^{field} must be >= 1, got 0$"):
+            FuzzConfig(**{field: 0})
+
     @pytest.mark.parametrize("dim", [MAX_DIM + 1, 100_000])
     def test_oversized_dim_rejected(self, dim):
         # Refused before anything of that size is allocated.

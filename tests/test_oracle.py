@@ -26,6 +26,12 @@ infinite library value must be infinite in the oracle too.
 Values are compared to 8 eps d R / r_+ relative to max(1, |value|), floored
 at 1e-12, with r_+ the least positive eigenvalue of Delta (r itself for an
 invertible Q): the rounding of a ratio spread over R / r_+.
+
+Three relations of the paper's objects are checked on the library alone, at
+the same tolerance and on invertible pairs: unitary covariance (UQU*, UPU*)
+has the r, R, V, chi-square and S_f of (Q, P) for a Haar U; the conjugate
+swap S_f(Q, P) = S_f*(P, Q); and the tensor rule S_f(Q1 kron Q2, P1 kron P2)
+= sum wt1 wt2 f(t1 t2) over the factors' joint spectra.
 """
 
 import math
@@ -33,13 +39,20 @@ import math
 import numpy as np
 import pytest
 
-from qfdiv.generators import conjugate, default_catalog
-from qfdiv.harness import sample_pair
+from qfdiv.generators import conjugate, default_catalog, parse_generator_spec
+from qfdiv.harness import SAMPLER_KINDS, sample_pair
 from qfdiv.quantum import chi_square, joint_spectrum, s_f_from_spectrum, variational_q
 
 EPS = np.finfo(float).eps
 ZERO_SNAP = 8.0
-GENERATORS = (*default_catalog(), *map(conjugate, default_catalog()))
+DIMS = (2, 3, 4, 5, 6, 7, 8)
+# Non-default parameters: kinks, alpha = 0 and infinity, whole-grid sup Psi.
+EXTRA_SPECS = ("chi-alpha:alpha=3", "chi-alpha:alpha=1.5", "dichotomy:alpha=3", "dichotomy:alpha=0",
+               "matsushita:alpha=0.3", "puri-vincze:alpha=3", "arimoto:alpha=3", "arimoto:alpha=1",
+               "arimoto:alpha=inf", "tsallis:q=0.2", "tsallis:q=0.8")
+BASE = (*default_catalog(), *map(parse_generator_spec, EXTRA_SPECS))
+GENERATORS = (*BASE, *map(conjugate, BASE))
+CONJUGATES = tuple(map(conjugate, GENERATORS))
 
 
 def oracle(q: np.ndarray, p: np.ndarray) -> tuple:
@@ -78,13 +91,17 @@ def pairs(kind: str, dim: int, count: int, seed: int) -> list:
     return out
 
 
+def tolerance(dim: int, r_plus: float, R: float) -> float:
+    return max(8.0 * EPS * dim * R / r_plus, 1e-12)
+
+
 def compare(q: np.ndarray, p: np.ndarray) -> list:
     """(name, library value, oracle value, tolerance) of each quantity of the
     pair compared; S_f of a generator where its sum carries a flag is
     checked here instead and left out."""
     delta, weight = oracle(q, p)
     d, js = len(q), joint_spectrum(q, p)
-    tol = max(8.0 * EPS * d * delta.max() / delta[delta > 0.0].min(), 1e-12)
+    tol = tolerance(d, delta[delta > 0.0].min(), delta.max())
     out = [("r", js.r, delta.min(), tol), ("R", js.R, delta.max(), tol),
            ("V", variational_q(q, p), float(np.sum(weight * np.abs(delta - 1.0))), tol),
            ("chi2", chi_square(q, p), float(np.sum(weight * (delta - 1.0) ** 2)), tol)]
@@ -107,14 +124,14 @@ def assert_agree(cases) -> int:
     return made
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
-@pytest.mark.parametrize("kind", ["ginibre", "mixture", "commuting"])
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
 def test_invertible_pairs_agree(kind, dim):
-    # 8 pairs, each with r, R, V, chi-square and S_f of all 24 generators.
+    # 8 pairs, each with r, R, V, chi-square and S_f of all 46 generators.
     assert assert_agree(pairs(kind, dim, 8, 1000 * dim + len(kind))) == 8 * (4 + len(GENERATORS))
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("dim", DIMS)
 def test_rank_deficient_q_agrees(dim):
     cases = pairs("low-rank", dim, 4, 7000 + dim)
     assert all(joint_spectrum(q, p).r == 0.0 for q, p in cases)
@@ -122,3 +139,47 @@ def test_rank_deficient_q_agrees(dim):
     infinite = sum(math.isinf(f.value_at_zero) for f in GENERATORS)
     assert 0 < infinite < len(GENERATORS)
     assert assert_agree(cases) == 4 * (4 + len(GENERATORS) - infinite)
+
+
+def library(q: np.ndarray, p: np.ndarray, generators=GENERATORS) -> tuple:
+    """The tolerance of an invertible pair, and its r, R, V, chi-square and
+    S_f of each generator as one array."""
+    js = joint_spectrum(q, p)
+    values = [s_f_from_spectrum(js, f) for f in generators]
+    assert not any(v.flags for v in values)
+    return (tolerance(js.dim, js.r, js.R),
+            np.array([js.r, js.R, js.variational(), chi_square(q, p), *(v.value for v in values)]))
+
+
+def assert_close(got: np.ndarray, want: np.ndarray, tol: float) -> None:
+    bad = np.flatnonzero(np.abs(got - want) > tol * np.maximum(1.0, np.abs(want)))
+    assert bad.size == 0, [(k, got[k], want[k], tol) for k in bad]
+
+
+def haar(dim: int, rng) -> np.ndarray:
+    """A Haar-random unitary: QR of a complex Ginibre matrix, R's diagonal
+    phases moved into Q."""
+    u, t = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return u * (np.diag(t) / np.abs(np.diag(t)))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_unitary_covariance_and_conjugate_swap(kind, dim):
+    rng = np.random.default_rng(8000 + 10 * dim + len(kind))
+    for q, p in pairs(kind, dim, 6, 9000 + 10 * dim + len(kind)):
+        tol, want = library(q, p)
+        u = haar(dim, rng)
+        assert_close(library(u @ q @ u.conj().T, u @ p @ u.conj().T)[1], want, tol)
+        assert_close(library(p, q, CONJUGATES)[1][4:], want[4:], tol)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_tensor_rule(kind, dim):
+    second = pairs(kind, 3, 4, 11000 + len(kind))
+    for (q1, p1), (q2, p2) in zip(pairs(kind, dim, 4, 12000 + 10 * dim + len(kind)), second):
+        one, two = joint_spectrum(q1, p1), joint_spectrum(q2, p2)
+        wt, ratio = np.multiply.outer(one.wt, two.wt), np.multiply.outer(one.ratio, two.ratio)
+        tol, got = library(np.kron(q1, q2), np.kron(p1, p2))
+        assert_close(got[4:], np.array([np.sum(wt * f.fn(ratio)) for f in GENERATORS]), tol)

@@ -568,6 +568,18 @@ class TestSandwich:
         assert sandwich_check(EXAMPLE_B_Q, EXAMPLE_B_P, trials=3.0, seed=np.int64(1)).terms == \
             sandwich_check(EXAMPLE_B_Q, EXAMPLE_B_P, trials=3, seed=1).terms
 
+    @pytest.mark.parametrize("seed, same_draws", [(2**128, 0), (2**64 + 7, 7)])
+    def test_seeds_are_taken_mod_2_64(self, seed, same_draws):
+        # seed=2**128 once raised numpy's bare ValueError on the Philox key.
+        assert sandwich_check(EXAMPLE_B_Q, EXAMPLE_B_P, trials=5, seed=seed) == \
+            sandwich_check(EXAMPLE_B_Q, EXAMPLE_B_P, trials=5, seed=same_draws)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3, 2**64 - 1])
+    def test_seeds_below_2_64_keep_their_stream(self, seed):
+        from qfdiv.hermitian import _philox_key
+        keyed = np.random.Philox(key=_philox_key(seed, 0)).random_raw(8)
+        assert np.array_equal(keyed, np.random.Philox(key=seed).random_raw(8))
+
     def test_attainment_terms_are_small(self):
         rep = sandwich_check(EXAMPLE_B_Q, EXAMPLE_B_P, trials=10, seed=1)
         terms = dict(rep.terms)

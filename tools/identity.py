@@ -20,7 +20,9 @@ generator of a 23-entry list and two tolerances; one line marked
 `scalar` over the scalar calls of those 23 generators and their 23
 conjugates (f, f'_+ and f'_- at 6 points, 0 among them, f as an array
 of the 5 positive ones, and psi_sup, jensen_gap_bound and secant_bound
-on 8 windows, 2 of them with r = 0); and last, two fuzz
+on 8 windows, 2 of them with r = 0); one line marked `api` over the
+sorted (name, module, qualified or type name) of each object that
+`qfdiv.__all__` names; and last, two fuzz
 configurations rerun in the same process, marked `warm`: the first (the
 default catalog) and the `--seed 20` one (explicit tsallis and kl specs,
 parsed afresh after earlier runs filled the per-process caches).  The digests
@@ -54,6 +56,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import numpy as np  # noqa: E402  (qfdiv's own dependency)
 
+import qfdiv  # noqa: E402
 from qfdiv.classical import distribution_to_json  # noqa: E402
 from qfdiv.cli import main, report_to_json  # noqa: E402
 from qfdiv.generators import (  # noqa: E402
@@ -313,6 +316,16 @@ def scalar_digest(generators) -> str:
     return h.hexdigest()
 
 
+def api_digest() -> str:
+    """sha256 over the sorted (name, __module__, __qualname__ or type name)
+    of the objects that qfdiv.__all__ names."""
+    rows = []
+    for name in qfdiv.__all__:
+        obj = getattr(qfdiv, name)
+        rows.append((name, getattr(obj, "__module__", None), getattr(obj, "__qualname__", type(obj).__name__)))
+    return digest(json.dumps(sorted(rows)))
+
+
 def main_() -> None:
     os.environ.pop("QFDIV_SEED", None)
     os.environ["QFDIV_TIMESTAMP"] = "2026-01-01T00:00:00Z"
@@ -382,6 +395,8 @@ def main_() -> None:
 
     generators += [conjugate(f) for f in generators]
     print(scalar_digest(generators), "scalar", f"generators={len(generators)} windows={len(SCALAR_WINDOWS)}")
+
+    print(api_digest(), "api", f"names={len(qfdiv.__all__)}")
 
     # Two fuzz configurations again, after every other run has warmed the
     # per-process caches: each digest must equal its first line's.
