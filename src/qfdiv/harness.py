@@ -13,16 +13,18 @@ one pipeline, run on a block of pairs: one pair for certify, up to
 FUZZ_BLOCK trials for fuzz.  For fuzz the block starts at the draw:
 only the random numbers are drawn trial by trial; the states are
 formed, checked and diagonalized (one eigh call) as one stack, and
-states and spectra stay stacks up to the tally.  The chains are
-columnar: each term is computed over the block for all generators at
-once (the generators' values at the ratios as one array), and one
-producer per check (closed forms from a table keyed by check and
-family) emits its chains for all of them, as (pairs, generators)
-arrays.  One vectorized pass judges the links only where a chain exists
-(a closed form on its family's generators alone), as (pairs, entries)
-arrays; fuzz tallies them with bincount, and reports (and a pair's
-DensityMatrix objects) are built only where read: by certify,
-run_all_checks and check_*, and for a failed fuzz trial.
+states and spectra stay stacks up to the tally.  The chains are data
+(per check, and closed forms keyed by check and family), each term a
+column of the block times a factor: a column or a base term of the
+generators.  A generator set's term plan, worked out once per process,
+lays out every link that exists (a closed form on its family's
+generators alone).  A block computes each base term over all generators
+at once (their values at the ratios as one array) and each column once,
+forms every link's terms with one gather and judges them in one
+vectorized pass, as (pairs, entries) arrays; fuzz tallies them with
+bincount, and reports (their flags, and a pair's DensityMatrix objects)
+are built only where read: by certify, run_all_checks and check_*, and
+for a failed fuzz trial.
 
 fuzz draws its random density pairs from seeded,
 counter-based streams: trial k always uses the stream keyed by (seed,
@@ -143,154 +145,57 @@ class BoundChainReport:
 
 
 class _Chain(NamedTuple):
-    """One chain over a block of B pairs and G generators: per term a value
-    broadcast to (B, G) where read, the entries that have it (rows, only on
-    the columns where it exists), its flags as (name, entries set on), the
-    reason its check is skipped on the other entries (none: it is not
-    reported there), and whether it is a subchain."""
+    """One chain, as data.  A term is (coefficient, factor), or with a third
+    element True +inf where the factor is not finite: a column times a
+    column or a base term (a _Terms field, on the generator's column).  A
+    column is a number, a (B, 1) _Block attribute or a formula of r and R.
+    The chain exists where the _Block attribute cond holds (every pair
+    without one), and if smooth on smooth generators only; elsewhere its
+    check is skipped for the reason note (none: not reported).  flags
+    holds (name, rule(block, _Terms, row, generator column)); a closed
+    form's go to its check's chain."""
 
     check: str
     labels: tuple
-    values: tuple
-    rows: np.ndarray
-    flags: tuple = ()
+    terms: tuple
+    cond: str = None
     note: str = ""
+    smooth: bool = False
+    flags: tuple = ()
     sub: bool = False
 
 
 # Verdicts and statuses by code.  A chain's status is the worst verdict
-# among its links; an entry outside its rows, where it has a note, is skipped.
+# among its links; where it does not exist but has a note, it is skipped.
 _VERDICTS = ("pass", "vacuous", "fail")
 _STATUSES = ("pass", "vacuous-pass", "fail", "skipped")
 _SLACK_BUCKETS = ("negative", "<1e-9", "<1e-6", "<1e-3", "<1", ">=1", "vacuous")
 _BUCKET_EDGES = np.array([0.0, 1e-9, 1e-6, 1e-3, 1.0])
 
 
-# The links that exist (_shaped): a generic chain's on every generator column, a
-# closed form's on its family's.  Per (generator, chain) instance, in that order:
-# its chain, generator, check (index in the sorted checks), whether the chain has
-# a note, rows' flat column in (pairs, chains * generators), link count and first
-# entry.  Per entry (generator, chain, link), in that order: its instance,
-# generator, left term's flat column in (pairs, terms * generators) and
-# (check, "left<=right").
-_Table = collections.namedtuple("_Table", "checks chain gen check noted rows links starts owner entry_gen left names")
-# _link_eval's _Table and verdicts: (pairs, instances) or (pairs, entries) arrays in its order.
-_Judged = collections.namedtuple("_Judged", "table present status codes slack buckets left right")
-
-
-@functools.lru_cache(maxsize=64)
-def _shaped(shape: tuple, names: tuple) -> _Table:
-    """The _Table of chains whose (check, labels, note) are `shape`, each
-    with a link, on the generators named `names`: all it reads, so it is
-    worked out once per process for a generator set."""
-    ng, checks = len(names), sorted({check for check, _, _ in shape})
-    firsts = list(itertools.accumulate((len(labels) for _, labels, _ in shape), initial=0))
-    # A generic chain has no family, so it takes each column's name.
-    inst = [(g, j) for g, name in enumerate(names) for j, (check, _, _) in enumerate(shape)
-            if _FAMILY.get(check, name) == name]
-    links = [len(shape[j][1]) - 1 for _, j in inst]
-    entries = [(i, g, j, k) for i, (g, j) in enumerate(inst) for k in range(links[i])]
-    index = functools.partial(np.array, dtype=np.intp)
-    return _Table(
-        checks=checks, chain=[j for _, j in inst], gen=[g for g, _ in inst],
-        check=index([checks.index(shape[j][0]) for _, j in inst]), noted=np.array([bool(shape[j][2]) for _, j in inst]),
-        rows=index([j * ng + g for g, j in inst]), links=links,
-        starts=list(itertools.accumulate(links, initial=0))[:-1],
-        owner=index([e[0] for e in entries]), entry_gen=[e[1] for e in entries],
-        left=index([(firsts[j] + k) * ng + g for _, g, j, k in entries]),
-        names=[(shape[j][0], f"{shape[j][1][k]}<={shape[j][1][k + 1]}") for _, _, j, k in entries])
-
-
-def _link_eval(chains, generators, tol: float) -> _Judged:
-    """Judge the links of `chains` (at least one) that exist on `generators`
-    in one pass over their terms, gathered as (pairs, entries) arrays: the
-    _Table; per pair and instance whether its rows have it and its status
-    (skipped where not); per pair and entry the verdict code, slack, slack
-    bucket and both terms.  An infinite right side makes a link vacuous; an
-    infinite left side under a finite one fails."""
-    t = _shaped(tuple((ch.check, ch.labels, ch.note) for ch in chains), tuple(f.name for f in generators))
-    n = len(chains[0].rows)
-    cols = [col for ch in chains for col in ch.values]
-    values = np.empty((n, len(cols), len(generators)))
-    for i, col in enumerate(cols):
-        values[:, i] = col  # broadcast to (B, G)
-    values = values.reshape(n, -1)
-    left, right = values[:, t.left], values[:, t.left + len(generators)]
-    present = np.stack([ch.rows for ch in chains], axis=1).reshape(n, -1)[:, t.rows]
-
-    vacuous = np.isinf(right)
-    endless = np.isinf(left) & ~vacuous
-    with np.errstate(invalid="ignore"):
-        slack = right - left
-        held = (left <= right + tol * np.maximum(1.0, np.abs(right))) & ~endless
-    slack[vacuous] = INF
-    slack[endless] = -INF
-    codes = np.where(vacuous, 1, np.where(held, 0, 2))
-    buckets = np.where(np.isinf(slack), 6, np.searchsorted(_BUCKET_EDGES, slack, side="right"))
-    status = np.where(present, np.maximum.reduceat(codes, t.starts, axis=1), _STATUSES.index("skipped"))
-    return _Judged(t, present, status, codes, slack, buckets, left, right)
-
-
-def _reports(chains, judged: _Judged, row: int, b: "_Block", generators) -> list:
-    """Per generator, the reports of pair `row` of block b from its chains
-    and their _link_eval: one per top-level chain, with its subchains, or a
-    skipped report where the chain's check is skipped."""
-    t, r, R = judged.table, float(b.r[row, 0]), float(b.R[row, 0])
-    present, status, codes, slack, left, right = (x[row].tolist() for x in (
-        judged.present, judged.status, judged.codes, judged.slack, judged.left, judged.right))
-    groups = [[] for _ in generators]  # per generator: (a top-level chain's fields, its subchains' reports)
-    for i, (g, j, n, at) in enumerate(zip(t.gen, t.chain, t.links, t.starts)):
-        ch, labels = chains[j], chains[j].labels
-        if present[i]:
-            terms = [*left[at:at + n], right[at + n - 1]]
-            fields = dict(
-                chain=tuple(zip(labels, terms)), slacks=tuple(slack[at:at + n]),
-                link_verdicts=tuple(_VERDICTS[v] for v in codes[at:at + n]), status=_STATUSES[status[i]],
-                # A link holds with equality if it passes with a slack within
-                # EQUALITY_TOL * max(1, |right|) of zero.
-                flags=(*(name for name, on in ch.flags if on[row, g]),
-                       *(f"equality:{labels[k]}={labels[k + 1]}" for k in range(n) if codes[at + k] == 0
-                         and abs(slack[at + k]) <= EQUALITY_TOL * max(1.0, abs(terms[k + 1])))))
-        elif ch.note:
-            fields = dict(chain=((labels[0], left[at]),), slacks=(), link_verdicts=(), status="skipped",
-                          note=ch.note)
-        else:
-            continue
-        fields.update(check=ch.check, generator=generators[g].spec, dim=b.dim, r=r, R=R)
-        if ch.sub:
-            groups[g][-1][1].append(BoundChainReport(**fields))
-        else:
-            groups[g].append((fields, []))
-    return [[BoundChainReport(**fields, subchains=tuple(subs)) for fields, subs in group] for group in groups]
-
-
 class _Block:
     """The invariants of a block of B (Q, P) pairs, one (B, 1) column each:
-    window [r, R], V, K, chi, thm3's tightness (every occupied ratio at an
-    end of the window); and the stacks they come from: states q, p and
+    window [r, R], V, K, chi; and the stacks they come from: states q, p and
     their decompositions from densities, joint_spectra's fields.  chi,
     which thm2 reads on every block, is computed with the block; the
-    swapped chi-square, which only neg-log's oracle reads, once it is read.
-    Both raise the first error (which only a spectrum not built from its
-    own pair can have).  The spectra share one threshold, eps."""
+    swapped chi-square, which only neg-log's oracle reads, and thm3's
+    tightness, which only reports read, once read.  The chi-squares raise
+    the first error (which only a spectrum not built from its own pair can
+    have).  The spectra share one threshold, eps."""
 
     def __init__(self, q, qdec, p, pdec, fields: dict, eps: float):
         self.q, self.qdec, self.p, self.pdec, self.eps = q, qdec, p, pdec, eps
-        lam, mu, w, ratio, self.wt, r, R = (fields[name] for name in ("lam", "mu", "w", "ratio", "wt", "r", "R"))
-        self.ratio, occupied, self.dim = ratio, self.wt > WEIGHT_FLOOR, lam.shape[1]
-        v = _variation(lam, mu, w)
-        r3, R3 = r[:, np.newaxis, np.newaxis], R[:, np.newaxis, np.newaxis]
-        at_ends = (np.abs(ratio - r3) <= 1e-12 * np.maximum(1.0, r3)) | (np.abs(ratio - R3) <= 1e-12 * R3)
-        tight = occupied.any(axis=(1, 2)) & (at_ends | ~occupied).all(axis=(1, 2))
+        lam, mu, w, self.ratio, self.wt, r, R = (fields[name] for name in ("lam", "mu", "w", "ratio", "wt", "r", "R"))
+        self.dim, v = lam.shape[1], _variation(lam, mu, w)
         # thm4 and thm5 need the strict window R > 1 > r.
         strict = (R - 1.0 > DEGENERATE_WINDOW_TOL) & (1.0 - r > DEGENERATE_WINDOW_TOL)
         with np.errstate(divide="ignore", invalid="ignore"):
             k = (R - 1.0) * (1.0 - r) / (R - r)
         q_invertible = qdec.eigenvalues[:, 0] >= eps
         chi = np.sqrt(np.maximum(chi_squares(q, pdec, eps), 0.0))
-        self.r, self.R, self.v, self.chi, self.tight, self.window, self.strict, self.k, self.quarter, \
-            self.q_invertible = (np.array(x)[:, np.newaxis] for x in (
-                r, R, v, chi, tight, R - r > DEGENERATE_WINDOW_TOL, strict, k, 0.25 * (R - r), q_invertible))
+        self.r, self.R, self.v, self.chi, self.window, self.strict, self.k, self.quarter, self.q_invertible = (
+            np.array(x)[:, np.newaxis] for x in (
+                r, R, v, chi, R - r > DEGENERATE_WINDOW_TOL, strict, k, 0.25 * (R - r), q_invertible))
 
     @functools.cached_property
     def chi_swapped(self) -> np.ndarray:
@@ -299,6 +204,13 @@ class _Block:
         if rows.size:
             out[rows, 0] = chi_squares(self.p[rows], self.qdec[rows], self.eps)
         return out
+
+    @functools.cached_property
+    def tight(self) -> np.ndarray:
+        """thm3's tightness: every occupied ratio at an end of the window."""
+        occupied, r3, R3 = self.wt > WEIGHT_FLOOR, self.r[:, :, np.newaxis], self.R[:, :, np.newaxis]
+        at_ends = (np.abs(self.ratio - r3) <= 1e-12 * np.maximum(1.0, r3)) | (np.abs(self.ratio - R3) <= 1e-12 * R3)
+        return (occupied.any(axis=(1, 2)) & (at_ends | ~occupied).all(axis=(1, 2)))[:, np.newaxis]
 
 
 def _pair(q, p, js: JointSpectrum, eps: float) -> _Block:
@@ -313,160 +225,38 @@ def _pair(q, p, js: JointSpectrum, eps: float) -> _Block:
 # The generators' quantities on a block, one (B, G) array each: S_f and its SUM_FLAGS
 # code, the derivative-gap right side (read for a smooth f only), sup Psi (NaN off a
 # strict window), f(r), f(R), f((r + R)/2), f'_+(r), f'_-(R) and Psi(1) from _window_ends,
-# D = f'_-(R) - f'_+(r) (+inf if one diverges), the secant value on [r, R] and all True;
-# f's smoothness (1, G), and a (G,) mask per family present with closed forms.
+# D = f'_-(R) - f'_+(r) (+inf if one diverges) and D/2, the secant value and the
+# midpoint Jensen gap bound on [r, R], and the Tsallis coefficient (NaN off the
+# columns asked for).
 _Terms = collections.namedtuple(
-    "_Terms", "sf sf_flags slope_gap sup fr fR fmid dr dR gap psi1 secant every smooth families")
+    "_Terms", "sf sf_flags slope_gap sup fr fR fmid dr dR gap half_gap psi1 secant jensen tsallis")
+_TERM_NAMES = frozenset(_Terms._fields)
 
 
-def _terms(b: _Block, generators) -> _Terms:
+def _terms(b: _Block, generators, tsallis=()) -> _Terms:
     """The generators' _Terms on block b, term by term over all generators:
     _window_ends, on as many at a time as quantum.STACK_POINTS allows, gives
     the windows' endpoint values, Psi(1) among them, and, summed by
     weighted_sums, S_f and the derivative-gap sums sum wt (t - 1) f'_+(t)
     (value -f'(0+) at t = 0) over the block's stacked spectra; then sup Psi
-    in one psi_sups pass."""
+    in one psi_sups pass.  The Tsallis coefficient is computed on the
+    columns `tsallis` alone."""
     strict, r, R = b.strict[:, 0], b.r[:, 0], b.R[:, 0]
     fr, fR, fmid, dr, dR, psi1 = ends = np.empty((6, len(r), len(generators)))
     ratios, step = b.ratio.reshape(-1), max(1, quantum.STACK_POINTS // b.ratio.size)
     sums, codes = (np.concatenate(x) for x in zip(*(
         weighted_sums(b.wt, _window_ends(generators[g:g + step], r, R, ends[..., g:g + step], ratios))
         for g in range(0, len(generators), step))))
-    sup = np.full(fr.shape, math.nan)
+    sup, coeff = np.full(fr.shape, math.nan), np.full(fr.shape, math.nan)
     sup[strict] = psi_sups(generators, r[strict], R[strict], ends=[x[strict] for x in (fr, fR, dr, dR, psi1)])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # r = R gives 0/0
+    with np.errstate(all="ignore"):  # r = R gives 0/0
         gap = np.where(np.isfinite(dR) & np.isfinite(dr), dR - dr, INF)
-        secant = secant_value(b.r, b.R, fr, fR)
-    return _Terms(sums[0::2].T, codes[0::2].T, sums[1::2].T, sup, fr, fR, fmid, dr, dR, gap, psi1, secant,
-                  np.ones(fr.shape, dtype=bool), *_columns(tuple((f.name, f.smooth) for f in generators)))
-
-
-@functools.lru_cache(maxsize=64)
-def _columns(shape: tuple) -> tuple:
-    """_Terms.smooth and _Terms.families of the generators whose (name,
-    smooth) pairs, all they read, are `shape`: once per such tuple."""
-    names = [name for name, _ in shape]
-    return (np.array([[smooth for _, smooth in shape]]),
-            {n: np.array([m == n for m in names]) for n in set(_FAMILY.values()).intersection(names)})
-
-
-# ---------------------------------------------------------------------------
-# chain producers
-#
-# Each producer returns one check's chains for all pairs and generators of
-# a block, in report order: its own chain (with the reason it is skipped on
-# the entries its hypotheses exclude), then its subchains.  The list
-# depends only on the generators, not on the block: a closed form is
-# listed whenever its family is, with no entries where the block excludes
-# it.  _shaped relies on this, working a chain list's links out once.
-
-
-_DEGENERATE = "degenerate window: r = R"
-_NOT_STRICT = "window must satisfy R > 1 > r strictly"
-
-
-def _with_closed_form(b: _Block, gens: tuple, e: _Terms, check: str, labels: tuple,
-                      values: tuple, rows, flags=(), subs=(), skip: str = "") -> list:
-    """The chain of `check` on the entries `rows` (skipped on the others,
-    for the reason skip), its subchains `subs`, then the closed forms of
-    the generators' families from _CLOSED_FORMS on their entries (none on
-    a block whose rows exclude them)."""
-    closed = []
-    for family, (name, sub_labels, terms) in _CLOSED_FORMS[check].items():
-        if family in e.families:
-            sub_values, sub_rows, more = terms(b, gens, e, rows & e.families[family])
-            flags = (*flags, *more)
-            closed.append(_Chain(name, sub_labels, sub_values, sub_rows, sub=True))
-    return [_Chain(check, labels, values, rows, flags, skip), *subs, *closed]
-
-
-def _nonneg(b: _Block, gens: tuple, e: _Terms) -> list:
-    """Chain [0, S_f]: the divergence of a normalized generator is nonnegative."""
-    return [_Chain("nonneg", ("zero", "value"), (0.0, e.sf), e.every)]
-
-
-def _derivative_gap(b: _Block, gens: tuple, e: _Terms) -> list:
-    """Chain [S_f, sum of weights * (t - 1) f'(t)] for differentiable f.
-
-    For f = -ln t the right side collapses to the chi-square distance
-    with the states swapped; when Q is invertible that closed form is
-    attached as an oracle subchain.
-    """
-    return _with_closed_form(b, gens, e, "derivative-gap", ("value", "slope-weighted-gap"),
-                             (e.sf, e.slope_gap), e.every & e.smooth,
-                             skip="generator has a derivative kink; chain needs a continuous derivative")
-
-
-def _thm2(b: _Block, gens: tuple, e: _Terms) -> list:
-    """Four-term chain through the variational quantity and chi.
-
-    [S_f, D/2 * V, D/2 * chi, (R-r)/4 * D] with D = f'_-(R) - f'_+(r),
-    V the variational quantity, and chi = sqrt of the chi-square
-    distance: the closed forms' shape (_thm2_form) with coefficient D/2,
-    whose halving and quartering are exact.  Closed-form specializations
-    are attached for the chi2, kl, neg-log, and tsallis generators.
-    Skipped on a degenerate window, R - r <= DEGENERATE_WINDOW_TOL, where
-    every window term vanishes and only rounding is left.
-    """
-    rows = b.window & e.every
-    values, _, _ = _thm2_form(lambda *_: 0.5 * e.gap)(b, gens, e, rows)
-    return _with_closed_form(b, gens, e, "thm2", (
-        "value", "half-gap-variation", "half-gap-chi", "quarter-window-gap"), values, rows,
-        skip=_DEGENERATE)
-
-
-def _thm3(b: _Block, gens: tuple, e: _Terms) -> list:
-    """Two-term chain [S_f, secant value at the window endpoints]; skipped
-    on a degenerate window, as thm2 is."""
-    rows = b.window & e.every
-    return _with_closed_form(b, gens, e, "thm3", ("value", "secant"),
-                             (e.sf, e.secant), rows,
-                             flags=(("tight:ratios-at-endpoints", rows & b.tight),), skip=_DEGENERATE)
-
-
-def _thm4(b: _Block, gens: tuple, e: _Terms) -> list:
-    """Five-term chain through the double-slope gap Psi.
-
-    Main chain: [S_f, K Psi(1), K sup Psi, K D, (R-r)/4 * D] with
-    K = (R-1)(1-r)/(R-r) and D = f'_-(R) - f'_+(r).  The alternate
-    routing through (R-r)/4 * Psi(1) is attached as a subchain, as are
-    the chi2 / inv / neg-log / kl closed forms.  Requires the strict
-    window R > 1 > r.
-    """
-    strict, k, quarter, sf, sup, d, psi1 = b.strict & e.every, b.k, b.quarter, e.sf, e.sup, e.gap, e.psi1
-    k_psi1, sec = k * psi1, e.secant
-    matches = (np.isfinite(sec) & np.isfinite(psi1)
-               & (np.abs(k_psi1 - sec) <= 1e-9 * np.maximum(1.0, np.abs(sec))))
-    alternate = _Chain("thm4:alternate", (
-        "value", "window-psi-at-one", "quarter-range-psi-at-one", "quarter-range-psi-sup",
-        "quarter-range-derivative-gap"), (sf, k_psi1, quarter * psi1, quarter * sup, quarter * d),
-        strict, sub=True)
-    return _with_closed_form(b, gens, e, "thm4", (
-        "value", "window-psi-at-one", "window-psi-sup", "window-derivative-gap",
-        "quarter-range-derivative-gap"), (sf, k_psi1, k * sup, k * d, quarter * d), strict,
-        flags=(("matches-secant", matches),), subs=[alternate], skip=_NOT_STRICT)
-
-
-def _thm5(b: _Block, gens: tuple, e: _Terms) -> list:
-    """Two-term chain [S_f, midpoint Jensen gap bound] on a strict window."""
-    return _with_closed_form(b, gens, e, "thm5", ("value", "midpoint-gap-bound"),
-                             (e.sf, jensen_gap_value(e.fr, e.fR, e.fmid)), b.strict & e.every,
-                             skip=_NOT_STRICT)
-
-
-_CHAINS = (_nonneg, _derivative_gap, _thm2, _thm3, _thm4, _thm5)
-
-
-def _chains(b: _Block, generators, producers=_CHAINS, sf: float = None) -> tuple:
-    """The generators' _Terms on block b (with S_f replaced by sf, when
-    given) and the chains of `producers`, in report order."""
-    if not generators:
-        return None, []
-    e = _terms(b, generators)
-    if sf is not None:
-        e = e._replace(sf=np.full(e.sf.shape, float(sf)))
-    with np.errstate(all="ignore"):
-        return e, [ch for chains in producers for ch in chains(b, generators, e)]
+        if tsallis:
+            q = np.array([[generators[g].params["q"] for g in tsallis]])
+            coeff[:, tsallis] = np.where(b.r > 0.0, q * (b.R ** (1.0 - q) - b.r ** (1.0 - q))
+                                         / (2.0 * (1.0 - q) * (b.R * b.r) ** (1.0 - q)), INF)
+        return _Terms(sums[0::2].T, codes[0::2].T, sums[1::2].T, sup, fr, fR, fmid, dr, dR, gap, 0.5 * gap, psi1,
+                      secant_value(b.r, b.R, fr, fR), jensen_gap_value(fr, fR, fmid), coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -502,51 +292,68 @@ neg_log_range_coeff = _coefficient(
 
 
 # ---------------------------------------------------------------------------
-# closed-form specializations, by check, then by generator family
+# the chains, as data
 #
-# An entry names the subchain, labels its terms and computes them as
-# terms(block, generators, _Terms, the family's entries with the check's
-# chain) -> (values, entries with the subchain, flags for the check's chain).
-# Each value is a formula of the block's r and R columns (and the generators'
-# parameters), kept as the (B, 1) column it comes out as, and read on the
-# subchain's entries.
+# Each check lists its chain (with the reason it is skipped on the pairs its
+# hypotheses exclude), then its subchains; a block also evaluates the check's
+# closed forms (_CLOSED_FORMS) of the generators' families, each after them.
 
 
-def _swap_oracle(b, gens, e, rows):
-    # For f = -ln t the slope-weighted gap is the swapped chi-square distance.
-    singular, rows = rows & ~b.q_invertible, rows & b.q_invertible
-    swapped = b.chi_swapped
-    equal = rows & np.isfinite(e.slope_gap) & (
-        np.abs(e.slope_gap - swapped) <= 1e-8 * np.maximum(1.0, np.abs(swapped)))
-    return (0.0, e.sf, swapped), rows, (
-        ("swap-oracle-unavailable:singular-q", singular),
-        ("oracle:slope-gap-equals-swapped-chi-square", equal))
+_DEGENERATE = "degenerate window: r = R"
+_NOT_STRICT = "window must satisfy R > 1 > r strictly"
+_SF = (1.0, "sf")
 
 
-def _thm2_form(coeff, final=None):
-    """thm2 with the family coefficient coeff(r, R, generators) in
-    place of D/2 and last term final(r, R), by default (R - r)/2 times
-    coeff."""
-
-    def terms(b, gens, e, rows):
-        co = coeff(b.r, b.R, gens)
-        finite = np.isfinite(co)
-        last = final(b.r, b.R) if final else np.where(finite, 0.5 * (b.R - b.r) * co, INF)
-        return (e.sf, np.where(finite, co * b.v, INF), np.where(finite, co * b.chi, INF), last), rows, ()
-
-    return terms
+def _half_range(r, R):
+    return 0.5 * (R - r)
 
 
-def _tsallis_coeff(r, R, gens):
-    # q is NaN off the tsallis columns, whose entries the subchain never has.
-    qq = np.array([[f.params["q"] if f.name == "tsallis" else math.nan for f in gens]])
-    return np.where(r > 0.0, qq * (R ** (1.0 - qq) - r ** (1.0 - qq))
-                    / (2.0 * (1.0 - qq) * (R * r) ** (1.0 - qq)), INF)
+def _thm2_terms(co, final=None) -> tuple:
+    """thm2's terms with coefficient co in place of D/2: [S_f, co V, co chi,
+    final], final by default (R - r)/2 co, each term of co +inf where co is
+    not finite.  Halving and quartering are exact."""
+    return _SF, ("v", co, True), ("chi", co, True), (1.0, final) if final else (_half_range, co, True)
 
 
-def _window(*bounds):
-    """A closed form [S_f, *(bound(r, R) for bound in bounds)]."""
-    return lambda b, gens, e, rows: ((e.sf, *(bound(b.r, b.R) for bound in bounds)), rows, ())
+def _window(*bounds) -> tuple:
+    """A closed form's terms [S_f, *(bound(r, R) for bound in bounds)]."""
+    return _SF, *((1.0, bound) for bound in bounds)
+
+
+def _matches_secant(b, e, row, g):
+    """thm4's K Psi(1) equals the secant value, both finite, to 1e-9."""
+    sec, psi1 = e.secant[row, g], e.psi1[row, g]
+    return np.isfinite(sec) & np.isfinite(psi1) & (
+        np.abs(b.k[row, 0] * psi1 - sec) <= 1e-9 * np.maximum(1.0, np.abs(sec)))
+
+
+def _swap_equal(b, e, row, g):
+    """For f = -ln t the slope-weighted gap is the swapped chi-square distance."""
+    gap, swapped = e.slope_gap[row, g], b.chi_swapped[row, 0]
+    return b.q_invertible[row, 0] & np.isfinite(gap) & (
+        np.abs(gap - swapped) <= 1e-8 * np.maximum(1.0, np.abs(swapped)))
+
+
+_CHECKS = {
+    "nonneg": (_Chain("nonneg", ("zero", "value"), ((0.0, 1.0), _SF)),),
+    "derivative-gap": (_Chain(
+        "derivative-gap", ("value", "slope-weighted-gap"), (_SF, (1.0, "slope_gap")), smooth=True,
+        note="generator has a derivative kink; chain needs a continuous derivative"),),
+    "thm2": (_Chain("thm2", ("value", "half-gap-variation", "half-gap-chi", "quarter-window-gap"),
+                    _thm2_terms("half_gap"), "window", _DEGENERATE),),
+    "thm3": (_Chain("thm3", ("value", "secant"), (_SF, (1.0, "secant")), "window", _DEGENERATE,
+                    flags=(("tight:ratios-at-endpoints", lambda b, e, row, g: b.tight[row, 0]),)),),
+    "thm4": (
+        _Chain("thm4", ("value", "window-psi-at-one", "window-psi-sup", "window-derivative-gap",
+                        "quarter-range-derivative-gap"),
+               (_SF, ("k", "psi1"), ("k", "sup"), ("k", "gap"), ("quarter", "gap")), "strict", _NOT_STRICT,
+               flags=(("matches-secant", _matches_secant),)),
+        _Chain("thm4:alternate", ("value", "window-psi-at-one", "quarter-range-psi-at-one",
+                                  "quarter-range-psi-sup", "quarter-range-derivative-gap"),
+               (_SF, ("k", "psi1"), ("quarter", "psi1"), ("quarter", "sup"), ("quarter", "gap")), "strict",
+               sub=True)),
+    "thm5": (_Chain("thm5", ("value", "midpoint-gap-bound"), (_SF, (1.0, "jensen")), "strict", _NOT_STRICT),),
+}
 
 
 def _kl_log_mix(r, R):
@@ -563,81 +370,273 @@ def _product_ratio(r, R):
     return np.where(r > 0.0, (R - 1.0) * (1.0 - r) / (R * r), INF)
 
 
-def _chi2_thm4(b, gens, e, rows):
-    chord, secant = (coeff.formula(b.r, b.R) for coeff in (chi_square_chord_coeff, chi_square_secant_coeff))
-    return (e.sf, chord), rows, (("sharper-than-secant-polynomial", rows & (chord < secant)),)
-
-
+# The closed-form specializations, by (check, generator family): subchains of the
+# check's chain on the family's columns, read where that chain is (the swap oracle
+# only where Q is invertible), whose flag rules go to the check's chain.  A formula
+# of r and R is one (B, 1) column per block, however many terms read it.
 _CLOSED_FORMS = {
-    "derivative-gap": {"neg-log": (
-        "derivative-gap:swap", ("zero", "value", "chi-square-swapped"), _swap_oracle)},
-    "thm2": {
-        "chi2": (
-            "thm2:chi2", ("value", "half-window-variation", "half-window-chi", "quarter-window-sq"),
-            _thm2_form(lambda r, R, *_: 0.5 * (R - r), lambda r, R: 0.25 * (R - r) ** 2)),
-        "kl-quantum": (
-            "thm2:kl-quantum", ("value", "half-log-variation", "half-log-chi", "quarter-window-log"),
-            _thm2_form(lambda r, R, *_: np.where(r > 0.0, 0.5 * np.log(R / r), INF))),
-        "neg-log": (
-            "thm2:neg-log", ("value", "half-ratio-variation", "half-ratio-chi", "quarter-window-ratio"),
-            _thm2_form(lambda r, R, *_: np.where(r > 0.0, (R - r) / (2.0 * r * R), INF),
-                       neg_log_range_coeff.formula)),
-        "tsallis": (
-            "thm2:tsallis", ("value", "half-power-variation", "half-power-chi", "quarter-window-power"),
-            _thm2_form(_tsallis_coeff)),
-    },
-    "thm3": {
-        "chi2": ("thm3:chi2", ("value", "window-polynomial"), _window(chi_square_secant_coeff.formula)),
-        "kl-quantum": ("thm3:kl-quantum", ("value", "window-log-mix"), _window(_kl_log_mix)),
-        "neg-log": ("thm3:neg-log", ("value", "window-log-mix"), _window(_neg_log_log_mix)),
-    },
-    "thm4": {
-        "chi2": ("thm4:chi2", ("value", "window-product"), _chi2_thm4),
-        "inv-minus-one": ("thm4:inv-minus-one", ("value", "window-product-ratio"), _window(_product_ratio)),
-        "neg-log": ("thm4:neg-log", ("value", "window-log-mix", "window-product-ratio"),
-                    _window(_neg_log_log_mix, _product_ratio)),
-        "kl-quantum": (
-            "thm4:kl-quantum", ("value", "window-log-mix", "window-product-log"),
-            _window(_kl_log_mix, lambda r, R: np.where(
-                r > 0.0, (R - 1.0) * (1.0 - r) * np.log(R / r) / (R - r), INF))),
-    },
-    "thm5": {
-        "chi2": ("thm5:chi2", ("value", "half-range-sq"), _window(lambda r, R: 0.5 * (R - r) ** 2)),
-        "inv-minus-one": ("thm5:inv-minus-one", ("value", "range-sq-ratio"),
-                          _window(lambda r, R: np.where(r > 0.0, (R - r) ** 2 / (r * R * (r + R)), INF))),
-        "neg-log": ("thm5:neg-log", ("value", "log-midpoint-gap", "quarter-range-ratio"),
-                    _window(neg_log_jensen_coeff.formula, neg_log_range_coeff.formula)),
-    },
+    ("derivative-gap", "neg-log"): _Chain(
+        "derivative-gap:swap", ("zero", "value", "chi-square-swapped"), ((0.0, 1.0), _SF, (1.0, "chi_swapped")),
+        "q_invertible", flags=(
+            ("swap-oracle-unavailable:singular-q", lambda b, e, row, g: ~b.q_invertible[row, 0]),
+            ("oracle:slope-gap-equals-swapped-chi-square", _swap_equal))),
+    ("thm2", "chi2"): _Chain(
+        "thm2:chi2", ("value", "half-window-variation", "half-window-chi", "quarter-window-sq"),
+        _thm2_terms(_half_range, lambda r, R: 0.25 * (R - r) ** 2)),
+    ("thm2", "kl-quantum"): _Chain(
+        "thm2:kl-quantum", ("value", "half-log-variation", "half-log-chi", "quarter-window-log"),
+        _thm2_terms(lambda r, R: np.where(r > 0.0, 0.5 * np.log(R / r), INF))),
+    ("thm2", "neg-log"): _Chain(
+        "thm2:neg-log", ("value", "half-ratio-variation", "half-ratio-chi", "quarter-window-ratio"),
+        _thm2_terms(lambda r, R: np.where(r > 0.0, (R - r) / (2.0 * r * R), INF), neg_log_range_coeff.formula)),
+    ("thm2", "tsallis"): _Chain(
+        "thm2:tsallis", ("value", "half-power-variation", "half-power-chi", "quarter-window-power"),
+        _thm2_terms("tsallis")),
+    ("thm3", "chi2"): _Chain("thm3:chi2", ("value", "window-polynomial"), _window(chi_square_secant_coeff.formula)),
+    ("thm3", "kl-quantum"): _Chain("thm3:kl-quantum", ("value", "window-log-mix"), _window(_kl_log_mix)),
+    ("thm3", "neg-log"): _Chain("thm3:neg-log", ("value", "window-log-mix"), _window(_neg_log_log_mix)),
+    ("thm4", "chi2"): _Chain("thm4:chi2", ("value", "window-product"), _window(chi_square_chord_coeff.formula), flags=(
+        ("sharper-than-secant-polynomial", lambda b, e, row, g: (
+            chi_square_chord_coeff.formula(b.r, b.R) < chi_square_secant_coeff.formula(b.r, b.R))[row, 0]),)),
+    ("thm4", "inv-minus-one"): _Chain(
+        "thm4:inv-minus-one", ("value", "window-product-ratio"), _window(_product_ratio)),
+    ("thm4", "neg-log"): _Chain("thm4:neg-log", ("value", "window-log-mix", "window-product-ratio"),
+                                _window(_neg_log_log_mix, _product_ratio)),
+    ("thm4", "kl-quantum"): _Chain(
+        "thm4:kl-quantum", ("value", "window-log-mix", "window-product-log"),
+        _window(_kl_log_mix, lambda r, R: np.where(r > 0.0, (R - 1.0) * (1.0 - r) * np.log(R / r) / (R - r), INF))),
+    ("thm5", "chi2"): _Chain("thm5:chi2", ("value", "half-range-sq"), _window(lambda r, R: 0.5 * (R - r) ** 2)),
+    ("thm5", "inv-minus-one"): _Chain(
+        "thm5:inv-minus-one", ("value", "range-sq-ratio"),
+        _window(lambda r, R: np.where(r > 0.0, (R - r) ** 2 / (r * R * (r + R)), INF))),
+    ("thm5", "neg-log"): _Chain("thm5:neg-log", ("value", "log-midpoint-gap", "quarter-range-ratio"),
+                                _window(neg_log_jensen_coeff.formula, neg_log_range_coeff.formula)),
 }
-# Each closed-form subchain's family, on whose generator columns alone it exists.
-_FAMILY = {name: family for forms in _CLOSED_FORMS.values() for family, (name, _, _) in forms.items()}
+# A closed form is a subchain, on the pairs and generators where its check's chain is
+# (short of its own condition), and on its family's generator columns alone.
+_CLOSED_FORMS = {(check, family): form._replace(cond=form.cond or _CHECKS[check][0].cond,
+                                                smooth=_CHECKS[check][0].smooth, sub=True)
+                 for (check, family), form in _CLOSED_FORMS.items()}
+_FAMILY = {form.check: family for (_, family), form in _CLOSED_FORMS.items()}
+_CLOSED_FLAGS = {key: form.flags for key, form in _CLOSED_FORMS.items() if form.flags}
+
+
+# ---------------------------------------------------------------------------
+# the term plan
+#
+# A generator set's _Plan: its chains in report order and their checks (sorted);
+# the columns and base terms its terms read, laid out as a block's factor table
+# (pairs, columns + bases * generators), the block conditions its chains read,
+# and the columns whose Tsallis coefficient is read.  Per (generator, chain)
+# instance, in that order: its chain, generator, check (index in checks),
+# whether the chain has a note, presence column (0: every pair, 1: none, 2 + i:
+# conds[i]), link count and first entry.  Per entry (generator, chain, link), in
+# that order: its instance and left term.  Per term: its coefficient's and
+# factor's columns in the table, and whether it is guarded.
+_Plan = collections.namedtuple("_Plan", "checks chains columns bases conds tsallis chain gen check noted cond "
+                               "links starts owner left coef factor guard")
+# A block judged: its plan and _Terms, per pair and instance whether it is present
+# and its status (skipped where not), per pair and entry the verdict code, slack
+# and slack bucket, and the (pairs, terms) values.
+_Judged = collections.namedtuple("_Judged", "plan e present status codes slack buckets terms")
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(shape: tuple, checks: tuple) -> _Plan:
+    """The _Plan of `checks` on the generators whose (name, smooth) pairs,
+    all it reads, are `shape`: worked out once per process for a generator
+    set.  Each check's chains are followed by the closed forms of its
+    generators' families."""
+    names = {name for name, _ in shape}
+    return _layout(shape, [ch for check in checks for ch in (*_CHECKS[check], *(
+        form for (of, family), form in _CLOSED_FORMS.items() if of == check and family in names))])
+
+
+def _layout(shape: tuple, chains: list) -> _Plan:
+    """The _Plan of `chains` on the generators whose (name, smooth) pairs are
+    `shape`: a generic chain on every column, a closed form on its family's.
+    Each chain's part is worked out once, then gathered onto its columns."""
+    ng, checks = len(shape), sorted({ch.check for ch in chains})
+    conds = list(dict.fromkeys(ch.cond for ch in chains if ch.cond))
+    # Per chain: check, presence column, whether it has a note and needs a
+    # smooth generator, and term count.
+    per_chain = np.array([(checks.index(ch.check), conds.index(ch.cond) + 2 if ch.cond else 0, bool(ch.note),
+                           ch.smooth, len(ch.terms)) for ch in chains], dtype=np.intp)
+    # Per chain term: coefficient column, factor column (a base term's on
+    # generator column 0), whether the factor is a base term, and guard.
+    terms = [term for ch in chains for term in ch.terms]
+    coefs, factors = [term[0] for term in terms], [term[1] for term in terms]
+    keys = dict.fromkeys(coefs + factors)
+    columns = [key for key in keys if key not in _TERM_NAMES]
+    bases = [key for key in keys if key in _TERM_NAMES]
+    slot = {**{key: c for c, key in enumerate(columns)},
+            **{key: len(columns) + i * ng for i, key in enumerate(bases)}}
+    per_term = np.array([list(map(slot.__getitem__, coefs)), list(map(slot.__getitem__, factors)),
+                         list(map(_TERM_NAMES.__contains__, factors)), [len(term) > 2 for term in terms]],
+                        dtype=np.intp)
+    families = [_FAMILY.get(ch.check) for ch in chains]
+    inst = [(g, j) for g, (name, _) in enumerate(shape) for j, family in enumerate(families)
+            if family is None or family == name]
+    gen, chain = (np.array(x, dtype=np.intp) for x in zip(*inst))
+    check, cond, noted, smooth, lengths = per_chain[chain].T
+    links = (lengths - 1).tolist()
+    owner = np.repeat(np.arange(len(inst)), links)
+    # Each instance's terms, one after another: their rows of per_term (from
+    # its chain's first, one per term) and their generator column.
+    first, starts = np.cumsum(per_chain[:, 4]) - per_chain[:, 4], np.cumsum(lengths) - lengths
+    rows = np.arange(lengths.sum()) + np.repeat(first[chain] - starts, lengths)
+    (coef, factor, moves, guard), cols = per_term[:, rows], np.repeat(gen, lengths)
+    return _Plan(
+        checks=checks, chains=chains, columns=columns, bases=bases, conds=conds,
+        tsallis=sorted(set(cols[factor == slot.get("tsallis", -1)].tolist())), chain=chain.tolist(),
+        gen=gen.tolist(), check=check, noted=noted == 1,
+        cond=np.where(smooth > np.array([smooth for _, smooth in shape])[gen], 1, cond),
+        links=links, starts=list(itertools.accumulate(links, initial=0))[:-1],
+        # An instance's terms are its links' left terms and then one right term.
+        owner=owner, left=np.arange(len(owner)) + owner,
+        coef=coef, factor=factor + cols * moves, guard=guard == 1)
+
+
+def _link(p: _Plan, entry: int, generators) -> dict:
+    """Entry `entry` of plan p: its check, generator spec and link "left<=right"."""
+    i = p.owner[entry]
+    labels, k = p.chains[p.chain[i]].labels, entry - p.starts[i]
+    return {"check": p.chains[p.chain[i]].check, "generator": generators[p.gen[i]].spec,
+            "link": f"{labels[k]}<={labels[k + 1]}"}
+
+
+def _judge(b: _Block, generators, tol: float, checks: tuple = tuple(_CHECKS), sf: float = None) -> _Judged:
+    """The chains of `checks` on block b for the generators, judged: each
+    base term (_terms, with S_f replaced by sf when given) and column once
+    into the block's factor table, every link's terms from it with one
+    gather, then _link_eval; None without generators."""
+    if not generators:
+        return None
+    p = _plan(tuple((f.name, f.smooth) for f in generators), checks)
+    e = _terms(b, generators, p.tsallis)
+    if sf is not None:
+        e = e._replace(sf=np.full(e.sf.shape, float(sf)))
+    n, nc = len(b.r), len(p.columns)
+    table = np.empty((n, nc + len(p.bases) * len(generators)))
+    bases = table[:, nc:].reshape(n, len(p.bases), len(generators))
+    with np.errstate(all="ignore"):
+        for c, key in enumerate(p.columns):
+            table[:, c:c + 1] = key if isinstance(key, float) else getattr(b, key) if isinstance(key, str) \
+                else key(b.r, b.R)
+        for i, name in enumerate(p.bases):
+            bases[:, i] = getattr(e, name)
+        factors = table[:, p.factor]
+        terms = table[:, p.coef] * factors
+    terms[p.guard & ~np.isfinite(factors)] = INF
+    every = np.ones_like(b.window)
+    present = np.concatenate([every, ~every, *(getattr(b, c) for c in p.conds)], axis=1)[:, p.cond]
+    return _link_eval(p, e, terms, present, tol)
+
+
+def _link_eval(p: _Plan, e: _Terms, terms, present, tol: float) -> _Judged:
+    """Judge every link of plan p in one pass over its (pairs, terms)
+    values: per pair and instance its status (skipped where not present),
+    per pair and entry the verdict code, slack and slack bucket.  An
+    infinite right side makes a link vacuous; an infinite left side under a
+    finite one fails."""
+    left, right = terms[:, p.left], terms[:, p.left + 1]
+    vacuous = np.isinf(right)
+    endless = np.isinf(left) & ~vacuous
+    with np.errstate(invalid="ignore"):
+        slack = right - left
+        held = (left <= right + tol * np.maximum(1.0, np.abs(right))) & ~endless
+    slack[vacuous] = INF
+    slack[endless] = -INF
+    codes = np.where(vacuous, 1, np.where(held, 0, 2))
+    buckets = np.where(np.isinf(slack), 6, np.searchsorted(_BUCKET_EDGES, slack, side="right"))
+    status = np.where(present, np.maximum.reduceat(codes, p.starts, axis=1), _STATUSES.index("skipped"))
+    return _Judged(p, e, present, status, codes, slack, buckets, terms)
+
+
+def _reports(judged: _Judged, row: int, b: _Block, generators) -> list:
+    """Per generator, the reports of pair `row` of block b from its _Judged:
+    one per top-level chain, with its subchains, or a skipped report where
+    the chain's check is skipped.  Flags are worked out here, for this pair
+    alone."""
+    p, r, R = judged.plan, float(b.r[row, 0]), float(b.R[row, 0])
+    present, status, codes, slack, terms = (x[row].tolist() for x in (
+        judged.present, judged.status, judged.codes, judged.slack, judged.terms))
+    groups = [[] for _ in generators]  # per generator: (a top-level chain's fields, its subchains' reports)
+    for i, (g, j, n, at) in enumerate(zip(p.gen, p.chain, p.links, p.starts)):
+        ch, values = p.chains[j], terms[at + i:at + i + n + 1]
+        if present[i]:
+            # A closed form's flag rules go to its check's chain on the family's columns.
+            rules = () if ch.sub else ch.flags + _CLOSED_FLAGS.get((ch.check, generators[g].name), ())
+            with np.errstate(all="ignore"):
+                flags = [name for name, rule in rules if rule(b, judged.e, row, g)]
+            fields = dict(
+                chain=tuple(zip(ch.labels, values)), slacks=tuple(slack[at:at + n]),
+                link_verdicts=tuple(_VERDICTS[v] for v in codes[at:at + n]), status=_STATUSES[status[i]],
+                # A link holds with equality if it passes with a slack within
+                # EQUALITY_TOL * max(1, |right|) of zero.
+                flags=(*flags, *(f"equality:{ch.labels[k]}={ch.labels[k + 1]}" for k in range(n)
+                                 if codes[at + k] == 0
+                                 and abs(slack[at + k]) <= EQUALITY_TOL * max(1.0, abs(values[k + 1])))))
+        elif ch.note:
+            fields = dict(chain=((ch.labels[0], values[0]),), slacks=(), link_verdicts=(), status="skipped",
+                          note=ch.note)
+        else:
+            continue
+        fields.update(check=ch.check, generator=generators[g].spec, dim=b.dim, r=r, R=R)
+        if ch.sub:
+            groups[g][-1][1].append(BoundChainReport(**fields))
+        else:
+            groups[g].append((fields, []))
+    return [[BoundChainReport(**fields, subchains=tuple(subs)) for fields, subs in group] for group in groups]
 
 
 # ---------------------------------------------------------------------------
 # individual chains
 
 
-def _public(chains, name: str):
-    """The public check function around the chain producer `chains`."""
+def _public(check: str, doc: str):
+    """The public check function of `check`: its chains (and closed forms)
+    alone, on one pair."""
 
-    def check(q, p, f: Generator, js: JointSpectrum = None, tol: float = DEFAULT_TOL,
-              eps: float = DEFAULT_INVERTIBILITY_EPS, sf: float = None) -> BoundChainReport:
+    def fn(q, p, f: Generator, js: JointSpectrum = None, tol: float = DEFAULT_TOL,
+           eps: float = DEFAULT_INVERTIBILITY_EPS, sf: float = None) -> BoundChainReport:
         tol = _positive(tol, "tolerance")
         b = _pair(q, p, js, eps)
-        _, made = _chains(b, (f,), (chains,), sf)
-        return _reports(made, _link_eval(made, (f,), tol), 0, b, (f,))[0][0]
+        return _reports(_judge(b, (f,), tol, (check,), sf), 0, b, (f,))[0][0]
 
-    check.__name__ = check.__qualname__ = name
-    check.__doc__ = chains.__doc__
-    return check
+    fn.__name__ = fn.__qualname__ = "check_" + check.replace("-", "_")
+    fn.__doc__ = doc
+    return fn
 
 
-check_nonneg = _public(_nonneg, "check_nonneg")
-check_derivative_gap = _public(_derivative_gap, "check_derivative_gap")
-check_thm2 = _public(_thm2, "check_thm2")
-check_thm3 = _public(_thm3, "check_thm3")
-check_thm4 = _public(_thm4, "check_thm4")
-check_thm5 = _public(_thm5, "check_thm5")
+check_nonneg = _public("nonneg", "Chain [0, S_f]: the divergence of a normalized generator is nonnegative.")
+check_derivative_gap = _public("derivative-gap", """Chain [S_f, sum of weights * (t - 1) f'(t)] for differentiable f.
+
+    For f = -ln t the right side collapses to the chi-square distance
+    with the states swapped; when Q is invertible that closed form is
+    attached as an oracle subchain.
+    """)
+check_thm2 = _public("thm2", """Four-term chain through the variational quantity and chi.
+
+    [S_f, D/2 * V, D/2 * chi, (R-r)/4 * D] with D = f'_-(R) - f'_+(r),
+    V the variational quantity, and chi = sqrt of the chi-square
+    distance: the closed forms' shape (_thm2_terms) with coefficient D/2.
+    Closed-form specializations are attached for the chi2, kl, neg-log,
+    and tsallis generators.  Skipped on a degenerate window, R - r <=
+    DEGENERATE_WINDOW_TOL, where every window term vanishes and only
+    rounding is left.
+    """)
+check_thm3 = _public("thm3", """Two-term chain [S_f, secant value at the window endpoints]; skipped
+    on a degenerate window, as thm2 is.""")
+check_thm4 = _public("thm4", """Five-term chain through the double-slope gap Psi.
+
+    Main chain: [S_f, K Psi(1), K sup Psi, K D, (R-r)/4 * D] with
+    K = (R-1)(1-r)/(R-r) and D = f'_-(R) - f'_+(r).  The alternate
+    routing through (R-r)/4 * Psi(1) is attached as a subchain, as are
+    the chi2 / inv / neg-log / kl closed forms.  Requires the strict
+    window R > 1 > r.
+    """)
+check_thm5 = _public("thm5", "Two-term chain [S_f, midpoint Jensen gap bound] on a strict window.")
 
 
 def certify(q, p, generators, js: JointSpectrum = None, tol: float = DEFAULT_TOL,
@@ -649,8 +648,8 @@ def certify(q, p, generators, js: JointSpectrum = None, tol: float = DEFAULT_TOL
     b, generators = _pair(q, p, js, eps), tuple(generators)
     if not generators:
         return []
-    e, chains = _chains(b, generators)
-    reports = _reports(chains, _link_eval(chains, generators, tol), 0, b, generators)
+    judged = _judge(b, generators, tol)
+    reports, e = _reports(judged, 0, b, generators), judged.e
     return [(DivergenceValue(value=float(e.sf[0, g]), generator=f.spec,
                              flags=SUM_FLAGS[e.sf_flags[0, g]]), tuple(reports[g]))
             for g, f in enumerate(generators)]
@@ -848,8 +847,8 @@ def _rekey(rng: np.random.Generator, seed: int, trial: int) -> np.random.Generat
 
 class _Tally:
     """fuzz's aggregates, fed one block of trials at a time in trial order,
-    read from _link_eval's (pairs, entries) arrays and _Table, worked out
-    once per process for a generator set."""
+    read from a block's _Judged and its _Plan, worked out once per process
+    for a generator set."""
 
     def __init__(self, config: FuzzConfig):
         self.config, self.violations, self.checks, self.counts = config, [], [], ()
@@ -859,11 +858,10 @@ class _Tally:
         """Evaluate every chain of block b, whose pairs are the trials
         `trials`, judge all its links in one pass, and aggregate them."""
         config, gens = self.config, self.config.generators
-        _, chains = _chains(b, gens)
-        if not chains:
+        judged = _judge(b, gens, config.tol)
+        if judged is None:
             return
-        judged = _link_eval(chains, gens, config.tol)
-        t, self.checks = judged.table, judged.table.checks
+        t, self.checks = judged.plan, judged.plan.checks
         if not self.counts:
             self.counts = tuple(np.zeros((len(self.checks), len(names)), dtype=np.int64)
                                 for names in (_STATUSES, _SLACK_BUCKETS))
@@ -886,8 +884,7 @@ class _Tally:
         if lowest:
             at = np.concatenate(([np.argmin(np.where(finite, slack, INF))], at))
         rows, links = np.unravel_index(at, slack.shape)
-        entries = [{"trial": trials[row], "check": t.names[k][0], "generator": gens[t.entry_gen[k]].spec,
-                    "link": t.names[k][1], "slack": value}
+        entries = [{"trial": trials[row], **_link(t, k, gens), "slack": value}
                    for row, k, value in zip(rows.tolist(), links.tolist(), slack.ravel()[at].tolist())]
         if lowest:
             low = entries.pop(0)
@@ -897,7 +894,7 @@ class _Tally:
 
         for row in np.flatnonzero((linked & (judged.codes == 2)).any(axis=1)).tolist():
             qd, pd = _member(b.q, b.qdec, row), _member(b.p, b.pdec, row)
-            for top in itertools.chain.from_iterable(_reports(chains, judged, row, b, gens)):
+            for top in itertools.chain.from_iterable(_reports(judged, row, b, gens)):
                 self.violations.extend(collect_violations(top, config.seed, trials[row], qd, pd))
 
     def summary(self, skipped_trials: list) -> dict:

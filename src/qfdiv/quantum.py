@@ -429,8 +429,10 @@ def sandwich_check(q, p, trials: int = 100, seed: int = 0,
     Probes `trials` random unit-norm complex matrices T, then verifies
     both ends are attained by the rank-one couplings of extremal
     eigenvectors: T = u_max v_min* hits R and T = u_min v_max* hits r.
+    The probes are drawn from a Philox keyed by seed mod 2**64, so any
+    whole seed is taken, as fuzz takes it.
     """
-    trials, seed = _whole(trials, "trials", least=0), _whole(seed, "seed", least=0)
+    trials, seed = _whole(trials, "trials", least=0), _whole(seed, "seed")
     qd, pd = as_density(q), as_density(p)
     js = joint_spectrum(qd, pd, eps)
     d = js.dim

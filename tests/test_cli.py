@@ -767,13 +767,13 @@ class TestSharedGenerators:
         assert both(a) == first
 
     def test_explicit_specs_share_one_column_entry(self, capsys):
-        # Each call parses its specs into new generators; the per-set columns
-        # are keyed by what they read, so the later calls hit the cache.
-        harness._columns.cache_clear()
+        # Each call parses its specs into new generators; the per-set term
+        # plan is keyed by what it reads, so the later calls hit the cache.
+        harness._plan.cache_clear()
         argv = ("fuzz", "--dim", "2", "--trials", "2", "--generator", "kl", "--generator", "chi2")
         outs = [run(capsys, *argv) for _ in range(3)]
         assert outs[1:] == outs[:2]
-        info = harness._columns.cache_info()
+        info = harness._plan.cache_info()
         assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2
 
 

@@ -1,10 +1,13 @@
 """Bound chains, closed-form specializations, sampling, and fuzzing."""
 
 import collections
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -42,7 +45,7 @@ from qfdiv.harness import (
     sample_density,
     sample_pair,
 )
-from qfdiv.harness import _CLOSED_FORMS, _Block, _chains, _link_eval, _pair, _states, _terms
+from qfdiv.harness import _CHECKS, _CLOSED_FORMS, _FAMILY, _Block, _judge, _link, _pair, _plan, _states, _terms
 from qfdiv.generators import default_catalog
 from qfdiv.hermitian import MAX_DIM, matrix_from_json
 from qfdiv.quantum import _member, as_density, chi_square, densities, joint_spectra, joint_spectrum, variational_q
@@ -1096,39 +1099,46 @@ class TestOneEvaluationPerBlock:
         assert total - len(wrapped) == 2 * 25
 
     def test_closed_forms_stay_columns(self):
+        from qfdiv.harness import _kl_log_mix, _neg_log_log_mix, _product_ratio
+
         gens = tuple(default_catalog())
-        sym, dec = densities(_states("ginibre", 4, 1e-3, [rng_for(45)], 6))
-        fields, errors = joint_spectra(dec[0::2], dec[1::2])
-        assert errors == [None] * 3
-        e, chains = _chains(_Block(sym[0::2], dec[0::2], sym[1::2], dec[1::2], fields, 1e-12), gens)
-        closed = {name for forms in _CLOSED_FORMS.values() for name, _, _ in forms.values()}
-        shapes = {ch.check: {np.shape(v) for v in ch.values if v is not e.sf}
-                  for ch in chains if ch.check in closed}
-        assert set(shapes) == closed
-        # tsallis's coefficient depends on its q: a column per generator.
-        assert shapes.pop("thm2:tsallis") == {(3, len(gens))}
-        assert set().union(*shapes.values()) == {(), (3, 1)}
+        p = _plan(tuple((f.name, f.smooth) for f in gens), tuple(_CHECKS))
+        nc, closed = len(p.columns), {form.check for form in _CLOSED_FORMS.values()}
+        # The base terms (pairs, generators) each closed form reads; its other
+        # factors are (pairs, 1) columns.
+        read = {}
+        for i, (j, n, at) in enumerate(zip(p.chain, p.links, p.starts)):
+            if p.chains[j].check in closed:
+                factors = p.factor[at + i:at + i + n + 1]
+                read[p.chains[j].check] = {p.bases[(x - nc) // len(gens)] for x in factors.tolist() if x >= nc}
+        assert set(read) == closed
+        # tsallis's coefficient depends on its q: a base term, on its column alone.
+        assert read.pop("thm2:tsallis") == {"sf", "tsallis"} and p.tsallis == [g for g, f in enumerate(gens) if f.name == "tsallis"]
+        assert set().union(*read.values()) == {"sf"}
+        # A formula that several closed forms read is one column of a block.
+        for formula in (_kl_log_mix, _neg_log_log_mix, _product_ratio, neg_log_range_coeff.formula,
+                        chi_square_secant_coeff.formula):
+            assert [key is formula for key in p.columns].count(True) == 1
 
     def test_link_table_holds_only_existing_links(self):
         gens = tuple(default_catalog())
         sym, dec = densities(_states("ginibre", 4, 1e-3, [rng_for(45)], 6))
         fields, errors = joint_spectra(dec[0::2], dec[1::2])
-        _, chains = _chains(_Block(sym[0::2], dec[0::2], sym[1::2], dec[1::2], fields, 1e-12), gens)
-        judged = _link_eval(chains, gens, 1e-9)
-        t = judged.table
+        judged = _judge(_Block(sym[0::2], dec[0::2], sym[1::2], dec[1::2], fields, 1e-12), gens, 1e-9)
+        t, chains = judged.plan, judged.plan.chains
         # 15 links of generic chains on each of the 12 columns, and the 27 of
         # the closed forms each on its family's one column.
-        assert judged.codes.shape == judged.slack.shape == (3, 207) and len(t.names) == 207
-        family = {name: fam for forms in _CLOSED_FORMS.values() for fam, (name, _, _) in forms.items()}
+        assert judged.codes.shape == judged.slack.shape == (3, 207) and len(t.owner) == 207
         want = [(g, j, k) for g, f in enumerate(gens) for j, ch in enumerate(chains)
-                if family.get(ch.check, f.name) == f.name for k in range(len(ch.labels) - 1)]
+                if _FAMILY.get(ch.check, f.name) == f.name for k in range(len(ch.labels) - 1)]
         got = [(t.gen[i], t.chain[i], e - t.starts[i]) for e, i in enumerate(t.owner.tolist())]
         assert got == want  # by generator, then chain, then link
-        assert [name for name, _ in t.names] == [chains[j].check for _, j, _ in want]
-        on = set(zip(t.gen, t.chain))
+        assert [_link(t, e, gens) for e in range(len(want))] == [
+            {"check": chains[j].check, "generator": gens[g].spec,
+             "link": f"{chains[j].labels[k]}<={chains[j].labels[k + 1]}"} for g, j, k in want]
+        # Each chain is present on some pair of the block.
         for j, ch in enumerate(chains):
-            assert not any(ch.rows[:, g].any() for g in range(len(gens)) if (g, j) not in on), ch.check
-            assert ch.rows.any(), ch.check
+            assert judged.present[:, [i for i, c in enumerate(t.chain) if c == j]].any(), ch.check
 
     def test_generator_infinite_at_the_upper_end(self):
         # f(R) overflows while f(r) is finite: Psi(1) is +inf like sup Psi,
@@ -1139,6 +1149,70 @@ class TestOneEvaluationPerBlock:
         assert rep.status == "vacuous-pass"
         summary = fuzz(FuzzConfig(dim=4, trials=5, generators=(f,))).summary
         assert summary["violations"] == 0 and summary["checks"]["thm4"]["fail"] == 0
+
+
+class TestReportOnlyWork:
+    """The flags and thm3's tightness are worked out where reports are built,
+    for the pair reported, and nowhere else."""
+
+    PAIRS = {
+        "example-a": (EXAMPLE_A_Q, EXAMPLE_A_P),
+        "singular-q": (np.diag([0.6, 0.4, 0.0]), np.diag([0.5, 0.3, 0.2])),
+        "narrow": (np.diag([0.5 + 1e-11, 0.5 - 1e-11]), np.eye(2) / 2.0),
+    }
+
+    @staticmethod
+    def fuzz_stdout(argv) -> str:
+        from qfdiv.cli import main
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(list(argv)) == 0
+        return out.getvalue()
+
+    def test_fuzz_runs_no_flag_rule_or_tightness(self, monkeypatch):
+        def boom(*_):
+            raise AssertionError("report-only work ran")
+
+        def raising(chains):
+            return tuple(ch._replace(flags=tuple((name, boom) for name, _ in ch.flags)) for ch in chains)
+
+        argv = ("fuzz", "--dim", "4", "--trials", "20", "--seed", "5", "--floor", "1e-3")
+        want = self.fuzz_stdout(argv)
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(harness, "_CHECKS", {check: raising(chains) for check, chains in _CHECKS.items()})
+                m.setattr(harness, "_CLOSED_FLAGS", {key: tuple((name, boom) for name, _ in flags)
+                                                      for key, flags in harness._CLOSED_FLAGS.items()})
+                m.setattr(_Block, "tight", property(boom))
+                harness._plan.cache_clear()
+                assert self.fuzz_stdout(argv) == want
+                # Where reports are built, every one of them runs.
+                with pytest.raises(AssertionError, match="report-only work ran"):
+                    run_all_checks(EXAMPLE_A_Q, EXAMPLE_A_P, chi2())
+        finally:
+            harness._plan.cache_clear()
+
+    def test_reports_keep_every_flag_without_warnings(self):
+        gens = tuple(default_catalog())
+        everywhere = {(f.spec, check, flag) for f in gens for check, flag in (
+            ("thm3", "tight:ratios-at-endpoints"), ("thm4", "matches-secant"))}
+        want = {
+            "example-a": everywhere | {("chi2", "thm4", "sharper-than-secant-polynomial"),
+                                       ("neg-log", "derivative-gap", "oracle:slope-gap-equals-swapped-chi-square")},
+            # f(0+) = +inf leaves K Psi(1) and the secant value infinite.
+            "singular-q": {(f.spec, "thm4", "matches-secant") for f in gens
+                           if f.name not in ("inv-minus-one", "neg-log")}
+            | {("chi2", "thm4", "sharper-than-secant-polynomial"),
+               ("neg-log", "derivative-gap", "swap-oracle-unavailable:singular-q")},
+        }
+        want["narrow"] = want["example-a"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, (q, p) in self.PAIRS.items():
+                got = {(f.spec, rep.check, flag) for f in gens for rep in run_all_checks(q, p, f)
+                       for flag in rep.flags if not flag.startswith("equality:")}
+                assert got == want[name], name
 
 
 class TestCollectViolations:
@@ -1278,23 +1352,25 @@ class TestFuzzMatchesReports:
         assert json.dumps([v.to_json() for v in result.violations]) == json.dumps(violations)
 
     def test_link_rule_on_special_values(self):
-        from qfdiv.harness import _SLACK_BUCKETS, _STATUSES, _VERDICTS, _Chain, _link_eval, _reports
+        from qfdiv.harness import _SLACK_BUCKETS, _STATUSES, _VERDICTS, _Chain, _layout, _link_eval, _reports
 
         special = (0.0, -0.0, 1.0, -2.5, 1e-9, 5e-7, 1e-300, 1e300, INF, -INF, math.nan)
         pairs = [(a, b) for a in special for b in special]
-        # One chain per pair of values, each on a block of one pair and one generator.
-        chains = [_Chain("c", ("a", "b"), (np.array([[a]]), np.array([[b]])), np.ones((1, 1), bool))
-                  for a, b in pairs]
+        # One chain per pair of values, each on a block of one pair and one
+        # generator, its terms given as the block's values.
+        chains = [_Chain("c", ("a", "b"), ((1.0, 1.0), (1.0, 1.0))) for _ in pairs]
         gens = (types.SimpleNamespace(name="g", spec="g"),)
-        judged = _link_eval(chains, gens, 1e-9)
+        plan = _layout((("g", True),), chains)
+        terms = np.array([[x for pair in pairs for x in pair]])
+        judged = _link_eval(plan, None, terms, np.ones((1, len(pairs)), bool), 1e-9)
         # One pair, and per chain one instance with one entry, in chain order.
         status, codes, slacks, buckets = (x[0] for x in (judged.status, judged.codes, judged.slack, judged.buckets))
-        assert judged.table.links == [1] * len(pairs) and len(codes) == len(pairs)
+        assert plan.links == [1] * len(pairs) and len(codes) == len(pairs)
         assert all(_same(float(x), a) and _same(float(y), b)
-                   for (a, b), x, y in zip(pairs, judged.left[0], judged.right[0]))
+                   for (a, b), x, y in zip(pairs, terms[0, plan.left], terms[0, plan.left + 1]))
         # The equality flag is derived where reports are built.
         block = types.SimpleNamespace(r=np.zeros((1, 1)), R=np.ones((1, 1)), dim=1)
-        reports = _reports(chains, judged, 0, block, gens)[0]
+        reports = _reports(judged, 0, block, gens)[0]
         for (left, right), st, code, slack, bucket, rep in zip(pairs, status, codes, slacks,
                                                                buckets, reports):
             verdict, expected = _scalar_link(left, right, 1e-9)

@@ -31,13 +31,18 @@ Three relations of the paper's objects are checked on the library alone, at
 the same tolerance and on invertible pairs: unitary covariance (UQU*, UPU*)
 has the r, R, V, chi-square and S_f of (Q, P) for a Haar U; the conjugate
 swap S_f(Q, P) = S_f*(P, Q); and the tensor rule S_f(Q1 kron Q2, P1 kron P2)
-= sum wt1 wt2 f(t1 t2) over the factors' joint spectra.
+= sum wt1 wt2 f(t1 t2) over the factors' joint spectra.  Unitary covariance
+and the conjugate swap are checked on fixed seeds and, as hypothesis
+properties, on pairs and unitaries drawn from a sampler, d and a seed that
+hypothesis chooses.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfdiv.generators import conjugate, default_catalog, parse_generator_spec
 from qfdiv.harness import SAMPLER_KINDS, sample_pair
@@ -172,6 +177,32 @@ def test_unitary_covariance_and_conjugate_swap(kind, dim):
         u = haar(dim, rng)
         assert_close(library(u @ q @ u.conj().T, u @ p @ u.conj().T)[1], want, tol)
         assert_close(library(p, q, CONJUGATES)[1][4:], want[4:], tol)
+
+
+# A sampled invertible pair and a Haar unitary of its d, from one seed.
+DRAWS = st.tuples(st.sampled_from(SAMPLER_KINDS), st.integers(2, 8), st.integers(0, 2**64 - 1))
+
+
+def drawn(kind: str, dim: int, seed: int) -> tuple:
+    rng = np.random.default_rng(seed)
+    q, p = sample_pair(kind, dim, 1e-3, rng)
+    return q.matrix, p.matrix, haar(dim, rng)
+
+
+@settings(max_examples=25, deadline=None)
+@given(DRAWS)
+def test_property_unitary_covariance(draw):
+    q, p, u = drawn(*draw)
+    tol, want = library(q, p)
+    assert_close(library(u @ q @ u.conj().T, u @ p @ u.conj().T)[1], want, tol)
+
+
+@settings(max_examples=25, deadline=None)
+@given(DRAWS)
+def test_property_conjugate_swap(draw):
+    q, p, _ = drawn(*draw)
+    tol, want = library(q, p)
+    assert_close(library(p, q, CONJUGATES)[1][4:], want[4:], tol)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])

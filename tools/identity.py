@@ -17,6 +17,9 @@ configuration, and the bad-input runs that exit 2 and 3), which see how
 a process exits and must equal the in-process lines of the same runs;
 `run_all_checks` reports as JSON over sampled and hand-made pairs, every
 generator of a 23-entry list and two tolerances; one line marked
+`checks` over the reports of the six `check_*` functions, each generator
+of that list and the hand-made pairs, with S_f computed and with it
+overridden by `sf=-1.0`; one line marked
 `scalar` over the scalar calls of those 23 generators and their 23
 conjugates (f, f'_+ and f'_- at 6 points, 0 among them, f as an array
 of the 5 positive ones, and psi_sup, jensen_gap_bound and secant_bound
@@ -67,7 +70,16 @@ from qfdiv.generators import (  # noqa: E402
     psi_sup,
     secant_bound,
 )
-from qfdiv.harness import run_all_checks, sample_pair  # noqa: E402
+from qfdiv.harness import (  # noqa: E402
+    check_derivative_gap,
+    check_nonneg,
+    check_thm2,
+    check_thm3,
+    check_thm4,
+    check_thm5,
+    run_all_checks,
+    sample_pair,
+)
 from qfdiv.hermitian import matrix_to_json  # noqa: E402
 
 FUZZ_CONFIGS = (
@@ -316,6 +328,26 @@ def scalar_digest(generators) -> str:
     return h.hexdigest()
 
 
+CHECKS = (check_nonneg, check_derivative_gap, check_thm2, check_thm3, check_thm4, check_thm5)
+
+
+def checks_digest(cases, generators) -> str:
+    """sha256 over the report of each check_* function on each pair and
+    generator, with S_f computed and with sf=-1.0; an error is digested as
+    its type and message."""
+    h = hashlib.sha256()
+    for _, q, p in cases:
+        for f in generators:
+            for check in CHECKS:
+                for sf in (None, -1.0):
+                    try:
+                        doc = report_to_json(check(q, p, f, sf=sf))
+                    except (ValueError, ArithmeticError) as exc:
+                        doc = {"error": type(exc).__name__, "message": str(exc)}
+                    h.update(json.dumps([check.__name__, sf, doc]).encode())
+    return h.hexdigest()
+
+
 def api_digest() -> str:
     """sha256 over the sorted (name, __module__, __qualname__ or type name)
     of the objects that qfdiv.__all__ names."""
@@ -392,6 +424,9 @@ def main_() -> None:
         what = f"run_all_checks pairs={len(cases)} generators={len(generators)} tol={tol:g}"
         print(h.hexdigest(), what)
         print(status.hexdigest(), "status", what)
+
+    print(checks_digest(cases[:HAND_MADE], generators), "checks",
+          f"pairs={HAND_MADE} generators={len(generators)} sf=computed,-1")
 
     generators += [conjugate(f) for f in generators]
     print(scalar_digest(generators), "scalar", f"generators={len(generators)} windows={len(SCALAR_WINDOWS)}")
