@@ -18,7 +18,8 @@ states and spectra stay stacks up to the tally.  The chains are data
 column of the block times a factor: a column or a base term of the
 generators.  A generator set's term plan, worked out once per process,
 lays out every link that exists (a closed form on its family's
-generators alone).  A block computes each base term over all generators
+generators alone, where their metadata is closed-form) and holds each
+link's report labels.  A block computes each base term over all generators
 at once (their values at the ratios as one array) and each column once,
 forms every link's terms with one gather and judges them in one
 vectorized pass, as (pairs, entries) arrays; fuzz tallies them with
@@ -31,7 +32,7 @@ counter-based streams: trial k always uses the stream keyed by (seed,
 k), so a run's output is a function of its configuration (not of the
 block size) and any violation can be replayed bit-for-bit from its
 (seed, trial) pair.  One Philox serves a run, re-keyed for each trial to
-the state a Philox built with that key starts in.
+the state a Philox built with that key starts in, set from plain ints.
 """
 
 from __future__ import annotations
@@ -427,14 +428,16 @@ _CLOSED_FLAGS = {key: form.flags for key, form in _CLOSED_FORMS.items() if form.
 # A generator set's _Plan: its chains in report order and their checks (sorted);
 # the columns and base terms its terms read, laid out as a block's factor table
 # (pairs, columns + bases * generators), the block conditions its chains read,
-# and the columns whose Tsallis coefficient is read.  Per (generator, chain)
-# instance, in that order: its chain, generator, check (index in checks),
-# whether the chain has a note, presence column (0: every pair, 1: none, 2 + i:
-# conds[i]), link count and first entry.  Per entry (generator, chain, link), in
-# that order: its instance and left term.  Per term: its coefficient's and
-# factor's columns in the table, and whether it is guarded.
-_Plan = collections.namedtuple("_Plan", "checks chains columns bases conds tsallis chain gen check noted cond "
-                               "links starts owner left coef factor guard")
+# and the columns whose Tsallis coefficient is read.  Per generator column: its
+# closed-form family (None: none).  Per (generator, chain) instance, in that
+# order: its chain, generator, check (index in checks), whether the chain has a
+# note, presence column (0: every pair, 1: none, 2 + i: conds[i]), link count and
+# first entry.  Per entry (generator, chain, link), in that order: its instance,
+# left term and report labels (generator column, check, "left<=right").  Per
+# term: its coefficient's and factor's columns in the table, and whether it is
+# guarded.
+_Plan = collections.namedtuple("_Plan", "checks chains columns bases conds tsallis family chain gen check noted "
+                               "cond links starts owner left labels coef factor guard")
 # A block judged: its plan and _Terms, per pair and instance whether it is present
 # and its status (skipped where not), per pair and entry the verdict code, slack
 # and slack bucket, and the (pairs, terms) values.
@@ -443,17 +446,18 @@ _Judged = collections.namedtuple("_Judged", "plan e present status codes slack b
 
 @functools.lru_cache(maxsize=64)
 def _plan(shape: tuple, checks: tuple) -> _Plan:
-    """The _Plan of `checks` on the generators whose (name, smooth) pairs,
+    """The _Plan of `checks` on the generators whose (family, smooth) pairs,
     all it reads, are `shape`: worked out once per process for a generator
     set.  Each check's chains are followed by the closed forms of its
-    generators' families."""
-    names = {name for name, _ in shape}
+    generators' families; a generator's family is its name, or None where
+    its metadata is approx (a closed form holds for its family's f alone)."""
+    families = {family for family, _ in shape}
     return _layout(shape, [ch for check in checks for ch in (*_CHECKS[check], *(
-        form for (of, family), form in _CLOSED_FORMS.items() if of == check and family in names))])
+        form for (of, family), form in _CLOSED_FORMS.items() if of == check and family in families))])
 
 
 def _layout(shape: tuple, chains: list) -> _Plan:
-    """The _Plan of `chains` on the generators whose (name, smooth) pairs are
+    """The _Plan of `chains` on the generators whose (family, smooth) pairs are
     `shape`: a generic chain on every column, a closed form on its family's.
     Each chain's part is worked out once, then gathered onto its columns."""
     ng, checks = len(shape), sorted({ch.check for ch in chains})
@@ -481,6 +485,7 @@ def _layout(shape: tuple, chains: list) -> _Plan:
     check, cond, noted, smooth, lengths = per_chain[chain].T
     links = (lengths - 1).tolist()
     owner = np.repeat(np.arange(len(inst)), links)
+    link_labels = [[f"{a}<={b}" for a, b in zip(ch.labels, ch.labels[1:])] for ch in chains]
     # Each instance's terms, one after another: their rows of per_term (from
     # its chain's first, one per term) and their generator column.
     first, starts = np.cumsum(per_chain[:, 4]) - per_chain[:, 4], np.cumsum(lengths) - lengths
@@ -488,21 +493,20 @@ def _layout(shape: tuple, chains: list) -> _Plan:
     (coef, factor, moves, guard), cols = per_term[:, rows], np.repeat(gen, lengths)
     return _Plan(
         checks=checks, chains=chains, columns=columns, bases=bases, conds=conds,
-        tsallis=sorted(set(cols[factor == slot.get("tsallis", -1)].tolist())), chain=chain.tolist(),
-        gen=gen.tolist(), check=check, noted=noted == 1,
-        cond=np.where(smooth > np.array([smooth for _, smooth in shape])[gen], 1, cond),
+        tsallis=sorted(set(cols[factor == slot.get("tsallis", -1)].tolist())),
+        family=[family for family, _ in shape], chain=chain.tolist(), gen=gen.tolist(), check=check,
+        noted=noted == 1, cond=np.where(smooth > np.array([smooth for _, smooth in shape])[gen], 1, cond),
         links=links, starts=list(itertools.accumulate(links, initial=0))[:-1],
         # An instance's terms are its links' left terms and then one right term.
         owner=owner, left=np.arange(len(owner)) + owner,
+        labels=[(g, chains[j].check, link) for g, j in inst for link in link_labels[j]],
         coef=coef, factor=factor + cols * moves, guard=guard == 1)
 
 
 def _link(p: _Plan, entry: int, generators) -> dict:
     """Entry `entry` of plan p: its check, generator spec and link "left<=right"."""
-    i = p.owner[entry]
-    labels, k = p.chains[p.chain[i]].labels, entry - p.starts[i]
-    return {"check": p.chains[p.chain[i]].check, "generator": generators[p.gen[i]].spec,
-            "link": f"{labels[k]}<={labels[k + 1]}"}
+    g, check, link = p.labels[entry]
+    return {"check": check, "generator": generators[g].spec, "link": link}
 
 
 def _judge(b: _Block, generators, tol: float, checks: tuple = tuple(_CHECKS), sf: float = None) -> _Judged:
@@ -512,7 +516,7 @@ def _judge(b: _Block, generators, tol: float, checks: tuple = tuple(_CHECKS), sf
     gather, then _link_eval; None without generators."""
     if not generators:
         return None
-    p = _plan(tuple((f.name, f.smooth) for f in generators), checks)
+    p = _plan(tuple((None if f.approx else f.name, f.smooth) for f in generators), checks)
     e = _terms(b, generators, p.tsallis)
     if sf is not None:
         e = e._replace(sf=np.full(e.sf.shape, float(sf)))
@@ -566,7 +570,7 @@ def _reports(judged: _Judged, row: int, b: _Block, generators) -> list:
         ch, values = p.chains[j], terms[at + i:at + i + n + 1]
         if present[i]:
             # A closed form's flag rules go to its check's chain on the family's columns.
-            rules = () if ch.sub else ch.flags + _CLOSED_FLAGS.get((ch.check, generators[g].name), ())
+            rules = () if ch.sub else ch.flags + _CLOSED_FLAGS.get((ch.check, p.family[g]), ())
             with np.errstate(all="ignore"):
                 flags = [name for name, rule in rules if rule(b, judged.e, row, g)]
             fields = dict(
@@ -835,12 +839,11 @@ def _rekey(rng: np.random.Generator, seed: int, trial: int) -> np.random.Generat
     """rng, whose bit generator is a Philox, set to the state _trial_rng(seed,
     trial) starts in: counter 0, key (seed mod 2**64, trial), an empty
     buffer.  Setting a state is several times cheaper than building a
-    Generator."""
+    Generator, and cheaper from plain ints than from the uint64 arrays the
+    constructor needs (it mis-casts a plain key word above 2**63)."""
     rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": _philox_key(seed, trial)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": _philox_key(seed, trial).tolist()},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return rng
 
@@ -945,12 +948,13 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
         numbers = range(first, min(first + FUZZ_BLOCK, config.trials))
         sym, dec = densities(_states(config.sampler, config.dim, config.floor,
                                      (_rekey(rng, config.seed, trial) for trial in numbers), 2))
-        fields, errors = joint_spectra(dec[0::2], dec[1::2], config.eps)
+        stacks = sym[0::2], dec[0::2], sym[1::2], dec[1::2]
+        fields, errors = joint_spectra(stacks[1], stacks[3], config.eps)
         skipped_trials.extend({"trial": t, "reason": str(exc)} for t, exc in zip(numbers, errors) if exc)
-        kept = np.flatnonzero([exc is None for exc in errors])
-        if kept.size:
-            tally.add([numbers[k] for k in kept.tolist()], _Block(
-                sym[0::2][kept], dec[0::2][kept], sym[1::2][kept], dec[1::2][kept],
-                {name: x[kept] for name, x in fields.items()}, config.eps))
+        kept = [k for k, exc in enumerate(errors) if exc is None]
+        if len(kept) < len(numbers):  # the kept rows only where a trial was skipped
+            stacks, fields = [x[kept] for x in stacks], {name: x[kept] for name, x in fields.items()}
+        if kept:
+            tally.add([numbers[k] for k in kept], _Block(*stacks, fields, config.eps))
     return FuzzResult(config=config, violations=tuple(tally.violations),
                       summary=tally.summary(skipped_trials))

@@ -881,7 +881,7 @@ class TestRekey:
     """fuzz draws every trial from one Philox re-keyed to (seed, trial); each
     re-keyed state must be the one a Philox built with that key starts in."""
 
-    @pytest.mark.parametrize("seed", [0, 19, 2**64 - 1, 2**64 + 7, -1, -(2**70) - 3])
+    @pytest.mark.parametrize("seed", [0, 19, 2**63, 2**64 - 1, 2**64 + 7, -1, -(2**70) - 3])
     def test_rekeyed_state_and_draws_are_a_fresh_philox(self, seed):
         from qfdiv.harness import _rekey, _trial_rng
 
@@ -900,6 +900,25 @@ class TestRekey:
                 assert np.array_equal(rng.dirichlet(np.ones(d)), ref.dirichlet(np.ones(d)))
             rng.random()  # an odd number of 64-bit draws leaves buffer_pos != 4
             rng.integers(2**32, dtype=np.uint32)
+
+    def test_seeds_from_2_63_keep_their_streams(self):
+        # From 2**63 a key word no longer fits an int64: the state setter takes
+        # it as plain ints, and the constructors must still get uint64 arrays
+        # (a plain list is mis-cast there, with a RuntimeWarning).  The draws
+        # and slacks below are frozen from the streams of uint64-array keys.
+        from qfdiv.harness import _trial_rng
+        from qfdiv.quantum import sandwich_check
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for (seed, t), raw in {(2**63, 0): [17362331033885484258, 9600455299303337028],
+                                   (2**63, 7): [8678392443289258050, 17736777605186398321],
+                                   (2**64 - 1, 2): [8616273357809074041, 11965345385270336486]}.items():
+                assert _trial_rng(seed, t).bit_generator.random_raw(2).tolist() == raw
+            for seed, slacks in {2**63: (0.39998881930503655, 1.0587602679204478),
+                                 2**64 - 1: (0.5124169460610608, 0.6612067120260761)}.items():
+                terms = dict(sandwich_check(EXAMPLE_B_Q, EXAMPLE_B_P, trials=5, seed=seed).terms)
+                assert (terms["worst-lower-slack"], terms["worst-upper-slack"]) == pytest.approx(slacks, rel=1e-9)
 
     @pytest.mark.parametrize("kind", ["ginibre", "commuting", "mixture"])
     def test_block_from_one_rekeyed_stream_matches_fresh_streams(self, kind):
@@ -1057,6 +1076,23 @@ class TestBlocksStayStacked:
         joint_spectrum(EXAMPLE_B_Q, EXAMPLE_B_P)
         assert built == {"DensityMatrix": 2 * len(failing) + 2, "JointSpectrum": 1}
 
+    def test_block_without_skipped_trials_is_not_copied(self, monkeypatch):
+        # _Block gets the stacks densities made, as views, unless a trial of
+        # its block was skipped; then it gets the kept rows.
+        made, blocks = [], []
+        real_densities, real_block = harness.densities, harness._Block
+        monkeypatch.setattr(harness, "densities", lambda stack: made.append(real_densities(stack)) or made[-1])
+        monkeypatch.setattr(harness, "_Block", lambda *args: blocks.append(args) or real_block(*args))
+        result = fuzz(FuzzConfig(dim=3, trials=37, seed=2, eps=0.01))
+        skipped = {entry["trial"] for entry in result.summary["skipped_trials"]}
+        assert skipped == {3, 5, 13, 23, 29} and len(made) == len(blocks) == 3
+        for first, (sym, dec), (q, qdec, p, pdec, *_) in zip(range(0, 37, 16), made, blocks, strict=True):
+            uncopied = not skipped & set(range(first, first + 16))
+            assert uncopied == (first == 32)
+            for x, y in ((q, sym), (p, sym), (qdec.eigenvalues, dec.eigenvalues),
+                         (pdec.eigenvectors, dec.eigenvectors)):
+                assert np.shares_memory(x, y) == uncopied
+
 
 class TestOneEvaluationPerBlock:
     """Each generator is evaluated once per fuzz block: one f.fn call on the
@@ -1149,6 +1185,28 @@ class TestOneEvaluationPerBlock:
         assert rep.status == "vacuous-pass"
         summary = fuzz(FuzzConfig(dim=4, trials=5, generators=(f,))).summary
         assert summary["violations"] == 0 and summary["checks"]["thm4"]["fail"] == 0
+
+
+class TestClosedFormsNeedClosedFormMetadata:
+    """A closed form, and its flag rules, hold for its family's own function:
+    a generator that only bears a family's name, built from a bare callable
+    (approx), is judged on the generic chains alone."""
+
+    @pytest.mark.parametrize("f", [
+        # No q parameter: certify once raised a bare KeyError: 'q'.
+        from_callable("tsallis", lambda t: (1.0 - t**0.5) / 0.5),
+        # Judged against chi2's closed forms, thm2 to thm5 once failed.
+        from_callable("chi2", lambda t: (t - 1.0) ** 4),
+    ], ids=["tsallis-without-q", "chi2-quartic"])
+    def test_named_callable_gets_no_closed_form(self, f):
+        closed = {form.check for form in _CLOSED_FORMS.values()}
+        for q, p in ((EXAMPLE_A_Q, EXAMPLE_A_P), (EXAMPLE_B_Q, EXAMPLE_B_P)):
+            [(_, reports)] = certify(q, p, [f])
+            for top in reports:
+                assert top.status != "fail" and not {sub.check for sub in top.subchains} & closed, top
+                assert "sharper-than-secant-polynomial" not in top.flags
+        summary = fuzz(FuzzConfig(dim=3, trials=17, seed=1, generators=(f,))).summary
+        assert summary["violations"] == 0 and not set(summary["checks"]) & closed
 
 
 class TestReportOnlyWork:

@@ -25,10 +25,12 @@ conjugates (f, f'_+ and f'_- at 6 points, 0 among them, f as an array
 of the 5 positive ones, and psi_sup, jensen_gap_bound and secant_bound
 on 8 windows, 2 of them with r = 0); one line marked `api` over the
 sorted (name, module, qualified or type name) of each object that
-`qfdiv.__all__` names; and last, two fuzz
+`qfdiv.__all__` names; and last, three fuzz
 configurations rerun in the same process, marked `warm`: the first (the
-default catalog) and the `--seed 20` one (explicit tsallis and kl specs,
-parsed afresh after earlier runs filled the per-process caches).  The digests
+default catalog), the `--seed 20` one (explicit tsallis and kl specs,
+parsed afresh after earlier runs filled the per-process caches) and the
+`--seed 13 --eps-invert 0.01` one (blocks that hold skipped trials, so
+fuzz takes their kept rows with those caches filled).  The digests
 depend on the numpy/LAPACK/BLAS build, so they compare two commits on
 one machine; they are not a test.
 
@@ -143,8 +145,10 @@ FUZZ_CONFIGS = (
     ("fuzz", "--sampler", "mixture", "--dim", "64", "--trials", "17", "--seed", "22"),
 )
 
-# The explicit-spec configuration rerun last, marked `warm`.
-WARM_SPECS_CONFIG = next(argv for argv in FUZZ_CONFIGS if argv[5:7] == ("--seed", "20"))
+# The configurations rerun last, marked `warm`: the first, the explicit-spec
+# one, and one whose blocks hold skipped trials.
+WARM_CONFIGS = (FUZZ_CONFIGS[0], next(argv for argv in FUZZ_CONFIGS if argv[5:7] == ("--seed", "20")),
+                next(argv for argv in FUZZ_CONFIGS if argv[5:] == ("--seed", "13", "--eps-invert", "0.01")))
 
 # The configurations also run with `--out`: one that passes, one with violations.
 FUZZ_OUT_CONFIGS = (
@@ -433,9 +437,9 @@ def main_() -> None:
 
     print(api_digest(), "api", f"names={len(qfdiv.__all__)}")
 
-    # Two fuzz configurations again, after every other run has warmed the
+    # Three fuzz configurations again, after every other run has warmed the
     # per-process caches: each digest must equal its first line's.
-    for argv in (FUZZ_CONFIGS[0], WARM_SPECS_CONFIG):
+    for argv in WARM_CONFIGS:
         code, out, err = run_main(argv)
         print(digest(f"exit={code}\n{out}stderr:\n{err}"), "warm", " ".join(argv))
 
