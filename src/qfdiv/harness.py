@@ -13,19 +13,18 @@ one pipeline, run on a block of pairs: one pair for certify, up to
 FUZZ_BLOCK trials for fuzz.  For fuzz the block starts at the draw:
 only the random numbers are drawn trial by trial; the states are
 formed, checked and diagonalized (one eigh call) as one stack, and
-states and spectra stay stacks up to the tally.  The chains are data
-(per check, and closed forms keyed by check and family), each term a
-column of the block times a factor: a column or a base term of the
-generators.  A generator set's term plan, worked out once per process,
-lays out every link that exists (a closed form on its family's
-generators alone, where their metadata is closed-form) and holds each
-link's report labels.  A block computes each base term over all generators
-at once (their values at the ratios as one array) and each column once,
-forms every link's terms with one gather and judges them in one
-vectorized pass, as (pairs, entries) arrays; fuzz tallies them with
-bincount, and reports (their flags, and a pair's DensityMatrix objects)
-are built only where read: by certify, run_all_checks and check_*, and
-for a failed fuzz trial.
+states and spectra stay stacks up to the tally.  The chains are data,
+declared once in one table (_CHECKS: per check its chain, then its
+subchains, closed forms among them), each term a column of the block
+times a factor: a column or a base term of the generators.  A generator
+set's term plan, laid out once per process, holds every link that exists
+(a closed form on its family's generators alone, where their metadata is
+closed-form) and each link's report labels.  A block computes each base
+term over all generators at once and each column once, forms every
+link's terms with one gather and judges them in one vectorized pass, as
+(pairs, entries) arrays; fuzz tallies them with bincount, and reports
+(their flags, and a pair's DensityMatrix objects) are built only where
+read: by certify, run_all_checks and check_*, and for a failed fuzz trial.
 
 fuzz draws its random density pairs from seeded,
 counter-based streams: trial k always uses the stream keyed by (seed,
@@ -152,9 +151,9 @@ class _Chain(NamedTuple):
     column is a number, a (B, 1) _Block attribute or a formula of r and R.
     The chain exists where the _Block attribute cond holds (every pair
     without one), and if smooth on smooth generators only; elsewhere its
-    check is skipped for the reason note (none: not reported).  flags
-    holds (name, rule(block, _Terms, row, generator column)); a closed
-    form's go to its check's chain."""
+    check is skipped for the reason note (none: not reported).  A closed
+    form names its generator family, and holds for its f alone.  flags holds
+    (name, rule(block, _Terms, row, generator column)[, family])."""
 
     check: str
     labels: tuple
@@ -164,6 +163,7 @@ class _Chain(NamedTuple):
     smooth: bool = False
     flags: tuple = ()
     sub: bool = False
+    family: str = None
 
 
 # Verdicts and statuses by code.  A chain's status is the worst verdict
@@ -296,8 +296,8 @@ neg_log_range_coeff = _coefficient(
 # the chains, as data
 #
 # Each check lists its chain (with the reason it is skipped on the pairs its
-# hypotheses exclude), then its subchains; a block also evaluates the check's
-# closed forms (_CLOSED_FORMS) of the generators' families, each after them.
+# hypotheses exclude), then its subchains: the generic ones, then its closed
+# forms, each on the generators of its family.
 
 
 _DEGENERATE = "degenerate window: r = R"
@@ -335,28 +335,6 @@ def _swap_equal(b, e, row, g):
         np.abs(gap - swapped) <= 1e-8 * np.maximum(1.0, np.abs(swapped)))
 
 
-_CHECKS = {
-    "nonneg": (_Chain("nonneg", ("zero", "value"), ((0.0, 1.0), _SF)),),
-    "derivative-gap": (_Chain(
-        "derivative-gap", ("value", "slope-weighted-gap"), (_SF, (1.0, "slope_gap")), smooth=True,
-        note="generator has a derivative kink; chain needs a continuous derivative"),),
-    "thm2": (_Chain("thm2", ("value", "half-gap-variation", "half-gap-chi", "quarter-window-gap"),
-                    _thm2_terms("half_gap"), "window", _DEGENERATE),),
-    "thm3": (_Chain("thm3", ("value", "secant"), (_SF, (1.0, "secant")), "window", _DEGENERATE,
-                    flags=(("tight:ratios-at-endpoints", lambda b, e, row, g: b.tight[row, 0]),)),),
-    "thm4": (
-        _Chain("thm4", ("value", "window-psi-at-one", "window-psi-sup", "window-derivative-gap",
-                        "quarter-range-derivative-gap"),
-               (_SF, ("k", "psi1"), ("k", "sup"), ("k", "gap"), ("quarter", "gap")), "strict", _NOT_STRICT,
-               flags=(("matches-secant", _matches_secant),)),
-        _Chain("thm4:alternate", ("value", "window-psi-at-one", "quarter-range-psi-at-one",
-                                  "quarter-range-psi-sup", "quarter-range-derivative-gap"),
-               (_SF, ("k", "psi1"), ("quarter", "psi1"), ("quarter", "sup"), ("quarter", "gap")), "strict",
-               sub=True)),
-    "thm5": (_Chain("thm5", ("value", "midpoint-gap-bound"), (_SF, (1.0, "jensen")), "strict", _NOT_STRICT),),
-}
-
-
 def _kl_log_mix(r, R):
     """The secant value of t ln t on [r, R]."""
     return ((R - 1.0) * np.where(r > 0.0, r * np.log(r), 0.0) + (1.0 - r) * R * np.log(R)) / (R - r)
@@ -371,55 +349,64 @@ def _product_ratio(r, R):
     return np.where(r > 0.0, (R - 1.0) * (1.0 - r) / (R * r), INF)
 
 
-# The closed-form specializations, by (check, generator family): subchains of the
-# check's chain on the family's columns, read where that chain is (the swap oracle
-# only where Q is invertible), whose flag rules go to the check's chain.  A formula
-# of r and R is one (B, 1) column per block, however many terms read it.
-_CLOSED_FORMS = {
-    ("derivative-gap", "neg-log"): _Chain(
-        "derivative-gap:swap", ("zero", "value", "chi-square-swapped"), ((0.0, 1.0), _SF, (1.0, "chi_swapped")),
-        "q_invertible", flags=(
-            ("swap-oracle-unavailable:singular-q", lambda b, e, row, g: ~b.q_invertible[row, 0]),
-            ("oracle:slope-gap-equals-swapped-chi-square", _swap_equal))),
-    ("thm2", "chi2"): _Chain(
-        "thm2:chi2", ("value", "half-window-variation", "half-window-chi", "quarter-window-sq"),
-        _thm2_terms(_half_range, lambda r, R: 0.25 * (R - r) ** 2)),
-    ("thm2", "kl-quantum"): _Chain(
-        "thm2:kl-quantum", ("value", "half-log-variation", "half-log-chi", "quarter-window-log"),
-        _thm2_terms(lambda r, R: np.where(r > 0.0, 0.5 * np.log(R / r), INF))),
-    ("thm2", "neg-log"): _Chain(
-        "thm2:neg-log", ("value", "half-ratio-variation", "half-ratio-chi", "quarter-window-ratio"),
-        _thm2_terms(lambda r, R: np.where(r > 0.0, (R - r) / (2.0 * r * R), INF), neg_log_range_coeff.formula)),
-    ("thm2", "tsallis"): _Chain(
-        "thm2:tsallis", ("value", "half-power-variation", "half-power-chi", "quarter-window-power"),
-        _thm2_terms("tsallis")),
-    ("thm3", "chi2"): _Chain("thm3:chi2", ("value", "window-polynomial"), _window(chi_square_secant_coeff.formula)),
-    ("thm3", "kl-quantum"): _Chain("thm3:kl-quantum", ("value", "window-log-mix"), _window(_kl_log_mix)),
-    ("thm3", "neg-log"): _Chain("thm3:neg-log", ("value", "window-log-mix"), _window(_neg_log_log_mix)),
-    ("thm4", "chi2"): _Chain("thm4:chi2", ("value", "window-product"), _window(chi_square_chord_coeff.formula), flags=(
-        ("sharper-than-secant-polynomial", lambda b, e, row, g: (
-            chi_square_chord_coeff.formula(b.r, b.R) < chi_square_secant_coeff.formula(b.r, b.R))[row, 0]),)),
-    ("thm4", "inv-minus-one"): _Chain(
-        "thm4:inv-minus-one", ("value", "window-product-ratio"), _window(_product_ratio)),
-    ("thm4", "neg-log"): _Chain("thm4:neg-log", ("value", "window-log-mix", "window-product-ratio"),
-                                _window(_neg_log_log_mix, _product_ratio)),
-    ("thm4", "kl-quantum"): _Chain(
-        "thm4:kl-quantum", ("value", "window-log-mix", "window-product-log"),
-        _window(_kl_log_mix, lambda r, R: np.where(r > 0.0, (R - 1.0) * (1.0 - r) * np.log(R / r) / (R - r), INF))),
-    ("thm5", "chi2"): _Chain("thm5:chi2", ("value", "half-range-sq"), _window(lambda r, R: 0.5 * (R - r) ** 2)),
-    ("thm5", "inv-minus-one"): _Chain(
-        "thm5:inv-minus-one", ("value", "range-sq-ratio"),
-        _window(lambda r, R: np.where(r > 0.0, (R - r) ** 2 / (r * R * (r + R)), INF))),
-    ("thm5", "neg-log"): _Chain("thm5:neg-log", ("value", "log-midpoint-gap", "quarter-range-ratio"),
-                                _window(neg_log_jensen_coeff.formula, neg_log_range_coeff.formula)),
+# A formula of r and R is one (B, 1) column per block, however many terms read it.
+_CHECKS = {
+    "nonneg": (_Chain("nonneg", ("zero", "value"), ((0.0, 1.0), _SF)),),
+    "derivative-gap": (
+        _Chain("derivative-gap", ("value", "slope-weighted-gap"), (_SF, (1.0, "slope_gap")), smooth=True,
+               note="generator has a derivative kink; chain needs a continuous derivative", flags=(
+                   ("swap-oracle-unavailable:singular-q", lambda b, e, row, g: ~b.q_invertible[row, 0], "neg-log"),
+                   ("oracle:slope-gap-equals-swapped-chi-square", _swap_equal, "neg-log"))),
+        _Chain("derivative-gap:swap", ("zero", "value", "chi-square-swapped"),
+               ((0.0, 1.0), _SF, (1.0, "chi_swapped")), "q_invertible", family="neg-log")),
+    "thm2": (
+        _Chain("thm2", ("value", "half-gap-variation", "half-gap-chi", "quarter-window-gap"),
+               _thm2_terms("half_gap"), "window", _DEGENERATE),
+        _Chain("thm2:chi2", ("value", "half-window-variation", "half-window-chi", "quarter-window-sq"),
+               _thm2_terms(_half_range, lambda r, R: 0.25 * (R - r) ** 2), family="chi2"),
+        _Chain("thm2:kl-quantum", ("value", "half-log-variation", "half-log-chi", "quarter-window-log"),
+               _thm2_terms(lambda r, R: np.where(r > 0.0, 0.5 * np.log(R / r), INF)), family="kl-quantum"),
+        _Chain("thm2:neg-log", ("value", "half-ratio-variation", "half-ratio-chi", "quarter-window-ratio"),
+               _thm2_terms(lambda r, R: np.where(r > 0.0, (R - r) / (2.0 * r * R), INF),
+                           neg_log_range_coeff.formula), family="neg-log"),
+        _Chain("thm2:tsallis", ("value", "half-power-variation", "half-power-chi", "quarter-window-power"),
+               _thm2_terms("tsallis"), family="tsallis")),
+    "thm3": (
+        _Chain("thm3", ("value", "secant"), (_SF, (1.0, "secant")), "window", _DEGENERATE,
+               flags=(("tight:ratios-at-endpoints", lambda b, e, row, g: b.tight[row, 0]),)),
+        _Chain("thm3:chi2", ("value", "window-polynomial"), _window(chi_square_secant_coeff.formula), family="chi2"),
+        _Chain("thm3:kl-quantum", ("value", "window-log-mix"), _window(_kl_log_mix), family="kl-quantum"),
+        _Chain("thm3:neg-log", ("value", "window-log-mix"), _window(_neg_log_log_mix), family="neg-log")),
+    "thm4": (
+        _Chain("thm4", ("value", "window-psi-at-one", "window-psi-sup", "window-derivative-gap",
+                        "quarter-range-derivative-gap"),
+               (_SF, ("k", "psi1"), ("k", "sup"), ("k", "gap"), ("quarter", "gap")), "strict", _NOT_STRICT, flags=(
+                   ("matches-secant", _matches_secant),
+                   ("sharper-than-secant-polynomial", lambda b, e, row, g: (
+                       chi_square_chord_coeff.formula(b.r, b.R) < chi_square_secant_coeff.formula(b.r, b.R))[row, 0],
+                    "chi2"))),
+        _Chain("thm4:alternate", ("value", "window-psi-at-one", "quarter-range-psi-at-one",
+                                  "quarter-range-psi-sup", "quarter-range-derivative-gap"),
+               (_SF, ("k", "psi1"), ("quarter", "psi1"), ("quarter", "sup"), ("quarter", "gap"))),
+        _Chain("thm4:chi2", ("value", "window-product"), _window(chi_square_chord_coeff.formula), family="chi2"),
+        _Chain("thm4:inv-minus-one", ("value", "window-product-ratio"), _window(_product_ratio),
+               family="inv-minus-one"),
+        _Chain("thm4:neg-log", ("value", "window-log-mix", "window-product-ratio"),
+               _window(_neg_log_log_mix, _product_ratio), family="neg-log"),
+        _Chain("thm4:kl-quantum", ("value", "window-log-mix", "window-product-log"), _window(_kl_log_mix, lambda r, R:
+            np.where(r > 0.0, (R - 1.0) * (1.0 - r) * np.log(R / r) / (R - r), INF)), family="kl-quantum")),
+    "thm5": (
+        _Chain("thm5", ("value", "midpoint-gap-bound"), (_SF, (1.0, "jensen")), "strict", _NOT_STRICT),
+        _Chain("thm5:chi2", ("value", "half-range-sq"), _window(lambda r, R: 0.5 * (R - r) ** 2), family="chi2"),
+        _Chain("thm5:inv-minus-one", ("value", "range-sq-ratio"), _window(
+            lambda r, R: np.where(r > 0.0, (R - r) ** 2 / (r * R * (r + R)), INF)), family="inv-minus-one"),
+        _Chain("thm5:neg-log", ("value", "log-midpoint-gap", "quarter-range-ratio"),
+               _window(neg_log_jensen_coeff.formula, neg_log_range_coeff.formula), family="neg-log")),
 }
-# A closed form is a subchain, on the pairs and generators where its check's chain is
-# (short of its own condition), and on its family's generator columns alone.
-_CLOSED_FORMS = {(check, family): form._replace(cond=form.cond or _CHECKS[check][0].cond,
-                                                smooth=_CHECKS[check][0].smooth, sub=True)
-                 for (check, family), form in _CLOSED_FORMS.items()}
-_FAMILY = {form.check: family for (_, family), form in _CLOSED_FORMS.items()}
-_CLOSED_FLAGS = {key: form.flags for key, form in _CLOSED_FORMS.items() if form.flags}
+# A subchain is on the pairs and generators where its check's chain is (short of
+# its own condition).
+_CHECKS = {check: (top, *(ch._replace(cond=ch.cond or top.cond, smooth=top.smooth, sub=True) for ch in subs))
+           for check, (top, *subs) in _CHECKS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +416,12 @@ _CLOSED_FLAGS = {key: form.flags for key, form in _CLOSED_FORMS.items() if form.
 # the columns and base terms its terms read, laid out as a block's factor table
 # (pairs, columns + bases * generators), the block conditions its chains read,
 # and the columns whose Tsallis coefficient is read.  Per generator column: its
-# closed-form family (None: none).  Per (generator, chain) instance, in that
-# order: its chain, generator, check (index in checks), whether the chain has a
-# note, presence column (0: every pair, 1: none, 2 + i: conds[i]), link count and
-# first entry.  Per entry (generator, chain, link), in that order: its instance,
-# left term and report labels (generator column, check, "left<=right").  Per
-# term: its coefficient's and factor's columns in the table, and whether it is
-# guarded.
+# closed-form family (None: none).  Per (generator, chain) instance: its chain,
+# generator, check (index in checks), whether the chain has a note, presence
+# column (0: every pair, 1: none, 2 + i: conds[i]), link count and first entry.
+# Per entry (generator, chain, link): its instance, left term and report labels
+# (generator column, check, "left<=right").  Per term: its coefficient's and
+# factor's columns in the table, and whether it is guarded.
 _Plan = collections.namedtuple("_Plan", "checks chains columns bases conds tsallis family chain gen check noted "
                                "cond links starts owner left labels coef factor guard")
 # A block judged: its plan and _Terms, per pair and instance whether it is present
@@ -447,66 +433,48 @@ _Judged = collections.namedtuple("_Judged", "plan e present status codes slack b
 @functools.lru_cache(maxsize=64)
 def _plan(shape: tuple, checks: tuple) -> _Plan:
     """The _Plan of `checks` on the generators whose (family, smooth) pairs,
-    all it reads, are `shape`: worked out once per process for a generator
-    set.  Each check's chains are followed by the closed forms of its
-    generators' families; a generator's family is its name, or None where
-    its metadata is approx (a closed form holds for its family's f alone)."""
+    all it reads, are `shape`, once per process for a generator set.  A
+    generator's family is its name, or None where its metadata is approx."""
     families = {family for family, _ in shape}
-    return _layout(shape, [ch for check in checks for ch in (*_CHECKS[check], *(
-        form for (of, family), form in _CLOSED_FORMS.items() if of == check and family in families))])
+    return _layout(shape, [ch for check in checks for ch in _CHECKS[check] if ch.family in (None, *families)])
 
 
 def _layout(shape: tuple, chains: list) -> _Plan:
     """The _Plan of `chains` on the generators whose (family, smooth) pairs are
-    `shape`: a generic chain on every column, a closed form on its family's.
-    Each chain's part is worked out once, then gathered onto its columns."""
+    `shape`: a generic chain on every column, a closed form on its family's;
+    each (generator, chain, link, term) appended in report order."""
     ng, checks = len(shape), sorted({ch.check for ch in chains})
     conds = list(dict.fromkeys(ch.cond for ch in chains if ch.cond))
-    # Per chain: check, presence column, whether it has a note and needs a
-    # smooth generator, and term count.
-    per_chain = np.array([(checks.index(ch.check), conds.index(ch.cond) + 2 if ch.cond else 0, bool(ch.note),
-                           ch.smooth, len(ch.terms)) for ch in chains], dtype=np.intp)
-    # Per chain term: coefficient column, factor column (a base term's on
-    # generator column 0), whether the factor is a base term, and guard.
-    terms = [term for ch in chains for term in ch.terms]
-    coefs, factors = [term[0] for term in terms], [term[1] for term in terms]
-    keys = dict.fromkeys(coefs + factors)
+    # The table's columns (coefficients' keys first), then a block of ng
+    # generator columns per base term.
+    keys = dict.fromkeys(term[i] for i in (0, 1) for ch in chains for term in ch.terms)
     columns = [key for key in keys if key not in _TERM_NAMES]
     bases = [key for key in keys if key in _TERM_NAMES]
     slot = {**{key: c for c, key in enumerate(columns)},
             **{key: len(columns) + i * ng for i, key in enumerate(bases)}}
-    per_term = np.array([list(map(slot.__getitem__, coefs)), list(map(slot.__getitem__, factors)),
-                         list(map(_TERM_NAMES.__contains__, factors)), [len(term) > 2 for term in terms]],
-                        dtype=np.intp)
-    families = [_FAMILY.get(ch.check) for ch in chains]
-    inst = [(g, j) for g, (name, _) in enumerate(shape) for j, family in enumerate(families)
-            if family is None or family == name]
-    gen, chain = (np.array(x, dtype=np.intp) for x in zip(*inst))
-    check, cond, noted, smooth, lengths = per_chain[chain].T
-    links = (lengths - 1).tolist()
-    owner = np.repeat(np.arange(len(inst)), links)
-    link_labels = [[f"{a}<={b}" for a, b in zip(ch.labels, ch.labels[1:])] for ch in chains]
-    # Each instance's terms, one after another: their rows of per_term (from
-    # its chain's first, one per term) and their generator column.
-    first, starts = np.cumsum(per_chain[:, 4]) - per_chain[:, 4], np.cumsum(lengths) - lengths
-    rows = np.arange(lengths.sum()) + np.repeat(first[chain] - starts, lengths)
-    (coef, factor, moves, guard), cols = per_term[:, rows], np.repeat(gen, lengths)
+    inst, entries, cells, tsallis = [], [], [], set()
+    for g, (family, smooth) in enumerate(shape):
+        for j, ch in enumerate(chains):
+            if ch.family not in (None, family):
+                continue
+            present = 1 if ch.smooth > smooth else conds.index(ch.cond) + 2 if ch.cond else 0
+            inst.append((j, g, checks.index(ch.check), bool(ch.note), present, len(ch.terms) - 1, len(entries)))
+            # An instance's terms are its links' left terms and then one right term.
+            entries += [(len(inst) - 1, len(cells) + k, (g, ch.check, f"{a}<={b}"))
+                        for k, (a, b) in enumerate(zip(ch.labels, ch.labels[1:]))]
+            for coef, factor, *guard in ch.terms:
+                cells.append((slot[coef], slot[factor] + g * (factor in _TERM_NAMES), bool(guard)))
+                if factor == "tsallis":
+                    tsallis.add(g)
+    chain, gen, check, noted, cond, links, starts = map(list, zip(*inst))
+    owner, left, labels = map(list, zip(*entries))
+    coef, factor, guard = zip(*cells)
     return _Plan(
-        checks=checks, chains=chains, columns=columns, bases=bases, conds=conds,
-        tsallis=sorted(set(cols[factor == slot.get("tsallis", -1)].tolist())),
-        family=[family for family, _ in shape], chain=chain.tolist(), gen=gen.tolist(), check=check,
-        noted=noted == 1, cond=np.where(smooth > np.array([smooth for _, smooth in shape])[gen], 1, cond),
-        links=links, starts=list(itertools.accumulate(links, initial=0))[:-1],
-        # An instance's terms are its links' left terms and then one right term.
-        owner=owner, left=np.arange(len(owner)) + owner,
-        labels=[(g, chains[j].check, link) for g, j in inst for link in link_labels[j]],
-        coef=coef, factor=factor + cols * moves, guard=guard == 1)
-
-
-def _link(p: _Plan, entry: int, generators) -> dict:
-    """Entry `entry` of plan p: its check, generator spec and link "left<=right"."""
-    g, check, link = p.labels[entry]
-    return {"check": check, "generator": generators[g].spec, "link": link}
+        checks=checks, chains=chains, columns=columns, bases=bases, conds=conds, tsallis=sorted(tsallis),
+        family=[family for family, _ in shape], chain=chain, gen=gen, check=np.array(check, dtype=np.intp),
+        noted=np.array(noted), cond=np.array(cond, dtype=np.intp), links=links, starts=starts,
+        owner=np.array(owner, dtype=np.intp), left=np.array(left, dtype=np.intp), labels=labels,
+        coef=np.array(coef, dtype=np.intp), factor=np.array(factor, dtype=np.intp), guard=np.array(guard))
 
 
 def _judge(b: _Block, generators, tol: float, checks: tuple = tuple(_CHECKS), sf: float = None) -> _Judged:
@@ -519,7 +487,7 @@ def _judge(b: _Block, generators, tol: float, checks: tuple = tuple(_CHECKS), sf
     p = _plan(tuple((None if f.approx else f.name, f.smooth) for f in generators), checks)
     e = _terms(b, generators, p.tsallis)
     if sf is not None:
-        e = e._replace(sf=np.full(e.sf.shape, float(sf)))
+        e = e._replace(sf=np.full(e.sf.shape, _real(sf, "sf")))
     n, nc = len(b.r), len(p.columns)
     table = np.empty((n, nc + len(p.bases) * len(generators)))
     bases = table[:, nc:].reshape(n, len(p.bases), len(generators))
@@ -569,10 +537,9 @@ def _reports(judged: _Judged, row: int, b: _Block, generators) -> list:
     for i, (g, j, n, at) in enumerate(zip(p.gen, p.chain, p.links, p.starts)):
         ch, values = p.chains[j], terms[at + i:at + i + n + 1]
         if present[i]:
-            # A closed form's flag rules go to its check's chain on the family's columns.
-            rules = () if ch.sub else ch.flags + _CLOSED_FLAGS.get((ch.check, p.family[g]), ())
             with np.errstate(all="ignore"):
-                flags = [name for name, rule in rules if rule(b, judged.e, row, g)]
+                flags = [name for name, rule, *family in ch.flags
+                         if family in ([], [p.family[g]]) and rule(b, judged.e, row, g)]
             fields = dict(
                 chain=tuple(zip(ch.labels, values)), slacks=tuple(slack[at:at + n]),
                 link_verdicts=tuple(_VERDICTS[v] for v in codes[at:at + n]), status=_STATUSES[status[i]],
@@ -598,15 +565,23 @@ def _reports(judged: _Judged, row: int, b: _Block, generators) -> list:
 # individual chains
 
 
+def _generators(generators) -> tuple:
+    """generators as a tuple; an InputFormatError unless each is a Generator."""
+    generators = tuple(generators)
+    if bad := [f for f in generators if not isinstance(f, Generator)]:
+        raise InputFormatError(f"generators must hold Generator instances, got {bad[0]!r}")
+    return generators
+
+
 def _public(check: str, doc: str):
     """The public check function of `check`: its chains (and closed forms)
     alone, on one pair."""
 
     def fn(q, p, f: Generator, js: JointSpectrum = None, tol: float = DEFAULT_TOL,
            eps: float = DEFAULT_INVERTIBILITY_EPS, sf: float = None) -> BoundChainReport:
-        tol = _positive(tol, "tolerance")
+        tol, generators = _positive(tol, "tolerance"), _generators((f,))
         b = _pair(q, p, js, eps)
-        return _reports(_judge(b, (f,), tol, (check,), sf), 0, b, (f,))[0][0]
+        return _reports(_judge(b, generators, tol, (check,), sf), 0, b, generators)[0][0]
 
     fn.__name__ = fn.__qualname__ = "check_" + check.replace("-", "_")
     fn.__doc__ = doc
@@ -648,8 +623,8 @@ def certify(q, p, generators, js: JointSpectrum = None, tol: float = DEFAULT_TOL
     """All six chains for each generator on one pair, sharing the pair's
     invariants and judged in one pass.  Returns, per generator, its S_f
     (a DivergenceValue) and its six reports."""
-    tol = _positive(tol, "tolerance")
-    b, generators = _pair(q, p, js, eps), tuple(generators)
+    tol, generators = _positive(tol, "tolerance"), _generators(generators)
+    b = _pair(q, p, js, eps)
     if not generators:
         return []
     judged = _judge(b, generators, tol)
@@ -771,9 +746,7 @@ class FuzzConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        generators = default_catalog().generators if self.generators is None else tuple(self.generators)
-        if bad := [f for f in generators if not isinstance(f, Generator)]:
-            raise InputFormatError(f"generators must hold Generator instances, got {bad[0]!r}")
+        generators = _generators(default_catalog().generators if self.generators is None else self.generators)
         # dim checked, and the floor checked, or its default 1e-6 / dim once dim is.
         _, dim, floor = _check_sampler_args(self.sampler, self.dim, self.floor)
         for name, value in (("generators", generators), ("dim", dim), ("floor", floor),
@@ -887,8 +860,9 @@ class _Tally:
         if lowest:
             at = np.concatenate(([np.argmin(np.where(finite, slack, INF))], at))
         rows, links = np.unravel_index(at, slack.shape)
-        entries = [{"trial": trials[row], **_link(t, k, gens), "slack": value}
-                   for row, k, value in zip(rows.tolist(), links.tolist(), slack.ravel()[at].tolist())]
+        entries = [{"trial": trials[row], "check": check, "generator": gens[g].spec, "link": link, "slack": value}
+                   for row, (g, check, link), value in zip(rows.tolist(), [t.labels[k] for k in links.tolist()],
+                                                           slack.ravel()[at].tolist())]
         if lowest:
             low = entries.pop(0)
             if self.min_slack is None or low["slack"] < self.min_slack["slack"]:

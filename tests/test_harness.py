@@ -45,7 +45,7 @@ from qfdiv.harness import (
     sample_density,
     sample_pair,
 )
-from qfdiv.harness import _CHECKS, _CLOSED_FORMS, _FAMILY, _Block, _judge, _link, _pair, _plan, _states, _terms
+from qfdiv.harness import _CHECKS, _Block, _judge, _pair, _plan, _states, _terms
 from qfdiv.generators import default_catalog
 from qfdiv.hermitian import MAX_DIM, matrix_from_json
 from qfdiv.quantum import _member, as_density, chi_square, densities, joint_spectra, joint_spectrum, variational_q
@@ -58,6 +58,8 @@ EXAMPLE_B_Q = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
 EXAMPLE_B_P = np.diag([0.7, 0.3]).astype(complex)
 
 QUARTER_LOG3 = 0.25 * math.log(3.0)
+# The closed forms' checks, each a subchain on its family's generators alone.
+CLOSED_FORMS = {ch.check for chains in _CHECKS.values() for ch in chains if ch.family}
 
 
 def rng_for(seed):
@@ -753,14 +755,15 @@ class TestFuzzConfig:
             FuzzConfig(tol=tol)
 
     @staticmethod
-    def entry_points(tol) -> list:
-        """Each public call that judges chains, on one pair at tolerance tol."""
-        f = parse_generator_spec("chi2")
-        return [lambda: run_all_checks(EXAMPLE_B_Q, EXAMPLE_B_P, f, tol=tol),
-                lambda: certify(EXAMPLE_B_Q, EXAMPLE_B_P, (f,), tol=tol),
-                *(lambda check=check: check(EXAMPLE_B_Q, EXAMPLE_B_P, f, tol=tol) for check in (
-                    check_nonneg, check_derivative_gap, check_thm2, check_thm3, check_thm4,
-                    check_thm5))]
+    def entry_points(tol=1e-9, f=None, sf=None) -> list:
+        """Each public call that judges chains, on one pair at tolerance tol
+        for generator f (chi2 by default); with sf given, the check_* calls
+        alone, which take it."""
+        f = parse_generator_spec("chi2") if f is None else f
+        checks = [lambda check=check: check(EXAMPLE_B_Q, EXAMPLE_B_P, f, tol=tol, sf=sf) for check in (
+            check_nonneg, check_derivative_gap, check_thm2, check_thm3, check_thm4, check_thm5)]
+        return checks if sf is not None else [lambda: run_all_checks(EXAMPLE_B_Q, EXAMPLE_B_P, f, tol=tol),
+                                               lambda: certify(EXAMPLE_B_Q, EXAMPLE_B_P, (f,), tol=tol), *checks]
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, INF, math.nan])
     def test_every_entry_point_checks_tol(self, tol):
@@ -772,6 +775,22 @@ class TestFuzzConfig:
     def test_every_entry_point_refuses_a_tol_that_is_not_a_number(self, tol):
         for call in self.entry_points(tol):
             with pytest.raises(InputFormatError, match="tolerance must be a real number"):
+                call()
+
+    @pytest.mark.parametrize("f", ["chi2", 1.0])
+    def test_every_entry_point_refuses_a_generator_that_is_not_one(self, f):
+        # certify(q, p, ["chi2"]) once raised a bare AttributeError.
+        assert len(self.entry_points(f=f)) == 8
+        for call in self.entry_points(f=f):
+            with pytest.raises(InputFormatError, match="generators must hold Generator instances"):
+                call()
+
+    @pytest.mark.parametrize("sf", ["x", True])
+    def test_every_check_refuses_an_sf_that_is_not_a_number(self, sf):
+        # sf="x" once raised a bare ValueError, and sf=True was judged as S_f = 1.0.
+        assert len(self.entry_points(sf=sf)) == 6
+        for call in self.entry_points(sf=sf):
+            with pytest.raises(InputFormatError, match="sf must be a real number"):
                 call()
 
     def test_whole_numbers_stored_as_ints(self):
@@ -1139,15 +1158,15 @@ class TestOneEvaluationPerBlock:
 
         gens = tuple(default_catalog())
         p = _plan(tuple((f.name, f.smooth) for f in gens), tuple(_CHECKS))
-        nc, closed = len(p.columns), {form.check for form in _CLOSED_FORMS.values()}
+        nc = len(p.columns)
         # The base terms (pairs, generators) each closed form reads; its other
         # factors are (pairs, 1) columns.
         read = {}
         for i, (j, n, at) in enumerate(zip(p.chain, p.links, p.starts)):
-            if p.chains[j].check in closed:
+            if p.chains[j].check in CLOSED_FORMS:
                 factors = p.factor[at + i:at + i + n + 1]
                 read[p.chains[j].check] = {p.bases[(x - nc) // len(gens)] for x in factors.tolist() if x >= nc}
-        assert set(read) == closed
+        assert set(read) == CLOSED_FORMS
         # tsallis's coefficient depends on its q: a base term, on its column alone.
         assert read.pop("thm2:tsallis") == {"sf", "tsallis"} and p.tsallis == [g for g, f in enumerate(gens) if f.name == "tsallis"]
         assert set().union(*read.values()) == {"sf"}
@@ -1166,12 +1185,11 @@ class TestOneEvaluationPerBlock:
         # the closed forms each on its family's one column.
         assert judged.codes.shape == judged.slack.shape == (3, 207) and len(t.owner) == 207
         want = [(g, j, k) for g, f in enumerate(gens) for j, ch in enumerate(chains)
-                if _FAMILY.get(ch.check, f.name) == f.name for k in range(len(ch.labels) - 1)]
+                if ch.family in (None, f.name) for k in range(len(ch.labels) - 1)]
         got = [(t.gen[i], t.chain[i], e - t.starts[i]) for e, i in enumerate(t.owner.tolist())]
         assert got == want  # by generator, then chain, then link
-        assert [_link(t, e, gens) for e in range(len(want))] == [
-            {"check": chains[j].check, "generator": gens[g].spec,
-             "link": f"{chains[j].labels[k]}<={chains[j].labels[k + 1]}"} for g, j, k in want]
+        assert t.labels == [(g, chains[j].check, f"{chains[j].labels[k]}<={chains[j].labels[k + 1]}")
+                            for g, j, k in want]
         # Each chain is present on some pair of the block.
         for j, ch in enumerate(chains):
             assert judged.present[:, [i for i, c in enumerate(t.chain) if c == j]].any(), ch.check
@@ -1199,14 +1217,13 @@ class TestClosedFormsNeedClosedFormMetadata:
         from_callable("chi2", lambda t: (t - 1.0) ** 4),
     ], ids=["tsallis-without-q", "chi2-quartic"])
     def test_named_callable_gets_no_closed_form(self, f):
-        closed = {form.check for form in _CLOSED_FORMS.values()}
         for q, p in ((EXAMPLE_A_Q, EXAMPLE_A_P), (EXAMPLE_B_Q, EXAMPLE_B_P)):
             [(_, reports)] = certify(q, p, [f])
             for top in reports:
-                assert top.status != "fail" and not {sub.check for sub in top.subchains} & closed, top
+                assert top.status != "fail" and not {sub.check for sub in top.subchains} & CLOSED_FORMS, top
                 assert "sharper-than-secant-polynomial" not in top.flags
         summary = fuzz(FuzzConfig(dim=3, trials=17, seed=1, generators=(f,))).summary
-        assert summary["violations"] == 0 and not set(summary["checks"]) & closed
+        assert summary["violations"] == 0 and not set(summary["checks"]) & CLOSED_FORMS
 
 
 class TestReportOnlyWork:
@@ -1233,15 +1250,14 @@ class TestReportOnlyWork:
             raise AssertionError("report-only work ran")
 
         def raising(chains):
-            return tuple(ch._replace(flags=tuple((name, boom) for name, _ in ch.flags)) for ch in chains)
+            return tuple(ch._replace(flags=tuple((name, boom, *family) for name, _, *family in ch.flags))
+                         for ch in chains)
 
         argv = ("fuzz", "--dim", "4", "--trials", "20", "--seed", "5", "--floor", "1e-3")
         want = self.fuzz_stdout(argv)
         try:
             with monkeypatch.context() as m:
                 m.setattr(harness, "_CHECKS", {check: raising(chains) for check, chains in _CHECKS.items()})
-                m.setattr(harness, "_CLOSED_FLAGS", {key: tuple((name, boom) for name, _ in flags)
-                                                      for key, flags in harness._CLOSED_FLAGS.items()})
                 m.setattr(_Block, "tight", property(boom))
                 harness._plan.cache_clear()
                 assert self.fuzz_stdout(argv) == want
@@ -1398,10 +1414,16 @@ class TestFuzzMatchesReports:
         # 198 links are near-tight; the first block lists 80, so the cap of 100
         # listed entries is reached in the second.
         dict(dim=3, trials=40, seed=19, generators=(tv(),)),
+        # One plan over every kind of column: the catalog, a second tsallis
+        # column, a kinked generator, a family without closed forms (the
+        # conjugate) and a chi2 whose metadata is approx.
+        dict(dim=3, trials=17, seed=23, generators=(
+            *default_catalog(), parse_generator_spec("tsallis:q=0.2"), parse_generator_spec("chi-alpha:alpha=1"),
+            conjugate(parse_generator_spec("neg-log")), from_callable("chi2", lambda t: (t - 1.0) ** 4))),
     ], ids=["ginibre", "commuting", "mixture", "floor0", "floor0-commuting",
             "tol-ginibre", "tol-commuting", "skipped", "blocks-skipped", "blocks-tol",
             "blocks-skipped-tol",
-            "near-tight-cap"])
+            "near-tight-cap", "mixed-generators"])
     def test_summary_and_violations(self, cfg):
         config = FuzzConfig(**cfg)
         result = fuzz(config)

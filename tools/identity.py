@@ -23,7 +23,11 @@ overridden by `sf=-1.0`; one line marked
 `scalar` over the scalar calls of those 23 generators and their 23
 conjugates (f, f'_+ and f'_- at 6 points, 0 among them, f as an array
 of the 5 positive ones, and psi_sup, jensen_gap_bound and secant_bound
-on 8 windows, 2 of them with r = 0); one line marked `api` over the
+on 8 windows, 2 of them with r = 0); one line marked `plan` over the
+library `certify` reports and S_f values on the hand-made pairs, with
+those 46 generators passed as one set (one term plan over generators of
+every family, conjugates whose family has no closed form among them);
+one line marked `api` over the
 sorted (name, module, qualified or type name) of each object that
 `qfdiv.__all__` names; and last, three fuzz
 configurations rerun in the same process, marked `warm`: the first (the
@@ -79,10 +83,11 @@ from qfdiv.harness import (  # noqa: E402
     check_thm3,
     check_thm4,
     check_thm5,
+    certify,
     run_all_checks,
     sample_pair,
 )
-from qfdiv.hermitian import matrix_to_json  # noqa: E402
+from qfdiv.hermitian import _json_num, matrix_to_json  # noqa: E402
 
 FUZZ_CONFIGS = (
     *(("fuzz", "--sampler", kind, "--dim", str(d), "--trials", "20", "--seed", "11")
@@ -352,6 +357,21 @@ def checks_digest(cases, generators) -> str:
     return h.hexdigest()
 
 
+def plan_digest(cases, generators) -> str:
+    """sha256 over library certify on each pair with every generator passed
+    as one set, so one term plan serves them all: each generator's S_f, its
+    flags and its reports; an error is digested as its type and message."""
+    h = hashlib.sha256()
+    for _, q, p in cases:
+        try:
+            doc = [[value.generator, _json_num(value.value), list(value.flags),
+                    [report_to_json(rep) for rep in reports]] for value, reports in certify(q, p, generators)]
+        except (ValueError, ArithmeticError) as exc:
+            doc = {"error": type(exc).__name__, "message": str(exc)}
+        h.update(json.dumps(doc).encode())
+    return h.hexdigest()
+
+
 def api_digest() -> str:
     """sha256 over the sorted (name, __module__, __qualname__ or type name)
     of the objects that qfdiv.__all__ names."""
@@ -434,6 +454,7 @@ def main_() -> None:
 
     generators += [conjugate(f) for f in generators]
     print(scalar_digest(generators), "scalar", f"generators={len(generators)} windows={len(SCALAR_WINDOWS)}")
+    print(plan_digest(cases[:HAND_MADE], generators), "plan", f"pairs={HAND_MADE} generators={len(generators)}")
 
     print(api_digest(), "api", f"names={len(qfdiv.__all__)}")
 
