@@ -671,22 +671,21 @@ def _window_ends(generators, r, R, out, ratios=np.empty(0)) -> np.ndarray:
     2g + 1 of one array; out, (6, windows, generators), takes f(r), f(R),
     f((r + R)/2), f'_+(r), f'_-(R) and Psi(1) (+inf where 1 is not interior
     or f(r) or f(R) is infinite)."""
-    m, n = ratios.size, r.size
+    m, n, ng = ratios.size, r.size, len(generators)
     points = np.concatenate([ratios, r, R, 0.5 * (r + R)])
-    at = np.empty((len(generators), 2, m + 3 * n))
-    _at([f.fn for f in generators], points, [f.value_at_zero for f in generators], _NEGATIVE, at[:, 0])
-    _at([f.deriv_right_fn for f in generators], points[:m + 2 * n], [f.deriv_at_zero for f in generators],
-        _NEGATIVE, at[:, 1, :m + 2 * n])
+    # f and f'_+ of every generator in one call (f'_+ at the midpoints unread).
+    at = _at([fn for f in generators for fn in (f.fn, f.deriv_right_fn)], points,
+             [v for f in generators for v in (f.value_at_zero, f.deriv_at_zero)], _NEGATIVE).reshape(ng, 2, m + 3 * n)
     if kinked := [g for g, f in enumerate(generators) if f.deriv_left_fn is not f.deriv_right_fn]:
         at[kinked, 1, m + n:m + 2 * n] = _at([generators[g].deriv_left_fn for g in kinked], R, None, _NEGATIVE)
-    out[:3] = at[:, 0, m:].reshape(-1, 3, n).transpose(1, 2, 0)
-    out[3:5] = at[:, 1, m:m + 2 * n].reshape(-1, 2, n).transpose(1, 2, 0)
+    out[:3] = at[:, 0, m:].reshape(ng, 3, n).transpose(1, 2, 0)
+    out[3:5] = at[:, 1, m:m + 2 * n].reshape(ng, 2, n).transpose(1, 2, 0)
     r, R, f1 = r[:, np.newaxis], R[:, np.newaxis], np.array([f.value_at_one for f in generators])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         at[:, 1, :m] *= ratios - 1.0
         out[5] = np.where((r < 1.0) & (1.0 < R) & ~np.isinf(out[0]) & ~np.isinf(out[1]),
                           psi_value(1.0, r, R, f1, out[0], out[1]), INF)
-    return at[:, :, :m].reshape(2 * len(generators), m)
+    return at[:, :, :m].reshape(2 * ng, m)
 
 
 def psi_sups(generators, r, R, ends=None) -> np.ndarray:
@@ -732,7 +731,7 @@ def psi_sups(generators, r, R, ends=None) -> np.ndarray:
         # Psi(1), and the constant gap a (R - r) of a quadratic f, which Psi(1)
         # and the limits can round below or above.
         best = np.maximum(a * (R2 - r2), np.where((r2 < 1.0) & (1.0 < R2), at_one, -INF))
-        gen, win = np.nonzero((finite & np.array([f.psi_peak is None for f in generators])).T)
+        gen, win = np.nonzero((finite & np.array([f.psi_peak is None for f in generators], dtype=bool)).T)
         if gen.size:
             best[win, gen] = np.maximum(best[win, gen], _grid_sups(
                 generators, gen, r[win], R[win], fr[win, gen], fR[win, gen]))

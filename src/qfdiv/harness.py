@@ -10,21 +10,23 @@ reported as skipped.
 
 certify (and run_all_checks and the check_* functions) and fuzz share
 one pipeline, run on a block of pairs: one pair for certify, up to
-FUZZ_BLOCK trials for fuzz.  For fuzz the block starts at the draw:
-only the random numbers are drawn trial by trial; the states are
-formed, checked and diagonalized (one eigh call) as one stack, and
-states and spectra stay stacks up to the tally.  The chains are data,
-declared once in one table (_CHECKS: per check its chain, then its
-subchains, closed forms among them), each term a column of the block
-times a factor: a column or a base term of the generators.  A generator
-set's term plan, laid out once per process, holds every link that exists
-(a closed form on its family's generators alone, where their metadata is
-closed-form) and each link's report labels.  A block computes each base
-term over all generators at once and each column once, forms every
-link's terms with one gather and judges them in one vectorized pass, as
-(pairs, entries) arrays; fuzz tallies them with bincount, and reports
-(their flags, and a pair's DensityMatrix objects) are built only where
-read: by certify, run_all_checks and check_*, and for a failed fuzz trial.
+FUZZ_BLOCK trials for fuzz.  For fuzz the block starts at the draw: only
+the random numbers are drawn trial by trial; the states are formed,
+checked and diagonalized (one eigh call) as one stack, and states and
+spectra stay stacks up to the tally.  One chi_squares call gives
+chi-square(Q, P) (thm2) and, where the plan reads it (neg-log's oracle),
+chi-square(P, Q).  The chains are data, declared once in one table
+(_CHECKS: per check its chain, then its subchains, closed forms among
+them), each term a column of the block times a factor: a column or a
+base term of the generators.  A generator set's term plan, laid out once
+per process, holds every link that exists (a closed form on its family's
+generators alone, where their metadata is closed-form) and each link's
+report labels.  A block computes each base term over all generators at
+once and each column once, forms every link's terms with one gather and
+judges them in one vectorized pass, as (pairs, entries) arrays; fuzz
+tallies them with bincount, and reports (their flags, and a pair's
+DensityMatrix objects) are built only where read: by certify,
+run_all_checks and check_*, and for a failed fuzz trial.
 
 fuzz draws its random density pairs from seeded,
 counter-based streams: trial k always uses the stream keyed by (seed,
@@ -57,7 +59,8 @@ from .generators import (
     psi_sups,
     secant_value,
 )
-from .hermitian import MAX_DIM, _json_num, _philox_key, _positive, _real, _whole, matrix_to_json
+from .hermitian import (
+    MAX_DIM, EigenDecomposition, _json_num, _philox_key, _philox_words, _positive, _real, _whole, matrix_to_json)
 from .quantum import (
     DEFAULT_INVERTIBILITY_EPS,
     SUM_FLAGS,
@@ -177,12 +180,11 @@ _BUCKET_EDGES = np.array([0.0, 1e-9, 1e-6, 1e-3, 1.0])
 class _Block:
     """The invariants of a block of B (Q, P) pairs, one (B, 1) column each:
     window [r, R], V, K, chi; and the stacks they come from: states q, p and
-    their decompositions from densities, joint_spectra's fields.  chi,
-    which thm2 reads on every block, is computed with the block; the
-    swapped chi-square, which only neg-log's oracle reads, and thm3's
-    tightness, which only reports read, once read.  The chi-squares raise
-    the first error (which only a spectrum not built from its own pair can
-    have).  The spectra share one threshold, eps."""
+    their decompositions from densities, joint_spectra's fields.  chi, which
+    thm2 reads, is set when the block is judged (chi_pass), in one stacked
+    chi_squares call with the swapped chi-square where the plan reads that
+    too (neg-log's oracle); thm3's tightness, which only reports read, once
+    read.  The spectra share one threshold, eps."""
 
     def __init__(self, q, qdec, p, pdec, fields: dict, eps: float):
         self.q, self.qdec, self.p, self.pdec, self.eps = q, qdec, p, pdec, eps
@@ -193,18 +195,24 @@ class _Block:
         with np.errstate(divide="ignore", invalid="ignore"):
             k = (R - 1.0) * (1.0 - r) / (R - r)
         q_invertible = qdec.eigenvalues[:, 0] >= eps
-        chi = np.sqrt(np.maximum(chi_squares(q, pdec, eps), 0.0))
-        self.r, self.R, self.v, self.chi, self.window, self.strict, self.k, self.quarter, self.q_invertible = (
-            np.array(x)[:, np.newaxis] for x in (
-                r, R, v, chi, R - r > DEGENERATE_WINDOW_TOL, strict, k, 0.25 * (R - r), q_invertible))
+        self.r, self.R, self.v, self.window, self.strict, self.k, self.quarter, self.q_invertible = (
+            x[:, np.newaxis] for x in (r, R, v, R - r > DEGENERATE_WINDOW_TOL, strict, k, 0.25 * (R - r), q_invertible))
 
-    @functools.cached_property
-    def chi_swapped(self) -> np.ndarray:
-        """chi-square(P, Q) for each pair whose Q is invertible at eps."""
-        out, rows = np.full((len(self.q), 1), math.nan), np.flatnonzero(self.q_invertible)
-        if rows.size:
-            out[rows, 0] = chi_squares(self.p[rows], self.qdec[rows], self.eps)
-        return out
+    def chi_pass(self, swapped: bool) -> None:
+        """chi from chi-square(Q, P) and, if swapped, chi_swapped: chi-square(P,
+        Q) where Q is invertible at eps, else NaN; in one chi_squares call, which
+        raises the first error (only a spectrum not built from its pair has one)."""
+        q, dec, n = self.q, self.pdec, len(self.q)
+        if swapped:
+            rows = _rows(self.q_invertible[:, 0])
+            q = np.concatenate([q, self.p[rows]])
+            dec = EigenDecomposition(np.concatenate([dec.eigenvalues, self.qdec.eigenvalues[rows]]),
+                                     np.concatenate([dec.eigenvectors, self.qdec.eigenvectors[rows]]))
+        values = chi_squares(q, dec, self.eps)
+        self.chi = np.sqrt(np.maximum(values[:n], 0.0))[:, np.newaxis]
+        if swapped:
+            self.chi_swapped = np.full((n, 1), math.nan)
+            self.chi_swapped[rows, 0] = values[n:]
 
     @functools.cached_property
     def tight(self) -> np.ndarray:
@@ -212,6 +220,11 @@ class _Block:
         occupied, r3, R3 = self.wt > WEIGHT_FLOOR, self.r[:, :, np.newaxis], self.R[:, :, np.newaxis]
         at_ends = (np.abs(self.ratio - r3) <= 1e-12 * np.maximum(1.0, r3)) | (np.abs(self.ratio - R3) <= 1e-12 * R3)
         return (occupied.any(axis=(1, 2)) & (at_ends | ~occupied).all(axis=(1, 2)))[:, np.newaxis]
+
+
+def _rows(mask: np.ndarray):
+    """The rows where mask holds: a slice, so a view, where it holds on every row."""
+    return slice(None) if mask.all() else np.flatnonzero(mask)
 
 
 def _pair(q, p, js: JointSpectrum, eps: float) -> _Block:
@@ -242,7 +255,7 @@ def _terms(b: _Block, generators, tsallis=()) -> _Terms:
     (value -f'(0+) at t = 0) over the block's stacked spectra; then sup Psi
     in one psi_sups pass.  The Tsallis coefficient is computed on the
     columns `tsallis` alone."""
-    strict, r, R = b.strict[:, 0], b.r[:, 0], b.R[:, 0]
+    strict, r, R = _rows(b.strict[:, 0]), b.r[:, 0], b.R[:, 0]
     fr, fR, fmid, dr, dR, psi1 = ends = np.empty((6, len(r), len(generators)))
     ratios, step = b.ratio.reshape(-1), max(1, quantum.STACK_POINTS // b.ratio.size)
     sums, codes = (np.concatenate(x) for x in zip(*(
@@ -419,11 +432,12 @@ _CHECKS = {check: (top, *(ch._replace(cond=ch.cond or top.cond, smooth=top.smoot
 # closed-form family (None: none).  Per (generator, chain) instance: its chain,
 # generator, check (index in checks), whether the chain has a note, presence
 # column (0: every pair, 1: none, 2 + i: conds[i]), link count and first entry.
-# Per entry (generator, chain, link): its instance, left term and report labels
-# (generator column, check, "left<=right").  Per term: its coefficient's and
-# factor's columns in the table, and whether it is guarded.
+# Per entry (generator, chain, link): its instance, left and right terms and report
+# labels (generator column, check, "left<=right").  Per term: its coefficient's and
+# factor's columns in the table, and whether it is guarded.  Whether the swapped
+# chi-square is read; the tally's first bins, per instance and per entry.
 _Plan = collections.namedtuple("_Plan", "checks chains columns bases conds tsallis family chain gen check noted "
-                               "cond links starts owner left labels coef factor guard")
+                               "cond links starts owner left right labels coef factor guard swapped bins")
 # A block judged: its plan and _Terms, per pair and instance whether it is present
 # and its status (skipped where not), per pair and entry the verdict code, slack
 # and slack bucket, and the (pairs, terms) values.
@@ -469,22 +483,26 @@ def _layout(shape: tuple, chains: list) -> _Plan:
     chain, gen, check, noted, cond, links, starts = map(list, zip(*inst))
     owner, left, labels = map(list, zip(*entries))
     coef, factor, guard = zip(*cells)
+    check, owner, left = (np.array(x, dtype=np.intp) for x in (check, owner, left))
     return _Plan(
         checks=checks, chains=chains, columns=columns, bases=bases, conds=conds, tsallis=sorted(tsallis),
-        family=[family for family, _ in shape], chain=chain, gen=gen, check=np.array(check, dtype=np.intp),
-        noted=np.array(noted), cond=np.array(cond, dtype=np.intp), links=links, starts=starts,
-        owner=np.array(owner, dtype=np.intp), left=np.array(left, dtype=np.intp), labels=labels,
-        coef=np.array(coef, dtype=np.intp), factor=np.array(factor, dtype=np.intp), guard=np.array(guard))
+        family=[family for family, _ in shape], chain=chain, gen=gen, check=check, noted=np.array(noted),
+        cond=np.array(cond, dtype=np.intp), links=links, starts=starts, owner=owner, left=left, right=left + 1,
+        labels=labels, coef=np.array(coef, dtype=np.intp), factor=np.array(factor, dtype=np.intp),
+        guard=np.array(guard), swapped="chi_swapped" in columns,
+        bins=(check * len(_STATUSES), check[owner] * len(_SLACK_BUCKETS)))
 
 
 def _judge(b: _Block, generators, tol: float, checks: tuple = tuple(_CHECKS), sf: float = None) -> _Judged:
-    """The chains of `checks` on block b for the generators, judged: each
-    base term (_terms, with S_f replaced by sf when given) and column once
-    into the block's factor table, every link's terms from it with one
-    gather, then _link_eval; None without generators."""
+    """The chains of `checks` on block b for the generators, judged: the
+    chi-squares the plan reads (b.chi_pass), each base term (_terms, with
+    S_f replaced by sf when given) and column once into the block's factor
+    table, every link's terms from it with one gather, then _link_eval;
+    None without generators."""
     if not generators:
         return None
     p = _plan(tuple((None if f.approx else f.name, f.smooth) for f in generators), checks)
+    b.chi_pass(p.swapped)
     e = _terms(b, generators, p.tsallis)
     if sf is not None:
         e = e._replace(sf=np.full(e.sf.shape, _real(sf, "sf")))
@@ -511,7 +529,7 @@ def _link_eval(p: _Plan, e: _Terms, terms, present, tol: float) -> _Judged:
     per pair and entry the verdict code, slack and slack bucket.  An
     infinite right side makes a link vacuous; an infinite left side under a
     finite one fails."""
-    left, right = terms[:, p.left], terms[:, p.left + 1]
+    left, right = terms[:, p.left], terms[:, p.right]
     vacuous = np.isinf(right)
     endless = np.isinf(left) & ~vacuous
     with np.errstate(invalid="ignore"):
@@ -815,7 +833,7 @@ def _rekey(rng: np.random.Generator, seed: int, trial: int) -> np.random.Generat
     Generator, and cheaper from plain ints than from the uint64 arrays the
     constructor needs (it mis-casts a plain key word above 2**63)."""
     rng.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": _philox_key(seed, trial).tolist()},
+        "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": _philox_words(seed, trial)},
         "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return rng
@@ -844,10 +862,8 @@ class _Tally:
         linked = judged.present[:, t.owner]  # (B, entries)
         # Outside its rows a chain with a note counts as its check skipped.
         counted = judged.present | t.noted
-        for counts, ids, code, on in zip(self.counts, (t.check, t.check[t.owner]), (judged.status, judged.buckets),
-                                         (counted, linked)):
-            counts += np.bincount((ids * counts.shape[1] + code)[on],
-                                  minlength=counts.size).reshape(counts.shape)
+        for counts, bins, code, on in zip(self.counts, t.bins, (judged.status, judged.buckets), (counted, linked)):
+            counts += np.bincount((bins + code)[on], minlength=counts.size).reshape(counts.shape)
 
         # The least finite slack's entry, then the near-tight entries still
         # to list, decoded from their flat (B, entries) indices together.
@@ -869,7 +885,7 @@ class _Tally:
                 self.min_slack = {key: low[key] for key in ("slack", "check", "generator", "trial", "link")}
         self.near_tight.extend(entries)
 
-        for row in np.flatnonzero((linked & (judged.codes == 2)).any(axis=1)).tolist():
+        for row in np.flatnonzero((judged.status == _STATUSES.index("fail")).any(axis=1)).tolist():
             qd, pd = _member(b.q, b.qdec, row), _member(b.p, b.pdec, row)
             for top in itertools.chain.from_iterable(_reports(judged, row, b, gens)):
                 self.violations.extend(collect_violations(top, config.seed, trials[row], qd, pd))

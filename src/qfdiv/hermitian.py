@@ -100,9 +100,14 @@ def _whole(value, what: str, least: int = None) -> int:
     raise InputFormatError(f"{what} must be a whole number, got {value!r}")
 
 
+def _philox_words(seed: int, k: int) -> tuple:
+    """Philox's key (seed mod 2**64, k) as plain ints; for a seed below 2**64, k = 0 keys Philox(key=seed)'s stream."""
+    return seed % 2**64, k
+
+
 def _philox_key(seed: int, k: int) -> np.ndarray:
-    """Philox's key (seed mod 2**64, k); for a seed below 2**64, k = 0 keys Philox(key=seed)'s stream."""
-    return np.array([seed % 2**64, k], dtype=np.uint64)
+    """_philox_words as the uint64 array Philox's constructor needs (it mis-casts a plain word above 2**63)."""
+    return np.array(_philox_words(seed, k), dtype=np.uint64)
 
 
 def hermitian_stack(a, tol: float = HERMITICITY_TOL) -> tuple:

@@ -277,12 +277,11 @@ def joint_spectra(q_dec, p_dec, eps: float = DEFAULT_INVERTIBILITY_EPS) -> tuple
         # Unit traces force r <= 1 <= R; only last-ulp rounding can break it.
         r = np.minimum(lam[:, -1] / mu[:, 0], 1.0)
         R = np.maximum(lam[:, 0] / mu[:, -1], 1.0)
-    errors = [_singular(low, eps) for low in p_dec.eigenvalues[:, 0].tolist()]
-    for k, (rows, cols) in enumerate(defect.tolist()):
-        if errors[k] is None and max(rows, cols) > STOCHASTICITY_TOL:
-            errors[k] = ArithmeticError(
-                f"overlap matrix lost double stochasticity: row defect {rows:.2e}, "
-                f"column defect {cols:.2e}")
+    low, errors = p_dec.eigenvalues[:, 0], [None] * len(lam)
+    for k in np.flatnonzero((low < eps) | (defect > STOCHASTICITY_TOL).any(axis=1)).tolist():
+        rows, cols = defect[k].tolist()
+        errors[k] = _singular(float(low[k]), eps) or ArithmeticError(
+            f"overlap matrix lost double stochasticity: row defect {rows:.2e}, column defect {cols:.2e}")
     return dict(lam=lam, mu=mu, w=w, r=r, R=R, q_vectors=u, p_vectors=v, defect=defect, wt=wt,
                 ratio=ratio), errors
 

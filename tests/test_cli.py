@@ -169,7 +169,8 @@ class TestCertify:
         assert "thm3=pass" in row["verdicts"]
 
     def test_catalog_shares_one_pair_context(self, files, capsys, monkeypatch):
-        # chi for thm2 and the swapped chi-square for neg-log, once per pair.
+        # chi for thm2 and the swapped chi-square for neg-log, in one stacked
+        # chi_squares call per pair.
         import qfdiv.harness
 
         calls = []
@@ -178,7 +179,7 @@ class TestCertify:
                             lambda *a: calls.append(a) or real(*a))
         code, _ = run(capsys, "certify", "--q", files["qb"], "--p", files["pb"])
         assert code == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_selftest_hook_forces_exit_1(self, files, capsys, monkeypatch):
         monkeypatch.setenv("QFDIV_SELFTEST_CORRUPT", "1")
@@ -362,10 +363,16 @@ class TestFuzzCommand:
     def test_block_size_does_not_change_stdout(self, capsys, monkeypatch, argv):
         import qfdiv.harness
 
-        outputs = set()
+        outputs, blocks, real = set(), [], qfdiv.harness._Block
+        monkeypatch.setattr(qfdiv.harness, "_Block", lambda *args: blocks.append(real(*args)) or blocks[-1])
         for size in (1, 7, 16):
             monkeypatch.setattr(qfdiv.harness, "FUZZ_BLOCK", size)
             outputs.add(run(capsys, "fuzz", *argv))
+            if "--eps-invert" in argv:
+                # Blocks that mix rows whose Q is invertible at eps with rows
+                # whose Q is not: chi_pass's swapped pairs are some rows.
+                assert size == 1 or any(0 < b.q_invertible.sum() < len(b.q_invertible) for b in blocks)
+            blocks.clear()
         assert len(outputs) == 1
 
     @pytest.mark.parametrize("argv", [

@@ -671,6 +671,15 @@ class TestPsiSupPruning:
         with pytest.raises(PreconditionError, match="need finite r < R, got r=0.5, R=inf"):
             psi_sups((kl_quantum(), chi2()), np.array([0.3, 0.5, 0.2]), np.array([2.5, INF, 4.0]))
 
+    def test_no_windows_give_an_empty_array(self):
+        # _window_ends once reshaped its empty endpoint values with a -1 axis.
+        gens = default_catalog().generators
+        assert psi_sups(gens, [], []).shape == (0, len(gens))
+
+    def test_no_generators_give_an_empty_array(self):
+        # The grid mask once was a float array (of no generators), so & raised.
+        assert psi_sups((), [0.5, 0.2], [2.0, 3.0]).shape == (2, 0)
+
     def test_takes_one_window(self):
         # A block of windows is psi_sups' (test_stacked_generators_match_one_call_each).
         with pytest.raises(TypeError):

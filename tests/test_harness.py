@@ -48,7 +48,8 @@ from qfdiv.harness import (
 from qfdiv.harness import _CHECKS, _Block, _judge, _pair, _plan, _states, _terms
 from qfdiv.generators import default_catalog
 from qfdiv.hermitian import MAX_DIM, matrix_from_json
-from qfdiv.quantum import _member, as_density, chi_square, densities, joint_spectra, joint_spectrum, variational_q
+from qfdiv.quantum import (
+    _member, as_density, chi_square, chi_squares, densities, joint_spectra, joint_spectrum, variational_q)
 
 INF = math.inf
 
@@ -505,6 +506,54 @@ class TestArrayEvaluation:
             assert values[1] == chi_square_chord_coeff(r, R)
             r, R, values = by_check["thm5:neg-log"]
             assert values[1:] == (neg_log_jensen_coeff(r, R), neg_log_range_coeff(r, R))
+
+    @staticmethod
+    def _stacked(pairs, eps):
+        """The _Block of hand-picked (Q, P) pairs, stacked."""
+        q, qdec = densities(np.stack([np.asarray(q, dtype=complex) for q, _ in pairs]))
+        p, pdec = densities(np.stack([np.asarray(p, dtype=complex) for _, p in pairs]))
+        fields, errors = joint_spectra(qdec, pdec, eps)
+        assert errors == [None] * len(pairs)
+        return _Block(q, qdec, p, pdec, fields, eps)
+
+    @pytest.mark.parametrize("eps", [1e-12, 0.01], ids=["full-rank", "singular-q"])
+    def test_stacked_chi_squares_equal_separate_calls(self, eps):
+        # chi_pass stacks chi-square(P, Q) of the rows whose Q is invertible
+        # after chi-square(Q, P) of every row, in one chi_squares call.
+        rotate = np.linalg.qr(rng_for(61).standard_normal((3, 3)))[0]
+        pairs = [(qd.matrix, 0.5 * pd.matrix + np.eye(3) / 6.0)  # P invertible at 0.01
+                 for qd, pd in (sample_pair("ginibre", 3, 1e-3, rng_for(60 + k)) for k in range(4))]
+        pairs[1] = (rotate @ np.diag([0.6, 0.4, 0.0]) @ rotate.T, pairs[1][1])
+        pairs[3] = (np.diag([0.5, 0.495, 0.005]), pairs[3][1])
+        b = self._stacked(pairs, eps)
+        b.chi_pass(True)
+        rows = np.flatnonzero(b.q_invertible[:, 0])
+        assert rows.tolist() == ([0, 2] if eps == 0.01 else [0, 2, 3])
+        swapped = np.full(4, math.nan)
+        swapped[rows] = chi_squares(b.p[rows], b.qdec[rows], eps)
+        assert b.chi[:, 0].tobytes() == np.sqrt(np.maximum(chi_squares(b.q, b.pdec, eps), 0.0)).tobytes()
+        assert b.chi_swapped[:, 0].tobytes() == swapped.tobytes()
+        # Without the swapped pairs, chi is the same and chi_swapped is not set.
+        alone = self._stacked(pairs, eps)
+        alone.chi_pass(False)
+        assert alone.chi.tobytes() == b.chi.tobytes() and not hasattr(alone, "chi_swapped")
+
+    def test_stacked_terms_equal_each_pairs_own(self):
+        # A block that mixes strict windows with one that is not (Q = P = I/3,
+        # r = R = 1): sup Psi on the strict rows alone, through a grid-taking
+        # generator too, as each pair's own block of one gives it.
+        pairs = [(qd.matrix, pd.matrix) for qd, pd in (sample_pair("ginibre", 3, 1e-3, rng_for(70 + k))
+                                                        for k in range(2))]
+        pairs.insert(1, (np.eye(3) / 3.0, np.eye(3) / 3.0))
+        gens = (*default_catalog(), conjugate(kl_quantum()))
+        tsallis = [g for g, f in enumerate(gens) if f.name == "tsallis"]
+        b = self._stacked(pairs, 1e-12)
+        assert b.strict[:, 0].tolist() == [True, False, True]
+        e = _terms(b, gens, tsallis)
+        for k, (q, p) in enumerate(pairs):
+            own = _terms(_pair(q, p, None, 1e-12), gens, tsallis)
+            for name in e._fields:
+                assert getattr(e, name)[k].tobytes() == getattr(own, name)[0].tobytes(), (k, name)
 
 
 class TestCoefficients:

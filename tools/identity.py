@@ -5,7 +5,7 @@ Usage, from the repository root:
     python3 tools/identity.py > before.txt      # on the old commit
     python3 tools/identity.py | diff before.txt -   # on the new one
 
-It covers `fuzz` stdout on 37 configurations and `fuzz --out` on 2 of
+It covers `fuzz` stdout on 38 configurations and `fuzz --out` on 2 of
 them; `certify` and `compute` JSON and CSV on 17 pairs, and with `--out`
 on the 7 hand-made ones; `spectrum` with and without `--out` on the 17
 pairs (with QFDIV_TIMESTAMP fixed), and with `--eps-invert 1e-14` on 2
@@ -148,6 +148,10 @@ FUZZ_CONFIGS = (
     # 65536 ratio points in a 16-pair block: the term pass evaluates one
     # generator per chunk of quantum.STACK_POINTS values.
     ("fuzz", "--sampler", "mixture", "--dim", "64", "--trials", "17", "--seed", "22"),
+    # Blocks that mix Q ranks at eps 0.01 (9 skipped trials), through a kinked,
+    # a quadratic and a grid-sup generator and neg-log's swapped chi-square.
+    ("fuzz", "--dim", "3", "--trials", "37", "--seed", "21", "--eps-invert", "0.01", "--generator", "tv",
+     "--generator", "neg-log", "--generator", "dichotomy:alpha=2", "--generator", "chi-alpha:alpha=3"),
 )
 
 # The configurations rerun last, marked `warm`: the first, the explicit-spec
