@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputFormatError
 from .generators import Generator, shift
-from .hermitian import CheckReport, _chain_report, _json_floats, _load_json, _positive
+from .hermitian import CheckReport, _chain_report, _json_floats, _positive
 
 __all__ = [
     "DiscreteDistribution",
@@ -31,7 +31,6 @@ __all__ = [
     "shift_invariance_check",
     "distribution_to_json",
     "distribution_from_json",
-    "load_distribution",
 ]
 
 WEIGHT_SUM_TOL = 1e-12
@@ -158,8 +157,3 @@ def distribution_from_json(obj: dict) -> DiscreteDistribution:
     if not isinstance(obj, dict) or "weights" not in obj:
         raise InputFormatError('distribution JSON must be an object with "weights"')
     return DiscreteDistribution(_json_floats(obj["weights"], "bad weights"))
-
-
-def load_distribution(path: str) -> DiscreteDistribution:
-    """Read a distribution JSON file."""
-    return distribution_from_json(_load_json(path)[0])

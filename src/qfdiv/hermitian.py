@@ -4,9 +4,9 @@ Everything downstream (density matrices, joint spectra, divergence
 values) is built on the primitives here: the Hermitian eigendecomposition
 (LAPACK through numpy.linalg.eigh; eigenvalues within ZERO_EIGENVALUE_TOL
 ||A||_F of 0 are set to exactly 0, in one comparison over a stack),
-matrix functions through the eigendecomposition, traces and the Schatten
-1- and 2-norms, plus checkable forms of the classical trace inequalities
-(Gruss-type gap, variance bound, trace Hoelder).
+matrix functions through the eigendecomposition and the Schatten 1- and
+2-norms, plus checkable forms of the classical trace inequalities
+(Gruss-type gap, variance bound).
 
 Matrices are plain complex ndarrays.  The JSON exchange format is
 ``{"dim": d, "re": [[...]], "im": [[...]]}`` with "im" optional.
@@ -30,19 +30,13 @@ __all__ = [
     "hermitian_part",
     "eigh",
     "matrix_function",
-    "trace",
-    "operator_abs",
-    "singular_values",
     "trace_norm",
     "hs_norm",
-    "hs_inner",
     "gruss_gap_check",
     "variance_bound_check",
-    "trace_hoelder_check",
     "matrix_to_json",
     "matrix_from_json",
     "load_matrix",
-    "save_matrix",
 ]
 
 # The largest matrix dimension accepted from input.  A dense eigh at this
@@ -190,54 +184,33 @@ def matrix_function(a, g) -> np.ndarray:
     or numpy-vectorized.  The result is Hermitian by construction.
     """
     dec = a if isinstance(a, EigenDecomposition) else eigh(a)
-    try:
-        vals = np.asarray([float(g(x)) for x in dec.eigenvalues], dtype=np.float64)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise PreconditionError(f"function undefined on an eigenvalue: {exc}") from exc
-    if not np.all(np.isfinite(vals)):
-        bad = dec.eigenvalues[~np.isfinite(vals)]
-        raise PreconditionError(f"function undefined or infinite on eigenvalues {bad}")
     u = dec.eigenvectors
-    out = (u * vals) @ u.conj().T
+    out = (u * _values(g, dec.eigenvalues)) @ u.conj().T
     return (out + out.conj().T) / 2.0
 
 
-def trace(a) -> complex:
-    """Sum of the diagonal of a square matrix."""
-    return complex(np.trace(_as_square_matrix(a)))
-
-
-def singular_values(a) -> np.ndarray:
-    """Singular values of ``a`` in descending order, via eigh of A*A."""
-    m = _as_square_matrix(a)
-    gram = m.conj().T @ m
-    vals = eigh(gram).eigenvalues
-    return np.sqrt(np.clip(vals, 0.0, None))[::-1]
-
-
-def operator_abs(a) -> np.ndarray:
-    """The modulus |A| = (A*A)^(1/2); PSD for every square A."""
-    m = _as_square_matrix(a)
-    return matrix_function(m.conj().T @ m, lambda x: math.sqrt(max(x, 0.0)))
+def _values(g, points: np.ndarray) -> np.ndarray:
+    """g at each point as a float64 array; an error g raises there (a
+    ValueError, ZeroDivisionError or OverflowError) or a value that is not
+    finite is a PreconditionError."""
+    try:
+        vals = np.asarray([float(g(x)) for x in points], dtype=np.float64)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise PreconditionError(f"function undefined on the spectrum: {exc}") from exc
+    if not np.all(np.isfinite(vals)):
+        bad = points[~np.isfinite(vals)]
+        raise PreconditionError(f"function undefined or infinite at {bad}")
+    return vals
 
 
 def trace_norm(a) -> float:
-    """Schatten 1-norm tr|A|."""
-    return float(np.sum(singular_values(a)))
+    """Schatten 1-norm tr|A|, the sum of A's singular values (one LAPACK SVD)."""
+    return float(np.linalg.norm(_as_square_matrix(a), "nuc"))
 
 
 def hs_norm(a) -> float:
     """Hilbert-Schmidt (Frobenius) norm sqrt(tr(A*A))."""
     return float(np.linalg.norm(_as_square_matrix(a)))
-
-
-def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product <A, B> = tr(B*A)."""
-    ma = _as_square_matrix(a)
-    mb = _as_square_matrix(b)
-    if ma.shape != mb.shape:
-        raise InputFormatError("dimension mismatch in hs_inner")
-    return complex(np.sum(mb.conj() * ma))
 
 
 @dataclass(frozen=True)
@@ -265,8 +238,15 @@ def _chain_report(name: str, terms, tol: float, note: str = "") -> CheckReport:
     return CheckReport(name=name, terms=tuple(terms), tol=tol, ok=ok, note=note)
 
 
-def _unit_vector(x) -> np.ndarray:
+def _unit_vector(x, dim: int) -> np.ndarray:
+    """x as a unit vector of C^dim; entries that are not finite are an
+    InputFormatError, and a length other than dim or a norm other than 1 a
+    PreconditionError."""
     vec = np.asarray(x, dtype=np.complex128).ravel()
+    if not np.all(np.isfinite(vec)):
+        raise InputFormatError("vector entries must be finite")
+    if vec.size != dim:
+        raise PreconditionError(f"dimension mismatch: {vec.size} vs {dim}")
     norm = np.linalg.norm(vec)
     if abs(norm - 1.0) > 1e-10:
         raise PreconditionError(f"expected a unit vector, got norm {norm}")
@@ -277,16 +257,17 @@ def _quad_form(op: np.ndarray, x: np.ndarray) -> float:
     return float(np.real(np.vdot(x, op @ x)))
 
 
-def _moments(s, xv) -> tuple:
-    """S's eigendecomposition, its spectrum's ends, S itself, <Sx,x>,
-    <|S - <Sx,x>|x,x> and the variance <S^2 x,x> - <Sx,x>^2."""
+def _moments(s, x) -> tuple:
+    """S's eigendecomposition, x as a unit vector, the spectrum's ends, S
+    itself, <Sx,x>, <|S - <Sx,x>|x,x> and the variance <S^2 x,x> - <Sx,x>^2."""
     dec = eigh(s)
+    xv = _unit_vector(x, len(dec.eigenvalues))
     smat = dec.reconstruct()
     mean_s = _quad_form(smat, xv)
     u = dec.eigenvectors
     absdev = _quad_form((u * np.abs(dec.eigenvalues - mean_s)) @ u.conj().T, xv)
     variance = _quad_form(smat @ smat, xv) - mean_s**2
-    return dec, float(dec.eigenvalues[0]), float(dec.eigenvalues[-1]), smat, mean_s, absdev, variance
+    return dec, xv, float(dec.eigenvalues[0]), float(dec.eigenvalues[-1]), smat, mean_s, absdev, variance
 
 
 def gruss_gap_check(s, g, lam: float, rho: float, x, tol: float = 1e-10) -> CheckReport:
@@ -302,20 +283,19 @@ def gruss_gap_check(s, g, lam: float, rho: float, x, tol: float = 1e-10) -> Chec
     within ``tol`` absolute.
     """
     lam, rho, tol = _real(lam, "lam"), _real(rho, "rho"), _positive(tol, "tolerance")
-    xv = _unit_vector(x)
-    dec, lo, hi, smat, mean_s, absdev, variance = _moments(s, xv)
+    if not (math.isfinite(lam) and math.isfinite(rho)):
+        raise InputFormatError(f"lam and rho must be finite, got {lam} and {rho}")
+    dec, xv, lo, hi, smat, mean_s, absdev, variance = _moments(s, x)
     # The hypothesis must hold on the whole spectral interval, not just
     # at eigenvalues; probe a fine grid plus the eigenvalues themselves.
     probes = np.union1d(np.linspace(lo, hi, 513), dec.eigenvalues)
-    gvals = np.asarray([float(g(t)) for t in probes])
-    worst = float(np.abs(gvals - lam).max())
+    worst = float(np.abs(_values(g, probes) - lam).max())
     if worst > rho + 1e-12 * max(1.0, abs(rho)):
         raise PreconditionError(
             f"|g(t) - lam| reaches {worst:.6e} > rho = {rho:.6e} on [{lo}, {hi}]"
         )
 
-    u = dec.eigenvectors
-    gmat = (u * np.asarray([float(g(t)) for t in dec.eigenvalues])) @ u.conj().T
+    gmat = matrix_function(dec, g)
     mean_g = _quad_form(gmat, xv)
     cross = float(np.real(np.vdot(xv, smat @ (gmat @ xv))))
     lhs = abs(cross - mean_s * mean_g)
@@ -327,7 +307,7 @@ def variance_bound_check(s, x, tol: float = 1e-10) -> CheckReport:
     """Variance chain 0 <= var <= (Gamma-gamma)/2 * <|S - mean|x,x>
     <= (Gamma-gamma)^2 / 4 for a selfadjoint S and unit x."""
     tol = _positive(tol, "tolerance")
-    _, lo, hi, _, _, absdev, variance = _moments(s, _unit_vector(x))
+    _, _, lo, hi, _, _, absdev, variance = _moments(s, x)
     mid = 0.5 * (hi - lo) * absdev
     cap = 0.25 * (hi - lo) ** 2
     return _chain_report(
@@ -335,26 +315,6 @@ def variance_bound_check(s, x, tol: float = 1e-10) -> CheckReport:
         [("zero", 0.0), ("variance", variance), ("half-range-absdev", mid), ("quarter-range-sq", cap)],
         tol,
     )
-
-
-def trace_hoelder_check(a, b, alpha: float, tol: float = 1e-10) -> CheckReport:
-    """Trace Hoelder chain |tr(AB)| <= tr|AB| <= (tr|A|^(1/alpha))^alpha
-    (tr|B|^(1/(1-alpha)))^(1-alpha), with ``tol`` relative slack."""
-    alpha, tol = _real(alpha, "alpha"), _positive(tol, "tolerance")
-    if not 0.0 < alpha < 1.0:
-        raise PreconditionError(f"alpha must lie in (0, 1), got {alpha}")
-    ma = _as_square_matrix(a)
-    mb = _as_square_matrix(b)
-    if ma.shape != mb.shape:
-        raise InputFormatError("dimension mismatch in trace_hoelder_check")
-    prod = ma @ mb
-    lhs = abs(trace(prod))
-    mid = trace_norm(prod)
-    sa = singular_values(ma)
-    sb = singular_values(mb)
-    rhs = float(np.sum(sa ** (1.0 / alpha)) ** alpha * np.sum(sb ** (1.0 / (1.0 - alpha))) ** (1.0 - alpha))
-    scale = tol * max(1.0, abs(rhs))
-    return _chain_report("trace-hoelder", [("abs-trace", lhs), ("trace-norm", mid), ("hoelder", rhs)], scale)
 
 
 def matrix_to_json(a) -> dict:
@@ -427,10 +387,3 @@ def _load_json(path: str) -> tuple:
 def load_matrix(path: str) -> np.ndarray:
     """Read a matrix JSON file."""
     return matrix_from_json(_load_json(path)[0])
-
-
-def save_matrix(a, path: str) -> None:
-    """Write a matrix JSON file."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_json(a), fh)
-        fh.write("\n")

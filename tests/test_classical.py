@@ -13,7 +13,6 @@ from qfdiv.classical import (
     distribution_from_json,
     distribution_to_json,
     i_f,
-    load_distribution,
     range_check,
     refinement_bound_check,
     shift_invariance_check,
@@ -84,10 +83,6 @@ class TestDiscreteDistribution:
         d = dist(0.25, 0.75)
         d2 = distribution_from_json(distribution_to_json(d))
         assert np.array_equal(d.weights, d2.weights)
-
-    def test_load_missing_file(self):
-        with pytest.raises(InputFormatError):
-            load_distribution("/nonexistent/d.json")
 
 
 class TestIF:

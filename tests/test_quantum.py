@@ -517,6 +517,13 @@ class TestVariationalAndTrace:
         assert trace_distance(EXAMPLE_B_Q, EXAMPLE_B_P) == pytest.approx(
             0.6403124237432849, abs=1e-12)
 
+    def test_trace_distance_keeps_small_singular_values(self):
+        # Through eigh of (Q - P)^2, the two 1e-8 eigenvalues of Q - P fell
+        # under the eigenvalue clamp and the distance read 0.39999998999999997.
+        p = np.diag([0.5, 0.3, 0.2])
+        q = p + np.diag([0.2, -0.2 + 1e-8, -1e-8])
+        assert trace_distance(q, p) == pytest.approx(0.4, rel=1e-15)
+
     def test_variational_differs_from_trace_distance(self):
         # The two quantities are genuinely different on Example B.
         v = variational_q(EXAMPLE_B_Q, EXAMPLE_B_P)
