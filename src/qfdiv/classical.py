@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputFormatError
-from .generators import Generator, shift
+from .generators import Generator, _generators, shift
 from .hermitian import CheckReport, _chain_report, _json_floats, _positive
 
 __all__ = [
@@ -78,6 +78,7 @@ def i_f(q, p, f: Generator) -> float:
     Zero handling: p_x = 0 and q_x = 0 contributes 0; p_x = 0 and
     q_x > 0 contributes q_x * f*(0).  May return +inf.
     """
+    _generators((f,))
     qw, pw = _pair_weights(q, p)
 
     total = 0.0
@@ -120,6 +121,7 @@ def refinement_bound_check(q, p, f: Generator, tol: float = 1e-10) -> CheckRepor
     Reported as vacuous (not failure) when f(0) + f*(0) is infinite.
     """
     tol = _positive(tol, "tolerance")
+    _generators((f,))
     if not f.normalized:
         raise InputFormatError(f"refinement bound needs a normalized generator, got {f.spec}")
     value = i_f(q, p, f)

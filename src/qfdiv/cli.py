@@ -209,7 +209,7 @@ def _resolve_seed(args) -> int:
 
 
 def _generators(args):
-    return tuple(map(parse_generator_spec, args.generator)) if args.generator else default_catalog().generators
+    return tuple(map(parse_generator_spec, args.generator)) if args.generator else default_catalog()
 
 
 # The independent closed form of S_f by family: (Q, P, f, eps) -> value.

@@ -41,7 +41,6 @@ from .hermitian import _real
 
 __all__ = [
     "Generator",
-    "GeneratorCatalog",
     "conjugate",
     "shift",
     "secant_bound",
@@ -133,13 +132,13 @@ class Generator:
 _NEGATIVE = "generator argument must be >= 0, got {t}"
 
 
-def _at(fns, t, at_zero, need: str, out=None):
+def _at(fns, t, at_zero, need: str):
     """Each function of fns at t, a number or an ndarray, evaluated the same
     for both and as a block evaluates it: a value that diverges (1/t^2
     underflowing, t^-0.99 overflowing) is infinite.  The one rule for 0: a
     zero point takes the function's entry of at_zero, or, if that is None,
     is the error `need` (with t) that a negative one is.  Row k, for fns[k],
-    is an array of t's shape (of out, if given) or a float for a number."""
+    is an array of t's shape or a float for a number."""
     x = np.asarray(t if isinstance(t, np.ndarray) else [float(t)], dtype=np.float64)
     zero = x <= 0.0
     if edge := bool(zero.any()):  # one check when every point is positive
@@ -147,7 +146,7 @@ def _at(fns, t, at_zero, need: str, out=None):
         if bad.any():
             raise PreconditionError(need.format(t=float(x[bad][0])))
         x = np.where(zero, 1.0, x)
-    out = np.empty((len(fns), *x.shape)) if out is None else out
+    out = np.empty((len(fns), *x.shape))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for k, fn in enumerate(fns):
             out[k] = fn(x)
@@ -156,26 +155,12 @@ def _at(fns, t, at_zero, need: str, out=None):
     return out if isinstance(t, np.ndarray) else out[:, 0].tolist()
 
 
-@dataclass(frozen=True)
-class GeneratorCatalog:
-    """Fixed, ordered collection of Generator instances."""
-
-    generators: tuple
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self) -> int:
-        return len(self.generators)
-
-    def names(self) -> tuple:
-        return tuple(g.name for g in self.generators)
-
-    def get(self, name: str) -> Generator:
-        for g in self.generators:
-            if g.name == name:
-                return g
-        raise InputFormatError(f"no generator named {name!r} in catalog")
+def _generators(generators) -> tuple:
+    """generators as a tuple; an InputFormatError unless each is a Generator."""
+    generators = tuple(generators)
+    if bad := [f for f in generators if not isinstance(f, Generator)]:
+        raise InputFormatError(f"generators must hold Generator instances, got {bad[0]!r}")
+    return generators
 
 
 def _sgn(t):
@@ -520,12 +505,12 @@ def parse_generator_spec(spec: str) -> Generator:
     return _FAMILIES[name][0](**kwargs)
 
 
-_DEFAULT_CATALOG = GeneratorCatalog(tuple(factory() for factory, _ in _FAMILIES.values()))
+_DEFAULT_CATALOG = tuple(factory() for factory, _ in _FAMILIES.values())
 
 
-def default_catalog() -> GeneratorCatalog:
+def default_catalog() -> tuple:
     """The twelve catalog families at their default parameters, in the order
-    of _FAMILIES: one catalog, built at import, that every call returns (do
+    of _FAMILIES: one tuple, built at import, that every call returns (do
     not mutate its generators' params); parse_generator_spec builds anew."""
     return _DEFAULT_CATALOG
 
@@ -539,6 +524,7 @@ def conjugate(f: Generator) -> Generator:
     Swaps value_at_zero and star_at_zero and mirrors the one-sided
     derivatives: (f*)'_(+/-)(u) = f(1/u) - (1/u) f'_(-/+)(1/u).
     """
+    _generators((f,))
 
     def fn(u):
         return u * f.fn(1.0 / u)
@@ -574,8 +560,12 @@ def conjugate(f: Generator) -> Generator:
 
 
 def shift(f: Generator, c: float) -> Generator:
-    """f(u) + c (u - 1): same induced divergence, shifted generator."""
+    """f(u) + c (u - 1): same induced divergence, shifted generator; c
+    must be finite."""
+    _generators((f,))
     c = _real(c, "shift constant")
+    if not math.isfinite(c):
+        raise InputFormatError(f"shift constant must be finite, got {c}")
     if c == 0.0:
         return f
     return Generator(
@@ -618,6 +608,7 @@ def secant_bound(f: Generator, r: float, R: float) -> float:
     Requires 0 <= r <= 1 <= R with r < R.  Returns +inf when f(r) is
     infinite (e.g. -ln at r = 0).
     """
+    _generators((f,))
     r, R = _check_open_window(r, R, closed=True)
     return secant_value(r, R, f(r), f(R))
 
@@ -630,6 +621,7 @@ def secant_value(r, R, fr, fR):
 
 def psi(f: Generator, t: float, r: float, R: float) -> float:
     """Double-slope gap (f(R)-f(t))/(R-t) - (f(t)-f(r))/(t-r), r < t < R."""
+    _generators((f,))
     r, R = _check_window(r, R)
     t = float(t)
     if not r < t < R:
@@ -663,7 +655,7 @@ def psi_sup(f: Generator, r: float, R: float) -> float:
     diverges.  Never exceeds f'_-(R) - f'_+(r) when that gap is finite.
     This is psi_sups with one generator and window.
     """
-    return float(psi_sups((f,), float(r), float(R))[0, 0])
+    return float(psi_sups(_generators((f,)), float(r), float(R))[0, 0])
 
 
 def _window_ends(generators, r, R, out, ratios=np.empty(0)) -> np.ndarray:
@@ -762,6 +754,7 @@ def jensen_gap_bound(f: Generator, r: float, R: float) -> float:
 
     Returns +inf when f(r) or f(R) is infinite.
     """
+    _generators((f,))
     r, R = _check_window(r, R)
     return jensen_gap_value(f(r), f(R), f(0.5 * (r + R)))
 

@@ -49,10 +49,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quantum
-from .errors import InputFormatError
+from .errors import InputFormatError, PreconditionError
 from .generators import (
     Generator,
     _check_open_window,
+    _generators,
     _window_ends,
     default_catalog,
     jensen_gap_value,
@@ -228,10 +229,17 @@ def _rows(mask: np.ndarray):
 
 
 def _pair(q, p, js: JointSpectrum, eps: float) -> _Block:
-    """One pair as a block of one; a supplied joint spectrum brings its own
-    invertibility threshold, which then replaces eps."""
+    """One pair as a block of one; a supplied joint spectrum must be the
+    pair's own (its eigenvalues and eigenvectors those of Q's and P's
+    decompositions, bit for bit), and brings its own invertibility
+    threshold, which then replaces eps."""
     qd, pd = _density_pair(q, p)
-    js = joint_spectrum(qd, pd, eps) if js is None else js
+    if js is None:
+        js = joint_spectrum(qd, pd, eps)
+    elif not all(map(np.array_equal, (js.lam, js.mu, js.q_vectors, js.p_vectors),
+                     (qd.dec.eigenvalues[::-1], pd.dec.eigenvalues[::-1],
+                      qd.dec.eigenvectors[:, ::-1], pd.dec.eigenvectors[:, ::-1]))):
+        raise PreconditionError("joint spectrum is not the pair's own: its eigendata differ from Q's and P's")
     return _Block(qd.matrix[np.newaxis], qd.dec[np.newaxis], pd.matrix[np.newaxis], pd.dec[np.newaxis],
                   {name: np.array([getattr(js, name)]) for name in vars(js)}, js.eps)
 
@@ -583,14 +591,6 @@ def _reports(judged: _Judged, row: int, b: _Block, generators) -> list:
 # individual chains
 
 
-def _generators(generators) -> tuple:
-    """generators as a tuple; an InputFormatError unless each is a Generator."""
-    generators = tuple(generators)
-    if bad := [f for f in generators if not isinstance(f, Generator)]:
-        raise InputFormatError(f"generators must hold Generator instances, got {bad[0]!r}")
-    return generators
-
-
 def _public(check: str, doc: str):
     """The public check function of `check`: its chains (and closed forms)
     alone, on one pair."""
@@ -764,7 +764,7 @@ class FuzzConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        generators = _generators(default_catalog().generators if self.generators is None else self.generators)
+        generators = _generators(default_catalog() if self.generators is None else self.generators)
         # dim checked, and the floor checked, or its default 1e-6 / dim once dim is.
         _, dim, floor = _check_sampler_args(self.sampler, self.dim, self.floor)
         for name, value in (("generators", generators), ("dim", dim), ("floor", floor),

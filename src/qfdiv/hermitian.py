@@ -104,10 +104,10 @@ def _philox_key(seed: int, k: int) -> np.ndarray:
     return np.array(_philox_words(seed, k), dtype=np.uint64)
 
 
-def hermitian_stack(a, tol: float = HERMITICITY_TOL) -> tuple:
+def hermitian_stack(a) -> tuple:
     """(A + A*)/2 for every matrix of an (n, d, d) stack, and per matrix
     None or the error hermitian_part raises for it: entries not finite,
-    or a Hermiticity defect above ``tol * max|entry|``."""
+    or a Hermiticity defect above ``HERMITICITY_TOL * max|entry|``."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise InputFormatError(f"expected a stack of square matrices, got shape {m.shape}")
@@ -117,17 +117,17 @@ def hermitian_stack(a, tol: float = HERMITICITY_TOL) -> tuple:
         scale = np.maximum(np.abs(m).max(axis=(1, 2)), 1e-300)
         defect = np.abs(m - adj).max(axis=(1, 2))
     errors = [None] * len(m)
-    for i in np.flatnonzero(~finite | (defect > tol * scale)):
+    for i in np.flatnonzero(~finite | (defect > HERMITICITY_TOL * scale)):
         errors[i] = InputFormatError("matrix entries must be finite") if not finite[i] else (
             PreconditionError(f"matrix is not Hermitian: defect {defect[i]:.3e} exceeds "
-                              f"{tol:.1e} * max|entry|"))
+                              f"{HERMITICITY_TOL:.1e} * max|entry|"))
     return (m + adj) / 2.0, errors
 
 
-def hermitian_part(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_part(a) -> np.ndarray:
     """Symmetrize ``a`` to (A + A*)/2, rejecting inputs that are not
-    Hermitian within ``tol * max|entry|``."""
-    sym, errors = hermitian_stack(_as_square_matrix(a)[np.newaxis], tol)
+    Hermitian within ``HERMITICITY_TOL * max|entry|``."""
+    sym, errors = hermitian_stack(_as_square_matrix(a)[np.newaxis])
     if errors[0] is not None:
         raise errors[0]
     return sym[0]

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputFormatError, PreconditionError
-from .generators import Generator
+from .generators import Generator, _generators
 from .hermitian import (
     CheckReport,
     EigenDecomposition,
@@ -190,9 +190,10 @@ class JointSpectrum:
     ratio window min/max of lambda_i / mu_j, which always contains 1.
     q_vectors and p_vectors hold the eigenvector columns in the same
     descending order, and eps the invertibility threshold P was checked
-    against.  defect is W's distance from double stochasticity, the
-    largest |row sum - 1| and |column sum - 1|.  Weights and ratios are
-    computed once, on construction, and are read-only.
+    against.  The rest is derived once, on construction: defect, W's
+    distance from double stochasticity (the largest |row sum - 1| and
+    |column sum - 1|), and the read-only weights wt = mu_j W_ij and
+    ratios lambda_i / mu_j.
     """
 
     lam: np.ndarray
@@ -203,26 +204,18 @@ class JointSpectrum:
     q_vectors: np.ndarray
     p_vectors: np.ndarray
     eps: float = DEFAULT_INVERTIBILITY_EPS
-    defect: tuple = field(default=None, compare=False)
+    defect: tuple = field(init=False, compare=False)
     wt: np.ndarray = field(init=False, repr=False, compare=False)
     ratio: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         defect, wt, ratio = _derived(self.lam, self.mu, self.w)
-        defect = tuple(defect.tolist()) if self.defect is None else self.defect
-        for name, value in (("defect", defect), ("wt", wt), ("ratio", ratio)):
+        for name, value in (("defect", tuple(defect.tolist())), ("wt", wt), ("ratio", ratio)):
             object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return int(self.lam.size)
-
-    def weights(self) -> np.ndarray:
-        """The summation weights mu_j W_ij (rows follow lam, columns mu)."""
-        return self.wt
-
-    def ratios(self) -> np.ndarray:
-        return self.ratio
 
     def variational(self) -> float:
         """sum_ij W_ij |lambda_i - mu_j|, the value of variational_q."""
@@ -338,6 +331,7 @@ def s_f_from_spectrum(js: JointSpectrum, f: Generator) -> DivergenceValue:
     result +inf only when its weight mu_j W_ij exceeds the weight floor;
     below it the term counts as zero mass.
     """
+    _generators((f,))
     sums, codes = weighted_sums(js.wt[np.newaxis], [f(js.ratio)])
     return DivergenceValue(value=float(sums[0, 0]), generator=f.spec, flags=SUM_FLAGS[codes[0, 0]])
 

@@ -230,6 +230,12 @@ class TestShiftInvariance:
         rep = shift_invariance_check(dist(0.5, 0.5), dist(1.0, 0.0), kl_quantum(), 3.0)
         assert rep.ok
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_a_shift_that_is_not_finite_is_refused(self, c):
+        # Once a false failure, ok=False.
+        with pytest.raises(InputFormatError, match="shift constant must be finite"):
+            shift_invariance_check(dist(0.75, 0.25), dist(0.5, 0.5), kl_quantum(), c)
+
 
 @pytest.mark.parametrize("call, message", [
     (lambda q, p: range_check(q, p, kl_quantum(), tol="1e-3"), "tolerance must be a real number"),

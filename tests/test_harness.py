@@ -431,6 +431,29 @@ class TestRunAllChecks:
         assert [r.check for r in reports] == [
             "nonneg", "derivative-gap", "thm2", "thm3", "thm4", "thm5"]
 
+    @staticmethod
+    def three_pairs() -> list:
+        rng = np.random.default_rng(0)
+        return [sample_pair("ginibre", d, 1e-3, rng) for d in (2, 3, 3)]
+
+    def test_spectrum_of_a_pair_of_another_dimension_is_refused(self):
+        # Once a pass at dim 3: S_f, V and the window of the 3 x 3 pair, chi of the 2 x 2 one.
+        (q2, p2), (q3, p3), _ = self.three_pairs()
+        with pytest.raises(PreconditionError, match="joint spectrum is not the pair's own"):
+            check_thm2(q2, p2, parse_generator_spec("kl"), js=joint_spectrum(q3, p3))
+
+    def test_spectrum_of_another_pair_of_the_same_dimension_is_refused(self):
+        # Once a pass, on numbers that belong to neither pair alone.
+        _, (q3, p3), (q4, p4) = self.three_pairs()
+        with pytest.raises(PreconditionError, match="joint spectrum is not the pair's own"):
+            check_thm2(q3, p3, parse_generator_spec("kl"), js=joint_spectrum(q4, p4))
+
+    @pytest.mark.parametrize("c", [math.nan, INF])
+    def test_a_shift_that_is_not_finite_is_refused(self, c):
+        # nan once gave five false fails, and inf six vacuous passes.
+        with pytest.raises(InputFormatError, match="shift constant must be finite"):
+            certify(EXAMPLE_B_Q, EXAMPLE_B_P, [shift(chi2(), c)])
+
 
 class TestArrayEvaluation:
     """A block's endpoint values and closed forms are arrays, and equal the

@@ -188,9 +188,9 @@ class TestJointSpectrum:
 
     def test_weights_and_ratios_shapes(self):
         js = joint_spectrum(EXAMPLE_B_Q, EXAMPLE_B_P)
-        assert js.weights().shape == (2, 2)
-        assert js.ratios().shape == (2, 2)
-        assert js.weights().sum() == pytest.approx(1.0, abs=1e-12)
+        assert js.wt.shape == (2, 2)
+        assert js.ratio.shape == (2, 2)
+        assert js.wt.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_keeps_the_stochasticity_defect(self):
         rng = np.random.default_rng(13)
@@ -203,7 +203,7 @@ class TestJointSpectrum:
         by_hand = JointSpectrum(lam=js.lam, mu=js.mu, w=js.w, r=js.r, R=js.R,
                                 q_vectors=js.q_vectors, p_vectors=js.p_vectors)
         assert by_hand.defect == js.defect
-        assert by_hand == dataclasses.replace(by_hand, defect=(1.0, 1.0))
+        assert {f.name: (f.init, f.compare) for f in dataclasses.fields(by_hand)}["defect"] == (False, False)
         # So are its weights and ratios, bit for bit, and read-only alike.
         for name in ("wt", "ratio"):
             mine, theirs = getattr(by_hand, name), getattr(js, name)
